@@ -181,8 +181,7 @@ func (sc *inferScratch) computeUtil(p *te.Problem, invCap *tensor.Dense) {
 // adjustInfer runs stages 3–4 (MLP1 + RAU) for one demand on the scratch
 // engine, returning the F×K split matrix. The returned matrix is scratch
 // memory: the caller must clone it before the next snapshot. Values are
-// bit-identical to the tape-based adjust (see the file comment); the
-// debugRAU hook is not invoked (it is a training-path test hook).
+// bit-identical to the tape-based adjust (see the file comment).
 func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense) *tensor.Dense {
 	p := ctx.p
 	set := p.Tunnels
@@ -240,14 +239,17 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 		for t := 0; t < numTunnels; t++ {
 			f := t / k
 			tun := set.Tunnel(f, t%k)
+			// Same smallest-edge-id tie-break as adjust: series edges tie
+			// exactly on equal-capacity chains.
 			best, bestU := 0, math.Inf(-1)
 			for pi, e := range tun.Edges {
-				if uu := sc.util.Data[e]; uu > bestU {
+				uu := sc.util.Data[e]
+				if uu > bestU || (uu == bestU && e < tun.Edges[best]) {
 					bestU = uu
 					best = pi
 				}
 			}
-			sc.btok[t] = ctx.edgePos[t][best]
+			sc.btok[t] = ctx.clsPos[t] + 1 + best
 			sc.bedge[t] = tun.Edges[best]
 		}
 		denom := sc.mlu + 1e-12

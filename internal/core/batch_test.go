@@ -13,13 +13,27 @@ import (
 )
 
 // TestSplitsBatchBitIdentical: every snapshot of a batch must come out bit
-// for bit equal to a standalone Splits call on the same (Context, demand).
+// for bit equal to a standalone Splits call on the same (Context, demand) —
+// on Abilene, and on a KDL-scale graph whose equal-capacity series chains
+// tie exactly on utilization, so the RAU bottleneck tie-break (smallest
+// edge id) is exercised in both engines.
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
 	for i, s := range samples {
 		demands[i] = s.Demand
 	}
+	t.Run("abilene", func(t *testing.T) { checkBatchMatchesSplits(t, m, ctx, demands) })
+
+	km, kctx, kd := largeBench(kdlProblem(60, 4, 301), 302)
+	kd2 := kd.Clone()
+	for i := range kd2.Data {
+		kd2.Data[i] = 51 - kd2.Data[i]
+	}
+	t.Run("kdl-ties", func(t *testing.T) { checkBatchMatchesSplits(t, km, kctx, []*tensor.Dense{kd, kd2}) })
+}
+
+func checkBatchMatchesSplits(t *testing.T, m *Model, ctx *Context, demands []*tensor.Dense) {
 	batched := m.SplitsBatch(nil, ctx, demands)
 	if len(batched) != len(demands) {
 		t.Fatalf("SplitsBatch returned %d results for %d demands", len(batched), len(demands))

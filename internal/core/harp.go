@@ -144,9 +144,6 @@ type Model struct {
 	repMu sync.Mutex
 	reps  []*Model
 
-	// debugRAU, when set (tests only), observes each RAU iteration.
-	debugRAU func(iter int, u, base, penalty *tensor.Dense)
-
 	// lossHook, when set (TrainConfig.LossHook / fault-injection tests),
 	// observes and may replace each batch loss before the health guard.
 	lossHook func(float64) float64
@@ -239,10 +236,14 @@ type probContext struct {
 	invCap   *autograd.Tensor // E×1 reciprocal normalized capacity
 	tokenIdx []int            // rows into [edgeEmb ; cls] per token
 	segs     []nn.Segment     // one per tunnel
-	clsPos   []int            // token row of each tunnel's CLS
-	edgePos  [][]int          // per tunnel: token row of each edge position
-	avgPool  *tensor.CSR      // T×numTokens mean over each tunnel's edge tokens
+	clsPos   []int            // token row of each tunnel's CLS; its i-th edge token is row clsPos[t]+1+i
 	maxCap   float64
+
+	// avgPool is the T×numTokens mean over each tunnel's edge tokens, read
+	// only by the MeanPoolTunnels ablation: built from segs on first use
+	// (meanPool), so a serving context does not retain it.
+	avgPool     *tensor.CSR
+	avgPoolOnce sync.Once
 
 	// Float32 mirrors of the structural constants, built lazily on first
 	// float32-path inference (clamped conversion, so serving never fails on
@@ -306,29 +307,31 @@ func buildContext(p *te.Problem) *probContext {
 	for f := range set.PerFlow {
 		for k := 0; k < set.K; k++ {
 			tun := set.Tunnel(f, k)
-			start := pos
+			end := pos + 1 + len(tun.Edges)
 			ctx.clsPos = append(ctx.clsPos, pos)
 			ctx.tokenIdx = append(ctx.tokenIdx, numEdges) // CLS sentinel row
-			pos++
-			rows := make([]int, 0, len(tun.Edges))
-			for _, e := range tun.Edges {
-				ctx.tokenIdx = append(ctx.tokenIdx, e)
-				rows = append(rows, pos)
-				pos++
-			}
-			ctx.edgePos = append(ctx.edgePos, rows)
-			ctx.segs = append(ctx.segs, nn.Segment{Start: start, End: pos})
+			ctx.tokenIdx = append(ctx.tokenIdx, tun.Edges...)
+			ctx.segs = append(ctx.segs, nn.Segment{Start: pos, End: end})
+			pos = end
 		}
 	}
-	var avg []tensor.COO
-	for t, rows := range ctx.edgePos {
-		w := 1 / float64(len(rows))
-		for _, r := range rows {
-			avg = append(avg, tensor.E(t, r, w))
-		}
-	}
-	ctx.avgPool = tensor.NewCSR(len(ctx.edgePos), pos, avg)
 	return ctx
+}
+
+// meanPool returns the mean-pooling matrix of the MeanPoolTunnels ablation,
+// building it on first use.
+func (ctx *probContext) meanPool() *tensor.CSR {
+	ctx.avgPoolOnce.Do(func() {
+		avg := make([]tensor.COO, 0, len(ctx.tokenIdx)-len(ctx.segs))
+		for t, seg := range ctx.segs {
+			w := 1 / float64(seg.End-seg.Start-1)
+			for r := seg.Start + 1; r < seg.End; r++ {
+				avg = append(avg, tensor.E(t, r, w))
+			}
+		}
+		ctx.avgPool = tensor.NewCSR(len(ctx.segs), len(ctx.tokenIdx), avg)
+	})
+	return ctx.avgPool
 }
 
 // ForwardResult carries the differentiable outputs of one forward pass.
@@ -391,7 +394,7 @@ func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) em
 		// Ablation: skip SETTRANS; tunnel embedding = mean of its edge
 		// embeddings, edge-tunnel embeddings = the raw edge embeddings.
 		emb.h = tokens
-		emb.tunnelEmb = tp.CSRMul(ctx.avgPool, emb.h)
+		emb.tunnelEmb = tp.CSRMul(ctx.meanPool(), emb.h)
 	} else {
 		emb.h = m.settrans.Forward(tp, tokens, ctx.segs)
 		emb.tunnelEmb = tp.GatherRowsStable(emb.h, ctx.clsPos) // T×r
@@ -501,7 +504,7 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 					best = pi
 				}
 			}
-			btok[t] = ctx.edgePos[t][best]
+			btok[t] = ctx.clsPos[t] + 1 + best
 			bedge[t] = tun.Edges[best]
 		}
 		bottleneckEmb := tp.GatherRowsStable(h, btok) // T×r (edge-tunnel embedding)
@@ -544,9 +547,6 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 		penalty := tp.Add(tp.Scale(gatedBu, 6), tp.Scale(tp.Mul(gate, gatedBu), 4))
 		adjust := tp.Sub(base, penalty)
 		u = tp.Add(u, adjust)
-		if m.debugRAU != nil {
-			m.debugRAU(it, u.Val, base.Val, penalty.Val)
-		}
 		w, util, mlu = computeUtil(u)
 		if tel != nil {
 			span.End()

@@ -41,12 +41,21 @@ type model32 struct {
 // alias the float64 index structure, so a sparse-path serve sees the exact
 // same sparsity pattern as the dense-path one.
 type ctxConsts32 struct {
-	aHat    *tensor.CSR32
-	inc     *tensor.CSR32
-	avgPool *tensor.CSR32
-	feats   *tensor.Dense32
-	capCol  *tensor.Dense32
-	invCap  *tensor.Dense32
+	aHat   *tensor.CSR32
+	inc    *tensor.CSR32
+	feats  *tensor.Dense32
+	capCol *tensor.Dense32
+	invCap *tensor.Dense32
+
+	// avgPool mirrors probContext.avgPool: mean-pool ablation only, built
+	// on its first float32 forward.
+	avgPool     *tensor.CSR32
+	avgPoolOnce sync.Once
+}
+
+func (c32 *ctxConsts32) meanPool(ctx *probContext) *tensor.CSR32 {
+	c32.avgPoolOnce.Do(func() { c32.avgPool = ctx.meanPool().Clamp32() })
+	return c32.avgPool
 }
 
 // float32Consts lazily builds (once) and returns the context's float32
@@ -54,12 +63,11 @@ type ctxConsts32 struct {
 func (ctx *probContext) float32Consts() *ctxConsts32 {
 	ctx.c32Once.Do(func() {
 		ctx.c32 = &ctxConsts32{
-			aHat:    ctx.aHat.Clamp32(),
-			inc:     ctx.p.Incidence().Clamp32(),
-			avgPool: ctx.avgPool.Clamp32(),
-			feats:   tensor.ClampDense32(ctx.feats.Val),
-			capCol:  tensor.ClampDense32(ctx.capCol.Val),
-			invCap:  tensor.ClampDense32(ctx.invCap.Val),
+			aHat:   ctx.aHat.Clamp32(),
+			inc:    ctx.p.Incidence().Clamp32(),
+			feats:  tensor.ClampDense32(ctx.feats.Val),
+			capCol: tensor.ClampDense32(ctx.capCol.Val),
+			invCap: tensor.ClampDense32(ctx.invCap.Val),
 		}
 	})
 	return ctx.c32
@@ -203,7 +211,7 @@ func (m *Model) forward32(ar *tensor.Arena32, mm *model32, ctx *probContext, dem
 	if mm.meanPool {
 		h = tokens
 		tunnelEmb = ar.GetZeroed(numTunnels, r)
-		c32.avgPool.MulDense32(tunnelEmb, h)
+		c32.meanPool(ctx).MulDense32(tunnelEmb, h)
 	} else {
 		h = mm.settrans.Forward(ar, tokens, ctx.segs)
 		tunnelEmb = ar.Get(numTunnels, r)
@@ -288,7 +296,7 @@ func (m *Model) forward32(ar *tensor.Arena32, mm *model32, ctx *probContext, dem
 						best = pi
 					}
 				}
-				copy(bottleneckEmb.Row(t), h.Row(ctx.edgePos[t][best]))
+				copy(bottleneckEmb.Row(t), h.Row(ctx.clsPos[t]+1+best))
 				bu := util.Data[tun.Edges[best]]
 				buCol.Data[t] = bu
 

@@ -2,8 +2,9 @@ package tensor
 
 // Micro-benchmarks for the matmul kernels at HARP-representative shapes:
 // tall-skinny activation×weight products (thousands of token rows, embed
-// widths of a few dozen) and a larger square case where cache blocking and
-// the parallel path matter.
+// widths of a few dozen), a larger square case where cache blocking and
+// the parallel path matter, and the exact products one Abilene request
+// issues under DefaultConfig (2,774 tokens, 528 tunnels, r = 12).
 
 import (
 	"fmt"
@@ -24,6 +25,27 @@ func benchShapes() [][3]int {
 		{2048, 12, 12},  // token activations × projection (SETTRANS)
 		{2048, 24, 48},  // RAU hidden layer
 		{256, 256, 256}, // large square: blocked/parallel territory
+		{2774, 12, 12},  // Abilene Q/K/V and attention out-projection
+		{2774, 12, 24},  // Abilene SETTRANS feed-forward, up
+		{2774, 24, 12},  // Abilene SETTRANS feed-forward, down
+		{528, 17, 24},   // Abilene RAU first layer, per-iteration tail columns
+		{528, 24, 2},    // Abilene RAU output layer
+		{5, 6, 5},       // one head's attention product over a 5-token tunnel
+	}
+}
+
+func BenchmarkMatMul32(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	for _, s := range benchShapes() {
+		a := ClampDense32(benchDense(rng, s[0], s[1]))
+		bb := ClampDense32(benchDense(rng, s[1], s[2]))
+		dst := New32(s[0], s[2])
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MatMul32(dst, a, bb)
+			}
+		})
 	}
 }
 

@@ -140,26 +140,14 @@ func ClampDense32(src *Dense) *Dense32 {
 // the model's answers (the verify precision oracle), not to hide it behind
 // float64 accumulators.
 
-// MatMulAcc32 computes dst += a × b without zeroing dst. Ascending-k
-// accumulation, mirroring the float64 kernel's ordering contract.
+// MatMulAcc32 computes dst += a × b without zeroing dst, on the same
+// register-tiled kernel as Dense (ascending-k accumulation, zero-skip).
 func MatMulAcc32(dst, a, b *Dense32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAcc32 shape mismatch (%dx%d)x(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range drow {
-				drow[j] += aik * brow[j]
-			}
-		}
-	}
+	matMulAccRange(dst.Data, a.Data, b.Data, a.Cols, b.Cols, 0, a.Rows)
 }
 
 // MatMul32 computes dst = a × b.

@@ -37,18 +37,29 @@ func fuzzFloats(data []byte, n int) []float64 {
 	return out
 }
 
-// FuzzMatMul: the k-blocked (and optionally goroutine-parallel) MatMul must
-// be bit-identical to the naive triple loop — the checkpoint/resume
-// determinism guarantees depend on it. Dimensions cross the 64-wide block
-// boundary so the blocked path is actually exercised.
+// FuzzMatMul: the k-blocked, register-tiled (and optionally
+// goroutine-parallel) MatMul must be bit-identical to the naive triple loop
+// — the checkpoint/resume determinism guarantees depend on it. Dimensions
+// cross the 64-wide block boundary and every 8/4/1 column-tile remainder so
+// the blocked and tiled paths are actually exercised.
 func FuzzMatMul(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(65), uint8(70), uint8(3), []byte{0xff, 0x01, 0x80})
 	f.Add(uint8(1), uint8(1), uint8(1), []byte{0})
+	// One seed per tile remainder of TestBlockedKernelsBitIdenticalToNaive
+	// (n = 1+nr: 8+4, 8+4+1, 4×8+4, 8+1, 3×8, 4+1, 4+3), zero bytes giving
+	// aik == 0 runs for the skip.
+	f.Add(uint8(4), uint8(11), uint8(11), []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0x40, 0xc0})
+	f.Add(uint8(2), uint8(28), uint8(12), []byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(1), uint8(64), uint8(35), []byte{0xbf, 0x11, 0x22, 0x33, 0x44})
+	f.Add(uint8(3), uint8(0), uint8(8), []byte{0x40, 0x09, 0x21, 0xfb})
+	f.Add(uint8(0), uint8(11), uint8(23), []byte{1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(6), uint8(64), uint8(4), []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(5), uint8(28), uint8(6), []byte{0xaa, 0x55})
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, data []byte) {
 		m := 1 + int(mr)%70
 		k := 1 + int(kr)%70
-		n := 1 + int(nr)%8
+		n := 1 + int(nr)%40
 		vals := fuzzFloats(data, m*k+k*n)
 		a, b := New(m, k), New(k, n)
 		copy(a.Data, vals[:m*k])

@@ -81,31 +81,102 @@ func fanOutRows(w, rows int, fn func(lo, hi int)) {
 // matMulAccImpl: dst += a × b.
 func matMulAccImpl(dst, a, b *Dense) {
 	if w := parWorkers(a.Rows, a.Rows*a.Cols*b.Cols); w > 1 {
-		fanOutRows(w, a.Rows, func(lo, hi int) { matMulAccRange(dst, a, b, lo, hi) })
+		fanOutRows(w, a.Rows, func(lo, hi int) { matMulAccRange(dst.Data, a.Data, b.Data, a.Cols, b.Cols, lo, hi) })
 		return
 	}
-	matMulAccRange(dst, a, b, 0, a.Rows)
+	matMulAccRange(dst.Data, a.Data, b.Data, a.Cols, b.Cols, 0, a.Rows)
 }
 
-// matMulAccRange accumulates output rows [lo, hi) of a × b into dst,
-// k-blocked, (k-block, i, k, j) order.
-func matMulAccRange(dst, a, b *Dense, lo, hi int) {
-	for k0 := 0; k0 < a.Cols; k0 += matmulKBlock {
-		k1 := min(k0+matmulKBlock, a.Cols)
+// matMulAccRange accumulates output rows [lo, hi) of a × b into dst, where
+// a is ·×kd, b is kd×n and dst is ·×n, all row-major; k-blocked,
+// (k-block, i, j-tile, k) order. Shared by Dense and Dense32.
+func matMulAccRange[T float32 | float64](dst, a, b []T, kd, n, lo, hi int) {
+	for k0 := 0; k0 < kd; k0 += matmulKBlock {
+		k1 := min(k0+matmulKBlock, kd)
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := k0; k < k1; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range drow {
-					drow[j] += aik * brow[j]
-				}
-			}
+			macRow(dst[i*n:(i+1)*n], a[i*kd+k0:i*kd+k1], b[k0*n:], n)
 		}
+	}
+}
+
+// macRow computes drow += arow × b for one output row, where b holds
+// len(arow) rows of stride n. The row is swept in register tiles of 8, then
+// 4, then single columns: a tile's accumulators are loaded from drow once,
+// live in locals across the whole k loop and are stored once, so the inner
+// loop is one load of a, one test and a run of multiply-adds with no store
+// and no bounds check on the tile. Every accumulator starts from drow, adds
+// its k-terms in ascending order and skips exactly the terms with
+// arow[k] == 0 (so 0·Inf never enters a sum the naive loop keeps finite):
+// bit-identical to the naive triple loop.
+func macRow[T float32 | float64](drow, arow, b []T, n int) {
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		mac8((*[8]T)(drow[j:]), arow, b[j:], n)
+	}
+	if j+4 <= n {
+		mac4((*[4]T)(drow[j:]), arow, b[j:], n)
+		j += 4
+	}
+	if j < n {
+		mac1(drow[j:n], arow, b[j:], n)
+	}
+}
+
+// mac8 is the 8-column tile. The tile of b is taken as two 4-wide 3-index
+// slices: each pins its length for the compiler (no per-element bounds
+// checks), and the second slice's check splits the body into two basic
+// blocks, which keeps 8 accumulators + 4 products inside amd64's 15 usable
+// XMM registers — as one block the scheduler hoists all 8 products and
+// spills two accumulators to the stack on every k.
+func mac8[T float32 | float64](d *[8]T, arow, b []T, n int) {
+	c0, c1, c2, c3, c4, c5, c6, c7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+	off := 0
+	for _, aik := range arow {
+		if aik != 0 {
+			bt := b[off : off+4 : off+4]
+			c0 += aik * bt[0]
+			c1 += aik * bt[1]
+			c2 += aik * bt[2]
+			c3 += aik * bt[3]
+			bt = b[off+4 : off+8 : off+8]
+			c4 += aik * bt[0]
+			c5 += aik * bt[1]
+			c6 += aik * bt[2]
+			c7 += aik * bt[3]
+		}
+		off += n
+	}
+	d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = c0, c1, c2, c3, c4, c5, c6, c7
+}
+
+func mac4[T float32 | float64](d *[4]T, arow, b []T, n int) {
+	c0, c1, c2, c3 := d[0], d[1], d[2], d[3]
+	off := 0
+	for _, aik := range arow {
+		if aik != 0 {
+			bt := b[off : off+4 : off+4]
+			c0 += aik * bt[0]
+			c1 += aik * bt[1]
+			c2 += aik * bt[2]
+			c3 += aik * bt[3]
+		}
+		off += n
+	}
+	d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+}
+
+// mac1 finishes the last len(d) < 4 columns of a row one at a time.
+func mac1[T float32 | float64](d, arow, b []T, n int) {
+	for j := range d {
+		c := d[j]
+		off := j
+		for _, aik := range arow {
+			if aik != 0 {
+				c += aik * b[off]
+			}
+			off += n
+		}
+		d[j] = c
 	}
 }
 
@@ -120,19 +191,18 @@ func atbAccImpl(dst, a, b *Dense) {
 	atbAccRange(dst, a, b, 0, a.Cols)
 }
 
+// atbAccRange is matMulAccRange with a read transposed: per k-block, column
+// i of a is gathered into a stack buffer and swept with the same tiles.
 func atbAccRange(dst, a, b *Dense, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
+	var col [matmulKBlock]float64
+	n := b.Cols
+	for k0 := 0; k0 < a.Rows; k0 += matmulKBlock {
+		acol := col[:min(matmulKBlock, a.Rows-k0)]
 		for i := lo; i < hi; i++ {
-			aki := arow[i]
-			if aki == 0 {
-				continue
+			for k := range acol {
+				acol[k] = a.Data[(k0+k)*a.Cols+i]
 			}
-			drow := dst.Row(i)
-			for j := range drow {
-				drow[j] += aki * brow[j]
-			}
+			macRow(dst.Data[i*n:(i+1)*n], acol, b.Data[k0*n:], n)
 		}
 	}
 }
@@ -149,13 +219,22 @@ func abtAccImpl(dst, a, b *Dense) {
 	abtAccRange(dst, a, b, 0, a.Rows)
 }
 
+// abtAccRange tiles 4 dot products at a time (then singles): four
+// independent ascending-k chains instead of one hide the add latency, and
+// four is what fits the register file next to their products (8 measured
+// slower). No zero-skip here, as in the naive loop.
 func abtAccRange(dst, a, b *Dense, lo, hi int) {
+	kd := a.Cols
 	for j0 := 0; j0 < b.Rows; j0 += matmulJBlock {
 		j1 := min(j0+matmulJBlock, b.Rows)
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
-			for j := j0; j < j1; j++ {
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				dot4((*[4]float64)(drow[j:]), arow, b.Data[j*kd:(j+4)*kd])
+			}
+			for ; j < j1; j++ {
 				brow := b.Row(j)
 				var s float64
 				for k, av := range arow {
@@ -165,4 +244,21 @@ func abtAccRange(dst, a, b *Dense, lo, hi int) {
 			}
 		}
 	}
+}
+
+// dot4 adds arow · (4 consecutive rows of b) into d.
+func dot4(d *[4]float64, arow, b []float64) {
+	kd := len(arow)
+	b0, b1, b2, b3 := b[:kd], b[kd:2*kd], b[2*kd:3*kd], b[3*kd:4*kd]
+	var s0, s1, s2, s3 float64
+	for k, av := range arow {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	d[0] += s0
+	d[1] += s1
+	d[2] += s2
+	d[3] += s3
 }

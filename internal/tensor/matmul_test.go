@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -53,15 +55,74 @@ func bitIdentical(t *testing.T, name string, got, want *Dense) {
 		t.Fatalf("%s: shape %dx%d vs %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.Data[i], want.Data[i])
+		g, w := got.Data[i], want.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d differs: %v vs %v", name, i, g, w)
 		}
 	}
 }
 
-// TestBlockedKernelsBitIdenticalToNaive checks the blocked (and parallel)
-// kernels reproduce the naive loops exactly — not just within tolerance —
-// at shapes spanning the block boundaries, for several worker counts. The
+// checkKernelsAgainstNaive runs all four kernels on an m×k·k×n problem and
+// compares each with its naive reference bit for bit. a gets zeros of both
+// signs so the zero-skip branch is covered; with nonFinite, the second
+// operands also get ±0, ±Inf and NaN, which land under zero and non-zero
+// multiplicands alike — the skip decides whether 0·Inf poisons a sum.
+func checkKernelsAgainstNaive(t *testing.T, rng *rand.Rand, m, k, n int, nonFinite bool) {
+	t.Helper()
+	operand := func(rows, cols int) *Dense {
+		d := benchDense(rng, rows, cols)
+		if nonFinite {
+			special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+			for i := 0; i < len(d.Data); i += 3 {
+				d.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return d
+	}
+	a := benchDense(rng, m, k)
+	for i := 0; i < len(a.Data); i += 7 {
+		a.Data[i] = 0
+	}
+	for i := 3; i < len(a.Data); i += 11 {
+		a.Data[i] = math.Copysign(0, -1)
+	}
+	name := func(kernel string) string {
+		return fmt.Sprintf("%s %dx%dx%d workers=%d nonFinite=%v", kernel, m, k, n, MatMulWorkers(), nonFinite)
+	}
+
+	b := operand(k, n)
+	got, want := New(m, n), New(m, n)
+	MatMul(got, a, b)
+	naiveMatMulAcc(want, a, b)
+	bitIdentical(t, name("MatMul"), got, want)
+
+	got.Fill(0.5)
+	want.Fill(0.5)
+	MatMulAcc(got, a, b)
+	naiveMatMulAcc(want, a, b)
+	bitIdentical(t, name("MatMulAcc"), got, want)
+
+	b2 := operand(m, n)
+	gotT, wantT := New(k, n), New(k, n)
+	gotT.Fill(0.25)
+	wantT.Fill(0.25)
+	MatMulATBAcc(gotT, a, b2)
+	naiveATBAcc(wantT, a, b2)
+	bitIdentical(t, name("MatMulATBAcc"), gotT, wantT)
+
+	b3 := operand(n, k)
+	gotB, wantB := New(m, n), New(m, n)
+	gotB.Fill(-0.25)
+	wantB.Fill(-0.25)
+	MatMulABTAcc(gotB, a, b3)
+	naiveABTAcc(wantB, a, b3)
+	bitIdentical(t, name("MatMulABTAcc"), gotB, wantB)
+}
+
+// TestBlockedKernelsBitIdenticalToNaive checks the blocked, register-tiled
+// (and parallel) kernels reproduce the naive loops exactly — not just within
+// tolerance — at shapes spanning the block boundaries, at every column-tile
+// remainder (8/4/1) and degenerate shape, for several worker counts. The
 // sizes deliberately exceed the parallel flop threshold in the largest case
 // so the goroutine path is actually exercised.
 func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
@@ -70,43 +131,16 @@ func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 2}, {7, 64, 9}, {65, 63, 67}, {130, 200, 130},
 	}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 24, 36} {
+		for _, k := range []int{0, 1, 12, 29, 65} {
+			shapes = append(shapes, [3]int{5, k, n}, [3]int{0, k, n})
+		}
+	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		SetMatMulWorkers(workers)
 		for _, s := range shapes {
-			m, k, n := s[0], s[1], s[2]
-			a := benchDense(rng, m, k)
-			b := benchDense(rng, k, n)
-			// Sprinkle zeros so the zero-skip branch is covered.
-			for i := 0; i < len(a.Data); i += 7 {
-				a.Data[i] = 0
-			}
-
-			got, want := New(m, n), New(m, n)
-			MatMul(got, a, b)
-			naiveMatMulAcc(want, a, b)
-			bitIdentical(t, "MatMul", got, want)
-
-			got.Fill(0.5)
-			want.Fill(0.5)
-			MatMulAcc(got, a, b)
-			naiveMatMulAcc(want, a, b)
-			bitIdentical(t, "MatMulAcc", got, want)
-
-			b2 := benchDense(rng, m, n)
-			gotT, wantT := New(k, n), New(k, n)
-			gotT.Fill(0.25)
-			wantT.Fill(0.25)
-			MatMulATBAcc(gotT, a, b2)
-			naiveATBAcc(wantT, a, b2)
-			bitIdentical(t, "MatMulATBAcc", gotT, wantT)
-
-			b3 := benchDense(rng, n, k)
-			gotB, wantB := New(m, n), New(m, n)
-			gotB.Fill(-0.25)
-			wantB.Fill(-0.25)
-			MatMulABTAcc(gotB, a, b3)
-			naiveABTAcc(wantB, a, b3)
-			bitIdentical(t, "MatMulABTAcc", gotB, wantB)
+			checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], false)
+			checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], true)
 		}
 	}
 }

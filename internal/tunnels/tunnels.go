@@ -354,5 +354,34 @@ func ComputeForPairs(g *topology.Graph, pairs [][2]int, k int) *Set {
 		set.Flows = append(set.Flows, Flow{Src: p[0], Dst: p[1]})
 		set.PerFlow = append(set.PerFlow, paths[:k])
 	}
+	set.pack()
 	return set
+}
+
+// pack moves every tunnel's Edges into one backing array and every flow's
+// tunnels into one []Tunnel, both in flow-major order: validation,
+// fingerprinting and the RAU bottleneck scan walk all tunnels on every
+// request, and thousands of separately allocated few-element slices make
+// each of those walks a pointer chase. Capacities are clipped (3-index
+// slices), so appending to one tunnel or flow reallocates instead of
+// overwriting its neighbour; padded tunnels stop sharing a backing array.
+func (s *Set) pack() {
+	numTunnels, numEdges := 0, 0
+	for _, ts := range s.PerFlow {
+		numTunnels += len(ts)
+		for _, t := range ts {
+			numEdges += len(t.Edges)
+		}
+	}
+	tuns := make([]Tunnel, 0, numTunnels)
+	edges := make([]int, 0, numEdges)
+	for f, ts := range s.PerFlow {
+		t0 := len(tuns)
+		for _, t := range ts {
+			e0 := len(edges)
+			edges = append(edges, t.Edges...)
+			tuns = append(tuns, Tunnel{Edges: edges[e0:len(edges):len(edges)]})
+		}
+		s.PerFlow[f] = tuns[t0:len(tuns):len(tuns)]
+	}
 }

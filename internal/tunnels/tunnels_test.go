@@ -2,6 +2,7 @@ package tunnels
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,44 @@ func TestComputePadsWhenFewPaths(t *testing.T) {
 		if tun.Key(g) != key {
 			t.Fatal("padded tunnels should repeat the available path")
 		}
+	}
+}
+
+// TestComputePacksWithoutChangingTheSet: packing is a storage change only.
+// The set equals the per-pair KShortestPaths results padded by cycling, and
+// every tunnel and flow is capacity-clipped, so an append reallocates
+// instead of overwriting the neighbour that follows it in the backing array.
+func TestComputePacksWithoutChangingTheSet(t *testing.T) {
+	g := topology.New("line+diamond", 6)
+	g.AddBidirectional(0, 1, 10)
+	g.AddBidirectional(1, 3, 10)
+	g.AddBidirectional(0, 2, 10)
+	g.AddBidirectional(2, 3, 10)
+	g.AddBidirectional(3, 4, 10)
+	g.AddBidirectional(4, 5, 10) // 4→5 has one path: padded at K=3
+	const k = 3
+	pairs := [][2]int{{0, 3}, {4, 5}, {0, 5}, {5, 1}}
+	want := &Set{K: k}
+	for _, p := range pairs {
+		paths := KShortestPaths(g, p[0], p[1], k)
+		for orig := len(paths); len(paths) < k; {
+			paths = append(paths, Tunnel{Edges: append([]int(nil), paths[len(paths)-orig].Edges...)})
+		}
+		want.Flows = append(want.Flows, Flow{Src: p[0], Dst: p[1]})
+		want.PerFlow = append(want.PerFlow, paths)
+	}
+	got := ComputeForPairs(g, pairs, k)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("packed set differs from the unpacked one:\n got %+v\nwant %+v", got, want)
+	}
+	for f := range got.PerFlow {
+		for j := range got.PerFlow[f] {
+			_ = append(got.PerFlow[f][j].Edges, -999)
+		}
+		_ = append(got.PerFlow[f], Tunnel{Edges: []int{-999}})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("appending to a tunnel's Edges or a flow's tunnels overwrote a neighbour")
 	}
 }
 
