@@ -7,47 +7,73 @@ package core
 // discipline extended to the batched path.
 
 import (
+	"math"
 	"testing"
 
+	"harpte/internal/autograd"
+	"harpte/internal/te"
 	"harpte/internal/tensor"
+	"harpte/internal/topology"
+	"harpte/internal/tunnels"
 )
 
-// TestSplitsBatchBitIdentical: every snapshot of a batch must come out bit
-// for bit equal to a standalone Splits call on the same (Context, demand) —
-// on Abilene, and on a KDL-scale graph whose equal-capacity series chains
-// tie exactly on utilization, so the RAU bottleneck tie-break (smallest
-// edge id) is exercised in both engines.
+// TestSplitsBatchBitIdentical holds inference to the tape: Splits and every
+// snapshot of a SplitsBatch must come out bit for bit equal to the training
+// forward (Forward on a fresh gradient tape) for the same (Context, demand).
+// The cases cover each branch the engine has: Abilene and GEANT, a
+// KDL-scale graph whose equal-capacity series chains tie exactly on
+// utilization (the RAU bottleneck tie-break, smallest edge id), the
+// mean-pool ablation, no RAU at all, the reduced serving tier (a
+// WithRAUIterations clone sharing the weights), and the all-zero demand
+// Server.canary sends (mean and MLU both 0).
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
 	for i, s := range samples {
 		demands[i] = s.Demand
 	}
-	t.Run("abilene", func(t *testing.T) { checkBatchMatchesSplits(t, m, ctx, demands) })
+	t.Run("abilene", func(t *testing.T) { checkInferenceMatchesTape(t, m, ctx, demands) })
+	t.Run("reduced-tier", func(t *testing.T) { checkInferenceMatchesTape(t, m.WithRAUIterations(2), ctx, demands[:4]) })
+	t.Run("zero-demand", func(t *testing.T) {
+		zero := tensor.New(demands[0].Rows, 1)
+		checkInferenceMatchesTape(t, m, ctx, []*tensor.Dense{zero, demands[0], zero})
+	})
+
+	cfg := DefaultConfig()
+	cfg.RAUIterations = 0
+	t.Run("no-rau", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
+	cfg = DefaultConfig()
+	cfg.MeanPoolTunnels = true
+	t.Run("mean-pool", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
+
+	geant := topology.Geant()
+	gm, gctx, gd := largeBench(te.NewProblem(geant, tunnels.Compute(geant, 4)), 7)
+	t.Run("geant", func(t *testing.T) { checkInferenceMatchesTape(t, gm, gctx, []*tensor.Dense{gd}) })
 
 	km, kctx, kd := largeBench(kdlProblem(60, 4, 301), 302)
 	kd2 := kd.Clone()
 	for i := range kd2.Data {
 		kd2.Data[i] = 51 - kd2.Data[i]
 	}
-	t.Run("kdl-ties", func(t *testing.T) { checkBatchMatchesSplits(t, km, kctx, []*tensor.Dense{kd, kd2}) })
+	t.Run("kdl-ties", func(t *testing.T) { checkInferenceMatchesTape(t, km, kctx, []*tensor.Dense{kd, kd2}) })
 }
 
-func checkBatchMatchesSplits(t *testing.T, m *Model, ctx *Context, demands []*tensor.Dense) {
+func checkInferenceMatchesTape(t *testing.T, m *Model, ctx *Context, demands []*tensor.Dense) {
+	t.Helper()
 	batched := m.SplitsBatch(nil, ctx, demands)
 	if len(batched) != len(demands) {
 		t.Fatalf("SplitsBatch returned %d results for %d demands", len(batched), len(demands))
 	}
 	for i, d := range demands {
-		single := m.Splits(ctx, d)
-		if single.Rows != batched[i].Rows || single.Cols != batched[i].Cols {
-			t.Fatalf("snapshot %d: shape %dx%d vs %dx%d",
-				i, batched[i].Rows, batched[i].Cols, single.Rows, single.Cols)
-		}
-		for j := range single.Data {
-			if single.Data[j] != batched[i].Data[j] {
-				t.Fatalf("snapshot %d entry %d: batched %v != single %v",
-					i, j, batched[i].Data[j], single.Data[j])
+		want := m.Forward(autograd.NewTape(), ctx, d).Splits.Val
+		for name, got := range map[string]*tensor.Dense{"Splits": m.Splits(ctx, d), "SplitsBatch": batched[i]} {
+			if got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("snapshot %d: %s shape %dx%d, tape %dx%d", i, name, got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for j := range want.Data {
+				if math.Float64bits(got.Data[j]) != math.Float64bits(want.Data[j]) {
+					t.Fatalf("snapshot %d entry %d: %s %v != tape %v", i, j, name, got.Data[j], want.Data[j])
+				}
 			}
 		}
 	}
