@@ -233,7 +233,6 @@ func cmdEval(args []string) {
 	seed := fs.Int64("seed", 99, "seed (use a different seed than training)")
 	failLink := fs.String("fail", "", "fail the undirected link u,v before evaluating")
 	report := fs.Bool("report", false, "print the operator what-if report for the first matrix")
-	precision := fs.String("precision", "float64", "inference precision: float64 (training arithmetic) or float32 (half-width sparse inference engine)")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port during the run")
@@ -255,16 +254,6 @@ func cmdEval(args []string) {
 	}
 	if reg != nil {
 		m.EnableTelemetry(reg)
-	}
-	switch *precision {
-	case "float64":
-	case "float32":
-		if err := m.EnableFloat32Inference(); err != nil {
-			fatal(fmt.Errorf("cannot serve in float32: %w", err))
-		}
-		fmt.Println("inference on the float32 engine")
-	default:
-		fatal(fmt.Errorf("unknown -precision %q (want float64 or float32)", *precision))
 	}
 
 	g := buildTopology(*topoName, *seed)

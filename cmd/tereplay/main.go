@@ -127,8 +127,6 @@ func main() {
 		traceSample  = flag.Int("trace-sample", 64, "flight recorder: probabilistically retain 1-in-N boring traces (errors, sheds, hedge wins and p99-slow requests are always kept)")
 		qualityEvery = flag.Int("quality-every", 0, "re-solve 1-in-N served requests with the simplex oracle and score MLU vs optimal (0 disables)")
 
-		precision = flag.String("precision", "float64", "serving precision: float64 (training arithmetic) or float32 (half-width sparse inference engine)")
-
 		scenarioSpec = flag.String("scenario", "", "run a correlated-disaster drill after the replay: a scenario JSON file, or \"auto\" for the canned SRLG-cut + flash-crowd + adversarial + maintenance script")
 	)
 	flag.Parse()
@@ -206,22 +204,6 @@ func main() {
 	res := model.Fit(experiments.HarpSamples(model, trainInst),
 		experiments.HarpSamples(model, valInst), tc)
 	fmt.Printf("trained: best val MLU %.4f\n\n", res.BestValMLU)
-
-	switch *precision {
-	case "float64":
-	case "float32":
-		// Strict weight narrowing: an unrepresentable weight means the
-		// trained model cannot serve half-width, so fail up front rather
-		// than at the first request.
-		if err := model.EnableFloat32Inference(); err != nil {
-			fmt.Fprintln(os.Stderr, "cannot serve in float32:", err)
-			os.Exit(1)
-		}
-		fmt.Println("serving on the float32 inference engine")
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -precision %q (want float64 or float32)\n", *precision)
-		os.Exit(1)
-	}
 
 	if *replicas < 1 {
 		*replicas = 1

@@ -11,10 +11,7 @@ import (
 	"testing"
 
 	"harpte/internal/nn"
-	"harpte/internal/te"
 	"harpte/internal/tensor"
-	"harpte/internal/topology"
-	"harpte/internal/tunnels"
 )
 
 // TestContextTokenLayout pins the identity that replaced the per-tunnel
@@ -41,8 +38,7 @@ func TestContextTokenLayout(t *testing.T) {
 // TestMeanPoolLazyUnchanged: Context no longer builds the mean-pool matrix;
 // the one built on first use equals the eagerly built one entry for entry
 // (so the MeanPoolTunnels ablation is unchanged bit for bit), and concurrent
-// first use from both precision paths is race-free and agrees with a serial
-// run.
+// first use is race-free and agrees with a serial run.
 func TestMeanPoolLazyUnchanged(t *testing.T) {
 	p := kdlProblem(20, 4, 301)
 	cfg := DefaultConfig()
@@ -52,11 +48,7 @@ func TestMeanPoolLazyUnchanged(t *testing.T) {
 	if c.inner.avgPool != nil {
 		t.Fatal("Context built avgPool eagerly")
 	}
-	want64 := m.Splits(m.Context(p), d)
-	want32, err := m.SplitsFloat32(m.Context(p), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := m.Splits(m.Context(p), d)
 
 	var wg sync.WaitGroup
 	got := make([]*tensor.Dense, 8)
@@ -64,19 +56,11 @@ func TestMeanPoolLazyUnchanged(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if i%2 == 0 {
-				got[i] = m.Splits(c, d)
-			} else {
-				got[i], _ = m.SplitsFloat32(c, d)
-			}
+			got[i] = m.Splits(c, d)
 		}(i)
 	}
 	wg.Wait()
 	for i, g := range got {
-		want := want64
-		if i%2 == 1 {
-			want = want32
-		}
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("goroutine %d: concurrent first use differs from a serial run", i)
 		}
@@ -103,11 +87,7 @@ func TestContextRetainedHeap(t *testing.T) {
 	if testing.Short() || tensor.RaceEnabled {
 		t.Skip("KDL all-pairs tunnel set-up takes seconds")
 	}
-	g := topology.KDLScale(301)
-	for i := 0; i < 48; i++ {
-		g.EdgeNodes = append(g.EdgeNodes, i*g.NumNodes/48)
-	}
-	p := te.NewProblem(g, tunnels.Compute(g, 4))
+	p := benchKDLProblem()
 	p.Incidence()
 	m := New(DefaultConfig())
 	var before, after runtime.MemStats

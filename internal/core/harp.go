@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"harpte/internal/autograd"
 	"harpte/internal/nn"
@@ -29,7 +28,6 @@ import (
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
-	"harpte/internal/verify"
 )
 
 // Config collects HARP's hyperparameters (Appendix A.2 lists the grid the
@@ -152,13 +150,6 @@ type Model struct {
 	// architecture stage. Nil means disabled: Forward then takes one
 	// nil-check per stage and reads no clocks.
 	tele *modelTelemetry
-
-	// mirror32 caches the float32 weight mirror (built by
-	// EnableFloat32Inference or the first SplitsFloat32 call); use32 routes
-	// Splits through it. Separate so benches can run the float32 engine
-	// without flipping the serving default.
-	mirror32 atomic.Pointer[model32]
-	use32    atomic.Bool
 }
 
 // New constructs a HARP model with freshly initialized parameters.
@@ -244,13 +235,6 @@ type probContext struct {
 	// (meanPool), so a serving context does not retain it.
 	avgPool     *tensor.CSR
 	avgPoolOnce sync.Once
-
-	// Float32 mirrors of the structural constants, built lazily on first
-	// float32-path inference (clamped conversion, so serving never fails on
-	// an extreme but legal capacity). Guarded by c32Once; everything else in
-	// the context stays immutable.
-	c32     *ctxConsts32
-	c32Once sync.Once
 }
 
 // Context precomputes the structural encoding of a problem. Contexts are
@@ -411,24 +395,19 @@ func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) em
 // input and for the RAU's internal MLU computations; HARP-Pred feeds a
 // predicted demand here and computes the loss against the true demand via
 // LossMLU.
+//
+// Forward is the training path and the reference the inference engine
+// (infer.go) is held to bit for bit; requests never reach it.
 func (m *Model) Forward(tp *autograd.Tape, c *Context, demand *tensor.Dense) ForwardResult {
-	return m.forward(tp, c, demand, nil)
-}
-
-// forward is Forward with request-trace propagation: a non-nil sp gains
-// per-stage child spans (forward.gnn, forward.settrans, forward.mlp1,
-// forward.rau).
-func (m *Model) forward(tp *autograd.Tape, c *Context, demand *tensor.Dense, sp *reqtrace.Span) ForwardResult {
 	ctx := c.inner
-	emb := m.embed(tp, ctx, sp)
-	return m.adjust(tp, ctx, emb, demand, sp)
+	return m.adjust(tp, ctx, m.embed(tp, ctx, nil), demand)
 }
 
 // adjust runs stages 3–4 (MLP1 initial splits, RAU refinement) for one
-// demand matrix on top of a previously computed embedding. It is the
-// demand-dependent half of Forward; SplitsBatch calls it once per
-// snapshot against one shared embedding.
-func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, demand *tensor.Dense, sp *reqtrace.Span) ForwardResult {
+// demand matrix on top of a previously computed embedding: the
+// demand-dependent half of Forward, which inferScratch.adjustInfer mirrors
+// on scratch buffers.
+func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, demand *tensor.Dense) ForwardResult {
 	p := ctx.p
 	set := p.Tunnels
 	numFlows := len(set.Flows)
@@ -443,7 +422,6 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 	var span obs.Span
 
 	// ---- demand features and constants ----
-	msp := sp.StartChild("forward.mlp1")
 	if tel != nil {
 		span = tel.mlp1.Start()
 	}
@@ -471,13 +449,6 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 	if tel != nil {
 		span.End()
 	}
-	msp.End()
-	// One span covers the whole RAU loop — per-iteration spans would put
-	// tens of clock reads on the hot path; the iteration count is an
-	// attribute instead (the per-iteration histogram lives in the obs
-	// stage telemetry below).
-	rsp := sp.StartChild("forward.rau")
-	rsp.AnnotateInt("iterations", int64(m.Cfg.RAUIterations))
 	for it := 0; it < m.Cfg.RAUIterations; it++ {
 		if tel != nil {
 			span = tel.rauIter.Start()
@@ -552,7 +523,6 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 			span.End()
 		}
 	}
-	rsp.End()
 	if tel != nil {
 		tel.passes.Inc()
 	}
@@ -603,57 +573,4 @@ func (m *Model) LossMLU(tp *autograd.Tape, c *Context, splits *autograd.Tensor, 
 		return tp.SmoothMax(util, m.Cfg.LossTemp)
 	}
 	return tp.Max(util)
-}
-
-// inferTapes pools reusable tapes for inference. Splits must stay safe for
-// concurrent use (the resilience server races inference goroutines against
-// deadlines and may abandon them mid-forward), so tapes are pooled rather
-// than hung off the Model: each goroutine owns its tape until it Puts it
-// back, and a panicking or abandoned forward simply never returns its tape
-// — the pool regenerates.
-var inferTapes = sync.Pool{New: func() any { return autograd.NewReusableTape() }}
-
-// Splits runs inference and returns the F×K split-ratio matrix. When the
-// verify gate is on (verify.SetEnabled), the routing invariants — rows sum
-// to 1, nonnegative link loads, per-flow conservation — are re-checked on
-// every inference; when off the gate is a single atomic load, preserving
-// the inference allocation pin.
-func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
-	return m.splits(nil, c, demand)
-}
-
-// SplitsSpan is Splits with request-trace propagation: a non-nil sp
-// gains per-stage forward child spans, and a verify-gate failure is
-// recorded on it (which pins the trace in the flight recorder). With a
-// nil sp it is exactly Splits.
-func (m *Model) SplitsSpan(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
-	return m.splits(sp, c, demand)
-}
-
-func (m *Model) splits(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
-	// Precision routing: when float32 serving is enabled the whole forward
-	// runs on the float32 engine (infer32.go). The mirror is always non-nil
-	// when use32 is set (EnableFloat32Inference builds it before flipping
-	// the flag), but fall through to float64 defensively rather than panic.
-	if m.use32.Load() {
-		if mm := m.mirror32.Load(); mm != nil {
-			return m.runFloat32(sp, mm, c, demand)
-		}
-	}
-	tp := inferTapes.Get().(*autograd.Tape)
-	out := m.forward(tp, c, demand, sp).Splits.Val.Clone()
-	tp.Reset()
-	inferTapes.Put(tp)
-	if verify.Enabled() {
-		if err := verify.CheckRouting(c.inner.p, out, demand); err != nil {
-			sp.SetError(err)
-			verify.Fail(err)
-		}
-	}
-	return out
-}
-
-// MLU runs inference and evaluates the achieved MLU exactly on the problem.
-func (m *Model) MLU(c *Context, demand *tensor.Dense) float64 {
-	return c.inner.p.MLU(m.Splits(c, demand), demand)
 }

@@ -1,13 +1,17 @@
 package core
 
-// Batched inference: the demand-dependent half of a forward pass (MLP1 +
-// RAU), hand-scheduled on reusable scratch buffers with the
-// topology-dependent first-layer partial sums hoisted out of the
-// per-snapshot loop.
+// The inference engine — the one path every Splits/SplitsBatch call runs.
+// The demand-independent half of a forward pass (embed: GNN + SETTRANS) is
+// recorded once per call on a pooled inference-mode tape; the
+// demand-dependent half (MLP1 + RAU) is hand-scheduled on reusable scratch
+// buffers, once per snapshot, with the topology-dependent first-layer
+// partial sums hoisted out of the per-snapshot loop. The tape forward
+// (Forward → embed + adjust) is for training, and is the reference this
+// engine is held to.
 //
 // Bit-exactness contract: every value this file computes is bit-identical
-// to the tape-based adjust() path, and therefore to Splits. That holds by
-// construction, not by tolerance:
+// to the tape-based adjust() path. That holds by construction, not by
+// tolerance:
 //
 //   - The matmul kernel (tensor.matMulAccRange) accumulates each output
 //     element's terms in ascending-k order starting from a zeroed
@@ -22,7 +26,8 @@ package core
 //     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
 //     and the kernel's skip of zero multiplicands).
 //
-// TestSplitsBatchBitIdentical enforces the contract against Splits.
+// TestSplitsBatchBitIdentical enforces the contract: Splits and SplitsBatch
+// against Forward on a gradient tape.
 
 import (
 	"math"
@@ -58,8 +63,8 @@ type inferScratchKey struct {
 type inferScratch struct {
 	key inferScratchKey
 
-	// Batch-lifetime references. h and tunnelEmb live on the tape that
-	// recorded the embedding and are cleared on release.
+	// Batch-lifetime state. h lives on the tape that recorded the embedding
+	// and is cleared on release.
 	h          *tensor.Dense // numTokens×r edge-tunnel embeddings
 	rauPrefix  *tensor.Dense // T×HR: RAU first layer after the tunnelEmb columns
 	mlp1Prefix *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
@@ -181,8 +186,9 @@ func (sc *inferScratch) computeUtil(p *te.Problem, invCap *tensor.Dense) {
 // adjustInfer runs stages 3–4 (MLP1 + RAU) for one demand on the scratch
 // engine, returning the F×K split matrix. The returned matrix is scratch
 // memory: the caller must clone it before the next snapshot. Values are
-// bit-identical to the tape-based adjust (see the file comment).
-func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense) *tensor.Dense {
+// bit-identical to the tape-based adjust (see the file comment). sp, when
+// non-nil, gains one forward.mlp1 and one forward.rau child span.
+func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense, sp *reqtrace.Span) *tensor.Dense {
 	p := ctx.p
 	set := p.Tunnels
 	numFlows, k := sc.key.f, sc.key.k
@@ -192,6 +198,7 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 
 	tel := m.tele
 	var span obs.Span
+	msp := sp.StartChild("forward.mlp1")
 	if tel != nil {
 		span = tel.mlp1.Start()
 	}
@@ -228,8 +235,15 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 	if tel != nil {
 		span.End()
 	}
+	msp.End()
 
 	// ---- 4. recurrent adjustment unit ----
+	// One span covers the whole RAU loop — per-iteration spans would put
+	// tens of clock reads on the hot path; the iteration count is an
+	// attribute instead (the per-iteration histogram is the obs stage
+	// timer below).
+	rsp := sp.StartChild("forward.rau")
+	rsp.AnnotateInt("iterations", int64(m.Cfg.RAUIterations))
 	r0, r1 := m.rau.Layers[0], m.rau.Layers[1]
 	rauW0Tail := tailRows(r0.W.Val, r)
 	for it := 0; it < m.Cfg.RAUIterations; it++ {
@@ -290,63 +304,82 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 			span.End()
 		}
 	}
+	rsp.End()
 	if tel != nil {
 		tel.passes.Inc()
 	}
 	return sc.w
 }
 
-// batchTapes pools the reusable tapes that record the per-batch embedding
-// pass behind SplitsBatch. They live in inference mode permanently: a
-// batched serving pass never calls Backward, so skipping the per-node
-// gradient buffer (and its zeroing) is free speed with bit-identical
-// values. Pooled for the same reason as inferTapes: batched inference
-// must stay safe for concurrent use and abandonable mid-forward.
-var batchTapes = sync.Pool{New: func() any {
+// embedTapes pools the reusable tapes that record the embedding pass. They
+// live in inference mode permanently: inference never calls Backward, so
+// skipping the per-node gradient buffer (and its zeroing) is free speed with
+// bit-identical values. Pooled rather than hung off the Model because
+// inference must stay safe for concurrent use (the resilience server races
+// inference goroutines against deadlines and may abandon them mid-forward):
+// each goroutine owns its tape until it Puts it back, and a panicking or
+// abandoned forward simply never returns its tape — the pool regenerates.
+var embedTapes = sync.Pool{New: func() any {
 	tp := autograd.NewReusableTape()
 	tp.SetInference(true)
 	return tp
 }}
 
+// Splits runs inference and returns the F×K split-ratio matrix: the
+// one-snapshot case of SplitsBatch.
+func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
+	return m.SplitsSpan(nil, c, demand)
+}
+
+// SplitsSpan is Splits with request-trace propagation; see SplitsBatchSpan.
+func (m *Model) SplitsSpan(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
+	return m.SplitsBatchSpan(nil, c, []*tensor.Dense{demand}, sp)[0]
+}
+
+// MLU runs inference and evaluates the achieved MLU exactly on the problem.
+func (m *Model) MLU(c *Context, demand *tensor.Dense) float64 {
+	return c.inner.p.MLU(m.Splits(c, demand), demand)
+}
+
 // SplitsBatch runs inference for B demand matrices that share one Context,
 // amortizing the demand-independent work: the GNN and SETTRANS embeddings
 // — and the first-layer partial sums over them — are computed once for the
 // whole batch, and only the demand-dependent MLP1/RAU stages run per
-// snapshot, on reusable scratch. Each output is bit-identical to what
-// Splits returns for the same (Context, demand) pair.
+// snapshot, on reusable scratch. Each output is bit-identical to the
+// training forward's (Forward) for the same (Context, demand) pair.
 //
 // Results are appended to dst (which may be nil) and also returned; each
 // returned matrix is freshly cloned and owned by the caller. When the
-// verify gate is on, every snapshot's routing invariants are re-checked
-// exactly as Splits does.
+// verify gate is on (verify.SetEnabled), every snapshot's routing
+// invariants — rows sum to 1, nonnegative link loads, per-flow
+// conservation — are re-checked; when off the gate is a single atomic load,
+// preserving the inference allocation pin.
 func (m *Model) SplitsBatch(dst []*tensor.Dense, c *Context, demands []*tensor.Dense) []*tensor.Dense {
 	return m.SplitsBatchSpan(dst, c, demands, nil)
 }
 
 // SplitsBatchSpan is SplitsBatch with request-trace propagation: a
-// non-nil sp (typically a batch-dispatch root span) gains the shared
-// embedding stage spans plus one forward.adjust span covering the
-// per-snapshot MLP1/RAU work, and a verify-gate failure is recorded on
-// it. With a nil sp it is exactly SplitsBatch.
+// non-nil sp (a request span, or a batch-dispatch root span) gains the
+// shared forward.gnn and forward.settrans stage spans plus one
+// forward.mlp1 and one forward.rau span per snapshot, and a verify-gate
+// failure is recorded on it (which pins the trace in the flight recorder).
+// With a nil sp it is exactly SplitsBatch.
 func (m *Model) SplitsBatchSpan(dst []*tensor.Dense, c *Context, demands []*tensor.Dense, sp *reqtrace.Span) []*tensor.Dense {
 	if len(demands) == 0 {
 		return dst
 	}
 	ctx := c.inner
-	tp := batchTapes.Get().(*autograd.Tape)
+	tp := embedTapes.Get().(*autograd.Tape)
 	emb := m.embed(tp, ctx, sp)
 	sc := inferScratches.Get().(*inferScratch)
 	sc.ensure(m, ctx)
 	sc.precompute(m, emb)
-	asp := sp.StartChild("forward.adjust")
-	asp.AnnotateInt("demands", int64(len(demands)))
 	for _, d := range demands {
-		dst = append(dst, sc.adjustInfer(m, ctx, d).Clone())
+		dst = append(dst, sc.adjustInfer(m, ctx, d, sp).Clone())
 	}
-	asp.End()
 	sc.release()
 	tp.Reset()
-	batchTapes.Put(tp)
+	embedTapes.Put(tp)
 	if verify.Enabled() {
 		for i, d := range demands {
 			if err := verify.CheckRouting(ctx.p, dst[len(dst)-len(demands)+i], d); err != nil {

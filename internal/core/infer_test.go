@@ -1,20 +1,19 @@
 package core
 
-// Tests for the batched inference path: SplitsBatch must be bit-identical
-// to per-snapshot Splits calls (the embedding amortization may never
-// change arithmetic), and its steady-state allocation count must stay
-// bounded by the B output clones plus a small constant — the PR-2 arena
-// discipline extended to the batched path.
+// Tests for the inference engine: Splits and SplitsBatch must be
+// bit-identical to the tape forward (neither the scratch scheduling nor the
+// embedding amortization may ever change arithmetic), and a batch's
+// steady-state allocation count must stay bounded by the B output clones
+// plus a small constant — the PR-2 arena discipline extended to the batched
+// path.
 
 import (
 	"math"
 	"testing"
 
 	"harpte/internal/autograd"
-	"harpte/internal/te"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
-	"harpte/internal/tunnels"
 )
 
 // TestSplitsBatchBitIdentical holds inference to the tape: Splits and every
@@ -46,8 +45,7 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 	cfg.MeanPoolTunnels = true
 	t.Run("mean-pool", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
 
-	geant := topology.Geant()
-	gm, gctx, gd := largeBench(te.NewProblem(geant, tunnels.Compute(geant, 4)), 7)
+	gm, gctx, gd := largeBench(allPairsProblem(topology.Geant()), 7)
 	t.Run("geant", func(t *testing.T) { checkInferenceMatchesTape(t, gm, gctx, []*tensor.Dense{gd}) })
 
 	km, kctx, kd := largeBench(kdlProblem(60, 4, 301), 302)
@@ -106,7 +104,7 @@ func TestSplitsBatchReusedAcrossBatches(t *testing.T) {
 // 16-snapshot batch: the B result clones (one Dense header + one data
 // slice each) plus a small constant for the shared embedding pass,
 // independent of topology size — far below B times the single-call Splits
-// budget (64, TestInferenceAllocsBounded).
+// budget (TestInferenceAllocsBounded).
 func TestSplitsBatchAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")

@@ -86,8 +86,9 @@ func TestReusedTapeForwardAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestInferenceAllocsBounded pins Splits' steady-state allocations (pooled
-// inference tape + the returned clone).
+// TestInferenceAllocsBounded pins Splits' steady-state allocations: 21 on
+// Abilene (the embedding pass's op bookkeeping on the pooled tape, the
+// weight-row views, the returned clone), independent of topology size.
 func TestInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
@@ -96,8 +97,8 @@ func TestInferenceAllocsBounded(t *testing.T) {
 	d := samples[0].Demand
 	m.Splits(ctx, d)
 	n := testing.AllocsPerRun(5, func() { m.Splits(ctx, d) })
-	if n > 64 {
-		t.Errorf("steady-state Splits allocates %v times per run, want <= 64", n)
+	if n > 28 {
+		t.Errorf("steady-state Splits allocates %v times per run, want <= 28", n)
 	}
 }
 

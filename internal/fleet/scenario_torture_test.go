@@ -8,7 +8,7 @@ package fleet
 // hangs, every resolved answer VetSplits-clean, the certified MLU ratio
 // bounded on every non-partitioned step, and every hostile-classified
 // request demoted off the neural tiers and the split cache. Run under
-// -race (make race and make scenariosmoke cover this file).
+// -race (make race covers this file).
 
 import (
 	"context"

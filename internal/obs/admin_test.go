@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestAdminEndpointSmoke is the `make obssmoke` gate: start the admin
+// TestAdminEndpointSmoke is the admin-endpoint smoke: start the admin
 // server on a loopback port, scrape /metrics, and assert the exposition
 // is well-formed (HELP/TYPE headers, expected samples, cumulative
 // histogram), then poke expvar and pprof.

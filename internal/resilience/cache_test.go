@@ -5,6 +5,7 @@ package resilience
 // demands, and the reload purge.
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -171,5 +172,38 @@ func TestReloadPurgesSplitCache(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Cache.Purges != 1 {
 		t.Fatalf("cache purges %d, want 1", st.Cache.Purges)
+	}
+}
+
+// narrowed returns d with every entry rounded through float32.
+func narrowed(d *tensor.Dense) *tensor.Dense {
+	out := d.Clone()
+	for i, v := range out.Data {
+		out.Data[i] = float64(float32(v))
+	}
+	return out
+}
+
+// TestCacheKeyFloat32RoundTripFixedPoint: a demand that has already been
+// narrowed to float32 (a controller storing demands half-width) must key
+// stably — one narrowing may move a value across a bucket edge, but a
+// second pass through float32 is the identity, so the key cannot flip-flop.
+func TestCacheKeyFloat32RoundTripFixedPoint(t *testing.T) {
+	p := twoPathProblem()
+	// 0.1 and 4.3 are not float32-representable; MaxFloat32 is the edge.
+	d := demand(p, 0.1, 4.3)
+	d.Data[0] = math.MaxFloat32
+
+	r1 := narrowed(d)
+	r2 := narrowed(r1)
+	for i := range r1.Data {
+		if r1.Data[i] != r2.Data[i] {
+			t.Fatalf("float32 narrowing not idempotent at %d: %v vs %v", i, r1.Data[i], r2.Data[i])
+		}
+	}
+	t1, m1 := CacheKey(p, r1, 0)
+	t2, m2 := CacheKey(p, r2, 0)
+	if t1 != t2 || m1 != m2 {
+		t.Fatalf("round-tripped demand keys differ: (%x,%x) vs (%x,%x)", t1, m1, t2, m2)
 	}
 }

@@ -73,7 +73,7 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add(uint8(7), uint8(255), []byte("\x00\x00\x00\x00\x00\x00\xf0\x7f")) // NaN bits
 	// float32 round-trip seeds: 0.1 (not float32-representable, so the
 	// first narrowing perturbs it) and float64(MaxFloat32) (the largest
-	// value that narrows without clamping).
+	// float32 value).
 	f.Add(uint8(5), uint8(9), []byte{0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f})
 	f.Add(uint8(5), uint8(9), []byte{0x00, 0x00, 0x00, 0xe0, 0xff, 0xff, 0xef, 0x47})
 	// Near-boundary quantization seeds: 1.005 and 0.995 sit half a
@@ -132,10 +132,10 @@ func FuzzCacheKey(f *testing.F) {
 		// Float32 round-trip fixed point: the first narrowing may move a
 		// value across a bucket edge (allowed — it is an epsilon-sized
 		// perturbation), but narrowing an already-narrowed demand is the
-		// identity, so a replica that stores demands in float32 must key
+		// identity, so a controller that stores demands in float32 must key
 		// identically no matter how many times the demand re-enters.
-		r1 := tensor.ClampDense32(d).ToDense()
-		r2 := tensor.ClampDense32(r1).ToDense()
+		r1 := narrowed(d)
+		r2 := narrowed(r1)
 		t4, m4 := CacheKey(p, r1, quantum)
 		t5, m5 := CacheKey(p, r2, quantum)
 		if t4 != t5 || m4 != m5 {

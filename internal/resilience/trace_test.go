@@ -1,6 +1,6 @@
 package resilience
 
-// Trace smoke tests — the `make tracesmoke` gate. TestTraceSmoke drives a
+// Trace smoke tests. TestTraceSmoke drives a
 // coalesced burst through a traced server and asserts the flight-recorder
 // dump shows the whole story: cache misses with quantization keys, batch
 // membership links resolving to a shared batch.dispatch trace with
@@ -142,16 +142,25 @@ func TestTraceSmoke(t *testing.T) {
 		if _, ok := broot.Attrs["member_trace"]; !ok {
 			t.Fatalf("batch trace %s lacks member_trace annotation: %+v", id, broot.Attrs)
 		}
-		if size, _ := broot.Attrs["size"].(int64); size >= 2 {
+		size, _ := broot.Attrs["size"].(int64)
+		if size >= 2 {
 			sawCoalesced = true
 		}
-		for _, stage := range []string{"forward.gnn", "forward.settrans", "forward.adjust"} {
-			sp, ok := findSpan(btr, stage)
-			if !ok {
-				t.Fatalf("batch trace %s missing %s span: %+v", id, stage, btr.Spans)
+		// The embedding stages run once per batch, MLP1 and the RAU once
+		// per member: the same four stage names a single request emits.
+		for stage, want := range map[string]int64{"forward.gnn": 1, "forward.settrans": 1, "forward.mlp1": size, "forward.rau": size} {
+			var n int64
+			for _, sp := range btr.Spans {
+				if sp.Name != stage {
+					continue
+				}
+				n++
+				if sp.DurUS < 0 {
+					t.Fatalf("batch trace %s %s span never ended", id, stage)
+				}
 			}
-			if sp.DurUS < 0 {
-				t.Fatalf("batch trace %s %s span never ended", id, stage)
+			if n != want {
+				t.Fatalf("batch trace %s (size %d) has %d %s spans, want %d: %+v", id, size, n, stage, want, btr.Spans)
 			}
 		}
 	}
@@ -161,7 +170,8 @@ func TestTraceSmoke(t *testing.T) {
 }
 
 // TestTraceQueueWaitSpan: a request that waits for a concurrency slot gets
-// a queue.wait child spanning the wait.
+// a queue.wait child spanning the wait — and, being unbatched, carries the
+// four forward stage spans itself.
 func TestTraceQueueWaitSpan(t *testing.T) {
 	p := twoPathProblem()
 	rec := reqtrace.NewRecorder(reqtrace.Options{Capacity: 16, SampleEvery: 1})
@@ -193,6 +203,14 @@ func TestTraceQueueWaitSpan(t *testing.T) {
 	}
 	if qsp.Parent != traces[0].Spans[0].ID || qsp.DurUS < 0 {
 		t.Fatalf("queue.wait span malformed: %+v", qsp)
+	}
+	for _, stage := range []string{"forward.gnn", "forward.settrans", "forward.mlp1", "forward.rau"} {
+		if sp, ok := findSpan(traces[0], stage); !ok || sp.DurUS < 0 {
+			t.Fatalf("unbatched request trace lacks an ended %s span: %+v", stage, traces[0].Spans)
+		}
+	}
+	if rsp, _ := findSpan(traces[0], "forward.rau"); rsp.Attrs["iterations"] != int64(tinyConfig().RAUIterations) {
+		t.Fatalf("forward.rau attrs %+v, want iterations=%d", rsp.Attrs, tinyConfig().RAUIterations)
 	}
 }
 

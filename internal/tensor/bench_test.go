@@ -34,21 +34,6 @@ func benchShapes() [][3]int {
 	}
 }
 
-func BenchmarkMatMul32(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	for _, s := range benchShapes() {
-		a := ClampDense32(benchDense(rng, s[0], s[1]))
-		bb := ClampDense32(benchDense(rng, s[1], s[2]))
-		dst := New32(s[0], s[2])
-		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMul32(dst, a, bb)
-			}
-		})
-	}
-}
-
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range benchShapes() {

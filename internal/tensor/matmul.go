@@ -89,8 +89,8 @@ func matMulAccImpl(dst, a, b *Dense) {
 
 // matMulAccRange accumulates output rows [lo, hi) of a × b into dst, where
 // a is ·×kd, b is kd×n and dst is ·×n, all row-major; k-blocked,
-// (k-block, i, j-tile, k) order. Shared by Dense and Dense32.
-func matMulAccRange[T float32 | float64](dst, a, b []T, kd, n, lo, hi int) {
+// (k-block, i, j-tile, k) order.
+func matMulAccRange(dst, a, b []float64, kd, n, lo, hi int) {
 	for k0 := 0; k0 < kd; k0 += matmulKBlock {
 		k1 := min(k0+matmulKBlock, kd)
 		for i := lo; i < hi; i++ {
@@ -108,13 +108,13 @@ func matMulAccRange[T float32 | float64](dst, a, b []T, kd, n, lo, hi int) {
 // its k-terms in ascending order and skips exactly the terms with
 // arow[k] == 0 (so 0·Inf never enters a sum the naive loop keeps finite):
 // bit-identical to the naive triple loop.
-func macRow[T float32 | float64](drow, arow, b []T, n int) {
+func macRow(drow, arow, b []float64, n int) {
 	j := 0
 	for ; j+8 <= n; j += 8 {
-		mac8((*[8]T)(drow[j:]), arow, b[j:], n)
+		mac8((*[8]float64)(drow[j:]), arow, b[j:], n)
 	}
 	if j+4 <= n {
-		mac4((*[4]T)(drow[j:]), arow, b[j:], n)
+		mac4((*[4]float64)(drow[j:]), arow, b[j:], n)
 		j += 4
 	}
 	if j < n {
@@ -128,7 +128,7 @@ func macRow[T float32 | float64](drow, arow, b []T, n int) {
 // blocks, which keeps 8 accumulators + 4 products inside amd64's 15 usable
 // XMM registers — as one block the scheduler hoists all 8 products and
 // spills two accumulators to the stack on every k.
-func mac8[T float32 | float64](d *[8]T, arow, b []T, n int) {
+func mac8(d *[8]float64, arow, b []float64, n int) {
 	c0, c1, c2, c3, c4, c5, c6, c7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
 	off := 0
 	for _, aik := range arow {
@@ -149,7 +149,7 @@ func mac8[T float32 | float64](d *[8]T, arow, b []T, n int) {
 	d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = c0, c1, c2, c3, c4, c5, c6, c7
 }
 
-func mac4[T float32 | float64](d *[4]T, arow, b []T, n int) {
+func mac4(d *[4]float64, arow, b []float64, n int) {
 	c0, c1, c2, c3 := d[0], d[1], d[2], d[3]
 	off := 0
 	for _, aik := range arow {
@@ -166,7 +166,7 @@ func mac4[T float32 | float64](d *[4]T, arow, b []T, n int) {
 }
 
 // mac1 finishes the last len(d) < 4 columns of a row one at a time.
-func mac1[T float32 | float64](d, arow, b []T, n int) {
+func mac1(d, arow, b []float64, n int) {
 	for j := range d {
 		c := d[j]
 		off := j

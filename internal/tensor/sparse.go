@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CSR is a compressed-sparse-row matrix used for constant structural
 // operators: GCN-normalized adjacency, tunnel-edge incidence, and the like.
@@ -226,70 +223,4 @@ func (c *CSR) MulDenseTAcc(dst, x *Dense) {
 			}
 		}
 	}
-}
-
-// ---- float32 sparse mirror ----
-
-// CSR32 is the float32 mirror of CSR for the serving-precision path: same
-// structure (shared index layout semantics), narrowed values. Like CSR it
-// carries no gradients; it multiplies float32 activations.
-type CSR32 struct {
-	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int
-	Val        []float32
-}
-
-// Convert32 narrows the values with overflow rejection. The index slices
-// are aliased, not copied: CSR matrices are immutable once built.
-func (c *CSR) Convert32() (*CSR32, error) {
-	val := make([]float32, len(c.Val))
-	if err := Convert32(val, c.Val); err != nil {
-		return nil, err
-	}
-	return &CSR32{Rows: c.Rows, Cols: c.Cols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: val}, nil
-}
-
-// Clamp32 narrows the values, saturating finite overflow to ±MaxFloat32.
-// Index slices are aliased as in Convert32.
-func (c *CSR) Clamp32() *CSR32 {
-	val := make([]float32, len(c.Val))
-	Clamp32(val, c.Val)
-	return &CSR32{Rows: c.Rows, Cols: c.Cols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: val}
-}
-
-// MulDense32 computes dst = C × x for dense float32 x. dst must be
-// C.Rows×x.Cols and must not alias x.
-func (c *CSR32) MulDense32(dst, x *Dense32) {
-	if c.Cols != x.Rows || dst.Rows != c.Rows || dst.Cols != x.Cols {
-		panic("tensor: CSR32 MulDense32 shape mismatch")
-	}
-	dst.Zero()
-	for i := 0; i < c.Rows; i++ {
-		drow := dst.Row(i)
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			v := c.Val[p]
-			xrow := x.Row(c.ColIdx[p])
-			for j := range drow {
-				drow[j] += v * xrow[j]
-			}
-		}
-	}
-}
-
-// NNZ returns the number of stored entries.
-func (c *CSR32) NNZ() int { return len(c.Val) }
-
-// IsFinite reports whether every stored value is finite — the cheap
-// structural health check the float32 engine runs after clamped
-// conversions (a NaN capacity would otherwise surface as NaN splits much
-// later).
-func (c *CSR32) IsFinite() bool {
-	for _, v := range c.Val {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
 }
