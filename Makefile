@@ -59,21 +59,21 @@ benchsmoke:
 # bench runs the perf-regression suite (hot-path micro and macro
 # benchmarks with allocation counts) and records the results as the
 # "current" entry of BENCH_1.json; the committed "baseline" entry is
-# preserved for comparison. It then records the serving-throughput
-# ledger BENCH_2.json: batched vs sequential inference (SplitsBatch and
-# the micro-batch collector) and the split-cache hit vs miss path, and
-# the large-topology ledger BENCH_3.json: single-snapshot inference on the
-# problems bench/workloads.go serves — all-pairs Abilene (132 flows) and
-# GEANT (462), and KDL-scale (754 nodes, 2,256 flows) — each row stating
-# its flows and tokens. See the Performance section of the README.
+# preserved for comparison. It then records the serving ledger
+# BENCH_2.json: the split-cache hit vs miss path, and the large-topology
+# ledger BENCH_3.json: one inference on the problems bench/workloads.go
+# serves — all-pairs Abilene (132 flows) and GEANT (462), and KDL-scale
+# (754 nodes, 2,256 flows) — on a kept plan (/hit) and building one
+# (/build), each row stating its flows and tokens. See the Performance
+# section of the README.
 BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core
-BENCH2_RE = 'SplitsBatch16|SplitsSequential16|ServeCache|ServeBatchedBurst|ServeSequentialBurst'
+BENCH2_RE = 'ServeCache'
 BENCH3_RE = 'SplitsAbilene|SplitsGeant|SplitsKDL'
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | \
 		/tmp/benchjson -out BENCH_1.json -cmd "go test -run='^$$' -bench=. -benchmem $(BENCH_PKGS)"
-	$(GO) test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/core ./internal/resilience | \
-		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/core ./internal/resilience"
+	$(GO) test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/resilience | \
+		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/resilience"
 	$(GO) test -run='^$$' -bench=$(BENCH3_RE) -benchmem ./internal/core | \
 		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) -benchmem ./internal/core"

@@ -17,7 +17,7 @@
 //	tereplay [-nodes N] [-snapshots N] [-seed N] [-epochs N] [-every N]
 //	         [-deadline D] [-replicas N] [-hedge-quantile Q]
 //	         [-retry-budget R] [-metrics-addr host:port]
-//	         [-batch-max N] [-batch-linger D] [-cache-entries N] [-shard]
+//	         [-cache-entries N] [-shard]
 //	         [-load-duration D] [-open-loop-rate R] [-load-workers N]
 //	         [-trace-dump FILE] [-trace-sample N] [-quality-every N]
 //	         [-scenario FILE|auto]
@@ -31,14 +31,11 @@
 // caches stay hot. The fleet summary line at the end reports hedges,
 // retries, ejections, and local ECMP fallbacks.
 //
-// -batch-max / -batch-linger enable replica-side micro-batching
-// (concurrent same-topology requests coalesce into one batched inference)
-// and -cache-entries enables the split-ratio cache; the summary then
-// reports realized batch occupancy and cache hit rates. The replay itself
-// is sequential — batching and caching pay off in the load phase:
-// -load-duration runs a post-replay load-generation phase over the test
-// snapshots, closed-loop with -load-workers by default or open-loop at
-// -open-loop-rate req/s, reporting throughput, shed rate, and
+// -cache-entries enables the split-ratio cache; the summary then reports
+// its hit rate. The replay itself is sequential — caching pays off in the
+// load phase: -load-duration runs a post-replay load-generation phase over
+// the test snapshots, closed-loop with -load-workers by default or
+// open-loop at -open-loop-rate req/s, reporting throughput, shed rate, and
 // p50/p99/p999 latency.
 //
 // With -metrics-addr the replay serves the observability admin endpoint
@@ -49,7 +46,7 @@
 //
 // -trace-dump (or -metrics-addr) arms the per-request flight recorder:
 // every request runs under a trace whose spans cover fleet dispatch,
-// queue waits, cache hits/misses, batch membership, and per-stage forward
+// queue waits, cache hits/misses, plan hits/builds, and per-stage forward
 // timings. Tail-based sampling keeps errors, sheds, hedge wins, and
 // p99-slow requests while retaining only 1-in-(-trace-sample) of the
 // boring ones; the retained ring is written as JSON at exit (and served
@@ -114,10 +111,8 @@ func main() {
 		retryBud  = flag.Float64("retry-budget", 0.1, "fleet: retry tokens earned per request; hedges and retries each spend one (negative disables)")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port during the replay")
 
-		batchMax    = flag.Int("batch-max", 0, "micro-batch: max same-topology requests coalesced into one batched inference (<=1 disables batching)")
-		batchLinger = flag.Duration("batch-linger", 2*time.Millisecond, "micro-batch: max wait for an unfilled batch before it dispatches anyway")
-		cacheEnt    = flag.Int("cache-entries", 0, "split-ratio cache capacity per replica (0 disables the cache)")
-		shard       = flag.Bool("shard", false, "fleet: route by topology cluster (rendezvous sharding) instead of round-robin")
+		cacheEnt = flag.Int("cache-entries", 0, "split-ratio cache capacity per replica (0 disables the cache)")
+		shard    = flag.Bool("shard", false, "fleet: route by topology cluster (rendezvous sharding) instead of round-robin")
 
 		loadDur     = flag.Duration("load-duration", 0, "run a post-replay load-generation phase for this long (0 skips it)")
 		openRate    = flag.Float64("open-loop-rate", 0, "load phase: open-loop arrival rate in req/s (0 = closed loop with -load-workers)")
@@ -227,8 +222,6 @@ func main() {
 			MaxQueueDepth:    *queueLen,
 			BreakerThreshold: *brkN,
 			BreakerCooloff:   *brkCool,
-			BatchMaxSize:     *batchMax,
-			BatchMaxLinger:   *batchLinger,
 			CacheEntries:     *cacheEnt,
 			SLO:              slos,
 			Quality:          qm,
@@ -362,11 +355,11 @@ func main() {
 			fst.Served, fst.LocalFallbacks, fst.Hedges, fst.HedgeWins,
 			fst.Retries, fst.RetryBudgetDenied, fst.Ejections, fst.Readmissions)
 	}
-	printServingStats(servers, *cacheEnt, *batchMax)
+	printCacheStats(servers, *cacheEnt)
 
 	if *loadDur > 0 && len(pool) > 0 {
 		runLoadPhase(serveOne, pool, *loadDur, *openRate, *loadWorkers)
-		printServingStats(servers, *cacheEnt, *batchMax)
+		printCacheStats(servers, *cacheEnt)
 	}
 
 	if *scenarioSpec != "" {
@@ -606,37 +599,28 @@ func percentile(lats []time.Duration, q float64) time.Duration {
 	return s[idx]
 }
 
-// printServingStats aggregates and prints split-cache and batch-collector
-// effectiveness across the replicas, when either feature is enabled.
-func printServingStats(servers []*resilience.Server, cacheEnt, batchMax int) {
+// printCacheStats aggregates and prints split-cache effectiveness across
+// the replicas, when the cache is enabled.
+func printCacheStats(servers []*resilience.Server, cacheEnt int) {
+	if cacheEnt <= 0 {
+		return
+	}
 	var cs resilience.CacheStats
-	var bs resilience.BatchStats
 	for _, s := range servers {
 		st := s.Stats()
 		cs.Hits += st.Cache.Hits
 		cs.Misses += st.Cache.Misses
 		cs.Evictions += st.Cache.Evictions
 		cs.Size += st.Cache.Size
-		bs.Dispatches += st.Batch.Dispatches
-		bs.Batched += st.Batch.Batched
+		cs.Bytes += st.Cache.Bytes
 	}
-	if cacheEnt > 0 {
-		total := cs.Hits + cs.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(cs.Hits) / float64(total)
-		}
-		fmt.Printf("split cache: hits=%d misses=%d (hit-rate %.1f%%) evictions=%d entries=%d\n",
-			cs.Hits, cs.Misses, 100*rate, cs.Evictions, cs.Size)
+	total := cs.Hits + cs.Misses
+	rate := 0.0
+	if total > 0 {
+		rate = float64(cs.Hits) / float64(total)
 	}
-	if batchMax > 1 {
-		mean := 0.0
-		if bs.Dispatches > 0 {
-			mean = float64(bs.Batched) / float64(bs.Dispatches)
-		}
-		fmt.Printf("micro-batch: dispatches=%d requests=%d (mean batch %.2f)\n",
-			bs.Dispatches, bs.Batched, mean)
-	}
+	fmt.Printf("split cache: hits=%d misses=%d (hit-rate %.1f%%) evictions=%d entries=%d bytes=%d\n",
+		cs.Hits, cs.Misses, 100*rate, cs.Evictions, cs.Size, cs.Bytes)
 }
 
 // runLoadPhase hammers the serving path with the pooled test requests for

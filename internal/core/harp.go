@@ -331,10 +331,10 @@ type ForwardResult struct {
 // embedding is the demand-independent half of a forward pass: the
 // SETTRANS token matrix h (edge-tunnel embeddings) and the per-tunnel CLS
 // embeddings. Everything in it depends only on the parameters and the
-// Context, so one embedding can be shared by every snapshot of a batch
-// that shares a topology/tunnel configuration — the amortization
-// SplitsBatch is built on. The tensors live on the tape that recorded
-// them and are invalid after its Reset.
+// Context, so one embedding serves every demand on a topology/tunnel
+// configuration — what the inference engine's plan (infer.go) keeps
+// between requests. The tensors live on the tape that recorded them and
+// are invalid after its Reset.
 type embedding struct {
 	h         *autograd.Tensor // numTokens×r (or tokens in the mean-pool ablation)
 	tunnelEmb *autograd.Tensor // T×r

@@ -1,13 +1,20 @@
 package core
 
-// The inference engine — the one path every Splits/SplitsBatch call runs.
-// The demand-independent half of a forward pass (embed: GNN + SETTRANS) is
-// recorded once per call on a pooled inference-mode tape; the
-// demand-dependent half (MLP1 + RAU) is hand-scheduled on reusable scratch
-// buffers, once per snapshot, with the topology-dependent first-layer
-// partial sums hoisted out of the per-snapshot loop. The tape forward
-// (Forward → embed + adjust) is for training, and is the reference this
-// engine is held to.
+// The inference engine — the one path every Splits call runs. The
+// demand-independent half of a forward pass (embed: GNN + SETTRANS, plus
+// the first-layer partial sums over the tunnel embeddings) is the plan: it
+// is recorded on a pooled inference-mode tape, copied into the pooled
+// scratch, and kept there between calls, so a call that finds a plan built
+// for its (Context, weights) runs only the demand-dependent half (MLP1 +
+// RAU), hand-scheduled on the same scratch. The tape forward (Forward →
+// embed + adjust) is for training, and is the reference this engine is held
+// to.
+//
+// The plan is soft state: it lives in the sync.Pool the buffers live in, so
+// an idle process gives it back at GC, and it is valid by content — the
+// stamp is the Context's identity plus a hash of every parameter's bits —
+// so no writer of the weights (optimizer step, snapshot restore, reload, a
+// test poking Params()) has to tell the engine anything.
 //
 // Bit-exactness contract: every value this file computes is bit-identical
 // to the tape-based adjust() path. That holds by construction, not by
@@ -19,15 +26,19 @@ package core
 //     forms the LEADING columns of both the MLP1 and RAU first-layer
 //     inputs, so "first layer restricted to the tunnelEmb columns" is
 //     exactly the kernel's per-element accumulator state after those
-//     columns — precomputing it per batch and then accumulating the
+//     columns — precomputing it per plan and then accumulating the
 //     remaining columns with the same kernel reproduces the original
 //     left-to-right sum bit for bit.
 //   - Every elementwise op mirrors the corresponding autograd op's formula
 //     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
 //     and the kernel's skip of zero multiplicands).
 //
-// TestSplitsBatchBitIdentical enforces the contract: Splits and SplitsBatch
-// against Forward on a gradient tape.
+//   - A plan hit reads the very values a build computed: the same embed,
+//     the same kernels, a copy.
+//
+// TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
+// Context and on a cached plan against Forward on a gradient tape — and
+// TestPlanNeverStale that no write to the weights survives in a plan.
 
 import (
 	"math"
@@ -56,20 +67,22 @@ type inferScratchKey struct {
 	t, f, k, e, r, h1, hr int
 }
 
-// inferScratch holds the per-batch state of the scratch inference engine:
-// the shared embedding references and first-layer prefixes (topology-
-// dependent, computed once per batch) plus the per-snapshot working
-// buffers (reused across every snapshot of the batch).
+// inferScratch is the pooled state of the inference engine: the plan (the
+// embedding and first-layer prefixes — functions of the Context and the
+// weights only — with the stamp saying which) plus the per-call working
+// buffers.
 type inferScratch struct {
 	key inferScratchKey
 
-	// Batch-lifetime state. h lives on the tape that recorded the embedding
-	// and is cleared on release.
-	h          *tensor.Dense // numTokens×r edge-tunnel embeddings
-	rauPrefix  *tensor.Dense // T×HR: RAU first layer after the tunnelEmb columns
-	mlp1Prefix *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
+	// The plan, valid for exactly the (planCtx, planWeights) it was built
+	// from; planCtx is nil while there is none, or one is half-built.
+	planCtx     *probContext
+	planWeights uint64
+	h           *tensor.Dense // numTokens×r edge-tunnel embeddings, copied off the tape
+	rauPrefix   *tensor.Dense // T×HR: RAU first layer after the tunnelEmb columns
+	mlp1Prefix  *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
 
-	// Per-snapshot working buffers.
+	// Per-call working buffers.
 	feat, load *tensor.Dense // T×1 demand feature / capacity-normalized load
 	mlp1Hidden *tensor.Dense // T×H1
 	u          *tensor.Dense // T×1 split logits
@@ -82,8 +95,10 @@ type inferScratch struct {
 	rauOut     *tensor.Dense // T×2
 	btok       []int         // bottleneck token row per tunnel
 	bedge      []int         // bottleneck edge per tunnel
-	bu         []float64     // bottleneck utilization per tunnel
 	mlu        float64       // max of util, refreshed by computeUtil
+	// Per-edge RAU features of the current utilizations, gathered by
+	// every tunnel the edge is the bottleneck of.
+	edgeRatio, edgeBuFeat, edgeGatedBu []float64
 }
 
 var inferScratches = sync.Pool{New: func() any { return new(inferScratch) }}
@@ -106,6 +121,7 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 		return
 	}
 	sc.key = key
+	sc.planCtx = nil
 	sc.rauPrefix = tensor.New(key.t, key.hr)
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
 	sc.feat = tensor.New(key.t, 1)
@@ -121,24 +137,58 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.rauOut = tensor.New(key.t, 2)
 	sc.btok = make([]int, key.t)
 	sc.bedge = make([]int, key.t)
-	sc.bu = make([]float64, key.t)
+	sc.edgeRatio = make([]float64, key.e)
+	sc.edgeBuFeat = make([]float64, key.e)
+	sc.edgeGatedBu = make([]float64, key.e)
 }
 
-// precompute hoists the topology-dependent first-layer partial sums out of
-// the per-snapshot loop: the RAU and MLP1 first layers restricted to their
-// leading tunnelEmb columns, shared by every snapshot of the batch.
-func (sc *inferScratch) precompute(m *Model, emb embedding) {
-	sc.h = emb.h.Val
+// weightsStamp hashes everything embed and buildPlan read from the model:
+// every parameter's shape and bits, and the Config fields that steer embed
+// — not RAUIterations, so a WithRAUIterations clone shares its parent's
+// plans. Each step is a bijection of the running state, so two weight sets
+// that differ in one element never collide.
+func (m *Model) weightsStamp() uint64 {
+	mix := func(h, v uint64) uint64 {
+		h = (h ^ v) * 0x9e3779b97f4a7c15
+		return h ^ h>>32
+	}
+	h := mix(0, uint64(m.Cfg.Heads))
+	h = mix(h, uint64(m.Cfg.GNNLayers))
+	h = mix(h, uint64(m.Cfg.SetTransLayers))
+	if m.Cfg.MeanPoolTunnels {
+		h = mix(h, 1)
+	}
+	for _, p := range m.params {
+		h = mix(h, uint64(p.Val.Rows))
+		h = mix(h, uint64(p.Val.Cols))
+		for _, v := range p.Val.Data {
+			h = mix(h, math.Float64bits(v))
+		}
+	}
+	return h
+}
+
+// buildPlan runs the demand-independent half of the forward for (m, ctx)
+// and keeps it: the embedding copied off the tape, and the RAU and MLP1
+// first layers restricted to their leading tunnelEmb columns. The stamp is
+// cleared first and set last, so a build that panics, or that a deadline
+// abandons mid-way, leaves no plan behind rather than half of one.
+func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp *reqtrace.Span) {
+	sc.planCtx = nil
+	tp := embedTapes.Get().(*autograd.Tape)
+	emb := m.embed(tp, ctx, sp)
+	if hv := emb.h.Val; sc.h == nil || len(sc.h.Data) != len(hv.Data) {
+		sc.h = hv.Clone()
+	} else {
+		sc.h.Rows, sc.h.Cols = hv.Rows, hv.Cols
+		copy(sc.h.Data, hv.Data)
+	}
 	r := m.Cfg.EmbedDim
 	tensor.MatMul(sc.rauPrefix, emb.tunnelEmb.Val, headRows(m.rau.Layers[0].W.Val, r))
 	tensor.MatMul(sc.mlp1Prefix, emb.tunnelEmb.Val, headRows(m.mlp1.Layers[0].W.Val, r))
-}
-
-// release drops tape-owned references (invalid after the tape resets) and
-// returns the scratch to the pool.
-func (sc *inferScratch) release() {
-	sc.h = nil
-	inferScratches.Put(sc)
+	tp.Reset()
+	embedTapes.Put(tp)
+	sc.planCtx, sc.planWeights = ctx, weights
 }
 
 // reluInPlace mirrors autograd.Tape.ReLU's elementwise branch exactly.
@@ -183,9 +233,9 @@ func (sc *inferScratch) computeUtil(p *te.Problem, invCap *tensor.Dense) {
 	sc.mlu, _ = sc.util.Max()
 }
 
-// adjustInfer runs stages 3–4 (MLP1 + RAU) for one demand on the scratch
-// engine, returning the F×K split matrix. The returned matrix is scratch
-// memory: the caller must clone it before the next snapshot. Values are
+// adjustInfer runs stages 3–4 (MLP1 + RAU) for one demand on the scratch's
+// plan, returning the F×K split matrix. The returned matrix is scratch
+// memory: the caller must clone it before releasing the scratch. Values are
 // bit-identical to the tape-based adjust (see the file comment). sp, when
 // non-nil, gains one forward.mlp1 and one forward.rau child span.
 func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense, sp *reqtrace.Span) *tensor.Dense {
@@ -220,7 +270,7 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 	}
 
 	// ---- 3. initial split predictor (MLP1) ----
-	// First layer = per-batch prefix + the demand column + bias.
+	// First layer = the plan's prefix + the demand column + bias.
 	l0, l1 := m.mlp1.Layers[0], m.mlp1.Layers[1]
 	copy(sc.mlp1Hidden.Data, sc.mlp1Prefix.Data)
 	accColumn(sc.mlp1Hidden, sc.feat.Data, l0.W.Val.Row(r))
@@ -268,17 +318,26 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 		}
 		denom := sc.mlu + 1e-12
 		mluFeat := (1.0 / 6) * math.Log1p(sc.mlu)
+		// adjust's ratio, buFeat and penalty trigger are functions of the
+		// bottleneck edge's utilization alone: evaluated once per edge, not
+		// once per tunnel sharing it, by the same expressions.
+		for e, bu := range sc.util.Data {
+			ratio := bu / denom
+			buFeat := (1.0 / 6) * math.Log1p(bu)
+			overrun := 1 / (1 + math.Exp(-(6 * (bu + -1))))
+			atMax := 1 / (1 + math.Exp(-(10 * (ratio + -0.85))))
+			fire := (overrun + atMax) - overrun*atMax
+			sc.edgeRatio[e], sc.edgeBuFeat[e], sc.edgeGatedBu[e] = ratio, buFeat, fire*buFeat
+		}
 		// RAU input tail: [bottleneckEmb | ratio | mluFeat | buFeat |
 		// demandFeat | uFeat] — the columns after the tunnelEmb prefix, in
 		// the exact order adjust's ConcatCols lays them out.
 		for t := 0; t < numTunnels; t++ {
-			bu := sc.util.Data[sc.bedge[t]]
-			sc.bu[t] = bu
 			row := sc.rest.Row(t)
 			copy(row[:r], sc.h.Row(sc.btok[t]))
-			row[r] = bu / denom
+			row[r] = sc.edgeRatio[sc.bedge[t]]
 			row[r+1] = mluFeat
-			row[r+2] = (1.0 / 6) * math.Log1p(bu)
+			row[r+2] = sc.edgeBuFeat[sc.bedge[t]]
 			row[r+3] = sc.feat.Data[t]
 			row[r+4] = math.Tanh((1.0 / 8) * sc.u.Data[t])
 		}
@@ -289,13 +348,9 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 		tensor.MatMul(sc.rauOut, sc.rauHidden, r1.W.Val)
 		tensor.AddRowVecInto(sc.rauOut, sc.rauOut, r1.B.Val)
 		for t := 0; t < numTunnels; t++ {
-			row := sc.rest.Row(t)
 			base := 0.5 * math.Tanh(sc.rauOut.Data[2*t])
 			gate := 1 / (1 + math.Exp(-sc.rauOut.Data[2*t+1]))
-			overrun := 1 / (1 + math.Exp(-(6 * (sc.bu[t] + -1))))
-			atMax := 1 / (1 + math.Exp(-(10 * (row[r] + -0.85))))
-			fire := (overrun + atMax) - overrun*atMax
-			gatedBu := fire * row[r+2]
+			gatedBu := sc.edgeGatedBu[sc.bedge[t]]
 			penalty := 6*gatedBu + 4*(gate*gatedBu)
 			sc.u.Data[t] = sc.u.Data[t] + (base - penalty)
 		}
@@ -325,68 +380,47 @@ var embedTapes = sync.Pool{New: func() any {
 	return tp
 }}
 
-// Splits runs inference and returns the F×K split-ratio matrix: the
-// one-snapshot case of SplitsBatch.
+// Splits runs inference and returns the F×K split-ratio matrix, freshly
+// allocated and owned by the caller. It is bit-identical to the training
+// forward's (Forward) for the same (Context, demand) pair.
 func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
 	return m.SplitsSpan(nil, c, demand)
 }
 
-// SplitsSpan is Splits with request-trace propagation; see SplitsBatchSpan.
+// SplitsSpan is Splits with request-trace propagation, and the engine's one
+// entry point. It takes a scratch from the pool; if the plan in it was built
+// for this Context and these weights the call runs MLP1 and the RAU only,
+// otherwise it rebuilds the plan first. A non-nil sp gains a plan=hit|build
+// annotation, the forward.gnn and forward.settrans stage spans on a build,
+// and forward.mlp1 and forward.rau always; a verify-gate failure is recorded
+// on it (which pins the trace in the flight recorder).
+//
+// When the verify gate is on (verify.SetEnabled) the answer's routing
+// invariants — rows sum to 1, nonnegative link loads, per-flow conservation
+// — are re-checked; when off the gate is a single atomic load, preserving
+// the inference allocation pin.
 func (m *Model) SplitsSpan(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
-	return m.SplitsBatchSpan(nil, c, []*tensor.Dense{demand}, sp)[0]
+	ctx := c.inner
+	sc := inferScratches.Get().(*inferScratch)
+	sc.ensure(m, ctx)
+	if weights := m.weightsStamp(); sc.planCtx == ctx && sc.planWeights == weights {
+		sp.Annotate("plan", "hit")
+	} else {
+		sp.Annotate("plan", "build")
+		sc.buildPlan(m, ctx, weights, sp)
+	}
+	splits := sc.adjustInfer(m, ctx, demand, sp).Clone()
+	inferScratches.Put(sc)
+	if verify.Enabled() {
+		if err := verify.CheckRouting(ctx.p, splits, demand); err != nil {
+			sp.SetError(err)
+			verify.Fail(err)
+		}
+	}
+	return splits
 }
 
 // MLU runs inference and evaluates the achieved MLU exactly on the problem.
 func (m *Model) MLU(c *Context, demand *tensor.Dense) float64 {
 	return c.inner.p.MLU(m.Splits(c, demand), demand)
-}
-
-// SplitsBatch runs inference for B demand matrices that share one Context,
-// amortizing the demand-independent work: the GNN and SETTRANS embeddings
-// — and the first-layer partial sums over them — are computed once for the
-// whole batch, and only the demand-dependent MLP1/RAU stages run per
-// snapshot, on reusable scratch. Each output is bit-identical to the
-// training forward's (Forward) for the same (Context, demand) pair.
-//
-// Results are appended to dst (which may be nil) and also returned; each
-// returned matrix is freshly cloned and owned by the caller. When the
-// verify gate is on (verify.SetEnabled), every snapshot's routing
-// invariants — rows sum to 1, nonnegative link loads, per-flow
-// conservation — are re-checked; when off the gate is a single atomic load,
-// preserving the inference allocation pin.
-func (m *Model) SplitsBatch(dst []*tensor.Dense, c *Context, demands []*tensor.Dense) []*tensor.Dense {
-	return m.SplitsBatchSpan(dst, c, demands, nil)
-}
-
-// SplitsBatchSpan is SplitsBatch with request-trace propagation: a
-// non-nil sp (a request span, or a batch-dispatch root span) gains the
-// shared forward.gnn and forward.settrans stage spans plus one
-// forward.mlp1 and one forward.rau span per snapshot, and a verify-gate
-// failure is recorded on it (which pins the trace in the flight recorder).
-// With a nil sp it is exactly SplitsBatch.
-func (m *Model) SplitsBatchSpan(dst []*tensor.Dense, c *Context, demands []*tensor.Dense, sp *reqtrace.Span) []*tensor.Dense {
-	if len(demands) == 0 {
-		return dst
-	}
-	ctx := c.inner
-	tp := embedTapes.Get().(*autograd.Tape)
-	emb := m.embed(tp, ctx, sp)
-	sc := inferScratches.Get().(*inferScratch)
-	sc.ensure(m, ctx)
-	sc.precompute(m, emb)
-	for _, d := range demands {
-		dst = append(dst, sc.adjustInfer(m, ctx, d, sp).Clone())
-	}
-	sc.release()
-	tp.Reset()
-	embedTapes.Put(tp)
-	if verify.Enabled() {
-		for i, d := range demands {
-			if err := verify.CheckRouting(ctx.p, dst[len(dst)-len(demands)+i], d); err != nil {
-				sp.SetError(err)
-				verify.Fail(err)
-			}
-		}
-	}
-	return dst
 }

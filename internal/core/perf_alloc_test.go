@@ -86,9 +86,11 @@ func TestReusedTapeForwardAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestInferenceAllocsBounded pins Splits' steady-state allocations: 21 on
-// Abilene (the embedding pass's op bookkeeping on the pooled tape, the
-// weight-row views, the returned clone), independent of topology size.
+// TestInferenceAllocsBounded pins Splits' steady-state allocations on the
+// plan-hit path every same-topology request takes: 3 (the returned clone's
+// header and data, one weight-row view), independent of topology size. A
+// plan build adds the embedding pass's op bookkeeping on the pooled tape,
+// about 20 more.
 func TestInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
@@ -96,9 +98,9 @@ func TestInferenceAllocsBounded(t *testing.T) {
 	m, ctx, samples := abileneBench(1)
 	d := samples[0].Demand
 	m.Splits(ctx, d)
-	n := testing.AllocsPerRun(5, func() { m.Splits(ctx, d) })
-	if n > 28 {
-		t.Errorf("steady-state Splits allocates %v times per run, want <= 28", n)
+	n := testing.AllocsPerRun(20, func() { m.Splits(ctx, d) })
+	if n > 4 {
+		t.Errorf("steady-state Splits allocates %v times per run, want <= 4", n)
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 // Large-topology problems, their serving pins, and the BENCH_3.json ledger
-// rows: single-snapshot inference on the problems bench/workloads.go serves
-// (all-pairs Abilene and GEANT; KDL-scale with 48 evenly spaced edge nodes),
-// each row stating its flows and tokens.
+// rows: one inference, on a kept plan and building one, on the problems
+// bench/workloads.go serves (all-pairs Abilene and GEANT; KDL-scale with 48
+// evenly spaced edge nodes), each row stating its flows and tokens.
 
 import (
 	"math"
@@ -77,16 +77,36 @@ func benchKDLProblem() *te.Problem {
 	return allPairsProblem(g)
 }
 
+// benchSplits times one Splits call two ways: hit, on a Context the engine
+// holds the plan of (a same-topology request), and build, on a Context it
+// has never seen (a new topology: the embedding is part of the call).
 func benchSplits(b *testing.B, p *te.Problem) {
 	m, ctx, d := largeBench(p, 302)
-	m.Splits(ctx, d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Splits(ctx, d)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(p.NumFlows()), "flows")
+		b.ReportMetric(float64(len(ctx.inner.tokenIdx)), "tokens")
 	}
-	b.ReportMetric(float64(p.NumFlows()), "flows")
-	b.ReportMetric(float64(len(ctx.inner.tokenIdx)), "tokens")
+	b.Run("hit", func(b *testing.B) {
+		m.Splits(ctx, d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Splits(ctx, d)
+		}
+		report(b)
+	})
+	b.Run("build", func(b *testing.B) {
+		m.Splits(ctx, d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := m.Context(p)
+			b.StartTimer()
+			m.Splits(fresh, d)
+		}
+		report(b)
+	})
 }
 
 func BenchmarkSplitsAbilene(b *testing.B) { benchSplits(b, allPairsProblem(topology.Abilene())) }

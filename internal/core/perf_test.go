@@ -10,7 +10,6 @@ import (
 
 	"harpte/internal/autograd"
 	"harpte/internal/te"
-	"harpte/internal/tensor"
 	"harpte/internal/topology"
 	"harpte/internal/traffic"
 	"harpte/internal/tunnels"
@@ -63,41 +62,4 @@ func BenchmarkInferenceAbilene(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Splits(ctx, samples[0].Demand)
 	}
-}
-
-// BenchmarkSplitsBatch16Abilene measures the batched inference path on 16
-// snapshots sharing one Context: embeddings are computed once per batch,
-// only the demand-dependent stages run per snapshot. Compare against
-// BenchmarkSplitsSequential16Abilene for the amortization win (per-op time
-// here covers all 16 snapshots).
-func BenchmarkSplitsBatch16Abilene(b *testing.B) {
-	m, ctx, samples := abileneBench(16)
-	demands := make([]*tensor.Dense, len(samples))
-	for i, s := range samples {
-		demands[i] = s.Demand
-	}
-	dst := make([]*tensor.Dense, 0, len(demands))
-	m.SplitsBatch(dst[:0], ctx, demands)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SplitsBatch(dst[:0], ctx, demands)
-	}
-	b.ReportMetric(float64(b.N*len(demands))/b.Elapsed().Seconds(), "snapshots/s")
-}
-
-// BenchmarkSplitsSequential16Abilene is the unbatched baseline: 16
-// independent Splits calls on the same snapshots (per-op time covers all
-// 16, directly comparable to BenchmarkSplitsBatch16Abilene).
-func BenchmarkSplitsSequential16Abilene(b *testing.B) {
-	m, ctx, samples := abileneBench(16)
-	m.Splits(ctx, samples[0].Demand)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range samples {
-			m.Splits(ctx, s.Demand)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(samples))/b.Elapsed().Seconds(), "snapshots/s")
 }

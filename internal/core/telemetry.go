@@ -21,7 +21,9 @@ const (
 	// MetricForwardStageSeconds is a histogram family labeled
 	// stage="gnn"|"settrans"|"mlp1"|"rau_iter" timing the architecture
 	// stages of every traced forward pass (Figure 2's four modules; each
-	// RAU iteration is one observation).
+	// RAU iteration is one observation). An inference that finds its plan
+	// (infer.go) runs no gnn or settrans stage, so the settrans count over
+	// MetricForwardPasses is the plan build rate.
 	MetricForwardStageSeconds = "harp_forward_stage_seconds"
 	// MetricForwardPasses counts completed traced forward passes.
 	MetricForwardPasses = "harp_forward_passes_total"

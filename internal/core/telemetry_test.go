@@ -12,9 +12,10 @@ import (
 	"harpte/internal/tensor"
 )
 
-// TestForwardStageTracing: a traced Splits records every architecture
-// stage, one rau_iter observation per configured RAU iteration, and the
-// same outputs as an untraced model.
+// TestForwardStageTracing: traced Splits calls on one Context record the
+// embedding stages once — the first call builds the plan, the rest find it —
+// and the demand-dependent stages every call, one rau_iter observation per
+// configured RAU iteration, with the same outputs as an untraced model.
 func TestForwardStageTracing(t *testing.T) {
 	p := twoPathProblem()
 	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
@@ -40,10 +41,14 @@ func TestForwardStageTracing(t *testing.T) {
 	stage := func(name string) uint64 {
 		return reg.Histogram(MetricForwardStageSeconds, "", nil, obs.L("stage", name)).Count()
 	}
-	for _, name := range []string{"gnn", "settrans", "mlp1"} {
-		if got := stage(name); got != passes {
-			t.Fatalf("stage %s count = %d, want %d", name, got, passes)
-		}
+	// settrans count over the pass counter is the plan build rate. Under
+	// -race sync.Pool drops items at random, so any pass may have rebuilt.
+	builds := stage("settrans")
+	if stage("gnn") != builds || builds < 1 || builds > passes || (!tensor.RaceEnabled && builds != 1) {
+		t.Fatalf("%d passes on one Context ran gnn %d and settrans %d times, want once each", passes, stage("gnn"), builds)
+	}
+	if got := stage("mlp1"); got != passes {
+		t.Fatalf("stage mlp1 count = %d, want %d", got, passes)
 	}
 	if got, want := stage("rau_iter"), uint64(passes*tinyConfig().RAUIterations); got != want {
 		t.Fatalf("rau_iter count = %d, want %d", got, want)
@@ -157,8 +162,8 @@ func TestTracedInferenceAllocsBounded(t *testing.T) {
 	m.EnableTelemetry(obs.NewRegistry())
 	d := samples[0].Demand
 	m.Splits(ctx, d)
-	n := testing.AllocsPerRun(5, func() { m.Splits(ctx, d) })
-	if n > 64 {
-		t.Errorf("traced steady-state Splits allocates %v times per run, want <= 64", n)
+	n := testing.AllocsPerRun(20, func() { m.Splits(ctx, d) })
+	if n > 4 {
+		t.Errorf("traced steady-state Splits allocates %v times per run, want <= 4", n)
 	}
 }

@@ -163,8 +163,8 @@ type Options struct {
 	// ranked per topology fingerprint with rendezvous (highest-random-
 	// weight) hashing, and every request for a topology goes to its
 	// top-ranked serviceable replica. One replica therefore sees all the
-	// traffic for a topology cluster, keeping its context cache, batch
-	// collector, and split-ratio cache hot, instead of the round-robin
+	// traffic for a topology cluster, keeping its context cache, engine
+	// plan, and split-ratio cache hot, instead of the round-robin
 	// default spreading a cluster's requests (and their cache misses)
 	// across the whole fleet. Failover and hedges walk down the same
 	// per-topology ranking, so a quarantined shard owner's traffic moves

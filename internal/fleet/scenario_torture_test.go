@@ -2,7 +2,7 @@ package fleet
 
 // Correlated-disaster torture: a seed-replayable scenario (SRLG fiber
 // cut, 40x flash crowd, sustained regime shift, adversarial demands, and
-// a maintenance wave over two replicas) drives a batched, cached, sharded
+// a maintenance wave over two replicas) drives a cached, sharded
 // fleet whose replicas sit behind a shared OOD guard, with one byzantine
 // chaos replica in the rotation. The acceptance bar from the issue: zero
 // hangs, every resolved answer VetSplits-clean, the certified MLU ratio
@@ -151,13 +151,11 @@ func TestFleetScenarioTorture(t *testing.T) {
 
 	newGuarded := func() *resilience.Server {
 		return resilience.NewServer(core.New(tinyConfig()), resilience.Options{
-			Deadline:       2 * time.Second,
-			Probe:          p,
-			ProbeDemand:    probe,
-			CacheEntries:   64,
-			BatchMaxSize:   4,
-			BatchMaxLinger: time.Millisecond,
-			OOD:            guard,
+			Deadline:     2 * time.Second,
+			Probe:        p,
+			ProbeDemand:  probe,
+			CacheEntries: 64,
+			OOD:          guard,
 		})
 	}
 

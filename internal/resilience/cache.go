@@ -17,6 +17,12 @@ package resilience
 // inserted, so vetSplits will never renormalize them in place, and callers
 // of Serve treat Decision.Splits as read-only. Put stores a private clone,
 // so later caller mutations of a served matrix cannot poison the cache.
+//
+// The cache is bounded by bytes as well as by entries: Options.CacheEntries
+// answers of up to cacheEntryBytes each. One number still sizes it, and it
+// means what it says up to 1,024 flows; past that (a KDL-scale answer is
+// 70 KB) the byte bound binds first and the cache holds fewer, so what a
+// replica retains does not scale with the topology it happens to serve.
 
 import (
 	"math"
@@ -31,6 +37,10 @@ import (
 // in the same bucket.
 const DefaultCacheQuantum = 0.01
 
+// cacheEntryBytes is the answer size CacheEntries is denominated in:
+// 1,024 flows × 4 tunnels × 8 B.
+const cacheEntryBytes = 32 << 10
+
 type cacheKey struct {
 	topo uint64 // te.Problem.Fingerprint
 	tm   uint64 // quantized traffic-matrix hash
@@ -42,14 +52,19 @@ type cacheEntry struct {
 	prev, next *cacheEntry // LRU list, head = most recent
 }
 
-// SplitCache is a fixed-capacity LRU of vetted split matrices keyed by
-// (topology fingerprint, quantized TM). Safe for concurrent use. The zero
-// value is unusable; construct with newSplitCache.
+// bytes is what the entry's answer occupies: 8 B per split ratio.
+func (e *cacheEntry) bytes() int { return 8 * len(e.splits.Data) }
+
+// SplitCache is an LRU of vetted split matrices keyed by (topology
+// fingerprint, quantized TM), holding at most cap entries and at most
+// cap × cacheEntryBytes of answers (but always the newest one). Safe for
+// concurrent use. The zero value is unusable; construct with newSplitCache.
 type SplitCache struct {
 	mu         sync.Mutex
 	entries    map[cacheKey]*cacheEntry
 	head, tail *cacheEntry
 	cap        int
+	bytes      int // Σ entry.bytes()
 	quantum    float64
 
 	hits, misses, evictions, purges int64
@@ -130,23 +145,27 @@ func (c *SplitCache) get(p *te.Problem, demand *tensor.Dense) *tensor.Dense {
 }
 
 // put inserts a vetted TierFull answer, cloning it so the cache owns its
-// copy, and evicts the least-recently-used entry beyond capacity.
+// copy, and evicts least-recently-used entries beyond either bound.
 func (c *SplitCache) put(p *te.Problem, demand *tensor.Dense, splits *tensor.Dense) {
 	key := cacheKey{topo: p.Fingerprint(), tm: tmHash(demand, c.quantum)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		e.splits = splits.Clone()
+	e := c.entries[key]
+	if e != nil {
+		c.bytes -= e.bytes()
 		c.moveToFront(e)
-		return
+	} else {
+		e = &cacheEntry{key: key}
+		c.entries[key] = e
+		c.pushFront(e)
 	}
-	e := &cacheEntry{key: key, splits: splits.Clone()}
-	c.entries[key] = e
-	c.pushFront(e)
-	if len(c.entries) > c.cap {
+	e.splits = splits.Clone()
+	c.bytes += e.bytes()
+	for len(c.entries) > 1 && (len(c.entries) > c.cap || c.bytes > c.cap*cacheEntryBytes) {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.entries, lru.key)
+		c.bytes -= lru.bytes()
 		c.evictions++
 	}
 }
@@ -158,12 +177,15 @@ func (c *SplitCache) purge() {
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*cacheEntry, c.cap)
 	c.head, c.tail = nil, nil
+	c.bytes = 0
 	c.purges++
 }
 
 // CacheStats is a point-in-time snapshot of split-cache effectiveness.
 type CacheStats struct {
-	Size, Capacity                  int
+	Size, Capacity int
+	// Bytes is what the cached answers occupy (8 B per split ratio).
+	Bytes                           int
 	Hits, Misses, Evictions, Purges int64
 }
 
@@ -171,7 +193,7 @@ func (c *SplitCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Size: len(c.entries), Capacity: c.cap,
+		Size: len(c.entries), Capacity: c.cap, Bytes: c.bytes,
 		Hits: c.hits, Misses: c.misses,
 		Evictions: c.evictions, Purges: c.purges,
 	}

@@ -1,8 +1,8 @@
 package resilience
 
 // Split-ratio cache tests: hit/miss semantics through Serve, the zero-alloc
-// hit path, LRU eviction order, the epsilon MLU bound for colliding
-// demands, and the reload purge.
+// hit path, LRU eviction order and the byte bound, the epsilon MLU bound
+// for colliding demands, and the reload purge.
 
 import (
 	"math"
@@ -136,6 +136,62 @@ func TestSplitCacheLRUEviction(t *testing.T) {
 	if st.Cache.Evictions < 1 || st.Cache.Size != 2 {
 		t.Fatalf("cache stats %+v, want >=1 eviction at capacity 2", st.Cache)
 	}
+}
+
+// TestSplitCacheByteBound: the cache holds CacheEntries answers of up to
+// 32 KiB and fewer of larger ones, and its byte tally stays exact through
+// inserts, evictions, replacement in place and purge.
+func TestSplitCacheByteBound(t *testing.T) {
+	p := twoPathProblem()
+	// Distinct peak-scale buckets, so every i is its own key.
+	key := func(i int) *tensor.Dense { return demand(p, math.Pow(1.05, float64(i)), 1) }
+	check := func(c *SplitCache, size, bytes int, evictions int64) {
+		t.Helper()
+		if st := c.stats(); st.Size != size || st.Bytes != bytes || st.Evictions != evictions {
+			t.Fatalf("cache stats %+v, want size %d, bytes %d, evictions %d", st, size, bytes, evictions)
+		}
+	}
+
+	// KDL-shaped answers (2,256 flows × 4 tunnels = 72,192 B): 256 entries'
+	// worth of bytes is 116 of them.
+	kdl := tensor.New(2256, 4)
+	c := newSplitCache(256, 0)
+	for i := 0; i < 116; i++ {
+		c.put(p, key(i), kdl)
+	}
+	check(c, 116, 116*72192, 0)
+	c.put(p, key(116), kdl)
+	check(c, 116, 116*72192, 1)
+	if c.get(p, key(0)) != nil || c.get(p, key(1)) == nil {
+		t.Fatal("byte-bound eviction did not take the least recently used entry")
+	}
+
+	// Abilene-shaped answers (4,224 B) never reach the byte bound: the
+	// entry count binds, exactly as without it.
+	small := tensor.New(132, 4)
+	c = newSplitCache(4, 0)
+	for i := 0; i < 6; i++ {
+		c.put(p, key(i), small)
+	}
+	check(c, 4, 4*4224, 2)
+
+	// Replacing an entry in place re-counts it; purge zeroes the tally.
+	c.put(p, key(5), kdl)
+	check(c, 4, 3*4224+72192, 2)
+	c.put(p, key(5), small)
+	check(c, 4, 4*4224, 2)
+	c.purge()
+	check(c, 0, 0, 2)
+	c.put(p, key(0), small)
+	check(c, 1, 4224, 2)
+
+	// One answer larger than the whole budget is still kept: the cache
+	// never evicts below its newest entry.
+	c = newSplitCache(1, 0)
+	c.put(p, key(0), kdl)
+	check(c, 1, 72192, 0)
+	c.put(p, key(1), kdl)
+	check(c, 1, 72192, 1)
 }
 
 // TestReloadPurgesSplitCache: cached answers embody the old generation's

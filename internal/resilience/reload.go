@@ -129,10 +129,8 @@ type Stats struct {
 	ReloadFailures int64
 	Generation     int64
 	Drains         int64
-	// Cache / Batch snapshot the split-cache and micro-batch collector
-	// (all-zero when the corresponding option is disabled).
+	// Cache snapshots the split cache (all-zero when it is disabled).
 	Cache CacheStats
-	Batch BatchStats
 	// OOD snapshots the out-of-distribution guard (all-zero when
 	// Options.OOD is nil).
 	OOD OODStats
@@ -156,9 +154,6 @@ func (s *Server) Stats() Stats {
 	st.Shed = st.ShedQueueFull + st.ShedQueueDeadline + st.ShedDraining
 	if s.cache != nil {
 		st.Cache = s.cache.stats()
-	}
-	if s.batch != nil {
-		st.Batch = s.batch.stats()
 	}
 	st.OOD = s.opts.OOD.Stats()
 	for _, b := range s.breakers {

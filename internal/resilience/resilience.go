@@ -126,20 +126,12 @@ type Options struct {
 	Probe       *te.Problem
 	ProbeDemand *tensor.Dense
 
-	// BatchMaxSize enables TierFull micro-batching (batcher.go) when > 1:
-	// concurrent requests on the same topology coalesce into one
-	// core.SplitsBatch call of at most this many snapshots. <= 1 disables
-	// batching (every request infers alone, as before).
-	BatchMaxSize int
-	// BatchMaxLinger bounds how long an unfilled batch waits for company
-	// before dispatching (0 means DefaultBatchLinger, 2ms). It trades
-	// tail latency for batch occupancy; see RUNBOOK.md.
-	BatchMaxLinger time.Duration
-
 	// CacheEntries enables the split-ratio LRU cache (cache.go) when > 0:
 	// vetted TierFull answers are replayed for requests with the same
 	// topology fingerprint and quantized traffic matrix, with zero
-	// inference and zero allocations. 0 disables the cache.
+	// inference and zero allocations. 0 disables the cache. The cache holds
+	// this many answers of up to 32 KiB (1,024 flows × 4 tunnels) and
+	// fewer of larger ones: its bytes are bounded by CacheEntries × 32 KiB.
 	CacheEntries int
 	// CacheQuantum is the relative TM quantization step for cache keys
 	// (0 means DefaultCacheQuantum, 0.01). Colliding demands differ per
@@ -221,9 +213,6 @@ type Server struct {
 	// disabled. Indexed by Tier (only TierFull and TierReducedRAU).
 	breakers [2]*breaker
 
-	// batch coalesces concurrent TierFull requests (batcher.go); nil when
-	// Options.BatchMaxSize <= 1.
-	batch *batcher
 	// cache replays vetted TierFull answers (cache.go); nil when
 	// Options.CacheEntries == 0.
 	cache *SplitCache
@@ -242,8 +231,12 @@ type Server struct {
 	// cacheMu guards the single-entry context cache: serving loops
 	// typically replay many traffic matrices against one problem, and
 	// contexts are immutable (and model-independent, so the cache
-	// survives reloads).
+	// survives reloads). The entry is keyed by the problem's fingerprint,
+	// like the split cache, so a controller that re-describes an unchanged
+	// topology keeps its Context — and with it the engine's plan.
+	// lastProb is the problem the Context was built from (Reload's canary).
 	cacheMu  sync.Mutex
+	lastFP   uint64
 	lastProb *te.Problem
 	lastCtx  *core.Context
 }
@@ -291,9 +284,6 @@ const (
 	// the model the server was built with).
 	MetricModelGeneration = "harp_model_generation"
 
-	// MetricServeBatchSize is a histogram of realized micro-batch sizes at
-	// dispatch (1 = a request that lingered out alone).
-	MetricServeBatchSize = "harp_serve_batch_size"
 	// MetricSplitCacheHits / Misses / Evictions count split-cache events;
 	// MetricSplitCacheSize gauges the current entry count.
 	MetricSplitCacheHits      = "harp_split_cache_hits_total"
@@ -331,8 +321,6 @@ type serverTelemetry struct {
 	reloadErr  *obs.Counter
 	generation *obs.Gauge
 
-	batchSize *obs.Histogram
-
 	oodVerdicts  [numOODVerdicts]*obs.Counter
 	oodDemotions [numOODVerdicts]*obs.Counter
 	oodBypasses  *obs.Counter
@@ -357,8 +345,6 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 			"Model reload attempts by outcome.", obs.L("result", "error")),
 		generation: reg.Gauge(MetricModelGeneration,
 			"Serving model generation (successful reloads applied)."),
-		batchSize: reg.Histogram(MetricServeBatchSize,
-			"Realized micro-batch size at dispatch.", nil),
 	}
 	for tier := Tier(0); tier < numTiers; tier++ {
 		l := obs.L("tier", tier.String())
@@ -414,12 +400,6 @@ func (t *serverTelemetry) deadlineExpired() {
 func (t *serverTelemetry) panicRecovered() {
 	if t != nil {
 		t.panics.Inc()
-	}
-}
-
-func (t *serverTelemetry) batchDispatched(size int) {
-	if t != nil {
-		t.batchSize.Observe(float64(size))
 	}
 }
 
@@ -554,9 +534,6 @@ func NewServer(m *core.Model, opts Options) *Server {
 	}
 	for i := range s.breakers {
 		s.breakers[i] = newBreaker(opts.BreakerThreshold, opts.BreakerCooloff)
-	}
-	if opts.BatchMaxSize > 1 {
-		s.batch = newBatcher(s, opts.BatchMaxSize, opts.BatchMaxLinger)
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = newSplitCache(opts.CacheEntries, opts.CacheQuantum)
@@ -747,13 +724,7 @@ func (s *Server) serve(start time.Time, p *te.Problem, demand *tensor.Dense, sp 
 				continue
 			}
 			tsp := sp.StartChild(tierSpanName(tier.t))
-			var splits *tensor.Dense
-			var err error
-			if tier.t == TierFull && s.batch != nil {
-				splits, err = s.batch.submit(tier.m, ctx, p, demand, left, tsp)
-			} else {
-				splits, err = s.safeInfer(tier.m, ctx, p, demand, left, tsp)
-			}
+			splits, err := s.safeInfer(tier.m, ctx, p, demand, left, tsp)
 			if err != nil {
 				if s.breakers[i].onFailure() {
 					s.tel.breakerTripped(i)
@@ -815,8 +786,9 @@ func (s *Server) offerQuality(p *te.Problem, demand, splits *tensor.Dense) {
 // Contexts depend only on the problem, never on the weights, so the cache
 // deliberately survives model reloads.
 func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, err error) {
+	fp := p.Fingerprint()
 	s.cacheMu.Lock()
-	if s.lastProb == p && s.lastCtx != nil {
+	if s.lastFP == fp && s.lastCtx != nil {
 		ctx = s.lastCtx
 		s.cacheMu.Unlock()
 		return ctx, nil
@@ -830,7 +802,7 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 	}()
 	ctx = m.Context(p)
 	s.cacheMu.Lock()
-	s.lastProb, s.lastCtx = p, ctx
+	s.lastFP, s.lastProb, s.lastCtx = fp, p, ctx
 	s.cacheMu.Unlock()
 	return ctx, nil
 }

@@ -2,17 +2,12 @@ package resilience
 
 // Serving-path benchmarks for the BENCH_2.json ledger (make bench):
 // the split-cache hit path (the planet-scale fast path — must stay
-// allocation-free) against a cold full inference, and the micro-batch
-// collector's coalescing dispatch against sequential serving of the
-// same concurrent burst.
+// allocation-free) against a full inference.
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"harpte/internal/core"
-	"harpte/internal/tensor"
 )
 
 // BenchmarkServeCacheHit measures the warm path: every request after the
@@ -33,8 +28,9 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCacheMiss is the cold counterpart: a full forward pass
-// per request. The cache-hit speedup is this time divided by the hit time.
+// BenchmarkServeCacheMiss is the cold counterpart: a model inference per
+// request (on the engine's cached plan after the first). The cache-hit
+// speedup is this time divided by the hit time.
 func BenchmarkServeCacheMiss(b *testing.B) {
 	p := twoPathProblem()
 	srv := NewServer(core.New(tinyConfig()), Options{})
@@ -44,60 +40,6 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if dec := srv.Serve(p, d); dec.Err != nil {
 			b.Fatal(dec.Err)
-		}
-	}
-}
-
-// burstDemands builds distinct demands so neither benchmark below can be
-// short-circuited by the split cache.
-func burstDemands(p func() *tensor.Dense, n int) []*tensor.Dense {
-	ds := make([]*tensor.Dense, n)
-	for i := range ds {
-		ds[i] = p()
-		ds[i].Data[0] += float64(i) // distinct TM per request
-	}
-	return ds
-}
-
-// BenchmarkServeBatchedBurst serves a concurrent 8-request burst through
-// the micro-batch collector: one coalesced SplitsBatch dispatch.
-func BenchmarkServeBatchedBurst(b *testing.B) {
-	p := twoPathProblem()
-	srv := NewServer(core.New(tinyConfig()), Options{
-		BatchMaxSize:   8,
-		BatchMaxLinger: 500 * time.Microsecond,
-	})
-	ds := burstDemands(func() *tensor.Dense { return demand(p, 4, 2) }, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for _, d := range ds {
-			wg.Add(1)
-			go func(d *tensor.Dense) {
-				defer wg.Done()
-				if dec := srv.Serve(p, d); dec.Err != nil {
-					b.Error(dec.Err)
-				}
-			}(d)
-		}
-		wg.Wait()
-	}
-}
-
-// BenchmarkServeSequentialBurst is the unbatched baseline for the same
-// 8-request burst: eight independent full forward passes.
-func BenchmarkServeSequentialBurst(b *testing.B) {
-	p := twoPathProblem()
-	srv := NewServer(core.New(tinyConfig()), Options{})
-	ds := burstDemands(func() *tensor.Dense { return demand(p, 4, 2) }, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range ds {
-			if dec := srv.Serve(p, d); dec.Err != nil {
-				b.Fatal(dec.Err)
-			}
 		}
 	}
 }
