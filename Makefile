@@ -1,19 +1,23 @@
 # Tier-1 verification gate plus extras. `make ci` is what CI runs.
 GO ?= go
 
-.PHONY: ci check build vet test race fuzzsmoke benchsmoke bench
+.PHONY: ci check fmt build vet test race fuzzsmoke benchsmoke bench
 
 # ci is the hosted-CI entry point (.github/workflows/ci.yml), ordered
-# fastest-fail-first: the full build, static analysis, the full test suite
-# (every smoke, oracle, torture and allocation pin is an ordinary test in
-# it — nothing is re-run by -run pattern, because a pattern that stops
-# matching passes silently), the race detector over the packages with real
+# fastest-fail-first: formatting, the full build, static analysis, the full
+# test suite (every smoke, oracle, torture and allocation pin is an ordinary
+# test in it — nothing is re-run by -run pattern, because a pattern that
+# stops matching passes silently), the race detector over the packages with real
 # concurrency, a short fuzzing pass over every fuzz target, and a
 # one-iteration bench smoke that compiles and executes every benchmark once
 # so the perf harness can never silently rot.
-ci: build vet test race fuzzsmoke benchsmoke
+ci: fmt build vet test race fuzzsmoke benchsmoke
 
 check: ci
+
+# fmt fails when gofmt would change any file, naming the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -27,11 +31,12 @@ test:
 # race covers the packages with real concurrency: the tensor kernels' row
 # fan-out and the autograd/nn layers above them, core's parallel train step
 # and pooled inference engine, obs's scrape-while-write registry,
-# resilience's Serve/Reload/Drain churn hammer plus the breaker half-open
-# contention pin, chaos's fault-injecting filesystem and replica-fault
-# injectors under torture, the seed-replayable scenario player, the fleet
-# dispatcher's chaos tortures (hedges, retries, rolling reload mid-burst,
-# and the correlated-disaster scenario), and the differential-oracle suite.
+# resilience's Serve/Reload/Drain churn hammer, the breaker half-open
+# contention pin and the mid-RAU deadline and cancellation tests, chaos's
+# fault-injecting filesystem and replica-fault injectors under torture, the
+# seed-replayable scenario player, the fleet dispatcher's chaos tortures
+# (hedges and their cancelled losers, retries, rolling reload mid-burst, and
+# the correlated-disaster scenario), and the differential-oracle suite.
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
 	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/core ./internal/obs ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify

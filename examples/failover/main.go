@@ -48,7 +48,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		replicas = flag.Int("replicas", 2, "model replicas behind the fleet dispatcher")
-		deadline = flag.Duration("deadline", 10*time.Second, "per-request wall-clock budget before degrading to ECMP (0 disables)")
+		deadline = flag.Duration("deadline", 10*time.Second, "per-request wall-clock budget; past it the RAU stops early, or the answer is ECMP (0 disables)")
 		maxConc  = flag.Int("max-concurrent", 0, "per replica: concurrent serving slots (0 disables admission control)")
 		maxQueue = flag.Int("max-queue", 0, "per replica: queued requests beyond the gate before shedding")
 		brkN     = flag.Int("breaker-threshold", 3, "per replica: consecutive tier failures before its circuit opens (0 disables breakers)")
@@ -195,9 +195,8 @@ func main() {
 		trips += st.BreakerTrips
 		shorts += st.BreakerShortCircuits
 	}
-	fmt.Printf("serving tiers: full=%d reduced-rau=%d ecmp=%d | breaker trips=%d short-circuits=%d\n",
-		counts[resilience.TierFull], counts[resilience.TierReducedRAU],
-		counts[resilience.TierECMP], trips, shorts)
+	fmt.Printf("serving tiers: full=%d ecmp=%d | breaker trips=%d short-circuits=%d\n",
+		counts[resilience.TierFull], counts[resilience.TierECMP], trips, shorts)
 	fst := fl.Stats()
 	fmt.Printf("fleet: replicas=%d (healthy=%d degraded=%d quarantined=%d) served=%d ecmp-fallback=%d hedges=%d (wins=%d) retries=%d (denied=%d) ejections=%d readmits=%d\n",
 		fst.Replicas, fst.Healthy, fst.Degraded, fst.Quarantined,

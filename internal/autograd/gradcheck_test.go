@@ -185,8 +185,8 @@ func TestGradCSRIncidenceRoundTrip(t *testing.T) {
 	})
 	x := randParam(rng, 6, 1)
 	checkGrads(t, "csr-roundtrip", []*Tensor{x}, func(tp *Tape) *Tensor {
-		loads := tp.CSRMul(inc, x)      // edge loads
-		back := tp.CSRMulT(inc, loads)  // per-tunnel sum of its edge loads
+		loads := tp.CSRMul(inc, x)     // edge loads
+		back := tp.CSRMulT(inc, loads) // per-tunnel sum of its edge loads
 		return tp.SumAll(tp.Mul(back, back))
 	})
 }

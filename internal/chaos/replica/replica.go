@@ -39,11 +39,12 @@ const (
 	// KindCrash fails the call fast; once drawn, every later call is
 	// also crashed (the process is gone).
 	KindCrash
-	// KindHang blocks the call until Release is called, then fails it —
-	// a wedged process or network black hole.
+	// KindHang blocks the call until its context is done or Release is
+	// called, then fails it — a wedged process or network black hole.
 	KindHang
-	// KindSlow sleeps Plan.SlowDelay, then passes through — a latency
-	// spike (GC pause, noisy neighbor).
+	// KindSlow sleeps Plan.SlowDelay (or until the call's context is
+	// done), then passes through — a latency spike (GC pause, noisy
+	// neighbor).
 	KindSlow
 	// KindNaN answers with a correctly shaped split matrix full of NaN —
 	// byzantine output that only output vetting can catch.
@@ -127,7 +128,7 @@ func Schedule(plan Plan, n int) []Kind {
 // Backend is the serving surface Fault wraps — satisfied by fleet.Local
 // (and by Fault itself, so injectors stack).
 type Backend interface {
-	Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision, error)
+	Serve(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error)
 	Reload(path string) error
 	Drain(ctx context.Context) error
 }
@@ -174,17 +175,28 @@ func (r *Fault) next() Kind {
 }
 
 // Serve injects the next scheduled fault, passing healthy (and slow)
-// calls through to the wrapped backend.
-func (r *Fault) Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
+// calls through to the wrapped backend. Like any backend it returns
+// promptly once ctx is done: a hung call fails with ErrDown and ctx.Err(),
+// a slow one cuts its sleep short.
+func (r *Fault) Serve(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
 	switch r.next() {
 	case KindCrash:
 		return resilience.Decision{}, fmt.Errorf("%w: crashed", ErrDown)
 	case KindHang:
-		<-r.releaseCh
-		return resilience.Decision{}, fmt.Errorf("%w: hung call released", ErrDown)
+		select {
+		case <-r.releaseCh:
+			return resilience.Decision{}, fmt.Errorf("%w: hung call released", ErrDown)
+		case <-ctx.Done():
+			return resilience.Decision{}, fmt.Errorf("%w: hung call given up on: %w", ErrDown, ctx.Err())
+		}
 	case KindSlow:
-		time.Sleep(r.plan.SlowDelay)
-		return r.inner.Serve(p, demand)
+		spike := time.NewTimer(r.plan.SlowDelay)
+		defer spike.Stop()
+		select {
+		case <-spike.C:
+		case <-ctx.Done():
+		}
+		return r.inner.Serve(ctx, p, demand)
 	case KindNaN:
 		s := tensor.New(p.NumFlows(), p.Tunnels.K)
 		for i := range s.Data {
@@ -194,7 +206,7 @@ func (r *Fault) Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision,
 	case KindShape:
 		return resilience.Decision{Splits: tensor.New(1, 1), Tier: resilience.TierFull}, nil
 	}
-	return r.inner.Serve(p, demand)
+	return r.inner.Serve(ctx, p, demand)
 }
 
 // Reload passes through unless the replica has crashed.
@@ -213,8 +225,8 @@ func (r *Fault) Drain(ctx context.Context) error {
 	return r.inner.Drain(ctx)
 }
 
-// Release unblocks every hung call (they fail with ErrDown) so torture
-// tests can join their goroutines. Idempotent.
+// Release unblocks every hung call whose context has not already done so
+// (they fail with ErrDown). Idempotent.
 func (r *Fault) Release() {
 	r.releaseOnce.Do(func() { close(r.releaseCh) })
 }

@@ -28,7 +28,7 @@ func twoPathProblem() *te.Problem {
 // ecmpBackend answers every request with valid ECMP splits.
 type ecmpBackend struct{ serves, reloads, drains int }
 
-func (b *ecmpBackend) Serve(p *te.Problem, d *tensor.Dense) (resilience.Decision, error) {
+func (b *ecmpBackend) Serve(_ context.Context, p *te.Problem, d *tensor.Dense) (resilience.Decision, error) {
 	b.serves++
 	return resilience.Decision{
 		Splits: te.NormalizeRows(te.Rescale(p, p.UniformSplits())),
@@ -55,12 +55,13 @@ func TestFaultDeterministic(t *testing.T) {
 	}
 	const n = 50
 	want := replica.Schedule(plan, n)
+	ctx := context.Background()
 
 	a := replica.New(&ecmpBackend{}, plan)
 	b := replica.New(&ecmpBackend{}, plan)
 	for i := 0; i < n; i++ {
-		decA, errA := a.Serve(p, nil)
-		b.Serve(p, nil)
+		decA, errA := a.Serve(ctx, p, nil)
+		b.Serve(ctx, p, nil)
 		// Behavior must match the scheduled kind, call by call.
 		switch want[i] {
 		case replica.KindCrash:
@@ -120,7 +121,7 @@ func TestFaultCrashRefusesControlPlane(t *testing.T) {
 	p := twoPathProblem()
 	inner := &ecmpBackend{}
 	f := replica.New(inner, replica.Plan{Seed: 1, CrashAfter: 0})
-	if _, err := f.Serve(p, nil); !errors.Is(err, replica.ErrDown) {
+	if _, err := f.Serve(context.Background(), p, nil); !errors.Is(err, replica.ErrDown) {
 		t.Fatalf("serve after crash: %v", err)
 	}
 	if err := f.Reload("x"); !errors.Is(err, replica.ErrDown) {
@@ -134,29 +135,56 @@ func TestFaultCrashRefusesControlPlane(t *testing.T) {
 	}
 }
 
-// TestFaultHangBlocksUntilRelease: a hung call parks until Release, then
-// fails with ErrDown — the shape torture tests rely on to join workers.
+// TestFaultHangBlocksUntilRelease: a hung call parks until its context is
+// done or Release is called, whichever is first, and then fails with
+// ErrDown (and the context's error, when that is what ended it) — the hung-
+// replica shape the fleet's TryTimeout and the torture tests rely on. A slow
+// call cuts its sleep short the same way.
 func TestFaultHangBlocksUntilRelease(t *testing.T) {
 	p := twoPathProblem()
 	f := replica.New(&ecmpBackend{}, replica.Plan{Seed: 1, CrashAfter: -1, PHang: 1})
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.Serve(p, nil)
-		done <- err
-	}()
+	serve := func(ctx context.Context) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.Serve(ctx, p, nil)
+			done <- err
+		}()
+		return done
+	}
+	await := func(what string, done chan error) error {
+		t.Helper()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s never returned", what)
+			return nil
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, parked := serve(ctx), serve(context.Background())
 	select {
-	case err := <-done:
+	case err := <-cancelled:
+		t.Fatalf("hung call returned early: %v", err)
+	case err := <-parked:
 		t.Fatalf("hung call returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
+	cancel()
+	if err := await("cancelled hung call", cancelled); !errors.Is(err, replica.ErrDown) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled hung call: %v, want ErrDown and context.Canceled", err)
+	}
 	f.Release()
 	f.Release() // idempotent
-	select {
-	case err := <-done:
-		if !errors.Is(err, replica.ErrDown) {
-			t.Fatalf("released hung call: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("hung call never released")
+	if err := await("released hung call", parked); !errors.Is(err, replica.ErrDown) || errors.Is(err, context.Canceled) {
+		t.Fatalf("released hung call: %v, want ErrDown alone", err)
+	}
+
+	slow := replica.New(&ecmpBackend{}, replica.Plan{Seed: 1, CrashAfter: -1, PSlow: 1, SlowDelay: time.Hour})
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if dec, err := slow.Serve(ctx, p, nil); err != nil || dec.Splits == nil {
+		t.Fatalf("slow call whose context ended: %v, %v — want the pass-through answer", dec.Splits, err)
 	}
 }

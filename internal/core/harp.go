@@ -180,29 +180,6 @@ func New(cfg Config) *Model {
 // Params returns the trainable parameters.
 func (m *Model) Params() []*autograd.Tensor { return m.params }
 
-// WithRAUIterations returns a model that shares m's parameter values but
-// runs n RAU iterations in Forward — the cheaper, lower-fidelity tier of
-// the serving fallback chain (resilience package). The clone aliases m's
-// weights, so it tracks any further training of m; it is safe for
-// concurrent inference but must not itself be trained.
-func (m *Model) WithRAUIterations(n int) *Model {
-	cfg := m.Cfg
-	cfg.RAUIterations = n
-	s := &Model{Cfg: cfg}
-	s.gnn = m.gnn.CloneShared()
-	s.edgeProj = m.edgeProj.CloneShared()
-	s.cls = autograd.ShareParam(m.cls)
-	s.settrans = m.settrans.CloneShared()
-	s.mlp1 = m.mlp1.CloneShared()
-	s.rau = m.rau.CloneShared()
-	s.tele = m.tele
-	// Same collection order as New, so snapshot/restore and gradient
-	// reduction can pair params positionally across replicas.
-	s.params = append(s.params, s.cls)
-	s.params = append(s.params, nn.CollectParams(s.gnn, s.edgeProj, s.settrans, s.mlp1, s.rau)...)
-	return s
-}
-
 // NumParams returns the scalar parameter count (the paper reports 21K for
 // the AnonNet model, vs 1M for DOTE).
 func (m *Model) NumParams() int {

@@ -39,10 +39,17 @@ package core
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
 // Context and on a cached plan against Forward on a gradient tape — and
 // TestPlanNeverStale that no write to the weights survives in a plan.
+//
+// Every RAU iteration ends in the per-flow softmax, so every iterate is a
+// routable answer: SplitsCtx returns the one it has when its context is
+// done, bit-identical to the tape forward at RAUIterations = k
+// (TestSplitsCtxBitIdenticalAtEveryStop).
 
 import (
+	"context"
 	"math"
 	"sync"
+	"time"
 
 	"harpte/internal/autograd"
 	"harpte/internal/obs"
@@ -144,9 +151,9 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 
 // weightsStamp hashes everything embed and buildPlan read from the model:
 // every parameter's shape and bits, and the Config fields that steer embed
-// — not RAUIterations, so a WithRAUIterations clone shares its parent's
-// plans. Each step is a bijection of the running state, so two weight sets
-// that differ in one element never collide.
+// — not RAUIterations, which only the RAU loop reads. Each step is a
+// bijection of the running state, so two weight sets that differ in one
+// element never collide.
 func (m *Model) weightsStamp() uint64 {
 	mix := func(h, v uint64) uint64 {
 		h = (h ^ v) * 0x9e3779b97f4a7c15
@@ -171,8 +178,11 @@ func (m *Model) weightsStamp() uint64 {
 // buildPlan runs the demand-independent half of the forward for (m, ctx)
 // and keeps it: the embedding copied off the tape, and the RAU and MLP1
 // first layers restricted to their leading tunnelEmb columns. The stamp is
-// cleared first and set last, so a build that panics, or that a deadline
-// abandons mid-way, leaves no plan behind rather than half of one.
+// cleared first and set last, so a build that panics leaves no plan behind
+// rather than half of one. It takes no context on purpose: a build is
+// bounded and every later request reads it, and cancelling one would turn
+// any deadline shorter than a build into "no plan, ever" on a changed
+// topology.
 func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp *reqtrace.Span) {
 	sc.planCtx = nil
 	tp := embedTapes.Get().(*autograd.Tape)
@@ -233,18 +243,31 @@ func (sc *inferScratch) computeUtil(p *te.Problem, invCap *tensor.Dense) {
 	sc.mlu, _ = sc.util.Max()
 }
 
+// expired reports whether ctx is done or its deadline has passed — by the
+// clock, not the context's timer: on two busy cores polling Err alone let a
+// median 4 iterations run under a 300 µs timeout, the clock 1.
+func expired(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return true
+	}
+	deadline, ok := ctx.Deadline()
+	return ok && !time.Now().Before(deadline)
+}
+
 // adjustInfer runs stages 3–4 (MLP1 + RAU) for one demand on the scratch's
-// plan, returning the F×K split matrix. The returned matrix is scratch
-// memory: the caller must clone it before releasing the scratch. Values are
-// bit-identical to the tape-based adjust (see the file comment). sp, when
-// non-nil, gains one forward.mlp1 and one forward.rau child span.
-func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense, sp *reqtrace.Span) *tensor.Dense {
-	p := ctx.p
+// plan, returning the F×K split matrix and how many RAU iterations produced
+// it: ctx is polled once before each iteration, never inside the per-tunnel
+// loops. The returned matrix is scratch memory: the caller must clone it
+// before releasing the scratch. Values are bit-identical to the tape-based
+// adjust at that many iterations (see the file comment). sp, when non-nil,
+// gains one forward.mlp1 and one forward.rau child span.
+func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probContext, demand *tensor.Dense, sp *reqtrace.Span) (*tensor.Dense, int) {
+	p := pc.p
 	set := p.Tunnels
 	numFlows, k := sc.key.f, sc.key.k
 	numTunnels := sc.key.t
 	r := sc.key.r
-	invCap := ctx.invCap.Val
+	invCap := pc.invCap.Val
 
 	tel := m.tele
 	var span obs.Span
@@ -265,7 +288,7 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 	for f := 0; f < numFlows; f++ {
 		for j := 0; j < k; j++ {
 			sc.feat.Data[f*k+j] = demand.Data[f] / mean
-			sc.load.Data[f*k+j] = demand.Data[f] / ctx.maxCap
+			sc.load.Data[f*k+j] = demand.Data[f] / pc.maxCap
 		}
 	}
 
@@ -289,14 +312,14 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 
 	// ---- 4. recurrent adjustment unit ----
 	// One span covers the whole RAU loop — per-iteration spans would put
-	// tens of clock reads on the hot path; the iteration count is an
-	// attribute instead (the per-iteration histogram is the obs stage
+	// tens of clock reads on the hot path; the count of iterations that ran
+	// is an attribute instead (the per-iteration histogram is the obs stage
 	// timer below).
 	rsp := sp.StartChild("forward.rau")
-	rsp.AnnotateInt("iterations", int64(m.Cfg.RAUIterations))
 	r0, r1 := m.rau.Layers[0], m.rau.Layers[1]
 	rauW0Tail := tailRows(r0.W.Val, r)
-	for it := 0; it < m.Cfg.RAUIterations; it++ {
+	it := 0
+	for ; it < m.Cfg.RAUIterations && !expired(ctx); it++ {
 		if tel != nil {
 			span = tel.rauIter.Start()
 		}
@@ -313,7 +336,7 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 					best = pi
 				}
 			}
-			sc.btok[t] = ctx.clsPos[t] + 1 + best
+			sc.btok[t] = pc.clsPos[t] + 1 + best
 			sc.bedge[t] = tun.Edges[best]
 		}
 		denom := sc.mlu + 1e-12
@@ -359,65 +382,74 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 			span.End()
 		}
 	}
+	rsp.AnnotateInt("iterations", int64(it))
 	rsp.End()
 	if tel != nil {
 		tel.passes.Inc()
 	}
-	return sc.w
+	return sc.w, it
 }
 
 // embedTapes pools the reusable tapes that record the embedding pass. They
 // live in inference mode permanently: inference never calls Backward, so
 // skipping the per-node gradient buffer (and its zeroing) is free speed with
 // bit-identical values. Pooled rather than hung off the Model because
-// inference must stay safe for concurrent use (the resilience server races
-// inference goroutines against deadlines and may abandon them mid-forward):
-// each goroutine owns its tape until it Puts it back, and a panicking or
-// abandoned forward simply never returns its tape — the pool regenerates.
+// inference must stay safe for concurrent use: each goroutine owns its tape
+// until it Puts it back, and a panicking forward simply never returns its
+// tape — the pool regenerates.
 var embedTapes = sync.Pool{New: func() any {
 	tp := autograd.NewReusableTape()
 	tp.SetInference(true)
 	return tp
 }}
 
-// Splits runs inference and returns the F×K split-ratio matrix, freshly
-// allocated and owned by the caller. It is bit-identical to the training
-// forward's (Forward) for the same (Context, demand) pair.
+// Splits runs inference to full RAU depth and returns the F×K split-ratio
+// matrix, freshly allocated and owned by the caller. It is bit-identical to
+// the training forward's (Forward) for the same (Context, demand) pair.
 func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
-	return m.SplitsSpan(nil, c, demand)
+	splits, _ := m.SplitsCtx(context.Background(), c, demand)
+	return splits
 }
 
-// SplitsSpan is Splits with request-trace propagation, and the engine's one
-// entry point. It takes a scratch from the pool; if the plan in it was built
-// for this Context and these weights the call runs MLP1 and the RAU only,
-// otherwise it rebuilds the plan first. A non-nil sp gains a plan=hit|build
-// annotation, the forward.gnn and forward.settrans stage spans on a build,
-// and forward.mlp1 and forward.rau always; a verify-gate failure is recorded
-// on it (which pins the trace in the flight recorder).
+// SplitsCtx is Splits under a context, and the engine's one entry point. It
+// takes a scratch from the pool; if the plan in it was built for this
+// Context and these weights the call runs MLP1 and the RAU only, otherwise
+// it rebuilds the plan first. Once ctx is done the RAU stops before its next
+// iteration and SplitsCtx returns the iterate it has and how many iterations
+// are behind it — or nil if none finished: MLP1's guess alone measures worse
+// than ECMP on an unseen topology (testdata/anytime_curve.csv), so it is an
+// answer only for a model with no RAU. The span ctx carries, if any, gains a
+// plan=hit|build annotation, the forward.gnn and forward.settrans stage spans
+// on a build, and forward.mlp1 and forward.rau always; a verify-gate failure
+// is recorded on it (which pins the trace in the flight recorder).
 //
 // When the verify gate is on (verify.SetEnabled) the answer's routing
 // invariants — rows sum to 1, nonnegative link loads, per-flow conservation
 // — are re-checked; when off the gate is a single atomic load, preserving
 // the inference allocation pin.
-func (m *Model) SplitsSpan(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
-	ctx := c.inner
+func (m *Model) SplitsCtx(ctx context.Context, c *Context, demand *tensor.Dense) (splits *tensor.Dense, iterations int) {
+	sp := reqtrace.FromContext(ctx)
+	pc := c.inner
 	sc := inferScratches.Get().(*inferScratch)
-	sc.ensure(m, ctx)
-	if weights := m.weightsStamp(); sc.planCtx == ctx && sc.planWeights == weights {
+	sc.ensure(m, pc)
+	if weights := m.weightsStamp(); sc.planCtx == pc && sc.planWeights == weights {
 		sp.Annotate("plan", "hit")
 	} else {
 		sp.Annotate("plan", "build")
-		sc.buildPlan(m, ctx, weights, sp)
+		sc.buildPlan(m, pc, weights, sp)
 	}
-	splits := sc.adjustInfer(m, ctx, demand, sp).Clone()
+	w, iterations := sc.adjustInfer(ctx, m, pc, demand, sp)
+	if iterations > 0 || m.Cfg.RAUIterations == 0 {
+		splits = w.Clone()
+	}
 	inferScratches.Put(sc)
-	if verify.Enabled() {
-		if err := verify.CheckRouting(ctx.p, splits, demand); err != nil {
+	if splits != nil && verify.Enabled() {
+		if err := verify.CheckRouting(pc.p, splits, demand); err != nil {
 			sp.SetError(err)
 			verify.Fail(err)
 		}
 	}
-	return splits
+	return splits, iterations
 }
 
 // MLU runs inference and evaluates the achieved MLU exactly on the problem.

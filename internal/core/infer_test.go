@@ -2,17 +2,18 @@ package core
 
 // Tests for the inference engine: Splits must be bit-identical to the tape
 // forward whether it builds its plan or finds it (neither the scratch
-// scheduling nor the kept embedding may ever change arithmetic), no write
+// scheduling nor the kept embedding may ever change arithmetic), and so must
+// the iterate SplitsCtx returns wherever its context stops the RAU; no write
 // to the weights may survive in a kept plan, and concurrent callers on
 // several Contexts and models must each get their serial answer.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"harpte/internal/autograd"
-	"harpte/internal/obs"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
 )
@@ -24,9 +25,8 @@ import (
 // build path. The cases cover each branch the engine has: Abilene and
 // GEANT, a KDL-scale graph whose equal-capacity series chains tie exactly on
 // utilization (the RAU bottleneck tie-break, smallest edge id), the
-// mean-pool ablation, no RAU at all, the reduced serving tier (a
-// WithRAUIterations clone sharing the weights), and the all-zero demand
-// Server.canary sends (mean and MLU both 0) between two real ones.
+// mean-pool ablation, no RAU at all, and the all-zero demand Server.canary
+// sends (mean and MLU both 0) between two real ones.
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
@@ -34,7 +34,6 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 		demands[i] = s.Demand
 	}
 	t.Run("abilene", func(t *testing.T) { checkInferenceMatchesTape(t, m, ctx, demands) })
-	t.Run("reduced-tier", func(t *testing.T) { checkInferenceMatchesTape(t, m.WithRAUIterations(2), ctx, demands[:4]) })
 	t.Run("zero-demand", func(t *testing.T) {
 		zero := tensor.New(demands[0].Rows, 1)
 		checkInferenceMatchesTape(t, m, ctx, []*tensor.Dense{zero, demands[0], zero})
@@ -114,11 +113,75 @@ func TestSplitsBatchReusedAcrossBatches(t *testing.T) {
 	}
 }
 
+// stopAfter is a context with no deadline whose Err turns non-nil after
+// `left` calls. The engine calls Err once per poll, so it stops the RAU after
+// exactly that many iterations, and polls counts how often the engine looked.
+type stopAfter struct {
+	context.Context
+	left, polls int
+}
+
+func (c *stopAfter) Err() error {
+	c.polls++
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestSplitsCtxBitIdenticalAtEveryStop: the RAU is an anytime algorithm, and
+// what SplitsCtx returns when its context stops it after k of N iterations
+// is, bit for bit, the tape forward of the same weights at RAUIterations = k
+// — on a plan hit and on a build — for every k from 1 to N; at k = 0 it
+// returns nothing (MLP1 alone is not an answer). The context is polled once
+// per iteration and never again once it has said stop.
+func TestSplitsCtxBitIdenticalAtEveryStop(t *testing.T) {
+	m, ctx, samples := abileneBench(1)
+	d := samples[0].Demand
+	n := m.Cfg.RAUIterations
+	for k := 0; k <= n; k++ {
+		ref := m.shadow()
+		ref.Cfg.RAUIterations = k
+		want := tapeSplits(ref, ctx, d)
+		for _, c := range []struct {
+			plan string
+			ctx  *Context
+		}{{"hit", ctx}, {"build", m.Context(ctx.inner.p)}} {
+			what := "stopped after " + string(rune('0'+k)) + " iterations, plan " + c.plan
+			stop := &stopAfter{Context: context.Background(), left: k}
+			got, iterations := m.SplitsCtx(stop, c.ctx, d)
+			if iterations != k {
+				t.Fatalf("%s: engine reports %d iterations", what, iterations)
+			}
+			if wantPolls := min(k+1, n); stop.polls != wantPolls {
+				t.Fatalf("%s: context polled %d times, want %d (once per iteration)", what, stop.polls, wantPolls)
+			}
+			if k == 0 {
+				if got != nil {
+					t.Fatalf("%s: engine returned MLP1's guess as an answer", what)
+				}
+				continue
+			}
+			assertSameBits(t, what, got, want)
+		}
+	}
+	// A model with no RAU never polls: MLP1 is its whole answer.
+	cfg := DefaultConfig()
+	cfg.RAUIterations = 0
+	bare := New(cfg)
+	stop := &stopAfter{Context: context.Background()}
+	got, _ := bare.SplitsCtx(stop, ctx, d)
+	if stop.polls != 0 {
+		t.Fatalf("no-RAU model polled its context %d times", stop.polls)
+	}
+	assertSameBits(t, "no-RAU model under a done context", got, tapeSplits(bare, ctx, d))
+}
+
 // TestPlanNeverStale: a kept plan is valid by the content of the weights,
 // so every way of changing them — an optimizer step, a direct write, a
 // different model on the same Context — must show in the very next Splits,
-// bit for bit against the tape; and a change that embed does not read (the
-// RAU depth of a WithRAUIterations clone) must not cost a rebuild.
+// bit for bit against the tape.
 func TestPlanNeverStale(t *testing.T) {
 	p := twoPathProblem()
 	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
@@ -159,24 +222,6 @@ func TestPlanNeverStale(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			check(t, "model a", a, ctx)
 			check(t, "model b", b, ctx)
-		}
-	})
-
-	t.Run("reduced-rau-shares-the-plan", func(t *testing.T) {
-		m := New(tinyConfig())
-		reg := obs.NewRegistry()
-		m.EnableTelemetry(reg)
-		reduced := m.WithRAUIterations(2)
-		ctx := m.Context(p)
-		check(t, "full", m, ctx)
-		check(t, "reduced", reduced, ctx)
-		check(t, "full again", m, ctx)
-		// Three engine calls and three tape forwards ran the embedding; a
-		// reduced-tier rebuild would make it more. Not under -race, where
-		// sync.Pool drops items at random.
-		builds := reg.Histogram(MetricForwardStageSeconds, "", nil, obs.L("stage", "settrans")).Count()
-		if !tensor.RaceEnabled && builds != 3+1 {
-			t.Fatalf("embedding ran %d times for 3 tape forwards and 3 same-weights engine calls, want 4", builds)
 		}
 	})
 }

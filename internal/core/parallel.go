@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"harpte/internal/autograd"
+	"harpte/internal/nn"
 )
 
 // This file implements data-parallel training. Replicas share the primary
@@ -18,7 +19,19 @@ import (
 // fresh gradient buffers. Construction order is deterministic, so params
 // align index-by-index.
 func (m *Model) shadow() *Model {
-	return m.WithRAUIterations(m.Cfg.RAUIterations)
+	s := &Model{Cfg: m.Cfg}
+	s.gnn = m.gnn.CloneShared()
+	s.edgeProj = m.edgeProj.CloneShared()
+	s.cls = autograd.ShareParam(m.cls)
+	s.settrans = m.settrans.CloneShared()
+	s.mlp1 = m.mlp1.CloneShared()
+	s.rau = m.rau.CloneShared()
+	s.tele = m.tele
+	// Same collection order as New, so snapshot/restore and gradient
+	// reduction can pair params positionally across replicas.
+	s.params = append(s.params, s.cls)
+	s.params = append(s.params, nn.CollectParams(s.gnn, s.edgeProj, s.settrans, s.mlp1, s.rau)...)
+	return s
 }
 
 // replicas lazily builds and caches n-1 shadow replicas (the primary model

@@ -63,10 +63,9 @@ type modelTelemetry struct {
 // EnableTelemetry attaches forward-pass tracing to the model: each Splits
 // / Forward call records per-stage latency histograms
 // (MetricForwardStageSeconds) and a completed-pass counter on reg.
-// Passing nil detaches. The setting propagates to clones made afterwards
-// by WithRAUIterations and to data-parallel training replicas; it is not
-// safe to flip concurrently with in-flight forwards, so enable before
-// training or serving starts.
+// Passing nil detaches. The setting propagates to data-parallel training
+// replicas; it is not safe to flip concurrently with in-flight forwards, so
+// enable before training or serving starts.
 func (m *Model) EnableTelemetry(reg *obs.Registry) {
 	if reg == nil {
 		m.tele = nil

@@ -16,8 +16,9 @@
 //
 //   - Hedged requests with a token retry budget. After an adaptive hedge
 //     delay — a high quantile of recent request latency from a streaming
-//     digest (digest.go) — a second replica is tried and the first answer
-//     wins. Hedges and failover retries both spend from one token bucket
+//     digest (digest.go) — a second replica is tried, the first answer
+//     wins, and the loser is cancelled. Hedges and failover retries both
+//     spend from one token bucket
 //     that refills as a fraction of primary requests, so retry traffic is
 //     a bounded ratio of offered load and can never storm the fleet.
 //
@@ -29,6 +30,11 @@
 //     already-validated input) and returns them with a typed
 //     ErrNoReplicas, so callers always get routable ratios plus an
 //     honest signal that the fleet is down.
+//
+// One context.Context carries a request's deadline and cancellation from
+// ServeCtx through the attempt into the replica (a Local one takes it into
+// the model's RAU loop); an attempt runs on the caller's goroutine unless
+// hedging is on.
 //
 //   - Rolling reload (RollingReload): canary one replica onto the new
 //     checkpoint, verify it with a probe inference, then wave through the
@@ -54,20 +60,14 @@ import (
 // return is the transport/replica-process failure channel (a crashed or
 // unreachable replica); an in-band serving failure (shed, rejection)
 // arrives as a Decision with Err set, exactly as resilience.Server
-// reports it. Implementations must be safe for concurrent use.
+// reports it. ctx carries the attempt's deadline, cancellation and trace
+// span; Serve must return promptly once it is done — the dispatcher's only
+// guard against a hung replica. Implementations must be safe for concurrent
+// use.
 type Replica interface {
-	Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision, error)
+	Serve(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error)
 	Reload(path string) error
 	Drain(ctx context.Context) error
-}
-
-// ContextReplica is an optional Replica extension: a backend that can
-// propagate a request context (request-trace spans, cancellation) into
-// its serving path. The dispatcher type-asserts for it per attempt and
-// falls back to plain Serve otherwise, so existing Replica
-// implementations keep working unchanged.
-type ContextReplica interface {
-	ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error)
 }
 
 // Local adapts an in-process *resilience.Server to the Replica interface;
@@ -75,12 +75,7 @@ type ContextReplica interface {
 type Local struct{ S *resilience.Server }
 
 // Serve delegates to the wrapped server.
-func (l Local) Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
-	return l.S.Serve(p, demand), nil
-}
-
-// ServeCtx delegates to the wrapped server with trace propagation.
-func (l Local) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
+func (l Local) Serve(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
 	return l.S.ServeCtx(ctx, p, demand), nil
 }
 
@@ -91,8 +86,9 @@ func (l Local) Reload(path string) error { return l.S.Reload(path) }
 func (l Local) Drain(ctx context.Context) error { return l.S.Drain(ctx) }
 
 // ErrNoReplicas tags every fleet-level degradation: zero replicas were
-// serviceable, every attempt failed, or the request deadline expired
-// before any replica answered. The Decision carrying it still holds a
+// serviceable, every attempt failed, or the request's context ended
+// (deadline or cancellation — the error then wraps ctx.Err() too) before
+// any replica answered. The Decision carrying it still holds a
 // valid, locally computed ECMP split matrix — the typed error is the
 // signal that the fleet, not the request, is in trouble.
 var ErrNoReplicas = errors.New("fleet: no serviceable replicas")
@@ -104,22 +100,20 @@ var ErrNoReplicas = errors.New("fleet: no serviceable replicas")
 // old one.
 var ErrReloadAborted = errors.New("fleet: rolling reload aborted")
 
-// errAttemptTimeout marks one replica attempt abandoned on TryTimeout.
-var errAttemptTimeout = errors.New("fleet: attempt timed out")
-
 // Options configures a Fleet. The zero value gives sane defaults:
 // traffic-driven health only (no background prober), hedging disabled,
 // a 10%-of-traffic retry budget, and quarantine after 3 consecutive
 // failures capped at half the fleet.
 type Options struct {
-	// Deadline bounds the wall clock per request across all attempts;
-	// once exceeded the request resolves to the local ECMP fallback with
-	// ErrNoReplicas. 0 disables the fleet-level deadline.
+	// Deadline bounds the wall clock per request across all attempts (a
+	// timeout on the request's context); once exceeded the request
+	// resolves to the local ECMP fallback with ErrNoReplicas. 0 disables
+	// the fleet-level deadline.
 	Deadline time.Duration
-	// TryTimeout bounds each individual replica attempt; a replica that
-	// exceeds it (hung process, network black hole) counts as failed and
-	// the dispatcher moves on. 0 means attempts are bounded only by the
-	// replica's own guards and the fleet Deadline.
+	// TryTimeout bounds each individual replica attempt (a child timeout);
+	// a replica with no answer by then (hung process, network black hole)
+	// counts as failed and the dispatcher moves on. 0 means attempts are
+	// bounded only by the replica's own guards and the fleet Deadline.
 	TryTimeout time.Duration
 
 	// HedgeQuantile is the latency quantile of recent successful requests
@@ -259,7 +253,9 @@ type Fleet struct {
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
-	probeWG  sync.WaitGroup
+	// wg counts the prober and hedged requests' attempts, which outlive
+	// their ServeCtx until the replica notices its context was cancelled.
+	wg sync.WaitGroup
 }
 
 // New builds a Fleet over the given replicas (at least one) and starts
@@ -280,34 +276,42 @@ func New(replicas []Replica, opts Options) *Fleet {
 		f.replicas[i] = &replica{id: i, backend: b}
 	}
 	if f.opts.HealthInterval > 0 && f.opts.Probe != nil {
-		f.probeWG.Add(1)
+		f.wg.Add(1)
 		go f.prober()
 	}
 	return f
 }
 
-// Close stops the background prober. It does not drain the replicas; use
-// Drain for that. Idempotent.
+// Close stops the background prober and waits for cancelled hedge losers;
+// call it after the last Serve has returned. It does not drain the
+// replicas; use Drain for that. Idempotent.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stopCh) })
-	f.probeWG.Wait()
+	f.wg.Wait()
 }
 
-// Serve dispatches one request: validate locally, try replicas (hedging
-// past slow ones, failing over past broken ones, spending the retry
-// budget), vet every answer, and fall back to a locally computed ECMP
-// answer with ErrNoReplicas when the fleet cannot answer in time.
+// Serve is ServeCtx with no caller context.
 func (f *Fleet) Serve(p *te.Problem, demand *tensor.Dense) Decision {
 	return f.ServeCtx(context.Background(), p, demand)
 }
 
-// ServeCtx is Serve with request-trace propagation: when ctx carries a
-// reqtrace span, the dispatch gets a "fleet.dispatch" child holding one
-// "fleet.attempt" span per replica tried (primary, hedge, failover),
-// each annotated with the replica id and outcome, and the context
-// (carrying the attempt span) flows into ContextReplica backends. A
-// hedge win pins the trace in the flight recorder. With no span in ctx
-// it behaves exactly like Serve.
+// ServeCtx dispatches one request: validate locally, try replicas (hedging
+// past slow ones, failing over past broken ones, spending the retry
+// budget), vet every answer, and fall back to a locally computed ECMP
+// answer with ErrNoReplicas when the fleet cannot answer in time.
+//
+// Every attempt runs under ctx narrowed to Options.Deadline; once it is
+// done the request resolves to the local ECMP answer with an error wrapping
+// both ErrNoReplicas and ctx.Err(), as soon as the running attempt notices
+// (a Local replica: within one RAU iteration). Attempts run one at a time on
+// the caller's goroutine; only with hedging on does each get its own, so a
+// hedge can overtake the primary, and returning cancels the loser.
+//
+// When ctx carries a reqtrace span, the dispatch gets a "fleet.dispatch"
+// child holding one "fleet.attempt" span per replica tried (primary, hedge,
+// failover), each annotated with the replica id and outcome, and the
+// attempt span rides the context into the replica. A hedge win pins the
+// trace in the flight recorder.
 func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) Decision {
 	sp := reqtrace.FromContext(ctx)
 	// Validate once, locally: a malformed request must not burn retry
@@ -326,6 +330,14 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	dsp := sp.StartChild("fleet.dispatch")
 	defer dsp.End()
 
+	var cancel context.CancelFunc
+	if f.opts.Deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, f.opts.Deadline)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+
 	type attemptOut struct {
 		dec     resilience.Decision
 		err     error
@@ -333,8 +345,10 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 		hedge   bool
 		elapsed time.Duration
 	}
+	hedging := f.opts.HedgeQuantile > 0 && len(f.replicas) > 1
 	// Buffered to the attempt bound (each replica is tried at most once
-	// per request), so attempts abandoned on the deadline never block.
+	// per request): an attempt on the caller's goroutine leaves its result
+	// here for the loop below, and a cancelled hedge loser never blocks.
 	resCh := make(chan attemptOut, len(f.replicas))
 	tried := make([]bool, len(f.replicas))
 	launch := func(r *replica, hedge bool) {
@@ -342,29 +356,32 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 		asp := dsp.StartChild("fleet.attempt")
 		asp.AnnotateInt("replica", int64(r.id))
 		asp.AnnotateBool("hedge", hedge)
-		actx := ctx
-		if asp != nil {
-			actx = reqtrace.NewContext(ctx, asp)
-		}
-		go func() {
+		f.wg.Add(1)
+		run := func() {
+			defer f.wg.Done()
 			t0 := time.Now()
-			dec, err := f.attempt(actx, r, p, demand)
+			dec, err := f.attempt(reqtrace.NewContext(ctx, asp), r, p, demand)
 			if err != nil {
 				asp.SetError(err)
 			}
 			asp.End()
 			resCh <- attemptOut{dec, err, r, hedge, time.Since(t0)}
-		}()
-	}
-
-	var deadlineC <-chan time.Time
-	if f.opts.Deadline > 0 {
-		dt := time.NewTimer(f.opts.Deadline)
-		defer dt.Stop()
-		deadlineC = dt.C
+		}
+		if hedging {
+			go run()
+		} else {
+			run()
+		}
 	}
 
 	var dec Decision
+	gaveUp := func(inFlight int) Decision {
+		return f.fallback(p, dec, fmt.Errorf("%w: %w with %d attempts outstanding",
+			ErrNoReplicas, ctx.Err(), inFlight), sp)
+	}
+	if ctx.Err() != nil {
+		return gaveUp(0)
+	}
 	primary := f.pick(p, tried)
 	if primary == nil {
 		return f.fallback(p, dec, fmt.Errorf("%w: 0 of %d replicas serviceable",
@@ -374,7 +391,7 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	inFlight := 1
 
 	var hedgeC <-chan time.Time
-	if f.opts.HedgeQuantile > 0 && len(f.replicas) > 1 {
+	if hedging {
 		ht := time.NewTimer(f.hedgeDelay())
 		defer ht.Stop()
 		hedgeC = ht.C
@@ -384,6 +401,9 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 		select {
 		case out := <-resCh:
 			inFlight--
+			if ctx.Err() != nil {
+				return gaveUp(inFlight)
+			}
 			if out.err == nil {
 				f.digest.record(out.elapsed)
 				if out.hedge {
@@ -418,68 +438,50 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 				launch(next, true)
 				inFlight++
 			}
-		case <-deadlineC:
-			return f.fallback(p, dec, fmt.Errorf("%w: deadline %v exceeded with %d attempts outstanding",
-				ErrNoReplicas, f.opts.Deadline, inFlight), sp)
+		case <-ctx.Done():
+			return gaveUp(inFlight)
 		}
 	}
 }
 
-// attempt runs one request against one replica under the per-try timeout,
-// vets the answer, and feeds the replica's health state machine. A nil
-// error return means the Decision holds vetted, routable splits. ctx
-// carries the attempt's trace span into ContextReplica backends.
-func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
+// attempt runs one request against one replica under the per-try timeout
+// and a recover guard, vets the answer, and feeds the replica's health
+// state machine. A nil error return means the Decision holds vetted,
+// routable splits.
+func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *tensor.Dense) (dec resilience.Decision, err error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
-	type serveOut struct {
-		dec resilience.Decision
-		err error
-	}
-	ch := make(chan serveOut, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- serveOut{err: fmt.Errorf("replica panic: %v", rec)}
-			}
-		}()
-		var d resilience.Decision
-		var err error
-		if cr, ok := r.backend.(ContextReplica); ok {
-			d, err = cr.ServeCtx(ctx, p, demand)
-		} else {
-			d, err = r.backend.Serve(p, demand)
-		}
-		ch <- serveOut{d, err}
-	}()
-	var out serveOut
-	if f.opts.TryTimeout > 0 {
-		timer := time.NewTimer(f.opts.TryTimeout)
-		defer timer.Stop()
-		select {
-		case out = <-ch:
-		case <-timer.C:
-			// Hung replica: the goroutine is abandoned (it unblocks into a
-			// buffered channel whenever the replica lets go).
+	defer func() {
+		if rec := recover(); rec != nil {
 			f.onFailure(r)
-			return resilience.Decision{}, fmt.Errorf("%w (%v)", errAttemptTimeout, f.opts.TryTimeout)
+			dec, err = resilience.Decision{}, fmt.Errorf("replica panic: %v", rec)
 		}
-	} else {
-		out = <-ch
+	}()
+	tctx := ctx
+	if f.opts.TryTimeout > 0 {
+		var cancel context.CancelFunc
+		tctx, cancel = context.WithTimeout(ctx, f.opts.TryTimeout)
+		defer cancel()
 	}
+	dec, err = r.backend.Serve(tctx, p, demand)
 	switch {
-	case out.err != nil:
-		// Transport/process failure: the replica itself is in trouble.
+	case ctx.Err() != nil:
+		// The request is over — caller gone, deadline passed, or another
+		// attempt won — so what came back says nothing about the replica.
+		return resilience.Decision{}, ctx.Err()
+	case err != nil:
+		// Transport/process failure, or no answer inside TryTimeout: the
+		// replica itself is in trouble.
 		f.onFailure(r)
-		return resilience.Decision{}, out.err
-	case out.dec.Err != nil:
+		return resilience.Decision{}, err
+	case dec.Err != nil:
 		switch {
-		case errors.Is(out.dec.Err, resilience.ErrDraining):
+		case errors.Is(dec.Err, resilience.ErrDraining):
 			// Draining is permanent for the replica instance: quarantine
 			// immediately (bypassing the ejection cap — this is a fact,
 			// not a detector guess).
 			f.quarantineNow(r)
-		case errors.Is(out.dec.Err, resilience.ErrOverload):
+		case errors.Is(dec.Err, resilience.ErrOverload):
 			// Overload is load, not sickness: route away this request but
 			// do not push the replica toward quarantine.
 		default:
@@ -487,16 +489,16 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 			// returned an unknown typed error — treat as a fault.
 			f.onFailure(r)
 		}
-		return resilience.Decision{}, out.dec.Err
+		return resilience.Decision{}, dec.Err
 	default:
-		if _, err := resilience.VetSplits(p, out.dec.Splits); err != nil {
+		if _, err := resilience.VetSplits(p, dec.Splits); err != nil {
 			// Byzantine answer: NaN, wrong shape, negative mass. The
 			// replica is lying, which is worse than being down.
 			f.onFailure(r)
 			return resilience.Decision{}, fmt.Errorf("byzantine answer: %w", err)
 		}
 		f.onSuccess(r)
-		return out.dec, nil
+		return dec, nil
 	}
 }
 

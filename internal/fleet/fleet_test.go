@@ -61,7 +61,8 @@ type fakeReplica struct {
 	serves  atomic.Int64
 	reloads atomic.Int64
 
-	delay     time.Duration // serve latency
+	delay     time.Duration // serve latency, cut short when the context ends
+	goid      atomic.Int64  // id of the goroutine the last Serve ran on
 	fail      atomic.Bool   // transport error on Serve
 	draining  atomic.Bool   // in-band ErrDraining decision
 	byzantine atomic.Bool   // NaN answer
@@ -69,10 +70,17 @@ type fakeReplica struct {
 	paths     []string // reload paths, guarded by reloads being test-sequential
 }
 
-func (r *fakeReplica) Serve(p *te.Problem, d *tensor.Dense) (resilience.Decision, error) {
+func (r *fakeReplica) Serve(ctx context.Context, p *te.Problem, d *tensor.Dense) (resilience.Decision, error) {
 	r.serves.Add(1)
+	r.goid.Store(goroutineID())
 	if r.delay > 0 {
-		time.Sleep(r.delay)
+		lag := time.NewTimer(r.delay)
+		defer lag.Stop()
+		select {
+		case <-lag.C:
+		case <-ctx.Done():
+			return resilience.Decision{}, ctx.Err()
+		}
 	}
 	if r.fail.Load() {
 		return resilience.Decision{}, errors.New("fake transport down")

@@ -196,7 +196,7 @@ func (f *Fleet) CheckHealth() {
 
 // prober is the background health-check loop (HealthInterval > 0).
 func (f *Fleet) prober() {
-	defer f.probeWG.Done()
+	defer f.wg.Done()
 	t := time.NewTicker(f.opts.HealthInterval)
 	defer t.Stop()
 	for {

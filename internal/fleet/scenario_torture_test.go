@@ -6,14 +6,16 @@ package fleet
 // fleet whose replicas sit behind a shared OOD guard, with one byzantine
 // chaos replica in the rotation. The acceptance bar from the issue: zero
 // hangs, every resolved answer VetSplits-clean, the certified MLU ratio
-// bounded on every non-partitioned step, and every hostile-classified
-// request demoted off the neural tiers and the split cache. Run under
-// -race (make race covers this file).
+// bounded on every non-partitioned step, every hostile-classified request
+// demoted off the model and every out-of-profile one off the split cache,
+// and no goroutine left behind once the fleet is closed. Run under -race
+// (make race covers this file).
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -69,11 +71,11 @@ func (m *maintReplica) isDown() bool {
 	return m.down
 }
 
-func (m *maintReplica) Serve(p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
+func (m *maintReplica) Serve(ctx context.Context, p *te.Problem, demand *tensor.Dense) (resilience.Decision, error) {
 	if m.isDown() {
 		return resilience.Decision{}, errMaintenance
 	}
-	return m.inner.Serve(p, demand)
+	return m.inner.Serve(ctx, p, demand)
 }
 
 func (m *maintReplica) Reload(path string) error {
@@ -101,6 +103,7 @@ const mluBound = 10.0
 // TestFleetScenarioTorture replays the canned correlated-disaster script
 // end to end against a live fleet.
 func TestFleetScenarioTorture(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := disasterProblem()
 	probe := demand(p, 4, 2)
 	const steps, seed, replicas = 18, 42, 4
@@ -182,7 +185,10 @@ func TestFleetScenarioTorture(t *testing.T) {
 		ProbeDemand:            probe,
 		ShardByTopology:        true,
 	})
-	defer f.Close()
+	defer func() {
+		f.Close()
+		assertNoLeakedGoroutines(t, before)
+	}()
 
 	const workersPerStep = 4
 	var (
@@ -253,9 +259,9 @@ func TestFleetScenarioTorture(t *testing.T) {
 						return
 					}
 					if dec.Err == nil {
-						// The guard's demotion contract: hostile never
-						// touches a neural tier or the cache; suspect never
-						// reaches the full tier or the cache.
+						// The guard's contract: hostile never touches the
+						// model or the cache; suspect is served by the model
+						// but never from the cache.
 						switch dec.OOD {
 						case resilience.OODHostile:
 							mu.Lock()
@@ -265,7 +271,7 @@ func TestFleetScenarioTorture(t *testing.T) {
 								report("step %d: hostile request served %v", ti, dec.Tier)
 							}
 						case resilience.OODSuspect:
-							if dec.Tier == resilience.TierFull || dec.Tier == resilience.TierCached {
+							if dec.Tier == resilience.TierCached {
 								report("step %d: suspect request served %v", ti, dec.Tier)
 							}
 						}
@@ -320,13 +326,13 @@ func TestFleetScenarioTorture(t *testing.T) {
 		t.Error("auto scenario partitioned a survivable topology")
 	}
 	st := guard.Stats()
-	t.Logf("ood verdicts: in-profile %d, suspect %d, hostile %d (demotions %d/%d, cache bypasses %d); worst MLU ratio %.2f",
-		st.InProfile, st.Suspect, st.Hostile, st.SuspectDemotions, st.HostileDemotions, st.CacheBypasses, worstRatio)
+	t.Logf("ood verdicts: in-profile %d, suspect %d, hostile %d (demotions %d, cache bypasses %d); worst MLU ratio %.2f",
+		st.InProfile, st.Suspect, st.Hostile, st.HostileDemotions, st.CacheBypasses, worstRatio)
 	if st.Hostile == 0 {
 		t.Error("the flash-crowd and adversarial windows never classified hostile")
 	}
-	if st.HostileDemotions != st.Hostile || st.SuspectDemotions != st.Suspect {
-		t.Errorf("every out-of-profile verdict must demote: %+v", st)
+	if st.HostileDemotions != st.Hostile {
+		t.Errorf("every hostile verdict must demote: %+v", st)
 	}
 	if st.CacheBypasses != st.Hostile+st.Suspect {
 		t.Errorf("every out-of-profile verdict must bypass the cache: %+v", st)

@@ -6,13 +6,16 @@ package fleet
 // The acceptance bar from the issue: zero hangs, zero non-finite or
 // non-normalized split matrices, and every request resolves — to a
 // replica answer, the local ECMP fallback, or a typed error — within the
-// deadline. Run under -race (make race covers this package).
+// deadline; and, since hung calls leave when their context does, no
+// goroutine outlives Fleet.Close. Run under -race (make race covers this
+// package).
 
 import (
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +65,7 @@ func newServer(p *te.Problem, d *tensor.Dense) *resilience.Server {
 // the middle of a concurrent burst and requires every single request to
 // resolve safely.
 func TestFleetChaosTorture(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := twoPathProblem()
 	probe := demand(p, 4, 2)
 	ckpt := saveModel(t, core.New(tinyConfig()), "v2.model")
@@ -81,7 +85,7 @@ func TestFleetChaosTorture(t *testing.T) {
 	}
 	defer func() {
 		for _, fa := range faults {
-			fa.Release() // joins every parked hung call
+			fa.Release()
 		}
 	}()
 
@@ -100,7 +104,12 @@ func TestFleetChaosTorture(t *testing.T) {
 		Probe:                  p,
 		ProbeDemand:            probe,
 	})
-	defer f.Close()
+	// Before the Release above runs: every hung call has already left with
+	// its attempt's context, so there is nothing parked for it to find.
+	defer func() {
+		f.Close()
+		assertNoLeakedGoroutines(t, before)
+	}()
 
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
@@ -190,6 +199,7 @@ func newCachedServer(p *te.Problem, d *tensor.Dense) *resilience.Server {
 // request resolves; and the repeated demands must actually hit the split
 // caches.
 func TestFleetChaosTortureBatchedShardedCached(t *testing.T) {
+	before := runtime.NumGoroutine()
 	probs := []*te.Problem{shardProblem(0), shardProblem(1), shardProblem(2)}
 	probe := demand(probs[0], 4, 2)
 	ckpt := saveModel(t, core.New(tinyConfig()), "v2.model")
@@ -229,7 +239,10 @@ func TestFleetChaosTortureBatchedShardedCached(t *testing.T) {
 		ProbeDemand:            probe,
 		ShardByTopology:        true,
 	})
-	defer f.Close()
+	defer func() {
+		f.Close()
+		assertNoLeakedGoroutines(t, before)
+	}()
 
 	const workers, perWorker = 8, 20
 	var wg sync.WaitGroup

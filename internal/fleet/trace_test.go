@@ -74,7 +74,7 @@ func TestFleetTraceHedgeWinRetained(t *testing.T) {
 	}
 	// One attempt span per dispatch: the slow primary on replica 0 and the
 	// winning hedge on replica 1, each a child of fleet.dispatch. The
-	// abandoned primary may still be in flight (dur -1) — that is the
+	// cancelled primary may not have noticed yet (dur -1) — that is the
 	// point of exporting it.
 	byReplica := map[int64]reqtrace.SpanDump{}
 	for _, sp := range tr.Spans {

@@ -4,7 +4,7 @@ package reqtrace
 // behind the admin endpoint's /debug/traces route and tereplay's
 // -trace-dump flag. Export allocates freely (it runs on an operator's
 // request, not the serve path) and locks each trace only long enough to
-// copy its spans, so abandoned goroutines may keep annotating while a
+// copy its spans, so a hedge's cancelled loser may keep annotating while a
 // dump is in progress.
 
 import (
@@ -33,8 +33,8 @@ type TraceDump struct {
 	Spans  []SpanDump `json:"spans"`
 }
 
-// SpanDump is one span. DurUS is -1 for a span that never ended (an
-// abandoned attempt still in flight when the trace was exported).
+// SpanDump is one span. DurUS is -1 for a span that had not ended when the
+// trace was exported (a hedge's cancelled loser that had not noticed yet).
 type SpanDump struct {
 	ID     uint64         `json:"id"`
 	Parent uint64         `json:"parent,omitempty"`

@@ -115,9 +115,9 @@ func NewRecorder(opts Options) *Recorder {
 }
 
 // trace is one request's span collection. The mutex guards the span list
-// and every span's fields: hedged attempts and abandoned inference
-// goroutines keep annotating concurrently with the winner ending the
-// root — and with WriteJSON exporting the published trace.
+// and every span's fields: a hedged request's attempts annotate
+// concurrently, and the cancelled loser may still be annotating when the
+// winner ends the root — or when WriteJSON exports the published trace.
 type trace struct {
 	rec  *Recorder
 	id   TraceID
@@ -327,8 +327,8 @@ func (sp *Span) ForceRetain(reason string) {
 // NewLinkedRoot returned) finishes the trace: the recorder keeps it if it
 // was flagged, is p99-slow, or wins the 1-in-SampleEvery lottery, and
 // drops it otherwise. Ending a span twice is harmless (the first end time
-// sticks); child spans may end after their root (abandoned hedges and
-// timed-out inferences do). Nil-safe.
+// sticks); child spans may end after their root (a hedge's cancelled loser
+// does). Nil-safe.
 func (sp *Span) End() {
 	if sp == nil {
 		return

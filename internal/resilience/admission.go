@@ -26,7 +26,8 @@ import (
 
 // ErrOverload tags every load-shedding failure: the request was turned
 // away before inference because the admission gate and its queue were
-// full, or the queue wait exceeded the request deadline. Callers should
+// full, or the request's context ended (deadline or cancellation) while it
+// queued. Callers should
 // treat it as retryable against another replica or after backoff.
 var ErrOverload = errors.New("resilience: overloaded")
 
@@ -62,13 +63,13 @@ func shedReasonLabel(r int) string {
 }
 
 // admit runs the admission gate: it registers the request as in-flight,
-// then acquires a concurrency slot — immediately, or after a bounded,
-// deadline-aware wait in the queue. It returns admitted=false with a
-// fully-formed shed Decision when the request must be turned away. A
-// queued wait is recorded as a "queue.wait" child of sp; the no-gate and
-// free-slot fast paths never touch the span, preserving the
-// zero-allocation pin.
-func (s *Server) admit(start time.Time, sp *reqtrace.Span) (dec Decision, admitted bool) {
+// then acquires a concurrency slot — immediately, or after a bounded wait
+// in the queue that ends when ctx (narrowed to Options.Deadline) does. It
+// returns admitted=false with a fully-formed shed Decision when the request
+// must be turned away. A queued wait is recorded as a "queue.wait" child of
+// sp; the no-gate and free-slot fast paths touch neither the span nor the
+// context, preserving the zero-allocation pin.
+func (s *Server) admit(ctx context.Context, start time.Time, sp *reqtrace.Span) (dec Decision, admitted bool) {
 	s.inflight.Add(1)
 	if s.draining.Load() {
 		s.exitInflight()
@@ -91,21 +92,12 @@ func (s *Server) admit(start time.Time, sp *reqtrace.Span) (dec Decision, admitt
 	defer s.queued.Add(-1)
 	qsp := sp.StartChild("queue.wait")
 	defer qsp.End()
-	var expired <-chan time.Time
-	if s.opts.Deadline > 0 {
-		left := s.opts.Deadline - time.Since(start)
-		if left <= 0 {
-			s.exitInflight()
-			return s.shed(start, shedQueueDeadline, errQueueDeadline, sp), false
-		}
-		timer := time.NewTimer(left)
-		defer timer.Stop()
-		expired = timer.C
-	}
+	ctx, cancel := s.withDeadline(ctx, start)
+	defer cancel()
 	select {
 	case s.sem <- struct{}{}:
 		return Decision{}, true
-	case <-expired:
+	case <-ctx.Done():
 		s.exitInflight()
 		return s.shed(start, shedQueueDeadline, errQueueDeadline, sp), false
 	case <-s.drainCh:

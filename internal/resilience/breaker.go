@@ -1,25 +1,25 @@
 package resilience
 
-// Per-tier circuit breakers. A model tier that keeps timing out,
-// panicking, or emitting invalid splits burns its share of the request's
-// latency budget on every call before the fallback chain saves the
-// request; the breaker remembers the failures and short-circuits the sick
-// tier for a cooloff instead. The classic three-state machine:
+// The model tier's circuit breaker. A model that keeps panicking, emitting
+// invalid splits, or finishing no RAU iteration inside the request's budget
+// burns that budget on every call before the fallback chain saves the
+// request; the breaker remembers the failures and short-circuits the model
+// for a cooloff instead. The classic three-state machine:
 //
 //	closed    — requests flow; N consecutive failures trip the breaker
-//	open      — requests skip the tier instantly until the cooloff ends
+//	open      — requests skip the model instantly until the cooloff ends
 //	half-open — one probe request is let through; success closes the
 //	            breaker, failure re-opens it for another cooloff
 //
-// Only the neural tiers carry breakers: ECMP is pure arithmetic on
-// validated inputs and cannot fail.
+// Only the model carries a breaker: ECMP is pure arithmetic on validated
+// inputs and cannot fail.
 
 import (
 	"sync"
 	"time"
 )
 
-// BreakerState is the observable state of one tier's circuit breaker.
+// BreakerState is the observable state of the circuit breaker.
 type BreakerState int32
 
 const (
@@ -44,7 +44,7 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// breaker is one tier's circuit breaker. All methods are nil-safe: a nil
+// breaker is the three-state machine. All methods are nil-safe: a nil
 // breaker is permanently closed (the disabled state), costing one nil
 // check and no lock on the serve path.
 type breaker struct {
@@ -71,9 +71,9 @@ func newBreaker(threshold int, cooloff time.Duration) *breaker {
 	return &breaker{threshold: threshold, cooloff: cooloff, now: time.Now}
 }
 
-// allow reports whether a request may try this tier, transitioning
+// allow reports whether a request may try the model, transitioning
 // open→half-open when the cooloff has elapsed (the allowed request is the
-// probe). A false return is a short-circuit: the tier is skipped without
+// probe). A false return is a short-circuit: the model is skipped without
 // consuming any latency budget.
 func (b *breaker) allow() bool {
 	if b == nil {
@@ -112,7 +112,7 @@ func (b *breaker) onSuccess() {
 	b.mu.Unlock()
 }
 
-// onFailure records a timeout/panic/invalid-output failure; it reports
+// onFailure records a panic/invalid-output/no-iterate failure; it reports
 // whether this failure tripped the breaker open (a half-open probe failing
 // re-opens immediately; while closed, `threshold` consecutive failures
 // are required).

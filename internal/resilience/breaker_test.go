@@ -124,9 +124,9 @@ func TestBreakerNilIsDisabled(t *testing.T) {
 }
 
 // TestServeBreakerShortCircuitsPoisonedTiers: end-to-end through Serve —
-// NaN weights fail both neural tiers on every request; once the breakers
-// trip, later requests must skip the tiers (degradation reason "circuit
-// open") instead of re-running doomed inference.
+// NaN weights fail the model on every request; once the breaker trips,
+// later requests must skip it (degradation reason "circuit open") instead
+// of re-running doomed inference.
 func TestServeBreakerShortCircuitsPoisonedTiers(t *testing.T) {
 	p := twoPathProblem()
 	m := core.New(tinyConfig())
@@ -154,16 +154,16 @@ func TestServeBreakerShortCircuitsPoisonedTiers(t *testing.T) {
 			opens++
 		}
 	}
-	if opens != 2 {
-		t.Fatalf("want both neural tiers short-circuited, got degradations %v", dec.Degraded)
+	if opens != 1 {
+		t.Fatalf("want the model short-circuited, got degradations %v", dec.Degraded)
 	}
 	st := srv.Stats()
-	if st.BreakerTrips != 2 || st.BreakerOpenTiers != 2 || st.BreakerShortCircuits != 2 {
-		t.Fatalf("stats %+v: want 2 trips, 2 open tiers, 2 short circuits", st)
+	if st.BreakerTrips != 1 || st.BreakerState != BreakerOpen || st.BreakerShortCircuits != 1 {
+		t.Fatalf("stats %+v: want 1 trip, an open breaker, 1 short circuit", st)
 	}
 }
 
-// TestServeBreakerRecoversAfterModelHealed: trip the breakers on a
+// TestServeBreakerRecoversAfterModelHealed: trip the breaker on a
 // poisoned model, heal the weights, advance past the cooloff — the
 // half-open probe must succeed and close the breaker, restoring TierFull.
 func TestServeBreakerRecoversAfterModelHealed(t *testing.T) {
@@ -173,19 +173,17 @@ func TestServeBreakerRecoversAfterModelHealed(t *testing.T) {
 	m.Params()[0].Val.Data[0] = math.NaN()
 	srv := NewServer(m, Options{BreakerThreshold: 1, BreakerCooloff: time.Minute})
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	for _, b := range srv.breakers {
-		b.now = clk.now
-	}
+	srv.breaker.now = clk.now
 
 	if dec := srv.Serve(p, demand(p, 4, 2)); dec.Tier != TierECMP {
 		t.Fatalf("poisoned serve got tier %v", dec.Tier)
 	}
-	if st := srv.Stats(); st.BreakerOpenTiers != 2 {
-		t.Fatalf("breakers not tripped: %+v", st)
+	if st := srv.Stats(); st.BreakerState != BreakerOpen {
+		t.Fatalf("breaker not tripped: %+v", st)
 	}
 	m.Params()[0].Val.Data[0] = healthy // model healed (e.g. weights restored)
-	// Inside the cooloff the tiers stay short-circuited even though the
-	// model is healthy again.
+	// Inside the cooloff the model stays short-circuited even though it is
+	// healthy again.
 	if dec := srv.Serve(p, demand(p, 4, 2)); dec.Tier != TierECMP {
 		t.Fatalf("tier %v inside cooloff, want ecmp", dec.Tier)
 	}
@@ -194,9 +192,7 @@ func TestServeBreakerRecoversAfterModelHealed(t *testing.T) {
 	if dec.Tier != TierFull {
 		t.Fatalf("tier %v after heal+cooloff, want full (degraded: %v)", dec.Tier, dec.Degraded)
 	}
-	// Only the full tier got probed (it answered first); the reduced
-	// tier's breaker stays open until a request actually reaches it.
-	if st := srv.Stats(); st.BreakerOpenTiers != 1 {
-		t.Fatalf("want only the reduced tier's breaker still open: %+v", st)
+	if st := srv.Stats(); st.BreakerState != BreakerClosed {
+		t.Fatalf("a successful probe left the breaker %v: %+v", st.BreakerState, st)
 	}
 }

@@ -8,12 +8,14 @@ package resilience
 // (verify.AdversarialTM builds exactly those). The guard classifies every
 // request from cheap input statistics — demand scale and skew against a
 // trained-profile envelope, topology fingerprint against the known
-// clusters — and the serving chain demotes what it flags: suspect
-// requests skip the full-RAU tier (served by the quality-monitored
-// reduced tier or ECMP), hostile requests skip every neural tier and the
-// split cache in both directions, so an attacker can neither be served
-// stale shared state nor plant entries that later in-profile requests
-// would replay (cache poisoning).
+// clusters — and the serving chain isolates what it flags: suspect
+// requests still run the model at full depth (fewer RAU iterations measured
+// worse on every suspect class, the unseen-topology transfer case included:
+// EXPERIMENTS.md) but bypass the split cache in both directions, are always
+// traced and are offered to the quality monitor; hostile requests skip the
+// model as well and get ECMP, so an attacker can neither be served stale
+// shared state nor plant entries that later in-profile requests would
+// replay (cache poisoning).
 //
 // The guard fails open by design: with no profile installed every
 // request is in-profile, and classification never rejects — worst case a
@@ -38,7 +40,7 @@ const (
 	// the request is served normally.
 	OODInProfile OODVerdict = iota
 	// OODSuspect means one statistic is moderately outside the envelope;
-	// the request skips the full-RAU tier and the split cache.
+	// the request runs the model but skips the split cache.
 	OODSuspect
 	// OODHostile means a statistic is far outside the envelope or
 	// several deviate at once — the signature of crafted input; the
@@ -159,7 +161,7 @@ func (pr *OODProfile) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
 
 	// Scale: too large is graded multiplicatively above MaxTotal; too
 	// small likewise below MinTotal (an all-but-zero TM is as far from
-	// the trained regime as a flood, and the reduced tier handles both).
+	// the trained regime as a flood).
 	sev := pr.severity(total, pr.MaxTotal)
 	if pr.MinTotal > 0 {
 		if total <= 0 {
@@ -178,8 +180,8 @@ func (pr *OODProfile) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
 	}
 
 	// Topology: an unknown fingerprint is suspect on its own (the model
-	// claims transfer, but transfer quality is exactly what the reduced
-	// tier's oracle sampling is there to watch), and it escalates any
+	// claims transfer, but transfer quality is exactly what the quality
+	// monitor's oracle sampling is there to watch), and it escalates any
 	// demand deviation: crafted traffic on an unseen topology is the
 	// adversarial signature.
 	deviations := 0
@@ -216,7 +218,7 @@ type OODGuard struct {
 	profile atomic.Pointer[OODProfile]
 
 	verdicts    [numOODVerdicts]atomic.Int64
-	demotions   [numOODVerdicts]atomic.Int64
+	demotions   atomic.Int64
 	cacheBypass atomic.Int64
 }
 
@@ -246,9 +248,8 @@ func (g *OODGuard) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
 	return v
 }
 
-// demoted records that a request was denied its normal tier because of
-// the verdict.
-func (g *OODGuard) demoted(v OODVerdict) { g.demotions[v].Add(1) }
+// demoted records that a hostile request was denied the model.
+func (g *OODGuard) demoted() { g.demotions.Add(1) }
 
 // bypassedCache records that a request skipped the split cache because
 // of its verdict.
@@ -258,11 +259,10 @@ func (g *OODGuard) bypassedCache() { g.cacheBypass.Add(1) }
 // plain-Go mirror of the harp_ood_* metrics.
 type OODStats struct {
 	InProfile, Suspect, Hostile int64
-	// SuspectDemotions and HostileDemotions count requests denied their
-	// normal tier; CacheBypasses counts requests that skipped the split
-	// cache.
-	SuspectDemotions, HostileDemotions int64
-	CacheBypasses                      int64
+	// HostileDemotions counts requests denied the model; CacheBypasses
+	// counts requests (suspect and hostile) that skipped the split cache.
+	HostileDemotions int64
+	CacheBypasses    int64
 }
 
 // Stats snapshots the counters.
@@ -274,8 +274,7 @@ func (g *OODGuard) Stats() OODStats {
 		InProfile:        g.verdicts[OODInProfile].Load(),
 		Suspect:          g.verdicts[OODSuspect].Load(),
 		Hostile:          g.verdicts[OODHostile].Load(),
-		SuspectDemotions: g.demotions[OODSuspect].Load(),
-		HostileDemotions: g.demotions[OODHostile].Load(),
+		HostileDemotions: g.demotions.Load(),
 		CacheBypasses:    g.cacheBypass.Load(),
 	}
 }

@@ -2,13 +2,15 @@ package resilience
 
 // The engine's per-topology plan (core/infer.go) seen from the server: the
 // Context cache keyed by fingerprint is what lets a re-described topology
-// find its plan, a reload must show in the very next answer, and an
-// inference the deadline abandoned mid-build must leave nothing behind that
-// a later request could read.
+// find its plan, a reload must show in the very next answer, a request
+// whose deadline passes inside a plan build still leaves the whole plan for
+// the next one, and a build that panics leaves nothing a later request
+// could read.
 
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,38 +111,84 @@ func TestReloadNeverServesStalePlan(t *testing.T) {
 	assertSameBits(t, "after reload", srv.Serve(p, d).Splits, tapeSplits(after, p, d))
 }
 
-// TestAbandonedInferenceLeavesNoHalfPlan: safeInfer's deadline abandons an
-// inference wherever it is — here, at points spread across a plan build —
-// and the goroutine runs on in the background. The next request on the same
-// Context must still be exact, and under -race (make race) the two must not
-// share a byte.
+// lateContext is a context whose deadline has passed but whose timer has
+// not fired: Err is still nil, which is what the server's check before the
+// model sees, and Deadline is behind the clock, which is what the engine
+// reads between RAU iterations. A request under it reaches the engine,
+// builds its plan (a build takes no context) and is stopped at the first
+// poll — the deterministic form of "the deadline passed inside the build".
+type lateContext struct{ context.Context }
+
+func (lateContext) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestAbandonedInferenceLeavesNoHalfPlan: a request whose context expires
+// inside a plan build gets no model answer — not even one RAU iteration ran
+// — but the build runs to completion, so the next request on the topology
+// finds the whole plan and is exact. (Cancelling the build instead would
+// turn a deadline shorter than one build into ECMP forever on a changed
+// topology.) A build that panics, by contrast, leaves no plan: once the
+// weights are healed the next answer is exact again.
 func TestAbandonedInferenceLeavesNoHalfPlan(t *testing.T) {
 	g := topology.Abilene()
 	p := te.NewProblem(g, tunnels.Compute(g, 4))
 	m := core.New(core.DefaultConfig())
 	srv := NewServer(m, Options{})
+	rec := reqtrace.NewRecorder(reqtrace.Options{Capacity: 8, SampleEvery: 1})
 	d := tensor.New(p.NumFlows(), 1)
 	for i := range d.Data {
 		d.Data[i] = float64(1 + i%7)
 	}
 	want := tapeSplits(m, p, d)
+	traced := func(name string, ctx context.Context) (Decision, reqtrace.TraceDump) {
+		t.Helper()
+		ctx, root := rec.StartTrace(ctx, name)
+		dec := srv.ServeCtx(ctx, p, d)
+		root.End()
+		return dec, findTraces(rec.Snapshot(), name)[0]
+	}
 
-	abandoned := 0
-	for i := 0; i < 12; i++ {
-		// A fresh Context every round, so every round's first inference is
-		// a build for the deadline to land in.
-		ctx := m.Context(p)
-		budget := time.Duration(1+i) * 100 * time.Microsecond
-		if _, err := srv.safeInfer(m, ctx, p, d, budget, nil); err != nil {
-			abandoned++
-		}
-		got, err := srv.safeInfer(m, ctx, p, d, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameBits(t, "after an abandoned build", got, want)
+	dec, tr := traced("expired-in-build", lateContext{context.Background()})
+	if dec.Tier != TierECMP || len(dec.Degraded) != 1 || !strings.Contains(dec.Degraded[0], "no RAU iteration finished: context deadline exceeded") {
+		t.Fatalf("request that expired inside its build: tier %v, degraded %v", dec.Tier, dec.Degraded)
 	}
-	if abandoned == 0 {
-		t.Log("no inference outlived its budget on this machine; exactness was still checked")
+	if tsp, _ := findSpan(tr, "tier.full"); tsp.Attrs["plan"] != "build" {
+		t.Fatalf("the expired request did not build: %+v", tsp.Attrs)
 	}
+	for _, stage := range []string{"forward.gnn", "forward.settrans"} {
+		if sp, ok := findSpan(tr, stage); !ok || sp.DurUS < 0 {
+			t.Fatalf("the build did not run %s to completion: %+v", stage, tr.Spans)
+		}
+	}
+	if rsp, _ := findSpan(tr, "forward.rau"); rsp.Attrs["iterations"] != int64(0) {
+		t.Fatalf("forward.rau attrs %+v, want iterations=0", rsp.Attrs)
+	}
+
+	dec, tr = traced("next", context.Background())
+	if dec.Tier != TierFull || len(dec.Degraded) != 0 {
+		t.Fatalf("next request: tier %v, degraded %v", dec.Tier, dec.Degraded)
+	}
+	assertSameBits(t, "after a build that outlived its request", dec.Splits, want)
+	// Under -race sync.Pool drops items at random, so the plan may be gone.
+	if tsp, _ := findSpan(tr, "tier.full"); !tensor.RaceEnabled && tsp.Attrs["plan"] != "hit" {
+		t.Fatalf("next request: plan=%v, want hit — the build was left incomplete", tsp.Attrs["plan"])
+	}
+
+	// A panic inside a build: the GNN's first weight matrix claims a row it
+	// does not have, so the weights differ, the next request rebuilds, and
+	// embed's first matmul refuses the shapes.
+	w := m.Params()[1].Val
+	w.Rows++
+	dec, tr = traced("panicked-in-build", context.Background())
+	if dec.Tier != TierECMP || len(dec.Degraded) != 1 || !strings.Contains(dec.Degraded[0], "inference panic") {
+		t.Fatalf("request whose build panicked: tier %v, degraded %v", dec.Tier, dec.Degraded)
+	}
+	if _, ok := findSpan(tr, "forward.mlp1"); ok {
+		t.Fatalf("the panic was not inside the build: %+v", tr.Spans)
+	}
+	w.Rows--
+	dec, _ = traced("healed", context.Background())
+	if dec.Tier != TierFull {
+		t.Fatalf("healed request: tier %v, degraded %v", dec.Tier, dec.Degraded)
+	}
+	assertSameBits(t, "after a build that panicked", dec.Splits, want)
 }

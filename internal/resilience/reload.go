@@ -6,8 +6,8 @@ package resilience
 // validated entirely off the serving path — structural checks and
 // non-finite rejection in core.Load, then a canary inference on a pinned
 // probe problem whose output must vet — and only then atomically published.
-// A failed reload changes nothing: the old model keeps serving and no
-// breaker trips.
+// A failed reload changes nothing: the old model keeps serving and the
+// breaker does not trip.
 
 import (
 	"fmt"
@@ -15,15 +15,6 @@ import (
 
 	"harpte/internal/core"
 )
-
-// modelPair is one immutable generation of serving models: the full-RAU
-// model and its reduced-RAU clone (same weights, fewer iterations).
-// Serve loads the pair pointer once per request, so a Reload mid-request
-// is invisible to that request.
-type modelPair struct {
-	full    *core.Model
-	reduced *core.Model
-}
 
 // Reload validates the model checkpoint at path and, if healthy, swaps it
 // in as the serving model. Validation happens entirely off the serving
@@ -49,16 +40,10 @@ func (s *Server) Reload(path string) error {
 	if err := s.canary(m); err != nil {
 		return fail("canary", err)
 	}
-	// Telemetry is attached before cloning so the reduced clone inherits
-	// the stage tracer, matching NewServer + EnableTelemetry.
 	if reg := s.reg; reg != nil {
 		m.EnableTelemetry(reg)
 	}
-	reduced := s.opts.ReducedRAUIterations
-	if reduced > m.Cfg.RAUIterations {
-		reduced = m.Cfg.RAUIterations
-	}
-	s.models.Store(&modelPair{full: m, reduced: m.WithRAUIterations(reduced)})
+	s.model.Store(m)
 	// Cached answers embody the old weights; they must not outlive them.
 	if s.cache != nil {
 		s.cache.purge()
@@ -120,10 +105,10 @@ type Stats struct {
 	QueueDepth int64
 	InFlight   int64
 	Draining   bool
-	// Breaker aggregates across the neural tiers.
+	// Breaker is the model tier's circuit breaker.
 	BreakerTrips         int64
 	BreakerShortCircuits int64
-	BreakerOpenTiers     int
+	BreakerState         BreakerState
 	// Reload bookkeeping.
 	Reloads        int64
 	ReloadFailures int64
@@ -156,13 +141,6 @@ func (s *Server) Stats() Stats {
 		st.Cache = s.cache.stats()
 	}
 	st.OOD = s.opts.OOD.Stats()
-	for _, b := range s.breakers {
-		state, trips, shorts := b.snapshot()
-		st.BreakerTrips += trips
-		st.BreakerShortCircuits += shorts
-		if state == BreakerOpen {
-			st.BreakerOpenTiers++
-		}
-	}
+	st.BreakerState, st.BreakerTrips, st.BreakerShortCircuits = s.breaker.snapshot()
 	return st
 }

@@ -6,7 +6,14 @@
 // in the lower layers into an error, rejects NaN or denormalized outputs,
 // enforces a wall-clock deadline, and walks a fallback chain:
 //
-//	full-RAU HARP  →  reduced-RAU HARP  →  uniform ECMP splits
+//	full HARP, stopped early if the deadline says so  →  uniform ECMP splits
+//
+// The deadline rides the request's context.Context into the RAU loop
+// (core.Model.SplitsCtx): every RAU iterate is a routable answer, so a
+// request that runs out of time ships the iterate it has — a step down the
+// curve in core/testdata/anytime_curve.csv, not a cliff — and only one that
+// finished no iteration falls to ECMP. Everything runs on the caller's
+// goroutine; nothing is left running behind a request that returned.
 //
 // ECMP (te.Problem.UniformSplits, locally rescaled around failed tunnels)
 // is computed with plain arithmetic on validated inputs, so the chain
@@ -15,11 +22,11 @@
 //
 // Around that chain sit the overload and churn guards: a bounded admission
 // gate that sheds excess load with typed errors instead of queueing it
-// unboundedly (admission.go), per-tier circuit breakers that short-circuit
-// a persistently failing model tier for a cooloff (breaker.go), and hot
-// model reload with canary validation plus graceful drain (reload.go,
+// unboundedly (admission.go), a circuit breaker that short-circuits a
+// persistently failing model for a cooloff (breaker.go), and hot model
+// reload with canary validation plus graceful drain (reload.go,
 // admission.go). All of it is off by default: a zero Options gives the
-// plain guarded chain with no gate and no breakers.
+// plain guarded chain with no gate and no breaker.
 package resilience
 
 import (
@@ -42,11 +49,10 @@ import (
 type Tier int
 
 const (
-	// TierFull is the primary model at its configured RAU depth.
+	// TierFull is the model: at its configured RAU depth, or — when the
+	// request's context ended first — stopped after fewer iterations, which
+	// Decision.Degraded then says.
 	TierFull Tier = iota
-	// TierReducedRAU is the same weights run with fewer RAU iterations —
-	// cheaper and numerically more conservative.
-	TierReducedRAU
 	// TierECMP is the classical fallback: uniform splits over each flow's
 	// tunnels, rescaled away from failed tunnels.
 	TierECMP
@@ -70,8 +76,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierFull:
 		return "full"
-	case TierReducedRAU:
-		return "reduced-rau"
 	case TierECMP:
 		return "ecmp"
 	case TierRejected:
@@ -89,15 +93,15 @@ func (t Tier) String() string {
 var ErrInvalidInput = errors.New("resilience: invalid input")
 
 // Options configures a Server. The zero value disables every optional
-// guard: no admission gate, no breakers, no pinned reload probe.
+// guard: no admission gate, no breaker, no pinned reload probe.
 type Options struct {
-	// ReducedRAUIterations is the RAU depth of the middle tier
-	// (<= 0 means 2).
-	ReducedRAUIterations int
 	// Deadline bounds the wall clock spent per request — both waiting in
-	// the admission queue and running the neural tiers; once exceeded,
-	// queued requests are shed and admitted ones fall through to ECMP.
-	// 0 disables the deadline.
+	// the admission queue and running the model. Once it passes, queued
+	// requests are shed and the RAU stops before its next iteration: the
+	// request ships the iterate it has, or ECMP if it has none, overrunning
+	// by at most one RAU iteration or — the first on a changed topology —
+	// one plan build, which is never cut short. 0 disables it; a deadline
+	// or cancellation on ServeCtx's context is honoured the same way.
 	Deadline time.Duration
 
 	// MaxConcurrent caps how many admitted requests run the serving chain
@@ -110,12 +114,12 @@ type Options struct {
 	// with MaxConcurrent > 0.
 	MaxQueueDepth int
 
-	// BreakerThreshold trips a neural tier's circuit breaker open after
-	// this many consecutive failures (timeout, panic, invalid output) on
-	// that tier; while open the tier is skipped without spending latency
-	// budget. 0 disables the breakers.
+	// BreakerThreshold trips the model's circuit breaker open after this
+	// many consecutive failures (panic, invalid output, no iterate before
+	// the context ended); while open the model is skipped without spending
+	// latency budget. 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerCooloff is how long a tripped tier stays open before a
+	// BreakerCooloff is how long the tripped breaker stays open before a
 	// single half-open probe request is allowed through (0 means 5s).
 	BreakerCooloff time.Duration
 
@@ -141,10 +145,10 @@ type Options struct {
 	CacheQuantum float64
 
 	// OOD, when set, classifies every request's input statistics against
-	// a trained-profile envelope (ood.go) and demotes deviants: suspect
-	// requests skip the full-RAU tier, hostile requests skip every
-	// neural tier and bypass the split cache in both directions. Nil
-	// disables the guard (one nil check on the serve path, no atomics).
+	// a trained-profile envelope (ood.go): suspect requests run the model
+	// but bypass the split cache in both directions and are always traced;
+	// hostile requests skip the model too and get ECMP. Nil disables the
+	// guard (one nil check on the serve path, no atomics).
 	OOD *OODGuard
 
 	// SLO, when set, scores every finished request against the serving
@@ -172,7 +176,9 @@ type Decision struct {
 	Splits *tensor.Dense
 	// Tier records which rung of the fallback chain produced Splits.
 	Tier Tier
-	// Degraded lists, in order, why each higher tier was abandoned.
+	// Degraded lists, in order, why the answer is less than the model at
+	// full depth: why the model was skipped or failed, or after how many
+	// RAU iterations the request's context stopped it.
 	Degraded []string
 	// OOD is the input-profile verdict for this request (OODInProfile
 	// unless Options.OOD classified it otherwise).
@@ -187,10 +193,10 @@ type Decision struct {
 type Server struct {
 	opts Options
 
-	// models is the current serving generation (full + reduced pair).
-	// Serve loads it exactly once per request, so Reload's atomic Store
-	// never mixes generations within a request.
-	models atomic.Pointer[modelPair]
+	// model is the current serving generation. Serve loads it exactly once
+	// per request, so Reload's atomic Store never mixes generations within a
+	// request.
+	model atomic.Pointer[core.Model]
 
 	// reg is the registry EnableTelemetry attached (nil when disabled);
 	// Reload re-attaches it to freshly loaded models.
@@ -209,9 +215,9 @@ type Server struct {
 	sheds    [numShedReasons]atomic.Int64
 	drains   atomic.Int64
 
-	// Circuit breakers for the neural tiers (breaker.go); nil when
-	// disabled. Indexed by Tier (only TierFull and TierReducedRAU).
-	breakers [2]*breaker
+	// breaker is the model's circuit breaker (breaker.go); nil when
+	// disabled.
+	breaker *breaker
 
 	// cache replays vetted TierFull answers (cache.go); nil when
 	// Options.CacheEntries == 0.
@@ -244,14 +250,15 @@ type Server struct {
 // Metric names emitted by this package.
 const (
 	// MetricServeRequests counts Serve calls by the tier that answered
-	// (labels: tier="full"|"reduced-rau"|"ecmp"|"rejected"|"shed").
+	// (labels: tier="full"|"ecmp"|"rejected"|"shed"|"cached").
 	MetricServeRequests = "harp_serve_requests_total"
 	// MetricServeSeconds is a per-tier histogram of Serve latency.
 	MetricServeSeconds = "harp_serve_seconds"
 	// MetricServeRejections counts requests rejected by input validation.
 	MetricServeRejections = "harp_serve_rejections_total"
-	// MetricServeDeadlineExpirations counts neural tiers abandoned
-	// because the per-request wall-clock budget ran out.
+	// MetricServeDeadlineExpirations counts requests whose context ended
+	// (deadline or cancellation) before the model reached full depth: the
+	// answer was a truncated iterate or ECMP.
 	MetricServeDeadlineExpirations = "harp_serve_deadline_expirations_total"
 	// MetricServePanicRecoveries counts panics converted to degradations.
 	MetricServePanicRecoveries = "harp_serve_panic_recoveries_total"
@@ -268,12 +275,12 @@ const (
 	// MetricServeDrains counts Drain initiations (at most 1 per server).
 	MetricServeDrains = "harp_serve_drains_total"
 
-	// MetricBreakerState gauges each neural tier's breaker state
-	// (labels: tier; 0=closed, 1=half-open, 2=open).
+	// MetricBreakerState gauges the model breaker's state (label:
+	// tier="full"; 0=closed, 1=half-open, 2=open).
 	MetricBreakerState = "harp_serve_breaker_state"
-	// MetricBreakerTrips counts breaker open transitions per tier.
+	// MetricBreakerTrips counts breaker open transitions.
 	MetricBreakerTrips = "harp_serve_breaker_trips_total"
-	// MetricBreakerShortCircuits counts requests that skipped a tier
+	// MetricBreakerShortCircuits counts requests that skipped the model
 	// because its breaker was open.
 	MetricBreakerShortCircuits = "harp_serve_breaker_short_circuits_total"
 
@@ -294,8 +301,8 @@ const (
 	// MetricOODRequests counts classified requests by verdict (labels:
 	// verdict="in-profile"|"suspect"|"hostile").
 	MetricOODRequests = "harp_ood_requests_total"
-	// MetricOODDemotions counts requests denied their normal tier by the
-	// OOD guard (labels: verdict="suspect"|"hostile").
+	// MetricOODDemotions counts requests denied the model by the OOD guard
+	// (label: verdict="hostile"; suspect requests are served in full).
 	MetricOODDemotions = "harp_ood_demotions_total"
 	// MetricOODCacheBypasses counts requests that skipped the split
 	// cache (reads and writes) because of their verdict.
@@ -314,15 +321,15 @@ type serverTelemetry struct {
 	sheds         [numShedReasons]*obs.Counter
 	drainsStarted *obs.Counter
 
-	breakerTrips  [2]*obs.Counter
-	breakerShorts [2]*obs.Counter
+	breakerTrips  *obs.Counter
+	breakerShorts *obs.Counter
 
 	reloadOK   *obs.Counter
 	reloadErr  *obs.Counter
 	generation *obs.Gauge
 
 	oodVerdicts  [numOODVerdicts]*obs.Counter
-	oodDemotions [numOODVerdicts]*obs.Counter
+	oodDemotions *obs.Counter
 	oodBypasses  *obs.Counter
 }
 
@@ -334,7 +341,7 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 		rejects: reg.Counter(MetricServeRejections,
 			"Requests rejected by input validation (no splits produced)."),
 		deadlines: reg.Counter(MetricServeDeadlineExpirations,
-			"Neural serving tiers abandoned on the per-request deadline."),
+			"Requests whose context ended before the model reached full depth."),
 		panics: reg.Counter(MetricServePanicRecoveries,
 			"Panics recovered and converted into tier degradations."),
 		drainsStarted: reg.Counter(MetricServeDrains,
@@ -358,23 +365,19 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 			"Requests turned away by admission control, by reason.",
 			obs.L("reason", shedReasonLabel(r)))
 	}
-	for i, tier := range []Tier{TierFull, TierReducedRAU} {
-		l := obs.L("tier", tier.String())
-		t.breakerTrips[i] = reg.Counter(MetricBreakerTrips,
-			"Circuit-breaker open transitions per neural tier.", l)
-		t.breakerShorts[i] = reg.Counter(MetricBreakerShortCircuits,
-			"Requests that skipped a neural tier on an open breaker.", l)
-	}
+	full := obs.L("tier", TierFull.String())
+	t.breakerTrips = reg.Counter(MetricBreakerTrips,
+		"Circuit-breaker open transitions of the model tier.", full)
+	t.breakerShorts = reg.Counter(MetricBreakerShortCircuits,
+		"Requests that skipped the model on an open breaker.", full)
 	for v := OODVerdict(0); v < numOODVerdicts; v++ {
 		t.oodVerdicts[v] = reg.Counter(MetricOODRequests,
 			"Requests classified by the OOD guard, by verdict.",
 			obs.L("verdict", v.String()))
 	}
-	for _, v := range []OODVerdict{OODSuspect, OODHostile} {
-		t.oodDemotions[v] = reg.Counter(MetricOODDemotions,
-			"Requests denied their normal serving tier by the OOD guard.",
-			obs.L("verdict", v.String()))
-	}
+	t.oodDemotions = reg.Counter(MetricOODDemotions,
+		"Requests denied the model by the OOD guard.",
+		obs.L("verdict", OODHostile.String()))
 	t.oodBypasses = reg.Counter(MetricOODCacheBypasses,
 		"Requests that skipped the split cache on an OOD verdict.")
 	return t
@@ -409,9 +412,9 @@ func (t *serverTelemetry) oodClassified(v OODVerdict) {
 	}
 }
 
-func (t *serverTelemetry) oodDemoted(v OODVerdict) {
+func (t *serverTelemetry) oodDemoted() {
 	if t != nil {
-		t.oodDemotions[v].Inc()
+		t.oodDemotions.Inc()
 	}
 }
 
@@ -433,15 +436,15 @@ func (t *serverTelemetry) drainStarted() {
 	}
 }
 
-func (t *serverTelemetry) breakerTripped(idx int) {
+func (t *serverTelemetry) breakerTripped() {
 	if t != nil {
-		t.breakerTrips[idx].Inc()
+		t.breakerTrips.Inc()
 	}
 }
 
-func (t *serverTelemetry) breakerShortCircuited(idx int) {
+func (t *serverTelemetry) breakerShortCircuited() {
 	if t != nil {
-		t.breakerShorts[idx].Inc()
+		t.breakerShorts.Inc()
 	}
 }
 
@@ -465,10 +468,10 @@ func (t *serverTelemetry) generationChanged(gen int64) {
 // EnableTelemetry attaches serving telemetry to the server: per-tier
 // request counters and latency histograms; rejection / deadline /
 // panic-recovery / shed / breaker / reload counters; and gauges for queue
-// depth, in-flight requests, breaker states, and the model generation
+// depth, in-flight requests, the breaker state, and the model generation
 // (the Metric* constants). It also enables forward-pass stage tracing on
-// both the full and reduced models, and Reload re-attaches the same
-// registry to freshly loaded models. Call it before serving starts;
+// the model, and Reload re-attaches the same registry to freshly loaded
+// models. Call it before serving starts;
 // passing nil detaches the counters (gauges registered earlier keep
 // reading the server's state).
 func (s *Server) EnableTelemetry(reg *obs.Registry) {
@@ -477,22 +480,17 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	pair := s.models.Load()
-	pair.full.EnableTelemetry(reg)
-	pair.reduced.EnableTelemetry(reg)
+	s.model.Load().EnableTelemetry(reg)
 	reg.GaugeFunc(MetricServeQueueDepth,
 		"Requests waiting for an admission slot.",
 		func() float64 { return float64(s.queued.Load()) })
 	reg.GaugeFunc(MetricServeInflight,
 		"Admitted or queued requests currently inside the server.",
 		func() float64 { return float64(s.inflight.Load()) })
-	for i, tier := range []Tier{TierFull, TierReducedRAU} {
-		b := s.breakers[i]
-		reg.GaugeFunc(MetricBreakerState,
-			"Circuit-breaker state per neural tier (0=closed, 1=half-open, 2=open).",
-			func() float64 { st, _, _ := b.snapshot(); return float64(st) },
-			obs.L("tier", tier.String()))
-	}
+	reg.GaugeFunc(MetricBreakerState,
+		"Circuit-breaker state of the model tier (0=closed, 1=half-open, 2=open).",
+		func() float64 { st, _, _ := s.breaker.snapshot(); return float64(st) },
+		obs.L("tier", TierFull.String()))
 	if c := s.cache; c != nil {
 		reg.GaugeFunc(MetricSplitCacheHits,
 			"Split-cache hits served with zero inference.",
@@ -511,29 +509,17 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 }
 
 // NewServer builds a Server over m. The model is used read-only; training
-// m further between requests is allowed (the reduced tier aliases the same
-// weights).
+// m further between requests is allowed.
 func NewServer(m *core.Model, opts Options) *Server {
-	if opts.ReducedRAUIterations <= 0 {
-		opts.ReducedRAUIterations = 2
-	}
-	if opts.ReducedRAUIterations > m.Cfg.RAUIterations {
-		opts.ReducedRAUIterations = m.Cfg.RAUIterations
-	}
 	s := &Server{
 		opts:    opts,
 		drainCh: make(chan struct{}),
 		idleCh:  make(chan struct{}, 1),
+		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooloff),
 	}
-	s.models.Store(&modelPair{
-		full:    m,
-		reduced: m.WithRAUIterations(opts.ReducedRAUIterations),
-	})
+	s.model.Store(m)
 	if opts.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, opts.MaxConcurrent)
-	}
-	for i := range s.breakers {
-		s.breakers[i] = newBreaker(opts.BreakerThreshold, opts.BreakerCooloff)
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = newSplitCache(opts.CacheEntries, opts.CacheQuantum)
@@ -606,43 +592,54 @@ func zeroDemand(p *te.Problem) *tensor.Dense {
 	return tensor.New(p.NumFlows(), 1)
 }
 
-// Serve produces split ratios for the request, degrading through the
+// Serve is ServeCtx with no caller context.
+func (s *Server) Serve(p *te.Problem, demand *tensor.Dense) Decision {
+	return s.ServeCtx(context.Background(), p, demand)
+}
+
+// ServeCtx produces split ratios for the request, degrading through the
 // fallback chain as needed. On any non-rejected, non-shed return,
 // Decision.Splits is a finite F×K matrix whose rows each sum to 1.
-func (s *Server) Serve(p *te.Problem, demand *tensor.Dense) Decision {
-	return s.serveOuter(nil, p, demand)
-}
-
-// ServeCtx is Serve with request-trace propagation: when ctx carries a
-// reqtrace span (reqtrace.StartTrace / fleet dispatch), the serving
-// chain annotates it with admission, cache, tier, and inference-stage
-// spans. With no span in ctx it is exactly Serve — the disabled-tracing
-// path allocates nothing.
+//
+// Once ctx is done — cancelled, past its deadline, or past Options.Deadline
+// — a queued request is shed and a running one returns within one RAU
+// iteration (one plan build, if it is the first on its topology) with the
+// iterate it has or ECMP, the context's error named in Decision.Degraded.
+// When ctx carries a reqtrace span (reqtrace.StartTrace / fleet dispatch),
+// the serving chain annotates it with admission, cache, tier, and
+// inference-stage spans; without one the cache-hit path allocates nothing.
 func (s *Server) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) Decision {
-	return s.serveOuter(reqtrace.FromContext(ctx), p, demand)
-}
-
-func (s *Server) serveOuter(sp *reqtrace.Span, p *te.Problem, demand *tensor.Dense) Decision {
 	start := time.Now()
-	dec, admitted := s.admit(start, sp)
+	sp := reqtrace.FromContext(ctx)
+	dec, admitted := s.admit(ctx, start, sp)
 	if !admitted {
 		return dec
 	}
 	defer s.release()
-	return s.serve(start, p, demand, sp)
+	return s.serve(ctx, start, p, demand, sp)
 }
 
-// tierSpanName maps neural tiers to constant span names, so opening a
-// tier span never concatenates strings on the serve path.
-func tierSpanName(t Tier) string {
-	if t == TierFull {
-		return "tier.full"
+// withDeadline narrows ctx to Options.Deadline for a request that arrived
+// at start. Only the admission queue and the model call it, so a cache hit
+// never pays for a context.
+func (s *Server) withDeadline(ctx context.Context, start time.Time) (context.Context, context.CancelFunc) {
+	if s.opts.Deadline <= 0 {
+		return ctx, func() {}
 	}
-	return "tier.reduced-rau"
+	return context.WithDeadline(ctx, start.Add(s.opts.Deadline))
+}
+
+// endedBy names why ctx stopped the model: its error, or DeadlineExceeded
+// when the engine read the clock before the context's timer fired.
+func endedBy(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return context.DeadlineExceeded
 }
 
 // serve runs the guarded fallback chain for one admitted request.
-func (s *Server) serve(start time.Time, p *te.Problem, demand *tensor.Dense, sp *reqtrace.Span) Decision {
+func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, demand *tensor.Dense, sp *reqtrace.Span) Decision {
 	if err := ValidateInput(p, demand); err != nil {
 		s.record(TierRejected, start)
 		sp.SetError(err)
@@ -650,8 +647,8 @@ func (s *Server) serve(start time.Time, p *te.Problem, demand *tensor.Dense, sp 
 	}
 	// OOD classification before any shared state is touched: a hostile
 	// request must not read the split cache (stale shared matrices) and
-	// must not reach the tiers that would write it (cache poisoning).
-	// Disabled, this is one nil pointer check.
+	// must not reach the model, whose answer would be written to it (cache
+	// poisoning). Disabled, this is one nil pointer check.
 	verdict := OODInProfile
 	if g := s.opts.OOD; g != nil {
 		verdict = g.Classify(p, demand)
@@ -659,15 +656,12 @@ func (s *Server) serve(start time.Time, p *te.Problem, demand *tensor.Dense, sp 
 		if verdict != OODInProfile {
 			sp.Annotate("ood", verdict.String())
 			sp.ForceRetain("ood")
-			g.demoted(verdict)
-			s.tel.oodDemoted(verdict)
 		}
 	}
 	// Cache probe before any model work: a hit replays a previously vetted
-	// TierFull answer with zero inference and zero allocations. The cached
+	// full-depth answer with zero inference and zero allocations. The cached
 	// matrix is shared read-only (see cache.go). Out-of-profile requests
-	// skip the probe entirely — and, because they never reach TierFull,
-	// the put below as well.
+	// skip the probe entirely, and runModel skips the put for them.
 	if s.cache != nil {
 		if verdict != OODInProfile {
 			s.opts.OOD.bypassedCache()
@@ -688,73 +682,74 @@ func (s *Server) serve(start time.Time, p *te.Problem, demand *tensor.Dense, sp 
 			}
 		}
 	}
-	dec := Decision{OOD: verdict}
-	budget := func() (time.Duration, bool) {
-		if s.opts.Deadline <= 0 {
-			return 0, true
-		}
-		left := s.opts.Deadline - time.Since(start)
-		return left, left > 0
-	}
 
-	// One pointer load pins this request's model generation: a Reload
-	// mid-request swaps the pair out from under later requests only.
-	pair := s.models.Load()
-	ctx, err := s.contextFor(pair.full, p)
-	if err != nil {
-		dec.Degraded = append(dec.Degraded, fmt.Sprintf("context: %v", err))
-	} else {
-		for i, tier := range [...]struct {
-			t Tier
-			m *core.Model
-		}{{TierFull, pair.full}, {TierReducedRAU, pair.reduced}} {
-			if verdict == OODHostile || (verdict == OODSuspect && tier.t == TierFull) {
-				dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: ood %s", tier.t, verdict))
-				continue
-			}
-			left, ok := budget()
-			if !ok {
-				s.tel.deadlineExpired()
-				dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: deadline exceeded", tier.t))
-				continue
-			}
-			if !s.breakers[i].allow() {
-				s.tel.breakerShortCircuited(i)
-				dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: circuit open", tier.t))
-				continue
-			}
-			tsp := sp.StartChild(tierSpanName(tier.t))
-			splits, err := s.safeInfer(tier.m, ctx, p, demand, left, tsp)
-			if err != nil {
-				if s.breakers[i].onFailure() {
-					s.tel.breakerTripped(i)
-				}
-				tsp.SetError(err)
-				tsp.End()
-				dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: %v", tier.t, err))
-				continue
-			}
-			tsp.End()
-			s.breakers[i].onSuccess()
-			if tier.t == TierFull && s.cache != nil {
-				s.cache.put(p, demand, splits)
-			}
-			dec.Splits, dec.Tier = splits, tier.t
-			s.record(tier.t, start)
-			s.annotateOutcome(sp, &dec)
-			s.offerQuality(p, demand, splits)
-			return dec
-		}
+	dec := Decision{OOD: verdict, Tier: TierFull}
+	if dec.Splits = s.runModel(ctx, start, p, demand, sp, &dec); dec.Splits == nil {
+		// Terminal tier: uniform splits rescaled off failed tunnels. Pure
+		// arithmetic on validated inputs — cannot fail.
+		dec.Splits, dec.Tier = te.NormalizeRows(te.Rescale(p, p.UniformSplits())), TierECMP
 	}
-
-	// Terminal tier: uniform splits rescaled off failed tunnels. Pure
-	// arithmetic on validated inputs — cannot fail.
-	dec.Splits = te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
-	dec.Tier = TierECMP
-	s.record(TierECMP, start)
+	s.record(dec.Tier, start)
 	s.annotateOutcome(sp, &dec)
 	s.offerQuality(p, demand, dec.Splits)
 	return dec
+}
+
+// runModel is the neural rung of the chain: the model under the request's
+// deadline, the breaker, a recover guard and output vetting. It returns the
+// vetted splits — at full depth, or the iterate the context stopped at —
+// or nil, and dec.Degraded says which. Only a full-depth, in-profile answer
+// enters the split cache.
+func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, demand *tensor.Dense, sp *reqtrace.Span, dec *Decision) *tensor.Dense {
+	degrade := func(why any) {
+		dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: %v", TierFull, why))
+	}
+	if dec.OOD == OODHostile {
+		s.opts.OOD.demoted()
+		s.tel.oodDemoted()
+		degrade("ood hostile")
+		return nil
+	}
+	// One pointer load pins this request's model generation: a Reload
+	// mid-request swaps the model out from under later requests only.
+	m := s.model.Load()
+	c, err := s.contextFor(m, p)
+	if err != nil {
+		dec.Degraded = append(dec.Degraded, fmt.Sprintf("context: %v", err))
+		return nil
+	}
+	ctx, cancel := s.withDeadline(ctx, start)
+	defer cancel()
+	if err := ctx.Err(); err != nil {
+		s.tel.deadlineExpired()
+		degrade(err)
+		return nil
+	}
+	if !s.breaker.allow() {
+		s.tel.breakerShortCircuited()
+		degrade("circuit open")
+		return nil
+	}
+	tsp := sp.StartChild("tier.full")
+	defer tsp.End()
+	splits, k, err := s.safeInfer(reqtrace.NewContext(ctx, tsp), m, c, p, demand)
+	if err != nil {
+		if s.breaker.onFailure() {
+			s.tel.breakerTripped()
+		}
+		tsp.SetError(err)
+		degrade(err)
+		return nil
+	}
+	s.breaker.onSuccess()
+	switch {
+	case k < m.Cfg.RAUIterations:
+		s.tel.deadlineExpired()
+		degrade(fmt.Sprintf("stopped after %d/%d RAU iterations: %v", k, m.Cfg.RAUIterations, endedBy(ctx)))
+	case s.cache != nil && dec.OOD == OODInProfile:
+		s.cache.put(p, demand, splits)
+	}
+	return splits
 }
 
 // annotateOutcome stamps the answering tier and any degradations onto
@@ -807,43 +802,23 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 	return ctx, nil
 }
 
-// safeInfer runs one model tier under a recover guard and a wall-clock
-// budget, then vets the output. On timeout the inference goroutine is
-// abandoned (it finishes in the background; its result is discarded, but
-// it keeps annotating sp — the recorder tolerates that, and the span
-// shows up unfinished in a dump taken mid-flight).
-func (s *Server) safeInfer(m *core.Model, ctx *core.Context, p *te.Problem, demand *tensor.Dense, budget time.Duration, sp *reqtrace.Span) (*tensor.Dense, error) {
-	type result struct {
-		splits *tensor.Dense
-		err    error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.tel.panicRecovered()
-				ch <- result{err: fmt.Errorf("inference panic: %v", r)}
-			}
-		}()
-		ch <- result{splits: m.SplitsSpan(sp, ctx, demand)}
-	}()
-	var r result
-	if budget > 0 {
-		timer := time.NewTimer(budget)
-		defer timer.Stop()
-		select {
-		case r = <-ch:
-		case <-timer.C:
-			s.tel.deadlineExpired()
-			return nil, fmt.Errorf("deadline exceeded after %v", budget)
+// safeInfer runs the model on the caller's goroutine under a recover guard
+// and vets the output; k is how many RAU iterations the answer has behind
+// it. No iteration finished before the context ended is an error.
+func (s *Server) safeInfer(ctx context.Context, m *core.Model, c *core.Context, p *te.Problem, demand *tensor.Dense) (splits *tensor.Dense, k int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.tel.panicRecovered()
+			splits, err = nil, fmt.Errorf("inference panic: %v", r)
 		}
-	} else {
-		r = <-ch
+	}()
+	splits, k = m.SplitsCtx(ctx, c, demand)
+	if splits == nil {
+		s.tel.deadlineExpired()
+		return nil, 0, fmt.Errorf("no RAU iteration finished: %w", endedBy(ctx))
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return vetSplits(p, r.splits)
+	splits, err = vetSplits(p, splits)
+	return splits, k, err
 }
 
 // VetSplits verifies a serving answer is shaped F×K, finite and
