@@ -62,23 +62,24 @@ benchsmoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
 # bench runs the perf-regression suite (hot-path micro and macro
-# benchmarks with allocation counts) and records the results as the
-# "current" entry of BENCH_1.json; the committed "baseline" entry is
-# preserved for comparison. It then records the serving ledger
-# BENCH_2.json: the split-cache hit vs miss path, and the large-topology
-# ledger BENCH_3.json: one inference on the problems bench/workloads.go
-# serves — all-pairs Abilene (132 flows) and GEANT (462), and KDL-scale
-# (754 nodes, 2,256 flows) — on a kept plan (/hit) and building one
-# (/build), each row stating its flows and tokens. See the Performance
-# section of the README.
+# benchmarks with allocation counts), every benchmark five times, and
+# records each as one row — the median run, with the fastest and slowest
+# beside it (cmd/benchjson) — of BENCH_1.json. It then records the serving
+# ledger BENCH_2.json: the split-cache hit vs miss path, and the
+# large-topology ledger BENCH_3.json: one inference on the problems
+# bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT
+# (462), and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit)
+# and building one (/build), each row stating its flows and tokens. See the
+# Performance section of the README.
 BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core
 BENCH2_RE = 'ServeCache'
 BENCH3_RE = 'SplitsAbilene|SplitsGeant|SplitsKDL'
+BENCH_FLAGS = -benchmem -count 5
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | \
-		/tmp/benchjson -out BENCH_1.json -cmd "go test -run='^$$' -bench=. -benchmem $(BENCH_PKGS)"
-	$(GO) test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/resilience | \
-		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) -benchmem ./internal/resilience"
-	$(GO) test -run='^$$' -bench=$(BENCH3_RE) -benchmem ./internal/core | \
-		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) -benchmem ./internal/core"
+	$(GO) test -run='^$$' -bench=. $(BENCH_FLAGS) $(BENCH_PKGS) | \
+		/tmp/benchjson -out BENCH_1.json -cmd "go test -run='^$$' -bench=. $(BENCH_FLAGS) $(BENCH_PKGS)"
+	$(GO) test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience | \
+		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience"
+	$(GO) test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) ./internal/core | \
+		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) ./internal/core"

@@ -1,13 +1,12 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into the machine-readable benchmark ledger BENCH_1.json.
+// into a machine-readable benchmark ledger (BENCH_1..3.json).
 //
-//	go test -bench=. -benchmem ./... | benchjson -out BENCH_1.json
+//	go test -bench=. -benchmem -count 5 ./... | benchjson -out BENCH_1.json
 //
-// The ledger has two keys: "baseline" (the numbers recorded before the
-// allocation-free hot path landed — preserved verbatim from the existing
-// file) and "current" (rewritten from stdin on every run). Comparing the
-// two is the perf-regression check: see the Performance section of the
-// README for how to read it.
+// Lines that repeat a benchmark name (`go test -count N`) fold into one row:
+// the median run, with the fastest and slowest ns/op and the run count
+// beside it, so one slow phase of the host cannot be what gets committed.
+// See the Performance section of the README for how to read the ledgers.
 package main
 
 import (
@@ -17,28 +16,32 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark line.
+// Result is one benchmark: its median run by ns/op (the lower middle one
+// when Runs is even), and the spread of ns/op over all its runs.
 type Result struct {
 	Name        string  `json:"name"`
+	Runs        int     `json:"runs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Extra holds b.ReportMetric custom units (unit -> value).
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Ledger is the BENCH_1.json document.
+// Ledger is a BENCH_n.json document.
 type Ledger struct {
 	GoOS      string   `json:"goos,omitempty"`
 	GoArch    string   `json:"goarch,omitempty"`
 	CPU       string   `json:"cpu,omitempty"`
 	Benchmark string   `json:"benchmark_cmd,omitempty"`
-	Baseline  []Result `json:"baseline,omitempty"`
 	Current   []Result `json:"current"`
 }
 
@@ -46,16 +49,12 @@ type Ledger struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
-	out := flag.String("out", "BENCH_1.json", "ledger file to update")
+	out := flag.String("out", "BENCH_1.json", "ledger file to write")
 	cmd := flag.String("cmd", "", "record this as the command that produced the input")
 	flag.Parse()
 
-	ledger := loadExisting(*out)
-	if *cmd != "" {
-		ledger.Benchmark = *cmd
-	}
-	ledger.Current = nil
-
+	ledger := Ledger{Benchmark: *cmd}
+	var lines []Result
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -71,13 +70,14 @@ func main() {
 			ledger.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
 			if r, ok := parseLine(line); ok {
-				ledger.Current = append(ledger.Current, r)
+				lines = append(lines, r)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
+	ledger.Current = foldRuns(lines)
 	if len(ledger.Current) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found on stdin"))
 	}
@@ -99,7 +99,7 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: m[1], Iterations: iters}
+	r := Result{Name: m[1], Runs: 1, Iterations: iters}
 	fields := strings.Fields(m[3])
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -123,19 +123,26 @@ func parseLine(line string) (Result, bool) {
 	return r, true
 }
 
-// loadExisting reads the prior ledger so the baseline survives reruns. A
-// missing or unreadable file just starts a fresh ledger.
-func loadExisting(path string) Ledger {
-	var l Ledger
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return l
+// foldRuns groups lines by benchmark name, in order of first appearance,
+// into one Result each.
+func foldRuns(lines []Result) []Result {
+	var names []string
+	groups := map[string][]Result{}
+	for _, r := range lines {
+		if _, seen := groups[r.Name]; !seen {
+			names = append(names, r.Name)
+		}
+		groups[r.Name] = append(groups[r.Name], r)
 	}
-	if err := json.Unmarshal(data, &l); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: ignoring unparseable %s: %v\n", path, err)
-		return Ledger{}
+	var out []Result
+	for _, name := range names {
+		runs := groups[name]
+		sort.SliceStable(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+		r := runs[(len(runs)-1)/2]
+		r.Runs, r.NsPerOpMin, r.NsPerOpMax = len(runs), runs[0].NsPerOp, runs[len(runs)-1].NsPerOp
+		out = append(out, r)
 	}
-	return l
+	return out
 }
 
 func write(path string, l Ledger) error {

@@ -1,14 +1,14 @@
 package core
 
 // The inference engine — the one path every Splits call runs. The
-// demand-independent half of a forward pass (embed: GNN + SETTRANS, plus
-// the first-layer partial sums over the tunnel embeddings) is the plan: it
-// is recorded on a pooled inference-mode tape, copied into the pooled
-// scratch, and kept there between calls, so a call that finds a plan built
-// for its (Context, weights) runs only the demand-dependent half (MLP1 +
-// RAU), hand-scheduled on the same scratch. The tape forward (Forward →
-// embed + adjust) is for training, and is the reference this engine is held
-// to.
+// demand-independent half of a forward pass (embed: GNN + SETTRANS) is
+// recorded on a pooled inference-mode tape, and what the other half reads of
+// it is the plan: the first-layer partial sums the embedding determines —
+// MLP1's per tunnel, the RAU's per token — kept in the pooled scratch
+// between calls, so a call that finds a plan built for its (Context,
+// weights) runs only the demand-dependent half (MLP1 + RAU), hand-scheduled
+// on the same scratch. The tape forward (Forward → embed + adjust) is for
+// training, and is the reference this engine is held to.
 //
 // The plan is soft state: it lives in the sync.Pool the buffers live in, so
 // an idle process gives it back at GC, and it is valid by content — the
@@ -27,18 +27,32 @@ package core
 //     inputs, so "first layer restricted to the tunnelEmb columns" is
 //     exactly the kernel's per-element accumulator state after those
 //     columns — precomputing it per plan and then accumulating the
-//     remaining columns with the same kernel reproduces the original
+//     remaining columns in the same order reproduces the original
 //     left-to-right sum bit for bit.
+//   - The RAU's next r columns are bottleneckEmb, a row of the embedding h
+//     chosen per iteration — but every row of h is a token of exactly one
+//     tunnel, so the accumulator state after those columns too is known per
+//     token at build time: the tunnel's prefix row continued, by the same
+//     kernel, through h[token]·W0[r:2r] (rauTok). It is the state that is
+//     kept, never the product h·W0[r:2r] to be added to the prefix later:
+//     (prefix + a₁) + a₂ is not prefix + (a₁ + a₂).
+//   - The row kernel (rauRow) picks the bottleneck token's accumulator up
+//     where the build left it: the five scalar columns in ConcatCols order,
+//     the bias, ReLU, then the two output sums from zero over the hidden
+//     units in ascending order and the output bias — each sum the sequence
+//     of additions the matmul kernel would make, zero multiplicands skipped
+//     exactly where it skips them.
 //   - Every elementwise op mirrors the corresponding autograd op's formula
 //     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
 //     and the kernel's skip of zero multiplicands).
-//
 //   - A plan hit reads the very values a build computed: the same embed,
-//     the same kernels, a copy.
+//     the same kernels, a continued accumulation.
 //
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
-// Context and on a cached plan against Forward on a gradient tape — and
-// TestPlanNeverStale that no write to the weights survives in a plan.
+// Context and on a cached plan against Forward on a gradient tape —
+// TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
+// non-finite operands included, and TestPlanNeverStale that no write to the
+// weights survives in a plan.
 //
 // Every RAU iteration ends in the per-flow softmax, so every iterate is a
 // routable answer: SplitsCtx returns the one it has when its context is
@@ -59,25 +73,23 @@ import (
 	"harpte/internal/verify"
 )
 
-// headRows and tailRows return contiguous row-range views of a Dense
-// (shared backing array, no copy). Callers must treat views as read-only.
-func headRows(d *tensor.Dense, n int) *tensor.Dense {
-	return &tensor.Dense{Rows: n, Cols: d.Cols, Data: d.Data[:n*d.Cols]}
-}
-
-func tailRows(d *tensor.Dense, n int) *tensor.Dense {
-	return &tensor.Dense{Rows: d.Rows - n, Cols: d.Cols, Data: d.Data[n*d.Cols:]}
+// rowRange returns rows [lo, hi) of a Dense as a view (shared backing array,
+// no copy). Callers must treat views as read-only.
+func rowRange(d *tensor.Dense, lo, hi int) *tensor.Dense {
+	return tensor.FromSlice(hi-lo, d.Cols, d.Data[lo*d.Cols:hi*d.Cols])
 }
 
 // inferScratchKey captures every dimension the scratch buffers depend on.
+// tokens is among them: two Contexts of one graph whose tunnels differ in
+// length (recomputed around a failure) agree on every other field.
 type inferScratchKey struct {
-	t, f, k, e, r, h1, hr int
+	t, f, k, e, tokens, h1, hr int
 }
 
 // inferScratch is the pooled state of the inference engine: the plan (the
-// embedding and first-layer prefixes — functions of the Context and the
-// weights only — with the stamp saying which) plus the per-call working
-// buffers.
+// first-layer accumulators the embedding determines — functions of the
+// Context and the weights only — with the stamp saying which) plus the
+// per-call working buffers.
 type inferScratch struct {
 	key inferScratchKey
 
@@ -85,8 +97,7 @@ type inferScratch struct {
 	// from; planCtx is nil while there is none, or one is half-built.
 	planCtx     *probContext
 	planWeights uint64
-	h           *tensor.Dense // numTokens×r edge-tunnel embeddings, copied off the tape
-	rauPrefix   *tensor.Dense // T×HR: RAU first layer after the tunnelEmb columns
+	rauTok      *tensor.Dense // numTokens×HR: RAU first layer after the tunnelEmb and bottleneckEmb columns, were that token the bottleneck
 	mlp1Prefix  *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
 
 	// Per-call working buffers.
@@ -97,11 +108,6 @@ type inferScratch struct {
 	x          *tensor.Dense // T×1 per-tunnel traffic
 	loads      *tensor.Dense // E×1 link loads
 	util       *tensor.Dense // E×1 link utilizations
-	rest       *tensor.Dense // T×(r+5): RAU input minus the tunnelEmb prefix
-	rauHidden  *tensor.Dense // T×HR
-	rauOut     *tensor.Dense // T×2
-	btok       []int         // bottleneck token row per tunnel
-	bedge      []int         // bottleneck edge per tunnel
 	mlu        float64       // max of util, refreshed by computeUtil
 	// Per-edge RAU features of the current utilizations, gathered by
 	// every tunnel the edge is the bottleneck of.
@@ -116,20 +122,20 @@ var inferScratches = sync.Pool{New: func() any { return new(inferScratch) }}
 func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	set := ctx.p.Tunnels
 	key := inferScratchKey{
-		t:  len(set.Flows) * set.K,
-		f:  len(set.Flows),
-		k:  set.K,
-		e:  ctx.p.Graph.NumEdges(),
-		r:  m.Cfg.EmbedDim,
-		h1: m.Cfg.MLP1Hidden,
-		hr: m.Cfg.RAUHidden,
+		t:      len(set.Flows) * set.K,
+		f:      len(set.Flows),
+		k:      set.K,
+		e:      ctx.p.Graph.NumEdges(),
+		tokens: len(ctx.tokenIdx),
+		h1:     m.Cfg.MLP1Hidden,
+		hr:     m.Cfg.RAUHidden,
 	}
 	if sc.key == key {
 		return
 	}
 	sc.key = key
 	sc.planCtx = nil
-	sc.rauPrefix = tensor.New(key.t, key.hr)
+	sc.rauTok = tensor.New(key.tokens, key.hr)
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
 	sc.feat = tensor.New(key.t, 1)
 	sc.load = tensor.New(key.t, 1)
@@ -139,11 +145,6 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.x = tensor.New(key.t, 1)
 	sc.loads = tensor.New(key.e, 1)
 	sc.util = tensor.New(key.e, 1)
-	sc.rest = tensor.New(key.t, key.r+5)
-	sc.rauHidden = tensor.New(key.t, key.hr)
-	sc.rauOut = tensor.New(key.t, 2)
-	sc.btok = make([]int, key.t)
-	sc.bedge = make([]int, key.t)
 	sc.edgeRatio = make([]float64, key.e)
 	sc.edgeBuFeat = make([]float64, key.e)
 	sc.edgeGatedBu = make([]float64, key.e)
@@ -176,10 +177,15 @@ func (m *Model) weightsStamp() uint64 {
 }
 
 // buildPlan runs the demand-independent half of the forward for (m, ctx)
-// and keeps it: the embedding copied off the tape, and the RAU and MLP1
-// first layers restricted to their leading tunnelEmb columns. The stamp is
-// cleared first and set last, so a build that panics leaves no plan behind
-// rather than half of one. It takes no context on purpose: a build is
+// and keeps what the other half reads of it: the MLP1 first layer after its
+// leading tunnelEmb columns, and — per token — the RAU first layer after the
+// tunnelEmb columns of the token's tunnel and then the bottleneckEmb columns,
+// were that token the bottleneck: the tunnel's prefix row continued through
+// h[token]·W0[r:2r], one accumulation in ascending k because a token belongs
+// to exactly one tunnel. (h·W0[r:2r] computed alone and added to the prefix
+// would be a different sum.) The embedding itself stays on the tape. The
+// stamp is cleared first and set last, so a build that panics leaves no plan
+// behind rather than half of one. It takes no context on purpose: a build is
 // bounded and every later request reads it, and cancelling one would turn
 // any deadline shorter than a build into "no plan, ever" on a changed
 // topology.
@@ -187,15 +193,17 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 	sc.planCtx = nil
 	tp := embedTapes.Get().(*autograd.Tape)
 	emb := m.embed(tp, ctx, sp)
-	if hv := emb.h.Val; sc.h == nil || len(sc.h.Data) != len(hv.Data) {
-		sc.h = hv.Clone()
-	} else {
-		sc.h.Rows, sc.h.Cols = hv.Rows, hv.Cols
-		copy(sc.h.Data, hv.Data)
-	}
 	r := m.Cfg.EmbedDim
-	tensor.MatMul(sc.rauPrefix, emb.tunnelEmb.Val, headRows(m.rau.Layers[0].W.Val, r))
-	tensor.MatMul(sc.mlp1Prefix, emb.tunnelEmb.Val, headRows(m.mlp1.Layers[0].W.Val, r))
+	rauW0 := m.rau.Layers[0].W.Val
+	tensor.MatMul(sc.mlp1Prefix, emb.tunnelEmb.Val, rowRange(m.mlp1.Layers[0].W.Val, 0, r))
+	rauPrefix := tp.Buffer(sc.key.t, sc.key.hr)
+	tensor.MatMul(rauPrefix, emb.tunnelEmb.Val, rowRange(rauW0, 0, r))
+	for t, seg := range ctx.segs {
+		for tok := seg.Start; tok < seg.End; tok++ {
+			copy(sc.rauTok.Row(tok), rauPrefix.Row(t))
+		}
+	}
+	tensor.MatMulAcc(sc.rauTok, emb.h.Val, rowRange(rauW0, r, 2*r))
 	tp.Reset()
 	embedTapes.Put(tp)
 	sc.planCtx, sc.planWeights = ctx, weights
@@ -224,6 +232,119 @@ func accColumn(dst *tensor.Dense, col, wrow []float64) {
 			drow[j] += aik * wrow[j]
 		}
 	}
+}
+
+// rauRow runs one tunnel through the rest of the RAU's two-layer MLP. acc is
+// the tunnel's first-layer accumulator after the embedding columns (a row of
+// the plan's rauTok, read-only), in the five scalar inputs that follow them,
+// w0 the five rows of the first layer's weights those inputs meet (stride
+// len(acc)), b0 its bias, w1 (len(acc)×2) and b1 the output layer. It
+// returns the two outputs, bit-identical to running the row through
+// MatMulAcc → AddRowVecInto → ReLU → MatMul → AddRowVecInto: every hidden
+// unit continues acc's sum through the scalars in order, skipping exactly
+// the zero ones as macRow does, then adds its bias; the two output sums
+// start at zero and take the hidden units in ascending order (rauFeed).
+// Hidden units are swept in register tiles of 8, then 4, then singly, like
+// macRow; none is stored.
+func rauRow(acc []float64, in *[5]float64, w0, b0, w1, b1 []float64) (o0, o1 float64) {
+	n := len(acc)
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		o0, o1 = rau8(o0, o1, (*[8]float64)(acc[j:]), in, w0[j:], n, (*[8]float64)(b0[j:]), (*[16]float64)(w1[2*j:]))
+	}
+	if j+4 <= n {
+		o0, o1 = rau4(o0, o1, (*[4]float64)(acc[j:]), in, w0[j:], n, (*[4]float64)(b0[j:]), (*[8]float64)(w1[2*j:]))
+		j += 4
+	}
+	for ; j < n; j++ {
+		c := acc[j]
+		for k, a := range in {
+			if a != 0 {
+				c += a * w0[k*n+j]
+			}
+		}
+		c += b0[j]
+		o0, o1 = rauFeed(o0, o1, c, w1[2*j], w1[2*j+1])
+	}
+	return o0 + b1[0], o1 + b1[1]
+}
+
+// rauFeed adds hidden unit c, before its ReLU, to the two output sums. The
+// generic path clips c with `v < 0` and MatMul then skips a multiplicand
+// that is ±0; `!(c <= 0)` is both tests in one: a negative or zero unit
+// contributes nothing, a NaN does.
+func rauFeed(o0, o1, c, w0, w1 float64) (float64, float64) {
+	if !(c <= 0) {
+		o0 += c * w0
+		o1 += c * w1
+	}
+	return o0, o1
+}
+
+// rau8 is rauRow's 8-unit tile: the accumulators live in locals from acc to
+// the output sums. The weights are taken 4 at a time for the reason mac8
+// gives.
+func rau8(o0, o1 float64, acc *[8]float64, in *[5]float64, w0 []float64, n int, b0 *[8]float64, w1 *[16]float64) (float64, float64) {
+	c0, c1, c2, c3, c4, c5, c6, c7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	off := 0
+	for _, a := range in {
+		if a != 0 {
+			wt := w0[off : off+4 : off+4]
+			c0 += a * wt[0]
+			c1 += a * wt[1]
+			c2 += a * wt[2]
+			c3 += a * wt[3]
+			wt = w0[off+4 : off+8 : off+8]
+			c4 += a * wt[0]
+			c5 += a * wt[1]
+			c6 += a * wt[2]
+			c7 += a * wt[3]
+		}
+		off += n
+	}
+	c0 += b0[0]
+	c1 += b0[1]
+	c2 += b0[2]
+	c3 += b0[3]
+	c4 += b0[4]
+	c5 += b0[5]
+	c6 += b0[6]
+	c7 += b0[7]
+	o0, o1 = rauFeed(o0, o1, c0, w1[0], w1[1])
+	o0, o1 = rauFeed(o0, o1, c1, w1[2], w1[3])
+	o0, o1 = rauFeed(o0, o1, c2, w1[4], w1[5])
+	o0, o1 = rauFeed(o0, o1, c3, w1[6], w1[7])
+	o0, o1 = rauFeed(o0, o1, c4, w1[8], w1[9])
+	o0, o1 = rauFeed(o0, o1, c5, w1[10], w1[11])
+	o0, o1 = rauFeed(o0, o1, c6, w1[12], w1[13])
+	o0, o1 = rauFeed(o0, o1, c7, w1[14], w1[15])
+	return o0, o1
+}
+
+// rau4 is rauRow's 4-unit tile: the accumulators live in locals from acc to
+// the output sums.
+func rau4(o0, o1 float64, acc *[4]float64, in *[5]float64, w0 []float64, n int, b0 *[4]float64, w1 *[8]float64) (float64, float64) {
+	c0, c1, c2, c3 := acc[0], acc[1], acc[2], acc[3]
+	off := 0
+	for _, a := range in {
+		if a != 0 {
+			wt := w0[off : off+4 : off+4]
+			c0 += a * wt[0]
+			c1 += a * wt[1]
+			c2 += a * wt[2]
+			c3 += a * wt[3]
+		}
+		off += n
+	}
+	c0 += b0[0]
+	c1 += b0[1]
+	c2 += b0[2]
+	c3 += b0[3]
+	o0, o1 = rauFeed(o0, o1, c0, w1[0], w1[1])
+	o0, o1 = rauFeed(o0, o1, c1, w1[2], w1[3])
+	o0, o1 = rauFeed(o0, o1, c2, w1[4], w1[5])
+	o0, o1 = rauFeed(o0, o1, c3, w1[6], w1[7])
+	return o0, o1
 }
 
 // computeUtil mirrors adjust's computeUtil closure: softmax the logits per
@@ -266,7 +387,6 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	set := p.Tunnels
 	numFlows, k := sc.key.f, sc.key.k
 	numTunnels := sc.key.t
-	r := sc.key.r
 	invCap := pc.invCap.Val
 
 	tel := m.tele
@@ -296,7 +416,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	// First layer = the plan's prefix + the demand column + bias.
 	l0, l1 := m.mlp1.Layers[0], m.mlp1.Layers[1]
 	copy(sc.mlp1Hidden.Data, sc.mlp1Prefix.Data)
-	accColumn(sc.mlp1Hidden, sc.feat.Data, l0.W.Val.Row(r))
+	accColumn(sc.mlp1Hidden, sc.feat.Data, l0.W.Val.Row(m.Cfg.EmbedDim))
 	tensor.AddRowVecInto(sc.mlp1Hidden, sc.mlp1Hidden, l0.B.Val)
 	reluInPlace(sc.mlp1Hidden.Data)
 	tensor.MatMul(sc.u, sc.mlp1Hidden, l1.W.Val)
@@ -317,27 +437,14 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	// timer below).
 	rsp := sp.StartChild("forward.rau")
 	r0, r1 := m.rau.Layers[0], m.rau.Layers[1]
-	rauW0Tail := tailRows(r0.W.Val, r)
+	hr := sc.key.hr
+	// W0's last five rows: the scalar columns that follow bottleneckEmb.
+	w0s := r0.W.Val.Data[2*m.Cfg.EmbedDim*hr:]
+	b0, w1, b1 := r0.B.Val.Data, r1.W.Val.Data, r1.B.Val.Data
 	it := 0
 	for ; it < m.Cfg.RAUIterations && !expired(ctx); it++ {
 		if tel != nil {
 			span = tel.rauIter.Start()
-		}
-		for t := 0; t < numTunnels; t++ {
-			f := t / k
-			tun := set.Tunnel(f, t%k)
-			// Same smallest-edge-id tie-break as adjust: series edges tie
-			// exactly on equal-capacity chains.
-			best, bestU := 0, math.Inf(-1)
-			for pi, e := range tun.Edges {
-				uu := sc.util.Data[e]
-				if uu > bestU || (uu == bestU && e < tun.Edges[best]) {
-					bestU = uu
-					best = pi
-				}
-			}
-			sc.btok[t] = pc.clsPos[t] + 1 + best
-			sc.bedge[t] = tun.Edges[best]
 		}
 		denom := sc.mlu + 1e-12
 		mluFeat := (1.0 / 6) * math.Log1p(sc.mlu)
@@ -352,28 +459,29 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			fire := (overrun + atMax) - overrun*atMax
 			sc.edgeRatio[e], sc.edgeBuFeat[e], sc.edgeGatedBu[e] = ratio, buFeat, fire*buFeat
 		}
-		// RAU input tail: [bottleneckEmb | ratio | mluFeat | buFeat |
-		// demandFeat | uFeat] — the columns after the tunnelEmb prefix, in
-		// the exact order adjust's ConcatCols lays them out.
+		// One pass per tunnel, reading util and writing only u[t]: sc.w and
+		// sc.util stay the previous iterate until computeUtil below.
 		for t := 0; t < numTunnels; t++ {
-			row := sc.rest.Row(t)
-			copy(row[:r], sc.h.Row(sc.btok[t]))
-			row[r] = sc.edgeRatio[sc.bedge[t]]
-			row[r+1] = mluFeat
-			row[r+2] = sc.edgeBuFeat[sc.bedge[t]]
-			row[r+3] = sc.feat.Data[t]
-			row[r+4] = math.Tanh((1.0 / 8) * sc.u.Data[t])
-		}
-		copy(sc.rauHidden.Data, sc.rauPrefix.Data)
-		tensor.MatMulAcc(sc.rauHidden, sc.rest, rauW0Tail)
-		tensor.AddRowVecInto(sc.rauHidden, sc.rauHidden, r0.B.Val)
-		reluInPlace(sc.rauHidden.Data)
-		tensor.MatMul(sc.rauOut, sc.rauHidden, r1.W.Val)
-		tensor.AddRowVecInto(sc.rauOut, sc.rauOut, r1.B.Val)
-		for t := 0; t < numTunnels; t++ {
-			base := 0.5 * math.Tanh(sc.rauOut.Data[2*t])
-			gate := 1 / (1 + math.Exp(-sc.rauOut.Data[2*t+1]))
-			gatedBu := sc.edgeGatedBu[sc.bedge[t]]
+			tun := set.Tunnel(t/k, t%k)
+			// Same smallest-edge-id tie-break as adjust: series edges tie
+			// exactly on equal-capacity chains.
+			best, bestU := 0, math.Inf(-1)
+			for pi, e := range tun.Edges {
+				uu := sc.util.Data[e]
+				if uu > bestU || (uu == bestU && e < tun.Edges[best]) {
+					bestU = uu
+					best = pi
+				}
+			}
+			bedge := tun.Edges[best]
+			// The scalar columns after [tunnelEmb | bottleneckEmb], in the
+			// order adjust's ConcatCols lays them out: ratio, mluFeat,
+			// buFeat, demandFeat, uFeat.
+			in := [5]float64{sc.edgeRatio[bedge], mluFeat, sc.edgeBuFeat[bedge], sc.feat.Data[t], math.Tanh((1.0 / 8) * sc.u.Data[t])}
+			o0, o1 := rauRow(sc.rauTok.Row(pc.clsPos[t]+1+best), &in, w0s, b0, w1, b1)
+			base := 0.5 * math.Tanh(o0)
+			gate := 1 / (1 + math.Exp(-o1))
+			gatedBu := sc.edgeGatedBu[bedge]
 			penalty := 6*gatedBu + 4*(gate*gatedBu)
 			sc.u.Data[t] = sc.u.Data[t] + (base - penalty)
 		}

@@ -9,13 +9,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"harpte/internal/autograd"
+	"harpte/internal/te"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
+	"harpte/internal/tunnels"
 )
 
 // TestSplitsBatchBitIdentical holds inference to the tape: Splits must come
@@ -25,8 +29,9 @@ import (
 // build path. The cases cover each branch the engine has: Abilene and
 // GEANT, a KDL-scale graph whose equal-capacity series chains tie exactly on
 // utilization (the RAU bottleneck tie-break, smallest edge id), the
-// mean-pool ablation, no RAU at all, and the all-zero demand Server.canary
-// sends (mean and MLU both 0) between two real ones.
+// mean-pool ablation, no RAU at all, the all-zero demand Server.canary
+// sends (mean and MLU both 0) between two real ones, and layer widths that
+// leave every kernel a 4-wide and a 1-wide remainder tile.
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
@@ -45,6 +50,9 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.MeanPoolTunnels = true
 	t.Run("mean-pool", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
+	cfg = DefaultConfig()
+	cfg.EmbedDim, cfg.Heads, cfg.MLP1Hidden, cfg.RAUHidden = 6, 2, 7, 13
+	t.Run("odd-widths", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
 
 	gm, gctx, gd := largeBench(allPairsProblem(topology.Geant()), 7)
 	t.Run("geant", func(t *testing.T) { checkInferenceMatchesTape(t, gm, gctx, []*tensor.Dense{gd}) })
@@ -88,6 +96,119 @@ func checkInferenceMatchesTape(t *testing.T, m *Model, ctx *Context, demands []*
 	// A Context the engine has never seen: every call builds.
 	for i, d := range demands {
 		assertSameBits(t, "fresh context, snapshot "+string(rune('a'+i)), m.Splits(m.Context(ctx.inner.p), d), want[i])
+	}
+}
+
+// TestRAURowBitIdentical holds the fused row kernel, and the per-token
+// accumulator buildPlan feeds it, to the generic sequence they replace: the
+// gathered [bottleneckEmb | 5 scalars] row through MatMulAcc on the tunnel's
+// prefix → AddRowVecInto → ReLU → MatMul → AddRowVecInto. Hidden widths 1…33
+// cover every 8/4/1 tile remainder. The inputs carry zeros of both signs; in
+// the second regime every operand also carries ±0, ±Inf and NaN, which land
+// under zero and non-zero multiplicands alike — the skips decide whether
+// 0·Inf poisons a sum the generic loops keep finite; the third is the row
+// that is nothing but skips: all-zero inputs and hidden units that are ±0 or
+// clipped, against all-infinite weights, whose answer is the output bias.
+func TestRAURowBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	const rows, r = 8, 5
+	// draw fills a rows×cols matrix from gen.
+	draw := func(rows, cols int, gen func(i int) float64) *tensor.Dense {
+		d := tensor.New(rows, cols)
+		for i := range d.Data {
+			d.Data[i] = gen(i)
+		}
+		return d
+	}
+	// check runs in's rows through both sequences and reports how many of
+	// the outputs came out finite.
+	check := func(what string, prefix, in, w0, b0, w1, b1 *tensor.Dense) (finite int) {
+		t.Helper()
+		hr := prefix.Cols
+		hidden, want := prefix.Clone(), tensor.New(in.Rows, 2)
+		tensor.MatMulAcc(hidden, in, w0)
+		tensor.AddRowVecInto(hidden, hidden, b0)
+		reluInPlace(hidden.Data)
+		tensor.MatMul(want, hidden, w1)
+		tensor.AddRowVecInto(want, want, b1)
+
+		// What buildPlan keeps per token, then what the RAU does per tunnel.
+		acc := prefix.Clone()
+		tensor.MatMulAcc(acc, draw(in.Rows, r, func(i int) float64 { return in.Row(i / r)[i%r] }), rowRange(w0, 0, r))
+		for i := 0; i < in.Rows; i++ {
+			o0, o1 := rauRow(acc.Row(i), (*[5]float64)(in.Row(i)[r:]), w0.Data[r*hr:], b0.Data, w1.Data, b1.Data)
+			for j, g := range []float64{o0, o1} {
+				w := want.Row(i)[j]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s, row %d output %d: fused %v != generic %v", what, i, j, g, w)
+				}
+				if !math.IsNaN(g) && !math.IsInf(g, 0) {
+					finite++
+				}
+			}
+		}
+		return finite
+	}
+
+	finite := map[bool]int{}
+	for hr := 1; hr <= 33; hr++ {
+		for _, nonFinite := range []bool{false, true} {
+			what := fmt.Sprintf("width %d nonFinite=%v", hr, nonFinite)
+			weight := func(int) float64 {
+				if nonFinite && rng.Intn(60) == 0 {
+					return special[rng.Intn(len(special))]
+				}
+				return rng.NormFloat64()
+			}
+			input := func(i int) float64 {
+				if rng.Intn(4) == 0 {
+					return special[rng.Intn(2)]
+				}
+				return weight(i)
+			}
+			finite[nonFinite] += check(what, draw(rows, hr, weight), draw(rows, r+5, input),
+				draw(r+5, hr, weight), draw(1, hr, weight), draw(hr, 2, weight), draw(1, 2, weight))
+		}
+		signedZero := func(i int) float64 { return special[i%2] }
+		inf := func(i int) float64 { return special[2+i%2] }
+		b0 := draw(1, hr, signedZero)
+		b0.Data[hr/2] = -1.5
+		if check(fmt.Sprintf("width %d all skips", hr), draw(1, hr, signedZero), draw(1, r+5, signedZero),
+			draw(r+5, hr, inf), b0, draw(hr, 2, inf), draw(1, 2, func(int) float64 { return rng.NormFloat64() })) != 2 {
+			t.Fatalf("width %d: a skipped term reached the all-skips row's sums", hr)
+		}
+	}
+	// With specials in the operands most outputs are NaN on both sides; the
+	// ones that are not are where a wrong skip would show.
+	if finite[false] != 33*rows*2 || finite[true] < 100 {
+		t.Fatalf("finite outputs: %d without specials, %d with — the comparison is vacuous", finite[false], finite[true])
+	}
+}
+
+// TestScratchSizedByTokens: two Contexts on one graph that agree on tunnels,
+// flows, K and edges but not on tunnel lengths — what recomputing tunnels
+// around a failure produces — must not share a token-shaped buffer. They
+// alternate on one goroutine, so each call is handed the scratch the other
+// just returned, and every answer is held to the tape.
+func TestScratchSizedByTokens(t *testing.T) {
+	m := New(tinyConfig())
+	p := twoPathProblem()
+	long := *p.Tunnels
+	long.PerFlow = append([][]tunnels.Tunnel(nil), long.PerFlow...)
+	detour := long.PerFlow[0][1]
+	long.PerFlow[0] = []tunnels.Tunnel{detour, detour} // the direct link's tunnel re-routed
+	q := te.NewProblem(p.Graph, &long)
+	ctxs := []*Context{m.Context(p), m.Context(q)}
+	if a, b := ctxs[0].inner, ctxs[1].inner; len(a.tokenIdx) == len(b.tokenIdx) || len(a.segs) != len(b.segs) {
+		t.Fatalf("want equal tunnel counts and different token counts, got %d/%d tunnels, %d/%d tokens",
+			len(a.segs), len(b.segs), len(a.tokenIdx), len(b.tokenIdx))
+	}
+	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
+	for round := 0; round < 4; round++ {
+		for i, ctx := range ctxs {
+			assertSameBits(t, fmt.Sprintf("round %d context %d", round, i), m.Splits(ctx, d), tapeSplits(m, ctx, d))
+		}
 	}
 }
 
@@ -211,6 +332,11 @@ func TestPlanNeverStale(t *testing.T) {
 			par.Val.Data[len(par.Val.Data)-1] += 0.25
 			check(t, "after writing param "+string(rune('a'+i)), m, ctx)
 		}
+		// And inside the one block of weights the plan keeps a product of
+		// per token: the RAU first layer's bottleneckEmb rows, r … 2r-1.
+		w0 := m.rau.Layers[0].W.Val
+		w0.Row(m.Cfg.EmbedDim + 1)[2] += 0.25
+		check(t, "after writing the RAU first layer's bottleneck block", m, ctx)
 	})
 
 	t.Run("two-models", func(t *testing.T) {
