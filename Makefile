@@ -30,7 +30,9 @@ test:
 
 # race covers the packages with real concurrency: the tensor kernels' row
 # fan-out and the autograd/nn layers above them, core's parallel train step
-# and pooled inference engine, obs's scrape-while-write registry,
+# and pooled inference engine, obs's scrape-while-write registry, reqtrace's
+# concurrent annotate/End/export and its stage-histogram feed (named: Go does
+# not descend from ./internal/obs),
 # resilience's Serve/Reload/Drain churn hammer, the breaker half-open
 # contention pin and the mid-RAU deadline and cancellation tests, chaos's
 # fault-injecting filesystem and replica-fault injectors under torture, the
@@ -39,7 +41,7 @@ test:
 # the correlated-disaster scenario), and the differential-oracle suite.
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
-	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/core ./internal/obs ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
+	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
 
 # fuzzsmoke gives each native fuzz target a short budget (go test allows
 # one -fuzz pattern per invocation, hence one line per target; ~15-30s

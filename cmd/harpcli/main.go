@@ -41,6 +41,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,6 +56,7 @@ import (
 	"harpte/internal/experiments"
 	"harpte/internal/lp"
 	"harpte/internal/obs"
+	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/topology"
 	"harpte/internal/traffic"
@@ -144,7 +146,7 @@ func cmdTrain(args []string) {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
 	defer startProfiles(*cpuProf, *memProf)()
-	reg, stopAdmin := startAdmin(*metricsAddr)
+	reg, _, stopAdmin := startAdmin(*metricsAddr)
 	defer stopAdmin()
 
 	g := buildTopologyOrFile(*topoName, *topoFile, *seed)
@@ -180,10 +182,7 @@ func cmdTrain(args []string) {
 	tc.CheckpointPath = *ckpt
 	tc.CheckpointEvery = 1
 	tc.Resume = *resume
-	if reg != nil {
-		m.EnableTelemetry(reg)
-		tc.Metrics = reg
-	}
+	tc.Metrics = reg
 	if *logJSON {
 		tc.Log = nil
 		tc.Logger = obs.NewLogger(os.Stderr, true)
@@ -241,7 +240,7 @@ func cmdEval(args []string) {
 		fatal(fmt.Errorf("eval requires -model"))
 	}
 	defer startProfiles(*cpuProf, *memProf)()
-	reg, stopAdmin := startAdmin(*metricsAddr)
+	_, rec, stopAdmin := startAdmin(*metricsAddr)
 	defer stopAdmin()
 	f, err := os.Open(*modelPath)
 	if err != nil {
@@ -251,9 +250,6 @@ func cmdEval(args []string) {
 	f.Close()
 	if err != nil {
 		fatal(err)
-	}
-	if reg != nil {
-		m.EnableTelemetry(reg)
 	}
 
 	g := buildTopology(*topoName, *seed)
@@ -279,12 +275,21 @@ func cmdEval(args []string) {
 	p := te.NewProblem(g, set)
 	ctx := m.Context(p)
 
+	// Each inference runs under its own trace when -metrics-addr started a
+	// recorder (nil otherwise: StartTrace hands the context back untouched),
+	// so /metrics carries the stage histograms and /debug/traces the spans.
+	splits := func(d *tensor.Dense) *tensor.Dense {
+		tctx, root := rec.StartTrace(context.Background(), "eval.splits")
+		defer root.End()
+		w, _ := m.SplitsCtx(tctx, ctx, d)
+		return w
+	}
 	tms := experiments.SyntheticTMs(g, set, *numTMs, *seed)
 	var norms []float64
 	for _, tm := range tms {
 		d := traffic.DemandVector(tm, set.Flows)
 		opt := lp.Solve(p, d)
-		mlu := p.MLU(m.Splits(ctx, d), d)
+		mlu := p.MLU(splits(d), d)
 		norms = append(norms, te.NormMLU(mlu, opt.MLU))
 	}
 	fmt.Printf("NormMLU over %d matrices: %s\n", len(norms),
@@ -293,7 +298,7 @@ func cmdEval(args []string) {
 	if *report {
 		d := traffic.DemandVector(tms[0], set.Flows)
 		fmt.Println()
-		if err := p.WriteReport(os.Stdout, m.Splits(ctx, d), d, 6); err != nil {
+		if err := p.WriteReport(os.Stdout, splits(d), d, 6); err != nil {
 			fatal(err)
 		}
 	}
@@ -353,22 +358,26 @@ func startProfiles(cpu, mem string) func() {
 }
 
 // startAdmin starts the observability admin endpoint on addr and returns
-// the registry behind it (runtime gauges pre-registered) plus a shutdown
-// function. An empty addr disables telemetry: the registry is nil and all
-// instrumentation stays on its zero-overhead path.
-func startAdmin(addr string) (*obs.Registry, func()) {
+// the registry behind /metrics (runtime gauges pre-registered), the flight
+// recorder behind /debug/traces (its spans feed the registry's stage
+// histograms), and a shutdown function. An empty addr disables telemetry:
+// registry and recorder are nil and all instrumentation stays on its
+// zero-overhead path.
+func startAdmin(addr string) (*obs.Registry, *reqtrace.Recorder, func()) {
 	if addr == "" {
-		return nil, func() {}
+		return nil, nil, func() {}
 	}
 	reg := obs.NewRegistry()
 	core.RegisterRuntimeGauges(reg)
 	obs.RegisterBuildInfo(reg, obs.L("component", "harpcli"))
-	admin, err := obs.ServeAdmin(addr, reg)
+	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec.EnableTelemetry(reg)
+	admin, err := obs.ServeAdminOpts(addr, obs.AdminOptions{Registry: reg, Traces: rec})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (expvar and pprof under /debug/)\n", admin.Addr())
-	return reg, func() { admin.Close() }
+	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (traces, expvar and pprof under /debug/)\n", admin.Addr())
+	return reg, rec, func() { admin.Close() }
 }
 
 func mustParse(fs *flag.FlagSet, args []string) {

@@ -139,9 +139,11 @@ func main() {
 		reg = obs.NewRegistry()
 		core.RegisterRuntimeGauges(reg)
 		obs.RegisterBuildInfo(reg, obs.L("component", "tereplay"))
-		// One SLO set shared by all replicas: burn-rate gauges are
-		// last-writer-wins per label set, so per-server sets would shadow
-		// each other on a shared registry.
+		// Every ended span feeds harp_request_stage_seconds{stage}.
+		rec.EnableTelemetry(reg)
+		// One SLO set shared by all replicas: a burn-rate series reports
+		// the sum of the functions registered on it, so per-server sets
+		// would add their ratios up on a shared registry.
 		slos = resilience.NewSLOSet(resilience.SLOConfig{})
 		slos.Register(reg)
 		admin, err := obs.ServeAdminOpts(*metrics, obs.AdminOptions{Registry: reg, Traces: rec})
@@ -192,10 +194,7 @@ func main() {
 	model := core.New(core.DefaultConfig())
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = *epochs
-	if reg != nil {
-		model.EnableTelemetry(reg)
-		tc.Metrics = reg
-	}
+	tc.Metrics = reg
 	fmt.Printf("training on %d snapshots (%d validation)...\n", len(trainInst), len(valInst))
 	res := model.Fit(experiments.HarpSamples(model, trainInst),
 		experiments.HarpSamples(model, valInst), tc)
@@ -228,11 +227,10 @@ func main() {
 			Quality:          qm,
 			OOD:              guard,
 		})
-		if reg != nil {
-			// Same metric names resolve to shared counters, so the
-			// registry shows the fleet-wide aggregate.
-			servers[i].EnableTelemetry(reg)
-		}
+		// Same metric names resolve to shared counters, and scrape-time
+		// views on one series add up, so the registry shows the
+		// fleet-wide aggregate.
+		servers[i].EnableTelemetry(reg)
 		backends[i] = fleet.Local{S: servers[i]}
 	}
 	// Scenario maintenance waves quarantine replicas through these shims;
@@ -255,9 +253,7 @@ func main() {
 			ShardByTopology: *shard,
 		})
 		defer fl.Close()
-		if reg != nil {
-			fl.EnableTelemetry(reg)
-		}
+		fl.EnableTelemetry(reg)
 	}
 
 	serveOne := func(p *te.Problem, d *tensor.Dense) resilience.Decision {

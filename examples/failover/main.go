@@ -22,12 +22,14 @@
 // dispatch, hedged requests after the adaptive -hedge-quantile latency
 // delay, and failover retries bounded by the -retry-budget token bucket.
 // With -metrics-addr the run serves the observability admin endpoint:
-// training gauges, per-stage forward-pass histograms, and the
-// harp_fleet_* series appear on /metrics while the failure sweep
-// executes.
+// training gauges, the per-stage request histograms
+// (harp_request_stage_seconds, one observation per span of each served
+// request) and the harp_fleet_* series appear on /metrics, and the
+// retained traces on /debug/traces, while the failure sweep executes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,6 +39,7 @@ import (
 	"harpte/internal/fleet"
 	"harpte/internal/lp"
 	"harpte/internal/obs"
+	"harpte/internal/obs/reqtrace"
 	"harpte/internal/resilience"
 	"harpte/internal/te"
 	"harpte/internal/topology"
@@ -59,10 +62,13 @@ func main() {
 	)
 	flag.Parse()
 	var reg *obs.Registry
+	var rec *reqtrace.Recorder
 	if *metrics != "" {
 		reg = obs.NewRegistry()
 		core.RegisterRuntimeGauges(reg)
-		admin, err := obs.ServeAdmin(*metrics, reg)
+		rec = reqtrace.NewRecorder(reqtrace.Options{})
+		rec.EnableTelemetry(reg)
+		admin, err := obs.ServeAdminOpts(*metrics, obs.AdminOptions{Registry: reg, Traces: rec})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,9 +90,6 @@ func main() {
 		traffic.CapToAccess(tm, g, 0.35)
 	}
 	model := core.New(core.DefaultConfig())
-	if reg != nil {
-		model.EnableTelemetry(reg)
-	}
 	hctx := model.Context(healthy)
 	var train, val []core.Sample
 	for i, tm := range tms[:32] {
@@ -120,9 +123,7 @@ func main() {
 			BreakerThreshold: *brkN,
 			BreakerCooloff:   *brkCool,
 		})
-		if reg != nil {
-			srv.EnableTelemetry(reg)
-		}
+		srv.EnableTelemetry(reg)
 		backends[i] = fleet.Local{S: srv}
 	}
 	fl := fleet.New(backends, fleet.Options{
@@ -133,12 +134,17 @@ func main() {
 		ProbeDemand:   demand,
 	})
 	defer fl.Close()
-	if reg != nil {
-		fl.EnableTelemetry(reg)
+	fl.EnableTelemetry(reg)
+	// One root span per served request; on a nil recorder (no
+	// -metrics-addr) StartTrace hands the context back untouched.
+	serve := func(p *te.Problem) fleet.Decision {
+		ctx, root := rec.StartTrace(context.Background(), "request")
+		defer root.End()
+		return fl.ServeCtx(ctx, p, demand)
 	}
 
 	// The test matrix and the splits HARP chose before any failure.
-	pre := fl.Serve(healthy, demand)
+	pre := serve(healthy)
 	if pre.Err != nil {
 		log.Fatalf("healthy serve failed: %v", pre.Err)
 	}
@@ -163,7 +169,7 @@ func main() {
 			continue
 		}
 
-		dec := fl.Serve(failed, demand)
+		dec := serve(failed)
 		if dec.Err != nil {
 			fmt.Printf("  %2d<->%-2d   (serve failed: %v)\n", link[0], link[1], dec.Err)
 			continue

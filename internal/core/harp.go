@@ -24,7 +24,6 @@ import (
 
 	"harpte/internal/autograd"
 	"harpte/internal/nn"
-	"harpte/internal/obs"
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
@@ -145,11 +144,6 @@ type Model struct {
 	// lossHook, when set (TrainConfig.LossHook / fault-injection tests),
 	// observes and may replace each batch loss before the health guard.
 	lossHook func(float64) float64
-
-	// tele, when set (EnableTelemetry), traces each forward pass per
-	// architecture stage. Nil means disabled: Forward then takes one
-	// nil-check per stage and reads no clocks.
-	tele *modelTelemetry
 }
 
 // New constructs a HARP model with freshly initialized parameters.
@@ -323,17 +317,11 @@ type embedding struct {
 // per-stage child spans (request tracing); all reqtrace calls are
 // nil-safe no-ops otherwise.
 func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) embedding {
-	tel := m.tele
-	var span obs.Span
-
 	// ---- 1. topology embedding (GNN) ----
 	// Gathers over Context-owned index slices use the Stable variant:
 	// contexts are immutable, so the defensive copy GatherRows makes is
 	// wasted work on the hot path.
 	gsp := sp.StartChild("forward.gnn")
-	if tel != nil {
-		span = tel.gnn.Start()
-	}
 	nodeEmb := m.gnn.Forward(tp, ctx.aHat, ctx.feats) // V×gnnOut
 	srcEmb := tp.GatherRowsStable(nodeEmb, ctx.srcIdx)
 	dstEmb := tp.GatherRowsStable(nodeEmb, ctx.dstIdx)
@@ -344,10 +332,6 @@ func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) em
 	// ---- 2. tunnel embeddings (SETTRANS over hyperedge tokens) ----
 	gsp.End()
 	ssp := sp.StartChild("forward.settrans")
-	if tel != nil {
-		span.End()
-		span = tel.settrans.Start()
-	}
 	withCLS := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r
 	tokens := tp.GatherRowsStable(withCLS, ctx.tokenIdx)
 	var emb embedding
@@ -359,9 +343,6 @@ func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) em
 	} else {
 		emb.h = m.settrans.Forward(tp, tokens, ctx.segs)
 		emb.tunnelEmb = tp.GatherRowsStable(emb.h, ctx.clsPos) // T×r
-	}
-	if tel != nil {
-		span.End()
 	}
 	ssp.End()
 	return emb
@@ -392,16 +373,7 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 	numTunnels := numFlows * k
 	h, tunnelEmb := emb.h, emb.tunnelEmb
 
-	// Stage tracing (EnableTelemetry): tel is nil when disabled, and each
-	// site below is gated on that one check — no clock reads, no
-	// allocations, so the zero-alloc pins hold either way.
-	tel := m.tele
-	var span obs.Span
-
 	// ---- demand features and constants ----
-	if tel != nil {
-		span = tel.mlp1.Start()
-	}
 	demandFeat, demandTunnel := m.demandInputs(tp, ctx, demand)
 
 	// ---- 3. initial split predictor (MLP1) ----
@@ -423,13 +395,7 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 	}
 	var w *autograd.Tensor
 	w, util, mlu = computeUtil(u)
-	if tel != nil {
-		span.End()
-	}
 	for it := 0; it < m.Cfg.RAUIterations; it++ {
-		if tel != nil {
-			span = tel.rauIter.Start()
-		}
 		// Bottleneck edge of every tunnel under the current utilizations
 		// (numeric inspection of the eagerly computed forward values). The
 		// index scratch comes from the tape arena — valid until Reset, which
@@ -496,12 +462,6 @@ func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, deman
 		adjust := tp.Sub(base, penalty)
 		u = tp.Add(u, adjust)
 		w, util, mlu = computeUtil(u)
-		if tel != nil {
-			span.End()
-		}
-	}
-	if tel != nil {
-		tel.passes.Inc()
 	}
 	return ForwardResult{Splits: w, Util: util, MLU: mlu}
 }

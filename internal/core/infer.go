@@ -66,7 +66,6 @@ import (
 	"time"
 
 	"harpte/internal/autograd"
-	"harpte/internal/obs"
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
@@ -389,12 +388,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	numTunnels := sc.key.t
 	invCap := pc.invCap.Val
 
-	tel := m.tele
-	var span obs.Span
 	msp := sp.StartChild("forward.mlp1")
-	if tel != nil {
-		span = tel.mlp1.Start()
-	}
 
 	// ---- demand features (mirrors demandInputs) ----
 	mean := 0.0
@@ -425,16 +419,12 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 		sc.u.Data[i] = 3 * math.Tanh((1.0/3)*v)
 	}
 	sc.computeUtil(p, invCap)
-	if tel != nil {
-		span.End()
-	}
 	msp.End()
 
 	// ---- 4. recurrent adjustment unit ----
 	// One span covers the whole RAU loop — per-iteration spans would put
 	// tens of clock reads on the hot path; the count of iterations that ran
-	// is an attribute instead (the per-iteration histogram is the obs stage
-	// timer below).
+	// is an attribute instead.
 	rsp := sp.StartChild("forward.rau")
 	r0, r1 := m.rau.Layers[0], m.rau.Layers[1]
 	hr := sc.key.hr
@@ -443,9 +433,6 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	b0, w1, b1 := r0.B.Val.Data, r1.W.Val.Data, r1.B.Val.Data
 	it := 0
 	for ; it < m.Cfg.RAUIterations && !expired(ctx); it++ {
-		if tel != nil {
-			span = tel.rauIter.Start()
-		}
 		denom := sc.mlu + 1e-12
 		mluFeat := (1.0 / 6) * math.Log1p(sc.mlu)
 		// adjust's ratio, buFeat and penalty trigger are functions of the
@@ -486,15 +473,9 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			sc.u.Data[t] = sc.u.Data[t] + (base - penalty)
 		}
 		sc.computeUtil(p, invCap)
-		if tel != nil {
-			span.End()
-		}
 	}
 	rsp.AnnotateInt("iterations", int64(it))
 	rsp.End()
-	if tel != nil {
-		tel.passes.Inc()
-	}
 	return sc.w, it
 }
 

@@ -26,7 +26,6 @@ func (m *Model) shadow() *Model {
 	s.settrans = m.settrans.CloneShared()
 	s.mlp1 = m.mlp1.CloneShared()
 	s.rau = m.rau.CloneShared()
-	s.tele = m.tele
 	// Same collection order as New, so snapshot/restore and gradient
 	// reduction can pair params positionally across replicas.
 	s.params = append(s.params, s.cls)
@@ -41,11 +40,6 @@ func (m *Model) replicas(n int) []*Model {
 	defer m.repMu.Unlock()
 	for len(m.reps) < n-1 {
 		m.reps = append(m.reps, m.shadow())
-	}
-	// Replicas may predate EnableTelemetry; re-sync so traced training
-	// covers every worker's forwards.
-	for _, rep := range m.reps[:n-1] {
-		rep.tele = m.tele
 	}
 	return m.reps[:n-1]
 }

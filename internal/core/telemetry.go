@@ -1,12 +1,11 @@
 package core
 
-// Telemetry integration for the model and the training loop. Everything
-// here follows the obs package's nil-safety contract: a model or training
-// run without telemetry carries nil handles, every instrumentation site is
-// gated on a single nil check, and the disabled path reads no clocks and
-// allocates nothing — the PR-2 allocation pins on the hot path hold with
-// telemetry off, and (because obs instruments don't allocate either) with
-// it on.
+// Telemetry integration for the training loop. It follows the obs
+// package's nil-safety contract: a training run without telemetry carries
+// nil handles and the disabled path reads no clocks and allocates nothing.
+// The forward pass has no instruments of its own: inference stages are
+// reqtrace spans (infer.go), timed when the request carries one, and the
+// tape Forward is uninstrumented reference code.
 
 import (
 	"time"
@@ -18,15 +17,6 @@ import (
 // Metric names emitted by this package. Exported as constants so tests,
 // dashboards and docs reference one spelling.
 const (
-	// MetricForwardStageSeconds is a histogram family labeled
-	// stage="gnn"|"settrans"|"mlp1"|"rau_iter" timing the architecture
-	// stages of every traced forward pass (Figure 2's four modules; each
-	// RAU iteration is one observation). An inference that finds its plan
-	// (infer.go) runs no gnn or settrans stage, so the settrans count over
-	// MetricForwardPasses is the plan build rate.
-	MetricForwardStageSeconds = "harp_forward_stage_seconds"
-	// MetricForwardPasses counts completed traced forward passes.
-	MetricForwardPasses = "harp_forward_passes_total"
 	// MetricTrainLoss is a gauge holding the latest epoch's mean loss.
 	MetricTrainLoss = "harp_train_loss"
 	// MetricTrainValMLU is a gauge holding the latest epoch's validation MLU.
@@ -49,38 +39,6 @@ const (
 	// surface as errors instead).
 	MetricCheckpointRetries = "harp_checkpoint_retries_total"
 )
-
-// modelTelemetry holds the pre-resolved instrument handles Forward uses.
-// A nil *modelTelemetry disables tracing.
-type modelTelemetry struct {
-	gnn      *obs.Stage
-	settrans *obs.Stage
-	mlp1     *obs.Stage
-	rauIter  *obs.Stage
-	passes   *obs.Counter
-}
-
-// EnableTelemetry attaches forward-pass tracing to the model: each Splits
-// / Forward call records per-stage latency histograms
-// (MetricForwardStageSeconds) and a completed-pass counter on reg.
-// Passing nil detaches. The setting propagates to data-parallel training
-// replicas; it is not safe to flip concurrently with in-flight forwards, so
-// enable before training or serving starts.
-func (m *Model) EnableTelemetry(reg *obs.Registry) {
-	if reg == nil {
-		m.tele = nil
-		return
-	}
-	tr := obs.NewTracer(reg, MetricForwardStageSeconds,
-		"Wall-clock seconds per HARP forward-pass architecture stage.", nil)
-	m.tele = &modelTelemetry{
-		gnn:      tr.Stage("gnn"),
-		settrans: tr.Stage("settrans"),
-		mlp1:     tr.Stage("mlp1"),
-		rauIter:  tr.Stage("rau_iter"),
-		passes:   reg.Counter(MetricForwardPasses, "Completed traced HARP forward passes."),
-	}
-}
 
 // trainTelemetry holds the training-loop instruments. A nil
 // *trainTelemetry disables them; all methods are nil-safe.

@@ -3,19 +3,28 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"harpte/internal/obs"
+	"harpte/internal/obs/reqtrace"
 	"harpte/internal/tensor"
 )
 
-// TestForwardStageTracing: traced Splits calls on one Context record the
-// embedding stages once — the first call builds the plan, the rest find it —
-// and the demand-dependent stages every call, one rau_iter observation per
-// configured RAU iteration, with the same outputs as an untraced model.
+// stageCount is how many spans named stage have ended under a recorder
+// feeding reg.
+func stageCount(reg *obs.Registry, stage string) uint64 {
+	return reg.Histogram(reqtrace.MetricRequestStageSeconds, "", nil, obs.L("stage", stage)).Count()
+}
+
+// TestForwardStageTracing: SplitsCtx calls on one Context, each under a
+// span of a recorder that feeds a registry, time the embedding stages once
+// — the first call builds the plan, the rest find it — and the
+// demand-dependent stages every call, the RAU span saying how many
+// iterations ran, with the same outputs as an untraced model.
 func TestForwardStageTracing(t *testing.T) {
 	p := twoPathProblem()
 	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
@@ -25,12 +34,15 @@ func TestForwardStageTracing(t *testing.T) {
 
 	m := New(tinyConfig())
 	reg := obs.NewRegistry()
-	m.EnableTelemetry(reg)
+	rec := reqtrace.NewRecorder(reqtrace.Options{SampleEvery: 1})
+	rec.EnableTelemetry(reg)
 	c := m.Context(p)
 	const passes = 3
 	var got *tensor.Dense
 	for i := 0; i < passes; i++ {
-		got = m.Splits(c, d)
+		ctx, root := rec.StartTrace(context.Background(), "request")
+		got, _ = m.SplitsCtx(ctx, c, d)
+		root.End()
 	}
 	for i, v := range want.Data {
 		if got.Data[i] != v {
@@ -38,30 +50,29 @@ func TestForwardStageTracing(t *testing.T) {
 		}
 	}
 
-	stage := func(name string) uint64 {
-		return reg.Histogram(MetricForwardStageSeconds, "", nil, obs.L("stage", name)).Count()
-	}
-	// settrans count over the pass counter is the plan build rate. Under
+	// forward.settrans over forward.mlp1 is the plan build rate. Under
 	// -race sync.Pool drops items at random, so any pass may have rebuilt.
-	builds := stage("settrans")
-	if stage("gnn") != builds || builds < 1 || builds > passes || (!tensor.RaceEnabled && builds != 1) {
-		t.Fatalf("%d passes on one Context ran gnn %d and settrans %d times, want once each", passes, stage("gnn"), builds)
+	builds := stageCount(reg, "forward.settrans")
+	if stageCount(reg, "forward.gnn") != builds || builds < 1 || builds > passes || (!tensor.RaceEnabled && builds != 1) {
+		t.Fatalf("%d passes on one Context ran gnn %d and settrans %d times, want once each", passes, stageCount(reg, "forward.gnn"), builds)
 	}
-	if got := stage("mlp1"); got != passes {
-		t.Fatalf("stage mlp1 count = %d, want %d", got, passes)
+	for _, stage := range []string{"forward.mlp1", "forward.rau", "request"} {
+		if got := stageCount(reg, stage); got != passes {
+			t.Fatalf("stage %s count = %d, want %d", stage, got, passes)
+		}
 	}
-	if got, want := stage("rau_iter"), uint64(passes*tinyConfig().RAUIterations); got != want {
-		t.Fatalf("rau_iter count = %d, want %d", got, want)
-	}
-	if got := reg.Counter(MetricForwardPasses, "").Value(); got != passes {
-		t.Fatalf("passes counter = %d, want %d", got, passes)
+	for _, tr := range rec.Snapshot().Traces {
+		for _, sp := range tr.Spans {
+			if sp.Name == "forward.rau" && sp.Attrs["iterations"] != int64(tinyConfig().RAUIterations) {
+				t.Fatalf("forward.rau iterations = %v, want %d", sp.Attrs["iterations"], tinyConfig().RAUIterations)
+			}
+		}
 	}
 
-	// Detaching restores the untraced path.
-	m.EnableTelemetry(nil)
+	// A forward under no span is timed by nobody.
 	m.Splits(c, d)
-	if got := reg.Counter(MetricForwardPasses, "").Value(); got != passes {
-		t.Fatalf("detached model still counted a pass: %d", got)
+	if got := stageCount(reg, "forward.mlp1"); got != passes {
+		t.Fatalf("an untraced Splits was observed: mlp1 count %d", got)
 	}
 }
 
@@ -72,7 +83,6 @@ func TestFitPublishesTrainingTelemetry(t *testing.T) {
 	p := twoPathProblem()
 	m := New(tinyConfig())
 	reg := obs.NewRegistry()
-	m.EnableTelemetry(reg)
 
 	tc := TrainConfig{Epochs: 3, LR: 1e-3, BatchSize: 4, Seed: 5,
 		Metrics:        reg,
@@ -112,7 +122,6 @@ func TestFitPublishesTrainingTelemetry(t *testing.T) {
 	for _, want := range []string{
 		"harp_train_loss ", "harp_train_val_mlu ",
 		"harp_train_epochs_total 3",
-		`harp_forward_stage_seconds_bucket{stage="rau_iter",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -150,20 +159,27 @@ func TestFitStructuredLogger(t *testing.T) {
 	}
 }
 
-// TestTracedInferenceAllocsBounded: telemetry must not break the
-// steady-state allocation bound — spans are stack values and histogram
-// observations allocate nothing, so the traced path pins at the same
-// constant as the untraced one.
+// TestTracedInferenceAllocsBounded: "traced" is one whole request trace —
+// StartTrace, SplitsCtx under its root, End — on a recorder with a registry
+// attached. Over the untraced engine's 2 that is 10 more: the trace, its
+// context, three spans, the span list growing three times to hold them, and
+// the plan and iterations annotations. The histogram feed adds nothing once
+// each stage name has been seen.
 func TestTracedInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
 	}
-	m, ctx, samples := abileneBench(1)
-	m.EnableTelemetry(obs.NewRegistry())
+	m, c, samples := abileneBench(1)
+	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec.EnableTelemetry(obs.NewRegistry())
 	d := samples[0].Demand
-	m.Splits(ctx, d)
-	n := testing.AllocsPerRun(20, func() { m.Splits(ctx, d) })
-	if n > 4 {
-		t.Errorf("traced steady-state Splits allocates %v times per run, want <= 4", n)
+	traced := func() {
+		ctx, root := rec.StartTrace(context.Background(), "request")
+		m.SplitsCtx(ctx, c, d)
+		root.End()
+	}
+	traced()
+	if n := testing.AllocsPerRun(20, traced); n > 12 {
+		t.Errorf("traced steady-state request allocates %v times per run, want <= 12 (2 untraced + 10 for the trace)", n)
 	}
 }

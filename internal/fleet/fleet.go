@@ -234,7 +234,8 @@ type Fleet struct {
 
 	quarantined atomic.Int64 // replicas currently quarantined (ejection cap)
 
-	// Always-on plain counters; tel mirrors them into a registry.
+	// The event tallies: Stats reads them, and EnableTelemetry exposes the
+	// same atomics on a registry as read-through counters.
 	served      atomic.Int64
 	fallbacks   atomic.Int64
 	rejected    atomic.Int64
@@ -242,14 +243,12 @@ type Fleet struct {
 	hedgeWins   atomic.Int64
 	retries     atomic.Int64
 	retryDenied atomic.Int64
-	probes      atomic.Int64
+	probeOKs    atomic.Int64
 	probeFails  atomic.Int64
 	ejections   atomic.Int64
 	readmits    atomic.Int64
 	reloadOK    atomic.Int64
 	reloadErr   atomic.Int64
-
-	tel *fleetTelemetry
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -318,7 +317,6 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	// budget proving each replica rejects it too.
 	if err := resilience.ValidateInput(p, demand); err != nil {
 		f.rejected.Add(1)
-		f.tel.requestRecorded(outcomeRejected)
 		sp.SetError(err)
 		return Decision{
 			Decision: resilience.Decision{Tier: resilience.TierRejected, Err: err},
@@ -408,14 +406,12 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 				f.digest.record(out.elapsed)
 				if out.hedge {
 					f.hedgeWins.Add(1)
-					f.tel.hedgeWon()
 					// A hedge that beat the primary is exactly the tail
 					// latency the operator tunes HedgeQuantile against.
 					dsp.Annotate("winner", "hedge")
 					sp.ForceRetain("hedge_win")
 				}
 				f.served.Add(1)
-				f.tel.requestRecorded(outcomeReplica)
 				dsp.AnnotateInt("served_by", int64(out.rep.id))
 				dec.Decision = out.dec
 				dec.Replica = out.rep.id
@@ -509,7 +505,6 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 // exists, records the fleet-level degradation and is always retained.
 func (f *Fleet) fallback(p *te.Problem, dec Decision, err error, sp *reqtrace.Span) Decision {
 	f.fallbacks.Add(1)
-	f.tel.requestRecorded(outcomeFallback)
 	sp.SetError(err)
 	dec.Splits = te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
 	dec.Tier = resilience.TierECMP
@@ -580,15 +575,9 @@ func shardScore(fp uint64, id int) uint64 {
 func (f *Fleet) spend(counter *atomic.Int64) bool {
 	if !f.budget.spend() {
 		f.retryDenied.Add(1)
-		f.tel.retryRefused()
 		return false
 	}
 	counter.Add(1)
-	if counter == &f.hedges {
-		f.tel.hedgeFired()
-	} else {
-		f.tel.retryFired()
-	}
 	return true
 }
 
@@ -616,7 +605,6 @@ func (f *Fleet) hedgeDelay() time.Duration {
 func (f *Fleet) RollingReload(path string) error {
 	fail := func(err error) error {
 		f.reloadErr.Add(1)
-		f.tel.reloadRecorded(false)
 		return err
 	}
 	order := f.reloadOrder()
@@ -639,7 +627,6 @@ func (f *Fleet) RollingReload(path string) error {
 		}
 	}
 	f.reloadOK.Add(1)
-	f.tel.reloadRecorded(true)
 	return nil
 }
 

@@ -93,7 +93,6 @@ func (f *Fleet) onSuccess(r *replica) {
 	if prev == Quarantined && now != Quarantined {
 		f.quarantined.Add(-1)
 		f.readmits.Add(1)
-		f.tel.readmitted()
 	}
 }
 
@@ -124,7 +123,6 @@ func (f *Fleet) onFailure(r *replica) {
 	if prev != Quarantined && now == Quarantined {
 		f.quarantined.Add(1)
 		f.ejections.Add(1)
-		f.tel.ejected()
 	}
 }
 
@@ -140,7 +138,6 @@ func (f *Fleet) quarantineNow(r *replica) {
 	if prev != Quarantined {
 		f.quarantined.Add(1)
 		f.ejections.Add(1)
-		f.tel.ejected()
 	}
 }
 
@@ -182,12 +179,10 @@ func (f *Fleet) CheckHealth() {
 		wg.Add(1)
 		go func(r *replica) {
 			defer wg.Done()
-			f.probes.Add(1)
 			if _, err := f.attempt(context.Background(), r, p, d); err != nil {
 				f.probeFails.Add(1)
-				f.tel.probeRecorded(false)
 			} else {
-				f.tel.probeRecorded(true)
+				f.probeOKs.Add(1)
 			}
 		}(r)
 	}

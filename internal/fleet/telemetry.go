@@ -1,12 +1,11 @@
 package fleet
 
-// Registry-backed telemetry and the plain-Go Stats mirror. Follows the
-// repo-wide discipline: a nil *fleetTelemetry (telemetry disabled) makes
-// every method a no-op, and the always-on atomic counters on Fleet stay
-// authoritative either way.
+// The registry view of the fleet and the plain-Go Stats snapshot: two
+// readers of one set of atomics on Fleet.
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"harpte/internal/obs"
 )
@@ -45,142 +44,41 @@ const (
 	MetricFleetRollingReloads = "harp_fleet_rolling_reloads_total"
 )
 
-type fleetTelemetry struct {
-	reqReplica  *obs.Counter
-	reqFallback *obs.Counter
-	reqRejected *obs.Counter
-	hedges      *obs.Counter
-	hedgeWins   *obs.Counter
-	retries     *obs.Counter
-	retryDenied *obs.Counter
-	probeOK     *obs.Counter
-	probeErr    *obs.Counter
-	ejections   *obs.Counter
-	readmits    *obs.Counter
-	reloadOK    *obs.Counter
-	reloadErr   *obs.Counter
-}
-
-func (t *fleetTelemetry) requestRecorded(outcome int) {
-	if t == nil {
-		return
-	}
-	switch outcome {
-	case outcomeReplica:
-		t.reqReplica.Inc()
-	case outcomeFallback:
-		t.reqFallback.Inc()
-	case outcomeRejected:
-		t.reqRejected.Inc()
-	}
-}
-
-func (t *fleetTelemetry) hedgeFired() {
-	if t != nil {
-		t.hedges.Inc()
-	}
-}
-
-func (t *fleetTelemetry) hedgeWon() {
-	if t != nil {
-		t.hedgeWins.Inc()
-	}
-}
-
-func (t *fleetTelemetry) retryFired() {
-	if t != nil {
-		t.retries.Inc()
-	}
-}
-
-func (t *fleetTelemetry) retryRefused() {
-	if t != nil {
-		t.retryDenied.Inc()
-	}
-}
-
-func (t *fleetTelemetry) probeRecorded(ok bool) {
-	if t == nil {
-		return
-	}
-	if ok {
-		t.probeOK.Inc()
-	} else {
-		t.probeErr.Inc()
-	}
-}
-
-func (t *fleetTelemetry) ejected() {
-	if t != nil {
-		t.ejections.Inc()
-	}
-}
-
-func (t *fleetTelemetry) readmitted() {
-	if t != nil {
-		t.readmits.Inc()
-	}
-}
-
-func (t *fleetTelemetry) reloadRecorded(ok bool) {
-	if t == nil {
-		return
-	}
-	if ok {
-		t.reloadOK.Inc()
-	} else {
-		t.reloadErr.Inc()
-	}
-}
-
-// Request outcomes for the requests_total label.
-const (
-	outcomeReplica = iota
-	outcomeFallback
-	outcomeRejected
-)
-
-// EnableTelemetry attaches fleet telemetry to reg: per-replica health
-// gauges, the serviceable-replica and hedge-delay gauges, and counters
-// for requests by outcome, hedges (fired/won), retries (fired/denied),
-// probes, ejections, re-admissions, and rolling reloads. Gauges read the
-// fleet's live state at scrape time. Passing nil detaches the counters.
-// This does not reach into the replicas — enable their telemetry (e.g.
-// resilience.Server.EnableTelemetry) separately, with distinct registries
-// or shared ones as the deployment wants.
+// EnableTelemetry exposes the fleet on reg: per-replica health gauges, the
+// serviceable-replica and hedge-delay gauges, and counters for requests by
+// outcome, hedges (fired/won), retries (fired/denied), probes, ejections,
+// re-admissions, and rolling reloads. Every series is a read-through view,
+// evaluated at scrape time, of the state Stats reads — there is no second
+// tally to drift, and attaching late loses no history. Call it once per
+// fleet; several fleets on one registry report their sum. No-op on a nil
+// registry. This does not reach into the replicas — enable their telemetry
+// (e.g. resilience.Server.EnableTelemetry) separately, with distinct
+// registries or shared ones as the deployment wants.
 func (f *Fleet) EnableTelemetry(reg *obs.Registry) {
 	if reg == nil {
-		f.tel = nil
 		return
 	}
-	f.tel = &fleetTelemetry{
-		reqReplica: reg.Counter(MetricFleetRequests,
-			"Fleet Serve calls by outcome.", obs.L("outcome", "replica")),
-		reqFallback: reg.Counter(MetricFleetRequests,
-			"Fleet Serve calls by outcome.", obs.L("outcome", "fallback")),
-		reqRejected: reg.Counter(MetricFleetRequests,
-			"Fleet Serve calls by outcome.", obs.L("outcome", "rejected")),
-		hedges: reg.Counter(MetricFleetHedges,
-			"Hedge attempts fired after the adaptive hedge delay."),
-		hedgeWins: reg.Counter(MetricFleetHedgeWins,
-			"Requests answered first by their hedge attempt."),
-		retries: reg.Counter(MetricFleetRetries,
-			"Failover retries beyond the primary attempt."),
-		retryDenied: reg.Counter(MetricFleetRetryDenied,
-			"Hedges and retries refused by the token retry budget."),
-		probeOK: reg.Counter(MetricFleetProbes,
-			"Health-check probe inferences by outcome.", obs.L("result", "ok")),
-		probeErr: reg.Counter(MetricFleetProbes,
-			"Health-check probe inferences by outcome.", obs.L("result", "error")),
-		ejections: reg.Counter(MetricFleetEjections,
-			"Replicas quarantined (outlier ejections and draining replicas)."),
-		readmits: reg.Counter(MetricFleetReadmissions,
-			"Quarantined replicas re-admitted after probation."),
-		reloadOK: reg.Counter(MetricFleetRollingReloads,
-			"Rolling reload attempts by outcome.", obs.L("result", "ok")),
-		reloadErr: reg.Counter(MetricFleetRollingReloads,
-			"Rolling reload attempts by outcome.", obs.L("result", "error")),
+	view := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
+		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
 	}
+	const (
+		requestsHelp = "Fleet Serve calls by outcome."
+		probesHelp   = "Health-check probe inferences by outcome."
+		reloadsHelp  = "Rolling reload attempts by outcome."
+	)
+	view(MetricFleetRequests, requestsHelp, &f.served, obs.L("outcome", "replica"))
+	view(MetricFleetRequests, requestsHelp, &f.fallbacks, obs.L("outcome", "fallback"))
+	view(MetricFleetRequests, requestsHelp, &f.rejected, obs.L("outcome", "rejected"))
+	view(MetricFleetHedges, "Hedge attempts fired after the adaptive hedge delay.", &f.hedges)
+	view(MetricFleetHedgeWins, "Requests answered first by their hedge attempt.", &f.hedgeWins)
+	view(MetricFleetRetries, "Failover retries beyond the primary attempt.", &f.retries)
+	view(MetricFleetRetryDenied, "Hedges and retries refused by the token retry budget.", &f.retryDenied)
+	view(MetricFleetProbes, probesHelp, &f.probeOKs, obs.L("result", "ok"))
+	view(MetricFleetProbes, probesHelp, &f.probeFails, obs.L("result", "error"))
+	view(MetricFleetEjections, "Replicas quarantined (outlier ejections and draining replicas).", &f.ejections)
+	view(MetricFleetReadmissions, "Quarantined replicas re-admitted after probation.", &f.readmits)
+	view(MetricFleetRollingReloads, reloadsHelp, &f.reloadOK, obs.L("result", "ok"))
+	view(MetricFleetRollingReloads, reloadsHelp, &f.reloadErr, obs.L("result", "error"))
 	for _, r := range f.replicas {
 		r := r
 		reg.GaugeFunc(MetricFleetReplicaState,
@@ -205,8 +103,7 @@ func (f *Fleet) EnableTelemetry(reg *obs.Registry) {
 }
 
 // Stats is a point-in-time snapshot of the fleet's operational counters —
-// the plain-Go mirror of the registry metrics, available without
-// telemetry enabled.
+// what the registry metrics read, available without telemetry enabled.
 type Stats struct {
 	// Replica census by health state.
 	Replicas    int
@@ -244,7 +141,7 @@ func (f *Fleet) Stats() Stats {
 		HedgeWins:             f.hedgeWins.Load(),
 		Retries:               f.retries.Load(),
 		RetryBudgetDenied:     f.retryDenied.Load(),
-		Probes:                f.probes.Load(),
+		Probes:                f.probeOKs.Load() + f.probeFails.Load(),
 		ProbeFailures:         f.probeFails.Load(),
 		Ejections:             f.ejections.Load(),
 		Readmissions:          f.readmits.Load(),

@@ -17,8 +17,8 @@ type Admin struct {
 }
 
 // TraceDumper exports retained request traces as JSON — implemented by
-// *reqtrace.Recorder. An interface here keeps obs decoupled from the
-// recorder package (which is stdlib-only and must not import obs).
+// *reqtrace.Recorder. An interface here because the recorder package
+// imports obs (its spans feed a histogram family), so obs cannot import it.
 type TraceDumper interface {
 	WriteJSON(w io.Writer) error
 }

@@ -1,8 +1,9 @@
 // Package obs is the repo's stdlib-only telemetry layer: a concurrent
 // metrics registry (counters, gauges, histograms with exponential latency
-// buckets), a structured logger built on log/slog, a lightweight span
-// tracer for naming forward-pass stages, and an optional admin HTTP
-// endpoint exposing Prometheus text-format /metrics, expvar and pprof.
+// buckets), a structured logger built on log/slog, and an optional admin
+// HTTP endpoint exposing Prometheus text-format /metrics, expvar and pprof.
+// Stage timing lives in the reqtrace subpackage, whose spans feed a
+// histogram family here.
 //
 // Two properties shape every API here:
 //
@@ -203,13 +204,15 @@ func (t metricType) String() string {
 }
 
 // metric is one instrument plus its rendered label signature. Exactly one
-// of counter/gauge/gaugeFn/hist is set.
+// of counter/gauge/hist is set. fn, when set (CounterFunc / GaugeFunc), is
+// added to a counter's or gauge's own value at scrape time; it is written
+// and read under the registry lock.
 type metric struct {
 	labels  []Label
 	sig     string // canonical `k="v",k2="v2"` form (escaped), "" when unlabeled
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() float64
+	fn      func() float64
 	hist    *Histogram
 }
 
@@ -300,14 +303,31 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time. fn must be safe to call concurrently with the writers it reads
-// from (use atomics). No-op on a nil receiver.
+// from (use atomics). A series that already has a function reports the sum
+// of all of them — N servers on one registry expose their aggregate — so
+// each source registers once. No-op on a nil receiver.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.addFunc(name, help, typeGauge, fn, labels)
+}
+
+// CounterFunc is GaugeFunc for a series typed counter: a read-through view
+// of a monotonic tally its registrant already keeps (an atomic that a
+// Stats method reads), for when that registrant is the tally's only source.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.addFunc(name, help, typeCounter, fn, labels)
+}
+
+func (r *Registry) addFunc(name, help string, typ metricType, fn func() float64, labels []Label) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, typeGauge, nil, labels)
+	m := r.lookup(name, help, typ, nil, labels)
 	r.mu.Lock()
-	m.gaugeFn = fn
+	if prev := m.fn; prev != nil {
+		m.fn = func() float64 { return prev() + fn() }
+	} else {
+		m.fn = fn
+	}
 	r.mu.Unlock()
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"strings"
 	"testing"
 	"time"
 )
@@ -61,6 +60,7 @@ func TestNilRegistryAndHandlesAreSafe(t *testing.T) {
 	g := r.Gauge("g", "g")
 	h := r.Histogram("h_seconds", "h", nil)
 	r.GaugeFunc("f", "f", func() float64 { return 1 })
+	r.CounterFunc("f_total", "f", func() float64 { return 1 })
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -72,44 +72,6 @@ func TestNilRegistryAndHandlesAreSafe(t *testing.T) {
 	}
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
-	}
-
-	tr := NewTracer(nil, "t_seconds", "t", nil)
-	if tr != nil {
-		t.Fatal("NewTracer(nil, …) must return a nil tracer")
-	}
-	sp := tr.Stage("gnn").Start()
-	sp.End()
-	tr.Start("gnn").End()
-}
-
-func TestTracerRecordsStageDurations(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "fwd_stage_seconds", "stage latency", nil)
-	gnn := tr.Stage("gnn")
-	if tr.Stage("gnn") != gnn {
-		t.Fatal("Stage must cache handles")
-	}
-	for i := 0; i < 3; i++ {
-		sp := gnn.Start()
-		sp.End()
-	}
-	tr.Start("rau_iter").End()
-	if got := r.Histogram("fwd_stage_seconds", "stage latency", nil, L("stage", "gnn")).Count(); got != 3 {
-		t.Fatalf("gnn stage count = %d, want 3", got)
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`fwd_stage_seconds_count{stage="gnn"} 3`,
-		`fwd_stage_seconds_count{stage="rau_iter"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -36,13 +36,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, fam := range fams {
 		r.mu.Lock()
 		metrics := fam.metrics[:len(fam.metrics):len(fam.metrics)]
+		fns := make([]func() float64, len(metrics))
+		for i, m := range metrics {
+			fns[i] = m.fn
+		}
 		r.mu.Unlock()
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 			fam.name, escapeHelp(fam.help), fam.name, fam.typ); err != nil {
 			return err
 		}
-		for _, m := range metrics {
-			if err := writeMetric(w, fam, m); err != nil {
+		for i, m := range metrics {
+			if err := writeMetric(w, fam, m, fns[i]); err != nil {
 				return err
 			}
 		}
@@ -50,16 +54,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeMetric(w io.Writer, fam *family, m *metric) error {
+// writeMetric renders one instrument; fn is its scrape-time function
+// (nil for most), added to a counter's or gauge's own value.
+func writeMetric(w io.Writer, fam *family, m *metric, fn func() float64) error {
+	var v float64
+	if fn != nil {
+		v = fn()
+	}
 	switch fam.typ {
 	case typeCounter:
-		return writeSample(w, fam.name, m.sig, float64(m.counter.Value()))
+		return writeSample(w, fam.name, m.sig, float64(m.counter.Value())+v)
 	case typeGauge:
-		v := m.gauge.Value()
-		if m.gaugeFn != nil {
-			v = m.gaugeFn()
-		}
-		return writeSample(w, fam.name, m.sig, v)
+		return writeSample(w, fam.name, m.sig, m.gauge.Value()+v)
 	case typeHistogram:
 		counts, sum, count := m.hist.snapshot()
 		var cum uint64

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -30,6 +31,39 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 		if strings.Count(line, `"`)%2 != 0 {
 			t.Fatalf("line with unbalanced quotes (raw newline leaked?): %q", line)
 		}
+	}
+}
+
+// TestFuncSeries: CounterFunc and GaugeFunc are read at scrape time, typed
+// as registered, and a second function on one series adds to the first —
+// N sources on one registry expose their sum, never just the last.
+func TestFuncSeries(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Int64
+	for _, v := range []*atomic.Int64{&a, &b} {
+		v := v
+		r.CounterFunc("hits_total", "hits", func() float64 { return float64(v.Load()) })
+		r.GaugeFunc("depth", "depth", func() float64 { return float64(v.Load()) }, L("q", "x"))
+	}
+	a.Store(2)
+	b.Store(5)
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE hits_total counter\nhits_total 7\n",
+		"# TYPE depth gauge\ndepth{q=\"x\"} 7\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, out.String())
+		}
+	}
+	var none *Registry
+	none.CounterFunc("hits_total", "hits", func() float64 { panic("called on a nil registry") })
+	out.Reset()
+	if err := none.WritePrometheus(&out); err != nil || out.Len() != 0 {
+		t.Fatalf("nil registry wrote %q (err %v)", out.String(), err)
 	}
 }
 

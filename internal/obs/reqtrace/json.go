@@ -24,11 +24,8 @@ type Dump struct {
 
 // TraceDump is one retained trace.
 type TraceDump struct {
-	// Trace is the trace ID in hex; Link, when set, is the trace this one
-	// was spawned from (a batch trace links back to the request that
-	// opened it).
+	// Trace is the trace ID in hex.
 	Trace  string     `json:"trace"`
-	Link   string     `json:"link,omitempty"`
 	Reason string     `json:"retain_reason,omitempty"`
 	Spans  []SpanDump `json:"spans"`
 }
@@ -82,9 +79,6 @@ func (t *trace) export() TraceDump {
 		Reason: t.reason,
 		Spans:  make([]SpanDump, 0, len(t.spans)),
 	}
-	if t.link != 0 {
-		td.Link = fmt.Sprintf("%016x", uint64(t.link))
-	}
 	for _, sp := range t.spans {
 		sd := SpanDump{
 			ID:     uint64(sp.id),
@@ -108,8 +102,6 @@ func (t *trace) export() TraceDump {
 					sd.Attrs[a.Key] = a.Num
 				case KindBool:
 					sd.Attrs[a.Key] = a.Bool
-				case KindTrace:
-					sd.Attrs[a.Key] = fmt.Sprintf("%016x", uint64(a.Int))
 				}
 			}
 		}

@@ -4,8 +4,8 @@
 //
 // A request's root span is opened by Recorder.StartTrace and propagated
 // through the serving layers via context.Context (fleet dispatch →
-// admission → tier selection → micro-batch → forward stages). Each layer
-// attaches child spans and annotations; when the root span ends, the
+// admission → tier selection → forward stages). Each layer attaches child
+// spans and annotations; when the root span ends, the
 // recorder decides — with the whole trace in hand, hence "tail-based" —
 // whether to retain it:
 //
@@ -19,6 +19,12 @@
 // overwrite the oldest), exported as JSON by WriteJSON — the admin
 // endpoint's /debug/traces route and tereplay's -trace-dump flag.
 //
+// The spans are also the stack's one stage timer: with a registry attached
+// (Recorder.EnableTelemetry) every span's End observes its duration into
+// harp_request_stage_seconds{stage="<span name>"}, whether or not the
+// trace is retained, so a /metrics scrape and a trace dump are the same
+// measurement.
+//
 // The package follows the repo's nil-safety discipline: a nil *Recorder
 // and a nil *Span make every method a no-op, so instrumented code calls
 // them unconditionally. With tracing disabled the serve path performs no
@@ -30,11 +36,19 @@ package reqtrace
 
 import (
 	"context"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"harpte/internal/obs"
 )
+
+// MetricRequestStageSeconds is the histogram family every ended span
+// observes its duration into once a registry is attached (label:
+// stage="<span name>", e.g. "fleet.dispatch", "tier.full", "forward.rau").
+const MetricRequestStageSeconds = "harp_request_stage_seconds"
 
 // TraceID identifies one request trace; SpanID one span within it. Span
 // IDs are dense (1, 2, ...) per trace; the root span is always ID 1.
@@ -92,6 +106,13 @@ type Recorder struct {
 	durN   int
 	durIdx int
 	slowNs atomic.Int64 // active p99 threshold in ns; 0 = not yet armed
+
+	// Stage histogram feed (EnableTelemetry); reg nil means off. stages is
+	// never nil and copy-on-write — a span name's first End replaces the
+	// map under stageMu, every later one is a lock-free lookup.
+	reg     *obs.Registry
+	stageMu sync.Mutex
+	stages  atomic.Pointer[map[string]*obs.Histogram]
 }
 
 // NewRecorder builds a flight recorder. Zero Options fields take the
@@ -106,12 +127,52 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.SlowQuantile <= 0 || opts.SlowQuantile >= 1 {
 		opts.SlowQuantile = 0.99
 	}
-	return &Recorder{
+	r := &Recorder{
 		capacity:    opts.Capacity,
 		sampleEvery: uint64(opts.SampleEvery),
 		slowQ:       opts.SlowQuantile,
 		slots:       make([]atomic.Pointer[trace], opts.Capacity),
 	}
+	r.stages.Store(&map[string]*obs.Histogram{})
+	return r
+}
+
+// EnableTelemetry makes the first End of every span — of every trace,
+// retained or not — observe the span's duration into
+// MetricRequestStageSeconds{stage=<span name>} on reg. Call it before the
+// recorder is in use. No-op on a nil receiver or registry.
+func (r *Recorder) EnableTelemetry(reg *obs.Registry) {
+	if r != nil {
+		r.reg = reg
+	}
+}
+
+// observeStage feeds one ended span into its stage histogram. Without a
+// registry it is one nil check; with one it allocates only the first time
+// a name is seen.
+func (r *Recorder) observeStage(name string, d time.Duration) {
+	if r.reg == nil {
+		return
+	}
+	h := (*r.stages.Load())[name]
+	if h == nil {
+		h = r.addStage(name)
+	}
+	h.Observe(d.Seconds())
+}
+
+func (r *Recorder) addStage(name string) *obs.Histogram {
+	r.stageMu.Lock()
+	defer r.stageMu.Unlock()
+	next := maps.Clone(*r.stages.Load())
+	// One bucket set for every stage, 1 µs to 8 s: a cache-hit dispatch
+	// and a KDL plan build land in the same family.
+	h := r.reg.Histogram(MetricRequestStageSeconds,
+		"Wall-clock seconds per request stage (one observation per ended reqtrace span).",
+		obs.ExpBuckets(1e-6, 2, 24), obs.L("stage", name))
+	next[name] = h
+	r.stages.Store(&next)
+	return h
 }
 
 // trace is one request's span collection. The mutex guards the span list
@@ -119,16 +180,14 @@ func NewRecorder(opts Options) *Recorder {
 // concurrently, and the cancelled loser may still be annotating when the
 // winner ends the root — or when WriteJSON exports the published trace.
 type trace struct {
-	rec  *Recorder
-	id   TraceID
-	link TraceID // originating trace, for linked roots (batch spans)
+	rec *Recorder
+	id  TraceID
 
-	mu      sync.Mutex
-	spans   []*Span
-	nextID  SpanID
-	retain  bool
-	reason  string
-	started time.Time
+	mu     sync.Mutex
+	spans  []*Span
+	nextID SpanID
+	retain bool
+	reason string
 }
 
 func (t *trace) newSpan(parent SpanID, name string) *Span {
@@ -136,9 +195,6 @@ func (t *trace) newSpan(parent SpanID, name string) *Span {
 	t.mu.Lock()
 	t.nextID++
 	sp := &Span{tr: t, id: t.nextID, parent: parent, name: name, start: now}
-	if t.nextID == 1 {
-		t.started = now
-	}
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 	return sp
@@ -161,9 +217,6 @@ const (
 	KindInt
 	KindFloat
 	KindBool
-	// KindTrace marks a link to another trace (the value is a TraceID,
-	// rendered in hex by the JSON export).
-	KindTrace
 )
 
 // Attr is one typed span annotation.
@@ -237,21 +290,6 @@ func (sp *Span) StartChild(name string) *Span {
 	return sp.tr.newSpan(sp.id, name)
 }
 
-// NewLinkedRoot opens a new trace in the same recorder whose root span is
-// linked back to sp's trace — the shape used for one shared micro-batch
-// span serving several coalesced request traces. Linked traces are always
-// retained (they exist because several requests pointed at them), so
-// their volume is bounded by 1/batch-size of request volume. Nil-safe.
-func (sp *Span) NewLinkedRoot(name string) *Span {
-	if sp == nil {
-		return nil
-	}
-	r := sp.tr.rec
-	t := &trace{rec: r, id: TraceID(mix64(r.seq.Add(1))), link: sp.tr.id}
-	t.forceRetain("linked")
-	return t.newSpan(0, name)
-}
-
 // TraceID returns the span's trace ID (0 on nil).
 func (sp *Span) TraceID() TraceID {
 	if sp == nil {
@@ -297,12 +335,6 @@ func (sp *Span) AnnotateBool(key string, value bool) {
 	sp.annotate(Attr{Key: key, Kind: KindBool, Bool: value})
 }
 
-// AnnotateTrace attaches a link to another trace (e.g. the shared batch
-// trace a coalesced request was served by). Nil-safe.
-func (sp *Span) AnnotateTrace(key string, id TraceID) {
-	sp.annotate(Attr{Key: key, Kind: KindTrace, Int: int64(id)})
-}
-
 // SetError annotates the span with err and flags the whole trace for
 // retention. Nil-safe in both arguments.
 func (sp *Span) SetError(err error) {
@@ -323,27 +355,29 @@ func (sp *Span) ForceRetain(reason string) {
 	sp.tr.forceRetain(reason)
 }
 
-// End closes the span. Ending the root span (the one StartTrace or
-// NewLinkedRoot returned) finishes the trace: the recorder keeps it if it
-// was flagged, is p99-slow, or wins the 1-in-SampleEvery lottery, and
-// drops it otherwise. Ending a span twice is harmless (the first end time
-// sticks); child spans may end after their root (a hedge's cancelled loser
-// does). Nil-safe.
+// End closes the span and, with a registry attached, observes its duration
+// into the stage histogram. Ending the root span (the one StartTrace
+// returned) finishes the trace: the recorder keeps it if it was flagged, is
+// p99-slow, or wins the 1-in-SampleEvery lottery, and drops it otherwise.
+// Ending a span twice is harmless (the first end time sticks and is
+// observed once); child spans may end after their root (a hedge's cancelled
+// loser does). Nil-safe.
 func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
 	t := sp.tr
 	t.mu.Lock()
-	first := sp.end.IsZero()
-	if first {
-		sp.end = time.Now()
+	if !sp.end.IsZero() {
+		t.mu.Unlock()
+		return
 	}
-	root := sp.id == 1 && sp.parent == 0
-	end := sp.end
+	sp.end = time.Now()
+	dur := sp.end.Sub(sp.start)
 	t.mu.Unlock()
-	if root && first {
-		t.rec.finish(t, end.Sub(sp.start))
+	t.rec.observeStage(sp.name, dur)
+	if sp.id == 1 {
+		t.rec.finish(t, dur)
 	}
 }
 

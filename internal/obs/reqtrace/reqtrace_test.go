@@ -5,10 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
+
+	"harpte/internal/obs"
+	"harpte/internal/tensor"
 )
+
+// stageHist returns reg's stage histogram for a span name (registering an
+// empty one if the recorder never saw that name).
+func stageHist(reg *obs.Registry, stage string) *obs.Histogram {
+	return reg.Histogram(MetricRequestStageSeconds, "", nil, obs.L("stage", stage))
+}
 
 // TestNilSafety: every entry point must no-op on nil receivers — the
 // disabled-tracing serve path calls them unconditionally.
@@ -26,15 +37,11 @@ func TestNilSafety(t *testing.T) {
 	nilSpan.AnnotateInt("k", 1)
 	nilSpan.AnnotateFloat("k", 1.5)
 	nilSpan.AnnotateBool("k", true)
-	nilSpan.AnnotateTrace("k", 7)
 	nilSpan.SetError(errors.New("x"))
 	nilSpan.ForceRetain("because")
 	nilSpan.End()
 	if c := nilSpan.StartChild("child"); c != nil {
 		t.Fatal("child of nil span should be nil")
-	}
-	if lr := nilSpan.NewLinkedRoot("batch"); lr != nil {
-		t.Fatal("linked root of nil span should be nil")
 	}
 	if st := r.RecorderStats(); st != (Stats{}) {
 		t.Fatalf("nil recorder stats = %+v", st)
@@ -175,48 +182,9 @@ func TestSlowRetention(t *testing.T) {
 	}
 }
 
-// TestLinkedRoot: a batch-style linked trace is always retained and
-// links back to its origin; AnnotateTrace round-trips through JSON.
-func TestLinkedRoot(t *testing.T) {
-	r := NewRecorder(Options{SampleEvery: 1 << 30}) // drop all boring traces
-	_, root := r.StartTrace(context.Background(), "request")
-	batch := root.NewLinkedRoot("batch.dispatch")
-	batch.AnnotateInt("size", 3)
-	root.AnnotateTrace("batch_trace", batch.TraceID())
-	root.ForceRetain("test")
-	batch.End()
-	root.End()
-
-	d := r.Snapshot()
-	if len(d.Traces) != 2 {
-		t.Fatalf("retained %d traces, want 2 (request + batch)", len(d.Traces))
-	}
-	var req, bt *TraceDump
-	for i := range d.Traces {
-		switch d.Traces[i].Spans[0].Name {
-		case "request":
-			req = &d.Traces[i]
-		case "batch.dispatch":
-			bt = &d.Traces[i]
-		}
-	}
-	if req == nil || bt == nil {
-		t.Fatalf("missing traces in dump: %+v", d.Traces)
-	}
-	if bt.Link != req.Trace {
-		t.Fatalf("batch link %q != request trace %q", bt.Link, req.Trace)
-	}
-	if got := req.Spans[0].Attrs["batch_trace"]; got != bt.Trace {
-		t.Fatalf("batch_trace attr %v != batch trace id %q", got, bt.Trace)
-	}
-	if bt.Reason != "linked" {
-		t.Fatalf("batch retain reason %q", bt.Reason)
-	}
-}
-
 // TestConcurrentAnnotateAndExport: hedged attempts annotate concurrently
-// with the root ending and a dump running — must not race (run under
-// make race via ./internal/obs/...).
+// with the root ending and a dump running — must not race (make race
+// names this package: `go test ./internal/obs` does not descend into it).
 func TestConcurrentAnnotateAndExport(t *testing.T) {
 	r := NewRecorder(Options{SampleEvery: 1})
 	_, root := r.StartTrace(context.Background(), "request")
@@ -259,5 +227,122 @@ func TestDoubleEndHarmless(t *testing.T) {
 	}
 	if st := r.RecorderStats(); st.Retained != 1 {
 		t.Fatalf("double End published twice: %+v", st)
+	}
+}
+
+// TestStageFeed: with a registry attached, every span's first End — dropped
+// traces included — is one observation of its dump duration under its name;
+// a second End, a recorder without a registry and a nil recorder observe
+// nothing.
+func TestStageFeed(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRecorder(Options{SampleEvery: 2}) // every other trace is dropped
+	r.EnableTelemetry(reg)
+	const traces = 6
+	for i := 0; i < traces; i++ {
+		_, root := r.StartTrace(context.Background(), "request")
+		c := root.StartChild("stage.a")
+		c.End()
+		c.End()
+		root.End()
+		root.End()
+	}
+	if st := r.RecorderStats(); st.Dropped != traces/2 {
+		t.Fatalf("setup: dropped %d traces, want %d", st.Dropped, traces/2)
+	}
+	for _, name := range []string{"request", "stage.a"} {
+		if got := stageHist(reg, name).Count(); got != traces {
+			t.Errorf("stage %q has %d observations, want %d", name, got, traces)
+		}
+	}
+	// Histogram and dump are one measurement: for a single retained trace
+	// of a fresh name the two durations agree (to float rounding, 1 ns).
+	_, root := r.StartTrace(context.Background(), "once")
+	root.ForceRetain("test")
+	root.End()
+	d := r.Snapshot()
+	last := d.Traces[len(d.Traces)-1].Spans[0]
+	if got := stageHist(reg, "once").Sum() * 1e6; last.Name != "once" || math.Abs(got-last.DurUS) > 1e-3 {
+		t.Errorf("stage sum %v µs, dump says %q took %v µs", got, last.Name, last.DurUS)
+	}
+
+	bare := NewRecorder(Options{SampleEvery: 1})
+	_, sp := bare.StartTrace(context.Background(), "unfed")
+	sp.End()
+	var none *Recorder
+	none.EnableTelemetry(reg)
+	_, sp = none.StartTrace(context.Background(), "unfed")
+	sp.End()
+	if got := stageHist(reg, "unfed").Count(); got != 0 {
+		t.Errorf("a recorder with no registry observed %d spans", got)
+	}
+}
+
+// TestStageFeedAllocs: once a span name has been seen, End with a registry
+// attached allocates no more than End without one (nothing at all).
+func TestStageFeedAllocs(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	endAllocs := func(r *Recorder) float64 {
+		const runs = 50
+		spans := make([]*Span, 0, runs+1) // AllocsPerRun warms up once
+		_, root := r.StartTrace(context.Background(), "request")
+		for i := 0; i < cap(spans); i++ {
+			spans = append(spans, root.StartChild("stage.a"))
+		}
+		return testing.AllocsPerRun(runs, func() {
+			spans[len(spans)-1].End()
+			spans = spans[:len(spans)-1]
+		})
+	}
+	fed := NewRecorder(Options{})
+	fed.EnableTelemetry(obs.NewRegistry())
+	_, warm := fed.StartTrace(context.Background(), "request")
+	warm.StartChild("stage.a").End()
+	with, without := endAllocs(fed), endAllocs(NewRecorder(Options{}))
+	if with != without || without != 0 {
+		t.Fatalf("End allocates %v with a registry, %v without; want 0 and 0", with, without)
+	}
+}
+
+// TestConcurrentEndWhileScrape: hedge losers end spans from several
+// goroutines — registering a stage's histogram on a name's first End —
+// while an operator scrapes /metrics. Counts stay exact; run under -race.
+func TestConcurrentEndWhileScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRecorder(Options{SampleEvery: 1})
+	r.EnableTelemetry(reg)
+	names := []string{"fleet.attempt", "tier.full", "forward.mlp1", "forward.rau"}
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				_, root := r.StartTrace(context.Background(), "request")
+				for _, n := range names {
+					root.StartChild(n).End()
+				}
+				root.End()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Errorf("scrape: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for _, n := range append(names, "request") {
+		if got := stageHist(reg, n).Count(); got != workers*perWorker {
+			t.Errorf("stage %q has %d observations, want %d", n, got, workers*perWorker)
+		}
 	}
 }

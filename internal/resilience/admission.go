@@ -133,7 +133,7 @@ func (s *Server) exitInflight() {
 func (s *Server) shed(start time.Time, reason int, err error, sp *reqtrace.Span) Decision {
 	s.sheds[reason].Add(1)
 	s.record(TierShed, start)
-	s.tel.shedRecorded(reason)
+	s.tel.sheds[reason].Inc()
 	if sp != nil {
 		sp.Annotate("shed_reason", shedReasonLabel(reason))
 		sp.ForceRetain("shed")
@@ -151,7 +151,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
 		s.drains.Add(1)
-		s.tel.drainStarted()
+		s.tel.drainsStarted.Inc()
 	}
 	for {
 		if s.inflight.Load() == 0 {

@@ -25,7 +25,7 @@ import (
 func (s *Server) Reload(path string) error {
 	fail := func(stage string, err error) error {
 		s.reloadFailures.Add(1)
-		s.tel.reloadRecorded(false)
+		s.tel.reloadErr.Inc()
 		return fmt.Errorf("resilience: reload %s: %s: %w", path, stage, err)
 	}
 	f, err := os.Open(path)
@@ -40,9 +40,6 @@ func (s *Server) Reload(path string) error {
 	if err := s.canary(m); err != nil {
 		return fail("canary", err)
 	}
-	if reg := s.reg; reg != nil {
-		m.EnableTelemetry(reg)
-	}
 	s.model.Store(m)
 	// Cached answers embody the old weights; they must not outlive them.
 	if s.cache != nil {
@@ -50,8 +47,8 @@ func (s *Server) Reload(path string) error {
 	}
 	gen := s.generation.Add(1)
 	s.reloads.Add(1)
-	s.tel.reloadRecorded(true)
-	s.tel.generationChanged(gen)
+	s.tel.reloadOK.Inc()
+	s.tel.generation.Set(float64(gen))
 	return nil
 }
 

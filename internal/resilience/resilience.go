@@ -198,12 +198,10 @@ type Server struct {
 	// request.
 	model atomic.Pointer[core.Model]
 
-	// reg is the registry EnableTelemetry attached (nil when disabled);
-	// Reload re-attaches it to freshly loaded models.
-	reg *obs.Registry
-	// tel carries the optional telemetry instruments (EnableTelemetry);
-	// nil disables them. All serverTelemetry methods are nil-safe.
-	tel *serverTelemetry
+	// tel carries the registry instruments (EnableTelemetry); its zero
+	// value — every handle nil, every call on one a no-op — is telemetry
+	// off.
+	tel serverTelemetry
 
 	// Admission gate (admission.go). sem is nil when MaxConcurrent == 0.
 	sem      chan struct{}
@@ -309,8 +307,9 @@ const (
 	MetricOODCacheBypasses = "harp_ood_cache_bypasses_total"
 )
 
-// serverTelemetry is the registry-backed half of the tier bookkeeping.
-// Nil disables it; every method no-ops on a nil receiver.
+// serverTelemetry is the registry-backed half of the server's bookkeeping.
+// These are real counters, not views of the Stats atomics, because several
+// servers (and the OOD guard they may share) aggregate into one registry.
 type serverTelemetry struct {
 	requests  [numTiers]*obs.Counter
 	latency   [numTiers]*obs.Histogram
@@ -333,11 +332,10 @@ type serverTelemetry struct {
 	oodBypasses  *obs.Counter
 }
 
-func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
-	if reg == nil {
-		return nil
-	}
-	t := &serverTelemetry{
+// newServerTelemetry resolves the instruments on reg; a nil registry hands
+// out nil handles.
+func newServerTelemetry(reg *obs.Registry) serverTelemetry {
+	t := serverTelemetry{
 		rejects: reg.Counter(MetricServeRejections,
 			"Requests rejected by input validation (no splits produced)."),
 		deadlines: reg.Counter(MetricServeDeadlineExpirations,
@@ -383,104 +381,19 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 	return t
 }
 
-func (t *serverTelemetry) record(tier Tier, elapsed time.Duration) {
-	if t == nil {
-		return
-	}
-	t.requests[tier].Inc()
-	t.latency[tier].Observe(elapsed.Seconds())
-	if tier == TierRejected {
-		t.rejects.Inc()
-	}
-}
-
-func (t *serverTelemetry) deadlineExpired() {
-	if t != nil {
-		t.deadlines.Inc()
-	}
-}
-
-func (t *serverTelemetry) panicRecovered() {
-	if t != nil {
-		t.panics.Inc()
-	}
-}
-
-func (t *serverTelemetry) oodClassified(v OODVerdict) {
-	if t != nil {
-		t.oodVerdicts[v].Inc()
-	}
-}
-
-func (t *serverTelemetry) oodDemoted() {
-	if t != nil {
-		t.oodDemotions.Inc()
-	}
-}
-
-func (t *serverTelemetry) oodCacheBypassed() {
-	if t != nil {
-		t.oodBypasses.Inc()
-	}
-}
-
-func (t *serverTelemetry) shedRecorded(reason int) {
-	if t != nil {
-		t.sheds[reason].Inc()
-	}
-}
-
-func (t *serverTelemetry) drainStarted() {
-	if t != nil {
-		t.drainsStarted.Inc()
-	}
-}
-
-func (t *serverTelemetry) breakerTripped() {
-	if t != nil {
-		t.breakerTrips.Inc()
-	}
-}
-
-func (t *serverTelemetry) breakerShortCircuited() {
-	if t != nil {
-		t.breakerShorts.Inc()
-	}
-}
-
-func (t *serverTelemetry) reloadRecorded(ok bool) {
-	if t == nil {
-		return
-	}
-	if ok {
-		t.reloadOK.Inc()
-	} else {
-		t.reloadErr.Inc()
-	}
-}
-
-func (t *serverTelemetry) generationChanged(gen int64) {
-	if t != nil {
-		t.generation.Set(float64(gen))
-	}
-}
-
 // EnableTelemetry attaches serving telemetry to the server: per-tier
 // request counters and latency histograms; rejection / deadline /
 // panic-recovery / shed / breaker / reload counters; and gauges for queue
 // depth, in-flight requests, the breaker state, and the model generation
-// (the Metric* constants). It also enables forward-pass stage tracing on
-// the model, and Reload re-attaches the same registry to freshly loaded
-// models. Call it before serving starts;
-// passing nil detaches the counters (gauges registered earlier keep
-// reading the server's state).
+// (the Metric* constants). Servers sharing a registry aggregate: counters
+// add up, and so do the scrape-time gauges and split-cache views (the
+// breaker-state series is then the sum of the servers' states: 0 = every
+// breaker closed). Stage timing is not here — attach the registry to the
+// request recorder (reqtrace.Recorder.EnableTelemetry). Call it once,
+// before serving starts; passing nil detaches the counters (views
+// registered earlier keep reading the server's state).
 func (s *Server) EnableTelemetry(reg *obs.Registry) {
-	s.reg = reg
 	s.tel = newServerTelemetry(reg)
-	if reg == nil {
-		return
-	}
-	s.model.Load().EnableTelemetry(reg)
 	reg.GaugeFunc(MetricServeQueueDepth,
 		"Requests waiting for an admission slot.",
 		func() float64 { return float64(s.queued.Load()) })
@@ -492,20 +405,20 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 		func() float64 { st, _, _ := s.breaker.snapshot(); return float64(st) },
 		obs.L("tier", TierFull.String()))
 	if c := s.cache; c != nil {
-		reg.GaugeFunc(MetricSplitCacheHits,
+		reg.CounterFunc(MetricSplitCacheHits,
 			"Split-cache hits served with zero inference.",
 			func() float64 { return float64(c.stats().Hits) })
-		reg.GaugeFunc(MetricSplitCacheMisses,
+		reg.CounterFunc(MetricSplitCacheMisses,
 			"Split-cache misses (request fell through to inference).",
 			func() float64 { return float64(c.stats().Misses) })
-		reg.GaugeFunc(MetricSplitCacheEvictions,
+		reg.CounterFunc(MetricSplitCacheEvictions,
 			"Split-cache LRU evictions.",
 			func() float64 { return float64(c.stats().Evictions) })
 		reg.GaugeFunc(MetricSplitCacheSize,
 			"Split-cache entries currently resident.",
 			func() float64 { return float64(c.stats().Size) })
 	}
-	s.tel.generationChanged(s.generation.Load())
+	s.tel.generation.Set(float64(s.generation.Load()))
 }
 
 // NewServer builds a Server over m. The model is used read-only; training
@@ -652,7 +565,7 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	verdict := OODInProfile
 	if g := s.opts.OOD; g != nil {
 		verdict = g.Classify(p, demand)
-		s.tel.oodClassified(verdict)
+		s.tel.oodVerdicts[verdict].Inc()
 		if verdict != OODInProfile {
 			sp.Annotate("ood", verdict.String())
 			sp.ForceRetain("ood")
@@ -665,7 +578,7 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	if s.cache != nil {
 		if verdict != OODInProfile {
 			s.opts.OOD.bypassedCache()
-			s.tel.oodCacheBypassed()
+			s.tel.oodBypasses.Inc()
 			sp.Annotate("cache", "ood-bypass")
 		} else {
 			if splits := s.cache.get(p, demand); splits != nil {
@@ -706,7 +619,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	}
 	if dec.OOD == OODHostile {
 		s.opts.OOD.demoted()
-		s.tel.oodDemoted()
+		s.tel.oodDemotions.Inc()
 		degrade("ood hostile")
 		return nil
 	}
@@ -721,12 +634,12 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	ctx, cancel := s.withDeadline(ctx, start)
 	defer cancel()
 	if err := ctx.Err(); err != nil {
-		s.tel.deadlineExpired()
+		s.tel.deadlines.Inc()
 		degrade(err)
 		return nil
 	}
 	if !s.breaker.allow() {
-		s.tel.breakerShortCircuited()
+		s.tel.breakerShorts.Inc()
 		degrade("circuit open")
 		return nil
 	}
@@ -735,7 +648,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	splits, k, err := s.safeInfer(reqtrace.NewContext(ctx, tsp), m, c, p, demand)
 	if err != nil {
 		if s.breaker.onFailure() {
-			s.tel.breakerTripped()
+			s.tel.breakerTrips.Inc()
 		}
 		tsp.SetError(err)
 		degrade(err)
@@ -744,7 +657,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	s.breaker.onSuccess()
 	switch {
 	case k < m.Cfg.RAUIterations:
-		s.tel.deadlineExpired()
+		s.tel.deadlines.Inc()
 		degrade(fmt.Sprintf("stopped after %d/%d RAU iterations: %v", k, m.Cfg.RAUIterations, endedBy(ctx)))
 	case s.cache != nil && dec.OOD == OODInProfile:
 		s.cache.put(p, demand, splits)
@@ -791,7 +704,7 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 	s.cacheMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			s.tel.panicRecovered()
+			s.tel.panics.Inc()
 			ctx, err = nil, fmt.Errorf("panic building context: %v", r)
 		}
 	}()
@@ -808,13 +721,13 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 func (s *Server) safeInfer(ctx context.Context, m *core.Model, c *core.Context, p *te.Problem, demand *tensor.Dense) (splits *tensor.Dense, k int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.tel.panicRecovered()
+			s.tel.panics.Inc()
 			splits, err = nil, fmt.Errorf("inference panic: %v", r)
 		}
 	}()
 	splits, k = m.SplitsCtx(ctx, c, demand)
 	if splits == nil {
-		s.tel.deadlineExpired()
+		s.tel.deadlines.Inc()
 		return nil, 0, fmt.Errorf("no RAU iteration finished: %w", endedBy(ctx))
 	}
 	splits, err = vetSplits(p, splits)
@@ -870,15 +783,18 @@ func vetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
 	return splits, nil
 }
 
-// record tallies one answered request: the authoritative per-tier counts
-// under statMu, mirrored into the registry instruments when telemetry is
-// enabled, and scored against the serving SLOs when attached.
+// record tallies one answered request: the per-tier counts under statMu,
+// the registry instruments, and the serving SLOs when attached.
 func (s *Server) record(t Tier, start time.Time) {
 	elapsed := time.Since(start)
 	s.statMu.Lock()
 	s.counts[t]++
 	s.statMu.Unlock()
-	s.tel.record(t, elapsed)
+	s.tel.requests[t].Inc()
+	s.tel.latency[t].Observe(elapsed.Seconds())
+	if t == TierRejected {
+		s.tel.rejects.Inc()
+	}
 	s.opts.SLO.recordServe(t, elapsed)
 }
 

@@ -1,7 +1,10 @@
 package resilience
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,8 +13,14 @@ import (
 
 	"harpte/internal/core"
 	"harpte/internal/obs"
+	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 )
+
+// stageHist returns reg's stage histogram for a span name.
+func stageHist(reg *obs.Registry, stage string) *obs.Histogram {
+	return reg.Histogram(reqtrace.MetricRequestStageSeconds, "", nil, obs.L("stage", stage))
+}
 
 // TestServeTelemetryCountsTiersAndRejections: an instrumented server
 // mirrors every answered request into the registry — per-tier counters,
@@ -22,10 +31,15 @@ func TestServeTelemetryCountsTiersAndRejections(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := NewServer(core.New(tinyConfig()), Options{})
 	srv.EnableTelemetry(reg)
+	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec.EnableTelemetry(reg)
 
 	const good = 3
 	for i := 0; i < good; i++ {
-		if dec := srv.Serve(p, demand(p, 4, 2)); dec.Tier != TierFull {
+		ctx, root := rec.StartTrace(context.Background(), "request")
+		dec := srv.ServeCtx(ctx, p, demand(p, 4, 2))
+		root.End()
+		if dec.Tier != TierFull {
 			t.Fatalf("request %d: tier %v (degraded %v)", i, dec.Tier, dec.Degraded)
 		}
 	}
@@ -47,10 +61,10 @@ func TestServeTelemetryCountsTiersAndRejections(t *testing.T) {
 	if counts[TierFull] != good || counts[TierRejected] != 1 {
 		t.Fatalf("TierCounts = %v, want full=%d rejected=1", counts, good)
 	}
-	// Model-level tracing rides along: EnableTelemetry instruments the
-	// underlying models too.
-	if got := reg.Counter(core.MetricForwardPasses, "").Value(); got == 0 {
-		t.Fatal("serving produced no traced forward passes")
+	// Stage timing rides the request's trace, not the server: the recorder
+	// feeds the same registry, and forward.mlp1's count is the pass count.
+	if got := stageHist(reg, "forward.mlp1").Count(); got != good {
+		t.Fatalf("serving %d traced requests observed %d forward passes", good, got)
 	}
 
 	var b strings.Builder
@@ -154,5 +168,52 @@ func TestTierCountsConsistentSnapshot(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Fatalf("final TierCounts total = %d, want %d (%v)", total, workers*perWorker, counts)
+	}
+}
+
+// TestSharedRegistryAggregates: two servers on one registry, traffic on the
+// first only. Every scrape-time series reports the sum over both servers —
+// the second server's registration adds to the first's, it must never
+// replace it — and the split-cache _total series are counters.
+func TestSharedRegistryAggregates(t *testing.T) {
+	p := twoPathProblem()
+	reg := obs.NewRegistry()
+	a := NewServer(core.New(tinyConfig()), Options{CacheEntries: 4, BreakerThreshold: 1})
+	b := NewServer(core.New(tinyConfig()), Options{CacheEntries: 4, BreakerThreshold: 1})
+	a.EnableTelemetry(reg)
+	b.EnableTelemetry(reg)
+	for i := 0; i < 3; i++ { // one miss, then two hits
+		if dec := a.Serve(p, demand(p, 4, 2)); dec.Err != nil {
+			t.Fatal(dec.Err)
+		}
+	}
+	a.breaker.onFailure() // threshold 1: a's breaker opens, b's stays closed
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Cache.Hits != 2 || sa.Cache.Misses != 1 || sa.Cache.Size != 1 || sa.BreakerState != BreakerOpen {
+		t.Fatalf("setup: server a stats %+v, want 2 hits / 1 miss / 1 entry / breaker open", sa)
+	}
+	series := func(typ, name string, v int64) string {
+		return "# TYPE " + name + " " + typ + "\n" + name + " " + strconv.FormatInt(v, 10) + "\n"
+	}
+	for _, want := range []string{
+		series("counter", MetricSplitCacheHits, sa.Cache.Hits+sb.Cache.Hits),
+		series("counter", MetricSplitCacheMisses, sa.Cache.Misses+sb.Cache.Misses),
+		series("counter", MetricSplitCacheEvictions, sa.Cache.Evictions+sb.Cache.Evictions),
+		series("gauge", MetricSplitCacheSize, int64(sa.Cache.Size+sb.Cache.Size)),
+		series("gauge", MetricServeInflight, sa.InFlight+sb.InFlight),
+		series("gauge", MetricServeQueueDepth, sa.QueueDepth+sb.QueueDepth),
+		// The sum of the servers' states: 0 = every breaker closed.
+		MetricBreakerState + `{tier="full"} ` + strconv.Itoa(int(sa.BreakerState+sb.BreakerState)) + "\n",
+		MetricServeRequests + `{tier="cached"} 2` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }

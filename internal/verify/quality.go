@@ -179,10 +179,10 @@ func (q *QualityMonitor) EnableTelemetry(reg *obs.Registry) {
 	q.hist.Store(reg.Histogram(MetricQualityMLURatio,
 		"Achieved/optimal MLU ratio of sampled served requests (1.0 = optimal).",
 		buckets))
-	reg.GaugeFunc(MetricQualitySamples,
+	reg.CounterFunc(MetricQualitySamples,
 		"Served requests re-solved against the simplex oracle.",
 		func() float64 { return float64(q.sampled.Load()) })
-	reg.GaugeFunc(MetricQualityDropped,
+	reg.CounterFunc(MetricQualityDropped,
 		"Quality samples shed because the solver queue was full.",
 		func() float64 { return float64(q.dropped.Load()) })
 }
