@@ -29,7 +29,8 @@ test:
 	$(GO) test ./...
 
 # race covers the packages with real concurrency: the tensor kernels' row
-# fan-out and the autograd/nn layers above them, core's parallel train step
+# fan-out and the autograd/nn layers above them, the tunnel computation's
+# per-pair workers (each on its own search scratch), core's parallel train step
 # and pooled inference engine, obs's scrape-while-write registry, reqtrace's
 # concurrent annotate/End/export and its stage-histogram feed (named: Go does
 # not descend from ./internal/obs),
@@ -41,7 +42,7 @@ test:
 # the correlated-disaster scenario), and the differential-oracle suite.
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
-	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
+	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
 
 # fuzzsmoke gives each native fuzz target a short budget (go test allows
 # one -fuzz pattern per invocation, hence one line per target; ~15-30s
@@ -57,6 +58,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzNewCSRChecked$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzSoftmaxRow$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheKey$$' -fuzztime=2s ./internal/resilience
+	$(GO) test -run='^$$' -fuzz='^FuzzKShortestPaths$$' -fuzztime=2s ./internal/tunnels
 
 # benchsmoke runs every benchmark exactly once in -short mode (experiment-
 # scale benchmarks in the root package skip themselves under -short).
@@ -71,11 +73,14 @@ benchsmoke:
 # large-topology ledger BENCH_3.json: one inference on the problems
 # bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT
 # (462), and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit)
-# and building one (/build), each row stating its flows and tokens. See the
-# Performance section of the README.
+# and building one (/build), each row stating its flows and tokens, beside
+# the tunnel computation that precedes the first of them on a new topology
+# (ComputeTunnels/*, stating nodes, edges, flows and k). See the Performance
+# section of the README.
 BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core
 BENCH2_RE = 'ServeCache'
-BENCH3_RE = 'SplitsAbilene|SplitsGeant|SplitsKDL'
+BENCH3_RE = 'SplitsAbilene|SplitsGeant|SplitsKDL|ComputeTunnels'
+BENCH3_PKGS = ./internal/core ./internal/tunnels
 BENCH_FLAGS = -benchmem -count 5
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
@@ -83,5 +88,5 @@ bench:
 		/tmp/benchjson -out BENCH_1.json -cmd "go test -run='^$$' -bench=. $(BENCH_FLAGS) $(BENCH_PKGS)"
 	$(GO) test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience | \
 		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience"
-	$(GO) test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) ./internal/core | \
-		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) ./internal/core"
+	$(GO) test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) $(BENCH3_PKGS) | \
+		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) $(BENCH3_PKGS)"

@@ -66,15 +66,7 @@ func TestAnytimeCurve(t *testing.T) {
 	if testing.Short() || tensor.RaceEnabled {
 		t.Skip("solves 32 LPs: 6 s, a minute under -race")
 	}
-	f, err := os.Open("../../bench/testdata/harp_abilene.model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Load(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := benchModel(t)
 	n := m.Cfg.RAUIterations
 
 	var out bytes.Buffer

@@ -317,35 +317,43 @@ type embedding struct {
 // per-stage child spans (request tracing); all reqtrace calls are
 // nil-safe no-ops otherwise.
 func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) embedding {
-	// ---- 1. topology embedding (GNN) ----
+	gsp := sp.StartChild("forward.gnn")
+	edgeEmb := m.embedEdges(tp, ctx)
+	gsp.End()
+
+	// ---- 2. tunnel embeddings (SETTRANS over hyperedge tokens) ----
+	ssp := sp.StartChild("forward.settrans")
+	withCLS := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r
+	var emb embedding
+	if m.Cfg.MeanPoolTunnels {
+		// Ablation: skip SETTRANS; tunnel embedding = mean of its edge
+		// embeddings, edge-tunnel embeddings = the raw edge embeddings.
+		emb.h = tp.GatherRowsStable(withCLS, ctx.tokenIdx)
+		emb.tunnelEmb = tp.CSRMul(ctx.meanPool(), emb.h)
+	} else {
+		// Every token is one of withCLS's E+1 rows: SETTRANS projects
+		// those and gathers the products (nn.SegmentAttention.Forward).
+		emb.h = m.settrans.Forward(tp, withCLS, ctx.tokenIdx, ctx.segs)
+		emb.tunnelEmb = tp.GatherRowsStable(emb.h, ctx.clsPos) // T×r
+	}
+	ssp.End()
+	return emb
+}
+
+// embedEdges is stage 1, the topology embedding: the GNN's node
+// embeddings, summed over each edge's endpoints, joined with its capacity
+// and projected to the shared width (E×r). It is all of a capacity change
+// that SETTRANS sees.
+func (m *Model) embedEdges(tp *autograd.Tape, ctx *probContext) *autograd.Tensor {
 	// Gathers over Context-owned index slices use the Stable variant:
 	// contexts are immutable, so the defensive copy GatherRows makes is
 	// wasted work on the hot path.
-	gsp := sp.StartChild("forward.gnn")
 	nodeEmb := m.gnn.Forward(tp, ctx.aHat, ctx.feats) // V×gnnOut
 	srcEmb := tp.GatherRowsStable(nodeEmb, ctx.srcIdx)
 	dstEmb := tp.GatherRowsStable(nodeEmb, ctx.dstIdx)
 	// Sum of endpoints makes h_ij == h_ji unless capacities differ (§3.3).
 	edgeRaw := tp.ConcatCols(tp.Add(srcEmb, dstEmb), ctx.capCol) // E×(gnnOut+1)
-	edgeEmb := tp.Tanh(m.edgeProj.Forward(tp, edgeRaw))          // E×r
-
-	// ---- 2. tunnel embeddings (SETTRANS over hyperedge tokens) ----
-	gsp.End()
-	ssp := sp.StartChild("forward.settrans")
-	withCLS := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r
-	tokens := tp.GatherRowsStable(withCLS, ctx.tokenIdx)
-	var emb embedding
-	if m.Cfg.MeanPoolTunnels {
-		// Ablation: skip SETTRANS; tunnel embedding = mean of its edge
-		// embeddings, edge-tunnel embeddings = the raw edge embeddings.
-		emb.h = tokens
-		emb.tunnelEmb = tp.CSRMul(ctx.meanPool(), emb.h)
-	} else {
-		emb.h = m.settrans.Forward(tp, tokens, ctx.segs)
-		emb.tunnelEmb = tp.GatherRowsStable(emb.h, ctx.clsPos) // T×r
-	}
-	ssp.End()
-	return emb
+	return tp.Tanh(m.edgeProj.Forward(tp, edgeRaw))              // E×r
 }
 
 // Forward runs HARP on a problem context and an F×1 demand vector,

@@ -67,8 +67,9 @@ func allPairsProblem(g *topology.Graph) *te.Problem {
 }
 
 // benchKDLProblem is the benchmark's kdl_large problem: KDLScale(301) with
-// 48 evenly spaced edge nodes — 2,256 flows, 93,670 tokens. Seconds of
-// tunnel computation, so callers skip it under -short.
+// 48 evenly spaced edge nodes — 2,256 flows, 93,670 tokens. 0.4 s of
+// tunnel computation and 0.2 s per plan build, so callers skip it under
+// -short.
 func benchKDLProblem() *te.Problem {
 	g := topology.KDLScale(301)
 	for i := 0; i < 48; i++ {
@@ -113,7 +114,7 @@ func BenchmarkSplitsAbilene(b *testing.B) { benchSplits(b, allPairsProblem(topol
 func BenchmarkSplitsGeant(b *testing.B)   { benchSplits(b, allPairsProblem(topology.Geant())) }
 func BenchmarkSplitsKDL(b *testing.B) {
 	if testing.Short() {
-		b.Skip("KDL all-pairs tunnel set-up takes seconds")
+		b.Skip("KDL all-pairs: 0.4 s of tunnels, 0.2 s per build")
 	}
 	benchSplits(b, benchKDLProblem())
 }

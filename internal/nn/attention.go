@@ -65,17 +65,28 @@ func rowsView(m *tensor.Dense, s Segment) tensor.Dense {
 	return tensor.Dense{Rows: s.Len(), Cols: m.Cols, Data: m.Data[s.Start*m.Cols : s.End*m.Cols]}
 }
 
-// colBlockInto copies columns [c0,c0+dst.Cols) of src into dst.
-func colBlockInto(dst, src *tensor.Dense, c0 int) {
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(i)[c0:c0+dst.Cols])
+// rowOf is the source row token i reads: idx[i], or i itself under the
+// identity (nil) index.
+func rowOf(idx []int, i int) int {
+	if idx == nil {
+		return i
+	}
+	return idx[i]
+}
+
+// gatherColBlock copies columns [c0,c0+dst.Cols) of src's row rowOf(idx, i)
+// into row i of dst.
+func gatherColBlock(dst, src *tensor.Dense, idx []int, c0 int) {
+	for i := 0; i < dst.Rows; i++ {
+		copy(dst.Row(i), src.Row(rowOf(idx, i))[c0:c0+dst.Cols])
 	}
 }
 
-// addColBlock adds blk into columns [c0,c0+blk.Cols) of dst.
-func addColBlock(dst, blk *tensor.Dense, c0 int) {
-	for i := 0; i < dst.Rows; i++ {
-		drow := dst.Row(i)[c0 : c0+blk.Cols]
+// scatterAddColBlock adds row i of blk into columns [c0,c0+blk.Cols) of
+// dst's row rowOf(idx, i), in ascending i.
+func scatterAddColBlock(dst, blk *tensor.Dense, idx []int, c0 int) {
+	for i := 0; i < blk.Rows; i++ {
+		drow := dst.Row(rowOf(idx, i))[c0 : c0+blk.Cols]
 		brow := blk.Row(i)
 		for j := range drow {
 			drow[j] += brow[j]
@@ -114,38 +125,45 @@ func bucketSegments(tp *autograd.Tape, segs []Segment) []int {
 	return order
 }
 
-// Forward applies attention to x (N×dim) with the given segmentation.
-// Segments must tile rows they cover contiguously; rows outside every
-// segment pass through untouched (gradient included).
+// Forward applies attention to the N token rows x[idx[0]], x[idx[1]], … —
+// x itself (N = x.Rows()) when idx is nil — with the given segmentation of
+// those N rows. Segments must tile rows they cover contiguously; rows
+// outside every segment pass through untouched (gradient included).
 //
-// The layer is sparse-first in its batching: the Q/K/V projections and the
-// output projection run once over the whole N×d stack (one blocked MatMul
-// each instead of one small matmul per tunnel — per-row results are
-// bit-identical because the kernel accumulates each row independently in
-// ascending-k order), per-head column blocks are extracted once per head
-// rather than once per segment per head, and the per-segment score loops
-// walk segments in length-bucketed order (see bucketSegments). Only the
-// L×L score/softmax work remains inherently per-segment.
+// The Q/K/V projections run once over x's rows, not over tokens: the
+// kernel accumulates each output row independently in ascending-k order,
+// so the product of a row is the same bits wherever and however often idx
+// places it, and SETTRANS's 93,670 KDL tokens are 1,809 distinct rows. The
+// projected rows are gathered by idx straight into the per-head column
+// blocks (once per head, not once per segment per head), the per-segment
+// score loops walk segments in length-bucketed order (see bucketSegments),
+// and the output projection is one product over the N-row stack. Backward
+// scatter-adds dQ/dK/dV into x's rows in ascending token order before the
+// input- and weight-gradient products, which therefore run over x's rows
+// too; against projecting gathered rows that changes summation order only.
 //
 // All dense scratch — forward intermediates saved for backward as well as
 // the backward pass's own workspace — comes from tp.Buffer, so on a
 // reusable tape the layer's steady-state allocations are a handful of
 // bookkeeping slices, independent of segment count.
-func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs []Segment) *autograd.Tensor {
+func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx []int, segs []Segment) *autograd.Tensor {
 	d, h := sa.Dim, sa.Heads
 	dh := d / h
 	scale := 1 / math.Sqrt(float64(dh))
 	if x.Cols() != d {
 		panic("nn: SegmentAttention input dim mismatch")
 	}
-	n := x.Rows()
+	m, n := x.Rows(), x.Rows()
+	if idx != nil {
+		n = len(idx)
+	}
 	val := tp.Buffer(n, d)
-	copy(val.Data, x.Val.Data) // rows outside segments are identity
+	gatherColBlock(val, x.Val, idx, 0) // rows outside segments are identity
 
-	// Whole-stack projections. Buffers are zeroed, so Acc ≡ assign.
-	q := tp.Buffer(n, d)
-	k := tp.Buffer(n, d)
-	v := tp.Buffer(n, d)
+	// Projections of x's rows. Buffers are zeroed, so Acc ≡ assign.
+	q := tp.Buffer(m, d)
+	k := tp.Buffer(m, d)
+	v := tp.Buffer(m, d)
 	tensor.MatMulAcc(q, x.Val, sa.Wq.Val)
 	tensor.MatMulAcc(k, x.Val, sa.Wk.Val)
 	tensor.MatMulAcc(v, x.Val, sa.Wv.Val)
@@ -166,9 +184,9 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 		kh := tp.Buffer(n, dh)
 		vh := tp.Buffer(n, dh)
 		oh := tp.Buffer(n, dh)
-		colBlockInto(qh, q, c0)
-		colBlockInto(kh, k, c0)
-		colBlockInto(vh, v, c0)
+		gatherColBlock(qh, q, idx, c0)
+		gatherColBlock(kh, k, idx, c0)
+		gatherColBlock(vh, v, idx, c0)
 		for _, si := range order {
 			s := segs[si]
 			L := s.Len()
@@ -204,7 +222,7 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 	return tp.Custom(val, func(out *autograd.Tensor) {
 		// Identity gradient for rows outside all segments.
 		if x.NeedsGrad() {
-			covered := tp.Ints(x.Rows())
+			covered := tp.Ints(n)
 			for i := range covered {
 				covered[i] = 0
 			}
@@ -213,9 +231,9 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 					covered[i] = 1
 				}
 			}
-			for i := 0; i < x.Rows(); i++ {
+			for i := 0; i < n; i++ {
 				if covered[i] == 0 {
-					dst := x.Grad.Row(i)
+					dst := x.Grad.Row(rowOf(idx, i))
 					src := out.Grad.Row(i)
 					for j := range dst {
 						dst[j] += src[j]
@@ -241,9 +259,9 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 			tensor.MatMulATBAcc(sa.Wo.Grad, o, dy)
 		}
 
-		dq := tp.Buffer(n, d)
-		dk := tp.Buffer(n, d)
-		dv := tp.Buffer(n, d)
+		dq := tp.Buffer(m, d)
+		dk := tp.Buffer(m, d)
+		dv := tp.Buffer(m, d)
 		var dohs, vhs, qhs, khs, dqhs, dkhs, dvhs tensor.Dense
 		for hd := 0; hd < h; hd++ {
 			c0 := hd * dh
@@ -251,10 +269,10 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 			qh := tp.Buffer(n, dh)
 			kh := tp.Buffer(n, dh)
 			vh := tp.Buffer(n, dh)
-			colBlockInto(doh, do, c0)
-			colBlockInto(qh, q, c0)
-			colBlockInto(kh, k, c0)
-			colBlockInto(vh, v, c0)
+			gatherColBlock(doh, do, nil, c0)
+			gatherColBlock(qh, q, idx, c0)
+			gatherColBlock(kh, k, idx, c0)
+			gatherColBlock(vh, v, idx, c0)
 			dqh := tp.Buffer(n, dh)
 			dkh := tp.Buffer(n, dh)
 			dvh := tp.Buffer(n, dh)
@@ -290,13 +308,13 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, segs 
 				dkhs = rowsView(dkh, s)
 				tensor.MatMulATBAcc(&dkhs, ds, &qhs)
 			}
-			addColBlock(dq, dqh, c0)
-			addColBlock(dk, dkh, c0)
-			addColBlock(dv, dvh, c0)
+			scatterAddColBlock(dq, dqh, idx, c0)
+			scatterAddColBlock(dk, dkh, idx, c0)
+			scatterAddColBlock(dv, dvh, idx, c0)
 		}
 
-		// Input and weight gradients, whole-stack. Rows outside every
-		// segment have zero dq/dk/dv, so the extra terms vanish.
+		// Input and weight gradients over x's rows. Tokens outside every
+		// segment have zero dq/dk/dv, so they add nothing.
 		if x.NeedsGrad() {
 			tensor.MatMulABTAcc(x.Grad, dq, sa.Wq.Val)
 			tensor.MatMulABTAcc(x.Grad, dk, sa.Wk.Val)

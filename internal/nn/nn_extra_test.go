@@ -45,7 +45,7 @@ func TestAttentionInputDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	tp := autograd.NewTape()
-	sa.Forward(tp, autograd.NewConst(tensor.New(3, 6)), []Segment{{0, 3}})
+	sa.Forward(tp, autograd.NewConst(tensor.New(3, 6)), nil, []Segment{{0, 3}})
 }
 
 // Single-token segments must be well defined (attention over one element
@@ -55,7 +55,7 @@ func TestAttentionSingleTokenSegment(t *testing.T) {
 	sa := NewSegmentAttention(rng, 4, 2)
 	x := randInput(rng, 1, 4)
 	tp := autograd.NewTape()
-	y := sa.Forward(tp, x, []Segment{{0, 1}})
+	y := sa.Forward(tp, x, nil, []Segment{{0, 1}})
 	// Reference: softmax over a single score is 1, so O = V = xWv; out = OWo.
 	v := tensor.New(1, 4)
 	tensor.MatMul(v, x.Val, sa.Wv.Val)
@@ -72,11 +72,11 @@ func TestAttentionHeadsIndependent(t *testing.T) {
 	sa := NewSegmentAttention(rng, 4, 2)
 	x := randInput(rng, 3, 4)
 	tp := autograd.NewTape()
-	y2 := sa.Forward(tp, x, []Segment{{0, 3}}).Val.Clone()
+	y2 := sa.Forward(tp, x, nil, []Segment{{0, 3}}).Val.Clone()
 
 	one := &SegmentAttention{Heads: 1, Dim: 4, Wq: sa.Wq, Wk: sa.Wk, Wv: sa.Wv, Wo: sa.Wo}
 	tp2 := autograd.NewTape()
-	y1 := one.Forward(tp2, x, []Segment{{0, 3}}).Val
+	y1 := one.Forward(tp2, x, nil, []Segment{{0, 3}}).Val
 	if tensor.Equal(y1, y2, 1e-9) {
 		t.Fatal("1-head and 2-head attention identical — heads not independent")
 	}
@@ -173,7 +173,7 @@ func TestEncoderPreservesShapeAcrossDepths(t *testing.T) {
 		enc := NewEncoder(rng, depth, 6, 3, 12)
 		x := randInput(rng, 7, 6)
 		tp := autograd.NewTape()
-		y := enc.Forward(tp, x, []Segment{{0, 4}, {4, 7}})
+		y := enc.Forward(tp, x, nil, []Segment{{0, 4}, {4, 7}})
 		if y.Rows() != 7 || y.Cols() != 6 {
 			t.Fatalf("depth %d: shape %dx%d", depth, y.Rows(), y.Cols())
 		}
@@ -193,6 +193,85 @@ func TestBucketSegmentsOrder(t *testing.T) {
 	for i := range wantOrder {
 		if order[i] != wantOrder[i] {
 			t.Fatalf("order = %v, want %v", order, wantOrder)
+		}
+	}
+}
+
+// TestForwardThroughIndexEqualsForwardOfGather: Forward(tp, src, idx, segs)
+// is Forward(tp, Gather(src, idx), nil, segs) — the form SETTRANS ran
+// before its first layer projected src's rows instead of the tokens — bit
+// for bit in value, and to summation order (1e-12 relative) in every
+// parameter's and src's gradient.
+func TestForwardThroughIndexEqualsForwardOfGather(t *testing.T) {
+	cases := []struct {
+		name              string
+		depth, dim, heads int
+		rows              int
+		idx               []int
+		segs              []Segment
+	}{
+		{"repeats/1-layer", 1, 12, 2, 5, []int{4, 0, 1, 4, 2, 2, 4, 3, 0, 0}, []Segment{{0, 3}, {3, 7}, {7, 10}}},
+		{"repeats/2-layer", 2, 12, 2, 5, []int{4, 0, 1, 4, 2, 2, 4, 3, 0, 0}, []Segment{{0, 3}, {3, 7}, {7, 10}}},
+		{"permutation", 1, 8, 2, 6, []int{5, 2, 0, 3, 1, 4}, []Segment{{0, 2}, {2, 6}}},
+		{"odd width 7", 2, 7, 1, 4, []int{3, 3, 0, 1, 2, 1, 3}, []Segment{{0, 4}, {4, 7}}},
+		{"odd width 15, head width 5", 1, 15, 3, 3, []int{2, 0, 2, 1, 1}, []Segment{{0, 5}}},
+		{"single-token segment and an uncovered token", 1, 6, 3, 3, []int{1, 2, 2, 0, 1}, []Segment{{0, 1}, {1, 4}}},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(77))
+		enc := NewEncoder(rng, c.depth, c.dim, c.heads, 2*c.dim+1)
+		src := randInput(rng, c.rows, c.dim)
+		params := append([]*autograd.Tensor{src}, enc.Params()...)
+		run := func(through bool) (*tensor.Dense, [][]float64) {
+			for _, p := range params {
+				p.ZeroGrad()
+			}
+			tp := autograd.NewTape()
+			var y *autograd.Tensor
+			if through {
+				y = enc.Forward(tp, src, c.idx, c.segs)
+			} else {
+				y = enc.Forward(tp, tp.GatherRowsStable(src, c.idx), nil, c.segs)
+			}
+			tp.Backward(tp.SumAll(tp.Mul(y, y)))
+			grads := make([][]float64, len(params))
+			for i, p := range params {
+				grads[i] = append([]float64(nil), p.Grad.Data...)
+			}
+			return y.Val.Clone(), grads
+		}
+		want, wantGrads := run(false)
+		got, gotGrads := run(true)
+		if got.Rows != len(c.idx) || got.Cols != c.dim {
+			t.Fatalf("%s: shape %dx%d, want %dx%d", c.name, got.Rows, got.Cols, len(c.idx), c.dim)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: output %d is %v through the index, %v on gathered rows", c.name, i, got.Data[i], want.Data[i])
+			}
+		}
+		for pi := range params {
+			for i, w := range wantGrads[pi] {
+				if g := gotGrads[pi][i]; math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+					t.Fatalf("%s: param %d grad %d is %v through the index, %v on gathered rows", c.name, pi, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestEncoderWithoutLayersGathers: zero blocks is a valid configuration
+// (core.Config.SetTransLayers = 0), and its tokens are still src's rows
+// read through idx.
+func TestEncoderWithoutLayersGathers(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	src := randInput(rng, 3, 4)
+	y := NewEncoder(rng, 0, 4, 2, 8).Forward(autograd.NewTape(), src, []int{2, 2, 0}, []Segment{{0, 3}})
+	for i, r := range []int{2, 2, 0} {
+		for j := 0; j < 4; j++ {
+			if y.Val.At(i, j) != src.Val.At(r, j) {
+				t.Fatalf("token %d is not row %d of src", i, r)
+			}
 		}
 	}
 }

@@ -121,10 +121,14 @@ func TestSegmentAttentionGrad(t *testing.T) {
 	segs := []Segment{{0, 3}, {3, 7}} // rows 7,8 uncovered → identity path
 	sa := NewSegmentAttention(rng, 4, 2)
 	params := append([]*autograd.Tensor{x}, sa.Params()...)
-	checkGrads(t, "segattn", params, func(tp *autograd.Tape) *autograd.Tensor {
-		y := sa.Forward(tp, x, segs)
-		return tp.SumAll(tp.Mul(y, y))
-	})
+	// The second case reads 9 tokens out of 4 of x's rows: repeats inside a
+	// segment, across segments and on the uncovered identity path.
+	for name, idx := range map[string][]int{"segattn": nil, "segattn/repeated-rows": {2, 0, 2, 5, 5, 0, 8, 2, 8}} {
+		checkGrads(t, name, params, func(tp *autograd.Tape) *autograd.Tensor {
+			y := sa.Forward(tp, x, idx, segs)
+			return tp.SumAll(tp.Mul(y, y))
+		})
+	}
 }
 
 func TestEncoderLayerGrad(t *testing.T) {
@@ -133,10 +137,12 @@ func TestEncoderLayerGrad(t *testing.T) {
 	segs := []Segment{{0, 2}, {2, 6}}
 	enc := NewEncoderLayer(rng, 4, 2, 8)
 	params := append([]*autograd.Tensor{x}, enc.Params()...)
-	checkGrads(t, "encoder", params, func(tp *autograd.Tape) *autograd.Tensor {
-		y := enc.Forward(tp, x, segs)
-		return tp.SumAll(tp.Mul(y, y))
-	})
+	for name, idx := range map[string][]int{"encoder": nil, "encoder/repeated-rows": {3, 3, 1, 3, 5, 1}} {
+		checkGrads(t, name, params, func(tp *autograd.Tape) *autograd.Tensor {
+			y := enc.Forward(tp, x, idx, segs)
+			return tp.SumAll(tp.Mul(y, y))
+		})
+	}
 }
 
 // TestAttentionSegmentEquivariance verifies Principle 1(c): permuting rows
@@ -148,7 +154,7 @@ func TestAttentionSegmentEquivariance(t *testing.T) {
 	segs := []Segment{{0, 5}}
 
 	tp := autograd.NewTape()
-	y1 := sa.Forward(tp, x, segs).Val.Clone()
+	y1 := sa.Forward(tp, x, nil, segs).Val.Clone()
 
 	perm := []int{3, 0, 4, 1, 2}
 	xp := tensor.New(5, 6)
@@ -156,7 +162,7 @@ func TestAttentionSegmentEquivariance(t *testing.T) {
 		copy(xp.Row(i), x.Val.Row(p))
 	}
 	tp2 := autograd.NewTape()
-	y2 := sa.Forward(tp2, autograd.NewConst(xp), segs).Val
+	y2 := sa.Forward(tp2, autograd.NewConst(xp), nil, segs).Val
 
 	for i, p := range perm {
 		for j := 0; j < 6; j++ {
@@ -175,7 +181,7 @@ func TestAttentionSegmentIsolation(t *testing.T) {
 	x := randInput(rng, 6, 4)
 	segs := []Segment{{0, 3}, {3, 6}}
 	tp := autograd.NewTape()
-	y1 := sa.Forward(tp, x, segs).Val.Clone()
+	y1 := sa.Forward(tp, x, nil, segs).Val.Clone()
 
 	// Mutate segment 2.
 	for i := 3; i < 6; i++ {
@@ -184,7 +190,7 @@ func TestAttentionSegmentIsolation(t *testing.T) {
 		}
 	}
 	tp2 := autograd.NewTape()
-	y2 := sa.Forward(tp2, x, segs).Val
+	y2 := sa.Forward(tp2, x, nil, segs).Val
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
 			if y1.At(i, j) != y2.At(i, j) {
@@ -235,7 +241,7 @@ func TestAttentionMatchesReference(t *testing.T) {
 	sa := NewSegmentAttention(rng, 8, 2)
 	x := randInput(rng, 4, 8)
 	tp := autograd.NewTape()
-	got := sa.Forward(tp, x, []Segment{{0, 4}}).Val
+	got := sa.Forward(tp, x, nil, []Segment{{0, 4}}).Val
 	want := referenceAttention(sa, x.Val)
 	if !tensor.Equal(got, want, 1e-9) {
 		t.Fatal("fused attention disagrees with reference")
@@ -270,7 +276,7 @@ func TestEncoderDepthStacking(t *testing.T) {
 	}
 	x := randInput(rng, 5, 4)
 	tp := autograd.NewTape()
-	y := enc.Forward(tp, x, []Segment{{0, 5}})
+	y := enc.Forward(tp, x, nil, []Segment{{0, 5}})
 	if y.Rows() != 5 || y.Cols() != 4 {
 		t.Fatalf("bad shape %dx%d", y.Rows(), y.Cols())
 	}

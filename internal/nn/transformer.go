@@ -33,9 +33,15 @@ func NewEncoderLayer(rng *rand.Rand, dim, heads, ffDim int) *EncoderLayer {
 	}
 }
 
-// Forward applies the block to x (N×dim) under the given segmentation.
-func (e *EncoderLayer) Forward(tp *autograd.Tape, x *autograd.Tensor, segs []Segment) *autograd.Tensor {
-	a := e.Attn.Forward(tp, e.Norm1.Forward(tp, x), segs)
+// Forward applies the block to the token rows x[idx[i]] (x itself when idx
+// is nil) under the given segmentation. LayerNorm is row-wise, so Norm1
+// runs over x's rows and the attention reads the normed rows through idx
+// (see SegmentAttention.Forward); only the residual gathers the tokens.
+func (e *EncoderLayer) Forward(tp *autograd.Tape, x *autograd.Tensor, idx []int, segs []Segment) *autograd.Tensor {
+	a := e.Attn.Forward(tp, e.Norm1.Forward(tp, x), idx, segs)
+	if idx != nil {
+		x = tp.GatherRowsStable(x, idx)
+	}
 	x = tp.Add(x, a)
 	f := e.FF2.Forward(tp, tp.ReLU(e.FF1.Forward(tp, e.Norm2.Forward(tp, x))))
 	return tp.Add(x, f)
@@ -60,10 +66,15 @@ func NewEncoder(rng *rand.Rand, depth, dim, heads, ffDim int) *Encoder {
 	return enc
 }
 
-// Forward applies all blocks in order.
-func (e *Encoder) Forward(tp *autograd.Tape, x *autograd.Tensor, segs []Segment) *autograd.Tensor {
+// Forward applies all blocks in order to the token rows x[idx[i]] (x itself
+// when idx is nil): the first block reads its tokens through idx, the rest
+// read the block before them.
+func (e *Encoder) Forward(tp *autograd.Tape, x *autograd.Tensor, idx []int, segs []Segment) *autograd.Tensor {
 	for _, l := range e.Layers {
-		x = l.Forward(tp, x, segs)
+		x, idx = l.Forward(tp, x, idx, segs), nil
+	}
+	if idx != nil { // no blocks: the tokens themselves
+		x = tp.GatherRowsStable(x, idx)
 	}
 	return x
 }

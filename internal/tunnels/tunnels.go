@@ -5,11 +5,10 @@
 package tunnels
 
 import (
-	"container/heap"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"harpte/internal/tensor"
@@ -95,102 +94,117 @@ func (t Tunnel) Key(g *topology.Graph) string {
 	if len(t.Edges) == 0 {
 		return ""
 	}
-	key := fmt.Sprintf("%d", g.Edges[t.Edges[0]].Src)
+	key := strconv.AppendInt(nil, int64(g.Edges[t.Edges[0]].Src), 10)
 	for _, e := range t.Edges {
-		key += fmt.Sprintf("-%d", g.Edges[e].Dst)
+		key = strconv.AppendInt(append(key, '-'), int64(g.Edges[e].Dst), 10)
 	}
-	return key
+	return string(key)
 }
 
 // ---- k-shortest paths (Yen's algorithm over hop count) ----
 
-type dijkstraItem struct {
-	node int
-	dist float64
-	idx  int
-}
+// outCSR is a graph's out-edge lists in one array: node u's outgoing edge
+// ids are edge[start[u]:start[u+1]]. Read-only once built, so the workers
+// of one ComputeForPairs call share it.
+type outCSR struct{ start, edge []int32 }
 
-type priorityQueue []*dijkstraItem
-
-func (pq priorityQueue) Len() int           { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i]; pq[i].idx, pq[j].idx = i, j }
-func (pq *priorityQueue) Push(x interface{}) {
-	it := x.(*dijkstraItem)
-	it.idx = len(*pq)
-	*pq = append(*pq, it)
-}
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	*pq = old[:n-1]
-	return it
-}
-
-// shortestPath runs Dijkstra over hop count with deterministic tie-breaking
-// (lower node id wins), honoring banned edges and banned nodes. Returns the
-// path as edge ids, or nil if unreachable.
-func shortestPath(g *topology.Graph, out [][]int, src, dst int, bannedEdges map[int]bool, bannedNodes map[int]bool) []int {
-	const inf = 1 << 30
-	dist := make([]float64, g.NumNodes)
-	prevEdge := make([]int, g.NumNodes)
-	for i := range dist {
-		dist[i] = inf
-		prevEdge[i] = -1
+func newOutCSR(g *topology.Graph) outCSR {
+	c := outCSR{start: make([]int32, g.NumNodes+1), edge: make([]int32, len(g.Edges))}
+	for _, e := range g.Edges {
+		c.start[e.Src+1]++
 	}
-	dist[src] = 0
-	pq := &priorityQueue{}
-	heap.Push(pq, &dijkstraItem{node: src, dist: 0})
-	done := make([]bool, g.NumNodes)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*dijkstraItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, eid := range out[u] {
-			if bannedEdges[eid] {
-				continue
-			}
-			e := g.Edges[eid]
-			if bannedNodes[e.Dst] {
-				continue
-			}
-			nd := dist[u] + 1
-			if nd < dist[e.Dst] || (nd == dist[e.Dst] && better(g, prevEdge[e.Dst], eid)) {
-				dist[e.Dst] = nd
-				prevEdge[e.Dst] = eid
-				heap.Push(pq, &dijkstraItem{node: e.Dst, dist: nd})
-			}
-		}
+	for u := 0; u < g.NumNodes; u++ {
+		c.start[u+1] += c.start[u]
 	}
-	if prevEdge[dst] == -1 {
+	fill := append([]int32(nil), c.start[:g.NumNodes]...)
+	for id, e := range g.Edges {
+		c.edge[fill[e.Src]] = int32(id)
+		fill[e.Src]++
+	}
+	return c
+}
+
+// pathFinder is one goroutine's scratch for Yen's algorithm on g: the
+// breadth-first search's distance, predecessor-edge and queue arrays, and
+// three stamp arrays — a node is visited, or a node or edge banned, in the
+// current search exactly when its stamp equals epoch — so starting a search
+// is one increment: nothing is cleared and nothing allocated per spur.
+type pathFinder struct {
+	g                               *topology.Graph
+	out                             outCSR
+	dist, prev, queue               []int32
+	visited, bannedNode, bannedEdge []uint32
+	epoch                           uint32
+}
+
+func newPathFinder(g *topology.Graph, out outCSR) *pathFinder {
+	n := g.NumNodes
+	return &pathFinder{
+		g: g, out: out,
+		dist: make([]int32, n), prev: make([]int32, n), queue: make([]int32, 0, n),
+		visited: make([]uint32, n), bannedNode: make([]uint32, n), bannedEdge: make([]uint32, len(g.Edges)),
+	}
+}
+
+// nextEpoch forgets the last search's visits and bans.
+func (pf *pathFinder) nextEpoch() uint32 {
+	if pf.epoch++; pf.epoch == 0 { // wrapped: stamps from 2³² searches ago would read as current
+		clear(pf.visited)
+		clear(pf.bannedNode)
+		clear(pf.bannedEdge)
+		pf.epoch = 1
+	}
+	return pf.epoch
+}
+
+// search returns root followed by the shortest path (by hop count) from src
+// to dst that avoids the edges and nodes banned in the current epoch, or
+// nil if there is none. Ties are broken by better, which is a strict total
+// order on edges, so the predecessor it keeps for a node — the least edge
+// entering it from the previous level — does not depend on visiting order:
+// a Dijkstra over unit weights settles every node at distance d−1 before
+// it pops one at distance d and so keeps the same edge. The search stops
+// when the level that discovers dst is complete.
+func (pf *pathFinder) search(root []int, src, dst int) []int {
+	if src == dst {
 		return nil
 	}
-	var path []int
-	for n := dst; n != src; {
-		e := prevEdge[n]
-		path = append(path, e)
-		n = g.Edges[e].Src
+	g, ep := pf.g, pf.epoch
+	pf.visited[src], pf.dist[src] = ep, 0
+	q := append(pf.queue[:0], int32(src))
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		du := pf.dist[u]
+		if pf.visited[dst] == ep && du >= pf.dist[dst] {
+			break
+		}
+		for _, eid := range pf.out.edge[pf.out.start[u]:pf.out.start[u+1]] {
+			v := g.Edges[eid].Dst
+			switch {
+			case pf.bannedEdge[eid] == ep || pf.bannedNode[v] == ep:
+			case pf.visited[v] != ep:
+				pf.visited[v], pf.dist[v], pf.prev[v] = ep, du+1, eid
+				q = append(q, int32(v))
+			case pf.dist[v] == du+1 && better(g, int(pf.prev[v]), int(eid)):
+				pf.prev[v] = eid
+			}
+		}
 	}
-	// Reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	if pf.visited[dst] != ep {
+		return nil
+	}
+	path := make([]int, len(root)+int(pf.dist[dst]))
+	copy(path, root)
+	for n, i := dst, len(path)-1; n != src; i-- {
+		path[i] = int(pf.prev[n])
+		n = g.Edges[path[i]].Src
 	}
 	return path
 }
 
-// better resolves Dijkstra ties deterministically by preferring the edge
-// whose source node id is smaller (then smaller edge id).
+// better resolves shortest-path ties deterministically by preferring the
+// edge whose source node id is smaller (then smaller edge id).
 func better(g *topology.Graph, cur, cand int) bool {
-	if cur == -1 {
-		return true
-	}
 	cs, ns := g.Edges[cur].Src, g.Edges[cand].Src
 	if ns != cs {
 		return ns < cs
@@ -202,65 +216,55 @@ func better(g *topology.Graph, cur, cand int) bool {
 // from src to dst using Yen's algorithm. Paths are returned shortest first
 // with deterministic ordering.
 func KShortestPaths(g *topology.Graph, src, dst, k int) []Tunnel {
-	out := g.OutEdges()
-	first := shortestPath(g, out, src, dst, nil, nil)
+	return newPathFinder(g, newOutCSR(g)).kShortest(src, dst, k)
+}
+
+func (pf *pathFinder) kShortest(src, dst, k int) []Tunnel {
+	pf.nextEpoch()
+	first := pf.search(nil, src, dst)
 	if first == nil {
 		return nil
 	}
 	paths := []Tunnel{{Edges: first}}
-	type candidate struct {
-		path []int
-		cost int
-	}
-	var candidates []candidate
-	seen := map[string]bool{pathKey(first): true}
-
+	// A spur search bans the next edge of every path and candidate that
+	// shares its root, so what it finds is never one of them: candidates
+	// need no de-duplication.
+	var candidates [][]int
 	for len(paths) < k {
 		prev := paths[len(paths)-1].Edges
 		// Spur from every node along the previous path.
-		for i := 0; i <= len(prev)-1; i++ {
-			rootEdges := prev[:i]
-			spurNode := src
-			if i > 0 {
-				spurNode = g.Edges[prev[i-1]].Dst
-			}
-			bannedEdges := make(map[int]bool)
+		for i := range prev {
+			root := prev[:i]
+			ep := pf.nextEpoch()
 			for _, p := range paths {
-				if sharesRoot(p.Edges, rootEdges) && len(p.Edges) > i {
-					bannedEdges[p.Edges[i]] = true
+				if len(p.Edges) > i && sharesRoot(p.Edges, root) {
+					pf.bannedEdge[p.Edges[i]] = ep
 				}
 			}
 			for _, c := range candidates {
-				if sharesRoot(c.path, rootEdges) && len(c.path) > i {
-					bannedEdges[c.path[i]] = true
+				if len(c) > i && sharesRoot(c, root) {
+					pf.bannedEdge[c[i]] = ep
 				}
 			}
-			bannedNodes := make(map[int]bool)
-			n := src
-			for _, e := range rootEdges {
-				bannedNodes[n] = true
-				n = g.Edges[e].Dst
+			spurNode := src
+			for _, e := range root {
+				pf.bannedNode[spurNode] = ep
+				spurNode = pf.g.Edges[e].Dst
 			}
-			spur := shortestPath(g, out, spurNode, dst, bannedEdges, bannedNodes)
-			if spur == nil {
-				continue
-			}
-			full := append(append([]int(nil), rootEdges...), spur...)
-			if key := pathKey(full); !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, candidate{path: full, cost: len(full)})
+			if full := pf.search(root, spurNode, dst); full != nil {
+				candidates = append(candidates, full)
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
 		sort.SliceStable(candidates, func(a, b int) bool {
-			if candidates[a].cost != candidates[b].cost {
-				return candidates[a].cost < candidates[b].cost
+			if len(candidates[a]) != len(candidates[b]) {
+				return len(candidates[a]) < len(candidates[b])
 			}
-			return lexLess(candidates[a].path, candidates[b].path)
+			return lexLess(candidates[a], candidates[b])
 		})
-		paths = append(paths, Tunnel{Edges: candidates[0].path})
+		paths = append(paths, Tunnel{Edges: candidates[0]})
 		candidates = candidates[1:]
 	}
 	return paths
@@ -276,15 +280,6 @@ func sharesRoot(path, root []int) bool {
 		}
 	}
 	return true
-}
-
-// pathKey returns a canonical string for an edge-id path.
-func pathKey(p []int) string {
-	key := ""
-	for _, e := range p {
-		key += fmt.Sprintf("%d,", e)
-	}
-	return key
 }
 
 func lexLess(a, b []int) bool {
@@ -324,14 +319,16 @@ func ComputeForPairs(g *topology.Graph, pairs [][2]int, k int) *Set {
 	if workers < 1 {
 		workers = 1
 	}
+	out := newOutCSR(g)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pf := newPathFinder(g, out)
 			for i := range next {
-				results[i] = KShortestPaths(g, pairs[i][0], pairs[i][1], k)
+				results[i] = pf.kShortest(pairs[i][0], pairs[i][1], k)
 			}
 		}()
 	}
