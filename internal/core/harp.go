@@ -24,7 +24,6 @@ import (
 
 	"harpte/internal/autograd"
 	"harpte/internal/nn"
-	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
 )
@@ -199,6 +198,7 @@ type probContext struct {
 	tokenIdx []int            // rows into [edgeEmb ; cls] per token
 	segs     []nn.Segment     // one per tunnel
 	clsPos   []int            // token row of each tunnel's CLS; its i-th edge token is row clsPos[t]+1+i
+	maxSeg   int              // tokens of the longest tunnel
 	maxCap   float64
 
 	// avgPool is the T×numTokens mean over each tunnel's edge tokens, read
@@ -267,6 +267,7 @@ func buildContext(p *te.Problem) *probContext {
 			ctx.tokenIdx = append(ctx.tokenIdx, numEdges) // CLS sentinel row
 			ctx.tokenIdx = append(ctx.tokenIdx, tun.Edges...)
 			ctx.segs = append(ctx.segs, nn.Segment{Start: pos, End: end})
+			ctx.maxSeg = max(ctx.maxSeg, end-pos)
 			pos = end
 		}
 	}
@@ -299,45 +300,28 @@ type ForwardResult struct {
 	MLU *autograd.Tensor
 }
 
-// embedding is the demand-independent half of a forward pass: the
-// SETTRANS token matrix h (edge-tunnel embeddings) and the per-tunnel CLS
-// embeddings. Everything in it depends only on the parameters and the
-// Context, so one embedding serves every demand on a topology/tunnel
-// configuration — what the inference engine's plan (infer.go) keeps
-// between requests. The tensors live on the tape that recorded them and
-// are invalid after its Reset.
-type embedding struct {
-	h         *autograd.Tensor // numTokens×r (or tokens in the mean-pool ablation)
-	tunnelEmb *autograd.Tensor // T×r
-}
-
 // embed runs stages 1–2 of the architecture (GNN topology encoder,
-// SETTRANS tunnel encoder): everything that depends on the topology and
-// parameters but not on the traffic matrix. sp, when non-nil, receives
-// per-stage child spans (request tracing); all reqtrace calls are
-// nil-safe no-ops otherwise.
-func (m *Model) embed(tp *autograd.Tape, ctx *probContext, sp *reqtrace.Span) embedding {
-	gsp := sp.StartChild("forward.gnn")
+// SETTRANS tunnel encoder) — everything that depends on the topology and
+// parameters but not on the traffic matrix — and returns the token matrix h
+// (numTokens×r edge-tunnel embeddings) and the T×r tunnel embeddings. It is
+// the training forward and the reference inferScratch.buildPlan is held to,
+// which runs stage 2 one block of tunnels at a time and keeps no token
+// matrix, only what adjust's first layers make of it.
+func (m *Model) embed(tp *autograd.Tape, ctx *probContext) (h, tunnelEmb *autograd.Tensor) {
 	edgeEmb := m.embedEdges(tp, ctx)
-	gsp.End()
 
 	// ---- 2. tunnel embeddings (SETTRANS over hyperedge tokens) ----
-	ssp := sp.StartChild("forward.settrans")
 	withCLS := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r
-	var emb embedding
 	if m.Cfg.MeanPoolTunnels {
 		// Ablation: skip SETTRANS; tunnel embedding = mean of its edge
 		// embeddings, edge-tunnel embeddings = the raw edge embeddings.
-		emb.h = tp.GatherRowsStable(withCLS, ctx.tokenIdx)
-		emb.tunnelEmb = tp.CSRMul(ctx.meanPool(), emb.h)
-	} else {
-		// Every token is one of withCLS's E+1 rows: SETTRANS projects
-		// those and gathers the products (nn.SegmentAttention.Forward).
-		emb.h = m.settrans.Forward(tp, withCLS, ctx.tokenIdx, ctx.segs)
-		emb.tunnelEmb = tp.GatherRowsStable(emb.h, ctx.clsPos) // T×r
+		h = tp.GatherRowsStable(withCLS, ctx.tokenIdx)
+		return h, tp.CSRMul(ctx.meanPool(), h)
 	}
-	ssp.End()
-	return emb
+	// Every token is one of withCLS's E+1 rows: SETTRANS projects those and
+	// gathers the products (nn.SegmentAttention.Forward).
+	h = m.settrans.Forward(tp, withCLS, ctx.tokenIdx, ctx.segs)
+	return h, tp.GatherRowsStable(h, ctx.clsPos)
 }
 
 // embedEdges is stage 1, the topology embedding: the GNN's node
@@ -365,21 +349,20 @@ func (m *Model) embedEdges(tp *autograd.Tape, ctx *probContext) *autograd.Tensor
 // Forward is the training path and the reference the inference engine
 // (infer.go) is held to bit for bit; requests never reach it.
 func (m *Model) Forward(tp *autograd.Tape, c *Context, demand *tensor.Dense) ForwardResult {
-	ctx := c.inner
-	return m.adjust(tp, ctx, m.embed(tp, ctx, nil), demand)
+	h, tunnelEmb := m.embed(tp, c.inner)
+	return m.adjust(tp, c.inner, h, tunnelEmb, demand)
 }
 
 // adjust runs stages 3–4 (MLP1 initial splits, RAU refinement) for one
-// demand matrix on top of a previously computed embedding: the
+// demand matrix on top of embed's token matrix and tunnel embeddings: the
 // demand-dependent half of Forward, which inferScratch.adjustInfer mirrors
 // on scratch buffers.
-func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, emb embedding, demand *tensor.Dense) ForwardResult {
+func (m *Model) adjust(tp *autograd.Tape, ctx *probContext, h, tunnelEmb *autograd.Tensor, demand *tensor.Dense) ForwardResult {
 	p := ctx.p
 	set := p.Tunnels
 	numFlows := len(set.Flows)
 	k := set.K
 	numTunnels := numFlows * k
-	h, tunnelEmb := emb.h, emb.tunnelEmb
 
 	// ---- demand features and constants ----
 	demandFeat, demandTunnel := m.demandInputs(tp, ctx, demand)

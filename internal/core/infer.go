@@ -1,9 +1,11 @@
 package core
 
 // The inference engine — the one path every Splits call runs. The
-// demand-independent half of a forward pass (embed: GNN + SETTRANS) is
-// recorded on a pooled inference-mode tape, and what the other half reads of
-// it is the plan: the first-layer partial sums the embedding determines —
+// demand-independent half of a forward pass (GNN + SETTRANS) is buildPlan's:
+// stage 1 on a pooled inference-mode tape, over E+1 rows, and SETTRANS one
+// block of whole tunnels at a time on buffers of the pooled scratch, so that
+// no token matrix exists but the plan's own. The plan is what the other half
+// reads of the embedding: the first-layer partial sums it determines —
 // MLP1's per tunnel, the RAU's per token — kept in the pooled scratch
 // between calls, so a call that finds a plan built for its (Context,
 // weights) runs only the demand-dependent half (MLP1 + RAU), hand-scheduled
@@ -44,12 +46,20 @@ package core
 //     exactly where it skips them.
 //   - Every elementwise op mirrors the corresponding autograd op's formula
 //     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
-//     and the kernel's skip of zero multiplicands).
-//   - A plan hit reads the very values a build computed: the same embed,
-//     the same kernels, a continued accumulation.
+//     and the kernel's skip of zero multiplicands), and so does LayerNorm.
+//   - SETTRANS never lets two tunnels interact: attention is per segment,
+//     and LayerNorm, the matmul kernel (macRow: one output row at a time),
+//     bias, ReLU and the residual adds are per row. Run over any run of
+//     whole tunnels, the tape forward's own kernels therefore compute for
+//     each row what they compute for it over all tokens at once: the block
+//     loop is the tape's arithmetic by row independence, not by a re-derived
+//     summation order, and the block size cannot show in a bit.
+//   - A plan hit reads the very values a build computed: the same kernels,
+//     a continued accumulation.
 //
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
-// Context and on a cached plan against Forward on a gradient tape —
+// Context and on a cached plan against Forward on a gradient tape, tunnels
+// laid across every kind of block edge among them —
 // TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
 // non-finite operands included, and TestPlanNeverStale that no write to the
 // weights survives in a plan.
@@ -66,29 +76,38 @@ import (
 	"time"
 
 	"harpte/internal/autograd"
+	"harpte/internal/nn"
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
 	"harpte/internal/verify"
 )
 
-// rowRange returns rows [lo, hi) of a Dense as a view (shared backing array,
-// no copy). Callers must treat views as read-only.
-func rowRange(d *tensor.Dense, lo, hi int) *tensor.Dense {
-	return tensor.FromSlice(hi-lo, d.Cols, d.Data[lo*d.Cols:hi*d.Cols])
+// rowsOf returns rows [lo, hi) of a Dense as a view (shared backing array,
+// no copy) whose header the caller owns.
+func rowsOf(d *tensor.Dense, lo, hi int) tensor.Dense {
+	return tensor.Dense{Rows: hi - lo, Cols: d.Cols, Data: d.Data[lo*d.Cols : hi*d.Cols]}
 }
+
+// planBlockTokens bounds the token rows of one block of buildPlan's loop. A
+// block is whole tunnels, so a longer tunnel is a block by itself. GEANT's
+// build is flat within its spread from 16 to 256; 64 keeps the block's dozen
+// buffers in L2 beside the weights.
+const planBlockTokens = 64
 
 // inferScratchKey captures every dimension the scratch buffers depend on.
 // tokens is among them: two Contexts of one graph whose tunnels differ in
-// length (recomputed around a failure) agree on every other field.
+// length (recomputed around a failure) agree on every other field. The last
+// four shape the build's block only: max(planBlockTokens, longest tunnel) rows.
 type inferScratchKey struct {
 	t, f, k, e, tokens, h1, hr int
+	r, ff, heads, blockRows    int
 }
 
 // inferScratch is the pooled state of the inference engine: the plan (the
 // first-layer accumulators the embedding determines — functions of the
 // Context and the weights only — with the stamp saying which) plus the
-// per-call working buffers.
+// per-call working buffers and the build's block.
 type inferScratch struct {
 	key inferScratchKey
 
@@ -98,6 +117,8 @@ type inferScratch struct {
 	planWeights uint64
 	rauTok      *tensor.Dense // numTokens×HR: RAU first layer after the tunnelEmb and bottleneckEmb columns, were that token the bottleneck
 	mlp1Prefix  *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
+
+	blk planBlock
 
 	// Per-call working buffers.
 	feat, load *tensor.Dense // T×1 demand feature / capacity-normalized load
@@ -113,6 +134,44 @@ type inferScratch struct {
 	edgeRatio, edgeBuFeat, edgeGatedBu []float64
 }
 
+// planBlock is the working set of a build: SETTRANS's intermediates for one
+// block of consecutive whole tunnels. Every buffer is blockRows rows deep and
+// cut to the block in hand by resize; nothing in it outlives the build.
+type planBlock struct {
+	// Per token; x is the residual stream, h once the layers have run.
+	x, norm, q, k, v, o, proj *tensor.Dense // ×r
+	qh, kh, vh, oh            *tensor.Dense // ×r/Heads: one head's columns
+	ff                        *tensor.Dense // ×FFDim
+	// Per tunnel, which has a token at least.
+	tunnelEmb *tensor.Dense // ×r
+	rauPrefix *tensor.Dense // ×HR: RAU first layer after the tunnelEmb columns
+	scores    []float64     // one segment's L×L attention weights
+	// Views of one segment's rows of qh, kh, vh, oh and scores, and of the block's
+	// rows of the plan: fields, so that re-pointing one allocates nothing.
+	qs, ks, vs, os, att, mlp1Rows, rauRows tensor.Dense
+}
+
+func newPlanBlock(key inferScratchKey) planBlock {
+	n, r, dh := key.blockRows, key.r, key.r/key.heads
+	mk := func(cols int) *tensor.Dense { return tensor.New(n, cols) }
+	return planBlock{
+		x: mk(r), norm: mk(r), q: mk(r), k: mk(r), v: mk(r), o: mk(r), proj: mk(r),
+		qh: mk(dh), kh: mk(dh), vh: mk(dh), oh: mk(dh), ff: mk(key.ff),
+		tunnelEmb: mk(r), rauPrefix: mk(key.hr), scores: make([]float64, n*n),
+	}
+}
+
+// resize cuts the block's buffers to a block of tokens rows in tunnels
+// segments, neither more than blockRows.
+func (b *planBlock) resize(tokens, tunnels int) {
+	for _, d := range []*tensor.Dense{b.x, b.norm, b.q, b.k, b.v, b.o, b.proj, b.qh, b.kh, b.vh, b.oh, b.ff} {
+		d.Rows, d.Data = tokens, d.Data[:tokens*d.Cols]
+	}
+	for _, d := range []*tensor.Dense{b.tunnelEmb, b.rauPrefix} {
+		d.Rows, d.Data = tunnels, d.Data[:tunnels*d.Cols]
+	}
+}
+
 var inferScratches = sync.Pool{New: func() any { return new(inferScratch) }}
 
 // ensure sizes the working buffers for one (model, context) pair,
@@ -121,13 +180,17 @@ var inferScratches = sync.Pool{New: func() any { return new(inferScratch) }}
 func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	set := ctx.p.Tunnels
 	key := inferScratchKey{
-		t:      len(set.Flows) * set.K,
-		f:      len(set.Flows),
-		k:      set.K,
-		e:      ctx.p.Graph.NumEdges(),
-		tokens: len(ctx.tokenIdx),
-		h1:     m.Cfg.MLP1Hidden,
-		hr:     m.Cfg.RAUHidden,
+		t:         len(set.Flows) * set.K,
+		f:         len(set.Flows),
+		k:         set.K,
+		e:         ctx.p.Graph.NumEdges(),
+		tokens:    len(ctx.tokenIdx),
+		h1:        m.Cfg.MLP1Hidden,
+		hr:        m.Cfg.RAUHidden,
+		r:         m.Cfg.EmbedDim,
+		ff:        m.Cfg.FFDim,
+		heads:     m.Cfg.Heads,
+		blockRows: max(planBlockTokens, ctx.maxSeg),
 	}
 	if sc.key == key {
 		return
@@ -136,6 +199,7 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.planCtx = nil
 	sc.rauTok = tensor.New(key.tokens, key.hr)
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
+	sc.blk = newPlanBlock(key)
 	sc.feat = tensor.New(key.t, 1)
 	sc.load = tensor.New(key.t, 1)
 	sc.mlp1Hidden = tensor.New(key.t, key.h1)
@@ -149,8 +213,8 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.edgeGatedBu = make([]float64, key.e)
 }
 
-// weightsStamp hashes everything embed and buildPlan read from the model:
-// every parameter's shape and bits, and the Config fields that steer embed
+// weightsStamp hashes everything buildPlan reads from the model:
+// every parameter's shape and bits, and the Config fields that steer it
 // — not RAUIterations, which only the RAU loop reads. Each step is a
 // bijection of the running state, so two weight sets that differ in one
 // element never collide.
@@ -182,30 +246,167 @@ func (m *Model) weightsStamp() uint64 {
 // were that token the bottleneck: the tunnel's prefix row continued through
 // h[token]·W0[r:2r], one accumulation in ascending k because a token belongs
 // to exactly one tunnel. (h·W0[r:2r] computed alone and added to the prefix
-// would be a different sum.) The embedding itself stays on the tape. The
-// stamp is cleared first and set last, so a build that panics leaves no plan
-// behind rather than half of one. It takes no context on purpose: a build is
-// bounded and every later request reads it, and cancelling one would turn
-// any deadline shorter than a build into "no plan, ever" on a changed
-// topology.
+// would be a different sum.)
+//
+// Stage 1 and the first layer's Norm1 and Q/K/V products, which are per
+// distinct row of [edgeEmb ; cls], run on a pooled tape, over E+1 rows. The
+// rest of SETTRANS runs one block of whole tunnels at a time (encode), each
+// block's plan rows are written from the block, and the embedding h never
+// exists as a matrix. The stamp is cleared first and set last, so a build
+// that panics leaves no plan behind rather than half of one. It takes no
+// context on purpose: a build is bounded and every later request reads it,
+// and cancelling one would turn any deadline shorter than a build into "no
+// plan, ever" on a changed topology.
 func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp *reqtrace.Span) {
 	sc.planCtx = nil
 	tp := embedTapes.Get().(*autograd.Tape)
-	emb := m.embed(tp, ctx, sp)
+	gsp := sp.StartChild("forward.gnn")
+	edgeEmb := m.embedEdges(tp, ctx)
+	gsp.End()
+
+	ssp := sp.StartChild("forward.settrans")
+	src := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r: every token is one of these rows
+	layers := m.settrans.Layers
+	var pool *tensor.CSR // the ablation: no layers, and a tunnel is the mean of its edge tokens
+	if m.Cfg.MeanPoolTunnels {
+		layers, pool = nil, ctx.meanPool()
+	}
+	var q0, k0, v0 *tensor.Dense
+	if len(layers) > 0 {
+		att, norm := layers[0].Attn, layers[0].Norm1.Forward(tp, src)
+		q0, k0, v0 = tp.MatMul(norm, att.Wq).Val, tp.MatMul(norm, att.Wk).Val, tp.MatMul(norm, att.Wv).Val
+	}
 	r := m.Cfg.EmbedDim
 	rauW0 := m.rau.Layers[0].W.Val
-	tensor.MatMul(sc.mlp1Prefix, emb.tunnelEmb.Val, rowRange(m.mlp1.Layers[0].W.Val, 0, r))
-	rauPrefix := tp.Buffer(sc.key.t, sc.key.hr)
-	tensor.MatMul(rauPrefix, emb.tunnelEmb.Val, rowRange(rauW0, 0, r))
-	for t, seg := range ctx.segs {
-		for tok := seg.Start; tok < seg.End; tok++ {
-			copy(sc.rauTok.Row(tok), rauPrefix.Row(t))
+	mlp1Emb, rauEmb, rauBottleneck := rowsOf(m.mlp1.Layers[0].W.Val, 0, r), rowsOf(rauW0, 0, r), rowsOf(rauW0, r, 2*r)
+	b := &sc.blk
+	for t0 := 0; t0 < len(ctx.segs); {
+		t1 := t0 + 1
+		for t1 < len(ctx.segs) && ctx.segs[t1].End-ctx.segs[t0].Start <= planBlockTokens {
+			t1++
 		}
+		lo, hi := ctx.segs[t0].Start, ctx.segs[t1-1].End
+		b.resize(hi-lo, t1-t0)
+		b.encode(layers, src.Val, q0, k0, v0, ctx.tokenIdx[lo:hi], ctx.segs[t0:t1])
+
+		for i, seg := range ctx.segs[t0:t1] {
+			row := b.tunnelEmb.Row(i)
+			copy(row, b.x.Row(seg.Start-lo)) // the CLS token
+			if pool != nil {                 // row t0+i of the pooling matrix, as CSR.MulDense takes it
+				clear(row)
+				for p := pool.RowPtr[t0+i]; p < pool.RowPtr[t0+i+1]; p++ {
+					for j, v := range b.x.Row(pool.ColIdx[p] - lo) {
+						row[j] += pool.Val[p] * v
+					}
+				}
+			}
+		}
+		b.mlp1Rows, b.rauRows = rowsOf(sc.mlp1Prefix, t0, t1), rowsOf(sc.rauTok, lo, hi)
+		tensor.MatMul(&b.mlp1Rows, b.tunnelEmb, &mlp1Emb)
+		tensor.MatMul(b.rauPrefix, b.tunnelEmb, &rauEmb)
+		for i, seg := range ctx.segs[t0:t1] {
+			for tok := seg.Start; tok < seg.End; tok++ {
+				copy(b.rauRows.Row(tok-lo), b.rauPrefix.Row(i))
+			}
+		}
+		tensor.MatMulAcc(&b.rauRows, b.x, &rauBottleneck)
+		t0 = t1
 	}
-	tensor.MatMulAcc(sc.rauTok, emb.h.Val, rowRange(rauW0, r, 2*r))
+	ssp.End()
 	tp.Reset()
 	embedTapes.Put(tp)
 	sc.planCtx, sc.planWeights = ctx, weights
+}
+
+// encode runs SETTRANS over the block: b.x becomes the rows idx names of src
+// and then, layer by layer, the block's rows of the embedding h. segs tile the
+// block in order; q0, k0 and v0 are the first layer's projections of src's
+// rows. Every step is nn.EncoderLayer.Forward's and nn.SegmentAttention's own
+// kernel on the block's rows, or that op's formula verbatim.
+func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.Dense, idx []int, segs []nn.Segment) {
+	headCols(b.x, src, idx, 0)
+	lo := segs[0].Start
+	dh := b.qh.Cols
+	scale := 1 / math.Sqrt(float64(dh))
+	for li, l := range layers {
+		// x += Attn(Norm1(x)), attention within each segment.
+		q, k, v := q0, k0, v0
+		if li > 0 {
+			layerNormInto(b.norm, b.x, l.Norm1)
+			q, k, v, idx = b.q, b.k, b.v, nil
+			tensor.MatMul(q, b.norm, l.Attn.Wq.Val)
+			tensor.MatMul(k, b.norm, l.Attn.Wk.Val)
+			tensor.MatMul(v, b.norm, l.Attn.Wv.Val)
+		}
+		for c0 := 0; c0 < b.o.Cols; c0 += dh {
+			headCols(b.qh, q, idx, c0)
+			headCols(b.kh, k, idx, c0)
+			headCols(b.vh, v, idx, c0)
+			for _, seg := range segs {
+				n := seg.Len()
+				b.qs, b.ks = rowsOf(b.qh, seg.Start-lo, seg.End-lo), rowsOf(b.kh, seg.Start-lo, seg.End-lo)
+				b.vs, b.os = rowsOf(b.vh, seg.Start-lo, seg.End-lo), rowsOf(b.oh, seg.Start-lo, seg.End-lo)
+				b.att = tensor.Dense{Rows: n, Cols: n, Data: b.scores[:n*n]}
+				tensor.MatMulABT(&b.att, &b.qs, &b.ks)
+				tensor.ScaleInto(&b.att, &b.att, scale)
+				for i := 0; i < n; i++ {
+					tensor.SoftmaxRow(b.att.Row(i), b.att.Row(i))
+				}
+				tensor.MatMul(&b.os, &b.att, &b.vs)
+			}
+			for i := 0; i < b.o.Rows; i++ {
+				copy(b.o.Row(i)[c0:c0+dh], b.oh.Row(i))
+			}
+		}
+		tensor.MatMul(b.proj, b.o, l.Attn.Wo.Val)
+		tensor.AddInto(b.x, b.x, b.proj)
+
+		// x += FF2(ReLU(FF1(Norm2(x)))).
+		layerNormInto(b.norm, b.x, l.Norm2)
+		tensor.MatMul(b.ff, b.norm, l.FF1.W.Val)
+		tensor.AddRowVecInto(b.ff, b.ff, l.FF1.B.Val)
+		reluInPlace(b.ff.Data)
+		tensor.MatMul(b.proj, b.ff, l.FF2.W.Val)
+		tensor.AddRowVecInto(b.proj, b.proj, l.FF2.B.Val)
+		tensor.AddInto(b.x, b.x, b.proj)
+	}
+}
+
+// headCols copies columns [c0, c0+dst.Cols) of src's row idx[i] — row i
+// itself under a nil idx — into row i of dst.
+func headCols(dst, src *tensor.Dense, idx []int, c0 int) {
+	for i := 0; i < dst.Rows; i++ {
+		row := i
+		if idx != nil {
+			row = idx[i]
+		}
+		copy(dst.Row(i), src.Row(row)[c0:c0+dst.Cols])
+	}
+}
+
+// layerNormInto mirrors nn.LayerNorm.Forward's row formula exactly.
+func layerNormInto(dst, src *tensor.Dense, ln *nn.LayerNorm) {
+	g, b := ln.Gain.Val.Data, ln.Bias.Val.Data
+	d := src.Cols
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)
+		var mu float64
+		for _, v := range row {
+			mu += v
+		}
+		mu /= float64(d)
+		var va float64
+		for _, v := range row {
+			va += (v - mu) * (v - mu)
+		}
+		va /= float64(d)
+		is := 1 / math.Sqrt(va+ln.Eps)
+		out := dst.Row(i)
+		for j, v := range row {
+			xh := (v - mu) * is
+			out[j] = xh*g[j] + b[j]
+		}
+	}
 }
 
 // reluInPlace mirrors autograd.Tape.ReLU's elementwise branch exactly.
@@ -479,12 +680,12 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	return sc.w, it
 }
 
-// embedTapes pools the reusable tapes that record the embedding pass. They
+// embedTapes pools the reusable tapes that record stage 1 of a build. They
 // live in inference mode permanently: inference never calls Backward, so
 // skipping the per-node gradient buffer (and its zeroing) is free speed with
 // bit-identical values. Pooled rather than hung off the Model because
 // inference must stay safe for concurrent use: each goroutine owns its tape
-// until it Puts it back, and a panicking forward simply never returns its
+// until it Puts it back, and a panicking build simply never returns its
 // tape — the pool regenerates.
 var embedTapes = sync.Pool{New: func() any {
 	tp := autograd.NewReusableTape()

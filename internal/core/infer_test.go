@@ -30,8 +30,11 @@ import (
 // GEANT, a KDL-scale graph whose equal-capacity series chains tie exactly on
 // utilization (the RAU bottleneck tie-break, smallest edge id), the
 // mean-pool ablation, no RAU at all, the all-zero demand Server.canary
-// sends (mean and MLU both 0) between two real ones, and layer widths that
-// leave every kernel a 4-wide and a 1-wide remainder tile.
+// sends (mean and MLU both 0) between two real ones, layer widths that
+// leave every kernel a 4-wide and a 1-wide remainder tile, an encoder of two
+// layers (the second projects block rows, which the default config never
+// does) and of none, and tunnels laid across every edge a build's block can
+// have (blockEdgeProblem).
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
@@ -47,12 +50,31 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RAUIterations = 0
 	t.Run("no-rau", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
-	cfg = DefaultConfig()
-	cfg.MeanPoolTunnels = true
-	t.Run("mean-pool", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
+	pool := DefaultConfig()
+	pool.MeanPoolTunnels = true
+	t.Run("mean-pool", func(t *testing.T) { checkInferenceMatchesTape(t, New(pool), ctx, demands[:4]) })
 	cfg = DefaultConfig()
 	cfg.EmbedDim, cfg.Heads, cfg.MLP1Hidden, cfg.RAUHidden = 6, 2, 7, 13
 	t.Run("odd-widths", func(t *testing.T) { checkInferenceMatchesTape(t, New(cfg), ctx, demands[:4]) })
+	two := DefaultConfig()
+	two.SetTransLayers = 2
+	t.Run("two-layer", func(t *testing.T) { checkInferenceMatchesTape(t, New(two), ctx, demands[:4]) })
+	none := DefaultConfig()
+	none.SetTransLayers = 0
+	t.Run("no-settrans", func(t *testing.T) { checkInferenceMatchesTape(t, New(none), ctx, demands[:4]) })
+
+	bp := blockEdgeProblem(t)
+	bd := tensor.New(bp.NumFlows(), 1)
+	for i := range bd.Data {
+		bd.Data[i] = float64(3 + 2*i)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"two-layer", two}, {"no-settrans", none}, {"mean-pool", pool}} {
+		bm := New(c.cfg)
+		t.Run("block-edges/"+c.name, func(t *testing.T) { checkInferenceMatchesTape(t, bm, bm.Context(bp), []*tensor.Dense{bd}) })
+	}
 
 	gm, gctx, gd := largeBench(allPairsProblem(topology.Geant()), 7)
 	t.Run("geant", func(t *testing.T) { checkInferenceMatchesTape(t, gm, gctx, []*tensor.Dense{gd}) })
@@ -63,6 +85,77 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 		kd2.Data[i] = 51 - kd2.Data[i]
 	}
 	t.Run("kdl-ties", func(t *testing.T) { checkInferenceMatchesTape(t, km, kctx, []*tensor.Dense{kd, kd2}) })
+}
+
+// ringProblem lays flows on a bidirectional ring of n nodes by hand: flow i
+// runs hops[i] links clockwise from node 3i, and its two tunnels are the
+// clockwise path (hops+1 tokens) and the counter-clockwise one (n-hops+1),
+// in that order unless flip[i]. Any one flow is n+2 tokens.
+func ringProblem(n int, hops []int, flip []bool) *te.Problem {
+	g := topology.New("ring", n)
+	for i := 0; i < n; i++ {
+		g.AddBidirectional(i, (i+1)%n, float64(5+i%7))
+	}
+	walk := func(from, steps, dir int) tunnels.Tunnel {
+		var tun tunnels.Tunnel
+		for ; steps > 0; steps-- {
+			next := (from + dir + n) % n
+			e, _ := g.EdgeID(from, next)
+			tun.Edges = append(tun.Edges, e)
+			from = next
+		}
+		return tun
+	}
+	set := &tunnels.Set{K: 2}
+	for i, h := range hops {
+		src := 3 * i % n
+		set.Flows = append(set.Flows, tunnels.Flow{Src: src, Dst: (src + h) % n})
+		pair := []tunnels.Tunnel{walk(src, h, 1), walk(src, n-h, -1)}
+		if flip[i] {
+			pair[0], pair[1] = pair[1], pair[0]
+		}
+		set.PerFlow = append(set.PerFlow, pair)
+	}
+	g.EdgeNodes = []int{0}
+	return te.NewProblem(g, set)
+}
+
+// blockEdgeProblem is a ring whose tunnels meet every edge a block of
+// buildPlan's loop can have, with B = planBlockTokens: a tunnel longer than B
+// (a block by itself), a single-edge tunnel, a block of several tunnels that
+// ends exactly on B, blocks that stop short because the next tunnel would
+// not fit, and a short last block. The layout is checked here, by the loop's
+// own rule, so a change of B that loses a case fails instead of passing on
+// less.
+func blockEdgeProblem(t *testing.T) *te.Problem {
+	t.Helper()
+	const B = planBlockTokens
+	n := B + 40
+	//                 tokens: n, 2 | B-2, 44 | 2, n | 6, n-4 | n/2+1, n-n/2+1
+	p := ringProblem(n, []int{1, B - 3, 1, 5, n / 2}, []bool{true, false, false, false, false})
+	ctx := buildContext(p)
+	var long, single, exact, short bool
+	for t0 := 0; t0 < len(ctx.segs); {
+		t1 := t0 + 1
+		for t1 < len(ctx.segs) && ctx.segs[t1].End-ctx.segs[t0].Start <= B {
+			t1++
+		}
+		tokens := ctx.segs[t1-1].End - ctx.segs[t0].Start
+		long = long || tokens > B
+		exact = exact || (tokens == B && t1-t0 > 1)
+		short = short || (tokens < B && t1 < len(ctx.segs))
+		for _, seg := range ctx.segs[t0:t1] {
+			single = single || seg.Len() == 2
+		}
+		if t1 == len(ctx.segs) && (tokens >= B || t0 == 0) {
+			t.Fatalf("last block has %d tokens, want a short one after others", tokens)
+		}
+		t0 = t1
+	}
+	if !long || !single || !exact || !short {
+		t.Fatalf("block layout lost a case: long tunnel %v, single-edge tunnel %v, block exactly on its limit %v, block cut short %v", long, single, exact, short)
+	}
+	return p
 }
 
 // tapeSplits is the reference: the training forward on a fresh gradient tape.
@@ -134,8 +227,8 @@ func TestRAURowBitIdentical(t *testing.T) {
 		tensor.AddRowVecInto(want, want, b1)
 
 		// What buildPlan keeps per token, then what the RAU does per tunnel.
-		acc := prefix.Clone()
-		tensor.MatMulAcc(acc, draw(in.Rows, r, func(i int) float64 { return in.Row(i / r)[i%r] }), rowRange(w0, 0, r))
+		acc, w0Emb := prefix.Clone(), rowsOf(w0, 0, r)
+		tensor.MatMulAcc(acc, draw(in.Rows, r, func(i int) float64 { return in.Row(i / r)[i%r] }), &w0Emb)
 		for i := 0; i < in.Rows; i++ {
 			o0, o1 := rauRow(acc.Row(i), (*[5]float64)(in.Row(i)[r:]), w0.Data[r*hr:], b0.Data, w1.Data, b1.Data)
 			for j, g := range []float64{o0, o1} {
@@ -186,30 +279,69 @@ func TestRAURowBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScratchSizedByTokens: two Contexts on one graph that agree on tunnels,
-// flows, K and edges but not on tunnel lengths — what recomputing tunnels
-// around a failure produces — must not share a token-shaped buffer. They
-// alternate on one goroutine, so each call is handed the scratch the other
-// just returned, and every answer is held to the tape.
+// TestScratchSizedByTokens: the pooled scratch is one per process, so every
+// dimension a buffer of it is shaped by has to be in its key. Two Contexts on
+// one graph that agree on tunnels, flows, K and edges but not on tunnel
+// lengths — what recomputing tunnels around a failure produces — must not
+// share a token-shaped buffer; two that agree on the token count too and
+// differ only in their longest tunnel must not share a block; and models
+// that agree on everything the per-call buffers see must not share a block
+// shaped by EmbedDim, FFDim or Heads. Each set alternates on one goroutine,
+// so each call is handed the scratch the other just returned, and every
+// answer is held to the tape.
 func TestScratchSizedByTokens(t *testing.T) {
-	m := New(tinyConfig())
-	p := twoPathProblem()
-	long := *p.Tunnels
-	long.PerFlow = append([][]tunnels.Tunnel(nil), long.PerFlow...)
-	detour := long.PerFlow[0][1]
-	long.PerFlow[0] = []tunnels.Tunnel{detour, detour} // the direct link's tunnel re-routed
-	q := te.NewProblem(p.Graph, &long)
-	ctxs := []*Context{m.Context(p), m.Context(q)}
-	if a, b := ctxs[0].inner, ctxs[1].inner; len(a.tokenIdx) == len(b.tokenIdx) || len(a.segs) != len(b.segs) {
-		t.Fatalf("want equal tunnel counts and different token counts, got %d/%d tunnels, %d/%d tokens",
-			len(a.segs), len(b.segs), len(a.tokenIdx), len(b.tokenIdx))
-	}
-	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
-	for round := 0; round < 4; round++ {
-		for i, ctx := range ctxs {
-			assertSameBits(t, fmt.Sprintf("round %d context %d", round, i), m.Splits(ctx, d), tapeSplits(m, ctx, d))
+	alternate := func(t *testing.T, models []*Model, ctxs []*Context, d *tensor.Dense) {
+		t.Helper()
+		for round := 0; round < 4; round++ {
+			for mi, m := range models {
+				for ci, ctx := range ctxs {
+					assertSameBits(t, fmt.Sprintf("round %d model %d context %d", round, mi, ci), m.Splits(ctx, d), tapeSplits(m, ctx, d))
+				}
+			}
 		}
 	}
+	m := New(tinyConfig())
+	p := twoPathProblem()
+	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
+
+	t.Run("tokens", func(t *testing.T) {
+		long := *p.Tunnels
+		long.PerFlow = append([][]tunnels.Tunnel(nil), long.PerFlow...)
+		detour := long.PerFlow[0][1]
+		long.PerFlow[0] = []tunnels.Tunnel{detour, detour} // the direct link's tunnel re-routed
+		q := te.NewProblem(p.Graph, &long)
+		ctxs := []*Context{m.Context(p), m.Context(q)}
+		if a, b := ctxs[0].inner, ctxs[1].inner; len(a.tokenIdx) == len(b.tokenIdx) || len(a.segs) != len(b.segs) {
+			t.Fatalf("want equal tunnel counts and different token counts, got %d/%d tunnels, %d/%d tokens",
+				len(a.segs), len(b.segs), len(a.tokenIdx), len(b.tokenIdx))
+		}
+		alternate(t, []*Model{m}, ctxs, d)
+	})
+
+	t.Run("longest-tunnel", func(t *testing.T) {
+		// One flow on a ring is n+2 tokens however far it goes; only the
+		// split between its two tunnels moves.
+		n := planBlockTokens + 40
+		ctxs := []*Context{m.Context(ringProblem(n, []int{n / 2}, []bool{false})), m.Context(ringProblem(n, []int{1}, []bool{false}))}
+		a, b := ctxs[0].inner, ctxs[1].inner
+		if len(a.tokenIdx) != len(b.tokenIdx) || a.maxSeg > planBlockTokens || b.maxSeg <= planBlockTokens {
+			t.Fatalf("want equal token counts and a longest tunnel on either side of a block, got %d/%d tokens, longest %d/%d",
+				len(a.tokenIdx), len(b.tokenIdx), a.maxSeg, b.maxSeg)
+		}
+		alternate(t, []*Model{m}, ctxs, tensor.FromSlice(1, 1, []float64{4}))
+	})
+
+	t.Run("widths", func(t *testing.T) {
+		for _, edit := range []func(*Config){
+			func(c *Config) { c.FFDim = 24 },
+			func(c *Config) { c.EmbedDim = 12 },
+			func(c *Config) { c.Heads = 4 },
+		} {
+			c := tinyConfig()
+			edit(&c)
+			alternate(t, []*Model{m, New(c)}, []*Context{m.Context(p)}, d)
+		}
+	})
 }
 
 // TestSplitsBatchReusedAcrossBatches: the pooled engine state must keep

@@ -88,8 +88,9 @@ func TestReusedTapeForwardAllocsBounded(t *testing.T) {
 
 // TestInferenceAllocsBounded pins Splits' steady-state allocations on the
 // plan-hit path every same-topology request takes: 2 (the returned clone's
-// header and data), independent of topology size. A plan build adds the
-// embedding pass's op bookkeeping on the pooled tape, about 20 more.
+// header and data), independent of topology size. A plan build adds stage
+// 1's op bookkeeping on the pooled tape and three weight-view headers, about
+// a dozen more (BenchmarkSplitsGeant/build: 15 allocs/op).
 func TestInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")

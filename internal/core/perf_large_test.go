@@ -8,6 +8,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -180,4 +181,67 @@ func TestKDLScaleServingDeadline(t *testing.T) {
 	}
 	t.Logf("KDL-scale: %d nodes, %d flows, inference %v (deadline %v)",
 		p.Graph.NumNodes, p.NumFlows(), best, kdlServingDeadline)
+}
+
+// allocated is the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildFootprint pins what a plan build costs in memory: the plan, which
+// is tokens×HR and the engine's to keep, and beyond it nothing that grows
+// with the tokens — stage 1 on the tape is E-shaped, SETTRANS runs in a block
+// of planBlockTokens rows, the per-call buffers are per tunnel. Cold, with the
+// pools emptied, the first call allocates everything the pooled scratch and
+// the pooled tape will ever hold for this problem, so that bounds what they
+// hold afterwards; warm, a build on a fresh Context of the same shape
+// allocates the answer and under 2 KB of tape bookkeeping. The parent of the block loop
+// recorded SETTRANS op by op on the tape: 22 MB cold on GEANT, 226 MB on KDL.
+func TestBuildFootprint(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		problem func() *te.Problem
+		large   bool
+	}{
+		{"geant", func() *te.Problem { return allPairsProblem(topology.Geant()) }, false},
+		{"kdl", benchKDLProblem, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.large && (testing.Short() || tensor.RaceEnabled) {
+				t.Skip("KDL all-pairs: 0.4 s of tunnels, 0.2 s per build")
+			}
+			p := c.problem()
+			m, ctx, d := largeBench(p, 302)
+			tokens, tunnels, rows := len(ctx.inner.tokenIdx), len(ctx.inner.segs), p.Graph.NumEdges()+p.Graph.NumNodes
+			plan := 8 * tokens * m.Cfg.RAUHidden
+			// Generous per-row allowances: a tunnel has 2×H1 + 5 columns of
+			// scratch and a share of the answer, an edge or node a few dozen
+			// tape buffers of width ≤ 2r, the block a dozen buffers and L×L
+			// scores.
+			limit := plan + 8*(64*tunnels+256*rows+256*planBlockTokens+planBlockTokens*planBlockTokens) + 1<<16
+
+			runtime.GC()
+			runtime.GC() // twice empties a sync.Pool
+			cold := allocated(func() { m.Splits(ctx, d) })
+			// The warmest of several: under -race a Pool drops a quarter of
+			// what it is given, and any GC ages it.
+			warm := cold
+			for i := 0; i < 12; i++ {
+				fresh := m.Context(p)
+				warm = min(warm, allocated(func() { m.Splits(fresh, d) }))
+			}
+			t.Logf("%d tokens, %d tunnels, %d edges+nodes: plan %d B, cold build %d B (limit %d), warm build %d B",
+				tokens, tunnels, rows, plan, cold, limit, warm)
+			if cold > uint64(limit) {
+				t.Errorf("a cold build allocates %d B beyond its %d B plan, want <= %d: something token-shaped besides rauTok", int(cold)-plan, plan, limit-plan)
+			}
+			if warmLimit := uint64(8*tunnels + 1<<12); warm > warmLimit {
+				t.Errorf("a warm build allocates %d B, want <= %d (the answer and 4 KB)", warm, warmLimit)
+			}
+		})
+	}
 }

@@ -2,14 +2,13 @@ package core
 
 // Telemetry integration for the training loop. It follows the obs
 // package's nil-safety contract: a training run without telemetry carries
-// nil handles and the disabled path reads no clocks and allocates nothing.
+// nil handles, and the disabled path allocates nothing and reads the clock
+// once per epoch and per checkpoint.
 // The forward pass has no instruments of its own: inference stages are
 // reqtrace spans (infer.go), timed when the request carries one, and the
 // tape Forward is uninstrumented reference code.
 
 import (
-	"time"
-
 	"harpte/internal/autograd"
 	"harpte/internal/obs"
 )
@@ -40,8 +39,8 @@ const (
 	MetricCheckpointRetries = "harp_checkpoint_retries_total"
 )
 
-// trainTelemetry holds the training-loop instruments. A nil
-// *trainTelemetry disables them; all methods are nil-safe.
+// trainTelemetry holds the training-loop instruments: nil handles without
+// a registry, and every call on one is a no-op.
 type trainTelemetry struct {
 	loss      *obs.Gauge
 	valMLU    *obs.Gauge
@@ -54,11 +53,8 @@ type trainTelemetry struct {
 	ckptRetry *obs.Counter
 }
 
-func newTrainTelemetry(reg *obs.Registry) *trainTelemetry {
-	if reg == nil {
-		return nil
-	}
-	return &trainTelemetry{
+func newTrainTelemetry(reg *obs.Registry) trainTelemetry {
+	return trainTelemetry{
 		loss:    reg.Gauge(MetricTrainLoss, "Mean training loss of the latest epoch."),
 		valMLU:  reg.Gauge(MetricTrainValMLU, "Mean validation MLU of the latest epoch."),
 		bestVal: reg.Gauge(MetricTrainBestValMLU, "Best mean validation MLU seen this run."),
@@ -74,37 +70,6 @@ func newTrainTelemetry(reg *obs.Registry) *trainTelemetry {
 		ckptRetry: reg.Counter(MetricCheckpointRetries,
 			"Checkpoint write attempts retried after a transient IO error."),
 	}
-}
-
-// epoch publishes one epoch's outcome.
-func (t *trainTelemetry) epoch(loss, valMLU, bestVal float64, elapsed time.Duration, skips, restores int) {
-	if t == nil {
-		return
-	}
-	t.loss.Set(loss)
-	t.valMLU.Set(valMLU)
-	t.bestVal.Set(bestVal)
-	t.epochs.Inc()
-	t.epochTime.Observe(elapsed.Seconds())
-	t.skipped.Add(int64(skips))
-	t.restores.Add(int64(restores))
-}
-
-// checkpointWritten records one checkpoint write's latency.
-func (t *trainTelemetry) checkpointWritten(elapsed time.Duration) {
-	if t == nil {
-		return
-	}
-	t.ckptWrite.Observe(elapsed.Seconds())
-}
-
-// checkpointRetried records one failed-then-retried checkpoint write
-// attempt.
-func (t *trainTelemetry) checkpointRetried() {
-	if t == nil {
-		return
-	}
-	t.ckptRetry.Inc()
 }
 
 // RegisterRuntimeGauges exposes process-level health useful alongside the

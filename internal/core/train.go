@@ -359,7 +359,7 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 			if attempt >= ckRetries {
 				break
 			}
-			tt.checkpointRetried()
+			tt.ckptRetry.Inc()
 			sleep := delay/2 + time.Duration(retryRNG.Int63n(int64(delay)))
 			if tc.Log != nil {
 				fmt.Fprintf(tc.Log, "checkpoint write attempt %d/%d failed: %v (retrying in %v)\n",
@@ -396,13 +396,10 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 			SkippedBatches: res.SkippedBatches,
 			GuardRestores:  res.GuardRestores,
 		}
-		var t0 time.Time
-		if tt != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		err := saveWithRetry(ck)
-		if err == nil && tt != nil {
-			tt.checkpointWritten(time.Since(t0))
+		if err == nil {
+			tt.ckptWrite.ObserveSince(t0)
 		}
 		return err
 	}
@@ -417,10 +414,7 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 	consecutiveSkips := 0
 
 	for epoch := startEpoch; epoch < tc.Epochs; epoch++ {
-		var epochStart time.Time
-		if tt != nil || tc.Logger != nil {
-			epochStart = time.Now()
-		}
+		epochStart := time.Now()
 		restoresBefore := res.GuardRestores
 		order := rng.Perm(len(train))
 		var epochLoss float64
@@ -477,8 +471,13 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 		if epochSkips == 0 {
 			lastGood = m.snapshot()
 		}
-		tt.epoch(epochLoss, valMLU, res.BestValMLU, time.Since(epochStart),
-			epochSkips, res.GuardRestores-restoresBefore)
+		tt.loss.Set(epochLoss)
+		tt.valMLU.Set(valMLU)
+		tt.bestVal.Set(res.BestValMLU)
+		tt.epochs.Inc()
+		tt.epochTime.ObserveSince(epochStart)
+		tt.skipped.Add(int64(epochSkips))
+		tt.restores.Add(int64(res.GuardRestores - restoresBefore))
 		if tc.Log != nil {
 			fmt.Fprintf(tc.Log, "epoch %3d  loss %.4f  val-MLU %.4f", epoch, epochLoss, valMLU)
 			if epochSkips > 0 {
