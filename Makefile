@@ -28,8 +28,8 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the packages with real concurrency: the tensor kernels' row
-# fan-out and the autograd/nn layers above them, the tunnel computation's
+# race covers the packages with real concurrency: the autograd/nn layers
+# under core's parallel step, the tunnel computation's
 # per-pair workers (each on its own search scratch), core's parallel train step
 # and pooled inference engine, obs's scrape-while-write registry, reqtrace's
 # concurrent annotate/End/export and its stage-histogram feed (named: Go does
@@ -42,7 +42,7 @@ test:
 # the correlated-disaster scenario), and the differential-oracle suite.
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
-	$(GO) test -race ./internal/tensor ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
+	$(GO) test -race ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
 
 # fuzzsmoke gives each native fuzz target a short budget (go test allows
 # one -fuzz pattern per invocation, hence one line per target; ~15-30s

@@ -19,7 +19,6 @@
 //	         [-deadline D] [-replicas N] [-hedge-quantile Q]
 //	         [-retry-budget R] [-metrics-addr host:port]
 //	         [-cache-entries N] [-shard]
-//	         [-load-duration D] [-open-loop-rate R] [-load-workers N]
 //	         [-trace-dump FILE] [-trace-sample N] [-quality-every N]
 //	         [-scenario FILE|auto]
 //
@@ -33,11 +32,8 @@
 // retries, ejections, and local ECMP fallbacks.
 //
 // -cache-entries enables the split-ratio cache; the summary then reports
-// its hit rate. The replay itself is sequential — caching pays off in the
-// load phase: -load-duration runs a post-replay load-generation phase over
-// the test snapshots, closed-loop with -load-workers by default or
-// open-loop at -open-loop-rate req/s, reporting throughput, shed rate, and
-// p50/p99/p999 latency.
+// its hit rate. The replay is sequential and every snapshot is new, so it
+// hits only on repeats; bench/ is the load generator (go run ./bench).
 //
 // With -metrics-addr the replay serves the observability admin endpoint
 // while it runs: per-tier request counters and latency histograms, forward
@@ -56,18 +52,19 @@
 // the achieved/optimal MLU ratio — the live answer to "how far from
 // optimal is what we are serving".
 //
-// -scenario runs a correlated-disaster drill after the replay (and load
-// phase, if any): a seed-replayable script of SRLG fiber cuts, flash
-// crowds, sustained demand shifts, adversarial traffic matrices
-// (gradient-ascended against the trained weights), and maintenance waves
-// that quarantine fleet replicas (ignored with -replicas 1). Pass a
-// scenario JSON file, or "auto" for the canned everything-at-once script.
-// The drill arms the out-of-distribution serving guard: its envelope is
-// trained on the scenario's own benign traffic immediately before the
-// drill, so suspect/hostile demotions in the summary line are
-// script-induced, and the replay and load phases run unguarded. The
-// summary reports quiet vs disaster NormMLU (MLU degradation), shed
-// rate, and the guard's verdict counts.
+// -scenario runs a correlated-disaster drill after the replay: a
+// seed-replayable script of SRLG fiber cuts, flash crowds, sustained demand
+// shifts, adversarial traffic matrices (gradient-ascended against the
+// trained weights), and maintenance waves that quarantine fleet replicas
+// (ignored with -replicas 1). Pass a scenario JSON file, or "auto" for the
+// canned everything-at-once script. The drill arms the out-of-distribution
+// serving guard: its envelope is trained on the scenario's own benign
+// traffic immediately before the drill, so suspect/hostile demotions in the
+// summary line are script-induced — but for the fleet's health probes after
+// a maintenance wave, which replay the first test snapshot and are graded
+// like any request — and the replay runs unguarded. The summary reports
+// quiet vs disaster NormMLU (MLU degradation), shed rate, the guard's
+// verdict counts, and the replicas the waves ejected and re-admitted.
 package main
 
 import (
@@ -115,10 +112,6 @@ func main() {
 		cacheEnt = flag.Int("cache-entries", 0, "split-ratio cache capacity per replica (0 disables the cache)")
 		shard    = flag.Bool("shard", false, "fleet: route by topology cluster (rendezvous sharding) instead of round-robin")
 
-		loadDur     = flag.Duration("load-duration", 0, "run a post-replay load-generation phase for this long (0 skips it)")
-		openRate    = flag.Float64("open-loop-rate", 0, "load phase: open-loop arrival rate in req/s (0 = closed loop with -load-workers)")
-		loadWorkers = flag.Int("load-workers", 8, "load phase: concurrent workers in closed-loop mode")
-
 		traceDump    = flag.String("trace-dump", "", "write the flight-recorder trace dump to this file at exit (\"-\" for stdout)")
 		traceSample  = flag.Int("trace-sample", 64, "flight recorder: probabilistically retain 1-in-N boring traces (errors, sheds, hedge wins and p99-slow requests are always kept)")
 		qualityEvery = flag.Int("quality-every", 0, "re-solve 1-in-N served requests with the simplex oracle and score MLU vs optimal (0 disables)")
@@ -144,7 +137,7 @@ func main() {
 		// One SLO set shared by all replicas: a burn-rate series reports
 		// the sum of the functions registered on it, so per-server sets
 		// would add their ratios up on a shared registry.
-		slos = resilience.NewSLOSet(resilience.SLOConfig{})
+		slos = resilience.NewSLOSet()
 		slos.Register(reg)
 		admin, err := obs.ServeAdminOpts(*metrics, obs.AdminOptions{Registry: reg, Traces: rec})
 		if err != nil {
@@ -204,8 +197,8 @@ func main() {
 		*replicas = 1
 	}
 	// The OOD guard is shared by every replica; its profile envelope is
-	// installed only when the -scenario drill starts, so the replay and
-	// load phases serve unguarded (an empty guard fails open).
+	// installed only when the -scenario drill starts, so the replay serves
+	// unguarded (an empty guard fails open).
 	var guard *resilience.OODGuard
 	if *scenarioSpec != "" {
 		guard = resilience.NewOODGuard()
@@ -243,6 +236,20 @@ func main() {
 			backends[i] = maintShims[i]
 		}
 	}
+	requestOf := func(snap dataset.Snapshot) (*te.Problem, *tensor.Dense) {
+		c := ds.Clusters[snap.Cluster]
+		return te.NewProblem(snap.Graph, c.Tunnels), traffic.DemandVector(snap.TM, c.Tunnels.Flows)
+	}
+	// The first test snapshot is the drill's base problem and the fleet's
+	// health probe: CheckHealth does nothing without one, and a probe is the
+	// only request that reaches a quarantined replica.
+	var base *te.Problem
+	var baseDemand *tensor.Dense
+	for si := 0; si < len(ds.Snapshots) && base == nil; si += *every {
+		if !trainClusters[ds.Snapshots[si].Cluster] {
+			base, baseDemand = requestOf(ds.Snapshots[si])
+		}
+	}
 	srv := servers[0]
 	var fl *fleet.Fleet
 	if *replicas > 1 {
@@ -251,6 +258,8 @@ func main() {
 			HedgeQuantile:   *hedgeQ,
 			RetryBudget:     *retryBud,
 			ShardByTopology: *shard,
+			Probe:           base,
+			ProbeDemand:     baseDemand,
 		})
 		defer fl.Close()
 		fl.EnableTelemetry(reg)
@@ -275,19 +284,13 @@ func main() {
 	fmt.Println("  t  cluster  event            tier         HARP-MLU  optimal   NormMLU")
 	var norms []float64
 	tierLat := map[resilience.Tier][]time.Duration{}
-	var pool []loadRequest // test-snapshot requests reused by the load phase
 	lastCluster := -1
 	for si := 0; si < len(ds.Snapshots); si += *every {
 		snap := ds.Snapshots[si]
 		if trainClusters[snap.Cluster] {
 			continue // skip the training/validation window
 		}
-		c := ds.Clusters[snap.Cluster]
-		p := te.NewProblem(snap.Graph, c.Tunnels)
-		d := traffic.DemandVector(snap.TM, c.Tunnels.Flows)
-		if len(pool) < 64 {
-			pool = append(pool, loadRequest{p: p, d: d})
-		}
+		p, d := requestOf(snap)
 		t0 := time.Now()
 		dec := serveOne(p, d)
 		tierLat[dec.Tier] = append(tierLat[dec.Tier], time.Since(t0))
@@ -352,13 +355,8 @@ func main() {
 	}
 	printCacheStats(servers, *cacheEnt)
 
-	if *loadDur > 0 && len(pool) > 0 {
-		runLoadPhase(serveOne, pool, *loadDur, *openRate, *loadWorkers)
-		printCacheStats(servers, *cacheEnt)
-	}
-
 	if *scenarioSpec != "" {
-		err := runScenarioDrill(*scenarioSpec, pool[0].p, model, guard, serveOne, fl, maintShims, *replicas, *seed)
+		err := runScenarioDrill(*scenarioSpec, base, model, guard, serveOne, fl, maintShims, *replicas, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tereplay: scenario:", err)
 			os.Exit(1)
@@ -392,12 +390,6 @@ func main() {
 		rst := rec.RecorderStats()
 		fmt.Fprintf(os.Stderr, "traces: retained=%d dropped=%d\n", rst.Retained, rst.Dropped)
 	}
-}
-
-// loadRequest is one (problem, demand) pair replayed by the load phase.
-type loadRequest struct {
-	p *te.Problem
-	d *tensor.Dense
 }
 
 // maintShim gates a fleet replica behind a maintenance switch: scenario
@@ -562,6 +554,10 @@ func runScenarioDrill(spec string, base *te.Problem, model *core.Model, guard *r
 		quietMean, len(quiet), disasterMean, len(disaster), degradation,
 		shed, total, 100*float64(shed)/float64(total),
 		st.Suspect, st.Hostile, st.HostileDemotions, st.CacheBypasses)
+	if fl != nil {
+		fst := fl.Stats()
+		fmt.Printf("scenario fleet: ejections=%d readmits=%d quarantined=%d\n", fst.Ejections, fst.Readmissions, fst.Quarantined)
+	}
 	return nil
 }
 
@@ -616,82 +612,4 @@ func printCacheStats(servers []*resilience.Server, cacheEnt int) {
 	}
 	fmt.Printf("split cache: hits=%d misses=%d (hit-rate %.1f%%) evictions=%d entries=%d bytes=%d\n",
 		cs.Hits, cs.Misses, 100*rate, cs.Evictions, cs.Size, cs.Bytes)
-}
-
-// runLoadPhase hammers the serving path with the pooled test requests for
-// dur: closed-loop (workers issuing back-to-back) when rate is 0, or
-// open-loop at a fixed arrival rate regardless of completions. It reports
-// throughput, shed rate, and overall latency percentiles — the serving
-// numbers the replay's sequential timeline cannot show.
-func runLoadPhase(serve func(*te.Problem, *tensor.Dense) resilience.Decision, pool []loadRequest, dur time.Duration, rate float64, workers int) {
-	var (
-		mu   sync.Mutex
-		lats []time.Duration
-		shed int64
-		next int64
-	)
-	issue := func(i int) {
-		req := pool[i%len(pool)]
-		t0 := time.Now()
-		dec := serve(req.p, req.d)
-		elapsed := time.Since(t0)
-		mu.Lock()
-		lats = append(lats, elapsed)
-		if dec.Tier == resilience.TierShed {
-			shed++
-		}
-		mu.Unlock()
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	if rate > 0 {
-		fmt.Printf("\nload phase: open-loop %.0f req/s for %v over %d snapshots\n", rate, dur, len(pool))
-		interval := time.Duration(float64(time.Second) / rate)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		deadline := time.After(dur)
-	open:
-		for {
-			select {
-			case <-ticker.C:
-				wg.Add(1)
-				n := int(next)
-				next++
-				go func() { defer wg.Done(); issue(n) }()
-			case <-deadline:
-				break open
-			}
-		}
-	} else {
-		if workers < 1 {
-			workers = 1
-		}
-		fmt.Printf("\nload phase: closed-loop %d workers for %v over %d snapshots\n", workers, dur, len(pool))
-		stop := time.Now().Add(dur)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; time.Now().Before(stop); i += workers {
-					issue(i)
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	total := len(lats)
-	if total == 0 {
-		fmt.Println("load phase: no requests completed")
-		return
-	}
-	fmt.Printf("load phase: %d requests in %v: throughput %.1f req/s, shed %d (%.2f%%)\n",
-		total, elapsed.Round(time.Millisecond),
-		float64(total)/elapsed.Seconds(), shed, 100*float64(shed)/float64(total))
-	fmt.Printf("load latency: %s\n", percentileRow(lats))
 }

@@ -554,12 +554,7 @@ func (tp *Tape) AddRow(a, v *Tensor) *Tensor {
 // ReLU returns max(a, 0) elementwise.
 func (tp *Tape) ReLU(a *Tensor) *Tensor {
 	out := tp.buf(a.Rows(), a.Cols())
-	for i, v := range a.Val.Data {
-		if v < 0 {
-			v = 0
-		}
-		out.Data[i] = v
-	}
+	tensor.ReLUInto(out, a.Val)
 	return tp.node1(opReLU, out, a)
 }
 

@@ -22,7 +22,7 @@ package core
 // to the tape-based adjust() path. That holds by construction, not by
 // tolerance:
 //
-//   - The matmul kernel (tensor.matMulAccRange) accumulates each output
+//   - The matmul kernel (tensor.matMulAcc) accumulates each output
 //     element's terms in ascending-k order starting from a zeroed
 //     accumulator, with the bias row added after the full sum. tunnelEmb
 //     forms the LEADING columns of both the MLP1 and RAU first-layer
@@ -44,9 +44,11 @@ package core
 //     units in ascending order and the output bias — each sum the sequence
 //     of additions the matmul kernel would make, zero multiplicands skipped
 //     exactly where it skips them.
-//   - Every elementwise op mirrors the corresponding autograd op's formula
-//     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
-//     and the kernel's skip of zero multiplicands), and so does LayerNorm.
+//   - Every other step is the tape's kernel, not a copy of it: LayerNorm
+//     is nn.LayerNorm.Apply, the per-head gathers nn.GatherColBlock, ReLU
+//     tensor.ReLUInto (whose `v < 0` preserves -0) — the loops the tape
+//     ops themselves run. What is written here alone is the demand column
+//     (accColumn: macRow's inner loop, zero skip included) and rauRow.
 //   - SETTRANS never lets two tunnels interact: attention is per segment,
 //     and LayerNorm, the matmul kernel (macRow: one output row at a time),
 //     bias, ReLU and the residual adds are per row. Run over any run of
@@ -82,12 +84,6 @@ import (
 	"harpte/internal/tensor"
 	"harpte/internal/verify"
 )
-
-// rowsOf returns rows [lo, hi) of a Dense as a view (shared backing array,
-// no copy) whose header the caller owns.
-func rowsOf(d *tensor.Dense, lo, hi int) tensor.Dense {
-	return tensor.Dense{Rows: hi - lo, Cols: d.Cols, Data: d.Data[lo*d.Cols : hi*d.Cols]}
-}
 
 // planBlockTokens bounds the token rows of one block of buildPlan's loop. A
 // block is whole tunnels, so a longer tunnel is a block by itself. GEANT's
@@ -146,9 +142,6 @@ type planBlock struct {
 	tunnelEmb *tensor.Dense // ×r
 	rauPrefix *tensor.Dense // ×HR: RAU first layer after the tunnelEmb columns
 	scores    []float64     // one segment's L×L attention weights
-	// Views of one segment's rows of qh, kh, vh, oh and scores, and of the block's
-	// rows of the plan: fields, so that re-pointing one allocates nothing.
-	qs, ks, vs, os, att, mlp1Rows, rauRows tensor.Dense
 }
 
 func newPlanBlock(key inferScratchKey) planBlock {
@@ -278,7 +271,7 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 	}
 	r := m.Cfg.EmbedDim
 	rauW0 := m.rau.Layers[0].W.Val
-	mlp1Emb, rauEmb, rauBottleneck := rowsOf(m.mlp1.Layers[0].W.Val, 0, r), rowsOf(rauW0, 0, r), rowsOf(rauW0, r, 2*r)
+	mlp1Emb, rauEmb, rauBottleneck := m.mlp1.Layers[0].W.Val.RowRange(0, r), rauW0.RowRange(0, r), rauW0.RowRange(r, 2*r)
 	b := &sc.blk
 	for t0 := 0; t0 < len(ctx.segs); {
 		t1 := t0 + 1
@@ -301,15 +294,15 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 				}
 			}
 		}
-		b.mlp1Rows, b.rauRows = rowsOf(sc.mlp1Prefix, t0, t1), rowsOf(sc.rauTok, lo, hi)
-		tensor.MatMul(&b.mlp1Rows, b.tunnelEmb, &mlp1Emb)
+		mlp1Rows, rauRows := sc.mlp1Prefix.RowRange(t0, t1), sc.rauTok.RowRange(lo, hi)
+		tensor.MatMul(&mlp1Rows, b.tunnelEmb, &mlp1Emb)
 		tensor.MatMul(b.rauPrefix, b.tunnelEmb, &rauEmb)
 		for i, seg := range ctx.segs[t0:t1] {
 			for tok := seg.Start; tok < seg.End; tok++ {
-				copy(b.rauRows.Row(tok-lo), b.rauPrefix.Row(i))
+				copy(rauRows.Row(tok-lo), b.rauPrefix.Row(i))
 			}
 		}
-		tensor.MatMulAcc(&b.rauRows, b.x, &rauBottleneck)
+		tensor.MatMulAcc(&rauRows, b.x, &rauBottleneck)
 		t0 = t1
 	}
 	ssp.End()
@@ -322,9 +315,9 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 // and then, layer by layer, the block's rows of the embedding h. segs tile the
 // block in order; q0, k0 and v0 are the first layer's projections of src's
 // rows. Every step is nn.EncoderLayer.Forward's and nn.SegmentAttention's own
-// kernel on the block's rows, or that op's formula verbatim.
+// kernel on the block's rows.
 func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.Dense, idx []int, segs []nn.Segment) {
-	headCols(b.x, src, idx, 0)
+	nn.GatherColBlock(b.x, src, idx, 0)
 	lo := segs[0].Start
 	dh := b.qh.Cols
 	scale := 1 / math.Sqrt(float64(dh))
@@ -332,27 +325,27 @@ func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.De
 		// x += Attn(Norm1(x)), attention within each segment.
 		q, k, v := q0, k0, v0
 		if li > 0 {
-			layerNormInto(b.norm, b.x, l.Norm1)
+			l.Norm1.Apply(b.norm, b.x, nil, nil)
 			q, k, v, idx = b.q, b.k, b.v, nil
 			tensor.MatMul(q, b.norm, l.Attn.Wq.Val)
 			tensor.MatMul(k, b.norm, l.Attn.Wk.Val)
 			tensor.MatMul(v, b.norm, l.Attn.Wv.Val)
 		}
 		for c0 := 0; c0 < b.o.Cols; c0 += dh {
-			headCols(b.qh, q, idx, c0)
-			headCols(b.kh, k, idx, c0)
-			headCols(b.vh, v, idx, c0)
+			nn.GatherColBlock(b.qh, q, idx, c0)
+			nn.GatherColBlock(b.kh, k, idx, c0)
+			nn.GatherColBlock(b.vh, v, idx, c0)
 			for _, seg := range segs {
-				n := seg.Len()
-				b.qs, b.ks = rowsOf(b.qh, seg.Start-lo, seg.End-lo), rowsOf(b.kh, seg.Start-lo, seg.End-lo)
-				b.vs, b.os = rowsOf(b.vh, seg.Start-lo, seg.End-lo), rowsOf(b.oh, seg.Start-lo, seg.End-lo)
-				b.att = tensor.Dense{Rows: n, Cols: n, Data: b.scores[:n*n]}
-				tensor.MatMulABT(&b.att, &b.qs, &b.ks)
-				tensor.ScaleInto(&b.att, &b.att, scale)
+				n, s0, s1 := seg.Len(), seg.Start-lo, seg.End-lo
+				qs, ks := b.qh.RowRange(s0, s1), b.kh.RowRange(s0, s1)
+				vs, os := b.vh.RowRange(s0, s1), b.oh.RowRange(s0, s1)
+				att := tensor.Dense{Rows: n, Cols: n, Data: b.scores[:n*n]}
+				tensor.MatMulABT(&att, &qs, &ks)
+				tensor.ScaleInto(&att, &att, scale)
 				for i := 0; i < n; i++ {
-					tensor.SoftmaxRow(b.att.Row(i), b.att.Row(i))
+					tensor.SoftmaxRow(att.Row(i), att.Row(i))
 				}
-				tensor.MatMul(&b.os, &b.att, &b.vs)
+				tensor.MatMul(&os, &att, &vs)
 			}
 			for i := 0; i < b.o.Rows; i++ {
 				copy(b.o.Row(i)[c0:c0+dh], b.oh.Row(i))
@@ -362,64 +355,18 @@ func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.De
 		tensor.AddInto(b.x, b.x, b.proj)
 
 		// x += FF2(ReLU(FF1(Norm2(x)))).
-		layerNormInto(b.norm, b.x, l.Norm2)
+		l.Norm2.Apply(b.norm, b.x, nil, nil)
 		tensor.MatMul(b.ff, b.norm, l.FF1.W.Val)
 		tensor.AddRowVecInto(b.ff, b.ff, l.FF1.B.Val)
-		reluInPlace(b.ff.Data)
+		tensor.ReLUInto(b.ff, b.ff)
 		tensor.MatMul(b.proj, b.ff, l.FF2.W.Val)
 		tensor.AddRowVecInto(b.proj, b.proj, l.FF2.B.Val)
 		tensor.AddInto(b.x, b.x, b.proj)
 	}
 }
 
-// headCols copies columns [c0, c0+dst.Cols) of src's row idx[i] — row i
-// itself under a nil idx — into row i of dst.
-func headCols(dst, src *tensor.Dense, idx []int, c0 int) {
-	for i := 0; i < dst.Rows; i++ {
-		row := i
-		if idx != nil {
-			row = idx[i]
-		}
-		copy(dst.Row(i), src.Row(row)[c0:c0+dst.Cols])
-	}
-}
-
-// layerNormInto mirrors nn.LayerNorm.Forward's row formula exactly.
-func layerNormInto(dst, src *tensor.Dense, ln *nn.LayerNorm) {
-	g, b := ln.Gain.Val.Data, ln.Bias.Val.Data
-	d := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		row := src.Row(i)
-		var mu float64
-		for _, v := range row {
-			mu += v
-		}
-		mu /= float64(d)
-		var va float64
-		for _, v := range row {
-			va += (v - mu) * (v - mu)
-		}
-		va /= float64(d)
-		is := 1 / math.Sqrt(va+ln.Eps)
-		out := dst.Row(i)
-		for j, v := range row {
-			xh := (v - mu) * is
-			out[j] = xh*g[j] + b[j]
-		}
-	}
-}
-
-// reluInPlace mirrors autograd.Tape.ReLU's elementwise branch exactly.
-func reluInPlace(d []float64) {
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
-}
-
 // accColumn accumulates one input column's contribution into a first-layer
-// output, mirroring matMulAccRange's inner loop (including the zero skip):
+// output, mirroring macRow's inner loop (including the zero skip):
 // dst.Row(i) += col[i] * wrow.
 func accColumn(dst *tensor.Dense, col, wrow []float64) {
 	for i := 0; i < dst.Rows; i++ {
@@ -613,7 +560,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	copy(sc.mlp1Hidden.Data, sc.mlp1Prefix.Data)
 	accColumn(sc.mlp1Hidden, sc.feat.Data, l0.W.Val.Row(m.Cfg.EmbedDim))
 	tensor.AddRowVecInto(sc.mlp1Hidden, sc.mlp1Hidden, l0.B.Val)
-	reluInPlace(sc.mlp1Hidden.Data)
+	tensor.ReLUInto(sc.mlp1Hidden, sc.mlp1Hidden)
 	tensor.MatMul(sc.u, sc.mlp1Hidden, l1.W.Val)
 	tensor.AddRowVecInto(sc.u, sc.u, l1.B.Val)
 	for i, v := range sc.u.Data {

@@ -222,12 +222,12 @@ func TestRAURowBitIdentical(t *testing.T) {
 		hidden, want := prefix.Clone(), tensor.New(in.Rows, 2)
 		tensor.MatMulAcc(hidden, in, w0)
 		tensor.AddRowVecInto(hidden, hidden, b0)
-		reluInPlace(hidden.Data)
+		tensor.ReLUInto(hidden, hidden)
 		tensor.MatMul(want, hidden, w1)
 		tensor.AddRowVecInto(want, want, b1)
 
 		// What buildPlan keeps per token, then what the RAU does per tunnel.
-		acc, w0Emb := prefix.Clone(), rowsOf(w0, 0, r)
+		acc, w0Emb := prefix.Clone(), w0.RowRange(0, r)
 		tensor.MatMulAcc(acc, draw(in.Rows, r, func(i int) float64 { return in.Row(i / r)[i%r] }), &w0Emb)
 		for i := 0; i < in.Rows; i++ {
 			o0, o1 := rauRow(acc.Row(i), (*[5]float64)(in.Row(i)[r:]), w0.Data[r*hr:], b0.Data, w1.Data, b1.Data)

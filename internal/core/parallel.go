@@ -85,13 +85,7 @@ func (m *Model) ParallelTrainStepChecked(opt *autograd.Adam, batch []Sample, wor
 			// worker's own arena.
 			tp := worker.trainingTape()
 			for i := w; i < len(batch); i += workers {
-				s := batch[i]
-				fr := worker.Forward(tp, s.Ctx, s.Demand)
-				loss := worker.LossMLU(tp, s.Ctx, fr.Splits, s.lossDemand())
-				loss = tp.Scale(loss, scale)
-				tp.Backward(loss)
-				losses[w] += loss.Val.Data[0]
-				tp.Reset()
+				losses[w] += worker.backprop(tp, batch[i], scale)
 			}
 		}(w)
 	}
@@ -112,13 +106,5 @@ func (m *Model) ParallelTrainStepChecked(opt *autograd.Adam, batch []Sample, wor
 	for _, l := range losses {
 		total += l
 	}
-	if m.lossHook != nil {
-		total = m.lossHook(total)
-	}
-	if !isFinite(total) || !gradsFinite(m.params) {
-		zeroGrads(m.params)
-		return total, true
-	}
-	opt.Step(m.params)
-	return total, false
+	return m.guardedStep(opt, total)
 }

@@ -89,8 +89,9 @@ func TestReusedTapeForwardAllocsBounded(t *testing.T) {
 // TestInferenceAllocsBounded pins Splits' steady-state allocations on the
 // plan-hit path every same-topology request takes: 2 (the returned clone's
 // header and data), independent of topology size. A plan build adds stage
-// 1's op bookkeeping on the pooled tape and three weight-view headers, about
-// a dozen more (BenchmarkSplitsGeant/build: 15 allocs/op).
+// 1's op bookkeeping on the pooled tape, 6 more; its views are stack locals
+// (three weight-view headers went to the heap while the kernels' arguments
+// escaped: 11 a build).
 func TestInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
@@ -101,6 +102,13 @@ func TestInferenceAllocsBounded(t *testing.T) {
 	n := testing.AllocsPerRun(20, func() { m.Splits(ctx, d) })
 	if n > 2 {
 		t.Errorf("steady-state Splits allocates %v times per run, want <= 2", n)
+	}
+	// Two Contexts of one problem in turn: each call finds the other's plan.
+	other := m.Context(ctx.inner.p)
+	m.Splits(other, d)
+	n = testing.AllocsPerRun(20, func() { m.Splits(ctx, d); m.Splits(other, d) })
+	if n > 16 {
+		t.Errorf("two plan builds allocate %v times, want <= 16", n)
 	}
 }
 

@@ -32,25 +32,24 @@ func abileneBench(batch int) (*Model, *Context, []Sample) {
 	return m, ctx, samples
 }
 
+// BenchmarkTrainStepAbilene is one optimizer step on one batch of 8, serial
+// and sharded over 2 and 4 workers: rows that differ in nothing but the
+// workers, so the ledger can say whether ParallelTrainStep pays.
 func BenchmarkTrainStepAbilene(b *testing.B) {
-	m, _, samples := abileneBench(4)
-	opt := autograd.NewAdam(2e-3)
-	m.TrainStep(opt, samples) // warm up lazily built state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TrainStep(opt, samples)
-	}
-}
-
-func BenchmarkParallelTrainStepAbilene(b *testing.B) {
-	m, _, samples := abileneBench(8)
-	opt := autograd.NewAdam(2e-3)
-	m.ParallelTrainStep(opt, samples, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ParallelTrainStep(opt, samples, 4)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"batch8/serial", 1}, {"batch8/workers2", 2}, {"batch8/workers4", 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, _, samples := abileneBench(8)
+			opt := autograd.NewAdam(2e-3)
+			m.ParallelTrainStep(opt, samples, bc.workers) // warm up lazily built state before measuring
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ParallelTrainStep(opt, samples, bc.workers)
+			}
+		})
 	}
 }
 

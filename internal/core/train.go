@@ -172,13 +172,28 @@ func (m *Model) TrainStepChecked(opt *autograd.Adam, batch []Sample) (loss float
 	scale := 1 / float64(len(batch))
 	tp := m.trainingTape()
 	for _, s := range batch {
-		fr := m.Forward(tp, s.Ctx, s.Demand)
-		l := m.LossMLU(tp, s.Ctx, fr.Splits, s.lossDemand())
-		l = tp.Scale(l, scale)
-		tp.Backward(l)
-		total += l.Val.Data[0]
-		tp.Reset() // recycle all per-sample nodes and buffers
+		total += m.backprop(tp, s, scale)
 	}
+	return m.guardedStep(opt, total)
+}
+
+// backprop runs one sample forward and backward on tp, adding its gradient
+// times scale to the parameters', and returns its scaled loss. The Reset
+// recycles every per-sample node and buffer.
+func (m *Model) backprop(tp *autograd.Tape, s Sample, scale float64) float64 {
+	fr := m.Forward(tp, s.Ctx, s.Demand)
+	l := tp.Scale(m.LossMLU(tp, s.Ctx, fr.Splits, s.lossDemand()), scale)
+	tp.Backward(l)
+	loss := l.Val.Data[0]
+	tp.Reset()
+	return loss
+}
+
+// guardedStep ends a step, serial or parallel, whose gradients are
+// accumulated in m.params: the loss hook, the health check, then either the
+// optimizer step or — on a NaN/Inf loss or gradient norm — cleared gradients
+// and skipped=true.
+func (m *Model) guardedStep(opt *autograd.Adam, total float64) (loss float64, skipped bool) {
 	if m.lossHook != nil {
 		total = m.lossHook(total)
 	}

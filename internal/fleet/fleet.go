@@ -136,10 +136,6 @@ type Options struct {
 	// retries a quiet period can bank for a burst.
 	RetryBurst float64
 
-	// DegradeThreshold consecutive failures mark a replica degraded —
-	// still in the dispatch rotation, but flagged for operators and on
-	// the path to quarantine (default 1).
-	DegradeThreshold int
 	// QuarantineThreshold consecutive failures quarantine a replica:
 	// no regular traffic, probes only (default 3).
 	QuarantineThreshold int
@@ -191,9 +187,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBurst <= 0 {
 		o.RetryBurst = 10
-	}
-	if o.DegradeThreshold <= 0 {
-		o.DegradeThreshold = 1
 	}
 	if o.QuarantineThreshold <= 0 {
 		o.QuarantineThreshold = 3

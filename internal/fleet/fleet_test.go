@@ -355,6 +355,43 @@ func TestFleetProbationReadmission(t *testing.T) {
 	}
 }
 
+// TestFleetMaintenanceWaveReadmits is tereplay's -scenario maintenance wave
+// on the options it builds its fleet with — the defaults plus a pinned probe:
+// a replica taken down fails its way into quarantine through traffic and the
+// wave's health rounds, and once released, ProbationSuccesses rounds put it
+// back. Only probes reach a quarantined replica, so with no Probe pinned
+// CheckHealth is a no-op and the replica would stay out for good.
+func TestFleetMaintenanceWaveReadmits(t *testing.T) {
+	p := twoPathProblem()
+	d := demand(p, 4, 2)
+	fs, rs := fakes(3)
+	f := New(rs, Options{Deadline: time.Second, Probe: p, ProbeDemand: d})
+	defer f.Close()
+
+	fs[1].fail.Store(true) // the wave takes replica 1 down
+	for i := 0; i < 4; i++ {
+		f.CheckHealth()
+		assertValidSplits(t, p, f.Serve(p, d).Splits)
+	}
+	if got := f.ReplicaHealth(1); got != Quarantined {
+		t.Fatalf("health during the wave %v, want quarantined", got)
+	}
+
+	fs[1].fail.Store(false) // released
+	for i := 0; i < f.opts.ProbationSuccesses; i++ {
+		if got := f.ReplicaHealth(1); got != Quarantined {
+			t.Fatalf("re-admitted after %d good probes, want %d", i, f.opts.ProbationSuccesses)
+		}
+		f.CheckHealth()
+	}
+	if got := f.ReplicaHealth(1); got != Healthy {
+		t.Fatalf("health after release %v, want healthy", got)
+	}
+	if st := f.Stats(); st.Ejections != 1 || st.Readmissions != 1 || st.Quarantined != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
 // TestFleetEjectionCapHoldsBack: with 3 of 4 replicas failing and a 0.5
 // cap, at most 2 may be quarantined; the rest stay degraded and keep
 // taking (and failing) probes.

@@ -115,7 +115,7 @@ func (f *Fleet) onFailure(r *replica) {
 		} else {
 			r.health = Degraded
 		}
-	case r.consec >= f.opts.DegradeThreshold:
+	default: // one failure degrades: still in rotation, flagged, on the path to quarantine
 		r.health = Degraded
 	}
 	now := r.health

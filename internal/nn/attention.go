@@ -57,14 +57,6 @@ func (sa *SegmentAttention) Params() []*autograd.Tensor {
 	return []*autograd.Tensor{sa.Wq, sa.Wk, sa.Wv, sa.Wo}
 }
 
-// rowsView returns a no-copy view of rows [s.Start,s.End) of m. It returns
-// a value (not a pointer) so the header lives on the caller's stack — a
-// heap-allocated header per segment per pass would dominate the layer's
-// allocation profile now that all dense scratch is pooled.
-func rowsView(m *tensor.Dense, s Segment) tensor.Dense {
-	return tensor.Dense{Rows: s.Len(), Cols: m.Cols, Data: m.Data[s.Start*m.Cols : s.End*m.Cols]}
-}
-
 // rowOf is the source row token i reads: idx[i], or i itself under the
 // identity (nil) index.
 func rowOf(idx []int, i int) int {
@@ -74,9 +66,9 @@ func rowOf(idx []int, i int) int {
 	return idx[i]
 }
 
-// gatherColBlock copies columns [c0,c0+dst.Cols) of src's row rowOf(idx, i)
-// into row i of dst.
-func gatherColBlock(dst, src *tensor.Dense, idx []int, c0 int) {
+// GatherColBlock copies columns [c0,c0+dst.Cols) of src's row idx[i] — row i
+// itself under a nil idx — into row i of dst.
+func GatherColBlock(dst, src *tensor.Dense, idx []int, c0 int) {
 	for i := 0; i < dst.Rows; i++ {
 		copy(dst.Row(i), src.Row(rowOf(idx, i))[c0:c0+dst.Cols])
 	}
@@ -158,7 +150,7 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 		n = len(idx)
 	}
 	val := tp.Buffer(n, d)
-	gatherColBlock(val, x.Val, idx, 0) // rows outside segments are identity
+	GatherColBlock(val, x.Val, idx, 0) // rows outside segments are identity
 
 	// Projections of x's rows. Buffers are zeroed, so Acc ≡ assign.
 	q := tp.Buffer(m, d)
@@ -171,29 +163,20 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 
 	order := bucketSegments(tp, segs)
 	attnFlat := make([]*tensor.Dense, len(segs)*h) // L×L softmax weights
-	// View headers are hoisted out of the segment loops: their addresses go
-	// to kernels whose parallel path may hand pointers to goroutines, which
-	// makes them escape — hoisting pays that heap cost once per pass rather
-	// than once per segment. The kernels never retain the pointers (they
-	// join all goroutines before returning), so reassigning per segment is
-	// safe.
-	var qs, ks, vs, os tensor.Dense
 	for hd := 0; hd < h; hd++ {
 		c0, c1 := hd*dh, (hd+1)*dh
 		qh := tp.Buffer(n, dh)
 		kh := tp.Buffer(n, dh)
 		vh := tp.Buffer(n, dh)
 		oh := tp.Buffer(n, dh)
-		gatherColBlock(qh, q, idx, c0)
-		gatherColBlock(kh, k, idx, c0)
-		gatherColBlock(vh, v, idx, c0)
+		GatherColBlock(qh, q, idx, c0)
+		GatherColBlock(kh, k, idx, c0)
+		GatherColBlock(vh, v, idx, c0)
 		for _, si := range order {
 			s := segs[si]
 			L := s.Len()
-			qs = rowsView(qh, s)
-			ks = rowsView(kh, s)
-			vs = rowsView(vh, s)
-			os = rowsView(oh, s)
+			qs, ks := qh.RowRange(s.Start, s.End), kh.RowRange(s.Start, s.End)
+			vs, os := vh.RowRange(s.Start, s.End), oh.RowRange(s.Start, s.End)
 			sc := tp.Buffer(L, L)
 			tensor.MatMulABT(sc, &qs, &ks)
 			tensor.ScaleInto(sc, sc, scale)
@@ -212,11 +195,8 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 	// into val (uncovered rows keep the identity pass-through).
 	proj := tp.Buffer(n, d)
 	tensor.MatMulAcc(proj, o, sa.Wo.Val)
-	var ys, ps tensor.Dense
 	for _, s := range segs {
-		ys = rowsView(val, s)
-		ps = rowsView(proj, s)
-		copy(ys.Data, ps.Data)
+		copy(val.RowRange(s.Start, s.End).Data, proj.RowRange(s.Start, s.End).Data)
 	}
 
 	return tp.Custom(val, func(out *autograd.Tensor) {
@@ -244,11 +224,8 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 		// dY restricted to covered rows (uncovered rows took the identity
 		// path above and must not feed the attention adjoints).
 		dy := tp.Buffer(n, d)
-		var dys, gsrc tensor.Dense
 		for _, s := range segs {
-			dys = rowsView(dy, s)
-			gsrc = rowsView(out.Grad, s)
-			copy(dys.Data, gsrc.Data)
+			copy(dy.RowRange(s.Start, s.End).Data, out.Grad.RowRange(s.Start, s.End).Data)
 		}
 
 		// dO = dY·Woᵀ ; dWo += Oᵀ·dY — whole-stack, like the forward.
@@ -262,17 +239,16 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 		dq := tp.Buffer(m, d)
 		dk := tp.Buffer(m, d)
 		dv := tp.Buffer(m, d)
-		var dohs, vhs, qhs, khs, dqhs, dkhs, dvhs tensor.Dense
 		for hd := 0; hd < h; hd++ {
 			c0 := hd * dh
 			doh := tp.Buffer(n, dh)
 			qh := tp.Buffer(n, dh)
 			kh := tp.Buffer(n, dh)
 			vh := tp.Buffer(n, dh)
-			gatherColBlock(doh, do, nil, c0)
-			gatherColBlock(qh, q, idx, c0)
-			gatherColBlock(kh, k, idx, c0)
-			gatherColBlock(vh, v, idx, c0)
+			GatherColBlock(doh, do, nil, c0)
+			GatherColBlock(qh, q, idx, c0)
+			GatherColBlock(kh, k, idx, c0)
+			GatherColBlock(vh, v, idx, c0)
 			dqh := tp.Buffer(n, dh)
 			dkh := tp.Buffer(n, dh)
 			dvh := tp.Buffer(n, dh)
@@ -280,15 +256,13 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 				s := segs[si]
 				L := s.Len()
 				a := attnFlat[si*h+hd]
-				dohs = rowsView(doh, s)
-				vhs = rowsView(vh, s)
-				qhs = rowsView(qh, s)
-				khs = rowsView(kh, s)
+				dohs, vhs := doh.RowRange(s.Start, s.End), vh.RowRange(s.Start, s.End)
+				qhs, khs := qh.RowRange(s.Start, s.End), kh.RowRange(s.Start, s.End)
 
 				// dA = dOh·Vhᵀ ; dVh = Aᵀ·dOh
 				da := tp.Buffer(L, L)
 				tensor.MatMulABT(da, &dohs, &vhs)
-				dvhs = rowsView(dvh, s)
+				dvhs := dvh.RowRange(s.Start, s.End)
 				tensor.MatMulATBAcc(&dvhs, a, &dohs) // zeroed rows → assign
 
 				// Softmax backward per row: ds = a ⊙ (da - Σ da⊙a)
@@ -303,9 +277,8 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 						dsr[j] = ar[j] * (dar[j] - dot) * scale
 					}
 				}
-				dqhs = rowsView(dqh, s)
+				dqhs, dkhs := dqh.RowRange(s.Start, s.End), dkh.RowRange(s.Start, s.End)
 				tensor.MatMulAcc(&dqhs, ds, &khs)
-				dkhs = rowsView(dkh, s)
 				tensor.MatMulATBAcc(&dkhs, ds, &qhs)
 			}
 			scatterAddColBlock(dq, dqh, idx, c0)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"harpte/internal/autograd"
+	"harpte/internal/tensor"
 )
 
 // LayerNorm normalizes each row to zero mean and unit variance, then applies
@@ -24,18 +25,17 @@ func NewLayerNorm(_ *rand.Rand, dim int) *LayerNorm {
 	}
 }
 
-// Forward applies the normalization to an N×dim matrix. All scratch is
-// drawn from the tape (recycled on Reset for reusable tapes), so the layer
-// allocates nothing in steady state beyond its one tape node.
-func (ln *LayerNorm) Forward(tp *autograd.Tape, x *autograd.Tensor) *autograd.Tensor {
-	n, d := x.Rows(), x.Cols()
-	val := tp.Buffer(n, d)
-	xhat := tp.Buffer(n, d)        // saved for backward
-	invStd := tp.Buffer(1, n).Data // saved for backward
+// Apply writes the normalization of each row of src into dst — the row
+// kernel of Forward, and of the inference engine, which records no tape.
+// xhat and invStd, when non-nil, receive what backward reads: the normalized
+// rows before gain and bias, and each row's 1/σ. With no sink x̂ passes
+// through dst itself, so both callers run one loop and agree bit for bit.
+func (ln *LayerNorm) Apply(dst, src, xhat *tensor.Dense, invStd []float64) {
+	d := src.Cols
 	g := ln.Gain.Val.Data
 	b := ln.Bias.Val.Data
-	for i := 0; i < n; i++ {
-		row := x.Val.Row(i)
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)
 		var mu float64
 		for _, v := range row {
 			mu += v
@@ -47,14 +47,28 @@ func (ln *LayerNorm) Forward(tp *autograd.Tape, x *autograd.Tensor) *autograd.Te
 		}
 		va /= float64(d)
 		is := 1 / math.Sqrt(va+ln.Eps)
-		invStd[i] = is
-		xh := xhat.Row(i)
-		out := val.Row(i)
+		out := dst.Row(i)
+		xh := out
+		if xhat != nil {
+			xh, invStd[i] = xhat.Row(i), is
+		}
 		for j, v := range row {
 			xh[j] = (v - mu) * is
 			out[j] = xh[j]*g[j] + b[j]
 		}
 	}
+}
+
+// Forward applies the normalization to an N×dim matrix. All scratch is
+// drawn from the tape (recycled on Reset for reusable tapes), so the layer
+// allocates nothing in steady state beyond its one tape node.
+func (ln *LayerNorm) Forward(tp *autograd.Tape, x *autograd.Tensor) *autograd.Tensor {
+	n, d := x.Rows(), x.Cols()
+	val := tp.Buffer(n, d)
+	xhat := tp.Buffer(n, d)        // saved for backward
+	invStd := tp.Buffer(1, n).Data // saved for backward
+	g := ln.Gain.Val.Data
+	ln.Apply(val, x.Val, xhat, invStd)
 	return tp.Custom(val, func(out *autograd.Tensor) {
 		df := float64(d)
 		for i := 0; i < n; i++ {

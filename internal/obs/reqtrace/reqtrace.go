@@ -66,15 +66,14 @@ type Options struct {
 	// SampleEvery keeps 1 in N boring traces — traces that are neither
 	// flagged interesting nor p99-slow (default 64; 1 keeps everything).
 	SampleEvery int
-	// SlowQuantile is the rolling root-duration quantile above which a
-	// trace is retained as slow (default 0.99). The threshold activates
-	// once slowMinSamples roots have been observed.
-	SlowQuantile float64
 }
 
 const (
 	defaultCapacity    = 256
 	defaultSampleEvery = 64
+	// slowQuantile is the rolling root-duration quantile above which a
+	// trace is retained as slow.
+	slowQuantile = 0.99
 	// slowMinSamples roots must finish before the slow threshold
 	// activates, and the threshold is refreshed every slowRefreshEvery
 	// finishes — a full sort per request would be disproportionate.
@@ -89,7 +88,6 @@ const (
 type Recorder struct {
 	capacity    int
 	sampleEvery uint64
-	slowQ       float64
 
 	seq    atomic.Uint64 // trace-ID sequence (mixed through splitmix64)
 	boring atomic.Uint64 // boring-trace counter for the 1-in-N sampler
@@ -124,13 +122,9 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = defaultSampleEvery
 	}
-	if opts.SlowQuantile <= 0 || opts.SlowQuantile >= 1 {
-		opts.SlowQuantile = 0.99
-	}
 	r := &Recorder{
 		capacity:    opts.Capacity,
 		sampleEvery: uint64(opts.SampleEvery),
-		slowQ:       opts.SlowQuantile,
 		slots:       make([]atomic.Pointer[trace], opts.Capacity),
 	}
 	r.stages.Store(&map[string]*obs.Histogram{})
@@ -422,7 +416,7 @@ func (r *Recorder) observeRoot(d time.Duration) bool {
 		sorted := make([]int64, r.durN)
 		copy(sorted, r.durs[:r.durN])
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		idx := int(r.slowQ * float64(len(sorted)-1))
+		idx := int(slowQuantile * float64(len(sorted)-1))
 		r.slowNs.Store(sorted[idx])
 	}
 	r.durMu.Unlock()

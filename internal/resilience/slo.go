@@ -14,35 +14,19 @@ import (
 	"harpte/internal/obs"
 )
 
-// SLOConfig sets the objectives. Zero values select the defaults.
-type SLOConfig struct {
-	// AvailabilityTarget is the fraction of requests that must be answered
-	// (not shed; rejected inputs do not count against it). Default 0.999.
-	AvailabilityTarget float64
-	// LatencyTarget is the fraction of answered requests that must finish
-	// within LatencyObjective. Default 0.99.
-	LatencyTarget float64
-	// LatencyObjective is the per-request latency bound. Default 50ms.
-	LatencyObjective time.Duration
-	// QualityTarget is the fraction of quality samples that must score
-	// within the monitor's ratio objective. Default 0.99.
-	QualityTarget float64
-}
-
-func (c *SLOConfig) defaults() {
-	if c.AvailabilityTarget <= 0 {
-		c.AvailabilityTarget = 0.999
-	}
-	if c.LatencyTarget <= 0 {
-		c.LatencyTarget = 0.99
-	}
-	if c.LatencyObjective <= 0 {
-		c.LatencyObjective = 50 * time.Millisecond
-	}
-	if c.QualityTarget <= 0 {
-		c.QualityTarget = 0.99
-	}
-}
+// The objectives: constants, because no caller ever served under others.
+const (
+	// sloAvailabilityTarget is the fraction of requests that must be
+	// answered (not shed; rejected inputs do not count against it).
+	sloAvailabilityTarget = 0.999
+	// sloLatencyTarget is the fraction of answered requests that must
+	// finish within sloLatencyObjective.
+	sloLatencyTarget    = 0.99
+	sloLatencyObjective = 50 * time.Millisecond
+	// sloQualityTarget is the fraction of quality samples that must score
+	// within the monitor's ratio objective.
+	sloQualityTarget = 0.99
+)
 
 // SLOSet tracks the serving SLOs. Nil disables all recording; Serve
 // calls it unconditionally.
@@ -50,18 +34,14 @@ type SLOSet struct {
 	availability *obs.SLO
 	latency      *obs.SLO
 	quality      *obs.SLO
-
-	latencyObjective time.Duration
 }
 
-// NewSLOSet builds the three serving SLOs from cfg.
-func NewSLOSet(cfg SLOConfig) *SLOSet {
-	cfg.defaults()
+// NewSLOSet builds the three serving SLOs.
+func NewSLOSet() *SLOSet {
 	return &SLOSet{
-		availability:     obs.NewSLO("availability", cfg.AvailabilityTarget),
-		latency:          obs.NewSLO("latency", cfg.LatencyTarget),
-		quality:          obs.NewSLO("quality", cfg.QualityTarget),
-		latencyObjective: cfg.LatencyObjective,
+		availability: obs.NewSLO("availability", sloAvailabilityTarget),
+		latency:      obs.NewSLO("latency", sloLatencyTarget),
+		quality:      obs.NewSLO("quality", sloQualityTarget),
 	}
 }
 
@@ -88,7 +68,7 @@ func (s *SLOSet) recordServe(t Tier, elapsed time.Duration) {
 	answered := t != TierShed
 	s.availability.Record(answered)
 	if answered {
-		s.latency.Record(elapsed <= s.latencyObjective)
+		s.latency.Record(elapsed <= sloLatencyObjective)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	defer q.Close()
 	srv := NewServer(core.New(tinyConfig()), Options{
 		CacheEntries: 8,
-		SLO:          NewSLOSet(SLOConfig{}),
+		SLO:          NewSLOSet(),
 		Quality:      q,
 	})
 	d := demand(p, 4, 2)

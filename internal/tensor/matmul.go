@@ -1,10 +1,5 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Cache-blocking factors for the matmul kernels. Blocks are chosen so the
 // streamed panel of the second operand (matmulKBlock rows of B, or
 // matmulJBlock rows of B for the ABᵀ kernel) stays resident in L1/L2 while
@@ -15,86 +10,16 @@ import (
 const (
 	matmulKBlock = 64
 	matmulJBlock = 64
-
-	// parallelFlopThreshold gates the goroutine-parallel path: kernels
-	// below this many multiply-adds always run serially, because goroutine
-	// hand-off costs more than the arithmetic. HARP's per-layer products
-	// on WAN-sized inputs sit either clearly below (embed-width GEMMs) or
-	// clearly above (token-matrix products on large topologies) this line.
-	parallelFlopThreshold = 1 << 21
 )
 
-var matmulWorkers = 1
-
-// SetMatMulWorkers sets how many goroutines large matmul kernels may use.
-// n <= 0 selects GOMAXPROCS. The default is 1 (fully serial): training
-// already parallelizes across samples in ParallelTrainStep, and nesting
-// goroutine fan-out inside each worker's kernels oversubscribes the
-// machine. Call it once at startup (e.g. for single-sample inference on a
-// big topology); it must not be called concurrently with running kernels.
-//
-// Worker count does not affect results: rows are partitioned, each output
-// element is computed by exactly one goroutine in the same ascending-k
-// order, so results are bit-identical for every worker count.
-func SetMatMulWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	matmulWorkers = n
-}
-
-// MatMulWorkers returns the current matmul worker count.
-func MatMulWorkers() int { return matmulWorkers }
-
-// parWorkers returns how many goroutines a kernel over `rows` output rows
-// and `flops` multiply-adds should use (1 = run serially). Kept separate
-// from the fan-out so the serial fast path below stays closure-free: the
-// hot per-op kernels must not allocate.
-func parWorkers(rows, flops int) int {
-	w := matmulWorkers
-	if w > rows {
-		w = rows
-	}
-	if flops < parallelFlopThreshold {
-		return 1
-	}
-	return w
-}
-
-// fanOutRows splits [0, rows) into w contiguous chunks and runs fn on each
-// in its own goroutine. Only called on the large-kernel path, where the
-// closure allocation is noise.
-func fanOutRows(w, rows int, fn func(lo, hi int)) {
-	chunk := (rows + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matMulAccImpl: dst += a × b.
-func matMulAccImpl(dst, a, b *Dense) {
-	if w := parWorkers(a.Rows, a.Rows*a.Cols*b.Cols); w > 1 {
-		fanOutRows(w, a.Rows, func(lo, hi int) { matMulAccRange(dst.Data, a.Data, b.Data, a.Cols, b.Cols, lo, hi) })
-		return
-	}
-	matMulAccRange(dst.Data, a.Data, b.Data, a.Cols, b.Cols, 0, a.Rows)
-}
-
-// matMulAccRange accumulates output rows [lo, hi) of a × b into dst, where
-// a is ·×kd, b is kd×n and dst is ·×n, all row-major; k-blocked,
-// (k-block, i, j-tile, k) order.
-func matMulAccRange(dst, a, b []float64, kd, n, lo, hi int) {
+// matMulAcc is dst += a × b; k-blocked, (k-block, i, j-tile, k) order.
+func matMulAcc(dst, a, b *Dense) {
+	d, ad, bd := dst.Data, a.Data, b.Data
+	rows, kd, n := a.Rows, a.Cols, b.Cols
 	for k0 := 0; k0 < kd; k0 += matmulKBlock {
 		k1 := min(k0+matmulKBlock, kd)
-		for i := lo; i < hi; i++ {
-			macRow(dst[i*n:(i+1)*n], a[i*kd+k0:i*kd+k1], b[k0*n:], n)
+		for i := 0; i < rows; i++ {
+			macRow(d[i*n:(i+1)*n], ad[i*kd+k0:i*kd+k1], bd[k0*n:], n)
 		}
 	}
 }
@@ -180,25 +105,15 @@ func mac1(d, arow, b []float64, n int) {
 	}
 }
 
-// atbAccImpl: dst += aᵀ × b. The summation index is a's row k; output rows
-// (a's columns) partition across workers, and each element accumulates k in
-// ascending order exactly as the serial kernel does.
-func atbAccImpl(dst, a, b *Dense) {
-	if w := parWorkers(a.Cols, a.Rows*a.Cols*b.Cols); w > 1 {
-		fanOutRows(w, a.Cols, func(lo, hi int) { atbAccRange(dst, a, b, lo, hi) })
-		return
-	}
-	atbAccRange(dst, a, b, 0, a.Cols)
-}
-
-// atbAccRange is matMulAccRange with a read transposed: per k-block, column
-// i of a is gathered into a stack buffer and swept with the same tiles.
-func atbAccRange(dst, a, b *Dense, lo, hi int) {
+// atbAcc is dst += aᵀ × b: matMulAcc with a read transposed. The summation
+// index is a's row k; per k-block, column i of a is gathered into a stack
+// buffer and swept with the same tiles, in ascending k.
+func atbAcc(dst, a, b *Dense) {
 	var col [matmulKBlock]float64
 	n := b.Cols
 	for k0 := 0; k0 < a.Rows; k0 += matmulKBlock {
 		acol := col[:min(matmulKBlock, a.Rows-k0)]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Cols; i++ {
 			for k := range acol {
 				acol[k] = a.Data[(k0+k)*a.Cols+i]
 			}
@@ -207,27 +122,18 @@ func atbAccRange(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// abtAccImpl: dst += a × bᵀ, j-blocked so a panel of b rows stays cached
-// while the output rows sweep. Each dot product accumulates in a register
-// over the full k range before the single add into dst, preserving the
-// serial kernel's rounding exactly.
-func abtAccImpl(dst, a, b *Dense) {
-	if w := parWorkers(a.Rows, a.Rows*a.Cols*b.Rows); w > 1 {
-		fanOutRows(w, a.Rows, func(lo, hi int) { abtAccRange(dst, a, b, lo, hi) })
-		return
-	}
-	abtAccRange(dst, a, b, 0, a.Rows)
-}
-
-// abtAccRange tiles 4 dot products at a time (then singles): four
-// independent ascending-k chains instead of one hide the add latency, and
-// four is what fits the register file next to their products (8 measured
-// slower). No zero-skip here, as in the naive loop.
-func abtAccRange(dst, a, b *Dense, lo, hi int) {
+// abtAcc is dst += a × bᵀ, j-blocked so a panel of b rows stays cached while
+// the output rows sweep. Each dot product accumulates in a register over the
+// full k range before the single add into dst, as the naive loop rounds. It
+// tiles 4 dot products at a time (then singles): four independent
+// ascending-k chains instead of one hide the add latency, and four is what
+// fits the register file next to their products (8 measured slower). No
+// zero-skip here, as in the naive loop.
+func abtAcc(dst, a, b *Dense) {
 	kd := a.Cols
 	for j0 := 0; j0 < b.Rows; j0 += matmulJBlock {
 		j1 := min(j0+matmulJBlock, b.Rows)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
 			j := j0

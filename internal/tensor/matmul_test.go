@@ -87,7 +87,7 @@ func checkKernelsAgainstNaive(t *testing.T, rng *rand.Rand, m, k, n int, nonFini
 		a.Data[i] = math.Copysign(0, -1)
 	}
 	name := func(kernel string) string {
-		return fmt.Sprintf("%s %dx%dx%d workers=%d nonFinite=%v", kernel, m, k, n, MatMulWorkers(), nonFinite)
+		return fmt.Sprintf("%s %dx%dx%d nonFinite=%v", kernel, m, k, n, nonFinite)
 	}
 
 	b := operand(k, n)
@@ -120,13 +120,10 @@ func checkKernelsAgainstNaive(t *testing.T, rng *rand.Rand, m, k, n int, nonFini
 }
 
 // TestBlockedKernelsBitIdenticalToNaive checks the blocked, register-tiled
-// (and parallel) kernels reproduce the naive loops exactly — not just within
-// tolerance — at shapes spanning the block boundaries, at every column-tile
-// remainder (8/4/1) and degenerate shape, for several worker counts. The
-// sizes deliberately exceed the parallel flop threshold in the largest case
-// so the goroutine path is actually exercised.
+// kernels reproduce the naive loops exactly — not just within tolerance — at
+// shapes spanning the block boundaries, at every column-tile remainder
+// (8/4/1) and degenerate shape.
 func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
-	defer SetMatMulWorkers(1)
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 2}, {7, 64, 9}, {65, 63, 67}, {130, 200, 130},
@@ -136,16 +133,16 @@ func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
 			shapes = append(shapes, [3]int{5, k, n}, [3]int{0, k, n})
 		}
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		SetMatMulWorkers(workers)
-		for _, s := range shapes {
-			checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], false)
-			checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], true)
-		}
+	for _, s := range shapes {
+		checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], false)
+		checkKernelsAgainstNaive(t, rng, s[0], s[1], s[2], true)
 	}
 }
 
-// TestMatMulZeroAllocs pins the kernels' allocation-free contract.
+// TestMatMulZeroAllocs pins the kernels' allocation-free contract, and that
+// none keeps a pointer to an argument: a row view taken as a local and passed
+// by address stays on the caller's stack, which is what lets nn and core cut
+// a view per segment.
 func TestMatMulZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
@@ -161,6 +158,22 @@ func TestMatMulZeroAllocs(t *testing.T) {
 		"MatMulAcc":    func() { MatMulAcc(dst, a, b) },
 		"MatMulATBAcc": func() { MatMulATBAcc(dstT, a, dst) },
 		"MatMulABTAcc": func() { MatMulABTAcc(dst, a, bt) },
+		"MatMul/views": func() {
+			d, x, w := dst.RowRange(8, 24), a.RowRange(8, 24), b.RowRange(0, 24)
+			MatMul(&d, &x, &w)
+		},
+		"MatMulAcc/views": func() {
+			d, x, w := dst.RowRange(8, 24), a.RowRange(8, 24), b.RowRange(0, 24)
+			MatMulAcc(&d, &x, &w)
+		},
+		"MatMulABT/views": func() {
+			d, x, y := dst.RowRange(0, 16), a.RowRange(0, 16), bt.RowRange(0, 16)
+			MatMulABT(&d, &x, &y)
+		},
+		"MatMulATBAcc/views": func() {
+			d, x, y := dstT.RowRange(0, 24), a.RowRange(8, 24), dst.RowRange(8, 24)
+			MatMulATBAcc(&d, &x, &y)
+		},
 	} {
 		if n := testing.AllocsPerRun(10, fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)

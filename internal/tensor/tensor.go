@@ -50,6 +50,13 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// RowRange returns rows [lo, hi) of m as a view (shared backing array, no
+// copy). It returns the header by value: no kernel keeps a pointer to an
+// argument, so a caller that takes its address at a call allocates nothing.
+func (m *Dense) RowRange(lo, hi int) Dense {
+	return Dense{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Zero sets every element to 0.
 func (m *Dense) Zero() {
 	for i := range m.Data {
@@ -68,16 +75,18 @@ func (m *Dense) Fill(v float64) {
 func SameShape(a, b *Dense) bool { return a.Rows == b.Rows && a.Cols == b.Cols }
 
 // MatMul computes dst = a × b. dst must be a.Rows×b.Cols and must not alias
-// a or b. The kernel is k-blocked (and optionally goroutine-parallel, see
-// SetMatMulWorkers) but accumulates each element's terms in ascending-k
-// order, so results are bit-identical across block and worker settings.
+// a or b. The kernel is k-blocked and register-tiled but accumulates each
+// element's terms in ascending-k order, so results are bit-identical to the
+// naive triple loop. It runs on the calling goroutine and keeps no pointer
+// to its arguments: a view header passed by address stays on the caller's
+// stack.
 func MatMul(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)x(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	matMulAccImpl(dst, a, b)
+	matMulAcc(dst, a, b)
 }
 
 // MatMulATB computes dst = aᵀ × b (dst is a.Cols×b.Cols).
@@ -86,7 +95,7 @@ func MatMulATB(dst, a, b *Dense) {
 		panic("tensor: MatMulATB shape mismatch")
 	}
 	dst.Zero()
-	atbAccImpl(dst, a, b)
+	atbAcc(dst, a, b)
 }
 
 // MatMulABT computes dst = a × bᵀ (dst is a.Rows×b.Rows).
@@ -95,7 +104,7 @@ func MatMulABT(dst, a, b *Dense) {
 		panic("tensor: MatMulABT shape mismatch")
 	}
 	dst.Zero()
-	abtAccImpl(dst, a, b)
+	abtAcc(dst, a, b)
 }
 
 // AddInto computes dst = a + b elementwise. dst may alias a or b.
@@ -129,6 +138,21 @@ func ScaleInto(dst, a *Dense, s float64) {
 	}
 	for i := range dst.Data {
 		dst.Data[i] = s * a.Data[i]
+	}
+}
+
+// ReLUInto computes dst = max(a, 0) elementwise. dst may alias a. The test
+// is v < 0, so -0 and NaN pass through unchanged.
+func ReLUInto(dst, a *Dense) {
+	if !SameShape(dst, a) {
+		panic("tensor: ReLUInto shape mismatch")
+	}
+	out := dst.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		if v < 0 {
+			v = 0
+		}
+		out[i] = v
 	}
 }
 
@@ -226,7 +250,7 @@ func MatMulAcc(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMulAcc shape mismatch")
 	}
-	matMulAccImpl(dst, a, b)
+	matMulAcc(dst, a, b)
 }
 
 // MatMulATBAcc computes dst += aᵀ × b without zeroing dst first.
@@ -234,7 +258,7 @@ func MatMulATBAcc(dst, a, b *Dense) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: MatMulATBAcc shape mismatch")
 	}
-	atbAccImpl(dst, a, b)
+	atbAcc(dst, a, b)
 }
 
 // MatMulABTAcc computes dst += a × bᵀ without zeroing dst first.
@@ -242,5 +266,5 @@ func MatMulABTAcc(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulABTAcc shape mismatch")
 	}
-	abtAccImpl(dst, a, b)
+	abtAcc(dst, a, b)
 }
