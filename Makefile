@@ -28,7 +28,8 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the packages with real concurrency: the autograd/nn layers
+# race covers the packages with real concurrency: te's once-per-Problem
+# fingerprint-and-validate walk, the autograd/nn layers
 # under core's parallel step, the tunnel computation's
 # per-pair workers (each on its own search scratch), core's parallel train step
 # and pooled inference engine, obs's scrape-while-write registry, reqtrace's
@@ -42,7 +43,7 @@ test:
 # the correlated-disaster scenario), and the differential-oracle suite.
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
-	$(GO) test -race ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
+	$(GO) test -race ./internal/te ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
 
 # fuzzsmoke gives each native fuzz target a short budget (go test allows
 # one -fuzz pattern per invocation, hence one line per target; ~15-30s
@@ -58,6 +59,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzNewCSRChecked$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzSoftmaxRow$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheKey$$' -fuzztime=2s ./internal/resilience
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateInput$$' -fuzztime=2s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzKShortestPaths$$' -fuzztime=2s ./internal/tunnels
 
 # benchsmoke runs every benchmark exactly once in -short mode (experiment-

@@ -481,8 +481,8 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 		return resilience.Decision{}, dec.Err
 	default:
 		if _, err := resilience.VetSplits(p, dec.Splits); err != nil {
-			// Byzantine answer: NaN, wrong shape, negative mass. The
-			// replica is lying, which is worse than being down.
+			// Byzantine answer: NaN, wrong shape, negative mass, a row
+			// off 1. The replica is lying, which is worse than being down.
 			f.onFailure(r)
 			return resilience.Decision{}, fmt.Errorf("byzantine answer: %w", err)
 		}

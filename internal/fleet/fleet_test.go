@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,6 +281,66 @@ func TestFleetByzantineAnswerRejected(t *testing.T) {
 	}
 	if got := f.ReplicaHealth(0); got != Quarantined {
 		t.Fatalf("byzantine replica health %v, want quarantined", got)
+	}
+}
+
+// sharedReplica answers every request with one matrix, as a replica
+// serving its split cache's shared entry does.
+type sharedReplica struct {
+	splits *tensor.Dense
+	serves atomic.Int64
+}
+
+func (r *sharedReplica) Serve(context.Context, *te.Problem, *tensor.Dense) (resilience.Decision, error) {
+	r.serves.Add(1)
+	return resilience.Decision{Splits: r.splits, Tier: resilience.TierCached}, nil
+}
+
+func (r *sharedReplica) Reload(string) error             { return nil }
+func (r *sharedReplica) Drain(ctx context.Context) error { return nil }
+
+// TestFleetVetNeverWritesSharedAnswer: the only replica hands concurrent
+// requests one shared matrix whose first row sums to 1 + 1e-5. The vet
+// rejects it as byzantine on every request, each request falls back to
+// local ECMP, and the matrix is never repaired in place: its bytes are
+// unchanged and -race sees no write.
+func TestFleetVetNeverWritesSharedAnswer(t *testing.T) {
+	p := twoPathProblem()
+	shared := te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
+	shared.Data[0] += 1e-5
+	before := shared.Clone()
+	liar := &sharedReplica{splits: shared}
+	f := New([]Replica{liar}, Options{Deadline: time.Second})
+	defer f.Close()
+
+	var wg sync.WaitGroup
+	var byzantine atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				dec := f.Serve(p, demand(p, 4, 2))
+				if dec.Splits == shared || !errors.Is(dec.Err, ErrNoReplicas) {
+					t.Errorf("the off-by-1e-5 answer was served: replica %d, err %v", dec.Replica, dec.Err)
+				}
+				for _, d := range dec.Degraded {
+					if strings.Contains(d, "byzantine answer") {
+						byzantine.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range shared.Data {
+		if math.Float64bits(v) != math.Float64bits(before.Data[i]) {
+			t.Fatalf("the vet wrote to the shared matrix: entry %d is %v, was %v", i, v, before.Data[i])
+		}
+	}
+	if liar.serves.Load() == 0 || byzantine.Load() != liar.serves.Load() {
+		t.Fatalf("shared-matrix replica asked %d times, %d answers rejected as byzantine",
+			liar.serves.Load(), byzantine.Load())
 	}
 }
 

@@ -6,17 +6,19 @@ package resilience
 //
 // The key quantizes the traffic matrix relative to its own peak demand:
 // every entry is bucketed to a multiple of quantum·max(demand), and the
-// peak itself is bucketed on a (1+quantum) log scale. Two demands that
-// collide therefore differ per entry by at most ~quantum of the peak (plus
-// one log bucket of overall scale), and since link loads are linear in
-// demand under fixed splits, the MLU of a cached answer is within an
-// O(quantum) relative factor of a fresh inference for the colliding demand
-// — the epsilon bound TestSplitCacheEpsilonBound measures.
+// peak itself is bucketed on a (1+quantum) log scale, with quantum fixed at
+// DefaultCacheQuantum. Two demands that collide therefore differ per entry
+// by at most ~quantum of the peak (plus one log bucket of overall scale),
+// and since link loads are linear in demand under fixed splits, the MLU of
+// a cached answer is within an O(quantum) relative factor of a fresh
+// inference for the colliding demand — the epsilon bound
+// TestSplitCacheEpsilonBound measures.
 //
-// Cached matrices are shared read-only across hits: they were vetted when
-// inserted, so vetSplits will never renormalize them in place, and callers
-// of Serve treat Decision.Splits as read-only. Put stores a private clone,
-// so later caller mutations of a served matrix cannot poison the cache.
+// Cached matrices are shared read-only across hits. Nothing on the serving
+// path writes to a matrix it did not allocate: VetSplits only reads, and
+// callers of Serve treat Decision.Splits as read-only. Put stores a private
+// clone, so later caller mutations of a served matrix cannot poison the
+// cache.
 //
 // The cache is bounded by bytes as well as by entries: Options.CacheEntries
 // answers of up to cacheEntryBytes each. One number still sizes it, and it
@@ -32,9 +34,9 @@ import (
 	"harpte/internal/tensor"
 )
 
-// DefaultCacheQuantum is the TM quantization step when Options.CacheQuantum
-// is unset: demand entries within 1% of the peak demand of each other land
-// in the same bucket.
+// DefaultCacheQuantum is the TM quantization step of the server's cache
+// keys: demand entries within 1% of the peak demand of each other land in
+// the same bucket.
 const DefaultCacheQuantum = 0.01
 
 // cacheEntryBytes is the answer size CacheEntries is denominated in:
@@ -65,19 +67,14 @@ type SplitCache struct {
 	head, tail *cacheEntry
 	cap        int
 	bytes      int // Σ entry.bytes()
-	quantum    float64
 
 	hits, misses, evictions, purges int64
 }
 
-func newSplitCache(capacity int, quantum float64) *SplitCache {
-	if quantum <= 0 {
-		quantum = DefaultCacheQuantum
-	}
+func newSplitCache(capacity int) *SplitCache {
 	return &SplitCache{
 		entries: make(map[cacheKey]*cacheEntry, capacity),
 		cap:     capacity,
-		quantum: quantum,
 	}
 }
 
@@ -126,10 +123,9 @@ func CacheKey(p *te.Problem, demand *tensor.Dense, quantum float64) (topo, tm ui
 	return p.Fingerprint(), tmHash(demand, quantum)
 }
 
-// get returns the cached splits for the request, or nil. The returned
-// matrix is shared and read-only. Allocation-free on hit and miss.
-func (c *SplitCache) get(p *te.Problem, demand *tensor.Dense) *tensor.Dense {
-	key := cacheKey{topo: p.Fingerprint(), tm: tmHash(demand, c.quantum)}
+// get returns the cached splits for key, or nil. The returned matrix is
+// shared and read-only. Allocation-free on hit and miss.
+func (c *SplitCache) get(key cacheKey) *tensor.Dense {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
@@ -146,8 +142,7 @@ func (c *SplitCache) get(p *te.Problem, demand *tensor.Dense) *tensor.Dense {
 
 // put inserts a vetted TierFull answer, cloning it so the cache owns its
 // copy, and evicts least-recently-used entries beyond either bound.
-func (c *SplitCache) put(p *te.Problem, demand *tensor.Dense, splits *tensor.Dense) {
-	key := cacheKey{topo: p.Fingerprint(), tm: tmHash(demand, c.quantum)}
+func (c *SplitCache) put(key cacheKey, splits *tensor.Dense) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]

@@ -14,17 +14,14 @@ import (
 	"harpte/internal/tensor"
 )
 
-func cachedServer(t *testing.T, entries int, quantum float64) *Server {
+func cachedServer(t *testing.T, entries int) *Server {
 	t.Helper()
-	return NewServer(core.New(tinyConfig()), Options{
-		CacheEntries: entries,
-		CacheQuantum: quantum,
-	})
+	return NewServer(core.New(tinyConfig()), Options{CacheEntries: entries})
 }
 
 func TestSplitCacheHitServesCachedTier(t *testing.T) {
 	p := twoPathProblem()
-	srv := cachedServer(t, 8, 0)
+	srv := cachedServer(t, 8)
 	d := demand(p, 4, 2)
 
 	first := srv.Serve(p, d)
@@ -57,7 +54,7 @@ func TestSplitCacheHitZeroAllocs(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	p := twoPathProblem()
-	srv := cachedServer(t, 8, 0)
+	srv := cachedServer(t, 8)
 	d := demand(p, 4, 2)
 	if dec := srv.Serve(p, d); dec.Tier != TierFull {
 		t.Fatalf("warmup tier %v", dec.Tier)
@@ -76,10 +73,10 @@ func TestSplitCacheHitZeroAllocs(t *testing.T) {
 // answer whose MLU is within a small multiple of the quantum of what fresh
 // inference would have achieved.
 func TestSplitCacheEpsilonBound(t *testing.T) {
-	const quantum = 0.01
+	const quantum = DefaultCacheQuantum
 	p := twoPathProblem()
 	m := core.New(tinyConfig())
-	srv := NewServer(m, Options{CacheEntries: 8, CacheQuantum: quantum})
+	srv := NewServer(m, Options{CacheEntries: 8})
 
 	base := demand(p, 4, 2)
 	if dec := srv.Serve(p, base); dec.Tier != TierFull {
@@ -117,7 +114,7 @@ func TestSplitCacheEpsilonBound(t *testing.T) {
 
 func TestSplitCacheLRUEviction(t *testing.T) {
 	p := twoPathProblem()
-	srv := cachedServer(t, 2, 0)
+	srv := cachedServer(t, 2)
 	d1, d2, d3 := demand(p, 1, 1), demand(p, 2, 1), demand(p, 3, 1)
 
 	for _, d := range []*tensor.Dense{d1, d2, d3} {
@@ -144,7 +141,10 @@ func TestSplitCacheLRUEviction(t *testing.T) {
 func TestSplitCacheByteBound(t *testing.T) {
 	p := twoPathProblem()
 	// Distinct peak-scale buckets, so every i is its own key.
-	key := func(i int) *tensor.Dense { return demand(p, math.Pow(1.05, float64(i)), 1) }
+	key := func(i int) cacheKey {
+		topo, tm := CacheKey(p, demand(p, math.Pow(1.05, float64(i)), 1), DefaultCacheQuantum)
+		return cacheKey{topo, tm}
+	}
 	check := func(c *SplitCache, size, bytes int, evictions int64) {
 		t.Helper()
 		if st := c.stats(); st.Size != size || st.Bytes != bytes || st.Evictions != evictions {
@@ -155,42 +155,42 @@ func TestSplitCacheByteBound(t *testing.T) {
 	// KDL-shaped answers (2,256 flows × 4 tunnels = 72,192 B): 256 entries'
 	// worth of bytes is 116 of them.
 	kdl := tensor.New(2256, 4)
-	c := newSplitCache(256, 0)
+	c := newSplitCache(256)
 	for i := 0; i < 116; i++ {
-		c.put(p, key(i), kdl)
+		c.put(key(i), kdl)
 	}
 	check(c, 116, 116*72192, 0)
-	c.put(p, key(116), kdl)
+	c.put(key(116), kdl)
 	check(c, 116, 116*72192, 1)
-	if c.get(p, key(0)) != nil || c.get(p, key(1)) == nil {
+	if c.get(key(0)) != nil || c.get(key(1)) == nil {
 		t.Fatal("byte-bound eviction did not take the least recently used entry")
 	}
 
 	// Abilene-shaped answers (4,224 B) never reach the byte bound: the
 	// entry count binds, exactly as without it.
 	small := tensor.New(132, 4)
-	c = newSplitCache(4, 0)
+	c = newSplitCache(4)
 	for i := 0; i < 6; i++ {
-		c.put(p, key(i), small)
+		c.put(key(i), small)
 	}
 	check(c, 4, 4*4224, 2)
 
 	// Replacing an entry in place re-counts it; purge zeroes the tally.
-	c.put(p, key(5), kdl)
+	c.put(key(5), kdl)
 	check(c, 4, 3*4224+72192, 2)
-	c.put(p, key(5), small)
+	c.put(key(5), small)
 	check(c, 4, 4*4224, 2)
 	c.purge()
 	check(c, 0, 0, 2)
-	c.put(p, key(0), small)
+	c.put(key(0), small)
 	check(c, 1, 4224, 2)
 
 	// One answer larger than the whole budget is still kept: the cache
 	// never evicts below its newest entry.
-	c = newSplitCache(1, 0)
-	c.put(p, key(0), kdl)
+	c = newSplitCache(1)
+	c.put(key(0), kdl)
 	check(c, 1, 72192, 0)
-	c.put(p, key(1), kdl)
+	c.put(key(1), kdl)
 	check(c, 1, 72192, 1)
 }
 
@@ -198,7 +198,7 @@ func TestSplitCacheByteBound(t *testing.T) {
 // weights and must not survive a model swap.
 func TestReloadPurgesSplitCache(t *testing.T) {
 	p := twoPathProblem()
-	srv := cachedServer(t, 8, 0)
+	srv := cachedServer(t, 8)
 	d := demand(p, 4, 2)
 	srv.Serve(p, d)
 	if dec := srv.Serve(p, d); dec.Tier != TierCached {

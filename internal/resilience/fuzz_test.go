@@ -9,9 +9,12 @@ package resilience
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"harpte/internal/core"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
@@ -197,4 +200,122 @@ func TestCacheKeyAdversarialNearBoundary(t *testing.T) {
 	if e1 != e2 {
 		t.Fatalf("boundary value keys nondeterministically: %x vs %x", e1, e2)
 	}
+}
+
+// fuzzBytes reads a fuzz input one byte at a time, cycling; an empty input
+// reads as ones.
+type fuzzBytes struct {
+	data []byte
+	i    int
+}
+
+func (b *fuzzBytes) next() byte {
+	if len(b.data) == 0 {
+		return 1
+	}
+	v := b.data[b.i%len(b.data)]
+	b.i++
+	return v
+}
+
+// fuzzValue maps a byte to a capacity or demand: mostly the byte itself,
+// with 0 and the top three values standing for the malformed ones.
+func fuzzValue(v byte) float64 {
+	switch v {
+	case 253:
+		return -1
+	case 254:
+		return math.Inf(1)
+	case 255:
+		return math.NaN()
+	}
+	return float64(v)
+}
+
+// fuzzRequest builds a small literal problem and demand from data: a ring
+// graph (mode byte 0 drops it, 1 drops the tunnel set) with data-chosen
+// capacities, and a tunnel set whose K, flow count, per-flow tunnel counts,
+// tunnel lengths and edge ids (-1 and E included) all come from data.
+func fuzzRequest(data []byte) (*te.Problem, *tensor.Dense) {
+	b := &fuzzBytes{data: data}
+	mode := b.next()
+	n := 3 + int(b.next()%4)
+	g := topology.New("fuzz", n)
+	for i := 0; i < n; i++ {
+		g.AddBidirectional(i, (i+1)%n, fuzzValue(b.next()))
+	}
+	numEdges := g.NumEdges()
+	set := &tunnels.Set{K: int(b.next() % 4)}
+	for f := int(b.next() % 4); f > 0; f-- {
+		set.Flows = append(set.Flows, tunnels.Flow{Src: int(b.next()) % n, Dst: int(b.next()) % n})
+		count := set.K
+		if v := b.next(); v%16 == 0 {
+			count = int(v/16) % 5
+		}
+		paths := make([]tunnels.Tunnel, count)
+		for k := range paths {
+			for l := int(b.next() % 4); l > 0; l-- {
+				paths[k].Edges = append(paths[k].Edges, int(b.next())%(numEdges+2)-1)
+			}
+		}
+		set.PerFlow = append(set.PerFlow, paths)
+	}
+	if v := b.next(); v%16 == 0 && len(set.PerFlow) > 0 {
+		set.PerFlow = set.PerFlow[:len(set.PerFlow)-1]
+	}
+	d := tensor.New(len(set.Flows)+int(b.next()%8)/7, 1)
+	for i := range d.Data {
+		d.Data[i] = fuzzValue(b.next())
+	}
+	p := &te.Problem{Graph: g, Tunnels: set}
+	switch mode {
+	case 0:
+		p.Graph = nil
+	case 1:
+		p.Tunnels = nil
+	}
+	return p, d
+}
+
+// FuzzValidateInput: Validate, Fingerprint and ValidateInput never panic
+// on a malformed problem, and whatever ValidateInput accepts a Server
+// serves — no recovered panic, a routable answer — under the same
+// fingerprint once the problem is built with te.NewProblem.
+func FuzzValidateInput(f *testing.F) {
+	// Two well-formed requests (one flow at K=2, two at K=3); the malformed
+	// shapes are the committed corpus under testdata/fuzz.
+	f.Add([]byte{2, 1, 10, 20, 30, 40, 2, 1, 0, 1, 1, 1, 1, 2, 3, 5, 1, 0, 7})
+	f.Add([]byte{2, 2, 50, 60, 70, 80, 90, 3, 2, 0, 2, 1, 1, 1, 1, 2, 1, 3, 1, 4, 2, 1, 9, 2, 5, 6, 3, 7, 8, 9, 1, 0, 9, 9})
+	srv := NewServer(core.New(tinyConfig()), Options{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lit, d := fuzzRequest(data)
+		verr := lit.Validate()
+		fp := lit.Fingerprint()
+		err := ValidateInput(lit, d)
+		if verr != nil && err == nil {
+			t.Fatalf("ValidateInput accepted a problem Validate refused: %v", verr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("rejection %v does not wrap ErrInvalidInput", err)
+			}
+			return
+		}
+		p := te.NewProblem(lit.Graph, lit.Tunnels)
+		if p.Fingerprint() != fp || p.Validate() != nil {
+			t.Fatalf("the built problem fingerprints %x (literal %x), validates %v", p.Fingerprint(), fp, p.Validate())
+		}
+		dec := srv.Serve(p, d)
+		for _, why := range dec.Degraded {
+			if strings.Contains(why, "panic") {
+				t.Fatalf("accepted request panicked: %v", dec.Degraded)
+			}
+		}
+		if dec.Tier != TierFull && dec.Tier != TierECMP {
+			t.Fatalf("accepted request answered by tier %v: %v", dec.Tier, dec.Err)
+		}
+		if _, err := VetSplits(p, dec.Splits); err != nil {
+			t.Fatalf("accepted request served an answer that fails its own vet: %v", err)
+		}
+	})
 }

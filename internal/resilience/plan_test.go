@@ -10,6 +10,8 @@ package resilience
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +131,15 @@ func (lateContext) Deadline() (time.Time, bool) { return time.Now().Add(-time.Se
 // topology.) A build that panics, by contrast, leaves no plan: once the
 // weights are healed the next answer is exact again.
 func TestAbandonedInferenceLeavesNoHalfPlan(t *testing.T) {
+	// The plan hit below needs sync.Pool to hand back the scratch the build
+	// left: one P, so no goroutine migrates away from the P whose private
+	// slot holds it, and no GC, since two of them drop the pool's entries.
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
 	g := topology.Abilene()
 	p := te.NewProblem(g, tunnels.Compute(g, 4))
 	m := core.New(core.DefaultConfig())

@@ -79,7 +79,7 @@ func (s *Server) canary(m *core.Model) (err error) {
 		}
 	}()
 	splits := m.Splits(m.Context(p), demand)
-	if _, verr := vetSplits(p, splits); verr != nil {
+	if _, verr := VetSplits(p, splits); verr != nil {
 		return fmt.Errorf("canary output rejected: %w", verr)
 	}
 	return nil

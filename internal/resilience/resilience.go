@@ -43,6 +43,7 @@ import (
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
+	"harpte/internal/verify"
 )
 
 // Tier identifies which rung of the fallback chain served a request.
@@ -136,13 +137,10 @@ type Options struct {
 	// inference and zero allocations. 0 disables the cache. The cache holds
 	// this many answers of up to 32 KiB (1,024 flows × 4 tunnels) and
 	// fewer of larger ones: its bytes are bounded by CacheEntries × 32 KiB.
-	CacheEntries int
-	// CacheQuantum is the relative TM quantization step for cache keys
-	// (0 means DefaultCacheQuantum, 0.01). Colliding demands differ per
-	// flow by at most ~CacheQuantum of the peak demand, so the served
-	// answer's MLU is within an O(CacheQuantum) relative factor of fresh
+	// Keys quantize the TM to DefaultCacheQuantum of its peak demand, so the
+	// served answer's MLU is within an O(1%) relative factor of fresh
 	// inference.
-	CacheQuantum float64
+	CacheEntries int
 
 	// OOD, when set, classifies every request's input statistics against
 	// a trained-profile envelope (ood.go): suspect requests run the model
@@ -435,54 +433,25 @@ func NewServer(m *core.Model, opts Options) *Server {
 		s.sem = make(chan struct{}, opts.MaxConcurrent)
 	}
 	if opts.CacheEntries > 0 {
-		s.cache = newSplitCache(opts.CacheEntries, opts.CacheQuantum)
+		s.cache = newSplitCache(opts.CacheEntries)
 	}
 	return s
 }
 
 // ValidateInput checks everything Serve assumes about a request: a
-// consistent problem (graph, tunnel set, positive finite capacities,
-// tunnel edge ids in range) and a demand vector of exactly one finite,
-// non-negative entry per flow. All failures wrap ErrInvalidInput.
+// well-formed problem (te.Problem.Validate, whose verdict each Problem
+// computes once) and a demand vector of exactly one finite, non-negative
+// entry per flow, so a request pays only the O(flows) demand pass. All
+// failures wrap ErrInvalidInput.
 func ValidateInput(p *te.Problem, demand *tensor.Dense) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidInput, fmt.Sprintf(format, args...))
 	}
-	if p == nil || p.Graph == nil || p.Tunnels == nil {
-		return fail("nil problem, graph or tunnel set")
+	if p == nil {
+		return fail("nil problem")
 	}
-	if p.Graph.NumEdges() == 0 {
-		return fail("topology has no links")
-	}
-	if p.Tunnels.K <= 0 {
-		return fail("tunnel set has K=%d", p.Tunnels.K)
-	}
-	if p.NumFlows() == 0 {
-		return fail("tunnel set has no flows")
-	}
-	if len(p.Tunnels.PerFlow) != p.NumFlows() {
-		return fail("tunnel set lists %d flows but has paths for %d", p.NumFlows(), len(p.Tunnels.PerFlow))
-	}
-	for i, e := range p.Graph.Edges {
-		if !(e.Capacity > 0) || math.IsInf(e.Capacity, 0) {
-			return fail("link %d (%d->%d) has capacity %v", i, e.Src, e.Dst, e.Capacity)
-		}
-	}
-	numEdges := p.Graph.NumEdges()
-	for f, paths := range p.Tunnels.PerFlow {
-		if len(paths) != p.Tunnels.K {
-			return fail("flow %d has %d tunnels, want K=%d", f, len(paths), p.Tunnels.K)
-		}
-		for k, tun := range paths {
-			if len(tun.Edges) == 0 {
-				return fail("flow %d tunnel %d is empty", f, k)
-			}
-			for _, e := range tun.Edges {
-				if e < 0 || e >= numEdges {
-					return fail("flow %d tunnel %d references link %d, topology has %d", f, k, e, numEdges)
-				}
-			}
-		}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	if demand == nil {
 		return fail("nil demand")
@@ -574,30 +543,30 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	// Cache probe before any model work: a hit replays a previously vetted
 	// full-depth answer with zero inference and zero allocations. The cached
 	// matrix is shared read-only (see cache.go). Out-of-profile requests
-	// skip the probe entirely, and runModel skips the put for them.
+	// skip the probe entirely, and runModel skips the put for them. The key
+	// is hashed once, for the probe, the trace and the put.
+	var key cacheKey
 	if s.cache != nil {
 		if verdict != OODInProfile {
 			s.opts.OOD.bypassedCache()
 			s.tel.oodBypasses.Inc()
 			sp.Annotate("cache", "ood-bypass")
 		} else {
-			if splits := s.cache.get(p, demand); splits != nil {
+			key.topo, key.tm = CacheKey(p, demand, DefaultCacheQuantum)
+			if splits := s.cache.get(key); splits != nil {
 				s.record(TierCached, start)
 				sp.Annotate("cache", "hit")
 				s.offerQuality(p, demand, splits)
 				return Decision{Splits: splits, Tier: TierCached}
 			}
 			sp.Annotate("cache", "miss")
-			if sp != nil {
-				topo, tm := CacheKey(p, demand, s.opts.CacheQuantum)
-				sp.AnnotateInt("cache_key_topo", int64(topo))
-				sp.AnnotateInt("cache_key_tm", int64(tm))
-			}
+			sp.AnnotateInt("cache_key_topo", int64(key.topo))
+			sp.AnnotateInt("cache_key_tm", int64(key.tm))
 		}
 	}
 
 	dec := Decision{OOD: verdict, Tier: TierFull}
-	if dec.Splits = s.runModel(ctx, start, p, demand, sp, &dec); dec.Splits == nil {
+	if dec.Splits = s.runModel(ctx, start, p, demand, key, sp, &dec); dec.Splits == nil {
 		// Terminal tier: uniform splits rescaled off failed tunnels. Pure
 		// arithmetic on validated inputs — cannot fail.
 		dec.Splits, dec.Tier = te.NormalizeRows(te.Rescale(p, p.UniformSplits())), TierECMP
@@ -612,8 +581,8 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 // deadline, the breaker, a recover guard and output vetting. It returns the
 // vetted splits — at full depth, or the iterate the context stopped at —
 // or nil, and dec.Degraded says which. Only a full-depth, in-profile answer
-// enters the split cache.
-func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, demand *tensor.Dense, sp *reqtrace.Span, dec *Decision) *tensor.Dense {
+// enters the split cache, under key.
+func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, demand *tensor.Dense, key cacheKey, sp *reqtrace.Span, dec *Decision) *tensor.Dense {
 	degrade := func(why any) {
 		dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: %v", TierFull, why))
 	}
@@ -660,7 +629,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 		s.tel.deadlines.Inc()
 		degrade(fmt.Sprintf("stopped after %d/%d RAU iterations: %v", k, m.Cfg.RAUIterations, endedBy(ctx)))
 	case s.cache != nil && dec.OOD == OODInProfile:
-		s.cache.put(p, demand, splits)
+		s.cache.put(key, splits)
 	}
 	return splits
 }
@@ -730,55 +699,23 @@ func (s *Server) safeInfer(ctx context.Context, m *core.Model, c *core.Context, 
 		s.tel.deadlines.Inc()
 		return nil, 0, fmt.Errorf("no RAU iteration finished: %w", endedBy(ctx))
 	}
-	splits, err = vetSplits(p, splits)
+	splits, err = VetSplits(p, splits)
 	return splits, k, err
 }
 
-// VetSplits verifies a serving answer is shaped F×K, finite and
-// non-negative, and row-normalized (renormalizing in place when the sums
-// have merely drifted). It is the same vetting Serve applies to its own
-// inference output, exported so a dispatcher fronting remote or faulty
-// replicas (internal/fleet) can refuse byzantine answers it did not
-// compute locally.
+// VetSplits checks a serving answer with verify.CheckSplits — shaped F×K,
+// every entry finite and non-negative, every row summing to 1 — and returns
+// it untouched, or an error. It never writes: the matrix may be one the
+// split cache shares, so an answer that would need repair is rejected.
+// Serve vets its own inference output with it; it is exported so a
+// dispatcher fronting remote or faulty replicas (internal/fleet) can
+// refuse byzantine answers it did not compute locally.
 func VetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
-	return vetSplits(p, splits)
-}
-
-// vetSplits verifies an inference output is shaped F×K, finite and
-// non-negative, and row-normalized (renormalizing when the sums have
-// merely drifted). It returns the vetted matrix or an error.
-func vetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
 	if splits == nil {
 		return nil, errors.New("nil splits")
 	}
-	if splits.Rows != p.NumFlows() || splits.Cols != p.Tunnels.K {
-		return nil, fmt.Errorf("splits shape %dx%d, want %dx%d",
-			splits.Rows, splits.Cols, p.NumFlows(), p.Tunnels.K)
-	}
-	for i, v := range splits.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("non-finite split %v at index %d", v, i)
-		}
-		if v < 0 {
-			if v < -1e-9 {
-				return nil, fmt.Errorf("negative split %v at index %d", v, i)
-			}
-			splits.Data[i] = 0
-		}
-	}
-	renorm := false
-	for f := 0; f < splits.Rows; f++ {
-		var sum float64
-		for _, v := range splits.Row(f) {
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			renorm = true
-			break
-		}
-	}
-	if renorm {
-		te.NormalizeRows(splits)
+	if err := verify.CheckSplits(p, splits, verify.DefaultTol); err != nil {
+		return nil, err
 	}
 	return splits, nil
 }

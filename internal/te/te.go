@@ -24,8 +24,9 @@ type Problem struct {
 
 	incidence *tensor.CSR // E×T, cached
 
-	fpOnce sync.Once
-	fp     uint64
+	once sync.Once // runs scan
+	fp   uint64
+	err  error // why the problem is malformed; nil when well-formed
 }
 
 // NewProblem builds a Problem and caches the edge-tunnel incidence.
@@ -43,13 +44,24 @@ func (p *Problem) Incidence() *tensor.CSR { return p.incidence }
 // demand vector, so the serving layer uses it as the topology half of
 // split-cache keys and as the shard key for topology-cluster routing.
 //
-// The hash is computed lazily on first call and cached (Problems are
-// immutable once built); it is safe for concurrent use. It tolerates
-// Problems assembled as struct literals (nil Graph or Tunnels hash as
-// empty), since tests and tools build them without NewProblem.
+// The hash is computed lazily on first call, in the walk Validate's verdict
+// comes from, and cached (Problems are immutable once built); it is safe
+// for concurrent use. It tolerates Problems assembled as struct literals
+// (nil Graph or Tunnels hash as empty) and malformed ones, since tests and
+// tools build them without NewProblem.
 func (p *Problem) Fingerprint() uint64 {
-	p.fpOnce.Do(func() { p.fp = computeFingerprint(p.Graph, p.Tunnels) })
+	p.once.Do(p.scan)
 	return p.fp
+}
+
+// Validate reports why the problem is malformed, or nil: it needs a graph
+// with at least one link, every capacity positive and finite, and a tunnel
+// set with K > 0 and at least one flow, each flow with exactly K non-empty
+// tunnels over edge ids the graph has. The verdict is computed once, with
+// the fingerprint, so a server may ask on every request.
+func (p *Problem) Validate() error {
+	p.once.Do(p.scan)
+	return p.err
 }
 
 // FNV-1a, the same mixing the stdlib's hash/fnv uses, inlined so hashing a
@@ -67,12 +79,37 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-func computeFingerprint(g *topology.Graph, set *tunnels.Set) uint64 {
+// scan computes the fingerprint and Validate's verdict, the first fault
+// found, in one walk over the edges and the tunnels' edge ids.
+func (p *Problem) scan() {
+	g, set := p.Graph, p.Tunnels
+	fail := func(format string, args ...any) {
+		if p.err == nil {
+			p.err = fmt.Errorf("te: "+format, args...)
+		}
+	}
+	switch {
+	case g == nil || set == nil:
+		fail("nil graph or tunnel set")
+	case len(g.Edges) == 0:
+		fail("topology has no links")
+	case set.K <= 0:
+		fail("tunnel set has K=%d", set.K)
+	case len(set.Flows) == 0:
+		fail("tunnel set has no flows")
+	case len(set.PerFlow) != len(set.Flows):
+		fail("tunnel set lists %d flows but has paths for %d", len(set.Flows), len(set.PerFlow))
+	}
 	h := uint64(fnvOffset)
+	numEdges := 0
 	if g != nil {
+		numEdges = len(g.Edges)
 		h = fnvMix(h, uint64(g.NumNodes))
-		h = fnvMix(h, uint64(len(g.Edges)))
-		for _, e := range g.Edges {
+		h = fnvMix(h, uint64(numEdges))
+		for i, e := range g.Edges {
+			if !(e.Capacity > 0) || math.IsInf(e.Capacity, 0) {
+				fail("link %d (%d->%d) has capacity %v", i, e.Src, e.Dst, e.Capacity)
+			}
 			h = fnvMix(h, uint64(e.Src))
 			h = fnvMix(h, uint64(e.Dst))
 			h = fnvMix(h, math.Float64bits(e.Capacity))
@@ -85,18 +122,30 @@ func computeFingerprint(g *topology.Graph, set *tunnels.Set) uint64 {
 	if set != nil {
 		h = fnvMix(h, uint64(set.K))
 		h = fnvMix(h, uint64(len(set.Flows)))
-		for i, f := range set.Flows {
-			h = fnvMix(h, uint64(f.Src))
-			h = fnvMix(h, uint64(f.Dst))
-			for _, tun := range set.PerFlow[i] {
+		for f, fl := range set.Flows {
+			h = fnvMix(h, uint64(fl.Src))
+			h = fnvMix(h, uint64(fl.Dst))
+			if f >= len(set.PerFlow) {
+				continue // a count mismatch, failed above
+			}
+			if len(set.PerFlow[f]) != set.K {
+				fail("flow %d has %d tunnels, want K=%d", f, len(set.PerFlow[f]), set.K)
+			}
+			for k, tun := range set.PerFlow[f] {
+				if len(tun.Edges) == 0 {
+					fail("flow %d tunnel %d is empty", f, k)
+				}
 				h = fnvMix(h, uint64(len(tun.Edges)))
 				for _, e := range tun.Edges {
+					if e < 0 || e >= numEdges {
+						fail("flow %d tunnel %d references link %d, topology has %d", f, k, e, numEdges)
+					}
 					h = fnvMix(h, uint64(e))
 				}
 			}
 		}
 	}
-	return h
+	p.fp = h
 }
 
 // NumFlows returns the flow count.

@@ -59,7 +59,8 @@ func Fail(err error) {
 const DefaultTol = 1e-6
 
 // CheckSplits verifies that splits is a valid F×K routing decision for p:
-// right shape, every entry finite and nonnegative, every row summing to 1.
+// right shape, every entry finite and nonnegative, every row summing to 1
+// within tol per entry. It only reads splits.
 func CheckSplits(p *te.Problem, splits *tensor.Dense, tol float64) error {
 	if splits.Rows != p.NumFlows() || splits.Cols != p.Tunnels.K {
 		return fmt.Errorf("verify: splits shape %dx%d, want %dx%d",
@@ -72,7 +73,7 @@ func CheckSplits(p *te.Problem, splits *tensor.Dense, tol float64) error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("verify: split[%d,%d] = %v is not finite", f, k, v)
 			}
-			if v < -tol {
+			if v < 0 {
 				return fmt.Errorf("verify: split[%d,%d] = %g is negative", f, k, v)
 			}
 			s += v
