@@ -62,33 +62,22 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateInput$$' -fuzztime=2s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzKShortestPaths$$' -fuzztime=2s ./internal/tunnels
 
-# benchsmoke runs every benchmark exactly once in -short mode (experiment-
-# scale benchmarks in the root package skip themselves under -short).
+# benchsmoke runs every benchmark exactly once in -short mode (the root
+# package's ablations train one epoch instead of fifteen under -short).
 benchsmoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
-# bench runs the perf-regression suite (hot-path micro and macro
-# benchmarks with allocation counts), every benchmark five times, and
-# records each as one row — the median run, with the fastest and slowest
-# beside it (cmd/benchjson) — of BENCH_1.json. It then records the serving
-# ledger BENCH_2.json: the split-cache hit vs miss path, and the
-# large-topology ledger BENCH_3.json: one inference on the problems
-# bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT
-# (462), and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit)
-# and building one (/build), each row stating its flows and tokens, beside
-# the tunnel computation that precedes the first of them on a new topology
-# (ComputeTunnels/*, stating nodes, edges, flows and k). See the Performance
-# section of the README.
-BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core
-BENCH2_RE = 'ServeCache'
-BENCH3_RE = 'SplitsAbilene|SplitsGeant|SplitsKDL|ComputeTunnels'
-BENCH3_PKGS = ./internal/core ./internal/tunnels
-BENCH_FLAGS = -benchmem -count 5
+# bench runs the micro-ledger: every benchmark of the packages below five
+# times, folded by cmd/benchjson into one row per benchmark (the median run,
+# with the fastest and slowest beside it) of BENCH_1.json. One row per
+# (call, problem), each stating its size: the matmul kernels and the tape by
+# shape, one training step on Abilene, one inference on the problems
+# bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT (462),
+# and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit) and building
+# one (/build), and the tunnel computation that precedes the first of them
+# on a new topology (ComputeTunnels/*). See the Performance section of the
+# README.
+BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core ./internal/tunnels
+BENCH_CMD = $(GO) test -run='^$$' -bench=. -benchmem -count 5 $(BENCH_PKGS)
 bench:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench=. $(BENCH_FLAGS) $(BENCH_PKGS) | \
-		/tmp/benchjson -out BENCH_1.json -cmd "go test -run='^$$' -bench=. $(BENCH_FLAGS) $(BENCH_PKGS)"
-	$(GO) test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience | \
-		/tmp/benchjson -out BENCH_2.json -cmd "go test -run='^$$' -bench=$(BENCH2_RE) $(BENCH_FLAGS) ./internal/resilience"
-	$(GO) test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) $(BENCH3_PKGS) | \
-		/tmp/benchjson -out BENCH_3.json -cmd "go test -run='^$$' -bench=$(BENCH3_RE) $(BENCH_FLAGS) $(BENCH3_PKGS)"
+	$(BENCH_CMD) | $(GO) run ./cmd/benchjson -out BENCH_1.json -cmd "$(BENCH_CMD)"

@@ -1,10 +1,7 @@
-// Benchmarks regenerating the paper's tables and figures — one benchmark
-// per artifact (DESIGN.md maps each id to its runner). The benchmarks use
-// scaled-down presets so the full suite finishes on a laptop; the tebench
-// CLI runs the same experiments at -scale full.
-//
-// Each iteration runs one complete experiment, so ns/op here means
-// "wall time to regenerate the artifact", not a micro-measurement.
+// Ablation and micro benchmarks: the design-choice ablations DESIGN.md §5
+// calls out (each iteration trains a variant and reports its mean test
+// NormMLU), the LP solvers, the fairness evaluator and dataset generation.
+// The paper's tables and figures are regenerated by cmd/tebench, not here.
 package harpte_test
 
 import (
@@ -21,181 +18,6 @@ import (
 	"harpte/internal/traffic"
 	"harpte/internal/tunnels"
 )
-
-// benchDataset memoizes the generated dataset across benchmarks in one run.
-var benchDataset *dataset.Dataset
-
-// skipIfShort exempts experiment-scale benchmarks from -short runs so the
-// Makefile's bench smoke (`go test -short -bench . -benchtime=1x ./...`)
-// finishes quickly; the micro-benchmarks below still execute once.
-func skipIfShort(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("experiment-scale benchmark skipped in -short mode")
-	}
-}
-
-func getDataset(b *testing.B) *dataset.Dataset {
-	b.Helper()
-	skipIfShort(b)
-	if benchDataset == nil {
-		benchDataset = dataset.Generate(experiments.AnonNetConfig(experiments.Small))
-	}
-	return benchDataset
-}
-
-// quickTransfer returns a fast Fig-4/16 configuration.
-func quickTransfer() experiments.TransferConfig {
-	return experiments.TransferConfig{Scale: experiments.Small, Epochs: 12, Stride: 6, Seed: 1}
-}
-
-func quickSchemes() experiments.SchemesConfig {
-	return experiments.SchemesConfig{Scale: experiments.Small, Epochs: 10, NumTMs: 24, Seed: 1}
-}
-
-func BenchmarkTab1DesignMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Tab1(1)
-		if !res.Checks["HARP"]["topology"] {
-			b.Fatal("HARP must model topology")
-		}
-	}
-}
-
-func BenchmarkFig01TopologyVariation(b *testing.B) {
-	ds := getDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Fig1(ds, 16); len(r.TotalNodes) == 0 {
-			b.Fatal("empty census")
-		}
-	}
-}
-
-func BenchmarkFig03CapacityVariation(b *testing.B) {
-	ds := getDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Fig3(ds); r.TunnelsAdded <= 0 {
-			b.Fatal("no tunnel churn")
-		}
-	}
-}
-
-func BenchmarkFig04Transferability(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(quickTransfer())
-		b.ReportMetric(r.NormMLU.Median(), "median-NormMLU")
-		b.ReportMetric(r.NormMLU.Max(), "max-NormMLU")
-	}
-}
-
-func BenchmarkFig05HARPvsDOTE(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.ClusterConfig{Scale: experiments.Small, Epochs: 12, Clusters: 1, Seed: 1}
-		r := experiments.Fig5(cfg)
-		b.ReportMetric(r.HARP[0].Median(), "HARP-median")
-		b.ReportMetric(r.DOTE[0].Median(), "DOTE-median")
-	}
-}
-
-func BenchmarkFig06RAUAblation(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.ClusterConfig{Scale: experiments.Small, Epochs: 12, Seed: 1}
-		r := experiments.Fig6(cfg)
-		b.ReportMetric(r.HARP.Median(), "HARP-median")
-		b.ReportMetric(r.NoRAU.Median(), "NoRAU-median")
-	}
-}
-
-func BenchmarkFig07TunnelShuffle(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7(quickSchemes())
-		b.ReportMetric(r.Shuffled["HARP"].Mean(), "HARP-shuffled")
-		b.ReportMetric(r.Shuffled["DOTE"].Mean(), "DOTE-shuffled")
-	}
-}
-
-func BenchmarkFig08PartialFailures(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8(quickSchemes())
-		b.ReportMetric(r.PerScheme["HARP"].Quantile(0.9), "HARP-p90")
-		b.ReportMetric(r.PerScheme["DOTE"].Quantile(0.9), "DOTE-p90")
-	}
-}
-
-func BenchmarkFig09GeantFailures(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.FailureConfig{SchemesConfig: quickSchemes(), MaxFailures: 5}
-		r := experiments.Fig9(cfg)
-		b.ReportMetric(r.Pooled["HARP"].Median(), "HARP-pooled-median")
-	}
-}
-
-func BenchmarkFig10And17AbileneFailures(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.FailureConfig{SchemesConfig: quickSchemes(), MaxFailures: 6}
-		r := experiments.Fig10And17(cfg)
-		b.ReportMetric(r.Pooled["HARP"].Median(), "HARP-pooled-median")
-		b.ReportMetric(r.Pooled["DOTE"].Median(), "DOTE-pooled-median")
-	}
-}
-
-func BenchmarkFig11ComputationTime(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11(experiments.Fig11Config{Scale: experiments.Small, Seed: 1, Repeats: 1})
-		if len(r.Rows) != 5 {
-			b.Fatal("expected 5 topologies")
-		}
-	}
-}
-
-func BenchmarkFig12PredictedMatrices(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig12Config{Scale: experiments.Small, Epochs: 10, Stride: 6, Seed: 1}
-		rs := experiments.Fig12(cfg, traffic.LinReg{Window: 12})
-		b.ReportMetric(rs[0].HARPPred.Median(), "HARP-Pred-median")
-		b.ReportMetric(rs[0].SolverPred.Median(), "Solver-Pred-median")
-	}
-}
-
-func BenchmarkFig15DatasetCapacity(b *testing.B) {
-	ds := getDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Fig15(ds); r.MultiValueFraction <= 0 {
-			b.Fatal("no capacity variation")
-		}
-	}
-}
-
-func BenchmarkFig16SingleVsMultiCluster(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig16(quickTransfer())
-		b.ReportMetric(r.PerModel["train_ABC"].Quantile(0.95), "ABC-p95")
-		b.ReportMetric(r.PerModel["train_A"].Quantile(0.95), "A-p95")
-	}
-}
-
-func BenchmarkFig18TEALConvergence(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig18Config{Scale: experiments.Small, Epochs: 12, Seed: 1}
-		r := experiments.Fig18(cfg)
-		b.ReportMetric(r.KDL[len(r.KDL)-1], "KDL-final")
-		b.ReportMetric(r.AnonNet[len(r.AnonNet)-1], "AnonNet-final")
-	}
-}
 
 // ---- ablation benches for the design choices DESIGN.md calls out ----
 
@@ -225,6 +47,9 @@ func ablationEval(b *testing.B, cfg core.Config) float64 {
 	m := core.New(cfg)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 15
+	if testing.Short() {
+		tc.Epochs = 1 // make benchsmoke: run the path once, measure nothing
+	}
 	m.Fit(experiments.HarpSamples(m, trainI), experiments.HarpSamples(m, valI), tc)
 	experiments.ComputeOptimal(testI)
 	d := experiments.NewDistribution(experiments.EvalHarp(m, testI, experiments.HarpSamples(m, testI)))
@@ -232,7 +57,6 @@ func ablationEval(b *testing.B, cfg core.Config) float64 {
 }
 
 func BenchmarkAblationRAUIters(b *testing.B) {
-	skipIfShort(b)
 	for _, iters := range []int{3, 7, 14} {
 		iters := iters
 		b.Run(benchName("rau", iters), func(b *testing.B) {
@@ -246,7 +70,6 @@ func BenchmarkAblationRAUIters(b *testing.B) {
 }
 
 func BenchmarkAblationGNNDepth(b *testing.B) {
-	skipIfShort(b)
 	for _, depth := range []int{1, 2, 3} {
 		depth := depth
 		b.Run(benchName("gnn", depth), func(b *testing.B) {
@@ -260,7 +83,6 @@ func BenchmarkAblationGNNDepth(b *testing.B) {
 }
 
 func BenchmarkAblationSetTransVsMeanPool(b *testing.B) {
-	skipIfShort(b)
 	for _, meanPool := range []bool{false, true} {
 		meanPool := meanPool
 		name := "settrans"
@@ -299,34 +121,7 @@ func BenchmarkSolverComparison(b *testing.B) {
 	}
 }
 
-// ---- micro-benchmarks of the core substrates ----
-
-func BenchmarkHARPForwardGEANT(b *testing.B) {
-	g := topology.Geant()
-	set := tunnels.Compute(g, 4)
-	p := te.NewProblem(g, set)
-	m := core.New(core.DefaultConfig())
-	ctx := m.Context(p)
-	tm := traffic.Gravity(g.NumNodes, traffic.GravityWeights(g, newBenchRng()), 110)
-	demand := traffic.DemandVector(tm, set.Flows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Splits(ctx, demand)
-	}
-}
-
-func BenchmarkYenKShortestGEANT(b *testing.B) {
-	g := topology.Geant()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if paths := tunnels.KShortestPaths(g, 0, 21, 8); len(paths) == 0 {
-			b.Fatal("no paths")
-		}
-	}
-}
-
 func BenchmarkDatasetGeneration(b *testing.B) {
-	skipIfShort(b)
 	cfg := experiments.AnonNetConfig(experiments.Small)
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
@@ -341,29 +136,6 @@ func benchName(prefix string, v int) string {
 }
 
 func newBenchRng() *rand.Rand { return rand.New(rand.NewSource(9)) }
-
-// ---- §7 future-work extension benches ----
-
-func BenchmarkExtDemandShift(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := quickSchemes()
-		r := experiments.ExtDemandShift(cfg)
-		b.ReportMetric(r.Same.Median(), "same-median")
-		b.ReportMetric(r.Shifted.Median(), "shifted-median")
-		b.ReportMetric(r.Transposed.Median(), "transposed-median")
-	}
-}
-
-func BenchmarkExtObjectives(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := quickSchemes()
-		r := experiments.ExtObjectives(cfg)
-		b.ReportMetric(r.ThroughputRatio, "throughput-ratio")
-		b.ReportMetric(r.FairnessRatio, "fairness-ratio")
-	}
-}
 
 func BenchmarkLPSimplexAbilene(b *testing.B) {
 	g := topology.Abilene()

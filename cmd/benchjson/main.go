@@ -1,12 +1,15 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a machine-readable benchmark ledger (BENCH_1..3.json).
+// into the machine-readable micro-ledger, BENCH_1.json; `make bench` is the
+// one command that writes it.
 //
-//	go test -bench=. -benchmem -count 5 ./... | benchjson -out BENCH_1.json
+//	go test -run='^$' -bench=. -benchmem -count 5 ./internal/... | benchjson -out BENCH_1.json
 //
 // Lines that repeat a benchmark name (`go test -count N`) fold into one row:
 // the median run, with the fastest and slowest ns/op and the run count
 // beside it, so one slow phase of the host cannot be what gets committed.
-// See the Performance section of the README for how to read the ledgers.
+// This package's tests hold the committed ledger to its rules: every row
+// states its problem's size, and the docs quote it exactly or not at all.
+// See the Performance section of the README for how to read the ledger.
 package main
 
 import (
@@ -36,7 +39,7 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Ledger is a BENCH_n.json document.
+// Ledger is a benchjson document, such as BENCH_1.json.
 type Ledger struct {
 	GoOS      string   `json:"goos,omitempty"`
 	GoArch    string   `json:"goarch,omitempty"`

@@ -19,11 +19,11 @@ func TestParseLine(t *testing.T) {
 }
 
 func TestParseLineCustomMetric(t *testing.T) {
-	r, ok := parseLine("BenchmarkFig04Transferability 	       1	9876543210 ns/op	         1.100 median-NormMLU")
+	r, ok := parseLine("BenchmarkAblationRAUIters/rau-03-2 	       1	3297282389 ns/op	         1.010 mean-NormMLU")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if r.Extra["median-NormMLU"] != 1.1 {
+	if r.Extra["mean-NormMLU"] != 1.01 {
 		t.Fatalf("custom metric lost: %+v", r)
 	}
 }

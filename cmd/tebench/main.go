@@ -1,6 +1,6 @@
 // Command tebench regenerates any table or figure from the paper's
 // evaluation. Each experiment id maps to a runner in internal/experiments;
-// see DESIGN.md for the experiment index.
+// see DESIGN.md §4 for the experiment index.
 //
 // Usage:
 //
@@ -10,8 +10,9 @@
 //
 // Experiments: tab1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 // fig12 fig15 fig16 fig17 fig18 (fig10 and fig17 are two views of the same
-// Abilene run; "fig10" prints both), plus the §7 future-work extensions
-// ext-shift and ext-objectives.
+// Abilene run, made once per invocation; "fig10" prints both), plus the §7
+// future-work extensions ext-shift and ext-objectives. This is the one entry
+// point for the paper's figures: no benchmark regenerates them.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"harpte/internal/dataset"
@@ -54,12 +56,7 @@ func main() {
 
 	runners := buildRunners(scale, *seed, *epochs, progress, *csvDir)
 	if *list {
-		var ids []string
-		for id := range runners {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedIDs(runners) {
 			fmt.Println(id)
 		}
 		return
@@ -71,11 +68,7 @@ func main() {
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = nil
-		for id := range runners {
-			args = append(args, id)
-		}
-		sort.Strings(args)
+		args = sortedIDs(runners)
 	}
 	for _, id := range args {
 		run, ok := runners[id]
@@ -113,11 +106,14 @@ func buildRunners(scale experiments.Scale, seed int64, epochs int, progress expe
 	schemes := experiments.SchemesConfig{Scale: scale, Seed: seed, Epochs: epochs, Progress: progress}
 	failure := experiments.FailureConfig{SchemesConfig: schemes}
 
-	genDataset := func() *dataset.Dataset {
+	// fig1, fig3 and fig15 read one dataset, and fig10 and fig17 print two
+	// views of one Abilene failure sweep: each is computed once, on first use.
+	genDataset := sync.OnceValue(func() *dataset.Dataset {
 		cfg := experiments.AnonNetConfig(scale)
 		cfg.Seed = seed
 		return dataset.Generate(cfg)
-	}
+	})
+	abileneFailures := sync.OnceValue(func() *experiments.FailureResult { return experiments.Fig10And17(failure) })
 
 	return map[string]func(io.Writer){
 		"tab1": func(w io.Writer) { fmt.Fprint(w, experiments.Tab1(seed).Table) },
@@ -150,7 +146,7 @@ func buildRunners(scale experiments.Scale, seed int64, epochs int, progress expe
 			dumpCSV("fig9", r)
 		},
 		"fig10": func(w io.Writer) {
-			res := experiments.Fig10And17(failure)
+			res := abileneFailures()
 			fmt.Fprint(w, res.Table)
 			printBoxes(w, res)
 			dumpCSV("fig10", res)
@@ -170,10 +166,7 @@ func buildRunners(scale experiments.Scale, seed int64, epochs int, progress expe
 			fmt.Fprint(w, r.Table)
 			dumpCSV("fig16", r)
 		},
-		"fig17": func(w io.Writer) {
-			res := experiments.Fig10And17(failure)
-			printBoxes(w, res)
-		},
+		"fig17": func(w io.Writer) { printBoxes(w, abileneFailures()) },
 		"fig18": func(w io.Writer) {
 			r := experiments.Fig18(experiments.Fig18Config{Scale: scale, Seed: seed, Epochs: epochs, Progress: progress})
 			fmt.Fprint(w, r.Table)
@@ -186,6 +179,16 @@ func buildRunners(scale experiments.Scale, seed int64, epochs int, progress expe
 			fmt.Fprint(w, experiments.ExtObjectives(schemes).Table)
 		},
 	}
+}
+
+// sortedIDs is what -list prints and the order `tebench all` runs in.
+func sortedIDs(runners map[string]func(io.Writer)) []string {
+	ids := make([]string, 0, len(runners))
+	for id := range runners {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // printBoxes renders the per-failure boxplot rows of Figures 9/17.

@@ -8,11 +8,13 @@
 // The public entry points live under internal/ (this repository is a
 // self-contained research artifact, consumed through its binaries):
 //
-//   - cmd/tebench regenerates every table and figure of the paper,
+//   - cmd/tebench regenerates every table and figure of the paper (the one
+//     entry point for them),
 //   - cmd/harpcli trains/evaluates HARP models,
 //   - cmd/tegen generates and inspects synthetic datasets,
 //   - examples/ holds runnable walkthroughs of the library API,
-//   - bench_test.go benchmarks one experiment per table/figure.
+//   - bench_test.go holds the ablation, LP-solver, fairness and dataset
+//     benchmarks; `make bench` writes the micro-ledger BENCH_1.json.
 //
 // See DESIGN.md for the system inventory, the per-experiment index and the
 // documented substitutions for the paper's proprietary dependencies, and

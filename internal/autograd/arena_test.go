@@ -137,10 +137,11 @@ func TestShareParamAliasesValues(t *testing.T) {
 
 // BenchmarkTapeReuse measures a forward+backward+reset cycle on a reused
 // arena tape versus fresh plain tapes — the micro-scale version of the
-// train-step benchmarks in internal/core.
+// train-step benchmarks in internal/core — on arenaFixture's 32×16 input
+// and 16×8 weight.
 func BenchmarkTapeReuse(b *testing.B) {
 	x, w, bias := arenaFixture()
-	b.Run("reusable", func(b *testing.B) {
+	b.Run("32x16x8/reusable", func(b *testing.B) {
 		tp := NewReusableTape()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -149,7 +150,7 @@ func BenchmarkTapeReuse(b *testing.B) {
 			tp.Reset()
 		}
 	})
-	b.Run("fresh", func(b *testing.B) {
+	b.Run("32x16x8/fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tp := NewTape()

@@ -82,7 +82,6 @@ import (
 	"harpte/internal/obs/reqtrace"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
-	"harpte/internal/verify"
 )
 
 // planBlockTokens bounds the token rows of one block of buildPlan's loop. A
@@ -657,13 +656,7 @@ func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
 // than ECMP on an unseen topology (testdata/anytime_curve.csv), so it is an
 // answer only for a model with no RAU. The span ctx carries, if any, gains a
 // plan=hit|build annotation, the forward.gnn and forward.settrans stage spans
-// on a build, and forward.mlp1 and forward.rau always; a verify-gate failure
-// is recorded on it (which pins the trace in the flight recorder).
-//
-// When the verify gate is on (verify.SetEnabled) the answer's routing
-// invariants — rows sum to 1, nonnegative link loads, per-flow conservation
-// — are re-checked; when off the gate is a single atomic load, preserving
-// the inference allocation pin.
+// on a build, and forward.mlp1 and forward.rau always.
 func (m *Model) SplitsCtx(ctx context.Context, c *Context, demand *tensor.Dense) (splits *tensor.Dense, iterations int) {
 	sp := reqtrace.FromContext(ctx)
 	pc := c.inner
@@ -680,12 +673,6 @@ func (m *Model) SplitsCtx(ctx context.Context, c *Context, demand *tensor.Dense)
 		splits = w.Clone()
 	}
 	inferScratches.Put(sc)
-	if splits != nil && verify.Enabled() {
-		if err := verify.CheckRouting(pc.p, splits, demand); err != nil {
-			sp.SetError(err)
-			verify.Fail(err)
-		}
-	}
 	return splits, iterations
 }
 

@@ -1,6 +1,6 @@
 package core
 
-// Large-topology problems, their serving pins, and the BENCH_3.json ledger
+// Large-topology problems, their serving pins, and the BENCH_1.json ledger
 // rows: one inference, on a kept plan and building one, on the problems
 // bench/workloads.go serves (all-pairs Abilene and GEANT; KDL-scale with 48
 // evenly spaced edge nodes), each row stating its flows and tokens.
@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func allPairsProblem(g *topology.Graph) *te.Problem {
 
 // benchKDLProblem is the benchmark's kdl_large problem: KDLScale(301) with
 // 48 evenly spaced edge nodes — 2,256 flows, 93,670 tokens. 0.4 s of
-// tunnel computation and 0.2 s per plan build, so callers skip it under
+// tunnel computation and 0.2 s per plan build, so tests skip it under
 // -short.
 func benchKDLProblem() *te.Problem {
 	g := topology.KDLScale(301)
@@ -113,12 +114,7 @@ func benchSplits(b *testing.B, p *te.Problem) {
 
 func BenchmarkSplitsAbilene(b *testing.B) { benchSplits(b, allPairsProblem(topology.Abilene())) }
 func BenchmarkSplitsGeant(b *testing.B)   { benchSplits(b, allPairsProblem(topology.Geant())) }
-func BenchmarkSplitsKDL(b *testing.B) {
-	if testing.Short() {
-		b.Skip("KDL all-pairs: 0.4 s of tunnels, 0.2 s per build")
-	}
-	benchSplits(b, benchKDLProblem())
-}
+func BenchmarkSplitsKDL(b *testing.B)     { benchSplits(b, benchKDLProblem()) }
 
 // TestUsCarrierScaleTraining is the training half of the scale acceptance:
 // float64 training steps on a synthetic UsCarrier-scale (158-node) problem
@@ -228,7 +224,15 @@ func TestBuildFootprint(t *testing.T) {
 			runtime.GC() // twice empties a sync.Pool
 			cold := allocated(func() { m.Splits(ctx, d) })
 			// The warmest of several: under -race a Pool drops a quarter of
-			// what it is given, and any GC ages it.
+			// what it is given, and any GC ages it. One P, so no goroutine
+			// migrates away from the P whose private slot holds the scratch,
+			// and no GC, since two of them drop the pool's entries.
+			procs := runtime.GOMAXPROCS(1)
+			gc := debug.SetGCPercent(-1)
+			t.Cleanup(func() {
+				runtime.GOMAXPROCS(procs)
+				debug.SetGCPercent(gc)
+			})
 			warm := cold
 			for i := 0; i < 12; i++ {
 				fresh := m.Context(p)

@@ -1,8 +1,7 @@
 package core
 
-// Perf-regression benchmarks for the training and inference hot paths.
-// `make bench` runs these (among others) and emits BENCH_1.json; the
-// committed baseline in that file is what future PRs are compared against.
+// The training-step benchmark and the Abilene fixture the inference
+// allocation pins share. `make bench` records it in BENCH_1.json.
 
 import (
 	"math/rand"
@@ -34,14 +33,15 @@ func abileneBench(batch int) (*Model, *Context, []Sample) {
 
 // BenchmarkTrainStepAbilene is one optimizer step on one batch of 8, serial
 // and sharded over 2 and 4 workers: rows that differ in nothing but the
-// workers, so the ledger can say whether ParallelTrainStep pays.
+// workers, so the ledger can say whether ParallelTrainStep pays. Each
+// sample is all-pairs Abilene: 132 flows, 2,774 tokens.
 func BenchmarkTrainStepAbilene(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"batch8/serial", 1}, {"batch8/workers2", 2}, {"batch8/workers4", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
-			m, _, samples := abileneBench(8)
+			m, ctx, samples := abileneBench(8)
 			opt := autograd.NewAdam(2e-3)
 			m.ParallelTrainStep(opt, samples, bc.workers) // warm up lazily built state before measuring
 			b.ReportAllocs()
@@ -49,16 +49,8 @@ func BenchmarkTrainStepAbilene(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.ParallelTrainStep(opt, samples, bc.workers)
 			}
+			b.ReportMetric(float64(ctx.inner.p.NumFlows()), "flows")
+			b.ReportMetric(float64(len(ctx.inner.tokenIdx)), "tokens")
 		})
-	}
-}
-
-func BenchmarkInferenceAbilene(b *testing.B) {
-	m, ctx, samples := abileneBench(1)
-	m.Splits(ctx, samples[0].Demand)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Splits(ctx, samples[0].Demand)
 	}
 }

@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5). Each runner returns a structured result that the bench
-// harness (bench_test.go) and the tebench CLI render as the rows/series the
-// paper reports. DESIGN.md carries the experiment index; EXPERIMENTS.md
-// records paper-vs-measured outcomes.
+// evaluation (§5). Each runner returns a structured result that the tebench
+// CLI, the one entry point for the paper's figures, renders as the
+// rows/series the paper reports. DESIGN.md carries the experiment index;
+// EXPERIMENTS.md records paper-vs-measured outcomes.
 package experiments
 
 import (

@@ -788,7 +788,7 @@ func TestTunnelKeyFormat(t *testing.T) {
 	}
 }
 
-// ---- ledger rows (BENCH_3.json) ----
+// ---- ledger rows (BENCH_1.json) ----
 
 var benchSet *Set
 
@@ -816,9 +816,6 @@ func BenchmarkComputeTunnels(b *testing.B) {
 		benchCompute(b, g)
 	})
 	b.Run("KDL", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("KDL all-pairs tunnels: seconds per run at the parent commit")
-		}
 		benchCompute(b, benchKDL())
 	})
 }

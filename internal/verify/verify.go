@@ -1,56 +1,19 @@
-// Package verify is the correctness subsystem: optional runtime invariant
-// checks behind an atomic gate, plus the differential oracles (finite
-// differences vs autograd, LP duality certificates, MWU vs simplex) that the
-// test suite runs over randomized instances. The package sits below
-// internal/core on purpose — core wires the gate into its inference path, so
-// verify must never import core (the HARP-specific oracles live in this
+// Package verify is the correctness subsystem: the routing invariant checks
+// (CheckSplits, which resilience.VetSplits runs on every served answer, and
+// CheckRouting), plus the differential oracles (finite differences vs
+// autograd, LP duality certificates, MWU vs simplex) that the test suite runs
+// over randomized instances. The package sits below internal/core on purpose,
+// so verify must never import core (the HARP-specific oracles live in this
 // package's external test files, where the import is legal).
-//
-// The runtime gate costs a single atomic load when disabled, so enabling
-// the build-time machinery never disturbs the PR-2 allocation pins; flip it
-// on in tests, debugging sessions, or canary deployments with SetEnabled.
 package verify
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"harpte/internal/te"
 	"harpte/internal/tensor"
 )
-
-// enabled gates the runtime invariant checks. An atomic.Bool load is one
-// instruction on the hot path and allocates nothing.
-var enabled atomic.Bool
-
-// Enabled reports whether runtime invariant checking is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled turns runtime invariant checking on or off. Safe for
-// concurrent use.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// failHandler, when set, receives invariant violations instead of the
-// default panic — tests use it to observe Fail without dying.
-var failHandler atomic.Value // func(error)
-
-// SetFailHandler installs fn as the sink for invariant violations reported
-// via Fail; nil restores the default (panic). The handler must be safe for
-// concurrent use.
-func SetFailHandler(fn func(error)) { failHandler.Store(fn) }
-
-// Fail reports a violated invariant: to the registered handler if any,
-// otherwise by panicking — an invariant violation means the process is
-// already computing garbage, and the gate is only ever enabled in contexts
-// (tests, debugging, canaries) where dying loudly beats serving it.
-func Fail(err error) {
-	if fn, ok := failHandler.Load().(func(error)); ok && fn != nil {
-		fn(err)
-		return
-	}
-	panic(err)
-}
 
 // DefaultTol is the tolerance the routing invariant checks use: loose
 // enough for float64 accumulation over thousands of tunnels, tight enough
@@ -145,8 +108,7 @@ func CheckFlowConservation(p *te.Problem, splits, demand *tensor.Dense, tol floa
 }
 
 // CheckRouting runs every routing invariant — valid splits, nonnegative
-// finite link loads, per-flow conservation — with DefaultTol. It is what
-// the core inference path calls when the runtime gate is enabled.
+// finite link loads, per-flow conservation — with DefaultTol.
 func CheckRouting(p *te.Problem, splits, demand *tensor.Dense) error {
 	if err := CheckSplits(p, splits, DefaultTol); err != nil {
 		return err

@@ -269,24 +269,3 @@ func nan() float64 {
 	zero := 0.0
 	return zero / zero
 }
-
-// TestGateAndFailHandler: the gate defaults to off, toggles atomically, and
-// Fail routes through the registered handler instead of panicking.
-func TestGateAndFailHandler(t *testing.T) {
-	if Enabled() {
-		t.Fatal("verify gate must default to off")
-	}
-	SetEnabled(true)
-	if !Enabled() {
-		t.Fatal("SetEnabled(true) did not take")
-	}
-	SetEnabled(false)
-
-	var got error
-	SetFailHandler(func(err error) { got = err })
-	defer SetFailHandler(nil)
-	Fail(fmt.Errorf("synthetic violation"))
-	if got == nil || got.Error() != "synthetic violation" {
-		t.Fatalf("fail handler saw %v", got)
-	}
-}
