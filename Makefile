@@ -40,10 +40,13 @@ test:
 # fault-injecting filesystem and replica-fault injectors under torture, the
 # seed-replayable scenario player, the fleet dispatcher's chaos tortures
 # (hedges and their cancelled losers, retries, rolling reload mid-burst, and
-# the correlated-disaster scenario), and the differential-oracle suite.
+# the correlated-disaster scenario), the differential-oracle suite, and
+# experiments — the one package that runs the HarpSamples, EvalHarp and
+# ComputeOptimal worker pools over one model and shared te.Problems, and that
+# trains every scheme the paper's figures compare (HARP, DOTE, TEAL).
 # Allocation pins skip themselves under -race; `make test` runs them.
 race:
-	$(GO) test -race ./internal/te ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
+	$(GO) test -race ./internal/te ./internal/autograd ./internal/nn ./internal/tunnels ./internal/core ./internal/obs ./internal/obs/reqtrace ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify ./internal/experiments
 
 # fuzzsmoke gives each native fuzz target a short budget (go test allows
 # one -fuzz pattern per invocation, hence one line per target; ~15-30s

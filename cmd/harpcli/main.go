@@ -180,7 +180,6 @@ func cmdTrain(args []string) {
 	tc.Workers = *workers
 	tc.Log = os.Stdout
 	tc.CheckpointPath = *ckpt
-	tc.CheckpointEvery = 1
 	tc.Resume = *resume
 	tc.Metrics = reg
 	if *logJSON {

@@ -147,12 +147,103 @@ func TestAdamLRSchedulesIndependentStates(t *testing.T) {
 	opt := NewAdam(0.1)
 	a.Grad.Data[0] = 1
 	b.Grad.Data[0] = -1
-	opt.Step([]*Tensor{a, b})
+	opt.Step([]*Tensor{a, b}, 0)
 	if !(a.Val.Data[0] < 0 && b.Val.Data[0] > 0) {
 		t.Fatalf("steps wrong: a=%v b=%v", a.Val.Data[0], b.Val.Data[0])
 	}
 	if math.Abs(a.Val.Data[0]+b.Val.Data[0]) > 1e-12 {
 		t.Fatal("symmetric gradients must give symmetric steps")
+	}
+}
+
+// TestAdamStepWithholdsNonFinite: a NaN or Inf loss or gradient leaves the
+// parameters, the moments and the step count as they were, zeroes the
+// gradients and reports stepped=false.
+func TestAdamStepWithholdsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		loss float64
+		grad float64
+	}{
+		{"NaN loss", math.NaN(), 1},
+		{"Inf loss", math.Inf(1), 1},
+		{"NaN gradient", 1, math.NaN()},
+		{"-Inf gradient", 1, math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewParam(tensor.FromSlice(1, 2, []float64{1, 2}))
+			b := NewParam(tensor.FromSlice(1, 1, []float64{3}))
+			params := []*Tensor{a, b}
+			opt := NewAdam(0.1)
+			opt.GradClip = 5
+			a.Grad.Fill(0.5)
+			b.Grad.Fill(-0.25)
+			if !opt.Step(params, 1) {
+				t.Fatal("a healthy step was withheld")
+			}
+			vals, state := Snapshot(params), opt.State(params)
+
+			a.Grad.Fill(0.5)
+			b.Grad.Data[0] = tc.grad
+			if opt.Step(params, tc.loss) {
+				t.Fatal("a non-finite step was taken")
+			}
+			for i, p := range params {
+				for j, v := range p.Val.Data {
+					if math.Float64bits(v) != math.Float64bits(vals[i][j]) {
+						t.Fatalf("param %d[%d] moved %v -> %v", i, j, vals[i][j], v)
+					}
+				}
+				for j, g := range p.Grad.Data {
+					if g != 0 {
+						t.Fatalf("grad %d[%d] = %v, want 0", i, j, g)
+					}
+				}
+			}
+			after := opt.State(params)
+			if after.Step != state.Step {
+				t.Fatalf("step count %d -> %d", state.Step, after.Step)
+			}
+			for i := range params {
+				for j := range state.M[i] {
+					if after.M[i][j] != state.M[i][j] || after.V[i][j] != state.V[i][j] {
+						t.Fatalf("moments of param %d[%d] moved", i, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFitBestRestoresBestEpoch: FitBest visits every sample once per epoch
+// in batches of at most batch, and ends on the parameters of the epoch val
+// scored lowest.
+func TestFitBestRestoresBestEpoch(t *testing.T) {
+	a := NewParam(tensor.FromSlice(1, 1, []float64{0}))
+	scores := []float64{3, 1, math.NaN(), 2}
+	epoch := 0
+	seen := make([]int, 5)
+	best := FitBest([]*Tensor{a}, rand.New(rand.NewSource(1)), 5, 2, len(scores),
+		func(idx []int) {
+			if len(idx) == 0 || len(idx) > 2 {
+				t.Fatalf("batch of %d", len(idx))
+			}
+			for _, i := range idx {
+				seen[i]++
+			}
+		},
+		func() float64 {
+			epoch++
+			a.Val.Data[0] = float64(epoch)
+			return scores[epoch-1]
+		})
+	if best != 1 || a.Val.Data[0] != 2 {
+		t.Fatalf("best %v with a = %v, want 1 with a = 2 (epoch 2's)", best, a.Val.Data[0])
+	}
+	for i, n := range seen {
+		if n != len(scores) {
+			t.Fatalf("sample %d visited %d times in %d epochs", i, n, len(scores))
+		}
 	}
 }
 

@@ -245,7 +245,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		db := tp.Sub(b, targetB)
 		loss := tp.Add(tp.Mul(da, da), tp.Mul(db, db))
 		tp.Backward(loss)
-		opt.Step([]*Tensor{a, b})
+		opt.Step([]*Tensor{a, b}, loss.Val.Data[0])
 	}
 	if math.Abs(a.Val.Data[0]-3) > 1e-3 || math.Abs(b.Val.Data[0]+1) > 1e-3 {
 		t.Fatalf("Adam failed to converge: a=%v b=%v", a.Val.Data[0], b.Val.Data[0])
@@ -257,7 +257,9 @@ func TestAdamGradClip(t *testing.T) {
 	a.Grad.Data[0] = 1e6
 	opt := NewAdam(0.01)
 	opt.GradClip = 1
-	opt.Step([]*Tensor{a})
+	if !opt.Step([]*Tensor{a}, 0) {
+		t.Fatal("a finite gradient must step")
+	}
 	// After clipping the gradient magnitude is 1; Adam's first step is ~lr.
 	if math.Abs(a.Val.Data[0]) > 0.011 {
 		t.Fatalf("clip ineffective: %v", a.Val.Data[0])

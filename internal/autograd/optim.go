@@ -30,17 +30,27 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update to every parameter using its accumulated
-// gradient and then zeroes the gradients.
-func (o *Adam) Step(params []*Tensor) {
+// Step applies one Adam update to every parameter from its accumulated
+// gradient, with loss the value that gradient came from, and zeroes the
+// gradients. It is guarded: when loss or the gradient norm is NaN or ±Inf
+// the update is withheld — parameters, moments and step count stay as they
+// were — and Step reports stepped=false. A poisoned batch never reaches the
+// weights.
+func (o *Adam) Step(params []*Tensor, loss float64) (stepped bool) {
+	var norm float64
+	for _, p := range params {
+		for _, g := range p.Grad.Data {
+			norm += g * g
+		}
+	}
+	if math.IsNaN(loss) || math.IsInf(loss, 0) || math.IsNaN(norm) || math.IsInf(norm, 0) {
+		for _, p := range params {
+			p.Grad.Zero()
+		}
+		return false
+	}
 	o.step++
 	if o.GradClip > 0 {
-		var norm float64
-		for _, p := range params {
-			for _, g := range p.Grad.Data {
-				norm += g * g
-			}
-		}
 		norm = math.Sqrt(norm)
 		if norm > o.GradClip {
 			scale := o.GradClip / norm
@@ -68,6 +78,52 @@ func (o *Adam) Step(params []*Tensor) {
 		}
 		p.Grad.Zero()
 	}
+	return true
+}
+
+// Snapshot copies every parameter's values, in order.
+func Snapshot(params []*Tensor) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.Val.Data...)
+	}
+	return out
+}
+
+// Restore copies a Snapshot of the same parameters back into them.
+func Restore(params []*Tensor, snap [][]float64) {
+	for i, p := range params {
+		copy(p.Val.Data, snap[i])
+	}
+}
+
+// EachBatch draws one permutation of the n sample indices from rng and calls
+// step on its consecutive runs of batch indices (the last may be shorter).
+func EachBatch(rng *rand.Rand, n, batch int, step func(idx []int)) {
+	order := rng.Perm(n)
+	for at := 0; at < n; at += batch {
+		step(order[at:min(at+batch, n)])
+	}
+}
+
+// FitBest is the epoch loop of a model trained with validation-best
+// selection: each epoch is one EachBatch pass over n samples, then val
+// scores the parameters and a snapshot of the lowest score is kept. At the
+// end that snapshot is restored and its score returned (+Inf, parameters
+// as the last epoch left them, when no epoch scored a finite value).
+func FitBest(params []*Tensor, rng *rand.Rand, n, batch, epochs int, step func(idx []int), val func() float64) float64 {
+	best := math.Inf(1)
+	var snap [][]float64
+	for epoch := 0; epoch < epochs; epoch++ {
+		EachBatch(rng, n, batch, step)
+		if v := val(); v < best {
+			best, snap = v, Snapshot(params)
+		}
+	}
+	if snap != nil {
+		Restore(params, snap)
+	}
+	return best
 }
 
 // AdamState is a serializable snapshot of an Adam optimizer's internal

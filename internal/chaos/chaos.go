@@ -91,7 +91,7 @@ func TruncateFile(path string, n int64) error {
 	return os.Truncate(path, n)
 }
 
-// NaNAfter returns a loss hook (see core.TrainConfig.LossHook) that passes
+// NaNAfter returns a loss hook (core's training test seam) that passes
 // the first n batch losses through untouched and replaces every later one
 // with NaN — poisoning training exactly the way an exploding gradient or a
 // corrupted input batch would present to the health guards.

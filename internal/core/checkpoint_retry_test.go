@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"harpte/internal/chaos"
 )
@@ -24,10 +24,9 @@ func TestFitCheckpointedRetriesTransientWriteErrors(t *testing.T) {
 	var log bytes.Buffer
 	tc := TrainConfig{
 		Epochs: 1, BatchSize: 2, LR: 2e-3, Seed: 3,
-		CheckpointPath:         path,
-		CheckpointFS:           flaky,
-		CheckpointRetryBackoff: time.Microsecond,
-		Log:                    &log,
+		CheckpointPath: path,
+		checkpointFS:   flaky,
+		Log:            &log,
 	}
 	if _, err := m.FitCheckpointed(checkpointSamples(m, p, 4), nil, tc); err != nil {
 		t.Fatalf("transient write errors should be absorbed by retry, got: %v", err)
@@ -44,7 +43,7 @@ func TestFitCheckpointedRetriesTransientWriteErrors(t *testing.T) {
 }
 
 // TestFitCheckpointedSurfacesPersistentWriteErrors: when every attempt
-// fails, the error surfaces after exactly CheckpointRetries attempts.
+// fails, the error surfaces after exactly checkpointRetries attempts.
 func TestFitCheckpointedSurfacesPersistentWriteErrors(t *testing.T) {
 	p := twoPathProblem()
 	m := New(tinyConfig())
@@ -53,20 +52,18 @@ func TestFitCheckpointedSurfacesPersistentWriteErrors(t *testing.T) {
 
 	tc := TrainConfig{
 		Epochs: 1, BatchSize: 2, LR: 2e-3, Seed: 3,
-		CheckpointPath:         filepath.Join(t.TempDir(), "ck"),
-		CheckpointFS:           flaky,
-		CheckpointRetries:      4,
-		CheckpointRetryBackoff: time.Microsecond,
+		CheckpointPath: filepath.Join(t.TempDir(), "ck"),
+		checkpointFS:   flaky,
 	}
 	_, err := m.FitCheckpointed(checkpointSamples(m, p, 4), nil, tc)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("persistent failure should surface the underlying error, got: %v", err)
 	}
-	if !strings.Contains(err.Error(), "after 4 attempts") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", checkpointRetries)) {
 		t.Fatalf("error should report the attempt count: %v", err)
 	}
-	if got := flaky.Calls(); got != 4 {
-		t.Fatalf("write attempts = %d, want 4", got)
+	if got := flaky.Calls(); got != checkpointRetries {
+		t.Fatalf("write attempts = %d, want %d", got, checkpointRetries)
 	}
 }
 
@@ -88,8 +85,7 @@ func TestFitCheckpointedRetryDoesNotPerturbTraining(t *testing.T) {
 	b := New(tinyConfig())
 	tcb := base
 	tcb.CheckpointPath = filepath.Join(t.TempDir(), "ck")
-	tcb.CheckpointFS = chaos.NewFlakyFS(1, errors.New("blip"))
-	tcb.CheckpointRetryBackoff = time.Microsecond
+	tcb.checkpointFS = chaos.NewFlakyFS(1, errors.New("blip"))
 	resB, err := b.FitCheckpointed(checkpointSamples(b, p, 5), nil, tcb)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"harpte/internal/autograd"
 	"harpte/internal/chaos"
 	"harpte/internal/te"
 )
@@ -178,7 +179,7 @@ func TestResumeRejectsMismatchedState(t *testing.T) {
 	// Training-set size mismatch (shuffle stream would diverge).
 	good := New(tinyConfig())
 	ck := &Checkpoint{
-		Cfg: good.Cfg, Params: good.snapshot(), Epoch: 1, NumTrain: len(samples) + 1,
+		Cfg: good.Cfg, Params: autograd.Snapshot(good.params), Epoch: 1, NumTrain: len(samples) + 1,
 	}
 	mustSaveCheckpoint(t, path, ck)
 	if _, err := m.FitCheckpointed(samples, nil, tc); err == nil || !strings.Contains(err.Error(), "training samples") {

@@ -35,11 +35,11 @@ func TestTrainStepGuardSkipsNaNLoss(t *testing.T) {
 	p := twoPathProblem()
 	ctx := m.Context(p)
 	batch := []Sample{{Ctx: ctx, Demand: demandVec(p, map[[2]int]float64{{0, 1}: 4, {1, 0}: 2})}}
-	before := m.snapshot()
+	before := autograd.Snapshot(m.params)
 	opt := autograd.NewAdam(1e-3)
 
 	m.lossHook = func(float64) float64 { return math.NaN() }
-	_, skipped := m.TrainStepChecked(opt, batch)
+	_, skipped := m.TrainStep(opt, batch, 1)
 	m.lossHook = nil
 	if !skipped {
 		t.Fatal("NaN loss not skipped")
@@ -54,7 +54,7 @@ func TestTrainStepGuardSkipsNaNLoss(t *testing.T) {
 	}
 
 	// Sanity: the same batch unpoisoned does step.
-	if _, skipped := m.TrainStepChecked(opt, batch); skipped {
+	if _, skipped := m.TrainStep(opt, batch, 1); skipped {
 		t.Fatal("healthy batch skipped")
 	}
 	changed := false
@@ -77,12 +77,12 @@ func TestTrainStepGuardCatchesNaNGradient(t *testing.T) {
 	p := twoPathProblem()
 	ctx := m.Context(p)
 	batch := []Sample{{Ctx: ctx, Demand: demandVec(p, map[[2]int]float64{{0, 1}: 4, {1, 0}: 2})}}
-	before := m.snapshot()
+	before := autograd.Snapshot(m.params)
 
 	// Poison the accumulated gradient directly: the loss stays finite but
 	// the gradient-norm check must still withhold the step.
 	m.params[0].Grad.Data[0] = math.NaN()
-	loss, skipped := m.TrainStepChecked(autograd.NewAdam(1e-3), batch)
+	loss, skipped := m.TrainStep(autograd.NewAdam(1e-3), batch, 1)
 	if !skipped {
 		t.Fatal("NaN gradient not skipped")
 	}
@@ -100,9 +100,9 @@ func TestParallelTrainStepGuard(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		batch = append(batch, Sample{Ctx: ctx, Demand: demandVec(p, map[[2]int]float64{{0, 1}: float64(i), {1, 0}: 1})})
 	}
-	before := m.snapshot()
+	before := autograd.Snapshot(m.params)
 	m.lossHook = func(float64) float64 { return math.Inf(1) }
-	_, skipped := m.ParallelTrainStepChecked(autograd.NewAdam(1e-3), batch, 3)
+	_, skipped := m.TrainStep(autograd.NewAdam(1e-3), batch, 3)
 	m.lossHook = nil
 	if !skipped {
 		t.Fatal("Inf loss not skipped in parallel step")
@@ -120,8 +120,7 @@ func TestFitSurvivesPoisonedBatches(t *testing.T) {
 	samples := checkpointSamples(m, p, 4)
 	tc := TrainConfig{
 		Epochs: 3, BatchSize: 1, LR: 2e-3, Seed: 3,
-		MaxConsecutiveSkips: 2,
-		LossHook:            chaos.NaNAfter(2), // first 2 batches healthy, everything after poisoned
+		lossHook: chaos.NaNAfter(2), // first 2 batches healthy, everything after poisoned
 	}
 	res := m.Fit(samples, nil, tc)
 	if res.Epochs != 3 {
@@ -143,7 +142,7 @@ func TestFitIntermittentPoison(t *testing.T) {
 	samples := checkpointSamples(m, p, 4)
 	tc := TrainConfig{
 		Epochs: 2, BatchSize: 1, LR: 2e-3, Seed: 3,
-		LossHook: chaos.NaNEvery(3), // every 3rd batch poisoned
+		lossHook: chaos.NaNEvery(3), // every 3rd batch poisoned
 	}
 	res := m.Fit(samples, nil, tc)
 	if res.SkippedBatches == 0 {

@@ -140,8 +140,8 @@ type Model struct {
 	repMu sync.Mutex
 	reps  []*Model
 
-	// lossHook, when set (TrainConfig.LossHook / fault-injection tests),
-	// observes and may replace each batch loss before the health guard.
+	// lossHook, when set (TrainConfig.lossHook, a test seam), observes and
+	// may replace each batch loss before the guarded step.
 	lossHook func(float64) float64
 }
 
@@ -495,10 +495,5 @@ func (m *Model) LossMLU(tp *autograd.Tape, c *Context, splits *autograd.Tensor, 
 	numTunnels := len(set.Flows) * set.K
 	_, load := m.demandInputs(tp, ctx, demand)
 	x := tp.Mul(tp.Reshape(splits, numTunnels, 1), load)
-	loads := tp.CSRMul(ctx.p.Incidence(), x)
-	util := tp.Mul(loads, ctx.invCap)
-	if m.Cfg.LossTemp > 0 {
-		return tp.SmoothMax(util, m.Cfg.LossTemp)
-	}
-	return tp.Max(util)
+	return te.LossMLU(tp, ctx.p, x, ctx.invCap, m.Cfg.LossTemp)
 }

@@ -66,7 +66,7 @@ func TestSingleTunnelPerFlow(t *testing.T) {
 		}
 	}
 	opt := autograd.NewAdam(1e-3)
-	if loss := m.TrainStep(opt, []Sample{{Ctx: c, Demand: d}}); math.IsNaN(loss) {
+	if loss, _ := m.TrainStep(opt, []Sample{{Ctx: c, Demand: d}}, 1); math.IsNaN(loss) {
 		t.Fatal("NaN loss with K=1")
 	}
 }
@@ -154,7 +154,7 @@ func TestConfigVariantsRun(t *testing.T) {
 		m := New(cfg)
 		c := m.Context(p)
 		opt := autograd.NewAdam(1e-3)
-		loss := m.TrainStep(opt, []Sample{{Ctx: c, Demand: d}})
+		loss, _ := m.TrainStep(opt, []Sample{{Ctx: c, Demand: d}}, 1)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
 			t.Fatalf("config %+v: bad loss %v", cfg, loss)
 		}

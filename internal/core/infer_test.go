@@ -449,7 +449,7 @@ func TestPlanNeverStale(t *testing.T) {
 		opt := autograd.NewAdam(1e-2)
 		check(t, "before", m, ctx)
 		for step := 0; step < 3; step++ {
-			m.TrainStep(opt, []Sample{{Ctx: ctx, Demand: d}})
+			m.TrainStep(opt, []Sample{{Ctx: ctx, Demand: d}}, 1)
 			check(t, "after a step", m, ctx)
 		}
 	})

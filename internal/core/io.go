@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"harpte/internal/autograd"
 )
 
 // modelFormatVersion is the current on-disk model schema. Version history:
@@ -36,7 +38,7 @@ type modelFile struct {
 // CRC-checksummed container around a gob payload.
 func (m *Model) Save(w io.Writer) error {
 	var payload bytes.Buffer
-	mf := modelFile{Cfg: m.Cfg, Params: m.snapshot()}
+	mf := modelFile{Cfg: m.Cfg, Params: autograd.Snapshot(m.params)}
 	if err := gob.NewEncoder(&payload).Encode(&mf); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"harpte/internal/autograd"
 	"harpte/internal/chaos"
 )
 
@@ -57,7 +58,7 @@ func TestLoadRejectsNewerModelVersion(t *testing.T) {
 func TestLoadLegacyVersionZero(t *testing.T) {
 	m := New(tinyConfig())
 	var buf bytes.Buffer
-	mf := modelFile{Cfg: m.Cfg, Params: m.snapshot()}
+	mf := modelFile{Cfg: m.Cfg, Params: autograd.Snapshot(m.params)}
 	if err := gob.NewEncoder(&buf).Encode(&mf); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestLoadLegacyVersionZero(t *testing.T) {
 func TestLoadRejectsNonFiniteParams(t *testing.T) {
 	m := New(tinyConfig())
 	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		params := m.snapshot()
+		params := autograd.Snapshot(m.params)
 		params[1][0] = poison
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&modelFile{Cfg: m.Cfg, Params: params}); err != nil {
@@ -178,7 +179,7 @@ func TestLoadRejectsParamCardinalityMismatch(t *testing.T) {
 	}
 
 	// Right count, wrong length in one tensor.
-	params := m.snapshot()
+	params := autograd.Snapshot(m.params)
 	params[2] = params[2][:len(params[2])-1]
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(&modelFile{Cfg: m.Cfg, Params: params}); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 
 	"harpte/internal/autograd"
@@ -13,7 +12,7 @@ import (
 // own private gradient buffers, so each worker can run forward/backward
 // concurrently; the shard gradients are then reduced into the primary and
 // a single optimizer step is applied — synchronous data parallelism, the
-// same semantics as the sequential TrainStep.
+// same semantics as the serial TrainStep.
 
 // shadow returns a replica whose parameters alias m's values but carry
 // fresh gradient buffers. Construction order is deterministic, so params
@@ -26,8 +25,8 @@ func (m *Model) shadow() *Model {
 	s.settrans = m.settrans.CloneShared()
 	s.mlp1 = m.mlp1.CloneShared()
 	s.rau = m.rau.CloneShared()
-	// Same collection order as New, so snapshot/restore and gradient
-	// reduction can pair params positionally across replicas.
+	// Same collection order as New, so gradient reduction can pair params
+	// positionally across replicas.
 	s.params = append(s.params, s.cls)
 	s.params = append(s.params, nn.CollectParams(s.gnn, s.edgeProj, s.settrans, s.mlp1, s.rau)...)
 	return s
@@ -44,32 +43,12 @@ func (m *Model) replicas(n int) []*Model {
 	return m.reps[:n-1]
 }
 
-// ParallelTrainStep is TrainStep with the batch sharded across workers
-// (default GOMAXPROCS). It produces the same gradient as the sequential
-// version up to floating-point summation order and returns the mean loss.
-// The step is numerically guarded: see ParallelTrainStepChecked.
-func (m *Model) ParallelTrainStep(opt *autograd.Adam, batch []Sample, workers int) float64 {
-	loss, _ := m.ParallelTrainStepChecked(opt, batch, workers)
-	return loss
-}
-
-// ParallelTrainStepChecked is ParallelTrainStep with the same numerical
-// health guard as TrainStepChecked: a NaN/Inf batch loss or reduced
-// gradient withholds the optimizer step, clears all gradients, and returns
-// skipped=true.
-func (m *Model) ParallelTrainStepChecked(opt *autograd.Adam, batch []Sample, workers int) (loss float64, skipped bool) {
-	if len(batch) == 0 {
-		return 0, false
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers == 1 {
-		return m.TrainStepChecked(opt, batch)
-	}
+// backpropSharded is TrainStep's forward and backward over a batch shared
+// out to 1 < workers <= len(batch) models — m and its replicas — one
+// goroutine each. It leaves the batch's mean-loss gradient in m's params,
+// the serial one up to floating-point summation order, and returns the
+// mean loss.
+func (m *Model) backpropSharded(batch []Sample, workers int) float64 {
 	models := append([]*Model{m}, m.replicas(workers)...)
 	scale := 1 / float64(len(batch))
 	losses := make([]float64, workers)
@@ -91,7 +70,7 @@ func (m *Model) ParallelTrainStepChecked(opt *autograd.Adam, batch []Sample, wor
 	}
 	wg.Wait()
 
-	// Reduce replica gradients into the primary, then step once.
+	// Reduce replica gradients into the primary.
 	for _, rep := range models[1:] {
 		for i, p := range m.params {
 			rg := rep.params[i].Grad
@@ -106,5 +85,5 @@ func (m *Model) ParallelTrainStepChecked(opt *autograd.Adam, batch []Sample, wor
 	for _, l := range losses {
 		total += l
 	}
-	return m.guardedStep(opt, total)
+	return total
 }

@@ -23,8 +23,8 @@ func TestParallelGradsMatchSequential(t *testing.T) {
 	}
 
 	// Same loss either way.
-	lossSeq := seq.TrainStep(autograd.NewAdam(0), batch)
-	lossPar := par.ParallelTrainStep(autograd.NewAdam(0), batch, 3)
+	lossSeq, _ := seq.TrainStep(autograd.NewAdam(0), batch, 1)
+	lossPar, _ := par.TrainStep(autograd.NewAdam(0), batch, 3)
 	if math.Abs(lossSeq-lossPar) > 1e-9 {
 		t.Fatalf("losses differ: %v vs %v", lossSeq, lossPar)
 	}
@@ -33,8 +33,8 @@ func TestParallelGradsMatchSequential(t *testing.T) {
 	// equality up to summation order).
 	seq3 := New(tinyConfig())
 	par3 := New(tinyConfig())
-	seq3.TrainStep(autograd.NewAdam(1e-3), batch)
-	par3.ParallelTrainStep(autograd.NewAdam(1e-3), batch, 3)
+	seq3.TrainStep(autograd.NewAdam(1e-3), batch, 1)
+	par3.TrainStep(autograd.NewAdam(1e-3), batch, 3)
 	for i := range seq3.params {
 		for j := range seq3.params[i].Val.Data {
 			a, b := seq3.params[i].Val.Data[j], par3.params[i].Val.Data[j]
@@ -70,10 +70,10 @@ func TestParallelStepSingleWorkerFallsBack(t *testing.T) {
 	ctx := m.Context(p)
 	batch := []Sample{{Ctx: ctx, Demand: demandVec(p, map[[2]int]float64{{0, 1}: 4})}}
 	opt := autograd.NewAdam(1e-3)
-	if loss := m.ParallelTrainStep(opt, batch, 8); math.IsNaN(loss) {
+	if loss, _ := m.TrainStep(opt, batch, 8); math.IsNaN(loss) {
 		t.Fatal("NaN loss")
 	}
-	if loss := m.ParallelTrainStep(opt, nil, 4); loss != 0 {
+	if loss, _ := m.TrainStep(opt, nil, 4); loss != 0 {
 		t.Fatal("empty batch should be a no-op")
 	}
 }

@@ -38,9 +38,14 @@ func TestReusableTapeMatchesFreshTape(t *testing.T) {
 		return l.Val.Data[0]
 	}
 
+	zeroGrads := func() {
+		for _, p := range m.params {
+			p.Grad.Zero()
+		}
+	}
 	wantLoss := runOn(autograd.NewTape())
 	want := gradsOf(m)
-	zeroGrads(m.params)
+	zeroGrads()
 
 	tp := autograd.NewReusableTape()
 	for pass := 0; pass < 3; pass++ {
@@ -57,7 +62,7 @@ func TestReusableTapeMatchesFreshTape(t *testing.T) {
 				}
 			}
 		}
-		zeroGrads(m.params)
+		zeroGrads()
 		tp.Reset()
 	}
 }

@@ -33,7 +33,7 @@ func abileneBench(batch int) (*Model, *Context, []Sample) {
 
 // BenchmarkTrainStepAbilene is one optimizer step on one batch of 8, serial
 // and sharded over 2 and 4 workers: rows that differ in nothing but the
-// workers, so the ledger can say whether ParallelTrainStep pays. Each
+// workers, so the ledger can say whether sharding the step pays. Each
 // sample is all-pairs Abilene: 132 flows, 2,774 tokens.
 func BenchmarkTrainStepAbilene(b *testing.B) {
 	for _, bc := range []struct {
@@ -43,11 +43,11 @@ func BenchmarkTrainStepAbilene(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			m, ctx, samples := abileneBench(8)
 			opt := autograd.NewAdam(2e-3)
-			m.ParallelTrainStep(opt, samples, bc.workers) // warm up lazily built state before measuring
+			m.TrainStep(opt, samples, bc.workers) // warm up lazily built state before measuring
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.ParallelTrainStep(opt, samples, bc.workers)
+				m.TrainStep(opt, samples, bc.workers)
 			}
 			b.ReportMetric(float64(ctx.inner.p.NumFlows()), "flows")
 			b.ReportMetric(float64(len(ctx.inner.tokenIdx)), "tokens")

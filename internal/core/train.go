@@ -45,49 +45,23 @@ type TrainConfig struct {
 	// Patience stops training after this many epochs without validation
 	// improvement (0 disables early stopping).
 	Patience int
-	// Workers > 1 shards each batch across goroutines
-	// (ParallelTrainStep); 0 or 1 trains sequentially.
+	// Workers > 1 shards each batch across that many goroutines (see
+	// TrainStep); 0 or 1 trains sequentially.
 	Workers int
 
 	// CheckpointPath, when non-empty, makes Fit write a crash-safe
-	// checkpoint (atomic temp-file+rename, CRC-verified on load) every
-	// CheckpointEvery epochs, and a final one when training ends.
+	// checkpoint (atomic temp-file+rename, CRC-verified on load) after every
+	// epoch. A failed write is retried — checkpointRetries attempts in all,
+	// with capped jittered backoff — before FitCheckpointed gives up: a
+	// briefly full disk or a flaky NFS mount should not abort a multi-hour
+	// run.
 	CheckpointPath string
-	// CheckpointEvery is the epoch interval between checkpoints; values
-	// <= 0 checkpoint every epoch.
-	CheckpointEvery int
 	// Resume loads CheckpointPath before training and continues from the
 	// recorded epoch. The continuation is bit-identical to a run that was
 	// never interrupted: parameters, Adam moments, shuffle order and the
 	// best-validation snapshot all pick up where they left off. A missing
 	// checkpoint file simply starts a fresh run.
 	Resume bool
-	// CheckpointRetries bounds how many times each checkpoint write is
-	// attempted before FitCheckpointed gives up (<= 0 means 3; 1 disables
-	// retrying). Transient IO errors — a briefly full disk, a flaky NFS
-	// mount — should not abort a multi-hour run, so failed writes are
-	// retried with capped jittered backoff; only the final attempt's error
-	// surfaces.
-	CheckpointRetries int
-	// CheckpointRetryBackoff is the base delay before the first retry;
-	// each further retry doubles it, jittered to [0.5x, 1.5x), capped at
-	// 1s (0 means 50ms).
-	CheckpointRetryBackoff time.Duration
-	// CheckpointFS routes checkpoint writes through an alternate
-	// filesystem implementation (nil means the real OS). The
-	// crash-consistency torture tests inject chaos.CrashFS here;
-	// production runs leave it nil.
-	CheckpointFS fsio.FS
-
-	// MaxConsecutiveSkips is how many poisoned batches in a row the
-	// numerical health guard tolerates before restoring the last-good
-	// parameter snapshot (<= 0 means 3).
-	MaxConsecutiveSkips int
-	// LossHook, when non-nil, observes (and may replace) every batch's
-	// mean loss before the health guard inspects it. The fault-injection
-	// tests use it (chaos.NaNAfter) to poison batches; production runs
-	// leave it nil.
-	LossHook func(float64) float64
 
 	// Metrics, when non-nil, receives per-epoch training telemetry: loss
 	// and validation-MLU gauges, epoch/skip/restore counters, epoch and
@@ -98,7 +72,28 @@ type TrainConfig struct {
 	// log/slog (see obs.NewLogger). Independent of Log, which carries the
 	// human-readable lines.
 	Logger *slog.Logger
+
+	// Test seams, nil in every program: checkpointFS routes checkpoint
+	// writes through another filesystem (the crash-consistency tests inject
+	// chaos filesystems), and lossHook observes and may replace every
+	// batch's mean loss just before the guarded step (the fault-injection
+	// tests poison batches with chaos.NaNAfter).
+	checkpointFS fsio.FS
+	lossHook     func(float64) float64
 }
+
+const (
+	// maxConsecutiveSkips is how many poisoned batches in a row the
+	// numerical health guard tolerates before restoring the last-good
+	// parameter snapshot.
+	maxConsecutiveSkips = 3
+	// checkpointRetries bounds the attempts at each checkpoint write; only
+	// the last one's error surfaces. checkpointBackoff is the delay before
+	// the first retry; each further retry doubles it, jittered to
+	// [0.5x, 1.5x) and capped at 1s.
+	checkpointRetries = 3
+	checkpointBackoff = 50 * time.Millisecond
+)
 
 // DefaultTrainConfig returns settings that converge on the bundled
 // datasets within seconds to minutes on a CPU.
@@ -152,29 +147,30 @@ func (tc *TrainConfig) Validate() error {
 	return nil
 }
 
-// TrainStep accumulates gradients over the batch (mean loss) and applies
-// one optimizer step. It returns the mean loss. The step is numerically
-// guarded: see TrainStepChecked.
-func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample) float64 {
-	loss, _ := m.TrainStepChecked(opt, batch)
-	return loss
-}
-
-// TrainStepChecked is TrainStep with an explicit health verdict: when the
-// batch loss or the accumulated gradient norm is NaN/Inf, the optimizer
-// step is withheld, gradients are cleared, and skipped=true is returned —
-// a poisoned batch never touches the parameters or the Adam moments.
-func (m *Model) TrainStepChecked(opt *autograd.Adam, batch []Sample) (loss float64, skipped bool) {
+// TrainStep accumulates the gradient of the batch's mean loss and applies
+// one guarded optimizer step (autograd.Adam.Step): when the loss or the
+// gradient norm is NaN/Inf the step is withheld, gradients are cleared and
+// skipped=true is returned — a poisoned batch never touches the parameters
+// or the Adam moments. workers > 1 shards the batch across that many
+// goroutines (parallel.go); the gradient is the serial one up to
+// floating-point summation order. workers <= 1 is the serial step.
+func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample, workers int) (loss float64, skipped bool) {
 	if len(batch) == 0 {
 		return 0, false
 	}
-	var total float64
-	scale := 1 / float64(len(batch))
-	tp := m.trainingTape()
-	for _, s := range batch {
-		total += m.backprop(tp, s, scale)
+	if workers = min(workers, len(batch)); workers > 1 {
+		loss = m.backpropSharded(batch, workers)
+	} else {
+		scale := 1 / float64(len(batch))
+		tp := m.trainingTape()
+		for _, s := range batch {
+			loss += m.backprop(tp, s, scale)
+		}
 	}
-	return m.guardedStep(opt, total)
+	if m.lossHook != nil {
+		loss = m.lossHook(loss)
+	}
+	return loss, !opt.Step(m.params, loss)
 }
 
 // backprop runs one sample forward and backward on tp, adding its gradient
@@ -189,22 +185,6 @@ func (m *Model) backprop(tp *autograd.Tape, s Sample, scale float64) float64 {
 	return loss
 }
 
-// guardedStep ends a step, serial or parallel, whose gradients are
-// accumulated in m.params: the loss hook, the health check, then either the
-// optimizer step or — on a NaN/Inf loss or gradient norm — cleared gradients
-// and skipped=true.
-func (m *Model) guardedStep(opt *autograd.Adam, total float64) (loss float64, skipped bool) {
-	if m.lossHook != nil {
-		total = m.lossHook(total)
-	}
-	if !isFinite(total) || !gradsFinite(m.params) {
-		zeroGrads(m.params)
-		return total, true
-	}
-	opt.Step(m.params)
-	return total, false
-}
-
 // trainingTape returns the model's persistent reusable tape, creating it on
 // first use. Everything recorded on it is recycled by the per-sample Reset
 // in the step functions, so steady-state training allocates almost nothing.
@@ -217,23 +197,6 @@ func (m *Model) trainingTape() *autograd.Tape {
 
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// gradsFinite reports whether the accumulated gradient norm is finite.
-func gradsFinite(params []*autograd.Tensor) bool {
-	var norm float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			norm += g * g
-		}
-	}
-	return isFinite(norm)
-}
-
-func zeroGrads(params []*autograd.Tensor) {
-	for _, p := range params {
-		p.Grad.Zero()
-	}
-}
 
 // FitResult reports the outcome of Fit.
 type FitResult struct {
@@ -277,13 +240,9 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 	if err := tc.Validate(); err != nil {
 		return FitResult{BestValMLU: math.Inf(1)}, err
 	}
-	maxSkips := tc.MaxConsecutiveSkips
-	if maxSkips <= 0 {
-		maxSkips = 3
-	}
 	opt := autograd.NewAdam(tc.LR)
 	opt.GradClip = tc.GradClip
-	m.lossHook = tc.LossHook
+	m.lossHook = tc.lossHook
 	defer func() { m.lossHook = nil }()
 	if len(val) == 0 {
 		// Without a validation set, select the best epoch on the training
@@ -342,43 +301,35 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 
 	tt := newTrainTelemetry(tc.Metrics)
 
-	ckFS := tc.CheckpointFS
+	ckFS := tc.checkpointFS
 	if ckFS == nil {
 		ckFS = fsio.OS{}
-	}
-	ckRetries := tc.CheckpointRetries
-	if ckRetries <= 0 {
-		ckRetries = 3
-	}
-	ckBackoff := tc.CheckpointRetryBackoff
-	if ckBackoff <= 0 {
-		ckBackoff = 50 * time.Millisecond
 	}
 	// The backoff jitter draws from its own RNG so retries never perturb
 	// the shuffle stream (which must stay a pure function of seed+epoch
 	// for bit-identical resume).
 	retryRNG := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 
-	// saveWithRetry attempts the atomic checkpoint write up to ckRetries
-	// times. Checkpoint writes are idempotent (same bytes, same rename
-	// target), so retrying after any failure is safe; persistent failures
-	// still surface after the final attempt.
+	// saveWithRetry attempts the atomic checkpoint write up to
+	// checkpointRetries times. Checkpoint writes are idempotent (same bytes,
+	// same rename target), so retrying after any failure is safe; persistent
+	// failures still surface after the final attempt.
 	saveWithRetry := func(ck *Checkpoint) error {
-		delay := ckBackoff
+		delay := checkpointBackoff
 		var err error
 		for attempt := 1; ; attempt++ {
 			err = SaveCheckpointFS(ckFS, tc.CheckpointPath, ck)
 			if err == nil {
 				return nil
 			}
-			if attempt >= ckRetries {
+			if attempt >= checkpointRetries {
 				break
 			}
 			tt.ckptRetry.Inc()
 			sleep := delay/2 + time.Duration(retryRNG.Int63n(int64(delay)))
 			if tc.Log != nil {
 				fmt.Fprintf(tc.Log, "checkpoint write attempt %d/%d failed: %v (retrying in %v)\n",
-					attempt, ckRetries, err, sleep.Round(time.Millisecond))
+					attempt, checkpointRetries, err, sleep.Round(time.Millisecond))
 			}
 			time.Sleep(sleep)
 			if delay < time.Second {
@@ -388,7 +339,7 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 				}
 			}
 		}
-		return fmt.Errorf("core: checkpoint write failed after %d attempts: %w", ckRetries, err)
+		return fmt.Errorf("core: checkpoint write failed after %d attempts: %w", checkpointRetries, err)
 	}
 
 	checkpoint := func(epoch int) error {
@@ -397,7 +348,7 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 		}
 		ck := &Checkpoint{
 			Cfg:            m.Cfg,
-			Params:         m.snapshot(),
+			Params:         autograd.Snapshot(m.params),
 			Adam:           opt.State(m.params),
 			Epoch:          epoch,
 			Seed:           seed,
@@ -418,59 +369,41 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 		}
 		return err
 	}
-	every := tc.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-
 	// lastGood is the guard's rollback point: the parameters as of the
 	// last epoch boundary that saw no skipped batch.
-	lastGood := m.snapshot()
+	lastGood := autograd.Snapshot(m.params)
 	consecutiveSkips := 0
 
 	for epoch := startEpoch; epoch < tc.Epochs; epoch++ {
 		epochStart := time.Now()
 		restoresBefore := res.GuardRestores
-		order := rng.Perm(len(train))
 		var epochLoss float64
-		batches, epochSkips := 0, 0
-		for at := 0; at < len(order); at += tc.BatchSize {
-			end := at + tc.BatchSize
-			if end > len(order) {
-				end = len(order)
+		stepped, epochSkips := 0, 0
+		autograd.EachBatch(rng, len(train), tc.BatchSize, func(idx []int) {
+			batch := make([]Sample, len(idx))
+			for j, i := range idx {
+				batch[j] = train[i]
 			}
-			batch := make([]Sample, 0, end-at)
-			for _, i := range order[at:end] {
-				batch = append(batch, train[i])
+			loss, skipped := m.TrainStep(opt, batch, tc.Workers)
+			if !skipped {
+				consecutiveSkips = 0
+				epochLoss += loss
+				stepped++
+				return
 			}
-			var loss float64
-			var skipped bool
-			if tc.Workers > 1 {
-				loss, skipped = m.ParallelTrainStepChecked(opt, batch, tc.Workers)
-			} else {
-				loss, skipped = m.TrainStepChecked(opt, batch)
+			res.SkippedBatches++
+			epochSkips++
+			if consecutiveSkips++; consecutiveSkips >= maxConsecutiveSkips {
+				// Repeated poison suggests the parameters themselves have
+				// been damaged; roll back to the last-good snapshot rather
+				// than keep skipping forever.
+				autograd.Restore(m.params, lastGood)
+				res.GuardRestores++
+				consecutiveSkips = 0
 			}
-			if skipped {
-				res.SkippedBatches++
-				epochSkips++
-				consecutiveSkips++
-				if consecutiveSkips >= maxSkips {
-					// Repeated poison suggests the parameters themselves
-					// have been damaged; roll back to the last-good
-					// snapshot rather than keep skipping forever.
-					m.restore(lastGood)
-					res.GuardRestores++
-					consecutiveSkips = 0
-				}
-				batches++
-				continue
-			}
-			consecutiveSkips = 0
-			epochLoss += loss
-			batches++
-		}
-		if n := batches - epochSkips; n > 0 {
-			epochLoss /= float64(n)
+		})
+		if stepped > 0 {
+			epochLoss /= float64(stepped)
 		}
 		res.TrainLoss = append(res.TrainLoss, epochLoss)
 
@@ -478,13 +411,13 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 		res.ValMLUHistory = append(res.ValMLUHistory, valMLU)
 		if isFinite(valMLU) && valMLU < res.BestValMLU {
 			res.BestValMLU = valMLU
-			best = m.snapshot()
+			best = autograd.Snapshot(m.params)
 			badEpochs = 0
 		} else {
 			badEpochs++
 		}
 		if epochSkips == 0 {
-			lastGood = m.snapshot()
+			lastGood = autograd.Snapshot(m.params)
 		}
 		tt.loss.Set(epochLoss)
 		tt.valMLU.Set(valMLU)
@@ -511,24 +444,21 @@ func (m *Model) FitCheckpointed(train, val []Sample, tc TrainConfig) (FitResult,
 				slog.Duration("elapsed", time.Since(epochStart)))
 		}
 		res.Epochs = epoch + 1
-		done := epoch == tc.Epochs-1 || (tc.Patience > 0 && badEpochs >= tc.Patience)
-		if done || (epoch+1-startEpoch)%every == 0 {
-			if err := checkpoint(epoch + 1); err != nil {
-				return res, err
-			}
+		if err := checkpoint(epoch + 1); err != nil {
+			return res, err
 		}
 		if tc.Patience > 0 && badEpochs >= tc.Patience {
 			break
 		}
 	}
 	if best != nil {
-		m.restore(best)
+		autograd.Restore(m.params, best)
 	}
 	return res, nil
 }
 
-// restoreSnapshot is restore with shape validation, for snapshots that
-// crossed a serialization boundary.
+// restoreSnapshot is autograd.Restore with shape validation, for snapshots
+// that crossed a serialization boundary.
 func (m *Model) restoreSnapshot(snap [][]float64) error {
 	if len(snap) != len(m.params) {
 		return fmt.Errorf("core: snapshot has %d parameter tensors, expected %d", len(snap), len(m.params))
@@ -539,7 +469,7 @@ func (m *Model) restoreSnapshot(snap [][]float64) error {
 				i, len(snap[i]), len(p.Val.Data))
 		}
 	}
-	m.restore(snap)
+	autograd.Restore(m.params, snap)
 	return nil
 }
 
@@ -554,18 +484,4 @@ func (m *Model) MeanMLU(samples []Sample) float64 {
 		total += s.Ctx.inner.p.MLU(splits, s.lossDemand())
 	}
 	return total / float64(len(samples))
-}
-
-func (m *Model) snapshot() [][]float64 {
-	out := make([][]float64, len(m.params))
-	for i, p := range m.params {
-		out[i] = append([]float64(nil), p.Val.Data...)
-	}
-	return out
-}
-
-func (m *Model) restore(snap [][]float64) {
-	for i, p := range m.params {
-		copy(p.Val.Data, snap[i])
-	}
 }

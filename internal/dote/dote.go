@@ -6,6 +6,10 @@
 // construction, so it cannot be applied when topology, tunnel sets or even
 // matrix dimensions change. Under complete link failures the paper applies
 // local rescaling (te.Rescale) to DOTE's output.
+//
+// Both modes train under HARP's protocol, on the pieces every model here
+// shares: the loss is te.LossMLU, each step is autograd's guarded Adam step,
+// and autograd.FitBest runs the epochs and keeps the best validation epoch.
 package dote
 
 import (
@@ -117,9 +121,10 @@ func (s Sample) lossDemand() *tensor.Dense {
 	return s.Demand
 }
 
-// lossMLU builds the (smooth) MLU objective on the tape.
-func (m *Model) lossMLU(tp *autograd.Tape, p *te.Problem, splits *autograd.Tensor, demand *tensor.Dense) *autograd.Tensor {
-	numTunnels := m.Flows * m.K
+// lossMLU is the training objective: the (smooth, at temp) MLU of the F×K
+// splits node under demand, with traffic in units of p's largest capacity.
+func lossMLU(tp *autograd.Tape, p *te.Problem, splits *autograd.Tensor, demand *tensor.Dense, temp float64) *autograd.Tensor {
+	numTunnels, k := splits.Rows()*splits.Cols(), splits.Cols()
 	maxCap := p.Graph.MaxCapacity()
 	if maxCap <= 0 {
 		maxCap = 1
@@ -129,20 +134,16 @@ func (m *Model) lossMLU(tp *autograd.Tape, p *te.Problem, splits *autograd.Tenso
 	for i, e := range p.Graph.Edges {
 		invCap.Data[i] = maxCap / e.Capacity
 	}
-	for f := 0; f < m.Flows; f++ {
-		for j := 0; j < m.K; j++ {
-			load.Data[f*m.K+j] = demand.Data[f] / maxCap
-		}
+	for t := range load.Data {
+		load.Data[t] = demand.Data[t/k] / maxCap
 	}
 	x := tp.Mul(tp.Reshape(splits, numTunnels, 1), autograd.NewConst(load))
-	util := tp.Mul(tp.CSRMul(p.Incidence(), x), autograd.NewConst(invCap))
-	if m.Cfg.LossTemp > 0 {
-		return tp.SmoothMax(util, m.Cfg.LossTemp)
-	}
-	return tp.Max(util)
+	return te.LossMLU(tp, p, x, autograd.NewConst(invCap), temp)
 }
 
-// TrainStep accumulates gradients over the batch and steps the optimizer.
+// TrainStep accumulates the gradient of the batch's mean loss and takes one
+// guarded optimizer step (autograd.Adam.Step: a NaN/Inf loss or gradient
+// leaves the weights as they were). It returns the mean loss.
 func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample) float64 {
 	if len(batch) == 0 {
 		return 0
@@ -152,48 +153,37 @@ func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample) float64 {
 	for _, s := range batch {
 		tp := autograd.NewTape()
 		splits := m.Forward(tp, s.Demand)
-		loss := tp.Scale(m.lossMLU(tp, s.Problem, splits, s.lossDemand()), scale)
+		loss := tp.Scale(lossMLU(tp, s.Problem, splits, s.lossDemand(), m.Cfg.LossTemp), scale)
 		tp.Backward(loss)
 		total += loss.Val.Data[0]
 	}
-	opt.Step(m.params)
+	opt.Step(m.params, total)
 	return total
 }
 
-// Fit trains with validation-best parameter selection (same protocol as
-// HARP's Fit, so comparisons are apples to apples).
+// Fit trains with validation-best parameter selection under the protocol
+// HARP's Fit follows, so comparisons are apples to apples: Adam with the
+// gradient clipped at norm 5, every step guarded, batches from one shuffle
+// per epoch, the epoch with the lowest mean validation MLU kept
+// (autograd.FitBest). An empty val selects on train. It returns that MLU.
 func (m *Model) Fit(train, val []Sample, epochs int, lr float64, batchSize int, seed int64) float64 {
 	if batchSize <= 0 {
 		batchSize = 8
 	}
+	if len(val) == 0 {
+		val = train
+	}
 	opt := autograd.NewAdam(lr)
 	opt.GradClip = 5
-	rng := rand.New(rand.NewSource(seed))
-	best := 1e300
-	var snap [][]float64
-	for epoch := 0; epoch < epochs; epoch++ {
-		order := rng.Perm(len(train))
-		for at := 0; at < len(order); at += batchSize {
-			end := at + batchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := make([]Sample, 0, end-at)
-			for _, i := range order[at:end] {
-				batch = append(batch, train[i])
+	return autograd.FitBest(m.params, rand.New(rand.NewSource(seed)), len(train), batchSize, epochs,
+		func(idx []int) {
+			batch := make([]Sample, len(idx))
+			for j, i := range idx {
+				batch[j] = train[i]
 			}
 			m.TrainStep(opt, batch)
-		}
-		v := m.MeanMLU(val)
-		if v < best {
-			best = v
-			snap = m.snapshot()
-		}
-	}
-	if snap != nil {
-		m.restore(snap)
-	}
-	return best
+		},
+		func() float64 { return m.MeanMLU(val) })
 }
 
 // MeanMLU evaluates mean hard MLU over samples (against the loss demand).
@@ -206,20 +196,6 @@ func (m *Model) MeanMLU(samples []Sample) float64 {
 		total += s.Problem.MLU(m.Splits(s.Demand), s.lossDemand())
 	}
 	return total / float64(len(samples))
-}
-
-func (m *Model) snapshot() [][]float64 {
-	out := make([][]float64, len(m.params))
-	for i, p := range m.params {
-		out[i] = append([]float64(nil), p.Val.Data...)
-	}
-	return out
-}
-
-func (m *Model) restore(snap [][]float64) {
-	for i, p := range m.params {
-		copy(p.Val.Data, snap[i])
-	}
 }
 
 // ---- original DOTE mode: predict routing from a TM history ----
@@ -313,38 +289,21 @@ func (m *HistoryModel) FitSeries(p *te.Problem, demands []*tensor.Dense, epochs 
 	}
 	train, val := steps[:split], steps[split:]
 
-	single := New(m.Cfg, m.Flows, m.K) // reuse its loss builder
 	opt := autograd.NewAdam(lr)
 	opt.GradClip = 5
-	rng := rand.New(rand.NewSource(seed))
-	best := 1e300
-	var snap [][]float64
-	for epoch := 0; epoch < epochs; epoch++ {
-		for _, i := range rng.Perm(len(train)) {
-			s := train[i]
+	return autograd.FitBest(m.params, rand.New(rand.NewSource(seed)), len(train), 1, epochs,
+		func(idx []int) {
+			s := train[idx[0]]
 			tp := autograd.NewTape()
-			splits := m.Forward(tp, s.history)
-			loss := single.lossMLU(tp, p, splits, s.next)
+			loss := lossMLU(tp, p, m.Forward(tp, s.history), s.next, m.Cfg.LossTemp)
 			tp.Backward(loss)
-			opt.Step(m.params)
-		}
-		var v float64
-		for _, s := range val {
-			v += p.MLU(m.Splits(s.history), s.next)
-		}
-		v /= float64(len(val))
-		if v < best {
-			best = v
-			snap = make([][]float64, len(m.params))
-			for i, pr := range m.params {
-				snap[i] = append([]float64(nil), pr.Val.Data...)
+			opt.Step(m.params, loss.Val.Data[0])
+		},
+		func() float64 {
+			var v float64
+			for _, s := range val {
+				v += p.MLU(m.Splits(s.history), s.next)
 			}
-		}
-	}
-	if snap != nil {
-		for i, pr := range m.params {
-			copy(pr.Val.Data, snap[i])
-		}
-	}
-	return best
+			return v / float64(len(val))
+		})
 }

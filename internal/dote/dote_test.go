@@ -206,3 +206,82 @@ func TestHistoryModelShortSeries(t *testing.T) {
 		t.Fatalf("short series should be rejected, got %v", v)
 	}
 }
+
+// paramsUnchanged fails unless every parameter holds the bits of snap.
+func paramsUnchanged(t *testing.T, params []*autograd.Tensor, snap [][]float64) {
+	t.Helper()
+	for i, p := range params {
+		for j, v := range p.Val.Data {
+			if math.Float64bits(v) != math.Float64bits(snap[i][j]) {
+				t.Fatalf("param %d[%d] moved %v -> %v", i, j, snap[i][j], v)
+			}
+		}
+	}
+}
+
+// allFinite fails unless every parameter and split is finite.
+func allFinite(t *testing.T, params []*autograd.Tensor, splits *tensor.Dense) {
+	t.Helper()
+	for i, p := range params {
+		for j, v := range p.Val.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("param %d[%d] = %v", i, j, v)
+			}
+		}
+	}
+	for j, v := range splits.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("split %d = %v", j, v)
+		}
+	}
+}
+
+// TestPoisonedBatchLeavesWeights: a batch whose loss demand holds a NaN is
+// withheld by the guarded step — weights and Adam's step count stay as
+// they were — and a Fit with one such sample among clean ones ends with
+// finite weights and splits. Both the single-TM and the history model.
+func TestPoisonedBatchLeavesWeights(t *testing.T) {
+	p := twoPathProblem()
+	poison := demandVec(p, 0, 1, math.NaN())
+	clean := func(v float64) *tensor.Dense { return demandVec(p, 0, 1, v) }
+
+	t.Run("single-TM", func(t *testing.T) {
+		m := New(DefaultConfig(), p.NumFlows(), p.Tunnels.K)
+		opt := autograd.NewAdam(1e-3)
+		opt.GradClip = 5
+		m.TrainStep(opt, []Sample{{Problem: p, Demand: clean(4)}})
+		before, steps := autograd.Snapshot(m.Params()), opt.State(m.Params()).Step
+		m.TrainStep(opt, []Sample{{Problem: p, Demand: clean(6)}, {Problem: p, Demand: clean(4), LossDemand: poison}})
+		paramsUnchanged(t, m.Params(), before)
+		if got := opt.State(m.Params()).Step; got != steps {
+			t.Fatalf("Adam step count %d -> %d on a poisoned batch", steps, got)
+		}
+
+		var train []Sample
+		for i := 1; i <= 6; i++ {
+			train = append(train, Sample{Problem: p, Demand: clean(float64(i))})
+		}
+		train[2].LossDemand = poison
+		m = New(DefaultConfig(), p.NumFlows(), p.Tunnels.K)
+		m.Fit(train, train[3:], 3, 3e-3, 2, 1)
+		allFinite(t, m.Params(), m.Splits(clean(5)))
+	})
+
+	t.Run("history", func(t *testing.T) {
+		// Window 2 over four matrices: one training step (target demands[2])
+		// and one validation step; both see the NaN, so nothing may move.
+		m := NewHistory(DefaultConfig(), p.NumFlows(), p.Tunnels.K, 2)
+		before := autograd.Snapshot(m.Params())
+		m.FitSeries(p, []*tensor.Dense{clean(2), clean(5), poison, clean(3)}, 1, 3e-3, 1)
+		paramsUnchanged(t, m.Params(), before)
+
+		series := make([]*tensor.Dense, 24)
+		for i := range series {
+			series[i] = clean(float64(2 + 3*(i%3)))
+		}
+		series[4] = poison
+		m = NewHistory(DefaultConfig(), p.NumFlows(), p.Tunnels.K, 2)
+		m.FitSeries(p, series, 3, 3e-3, 1)
+		allFinite(t, m.Params(), m.Splits([]*tensor.Dense{clean(2), clean(5)}))
+	})
+}

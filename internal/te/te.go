@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync"
 
+	"harpte/internal/autograd"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
 	"harpte/internal/tunnels"
@@ -190,6 +191,19 @@ func (p *Problem) MLU(splits, demand *tensor.Dense) float64 {
 	u := p.Utilizations(splits, demand)
 	m, _ := u.Max()
 	return m
+}
+
+// LossMLU is MLU on a tape, the objective every learned router here trains
+// on: x is the T×1 per-tunnel traffic node, invCap the E×1 reciprocal
+// capacities in x's units, and the result is the 1×1 maximum of the link
+// utilizations incidence·x ⊙ invCap — smoothed at temperature temp when
+// temp > 0 (gradient on every near-maximal link), the hard max otherwise.
+func LossMLU(tp *autograd.Tape, p *Problem, x, invCap *autograd.Tensor, temp float64) *autograd.Tensor {
+	util := tp.Mul(tp.CSRMul(p.incidence, x), invCap)
+	if temp > 0 {
+		return tp.SmoothMax(util, temp)
+	}
+	return tp.Max(util)
 }
 
 // UniformSplits returns the F×K matrix that spreads every flow evenly.

@@ -13,11 +13,12 @@
 // that preserves the high gradient variance responsible for the AnonNet
 // convergence failures in the paper's Figure 18) and a deterministic
 // direct-loss mode used where the paper's observations do not depend on RL
-// (DESIGN.md documents this substitution).
+// (DESIGN.md documents this substitution). Both train under HARP's
+// protocol: autograd's guarded Adam step, autograd.FitBest's epoch loop and
+// validation-best selection, and (direct mode) te.LossMLU as the loss.
 package teal
 
 import (
-	"math"
 	"math/rand"
 
 	"harpte/internal/autograd"
@@ -240,7 +241,8 @@ func (s Sample) lossDemand() *tensor.Dense {
 	return s.Demand
 }
 
-// lossMLU builds the (smooth) MLU objective.
+// lossMLU is the direct-mode training objective: the (smooth) MLU of the
+// splits node under demand, with traffic in units of the largest capacity.
 func (m *Model) lossMLU(tp *autograd.Tape, ctx *Context, splits *autograd.Tensor, demand *tensor.Dense) *autograd.Tensor {
 	load := tensor.New(ctx.numTunnels, 1)
 	for f := 0; f < ctx.numFlows; f++ {
@@ -249,16 +251,13 @@ func (m *Model) lossMLU(tp *autograd.Tape, ctx *Context, splits *autograd.Tensor
 		}
 	}
 	x := tp.Mul(tp.Reshape(splits, ctx.numTunnels, 1), autograd.NewConst(load))
-	util := tp.Mul(tp.CSRMul(ctx.p.Incidence(), x), autograd.NewConst(ctx.invCapNorm))
-	if m.Cfg.LossTemp > 0 {
-		return tp.SmoothMax(util, m.Cfg.LossTemp)
-	}
-	return tp.Max(util)
+	return te.LossMLU(tp, ctx.p, x, autograd.NewConst(ctx.invCapNorm), m.Cfg.LossTemp)
 }
 
-// TrainStep performs one optimizer step on the batch using either direct
-// differentiation or REINFORCE (Cfg.RL). Returns the mean achieved MLU on
-// the batch (hard, for logging).
+// TrainStep performs one guarded optimizer step on the batch
+// (autograd.Adam.Step: a NaN/Inf MLU or gradient leaves the weights as they
+// were) using either direct differentiation or REINFORCE (Cfg.RL). Returns
+// the mean achieved MLU on the batch (hard, for logging).
 func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample, rng *rand.Rand) float64 {
 	if len(batch) == 0 {
 		return 0
@@ -276,7 +275,7 @@ func (m *Model) TrainStep(opt *autograd.Adam, batch []Sample, rng *rand.Rand) fl
 			meanMLU += s.Ctx.p.MLU(splits.Val, s.lossDemand()) * scale
 		}
 	}
-	opt.Step(m.params)
+	opt.Step(m.params, meanMLU)
 	return meanMLU
 }
 
@@ -301,8 +300,7 @@ func (m *Model) reinforceStep(s Sample, rng *rand.Rand, scale float64) float64 {
 		noises[i] = noise
 		perturbed := logits.Val.Clone()
 		tensor.AxpyInto(perturbed, noise, 1)
-		splits := softmaxDense(perturbed)
-		mlu := s.Ctx.p.MLU(splits, s.lossDemand())
+		mlu := s.Ctx.p.MLU(softmaxRows(perturbed), s.lossDemand())
 		rewards[i] = -mlu
 		baseline += rewards[i]
 	}
@@ -318,68 +316,48 @@ func (m *Model) reinforceStep(s Sample, rng *rand.Rand, scale float64) float64 {
 	tp.Backward(pseudo)
 
 	// Deterministic policy's achieved MLU for logging.
-	return s.Ctx.p.MLU(softmaxDense(logits.Val), s.lossDemand()) * scale
+	return s.Ctx.p.MLU(softmaxRows(logits.Val.Clone()), s.lossDemand()) * scale
 }
 
-func softmaxDense(logits *tensor.Dense) *tensor.Dense {
-	out := tensor.New(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		dst := out.Row(i)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - m)
-			dst[j] = e
-			sum += e
-		}
-		for j := range dst {
-			dst[j] /= sum
-		}
+// softmaxRows applies the row-softmax kernel to every row of d in place
+// and returns d.
+func softmaxRows(d *tensor.Dense) *tensor.Dense {
+	for i := 0; i < d.Rows; i++ {
+		tensor.SoftmaxRow(d.Row(i), d.Row(i))
 	}
-	return out
+	return d
 }
 
-// Fit trains with validation-best selection; returns the per-epoch median
-// training MLU curve (the quantity Figure 18 plots) and the best val MLU.
+// Fit trains with validation-best selection under the protocol HARP's Fit
+// follows (autograd.FitBest: one shuffle per epoch, every step guarded, the
+// epoch with the lowest mean validation MLU kept; an empty val selects on
+// train). REINFORCE draws its noise from the shuffle's rng. Returns the
+// per-epoch median training MLU curve (the quantity Figure 18 plots) and
+// the best val MLU.
 func (m *Model) Fit(train, val []Sample, epochs int, lr float64, batchSize int, seed int64) (curve []float64, bestVal float64) {
 	if batchSize <= 0 {
 		batchSize = 8
 	}
+	if len(val) == 0 {
+		val = train
+	}
 	opt := autograd.NewAdam(lr)
 	opt.GradClip = 5
 	rng := rand.New(rand.NewSource(seed))
-	bestVal = 1e300
-	var snap [][]float64
-	for epoch := 0; epoch < epochs; epoch++ {
-		order := rng.Perm(len(train))
-		var mlus []float64
-		for at := 0; at < len(order); at += batchSize {
-			end := at + batchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := make([]Sample, 0, end-at)
-			for _, i := range order[at:end] {
-				batch = append(batch, train[i])
+	var mlus []float64
+	bestVal = autograd.FitBest(m.params, rng, len(train), batchSize, epochs,
+		func(idx []int) {
+			batch := make([]Sample, len(idx))
+			for j, i := range idx {
+				batch[j] = train[i]
 			}
 			mlus = append(mlus, m.TrainStep(opt, batch, rng))
-		}
-		curve = append(curve, median(mlus))
-		v := m.MeanMLU(val)
-		if v < bestVal {
-			bestVal = v
-			snap = m.snapshot()
-		}
-	}
-	if snap != nil {
-		m.restore(snap)
-	}
+		},
+		func() float64 {
+			curve = append(curve, median(mlus))
+			mlus = mlus[:0]
+			return m.MeanMLU(val)
+		})
 	return curve, bestVal
 }
 
@@ -393,20 +371,6 @@ func (m *Model) MeanMLU(samples []Sample) float64 {
 		total += s.Ctx.p.MLU(m.Splits(s.Ctx, s.Demand), s.lossDemand())
 	}
 	return total / float64(len(samples))
-}
-
-func (m *Model) snapshot() [][]float64 {
-	out := make([][]float64, len(m.params))
-	for i, p := range m.params {
-		out[i] = append([]float64(nil), p.Val.Data...)
-	}
-	return out
-}
-
-func (m *Model) restore(snap [][]float64) {
-	for i, p := range m.params {
-		copy(p.Val.Data, snap[i])
-	}
 }
 
 func median(xs []float64) float64 {

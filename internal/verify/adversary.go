@@ -174,14 +174,7 @@ func AdversarialTM(p *te.Problem, seed *tensor.Dense, splitter SplitsFunc, opts 
 		copy(wCol.Data, w.Data) // row-major F×K flattens to the f*K+k tunnel order
 		dT := tp.GatherRows(dParam, flowOf)
 		x := tp.Mul(dT, tp.Const(wCol))
-		loads := tp.CSRMul(p.Incidence(), x)
-		util := tp.Mul(loads, tp.Const(invCap))
-		var loss *autograd.Tensor
-		if opts.Temp > 0 {
-			loss = tp.SmoothMax(util, opts.Temp)
-		} else {
-			loss = tp.Max(util)
-		}
+		loss := te.LossMLU(tp, p, x, tp.Const(invCap), opts.Temp)
 		tp.Backward(loss)
 
 		// Ascent direction: ∇log modelMLU − ∇log optMLU (log-ratio), or
