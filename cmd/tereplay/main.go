@@ -345,7 +345,7 @@ func main() {
 	fmt.Printf("overload/churn: shed=%d (queue-full=%d deadline=%d draining=%d) breaker-trips=%d breaker=%v short-circuits=%d reloads=%d (failed=%d) generation=%d\n",
 		st.Shed, st.ShedQueueFull, st.ShedQueueDeadline, st.ShedDraining,
 		st.BreakerTrips, st.BreakerState, st.BreakerShortCircuits,
-		st.Reloads, st.ReloadFailures, st.Generation)
+		st.Generation, st.ReloadFailures, st.Generation)
 	if fl != nil {
 		fst := fl.Stats()
 		fmt.Printf("fleet: replicas=%d (healthy=%d degraded=%d quarantined=%d) served=%d ecmp-fallback=%d hedges=%d (wins=%d) retries=%d (denied=%d) ejections=%d readmits=%d\n",
@@ -356,7 +356,7 @@ func main() {
 	printCacheStats(servers, *cacheEnt)
 
 	if *scenarioSpec != "" {
-		err := runScenarioDrill(*scenarioSpec, base, model, guard, serveOne, fl, maintShims, *replicas, *seed)
+		err := runScenarioDrill(*scenarioSpec, base, model, guard, servers, serveOne, fl, maintShims, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tereplay: scenario:", err)
 			os.Exit(1)
@@ -444,11 +444,11 @@ func (m *maintShim) Drain(ctx context.Context) error {
 // envelope is trained on the scenario's own benign series immediately
 // before the drill, so every demotion in the summary is script-induced.
 func runScenarioDrill(spec string, base *te.Problem, model *core.Model, guard *resilience.OODGuard,
-	serve func(*te.Problem, *tensor.Dense) resilience.Decision,
-	fl *fleet.Fleet, maint []*maintShim, replicas int, seed int64) error {
+	servers []*resilience.Server, serve func(*te.Problem, *tensor.Dense) resilience.Decision,
+	fl *fleet.Fleet, maint []*maintShim, seed int64) error {
 	var sc scenario.Scenario
 	if spec == "auto" {
-		sc = scenario.Auto(base, replicas, 30, seed)
+		sc = scenario.Auto(base, len(servers), 30, seed)
 	} else {
 		var err error
 		sc, err = scenario.ParseFile(spec)
@@ -548,7 +548,14 @@ func runScenarioDrill(spec string, base *te.Problem, model *core.Model, guard *r
 	if quietMean > 0 {
 		degradation = disasterMean / quietMean
 	}
-	st := guard.Stats()
+	var st resilience.OODStats
+	for _, s := range servers {
+		o := s.Stats().OOD
+		st.Suspect += o.Suspect
+		st.Hostile += o.Hostile
+		st.HostileDemotions += o.HostileDemotions
+		st.CacheBypasses += o.CacheBypasses
+	}
 	total := pl.Steps()
 	fmt.Printf("scenario summary: quiet NormMLU %.3f (n=%d), disaster NormMLU %.3f (n=%d), MLU degradation %.2fx, shed %d/%d (%.1f%%), ood suspect=%d hostile=%d demotions=%d cache-bypasses=%d\n",
 		quietMean, len(quiet), disasterMean, len(disaster), degradation,

@@ -19,11 +19,12 @@ import (
 // everything Fit needs to continue an interrupted run bit-identically: the
 // parameters, the full Adam state (step counter and both moment vectors),
 // the epoch counter, the RNG seed plus how far the shuffle stream has been
-// consumed, and the best-validation snapshot. The on-disk format is a fixed
-// header (magic, version, payload length, CRC-32) followed by a gob
-// payload, so truncation and bit rot are detected before a single byte is
-// trusted, and files are written atomically (temp file + rename) so a crash
-// mid-write can never tear the previous checkpoint.
+// consumed, and the best-validation snapshot. The on-disk format, shared
+// with model files (io.go), is a fixed header (magic, version, payload
+// length, CRC-32) followed by a gob payload, so truncation and bit rot are
+// detected before a single byte is trusted, and files are written
+// atomically (temp file + rename) so a crash mid-write can never tear the
+// previous checkpoint.
 
 // Checkpoint is the resumable state of a training run. All fields are
 // exported for serialization; callers normally only inspect Epoch and
@@ -57,46 +58,91 @@ type Checkpoint struct {
 
 const checkpointVersion = 1
 
-// maxCheckpointPayload bounds the gob payload a header may declare (1 GiB —
-// orders of magnitude above any real model, small enough that a corrupt
-// length field cannot OOM the loader).
-const maxCheckpointPayload = 1 << 30
-
 // checkpointMagic identifies a harpte checkpoint stream; exactly 8 bytes.
 var checkpointMagic = [8]byte{'H', 'A', 'R', 'P', 'C', 'K', 'P', 'T'}
 
-// ErrCorruptCheckpoint tags any integrity failure (bad magic, torn file,
-// checksum mismatch, undecodable payload) so callers can distinguish
-// corruption from ordinary IO errors with errors.Is.
+// maxFramePayload bounds the gob payload a frame header may declare (1 GiB —
+// orders of magnitude above any real model, small enough that a corrupt
+// length field cannot OOM the loader).
+const maxFramePayload = 1 << 30
+
+// ErrCorruptCheckpoint tags any integrity failure of a checkpoint or a
+// model file (bad magic, torn file, checksum mismatch, undecodable payload)
+// so callers can distinguish corruption from ordinary IO errors with
+// errors.Is.
 var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
 
-// checkpointHeader is the fixed-size prefix of the stream, encoded
-// big-endian: magic, format version, payload byte length, payload CRC-32
-// (IEEE).
-type checkpointHeader struct {
+// frameHeader is the fixed-size prefix of a checkpoint or a model file,
+// encoded big-endian: magic, format version, payload byte length, payload
+// CRC-32 (IEEE).
+type frameHeader struct {
 	Magic   [8]byte
 	Version uint32
 	Length  uint64
 	CRC     uint32
 }
 
-// WriteCheckpoint encodes ck to w in the versioned, checksummed format.
-func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+// writeFrame gob-encodes v and writes it to w behind a frameHeader.
+func writeFrame(w io.Writer, magic [8]byte, version uint32, v any) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return fmt.Errorf("core: encoding checkpoint: %w", err)
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return fmt.Errorf("encoding: %w", err)
 	}
-	h := checkpointHeader{
-		Magic:   checkpointMagic,
-		Version: checkpointVersion,
+	h := frameHeader{
+		Magic:   magic,
+		Version: version,
 		Length:  uint64(payload.Len()),
 		CRC:     crc32.ChecksumIEEE(payload.Bytes()),
 	}
 	if err := binary.Write(w, binary.BigEndian, &h); err != nil {
-		return fmt.Errorf("core: writing checkpoint header: %w", err)
+		return fmt.Errorf("writing header: %w", err)
 	}
 	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("core: writing checkpoint payload: %w", err)
+		return fmt.Errorf("writing payload: %w", err)
+	}
+	return nil
+}
+
+// readFrame reads a frame written by writeFrame with this magic and at most
+// this version, verifies its length and checksum before trusting a byte,
+// and gob-decodes the payload into v. Integrity failures wrap
+// ErrCorruptCheckpoint.
+func readFrame(r io.Reader, magic [8]byte, version uint32, v any) error {
+	var h frameHeader
+	if err := binary.Read(r, binary.BigEndian, &h); err != nil {
+		return fmt.Errorf("%w: truncated header (%v)", ErrCorruptCheckpoint, err)
+	}
+	if h.Magic != magic {
+		return fmt.Errorf("%w: bad magic %q", ErrCorruptCheckpoint, h.Magic[:])
+	}
+	if h.Version > version {
+		return fmt.Errorf("format version %d is newer than supported version %d", h.Version, version)
+	}
+	// The declared length is attacker/bit-rot-controlled; allocating it
+	// blindly turns an 8-byte flip into a multi-GiB allocation (found by
+	// FuzzReadCheckpoint). Anything over the cap cannot be a real frame, so
+	// treat it as corruption.
+	if h.Length > maxFramePayload {
+		return fmt.Errorf("%w: declared payload length %d exceeds %d-byte cap",
+			ErrCorruptCheckpoint, h.Length, int64(maxFramePayload))
+	}
+	payload := make([]byte, h.Length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return fmt.Errorf("%w: truncated payload (%v)", ErrCorruptCheckpoint, err)
+	}
+	if crc := crc32.ChecksumIEEE(payload); crc != h.CRC {
+		return fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorruptCheckpoint, h.CRC, crc)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return fmt.Errorf("%w: undecodable payload: %v", ErrCorruptCheckpoint, err)
+	}
+	return nil
+}
+
+// WriteCheckpoint encodes ck to w in the versioned, checksummed format.
+func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+	if err := writeFrame(w, checkpointMagic, checkpointVersion, ck); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return nil
 }
@@ -104,36 +150,9 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 // ReadCheckpoint decodes a checkpoint from r, verifying magic, version and
 // checksum before decoding. Integrity failures wrap ErrCorruptCheckpoint.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var h checkpointHeader
-	if err := binary.Read(r, binary.BigEndian, &h); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint header: %w: %v", ErrCorruptCheckpoint, err)
-	}
-	if h.Magic != checkpointMagic {
-		return nil, fmt.Errorf("core: %w: bad magic %q", ErrCorruptCheckpoint, h.Magic[:])
-	}
-	if h.Version > checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint format version %d is newer than supported version %d",
-			h.Version, checkpointVersion)
-	}
-	// The declared length is attacker/bit-rot-controlled; allocating it
-	// blindly turns an 8-byte flip into a multi-GiB allocation (found by
-	// FuzzReadCheckpoint). Anything over the cap cannot be a real
-	// checkpoint, so treat it as corruption.
-	if h.Length > maxCheckpointPayload {
-		return nil, fmt.Errorf("core: %w: declared payload length %d exceeds %d-byte cap",
-			ErrCorruptCheckpoint, h.Length, int64(maxCheckpointPayload))
-	}
-	payload := make([]byte, h.Length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("core: %w: truncated payload (%v)", ErrCorruptCheckpoint, err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != h.CRC {
-		return nil, fmt.Errorf("core: %w: CRC mismatch (stored %08x, computed %08x)",
-			ErrCorruptCheckpoint, h.CRC, crc)
-	}
 	ck := new(Checkpoint)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(ck); err != nil {
-		return nil, fmt.Errorf("core: %w: undecodable payload: %v", ErrCorruptCheckpoint, err)
+	if err := readFrame(r, checkpointMagic, checkpointVersion, ck); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return ck, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"harpte/internal/autograd"
@@ -289,6 +290,42 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	got := m2.Splits(m2.Context(p), d)
 	if !tensor.Equal(want, got, 0) {
 		t.Fatal("loaded model differs from saved model")
+	}
+}
+
+// committedRoundTrip is the benchmark's committed model file (read, never
+// written) and what Save writes after Load reads it. It is computed when
+// the package initialises, before any test runs: gob numbers the types it
+// sends in the order the process first meets them, so only a process that
+// has encoded nothing else writes the file's exact bytes.
+var committedRoundTrip = func() (rt struct {
+	read, saved []byte
+	err         error
+}) {
+	if rt.read, rt.err = os.ReadFile("../../bench/testdata/harp_abilene.model"); rt.err != nil {
+		return rt
+	}
+	m, err := Load(bytes.NewReader(rt.read))
+	if err != nil {
+		rt.err = err
+		return rt
+	}
+	var saved bytes.Buffer
+	rt.err = m.Save(&saved)
+	rt.saved = saved.Bytes()
+	return rt
+}()
+
+// TestCommittedModelRoundTrips: the committed model file comes back byte for
+// byte through Load and Save, so the on-disk frame is the one every existing
+// model file was written in.
+func TestCommittedModelRoundTrips(t *testing.T) {
+	rt := committedRoundTrip
+	if rt.err != nil {
+		t.Fatal(rt.err)
+	}
+	if !bytes.Equal(rt.saved, rt.read) {
+		t.Fatalf("Save after Load wrote %d bytes that differ from the %d read", len(rt.saved), len(rt.read))
 	}
 }
 

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"harpte/internal/autograd"
@@ -37,22 +36,9 @@ type modelFile struct {
 // Save writes the model configuration and parameters to w: a versioned,
 // CRC-checksummed container around a gob payload.
 func (m *Model) Save(w io.Writer) error {
-	var payload bytes.Buffer
 	mf := modelFile{Cfg: m.Cfg, Params: autograd.Snapshot(m.params)}
-	if err := gob.NewEncoder(&payload).Encode(&mf); err != nil {
+	if err := writeFrame(w, modelMagic, modelFormatVersion, &mf); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
-	}
-	h := checkpointHeader{
-		Magic:   modelMagic,
-		Version: modelFormatVersion,
-		Length:  uint64(payload.Len()),
-		CRC:     crc32.ChecksumIEEE(payload.Bytes()),
-	}
-	if err := binary.Write(w, binary.BigEndian, &h); err != nil {
-		return fmt.Errorf("core: saving model header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("core: saving model payload: %w", err)
 	}
 	return nil
 }
@@ -64,33 +50,15 @@ func (m *Model) Save(w io.Writer) error {
 // because a model with poisoned weights would silently serve garbage —
 // any parameter containing NaN or Inf.
 func Load(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading model: %w", err)
-	}
-	payload := data
-	if len(data) >= len(modelMagic) && bytes.Equal(data[:len(modelMagic)], modelMagic[:]) {
-		var h checkpointHeader
-		if err := binary.Read(bytes.NewReader(data), binary.BigEndian, &h); err != nil {
-			return nil, fmt.Errorf("core: %w: truncated model header (%v)", ErrCorruptCheckpoint, err)
-		}
-		if h.Version > modelFormatVersion {
-			return nil, fmt.Errorf("core: model file format version %d is newer than supported version %d",
-				h.Version, modelFormatVersion)
-		}
-		body := data[binary.Size(h):]
-		if uint64(len(body)) < h.Length {
-			return nil, fmt.Errorf("core: %w: model payload truncated (%d of %d bytes)",
-				ErrCorruptCheckpoint, len(body), h.Length)
-		}
-		payload = body[:h.Length]
-		if crc := crc32.ChecksumIEEE(payload); crc != h.CRC {
-			return nil, fmt.Errorf("core: %w: model CRC mismatch (stored %08x, computed %08x)",
-				ErrCorruptCheckpoint, h.CRC, crc)
-		}
-	}
+	br := bufio.NewReader(r)
 	var mf modelFile
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&mf); err != nil {
+	var err error
+	if head, _ := br.Peek(len(modelMagic)); bytes.Equal(head, modelMagic[:]) {
+		err = readFrame(br, modelMagic, modelFormatVersion, &mf)
+	} else {
+		err = gob.NewDecoder(br).Decode(&mf)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
 	// Validate the deserialized Config before handing it to New: the legacy

@@ -205,12 +205,10 @@ func Fig8(cfg SchemesConfig) *Fig8Result {
 
 	// All combinations of test TMs × scenarios.
 	var combos []*Instance
-	var perProblem []*te.Problem
 	for _, g := range scenarios {
 		fp := te.NewProblem(g, p.Tunnels)
 		for _, j := range ts.test {
 			combos = append(combos, &Instance{Problem: fp, Demand: ts.demands[j]})
-			perProblem = append(perProblem, fp)
 		}
 	}
 	ComputeOptimal(combos)
@@ -229,7 +227,6 @@ func Fig8(cfg SchemesConfig) *Fig8Result {
 		tc := ts.teal.NewContext(in.Problem)
 		tealVals[i] = in.NormMLUOf(ts.teal.Splits(tc, in.Demand))
 	})
-	_ = perProblem
 	res.PerScheme["HARP"] = NewDistribution(harpVals)
 	res.PerScheme["DOTE"] = NewDistribution(doteVals)
 	res.PerScheme["TEAL"] = NewDistribution(tealVals)

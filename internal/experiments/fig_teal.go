@@ -9,7 +9,6 @@ import (
 	"harpte/internal/te"
 	"harpte/internal/teal"
 	"harpte/internal/tensor"
-	"harpte/internal/topology"
 	"harpte/internal/traffic"
 	"harpte/internal/tunnels"
 )
@@ -191,7 +190,7 @@ func tab1Measure(seed int64) *Tab1Result {
 func tab1CapacityProbe(seed int64) map[string]bool {
 	g := dsTopology(Small, seed)
 	k := 3
-	p := te.NewProblem(g, tunnelsCompute(g, k))
+	p := te.NewProblem(g, tunnels.Compute(g, k))
 	tm := traffic.Gravity(g.NumNodes, traffic.GravityWeights(g, newRng(seed)), totalForTopology(g))
 	d := traffic.DemandVector(tm, p.Tunnels.Flows)
 	l := g.UndirectedLinks()[0]
@@ -199,25 +198,13 @@ func tab1CapacityProbe(seed int64) map[string]bool {
 
 	out := map[string]bool{}
 
-	hm := coreNew(seed)
-	out["HARP"] = !denseEqual(hm.Splits(hm.Context(p), d), hm.Splits(hm.Context(p2), d))
+	hm := core.New(harpConfigFor(Small, seed))
+	out["HARP"] = !tensor.Equal(hm.Splits(hm.Context(p), d), hm.Splits(hm.Context(p2), d), 1e-9)
 
-	dm := doteNewFor(p, seed)
-	out["DOTE"] = !denseEqual(dm.Splits(d), dm.Splits(d)) // by construction: false
+	dm := dote.New(doteConfigFor(seed), p.NumFlows(), p.Tunnels.K)
+	out["DOTE"] = !tensor.Equal(dm.Splits(d), dm.Splits(d), 1e-9) // by construction: false
 
 	tl := teal.New(tealConfigFor(seed), k)
-	out["TEAL"] = !denseEqual(tl.Splits(tl.NewContext(p), d), tl.Splits(tl.NewContext(p2), d))
+	out["TEAL"] = !tensor.Equal(tl.Splits(tl.NewContext(p), d), tl.Splits(tl.NewContext(p2), d), 1e-9)
 	return out
 }
-
-// ---- small local helpers for the Table-1 probe ----
-
-func tunnelsCompute(g *topology.Graph, k int) *tunnels.Set { return tunnels.Compute(g, k) }
-
-func coreNew(seed int64) *core.Model { return core.New(harpConfigFor(Small, seed)) }
-
-func doteNewFor(p *te.Problem, seed int64) *dote.Model {
-	return dote.New(doteConfigFor(seed), p.NumFlows(), p.Tunnels.K)
-}
-
-func denseEqual(a, b *tensor.Dense) bool { return tensor.Equal(a, b, 1e-9) }

@@ -55,12 +55,7 @@ func TunnelsPerFlow(topo string, s Scale) int {
 			return 8
 		}
 	}
-	switch topo {
-	case "KDL":
-		return 4
-	default:
-		return 4
-	}
+	return 4
 }
 
 // Instance pairs a problem with its demand (and optionally the true demand

@@ -136,19 +136,6 @@ type Options struct {
 	// retries a quiet period can bank for a burst.
 	RetryBurst float64
 
-	// QuarantineThreshold consecutive failures quarantine a replica:
-	// no regular traffic, probes only (default 3).
-	QuarantineThreshold int
-	// ProbationSuccesses is how many consecutive successful probes a
-	// quarantined replica needs to be re-admitted (default 2).
-	ProbationSuccesses int
-	// MaxQuarantinedFraction caps how much of the fleet outlier ejection
-	// may quarantine at once (default 0.5). A replica past the
-	// quarantine threshold that cannot be ejected under the cap stays
-	// degraded. Draining replicas bypass the cap: they will never serve
-	// again.
-	MaxQuarantinedFraction float64
-
 	// ShardByTopology routes requests by topology cluster: replicas are
 	// ranked per topology fingerprint with rendezvous (highest-random-
 	// weight) hashing, and every request for a topology goes to its
@@ -171,6 +158,18 @@ type Options struct {
 	// Probe, probing (background and CheckHealth) is a no-op.
 	Probe       *te.Problem
 	ProbeDemand *tensor.Dense
+
+	// Test seams, zero in every program (withDefaults fills them in):
+	// quarantineThreshold consecutive failures quarantine a replica — no
+	// regular traffic, probes only (3); probationSuccesses consecutive
+	// successful probes re-admit it (2); maxQuarantinedFraction caps how
+	// much of the fleet outlier ejection may quarantine at once (0.5). A
+	// replica past the threshold that cannot be ejected under the cap stays
+	// degraded; draining replicas bypass the cap, as they will never serve
+	// again.
+	quarantineThreshold    int
+	probationSuccesses     int
+	maxQuarantinedFraction float64
 }
 
 // withDefaults returns opts with zero fields replaced by the documented
@@ -188,14 +187,14 @@ func (o Options) withDefaults() Options {
 	if o.RetryBurst <= 0 {
 		o.RetryBurst = 10
 	}
-	if o.QuarantineThreshold <= 0 {
-		o.QuarantineThreshold = 3
+	if o.quarantineThreshold <= 0 {
+		o.quarantineThreshold = 3
 	}
-	if o.ProbationSuccesses <= 0 {
-		o.ProbationSuccesses = 2
+	if o.probationSuccesses <= 0 {
+		o.probationSuccesses = 2
 	}
-	if o.MaxQuarantinedFraction <= 0 {
-		o.MaxQuarantinedFraction = 0.5
+	if o.maxQuarantinedFraction <= 0 {
+		o.maxQuarantinedFraction = 0.5
 	}
 	return o
 }

@@ -171,7 +171,7 @@ func TestFleetFailsOverAndQuarantines(t *testing.T) {
 	f := New(rs, Options{
 		Deadline:            time.Second,
 		RetryBudget:         1, // every failure may retry
-		QuarantineThreshold: 2,
+		quarantineThreshold: 2,
 	})
 	defer f.Close()
 
@@ -266,7 +266,7 @@ func TestFleetByzantineAnswerRejected(t *testing.T) {
 	p := twoPathProblem()
 	fs, rs := fakes(2)
 	fs[0].byzantine.Store(true)
-	f := New(rs, Options{Deadline: time.Second, RetryBudget: 1, QuarantineThreshold: 2})
+	f := New(rs, Options{Deadline: time.Second, RetryBudget: 1, quarantineThreshold: 2})
 	defer f.Close()
 
 	for i := 0; i < 8; i++ {
@@ -379,7 +379,7 @@ func TestFleetAllDrainingFallsBack(t *testing.T) {
 }
 
 // TestFleetProbationReadmission: a quarantined replica that starts
-// passing probes is re-admitted after ProbationSuccesses in a row.
+// passing probes is re-admitted after probationSuccesses in a row.
 func TestFleetProbationReadmission(t *testing.T) {
 	p := twoPathProblem()
 	fs, rs := fakes(2)
@@ -387,8 +387,8 @@ func TestFleetProbationReadmission(t *testing.T) {
 	f := New(rs, Options{
 		Deadline:            time.Second,
 		RetryBudget:         1,
-		QuarantineThreshold: 1,
-		ProbationSuccesses:  2,
+		quarantineThreshold: 1,
+		probationSuccesses:  2,
 		Probe:               p,
 		ProbeDemand:         demand(p, 4, 2),
 	})
@@ -419,7 +419,7 @@ func TestFleetProbationReadmission(t *testing.T) {
 // TestFleetMaintenanceWaveReadmits is tereplay's -scenario maintenance wave
 // on the options it builds its fleet with — the defaults plus a pinned probe:
 // a replica taken down fails its way into quarantine through traffic and the
-// wave's health rounds, and once released, ProbationSuccesses rounds put it
+// wave's health rounds, and once released, probationSuccesses rounds put it
 // back. Only probes reach a quarantined replica, so with no Probe pinned
 // CheckHealth is a no-op and the replica would stay out for good.
 func TestFleetMaintenanceWaveReadmits(t *testing.T) {
@@ -439,9 +439,9 @@ func TestFleetMaintenanceWaveReadmits(t *testing.T) {
 	}
 
 	fs[1].fail.Store(false) // released
-	for i := 0; i < f.opts.ProbationSuccesses; i++ {
+	for i := 0; i < f.opts.probationSuccesses; i++ {
 		if got := f.ReplicaHealth(1); got != Quarantined {
-			t.Fatalf("re-admitted after %d good probes, want %d", i, f.opts.ProbationSuccesses)
+			t.Fatalf("re-admitted after %d good probes, want %d", i, f.opts.probationSuccesses)
 		}
 		f.CheckHealth()
 	}
@@ -466,8 +466,8 @@ func TestFleetEjectionCapHoldsBack(t *testing.T) {
 		Deadline:               time.Second,
 		RetryBudget:            1,
 		RetryBurst:             100,
-		QuarantineThreshold:    2,
-		MaxQuarantinedFraction: 0.5,
+		quarantineThreshold:    2,
+		maxQuarantinedFraction: 0.5,
 	})
 	defer f.Close()
 
@@ -629,7 +629,7 @@ func TestFleetTelemetryExposition(t *testing.T) {
 	p := twoPathProblem()
 	fs, rs := fakes(2)
 	fs[0].fail.Store(true)
-	f := New(rs, Options{Deadline: time.Second, RetryBudget: 1, QuarantineThreshold: 2})
+	f := New(rs, Options{Deadline: time.Second, RetryBudget: 1, quarantineThreshold: 2})
 	defer f.Close()
 	reg := obs.NewRegistry()
 	f.EnableTelemetry(reg)

@@ -7,9 +7,9 @@ package fleet
 // either heals a degraded replica or finishes ejecting it (the state is
 // the early-warning tier operators watch, and it orders rolling
 // reloads). Quarantine removes a replica from regular dispatch entirely;
-// only probes reach it, and ProbationSuccesses consecutive probe
+// only probes reach it, and probationSuccesses consecutive probe
 // successes re-admit it. Outlier ejection is capped: when quarantining
-// one more replica would exceed MaxQuarantinedFraction of the fleet, the
+// one more replica would exceed maxQuarantinedFraction of the fleet, the
 // replica stays degraded instead — if most of the fleet looks sick, the
 // detector (or its probe) is the more likely fault.
 
@@ -73,13 +73,13 @@ func (r *replica) healthState() Health {
 
 // onSuccess records one vetted, successful answer (traffic or probe).
 // Healthy and degraded replicas reset to healthy; quarantined replicas
-// advance probation and re-admit after ProbationSuccesses in a row.
+// advance probation and re-admit after probationSuccesses in a row.
 func (f *Fleet) onSuccess(r *replica) {
 	r.mu.Lock()
 	prev := r.health
 	if r.health == Quarantined {
 		r.probeOK++
-		if r.probeOK >= f.opts.ProbationSuccesses {
+		if r.probeOK >= f.opts.probationSuccesses {
 			r.health = Healthy
 			r.consec = 0
 			r.probeOK = 0
@@ -108,7 +108,7 @@ func (f *Fleet) onFailure(r *replica) {
 	switch {
 	case r.health == Quarantined:
 		r.probeOK = 0
-	case r.consec >= f.opts.QuarantineThreshold:
+	case r.consec >= f.opts.quarantineThreshold:
 		if f.mayQuarantine() {
 			r.health = Quarantined
 			r.probeOK = 0
@@ -147,7 +147,7 @@ func (f *Fleet) quarantineNow(r *replica) {
 // trying it, which is the only useful behavior with nothing to fail over
 // to.
 func (f *Fleet) mayQuarantine() bool {
-	limit := int64(f.opts.MaxQuarantinedFraction * float64(len(f.replicas)))
+	limit := int64(f.opts.maxQuarantinedFraction * float64(len(f.replicas)))
 	return f.quarantined.Load()+1 <= limit
 }
 

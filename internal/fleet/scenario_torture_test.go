@@ -152,34 +152,38 @@ func TestFleetScenarioTorture(t *testing.T) {
 	}
 	guard.SetProfile(profile)
 
-	newGuarded := func() *resilience.Server {
-		return resilience.NewServer(core.New(tinyConfig()), resilience.Options{
+	// Each replica tallies its own OOD verdicts; servers collects them.
+	var servers []*resilience.Server
+	newGuarded := func() Replica {
+		s := resilience.NewServer(core.New(tinyConfig()), resilience.Options{
 			Deadline:     2 * time.Second,
 			Probe:        p,
 			ProbeDemand:  probe,
 			CacheEntries: 64,
 			OOD:          guard,
 		})
+		servers = append(servers, s)
+		return Local{S: s}
 	}
 
 	// Replicas 0 and 1 take the maintenance wave; replica 2 is byzantine
 	// (NaN answers 30% of the time); replica 3 is healthy.
 	maint := []*maintReplica{
-		{inner: Local{S: newGuarded()}},
-		{inner: Local{S: newGuarded()}},
+		{inner: newGuarded()},
+		{inner: newGuarded()},
 	}
-	nanFault := chaosreplica.New(Local{S: newGuarded()}, chaosreplica.Plan{Seed: 7, CrashAfter: -1, PNaN: 0.3})
+	nanFault := chaosreplica.New(newGuarded(), chaosreplica.Plan{Seed: 7, CrashAfter: -1, PNaN: 0.3})
 	defer nanFault.Release()
-	rs := []Replica{maint[0], maint[1], nanFault, Local{S: newGuarded()}}
+	rs := []Replica{maint[0], maint[1], nanFault, newGuarded()}
 
 	f := New(rs, Options{
 		Deadline:               3 * time.Second,
 		TryTimeout:             250 * time.Millisecond,
 		RetryBudget:            1,
 		RetryBurst:             500,
-		QuarantineThreshold:    3,
-		ProbationSuccesses:     2,
-		MaxQuarantinedFraction: 0.75,
+		quarantineThreshold:    3,
+		probationSuccesses:     2,
+		maxQuarantinedFraction: 0.75,
 		HealthInterval:         10 * time.Millisecond,
 		Probe:                  p,
 		ProbeDemand:            probe,
@@ -325,7 +329,15 @@ func TestFleetScenarioTorture(t *testing.T) {
 	if sawPartitioned {
 		t.Error("auto scenario partitioned a survivable topology")
 	}
-	st := guard.Stats()
+	var st resilience.OODStats
+	for _, s := range servers {
+		o := s.Stats().OOD
+		st.InProfile += o.InProfile
+		st.Suspect += o.Suspect
+		st.Hostile += o.Hostile
+		st.HostileDemotions += o.HostileDemotions
+		st.CacheBypasses += o.CacheBypasses
+	}
 	t.Logf("ood verdicts: in-profile %d, suspect %d, hostile %d (demotions %d, cache bypasses %d); worst MLU ratio %.2f",
 		st.InProfile, st.Suspect, st.Hostile, st.HostileDemotions, st.CacheBypasses, worstRatio)
 	if st.Hostile == 0 {

@@ -106,7 +106,7 @@ func TestShardRebalancesOnQuarantine(t *testing.T) {
 
 	// Re-admit via probation (consecutive vetted successes) and verify the
 	// shard snaps back.
-	for i := 0; i < f.opts.ProbationSuccesses; i++ {
+	for i := 0; i < f.opts.probationSuccesses; i++ {
 		f.onSuccess(f.replicas[ownerA])
 	}
 	if dec := f.Serve(pA, demand(pA, 4, 2, 1, 3)); dec.Replica != ownerA {

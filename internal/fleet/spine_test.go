@@ -134,7 +134,7 @@ func TestFleetServeIsServeCtxBackground(t *testing.T) {
 func TestFleetCallerCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, p, next, full := geantServer(t)
-	f := New([]Replica{Local{S: srv}}, Options{QuarantineThreshold: 1, MaxQuarantinedFraction: 1})
+	f := New([]Replica{Local{S: srv}}, Options{quarantineThreshold: 1, maxQuarantinedFraction: 1})
 	defer func() {
 		f.Close()
 		assertNoLeakedGoroutines(t, before)

@@ -97,9 +97,9 @@ func TestFleetChaosTorture(t *testing.T) {
 		HedgeMaxDelay:          20 * time.Millisecond,
 		RetryBudget:            1,
 		RetryBurst:             200,
-		QuarantineThreshold:    3,
-		ProbationSuccesses:     2,
-		MaxQuarantinedFraction: 0.6,
+		quarantineThreshold:    3,
+		probationSuccesses:     2,
+		maxQuarantinedFraction: 0.6,
 		HealthInterval:         10 * time.Millisecond,
 		Probe:                  p,
 		ProbeDemand:            probe,
@@ -231,9 +231,9 @@ func TestFleetChaosTortureBatchedShardedCached(t *testing.T) {
 		HedgeQuantile:          0.9,
 		RetryBudget:            1,
 		RetryBurst:             200,
-		QuarantineThreshold:    3,
-		ProbationSuccesses:     2,
-		MaxQuarantinedFraction: 0.6,
+		quarantineThreshold:    3,
+		probationSuccesses:     2,
+		maxQuarantinedFraction: 0.6,
 		HealthInterval:         10 * time.Millisecond,
 		Probe:                  probs[0],
 		ProbeDemand:            probe,

@@ -133,8 +133,8 @@ func TestFleetStatsTelemetryParity(t *testing.T) {
 	f := New(rs, Options{
 		Deadline:            time.Second,
 		RetryBudget:         1,
-		QuarantineThreshold: 1,
-		ProbationSuccesses:  2,
+		quarantineThreshold: 1,
+		probationSuccesses:  2,
 		Probe:               p,
 		ProbeDemand:         demand(p, 4, 2),
 	})

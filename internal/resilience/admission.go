@@ -133,7 +133,6 @@ func (s *Server) exitInflight() {
 func (s *Server) shed(start time.Time, reason int, err error, sp *reqtrace.Span) Decision {
 	s.sheds[reason].Add(1)
 	s.record(TierShed, start)
-	s.tel.sheds[reason].Inc()
 	if sp != nil {
 		sp.Annotate("shed_reason", shedReasonLabel(reason))
 		sp.ForceRetain("shed")
@@ -150,8 +149,6 @@ func (s *Server) shed(start time.Time, reason int, err error, sp *reqtrace.Span)
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
-		s.drains.Add(1)
-		s.tel.drainsStarted.Inc()
 	}
 	for {
 		if s.inflight.Load() == 0 {

@@ -108,7 +108,6 @@ func TestDeadlineMidRAUShipsTheIterate(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := NewServer(m, Options{CacheEntries: 16})
 	srv.EnableTelemetry(reg)
-	expirations := reg.Counter(MetricServeDeadlineExpirations, "")
 	n := m.Cfg.RAUIterations
 	budget := planHitTime(t, srv, p, next) * 3 / 8
 	ecmp := te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
@@ -119,13 +118,13 @@ func TestDeadlineMidRAUShipsTheIterate(t *testing.T) {
 	for try := 0; ; try++ {
 		d := next()
 		rec := reqtrace.NewRecorder(reqtrace.Options{Capacity: 4, SampleEvery: 1 << 20})
-		before := expirations.Value()
+		before := seriesValue(t, reg, MetricServeDeadlineExpirations)
 		srv.opts.Deadline = budget
 		ctx, root := rec.StartTrace(context.Background(), "request")
 		dec := srv.ServeCtx(ctx, p, d)
 		root.End()
 		srv.opts.Deadline = 0
-		if got := expirations.Value() - before; got != 1 {
+		if got := seriesValue(t, reg, MetricServeDeadlineExpirations) - before; got != 1 {
 			t.Fatalf("deadline expirations moved by %d, want 1 (tier %v, degraded %v)", got, dec.Tier, dec.Degraded)
 		}
 		if dec.Tier == TierECMP && try < 20 {

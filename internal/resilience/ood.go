@@ -210,16 +210,12 @@ func (pr *OODProfile) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
 	}
 }
 
-// OODGuard is the serve-path wrapper: an atomically swappable profile
-// plus the verdict and action counters behind the harp_ood_* metrics.
+// OODGuard is the serve-path classifier: an atomically swappable profile.
 // Install one via Options.OOD; share one across servers that serve the
-// same trained model.
+// same trained model. Each server tallies its own verdicts and what it did
+// with them (Server.Stats().OOD, the harp_ood_* metrics).
 type OODGuard struct {
 	profile atomic.Pointer[OODProfile]
-
-	verdicts    [numOODVerdicts]atomic.Int64
-	demotions   atomic.Int64
-	cacheBypass atomic.Int64
 }
 
 // NewOODGuard returns a guard with no profile: everything classifies
@@ -230,53 +226,24 @@ func NewOODGuard() *OODGuard {
 
 // SetProfile atomically installs (or, with nil, removes) the envelope.
 // The profile must not be mutated after installation.
-func (g *OODGuard) SetProfile(pr *OODProfile) {
-	if pr == nil {
-		g.profile.Store(nil)
-		return
-	}
-	g.profile.Store(pr)
-}
+func (g *OODGuard) SetProfile(pr *OODProfile) { g.profile.Store(pr) }
 
 // Profile returns the installed envelope (nil when none).
 func (g *OODGuard) Profile() *OODProfile { return g.profile.Load() }
 
-// Classify grades one request and tallies the verdict.
+// Classify grades one request against the installed envelope.
 func (g *OODGuard) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
-	v := g.profile.Load().Classify(p, demand)
-	g.verdicts[v].Add(1)
-	return v
+	return g.profile.Load().Classify(p, demand)
 }
 
-// demoted records that a hostile request was denied the model.
-func (g *OODGuard) demoted() { g.demotions.Add(1) }
-
-// bypassedCache records that a request skipped the split cache because
-// of its verdict.
-func (g *OODGuard) bypassedCache() { g.cacheBypass.Add(1) }
-
-// OODStats is a point-in-time snapshot of the guard's counters — the
-// plain-Go mirror of the harp_ood_* metrics.
+// OODStats is a point-in-time snapshot of one server's OOD tally — the
+// plain-Go mirror of its harp_ood_* series.
 type OODStats struct {
 	InProfile, Suspect, Hostile int64
 	// HostileDemotions counts requests denied the model; CacheBypasses
 	// counts requests (suspect and hostile) that skipped the split cache.
 	HostileDemotions int64
 	CacheBypasses    int64
-}
-
-// Stats snapshots the counters.
-func (g *OODGuard) Stats() OODStats {
-	if g == nil {
-		return OODStats{}
-	}
-	return OODStats{
-		InProfile:        g.verdicts[OODInProfile].Load(),
-		Suspect:          g.verdicts[OODSuspect].Load(),
-		Hostile:          g.verdicts[OODHostile].Load(),
-		HostileDemotions: g.demotions.Load(),
-		CacheBypasses:    g.cacheBypass.Load(),
-	}
 }
 
 // ObserveSeries widens the envelope over a demand series on one problem —

@@ -25,7 +25,6 @@ import (
 func (s *Server) Reload(path string) error {
 	fail := func(stage string, err error) error {
 		s.reloadFailures.Add(1)
-		s.tel.reloadErr.Inc()
 		return fmt.Errorf("resilience: reload %s: %s: %w", path, stage, err)
 	}
 	f, err := os.Open(path)
@@ -45,10 +44,7 @@ func (s *Server) Reload(path string) error {
 	if s.cache != nil {
 		s.cache.purge()
 	}
-	gen := s.generation.Add(1)
-	s.reloads.Add(1)
-	s.tel.reloadOK.Inc()
-	s.tel.generation.Set(float64(gen))
+	s.genGauge.Set(float64(s.generation.Add(1)))
 	return nil
 }
 
@@ -106,14 +102,16 @@ type Stats struct {
 	BreakerTrips         int64
 	BreakerShortCircuits int64
 	BreakerState         BreakerState
-	// Reload bookkeeping.
-	Reloads        int64
-	ReloadFailures int64
+	// Reload bookkeeping: Generation counts the successful reloads.
 	Generation     int64
-	Drains         int64
+	ReloadFailures int64
+	// The model rung's contexts that ended before full depth, and its
+	// recovered panics.
+	DeadlineExpirations int64
+	PanicRecoveries     int64
 	// Cache snapshots the split cache (all-zero when it is disabled).
 	Cache CacheStats
-	// OOD snapshots the out-of-distribution guard (all-zero when
+	// OOD is this server's out-of-distribution tally (all-zero when
 	// Options.OOD is nil).
 	OOD OODStats
 }
@@ -122,22 +120,28 @@ type Stats struct {
 // gauge fields (QueueDepth, InFlight) are instantaneous reads.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		ShedQueueFull:     s.sheds[shedQueueFull].Load(),
-		ShedQueueDeadline: s.sheds[shedQueueDeadline].Load(),
-		ShedDraining:      s.sheds[shedDraining].Load(),
-		QueueDepth:        s.queued.Load(),
-		InFlight:          s.inflight.Load(),
-		Draining:          s.draining.Load(),
-		Reloads:           s.reloads.Load(),
-		ReloadFailures:    s.reloadFailures.Load(),
-		Generation:        s.generation.Load(),
-		Drains:            s.drains.Load(),
+		ShedQueueFull:       s.sheds[shedQueueFull].Load(),
+		ShedQueueDeadline:   s.sheds[shedQueueDeadline].Load(),
+		ShedDraining:        s.sheds[shedDraining].Load(),
+		QueueDepth:          s.queued.Load(),
+		InFlight:            s.inflight.Load(),
+		Draining:            s.draining.Load(),
+		Generation:          s.generation.Load(),
+		ReloadFailures:      s.reloadFailures.Load(),
+		DeadlineExpirations: s.deadlines.Load(),
+		PanicRecoveries:     s.panics.Load(),
+		OOD: OODStats{
+			InProfile:        s.oodVerdicts[OODInProfile].Load(),
+			Suspect:          s.oodVerdicts[OODSuspect].Load(),
+			Hostile:          s.oodVerdicts[OODHostile].Load(),
+			HostileDemotions: s.oodDemotions.Load(),
+			CacheBypasses:    s.oodBypasses.Load(),
+		},
 	}
 	st.Shed = st.ShedQueueFull + st.ShedQueueDeadline + st.ShedDraining
 	if s.cache != nil {
 		st.Cache = s.cache.stats()
 	}
-	st.OOD = s.opts.OOD.Stats()
 	st.BreakerState, st.BreakerTrips, st.BreakerShortCircuits = s.breaker.snapshot()
 	return st
 }

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"harpte/internal/core"
+	"harpte/internal/obs"
 )
 
 // saveModel writes m to a fresh file under t.TempDir and returns the path.
@@ -61,7 +63,7 @@ func TestReloadSwapsModel(t *testing.T) {
 	if same {
 		t.Fatal("splits identical before and after reload; the new weights are not serving")
 	}
-	if st := srv.Stats(); st.Reloads != 1 || st.ReloadFailures != 0 {
+	if st := srv.Stats(); st.Generation != 1 || st.ReloadFailures != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -88,7 +90,7 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 		t.Fatalf("old model no longer serving after failed reload: tier %v", dec.Tier)
 	}
 	st := srv.Stats()
-	if st.Reloads != 0 || st.ReloadFailures != 2 {
+	if st.Generation != 0 || st.ReloadFailures != 2 {
 		t.Fatalf("stats %+v: want 0 reloads, 2 failures", st)
 	}
 	// A failed reload is not a tier failure: no breaker state may change.
@@ -150,7 +152,9 @@ func TestReloadCanaryFallsBackToLastServedProblem(t *testing.T) {
 // serve while another reloads repeatedly and a drain closes the session.
 // Every admitted request must come back with valid splits — a reload or
 // drain must never drop an in-flight request — and the final drain must
-// leave the server idle. Run with -race this also proves the swap is sound.
+// leave the server idle. A scraper reads the registry throughout, and the
+// exposition ends with every request and every reload counted. Run with
+// -race this also proves the swap and the scrape-time views are sound.
 func TestServeReloadDrainConcurrently(t *testing.T) {
 	p := twoPathProblem()
 	cfgB := tinyConfig()
@@ -163,6 +167,24 @@ func TestServeReloadDrainConcurrently(t *testing.T) {
 		Probe:       p,
 		ProbeDemand: demand(p, 4, 2),
 	})
+	reg := obs.NewRegistry()
+	srv.EnableTelemetry(reg)
+	scraped := make(chan struct{})
+	stopScrape := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stopScrape:
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 
 	const workers, perWorker = 8, 40
 	var wg sync.WaitGroup
@@ -205,6 +227,8 @@ func TestServeReloadDrainConcurrently(t *testing.T) {
 	}()
 	<-reloadDone
 	wg.Wait()
+	close(stopScrape)
+	<-scraped
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -222,5 +246,15 @@ func TestServeReloadDrainConcurrently(t *testing.T) {
 	}
 	if st := srv.Stats(); st.InFlight != 0 || st.QueueDepth != 0 {
 		t.Fatalf("residual work after drain: %+v", st)
+	}
+	var requests int64
+	for tier := Tier(0); tier < numTiers; tier++ {
+		requests += seriesValue(t, reg, MetricServeRequests+`{tier="`+tier.String()+`"}`)
+	}
+	if requests != workers*perWorker {
+		t.Fatalf("exposition counts %d requests, want %d", requests, workers*perWorker)
+	}
+	if got := seriesValue(t, reg, MetricModelReloads+`{result="ok"}`); got != 10 {
+		t.Fatalf("exposition counts %d successful reloads, want 10", got)
 	}
 }

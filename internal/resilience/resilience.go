@@ -196,10 +196,11 @@ type Server struct {
 	// request.
 	model atomic.Pointer[core.Model]
 
-	// tel carries the registry instruments (EnableTelemetry); its zero
-	// value — every handle nil, every call on one a no-op — is telemetry
-	// off.
-	tel serverTelemetry
+	// The two registry-owned series (EnableTelemetry): a distribution has
+	// no tally to view, and a sum of generations across servers means
+	// nothing. Nil handles, every call on one a no-op, are telemetry off.
+	latency  [numTiers]*obs.Histogram
+	genGauge *obs.Gauge
 
 	// Admission gate (admission.go). sem is nil when MaxConcurrent == 0.
 	sem      chan struct{}
@@ -209,7 +210,6 @@ type Server struct {
 	drainCh  chan struct{} // closed when draining starts; wakes queued waiters
 	idleCh   chan struct{} // buffered(1); signaled when in-flight hits zero
 	sheds    [numShedReasons]atomic.Int64
-	drains   atomic.Int64
 
 	// breaker is the model's circuit breaker (breaker.go); nil when
 	// disabled.
@@ -219,10 +219,20 @@ type Server struct {
 	// Options.CacheEntries == 0.
 	cache *SplitCache
 
-	// Reload bookkeeping (reload.go).
+	// Reload bookkeeping (reload.go): generation counts successful reloads.
 	generation     atomic.Int64
-	reloads        atomic.Int64
 	reloadFailures atomic.Int64
+
+	// The model rung's events: contexts that ended before full depth, and
+	// panics recovered.
+	deadlines atomic.Int64
+	panics    atomic.Int64
+
+	// This server's OOD tally (ood.go): Options.OOD's verdicts, and what
+	// the serve path did with them.
+	oodVerdicts  [numOODVerdicts]atomic.Int64
+	oodDemotions atomic.Int64
+	oodBypasses  atomic.Int64
 
 	// statMu guards only the tier tally, so TierCounts can take a
 	// consistent snapshot in one acquisition without contending with the
@@ -305,93 +315,68 @@ const (
 	MetricOODCacheBypasses = "harp_ood_cache_bypasses_total"
 )
 
-// serverTelemetry is the registry-backed half of the server's bookkeeping.
-// These are real counters, not views of the Stats atomics, because several
-// servers (and the OOD guard they may share) aggregate into one registry.
-type serverTelemetry struct {
-	requests  [numTiers]*obs.Counter
-	latency   [numTiers]*obs.Histogram
-	rejects   *obs.Counter
-	deadlines *obs.Counter
-	panics    *obs.Counter
-
-	sheds         [numShedReasons]*obs.Counter
-	drainsStarted *obs.Counter
-
-	breakerTrips  *obs.Counter
-	breakerShorts *obs.Counter
-
-	reloadOK   *obs.Counter
-	reloadErr  *obs.Counter
-	generation *obs.Gauge
-
-	oodVerdicts  [numOODVerdicts]*obs.Counter
-	oodDemotions *obs.Counter
-	oodBypasses  *obs.Counter
-}
-
-// newServerTelemetry resolves the instruments on reg; a nil registry hands
-// out nil handles.
-func newServerTelemetry(reg *obs.Registry) serverTelemetry {
-	t := serverTelemetry{
-		rejects: reg.Counter(MetricServeRejections,
-			"Requests rejected by input validation (no splits produced)."),
-		deadlines: reg.Counter(MetricServeDeadlineExpirations,
-			"Requests whose context ended before the model reached full depth."),
-		panics: reg.Counter(MetricServePanicRecoveries,
-			"Panics recovered and converted into tier degradations."),
-		drainsStarted: reg.Counter(MetricServeDrains,
-			"Graceful drains initiated."),
-		reloadOK: reg.Counter(MetricModelReloads,
-			"Model reload attempts by outcome.", obs.L("result", "ok")),
-		reloadErr: reg.Counter(MetricModelReloads,
-			"Model reload attempts by outcome.", obs.L("result", "error")),
-		generation: reg.Gauge(MetricModelGeneration,
-			"Serving model generation (successful reloads applied)."),
+// EnableTelemetry exposes the server on reg (the Metric* constants):
+// per-tier request, rejection, deadline, panic-recovery, shed, drain,
+// breaker, reload, OOD and split-cache counters; gauges for queue depth,
+// in-flight requests and the breaker state; per-tier latency histograms and
+// the model-generation gauge. Every counter and gauge but the generation is
+// a read-through view, evaluated at scrape time, of the tally Stats and
+// TierCounts read — there is no second tally to drift, and attaching late
+// loses no history. Servers sharing a registry report their sum (the
+// breaker-state series is then the sum of the servers' states: 0 = every
+// breaker closed); the latency histograms add up too, and the generation
+// gauge holds the last reload's value. Stage timing is not here — attach the
+// registry to the request recorder (reqtrace.Recorder.EnableTelemetry).
+// Call it once per server, before serving starts. No-op on a nil registry.
+func (s *Server) EnableTelemetry(reg *obs.Registry) {
+	if reg == nil {
+		return
 	}
+	count := func(name, help string, fn func() int64, labels ...obs.Label) {
+		reg.CounterFunc(name, help, func() float64 { return float64(fn()) }, labels...)
+	}
+	const reloadsHelp = "Model reload attempts by outcome."
+	full := obs.L("tier", TierFull.String())
 	for tier := Tier(0); tier < numTiers; tier++ {
 		l := obs.L("tier", tier.String())
-		t.requests[tier] = reg.Counter(MetricServeRequests,
-			"Serve calls by the fallback-chain tier that answered.", l)
-		t.latency[tier] = reg.Histogram(MetricServeSeconds,
+		count(MetricServeRequests, "Serve calls by the fallback-chain tier that answered.",
+			func() int64 { return s.tally()[tier] }, l)
+		s.latency[tier] = reg.Histogram(MetricServeSeconds,
 			"Serve wall-clock latency by answering tier.", nil, l)
 	}
+	count(MetricServeRejections, "Requests rejected by input validation (no splits produced).",
+		func() int64 { return s.tally()[TierRejected] })
+	count(MetricServeDeadlineExpirations, "Requests whose context ended before the model reached full depth.",
+		s.deadlines.Load)
+	count(MetricServePanicRecoveries, "Panics recovered and converted into tier degradations.",
+		s.panics.Load)
 	for r := 0; r < numShedReasons; r++ {
-		t.sheds[r] = reg.Counter(MetricServeShed,
-			"Requests turned away by admission control, by reason.",
-			obs.L("reason", shedReasonLabel(r)))
+		count(MetricServeShed, "Requests turned away by admission control, by reason.",
+			s.sheds[r].Load, obs.L("reason", shedReasonLabel(r)))
 	}
-	full := obs.L("tier", TierFull.String())
-	t.breakerTrips = reg.Counter(MetricBreakerTrips,
-		"Circuit-breaker open transitions of the model tier.", full)
-	t.breakerShorts = reg.Counter(MetricBreakerShortCircuits,
-		"Requests that skipped the model on an open breaker.", full)
+	count(MetricServeDrains, "Graceful drains initiated.", func() int64 {
+		if s.draining.Load() {
+			return 1
+		}
+		return 0
+	})
+	count(MetricBreakerTrips, "Circuit-breaker open transitions of the model tier.",
+		func() int64 { _, trips, _ := s.breaker.snapshot(); return trips }, full)
+	count(MetricBreakerShortCircuits, "Requests that skipped the model on an open breaker.",
+		func() int64 { _, _, shorts := s.breaker.snapshot(); return shorts }, full)
+	count(MetricModelReloads, reloadsHelp, s.generation.Load, obs.L("result", "ok"))
+	count(MetricModelReloads, reloadsHelp, s.reloadFailures.Load, obs.L("result", "error"))
+	s.genGauge = reg.Gauge(MetricModelGeneration,
+		"Serving model generation (successful reloads applied).")
+	s.genGauge.Set(float64(s.generation.Load()))
 	for v := OODVerdict(0); v < numOODVerdicts; v++ {
-		t.oodVerdicts[v] = reg.Counter(MetricOODRequests,
-			"Requests classified by the OOD guard, by verdict.",
-			obs.L("verdict", v.String()))
+		count(MetricOODRequests, "Requests classified by the OOD guard, by verdict.",
+			s.oodVerdicts[v].Load, obs.L("verdict", v.String()))
 	}
-	t.oodDemotions = reg.Counter(MetricOODDemotions,
-		"Requests denied the model by the OOD guard.",
-		obs.L("verdict", OODHostile.String()))
-	t.oodBypasses = reg.Counter(MetricOODCacheBypasses,
-		"Requests that skipped the split cache on an OOD verdict.")
-	return t
-}
-
-// EnableTelemetry attaches serving telemetry to the server: per-tier
-// request counters and latency histograms; rejection / deadline /
-// panic-recovery / shed / breaker / reload counters; and gauges for queue
-// depth, in-flight requests, the breaker state, and the model generation
-// (the Metric* constants). Servers sharing a registry aggregate: counters
-// add up, and so do the scrape-time gauges and split-cache views (the
-// breaker-state series is then the sum of the servers' states: 0 = every
-// breaker closed). Stage timing is not here — attach the registry to the
-// request recorder (reqtrace.Recorder.EnableTelemetry). Call it once,
-// before serving starts; passing nil detaches the counters (views
-// registered earlier keep reading the server's state).
-func (s *Server) EnableTelemetry(reg *obs.Registry) {
-	s.tel = newServerTelemetry(reg)
+	count(MetricOODDemotions, "Requests denied the model by the OOD guard.",
+		s.oodDemotions.Load, obs.L("verdict", OODHostile.String()))
+	count(MetricOODCacheBypasses, "Requests that skipped the split cache on an OOD verdict.",
+		s.oodBypasses.Load)
 	reg.GaugeFunc(MetricServeQueueDepth,
 		"Requests waiting for an admission slot.",
 		func() float64 { return float64(s.queued.Load()) })
@@ -400,8 +385,7 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 		func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc(MetricBreakerState,
 		"Circuit-breaker state of the model tier (0=closed, 1=half-open, 2=open).",
-		func() float64 { st, _, _ := s.breaker.snapshot(); return float64(st) },
-		obs.L("tier", TierFull.String()))
+		func() float64 { st, _, _ := s.breaker.snapshot(); return float64(st) }, full)
 	if c := s.cache; c != nil {
 		reg.CounterFunc(MetricSplitCacheHits,
 			"Split-cache hits served with zero inference.",
@@ -416,7 +400,6 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 			"Split-cache entries currently resident.",
 			func() float64 { return float64(c.stats().Size) })
 	}
-	s.tel.generation.Set(float64(s.generation.Load()))
 }
 
 // NewServer builds a Server over m. The model is used read-only; training
@@ -534,7 +517,7 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	verdict := OODInProfile
 	if g := s.opts.OOD; g != nil {
 		verdict = g.Classify(p, demand)
-		s.tel.oodVerdicts[verdict].Inc()
+		s.oodVerdicts[verdict].Add(1)
 		if verdict != OODInProfile {
 			sp.Annotate("ood", verdict.String())
 			sp.ForceRetain("ood")
@@ -548,8 +531,7 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	var key cacheKey
 	if s.cache != nil {
 		if verdict != OODInProfile {
-			s.opts.OOD.bypassedCache()
-			s.tel.oodBypasses.Inc()
+			s.oodBypasses.Add(1)
 			sp.Annotate("cache", "ood-bypass")
 		} else {
 			key.topo, key.tm = CacheKey(p, demand, DefaultCacheQuantum)
@@ -587,8 +569,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 		dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: %v", TierFull, why))
 	}
 	if dec.OOD == OODHostile {
-		s.opts.OOD.demoted()
-		s.tel.oodDemotions.Inc()
+		s.oodDemotions.Add(1)
 		degrade("ood hostile")
 		return nil
 	}
@@ -603,12 +584,11 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	ctx, cancel := s.withDeadline(ctx, start)
 	defer cancel()
 	if err := ctx.Err(); err != nil {
-		s.tel.deadlines.Inc()
+		s.deadlines.Add(1)
 		degrade(err)
 		return nil
 	}
 	if !s.breaker.allow() {
-		s.tel.breakerShorts.Inc()
 		degrade("circuit open")
 		return nil
 	}
@@ -616,9 +596,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	defer tsp.End()
 	splits, k, err := s.safeInfer(reqtrace.NewContext(ctx, tsp), m, c, p, demand)
 	if err != nil {
-		if s.breaker.onFailure() {
-			s.tel.breakerTrips.Inc()
-		}
+		s.breaker.onFailure()
 		tsp.SetError(err)
 		degrade(err)
 		return nil
@@ -626,7 +604,7 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 	s.breaker.onSuccess()
 	switch {
 	case k < m.Cfg.RAUIterations:
-		s.tel.deadlines.Inc()
+		s.deadlines.Add(1)
 		degrade(fmt.Sprintf("stopped after %d/%d RAU iterations: %v", k, m.Cfg.RAUIterations, endedBy(ctx)))
 	case s.cache != nil && dec.OOD == OODInProfile:
 		s.cache.put(key, splits)
@@ -673,7 +651,7 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 	s.cacheMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			s.tel.panics.Inc()
+			s.panics.Add(1)
 			ctx, err = nil, fmt.Errorf("panic building context: %v", r)
 		}
 	}()
@@ -690,13 +668,13 @@ func (s *Server) contextFor(m *core.Model, p *te.Problem) (ctx *core.Context, er
 func (s *Server) safeInfer(ctx context.Context, m *core.Model, c *core.Context, p *te.Problem, demand *tensor.Dense) (splits *tensor.Dense, k int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.tel.panics.Inc()
+			s.panics.Add(1)
 			splits, err = nil, fmt.Errorf("inference panic: %v", r)
 		}
 	}()
 	splits, k = m.SplitsCtx(ctx, c, demand)
 	if splits == nil {
-		s.tel.deadlines.Inc()
+		s.deadlines.Add(1)
 		return nil, 0, fmt.Errorf("no RAU iteration finished: %w", endedBy(ctx))
 	}
 	splits, err = VetSplits(p, splits)
@@ -720,19 +698,22 @@ func VetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
 	return splits, nil
 }
 
-// record tallies one answered request: the per-tier counts under statMu,
-// the registry instruments, and the serving SLOs when attached.
+// record tallies one answered request: the per-tier count under statMu,
+// the latency histogram, and the serving SLOs when attached.
 func (s *Server) record(t Tier, start time.Time) {
 	elapsed := time.Since(start)
 	s.statMu.Lock()
 	s.counts[t]++
 	s.statMu.Unlock()
-	s.tel.requests[t].Inc()
-	s.tel.latency[t].Observe(elapsed.Seconds())
-	if t == TierRejected {
-		s.tel.rejects.Inc()
-	}
+	s.latency[t].Observe(elapsed.Seconds())
 	s.opts.SLO.recordServe(t, elapsed)
+}
+
+// tally copies the per-tier counts in one lock acquisition.
+func (s *Server) tally() [numTiers]int64 {
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	return s.counts
 }
 
 // TierCounts returns how many requests each tier has served since the
@@ -741,9 +722,7 @@ func (s *Server) record(t Tier, start time.Time) {
 // sum to the exact number of Serve calls recorded at that instant, even
 // while other goroutines keep serving.
 func (s *Server) TierCounts() map[Tier]int64 {
-	s.statMu.Lock()
-	snap := s.counts
-	s.statMu.Unlock()
+	snap := s.tally()
 	out := make(map[Tier]int64, numTiers)
 	for t := Tier(0); t < numTiers; t++ {
 		out[t] = snap[t]
