@@ -31,7 +31,8 @@ test:
 # race covers the packages with real concurrency: te's once-per-Problem
 # fingerprint-and-validate walk, the autograd/nn layers
 # under core's parallel step, the tunnel computation's
-# per-pair workers (each on its own search scratch), core's parallel train step
+# per-pair workers (each on its own search scratch, all reading one shared
+# read-only distance-to-destination table), core's parallel train step
 # and pooled inference engine, obs's scrape-while-write registry, reqtrace's
 # concurrent annotate/End/export and its stage-histogram feed (named: Go does
 # not descend from ./internal/obs),

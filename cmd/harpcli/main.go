@@ -383,6 +383,11 @@ func mustParse(fs *flag.FlagSet, args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+	// A negative -k panics in tunnels.Compute; 0 builds a set only Validate rejects.
+	if k := fs.Lookup("k"); k != nil && k.Value.(flag.Getter).Get().(int) < 1 {
+		fmt.Fprintf(os.Stderr, "harpcli: -k must be at least 1, got %s\n", k.Value)
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
@@ -74,18 +75,38 @@ func (s *Set) Shuffled(rng *rand.Rand) *Set {
 // IncidenceCSR returns the E×T 0/1 matrix with a 1 where edge e lies on
 // (global) tunnel t. Multiplying it by per-tunnel traffic yields link loads;
 // it is the structural constant both the optimizer and the neural models
-// share.
+// share. Columns arrive in order, so rows come out sorted; an edge listed twice reads 2.
 func (s *Set) IncidenceCSR(numEdges int) *tensor.CSR {
-	var entries []tensor.COO
+	c := &tensor.CSR{Rows: numEdges, Cols: s.NumTunnels(), RowPtr: make([]int, numEdges+1)}
+	at := make([]int, numEdges) // per row: 1 + the last column counted, then the next free slot
 	for f, ts := range s.PerFlow {
 		for k, tun := range ts {
-			col := f*s.K + k
 			for _, e := range tun.Edges {
-				entries = append(entries, tensor.E(e, col, 1))
+				if col := f*s.K + k; at[e] != col+1 {
+					at[e] = col + 1
+					c.RowPtr[e+1]++
+				}
 			}
 		}
 	}
-	return tensor.NewCSR(numEdges, s.NumTunnels(), entries)
+	for e := 0; e < numEdges; e++ {
+		c.RowPtr[e+1] += c.RowPtr[e]
+	}
+	c.ColIdx, c.Val = make([]int, c.RowPtr[numEdges]), make([]float64, c.RowPtr[numEdges])
+	copy(at, c.RowPtr)
+	for f, ts := range s.PerFlow {
+		for k, tun := range ts {
+			for _, e := range tun.Edges {
+				if p, col := at[e], f*s.K+k; p > c.RowPtr[e] && c.ColIdx[p-1] == col {
+					c.Val[p-1]++
+				} else {
+					c.ColIdx[p], c.Val[p] = col, 1
+					at[e]++
+				}
+			}
+		}
+	}
+	return c
 }
 
 // Key returns a canonical string for a tunnel given its graph, used to
@@ -103,45 +124,80 @@ func (t Tunnel) Key(g *topology.Graph) string {
 
 // ---- k-shortest paths (Yen's algorithm over hop count) ----
 
-// outCSR is a graph's out-edge lists in one array: node u's outgoing edge
-// ids are edge[start[u]:start[u+1]]. Read-only once built, so the workers
-// of one ComputeForPairs call share it.
-type outCSR struct{ start, edge []int32 }
+// edgeCSR is a graph's edge ids grouped by node in one array: node u's are
+// edge[start[u]:start[u+1]]. Read-only once built, so the workers of one
+// ComputeForPairs call share it.
+type edgeCSR struct{ start, edge []int32 }
 
-func newOutCSR(g *topology.Graph) outCSR {
-	c := outCSR{start: make([]int32, g.NumNodes+1), edge: make([]int32, len(g.Edges))}
+// newEdgeCSR groups g's edge ids by end(edge): their source or destination.
+func newEdgeCSR(g *topology.Graph, end func(topology.Edge) int) edgeCSR {
+	c := edgeCSR{start: make([]int32, g.NumNodes+1), edge: make([]int32, len(g.Edges))}
 	for _, e := range g.Edges {
-		c.start[e.Src+1]++
+		c.start[end(e)+1]++
 	}
 	for u := 0; u < g.NumNodes; u++ {
 		c.start[u+1] += c.start[u]
 	}
 	fill := append([]int32(nil), c.start[:g.NumNodes]...)
 	for id, e := range g.Edges {
-		c.edge[fill[e.Src]] = int32(id)
-		fill[e.Src]++
+		c.edge[fill[end(e)]] = int32(id)
+		fill[end(e)]++
 	}
 	return c
 }
 
-// pathFinder is one goroutine's scratch for Yen's algorithm on g: the
-// breadth-first search's distance, predecessor-edge and queue arrays, and
+func srcOf(e topology.Edge) int { return e.Src }
+
+// hopsTo returns hops[t][v], the hop distance from v to t in g (−1: none),
+// for every pair's destination t, by one reverse breadth-first search each
+// over one in-edge CSR; other rows are nil. Shared read-only, like edgeCSR.
+func hopsTo(g *topology.Graph, pairs [][2]int) [][]int32 {
+	in, hops := newEdgeCSR(g, func(e topology.Edge) int { return e.Dst }), make([][]int32, g.NumNodes)
+	var queue []int32
+	for _, p := range pairs {
+		t := p[1]
+		if hops[t] != nil {
+			continue
+		}
+		h := make([]int32, g.NumNodes)
+		for v := range h {
+			h[v] = -1
+		}
+		h[t] = 0
+		queue = append(queue[:0], int32(t))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, eid := range in.edge[in.start[v]:in.start[v+1]] {
+				if u := g.Edges[eid].Src; h[u] < 0 {
+					h[u] = h[v] + 1
+					queue = append(queue, int32(u))
+				}
+			}
+		}
+		hops[t] = h
+	}
+	return hops
+}
+
+// pathFinder is one goroutine's scratch for Yen's algorithm on g: the spur
+// search's distance and predecessor-edge arrays, its bucket queue, and
 // three stamp arrays — a node is visited, or a node or edge banned, in the
 // current search exactly when its stamp equals epoch — so starting a search
 // is one increment: nothing is cleared and nothing allocated per spur.
 type pathFinder struct {
 	g                               *topology.Graph
-	out                             outCSR
-	dist, prev, queue               []int32
+	out                             edgeCSR
+	hops, buckets                   [][]int32
+	dist, prev                      []int32
 	visited, bannedNode, bannedEdge []uint32
 	epoch                           uint32
 }
 
-func newPathFinder(g *topology.Graph, out outCSR) *pathFinder {
+func newPathFinder(g *topology.Graph, out edgeCSR, hops [][]int32) *pathFinder {
 	n := g.NumNodes
 	return &pathFinder{
-		g: g, out: out,
-		dist: make([]int32, n), prev: make([]int32, n), queue: make([]int32, 0, n),
+		g: g, out: out, hops: hops,
+		dist: make([]int32, n), prev: make([]int32, n), buckets: make([][]int32, 2*n),
 		visited: make([]uint32, n), bannedNode: make([]uint32, n), bannedEdge: make([]uint32, len(g.Edges)),
 	}
 }
@@ -159,36 +215,46 @@ func (pf *pathFinder) nextEpoch() uint32 {
 
 // search returns root followed by the shortest path (by hop count) from src
 // to dst that avoids the edges and nodes banned in the current epoch, or
-// nil if there is none. Ties are broken by better, which is a strict total
-// order on edges, so the predecessor it keeps for a node — the least edge
-// entering it from the previous level — does not depend on visiting order:
-// a Dijkstra over unit weights settles every node at distance d−1 before
-// it pops one at distance d and so keeps the same edge. The search stops
-// when the level that discovers dst is complete.
+// nil if there is none. Ties are broken by better, a strict total order on
+// edges, so the predecessor kept for a node does not depend on visiting
+// order. Nodes are expanded in order of f = d + h, h = hops[dst], from a
+// bucket per f; a node that cannot reach dst is never enqueued, dst is never
+// expanded, and the search stops once the bucket that discovers dst is
+// drained. It keeps a breadth-first search's predecessors (DESIGN §5i).
 func (pf *pathFinder) search(root []int, src, dst int) []int {
-	if src == dst {
+	h := pf.hops[dst]
+	if src == dst || h[src] < 0 {
 		return nil
 	}
 	g, ep := pf.g, pf.epoch
 	pf.visited[src], pf.dist[src] = ep, 0
-	q := append(pf.queue[:0], int32(src))
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := pf.dist[u]
-		if pf.visited[dst] == ep && du >= pf.dist[dst] {
-			break
-		}
-		for _, eid := range pf.out.edge[pf.out.start[u]:pf.out.start[u+1]] {
-			v := g.Edges[eid].Dst
-			switch {
-			case pf.bannedEdge[eid] == ep || pf.bannedNode[v] == ep:
-			case pf.visited[v] != ep:
-				pf.visited[v], pf.dist[v], pf.prev[v] = ep, du+1, eid
-				q = append(q, int32(v))
-			case pf.dist[v] == du+1 && better(g, int(pf.prev[v]), int(eid)):
-				pf.prev[v] = eid
+	lo, hi := h[src], h[src] // the buckets this search may have filled
+	pf.buckets[lo] = append(pf.buckets[lo], int32(src))
+	for f := lo; f <= hi && pf.visited[dst] != ep; f++ {
+		for i := 0; i < len(pf.buckets[f]); i++ {
+			u := pf.buckets[f][i]
+			du := pf.dist[u]
+			if du+h[u] != f { // re-queued in a lower bucket since
+				continue
+			}
+			for _, eid := range pf.out.edge[pf.out.start[u]:pf.out.start[u+1]] {
+				v := g.Edges[eid].Dst
+				switch {
+				case pf.bannedEdge[eid] == ep || pf.bannedNode[v] == ep || h[v] < 0:
+				case pf.visited[v] != ep || du+1 < pf.dist[v]:
+					pf.visited[v], pf.dist[v], pf.prev[v] = ep, du+1, eid
+					if fv := du + 1 + h[v]; v != dst {
+						pf.buckets[fv] = append(pf.buckets[fv], int32(v))
+						hi = max(hi, fv)
+					}
+				case pf.dist[v] == du+1 && better(g, int(pf.prev[v]), int(eid)):
+					pf.prev[v] = eid
+				}
 			}
 		}
+	}
+	for f := lo; f <= hi; f++ {
+		pf.buckets[f] = pf.buckets[f][:0]
 	}
 	if pf.visited[dst] != ep {
 		return nil
@@ -216,7 +282,7 @@ func better(g *topology.Graph, cur, cand int) bool {
 // from src to dst using Yen's algorithm. Paths are returned shortest first
 // with deterministic ordering.
 func KShortestPaths(g *topology.Graph, src, dst, k int) []Tunnel {
-	return newPathFinder(g, newOutCSR(g)).kShortest(src, dst, k)
+	return newPathFinder(g, newEdgeCSR(g, srcOf), hopsTo(g, [][2]int{{src, dst}})).kShortest(src, dst, k)
 }
 
 func (pf *pathFinder) kShortest(src, dst, k int) []Tunnel {
@@ -319,23 +385,19 @@ func ComputeForPairs(g *topology.Graph, pairs [][2]int, k int) *Set {
 	if workers < 1 {
 		workers = 1
 	}
-	out := newOutCSR(g)
+	out, hops := newEdgeCSR(g, srcOf), hopsTo(g, pairs)
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var next atomic.Int64 // workers claim pairs by index: a channel hand-off per pair costs more than a small graph's Yen
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pf := newPathFinder(g, out)
-			for i := range next {
+			pf := newPathFinder(g, out, hops)
+			for i := int(next.Add(1)) - 1; i < len(pairs); i = int(next.Add(1)) - 1 {
 				results[i] = pf.kShortest(pairs[i][0], pairs[i][1], k)
 			}
 		}()
 	}
-	for i := range pairs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	set := &Set{K: k}

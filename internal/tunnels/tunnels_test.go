@@ -279,6 +279,60 @@ func TestIncidenceCSR(t *testing.T) {
 	}
 }
 
+// referenceIncidence is IncidenceCSR as it was first written: one COO
+// entry per (edge, tunnel) hop, normalized by tensor.NewCSR.
+func referenceIncidence(s *Set, numEdges int) *tensor.CSR {
+	var entries []tensor.COO
+	for f, ts := range s.PerFlow {
+		for k, tun := range ts {
+			for _, e := range tun.Edges {
+				entries = append(entries, tensor.E(e, f*s.K+k, 1))
+			}
+		}
+	}
+	return tensor.NewCSR(numEdges, s.NumTunnels(), entries)
+}
+
+// TestIncidenceCSREqualsNewCSR: the directly built incidence matrix is
+// tensor.NewCSR's over the same entries — on the tunnel sets of every
+// oracle graph and kdl_large, and on a hand-built set whose first tunnel
+// lists an edge twice (summed to 2, as NewCSR sums duplicates).
+func TestIncidenceCSREqualsNewCSR(t *testing.T) {
+	repeated := &Set{
+		Flows:   []Flow{{0, 2}, {1, 2}},
+		PerFlow: [][]Tunnel{{{Edges: []int{0, 2, 0}}, {Edges: []int{1}}}, {{Edges: []int{2, 2}}, {Edges: []int{}}}},
+		K:       2,
+	}
+	type tc struct {
+		name     string
+		set      *Set
+		numEdges int
+	}
+	cases := []tc{{"repeated-edge", repeated, 4}, {"no-tunnels", &Set{K: 3}, 2}}
+	graphs := oracleGraphs()
+	if !testing.Short() {
+		graphs = append(graphs, benchKDL())
+	}
+	for _, g := range graphs {
+		pairs := oraclePairs(g)
+		if g.NumNodes > 500 {
+			pairs = allOrderedPairs(g)
+		}
+		for _, k := range []int{1, 4, 15} {
+			cases = append(cases, tc{fmt.Sprintf("%s/k=%d", g.Name, k), ComputeForPairs(g, pairs, k), g.NumEdges()})
+		}
+	}
+	for _, c := range cases {
+		got, want := c.set.IncidenceCSR(c.numEdges), referenceIncidence(c.set, c.numEdges)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", c.name, got, want)
+		}
+	}
+	if got := repeated.IncidenceCSR(4); got.Val[0] != 2 || got.NNZ() != 4 {
+		t.Fatalf("repeated edge: %+v, want a 2 at (0, 0) and 4 entries", got)
+	}
+}
+
 func TestUnreachablePairOmitted(t *testing.T) {
 	g := topology.New("split", 4)
 	g.AddBidirectional(0, 1, 10)
@@ -288,17 +342,6 @@ func TestUnreachablePairOmitted(t *testing.T) {
 		if (f.Src < 2) != (f.Dst < 2) {
 			t.Fatalf("cross-component flow %v should be omitted", f)
 		}
-	}
-}
-
-func TestKShortestOnKDLScaleSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large topology")
-	}
-	g := topology.KDLScale(2)
-	paths := KShortestPaths(g, 0, g.NumNodes-1, 4)
-	if len(paths) == 0 {
-		t.Fatal("no paths on KDL-scale graph")
 	}
 }
 
@@ -606,39 +649,61 @@ func allOrderedPairs(g *topology.Graph) [][2]int {
 	return pairs
 }
 
+// sample is n seeded (src, dst) pairs of g's nodes, src == dst allowed.
+func sample(g *topology.Graph, n int, seed int64) [][2]int {
+	rng := rand.New(rand.NewSource(seed))
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(g.NumNodes), rng.Intn(g.NumNodes)}
+	}
+	return pairs
+}
+
+// oracleGraphs is every graph the reference oracles run on but kdl_large:
+// the named topologies, the zoo, a GEANT with a failed link, twelve seeded
+// random directed graphs and a UsCarrier-scale graph.
+func oracleGraphs() []*topology.Graph {
+	gs := []*topology.Graph{
+		topology.Abilene(), topology.Geant(), topology.B4(), topology.Ring(7, 10), topology.Grid(4, 3, 10),
+		topology.RandomConnected("r", 14, 2.8, []float64{10, 40}, 7), topology.Geant().WithFailedLink(0, 1),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 12; i++ {
+		gs = append(gs, randomDirected(5+rng.Intn(8), rng))
+	}
+	return append(gs, topology.UsCarrierScale(301))
+}
+
+// oraclePairs is every ordered pair of g's edge nodes, or 60 seeded pairs
+// on a graph too large for that.
+func oraclePairs(g *topology.Graph) [][2]int {
+	if g.NumNodes > 100 {
+		return sample(g, 60, 1)
+	}
+	return allOrderedPairs(g)
+}
+
 // TestKShortestPathsEqualReference: the tunnels are the seed's tunnels —
 // same paths, same order, every pair, k ∈ {1, 2, 4, 8, 15} — on the named
 // topologies, the zoo, the two scale generators, a GEANT with a failed
 // link (FailedCapacity: still an edge, still routed over) and seeded random
-// directed graphs with one-way links and unreachable pairs.
+// directed graphs with one-way links and unreachable pairs. On kdl_large it
+// also covers seeded pairs at k ∈ {8, 15}, where bans force the longest
+// detours and the goal-directed search prunes least, and every flow with
+// the link its k = 4 tunnels use most failed.
 func TestKShortestPathsEqualReference(t *testing.T) {
 	type tc struct {
 		g     *topology.Graph
 		pairs [][2]int
-	}
-	sample := func(g *topology.Graph, n int, seed int64) [][2]int {
-		rng := rand.New(rand.NewSource(seed))
-		pairs := make([][2]int, n)
-		for i := range pairs {
-			pairs[i] = [2]int{rng.Intn(g.NumNodes), rng.Intn(g.NumNodes)}
-		}
-		return pairs
+		ks    []int // nil: 1, 2, 4, 8, 15
 	}
 	var cases []tc
-	for _, g := range []*topology.Graph{
-		topology.Abilene(), topology.Geant(), topology.B4(), topology.Ring(7, 10), topology.Grid(4, 3, 10),
-		topology.RandomConnected("r", 14, 2.8, []float64{10, 40}, 7), topology.Geant().WithFailedLink(0, 1),
-	} {
-		cases = append(cases, tc{g, allOrderedPairs(g)})
+	for _, g := range oracleGraphs() {
+		cases = append(cases, tc{g, oraclePairs(g), nil})
 	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 12; i++ {
-		g := randomDirected(5+rng.Intn(8), rng)
-		cases = append(cases, tc{g, allOrderedPairs(g)})
-	}
-	us := topology.UsCarrierScale(301)
-	cases = append(cases, tc{us, sample(us, 60, 1)})
-	if !testing.Short() && !tensor.RaceEnabled { // the reference alone is a minute under -race
+	if !testing.Short() && !tensor.RaceEnabled { // the reference alone is minutes under -race
+		// The reference takes 5 s per k over every kdl_large flow, and
+		// about 2 ms per pair at k = 15.
 		kdl := benchKDL()
 		var flows [][2]int
 		for _, p := range allOrderedPairs(kdl) {
@@ -646,13 +711,29 @@ func TestKShortestPathsEqualReference(t *testing.T) {
 				flows = append(flows, p)
 			}
 		}
-		cases = append(cases, tc{kdl, flows})
+		uses := make([]int, kdl.NumEdges())
+		for _, ts := range Compute(kdl, 4).PerFlow {
+			for _, tun := range ts {
+				for _, e := range tun.Edges {
+					uses[e]++
+				}
+			}
+		}
+		busiest := 0
+		for e, n := range uses {
+			if n > uses[busiest] {
+				busiest = e
+			}
+		}
+		failed := kdl.WithFailedLink(kdl.Edges[busiest].Src, kdl.Edges[busiest].Dst)
+		cases = append(cases, tc{kdl, flows, []int{4}}, tc{kdl, sample(kdl, 64, 2), []int{8, 15}},
+			tc{failed, flows, []int{4}})
 	}
 	checked, unreachable := 0, 0
 	for _, c := range cases {
-		ks := []int{1, 2, 4, 8, 15}
-		if c.g.NumNodes > 500 {
-			ks = []int{4} // the benchmark's k; the reference takes 5 s per k here
+		ks := c.ks
+		if ks == nil {
+			ks = []int{1, 2, 4, 8, 15}
 		}
 		for _, k := range ks {
 			for _, p := range c.pairs {
@@ -675,13 +756,14 @@ func TestKShortestPathsEqualReference(t *testing.T) {
 }
 
 // TestReusedPathFinderEqualsReference: a ComputeForPairs worker reuses its
-// pathFinder across the pairs it draws, so stamps left by one flow must
-// never leak into the next: one scratch serving every GEANT pair in turn
-// equals the reference pair by pair.
+// pathFinder across the pairs it draws, so stamps and bucket entries left by
+// one flow must never leak into the next: one scratch serving every GEANT
+// pair in turn equals the reference pair by pair.
 func TestReusedPathFinderEqualsReference(t *testing.T) {
 	g := topology.Geant()
-	pf := newPathFinder(g, newOutCSR(g))
-	for _, p := range allOrderedPairs(g) {
+	pairs := allOrderedPairs(g)
+	pf := newPathFinder(g, newEdgeCSR(g, srcOf), hopsTo(g, pairs))
+	for _, p := range pairs {
 		want := referenceKShortestPaths(g, p[0], p[1], 8)
 		if got := pf.kShortest(p[0], p[1], 8); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d→%d on a reused scratch:\n got %v\nwant %v", p[0], p[1], got, want)
@@ -704,6 +786,17 @@ func FuzzKShortestPaths(f *testing.F) {
 	f.Add([]byte{5, 0, 4, 3, 0x12, 0x23, 0x34, 0x41, 0x13, 0x31})
 	f.Add([]byte{3, 0, 2, 8, 0x01, 0x12})
 	f.Add([]byte{9, 8, 0, 15, 0x87, 0x76, 0x65, 0x54, 0x43, 0x32, 0x21, 0x10, 0x80, 0x08, 0x26, 0x62})
+	// dst 0 has one in-edge, from 1, which only 2 reaches: nodes 3–7 cannot
+	// reach it, so no search may enqueue them.
+	f.Add([]byte{6, 2, 0, 4, 0x10, 0x21, 0x34, 0x45, 0x56, 0x67, 0x73, 0x23, 0x53})
+	// A 4-cycle with both chords has 5 loop-free 0→2 paths; k = 16 asks for
+	// more, so Yen runs out of candidates.
+	f.Add([]byte{2, 0, 2, 16, 0x01, 0x10, 0x12, 0x21, 0x23, 0x32, 0x30, 0x03, 0x02, 0x20, 0x13, 0x31})
+	// h is the unbanned distance, so a ban makes it underestimate: the second
+	// 7→3 path spurs from 5 with 7 banned, where 11 still looks 3 hops from 3
+	// (through 7). The search reaches 2 through 4 and 11 at d = 3 before it
+	// expands 6, and must re-queue 2 at d = 2 when it does.
+	f.Add([]byte{10, 7, 3, 2, 0xa3, 0x4b, 0x62, 0x75, 0x01, 0xb7, 0x1a, 0xb2, 0x20, 0x53, 0x56, 0x54})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
