@@ -1,18 +1,24 @@
 // Command harpcli trains, saves, loads and evaluates HARP models from the
 // command line.
 //
+// -topo names one of five built-in topologies: abilene, geant, anonnet (a
+// random 24-node WAN), uscarrier and kdl (the two scale presets).
+//
 // Subcommands:
 //
-//	train -topo geant|abilene|anonnet [-k N] [-tms N] [-epochs N] [-out model.gob]
-//	      [-checkpoint ck.harp] [-resume]
+//	train [-topo NAME | -topofile F] [-tmfile F] [-k N] [-tms N] [-epochs N]
+//	      [-out model.gob] [-checkpoint ck.harp] [-resume]
 //	    Train on synthetic traffic over the chosen topology and report
 //	    NormMLU on a held-out test set; optionally save the model.
+//	    -topofile and -tmfile read a topology and a traffic-matrix series
+//	    in the text formats that dump writes, instead of generating them.
 //	    -checkpoint writes an atomic, CRC-checksummed training checkpoint
 //	    after every epoch; -resume continues a killed run from it
 //	    bit-identically.
 //
-//	eval -model model.gob -topo geant|abilene [-k N] [-tms N] [-fail u,v]
-//	    Load a model and evaluate NormMLU, optionally under a link failure.
+//	eval -model model.gob [-topo NAME] [-k N] [-tms N] [-fail u,v] [-report]
+//	    Load a model and evaluate NormMLU, optionally under a link failure;
+//	    -report prints the operator what-if report for the first matrix.
 //
 // train and eval also accept -cpuprofile/-memprofile to write pprof
 // profiles of the run (see the Performance section of the README), plus
@@ -35,9 +41,14 @@
 //	info -model model.gob
 //	    Print the model configuration and parameter count.
 //
-//	search -topo geant|abilene [-k N] [-tms N] [-epochs N] [-full]
+//	search [-topo NAME] [-k N] [-tms N] [-epochs N] [-full] [-out best.gob]
 //	    Run the Appendix-A.2 hyperparameter grid search and print the
-//	    per-combination validation MLU leaderboard.
+//	    per-combination validation MLU leaderboard; -out saves the winner.
+//
+//	dump -dir DIR [-seed N]
+//	    Write the synthetic AnonNet-like series that tebench fig1, fig3
+//	    and fig15 describe (the small preset) as one cluster<N>.topo and
+//	    one cluster<N>.tms per topology cluster, for -topofile/-tmfile.
 package main
 
 import (
@@ -45,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -53,6 +65,7 @@ import (
 	"harpte/internal/tensor"
 
 	"harpte/internal/core"
+	"harpte/internal/dataset"
 	"harpte/internal/experiments"
 	"harpte/internal/lp"
 	"harpte/internal/obs"
@@ -76,13 +89,15 @@ func main() {
 		cmdInfo(os.Args[2:])
 	case "search":
 		cmdSearch(os.Args[2:])
+	case "dump":
+		cmdDump(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: harpcli <train|eval|info|search> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: harpcli <train|eval|info|search|dump> [flags]")
 	os.Exit(2)
 }
 
@@ -492,4 +507,48 @@ func gridLabel(full bool) string {
 		return "the paper's 144-point grid"
 	}
 	return "the 8-point quick grid"
+}
+
+// cmdDump writes, per cluster of the small AnonNet-like series, the base
+// topology (cluster<N>.topo) and the traffic matrices of its snapshots
+// (cluster<N>.tms) in the text formats of internal/topology and
+// internal/traffic, which train's -topofile and -tmfile read back.
+func cmdDump(args []string) {
+	fs := flag.NewFlagSet("dump", flag.ExitOnError)
+	dir := fs.String("dir", "", "directory to write the cluster files to")
+	seed := fs.Int64("seed", 1, "dataset seed")
+	mustParse(fs, args)
+	if *dir == "" {
+		fatal(fmt.Errorf("dump requires -dir"))
+	}
+	cfg := experiments.AnonNetConfig(experiments.Small)
+	cfg.Seed = *seed
+	ds := dataset.Generate(cfg)
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
+		fatal(err)
+	}
+	for _, c := range ds.Clusters {
+		var tms []*tensor.Dense
+		for _, si := range c.Snapshots {
+			tms = append(tms, ds.Snapshots[si].TM)
+		}
+		name := filepath.Join(*dir, fmt.Sprintf("cluster%02d", c.ID))
+		writeFile(name+".topo", func(f *os.File) error { return topology.Write(f, c.Base) })
+		writeFile(name+".tms", func(f *os.File) error { return traffic.WriteTMs(f, tms) })
+	}
+	fmt.Printf("%d snapshots in %d clusters written to %s\n", len(ds.Snapshots), len(ds.Clusters), *dir)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(*os.File) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := write(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
 }

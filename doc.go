@@ -10,9 +10,12 @@
 //
 //   - cmd/tebench regenerates every table and figure of the paper (the one
 //     entry point for them),
-//   - cmd/harpcli trains/evaluates HARP models,
-//   - cmd/tegen generates and inspects synthetic datasets,
-//   - examples/ holds runnable walkthroughs of the library API,
+//   - cmd/harpcli trains/evaluates HARP models and dumps the synthetic
+//     dataset as text files,
+//   - cmd/tereplay replays a changing-topology trace through the serving
+//     stack,
+//   - the Example functions of internal/core, fleet, te, tunnels and lp
+//     are runnable walkthroughs of the library API (go test -run Example),
 //   - bench_test.go holds the ablation, LP-solver, fairness and dataset
 //     benchmarks; `make bench` writes the micro-ledger BENCH_1.json.
 //
