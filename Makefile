@@ -79,9 +79,11 @@ benchsmoke:
 # bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT (462),
 # and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit) and building
 # one (/build), and the tunnel computation that precedes the first of them
-# on a new topology (ComputeTunnels/*). See the Performance section of the
-# README.
-BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core ./internal/tunnels
+# on a new topology (ComputeTunnels/*); and the split-cache hit those
+# problems are served from on a repeat — its key (CacheKey/*) and the whole
+# hit through the dispatcher (ServeHit/*). See the Performance section of
+# the README.
+BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core ./internal/tunnels ./internal/resilience ./internal/fleet
 BENCH_CMD = $(GO) test -run='^$$' -bench=. -benchmem -count 5 $(BENCH_PKGS)
 bench:
 	$(BENCH_CMD) | $(GO) run ./cmd/benchjson -out BENCH_1.json -cmd "$(BENCH_CMD)"

@@ -24,8 +24,10 @@
 //
 //   - Fleet-wide graceful degradation. Replica answers are vetted
 //     (resilience.VetSplits) before they win — a byzantine replica
-//     returning NaN or wrong-shape splits counts as a failure. When zero
-//     replicas produce a vetted answer within the deadline, the
+//     returning NaN or wrong-shape splits counts as a failure. The one
+//     exception is an answer its in-process server (Local) vetted itself:
+//     a model answer or a cache hit, never ECMP and never a wrapper's.
+//     When zero replicas produce a vetted answer within the deadline, the
 //     dispatcher computes ECMP splits locally (pure arithmetic on the
 //     already-validated input) and returns them with a typed
 //     ErrNoReplicas, so callers always get routable ratios plus an
@@ -288,8 +290,10 @@ func (f *Fleet) Serve(p *te.Problem, demand *tensor.Dense) Decision {
 
 // ServeCtx dispatches one request: validate locally, try replicas (hedging
 // past slow ones, failing over past broken ones, spending the retry
-// budget), vet every answer, and fall back to a locally computed ECMP
-// answer with ErrNoReplicas when the fleet cannot answer in time.
+// budget), vet every answer no in-process server vetted already — a Local
+// replica's TierFull and TierCached answers pass the server's own vet, and
+// everything else is vetted here — and fall back to a locally computed
+// ECMP answer with ErrNoReplicas when the fleet cannot answer in time.
 //
 // Every attempt runs under ctx narrowed to Options.Deadline; once it is
 // done the request resolves to the local ECMP answer with an error wrapping
@@ -433,9 +437,9 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 }
 
 // attempt runs one request against one replica under the per-try timeout
-// and a recover guard, vets the answer, and feeds the replica's health
-// state machine. A nil error return means the Decision holds vetted,
-// routable splits.
+// and a recover guard, vets the answer unless its own in-process server
+// already did (selfVetted), and feeds the replica's health state machine.
+// A nil error return means the Decision holds vetted, routable splits.
 func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *tensor.Dense) (dec resilience.Decision, err error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
@@ -479,15 +483,34 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 		}
 		return resilience.Decision{}, dec.Err
 	default:
-		if _, err := resilience.VetSplits(p, dec.Splits); err != nil {
-			// Byzantine answer: NaN, wrong shape, negative mass, a row
-			// off 1. The replica is lying, which is worse than being down.
-			f.onFailure(r)
-			return resilience.Decision{}, fmt.Errorf("byzantine answer: %w", err)
+		if !selfVetted(r.backend, dec.Tier) {
+			if _, err := vetSplits(p, dec.Splits); err != nil {
+				// Byzantine answer: NaN, wrong shape, negative mass, a
+				// row off 1. The replica is lying, which is worse than
+				// being down.
+				f.onFailure(r)
+				return resilience.Decision{}, fmt.Errorf("byzantine answer: %w", err)
+			}
 		}
 		f.onSuccess(r)
 		return dec, nil
 	}
+}
+
+// vetSplits is the dispatcher's output vet, resilience.VetSplits; a
+// variable only so tests can count the answers it reads.
+var vetSplits = resilience.VetSplits
+
+// selfVetted reports whether an answer was already vetted by the server
+// that produced it, so the dispatcher need not read it again. Only the
+// fleet's own concrete Local type qualifies — never a wrapper around one
+// and never any other Replica, whatever it claims — and only at the tiers
+// a resilience.Server vets itself: every TierFull answer passes VetSplits
+// inside the server, and only those enter its split cache, so TierCached
+// answers did too. A Local ECMP answer is vetted here like any other.
+func selfVetted(b Replica, t resilience.Tier) bool {
+	_, local := b.(Local)
+	return local && (t == resilience.TierFull || t == resilience.TierCached)
 }
 
 // fallback resolves a request the fleet could not answer: a locally

@@ -11,11 +11,14 @@ import (
 	"testing"
 	"time"
 
+	chaosreplica "harpte/internal/chaos/replica"
+	"harpte/internal/core"
 	"harpte/internal/obs"
 	"harpte/internal/resilience"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
 	"harpte/internal/topology"
+	"harpte/internal/traffic"
 	"harpte/internal/tunnels"
 )
 
@@ -281,6 +284,93 @@ func TestFleetByzantineAnswerRejected(t *testing.T) {
 	}
 	if got := f.ReplicaHealth(0); got != Quarantined {
 		t.Fatalf("byzantine replica health %v, want quarantined", got)
+	}
+}
+
+// countVets swaps the dispatcher's vet for one that counts the answers it
+// reads, until the test ends.
+func countVets(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	orig := vetSplits
+	vetSplits = func(p *te.Problem, s *tensor.Dense) (*tensor.Dense, error) {
+		n.Add(1)
+		return orig(p, s)
+	}
+	t.Cleanup(func() { vetSplits = orig })
+	return &n
+}
+
+// TestFleetVetsOnlyForeignAnswers pins the dispatcher's trust boundary: it
+// takes a Local server's model answers and cache hits unread, because the
+// server vetted them, and vets everything else — (a) a Local server's ECMP
+// answer after its poisoned model failed the server's own vet, (b) any
+// answer through a chaos/replica wrapper around a Local, lying or honest,
+// and (c) a Local ECMP answer is counted by the vet like a foreign one.
+func TestFleetVetsOnlyForeignAnswers(t *testing.T) {
+	p := twoPathProblem()
+	d := demand(p, 4, 2)
+	vets := countVets(t)
+	opts := Options{Deadline: time.Second, RetryBudget: 1}
+
+	healthy := Local{S: resilience.NewServer(core.New(tinyConfig()), resilience.Options{CacheEntries: 8})}
+	f := New([]Replica{healthy}, opts)
+	defer f.Close()
+	for _, want := range []resilience.Tier{resilience.TierFull, resilience.TierCached} {
+		dec := f.Serve(p, d)
+		if dec.Err != nil || dec.Tier != want {
+			t.Fatalf("healthy Local: tier %v err %v, want %v", dec.Tier, dec.Err, want)
+		}
+		assertValidSplits(t, p, dec.Splits)
+	}
+	if n := vets.Load(); n != 0 {
+		t.Fatalf("the fleet re-vetted %d answers its Local server vetted", n)
+	}
+
+	// (a) + (c): one NaN weight makes every model answer NaN. The server's
+	// vet refuses it and answers ECMP, which the fleet vets and serves.
+	m := core.New(tinyConfig())
+	m.Params()[0].Val.Data[0] = math.NaN()
+	poisoned := Local{S: resilience.NewServer(m, resilience.Options{CacheEntries: 8})}
+	f = New([]Replica{poisoned}, opts)
+	defer f.Close()
+	dec := f.Serve(p, d)
+	if dec.Err != nil || dec.Tier != resilience.TierECMP || dec.Replica != 0 {
+		t.Fatalf("poisoned Local: tier %v replica %d err %v, want its ECMP answer", dec.Tier, dec.Replica, dec.Err)
+	}
+	assertValidSplits(t, p, dec.Splits)
+	if n := vets.Load(); n != 1 {
+		t.Fatalf("vet read %d answers, want 1: the Local ECMP answer", n)
+	}
+
+	// (b): the same server behind a byzantine plan. Its NaN answer claims
+	// TierFull, but the wrapper is not a Local, so the vet rejects it and
+	// the request fails over to the healthy Local, whose cache hit is
+	// taken unread.
+	liar := chaosreplica.New(poisoned, chaosreplica.Plan{Seed: 1, CrashAfter: -1, PNaN: 1})
+	f = New([]Replica{liar, healthy}, opts)
+	defer f.Close()
+	dec = f.Serve(p, d)
+	if dec.Err != nil || dec.Replica != 1 || dec.Tier != resilience.TierCached {
+		t.Fatalf("byzantine wrapper: replica %d tier %v err %v, want failover to replica 1's cache", dec.Replica, dec.Tier, dec.Err)
+	}
+	if dec.Retries != 1 || liar.Calls() != 1 || f.ReplicaHealth(0) != Degraded {
+		t.Fatalf("retries %d, wrapper asked %d times, its health %v: want one rejected answer",
+			dec.Retries, liar.Calls(), f.ReplicaHealth(0))
+	}
+	if n := vets.Load(); n != 2 {
+		t.Fatalf("vet read %d answers, want 2", n)
+	}
+
+	// An honest wrapper around the healthy Local is still vetted: trust
+	// goes to the concrete type, not to what it wraps.
+	f = New([]Replica{chaosreplica.New(healthy, chaosreplica.Plan{Seed: 1, CrashAfter: -1})}, opts)
+	defer f.Close()
+	if dec = f.Serve(p, d); dec.Err != nil || dec.Tier != resilience.TierCached {
+		t.Fatalf("honest wrapper: tier %v err %v", dec.Tier, dec.Err)
+	}
+	if n := vets.Load(); n != 3 {
+		t.Fatalf("vet read %d answers, want 3: the wrapped cache hit", n)
 	}
 }
 
@@ -652,5 +742,42 @@ func TestFleetTelemetryExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// BenchmarkServeHit is one split-cache hit served through the dispatcher
+// as the benchmark's hot_cache workload serves it: fleet (sharded by
+// topology) → Local → resilience.Server, on a gravity TM shaped like the
+// benchmark's — every ordered pair of edge nodes, 4 tunnels per flow,
+// capped at 35 % of every node's access capacity.
+func BenchmarkServeHit(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    func() *topology.Graph
+	}{{"Abilene", topology.Abilene}, {"Geant", topology.Geant}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			p := te.NewProblem(g, tunnels.Compute(g, 4))
+			var capacity float64
+			for _, e := range g.Edges {
+				capacity += e.Capacity
+			}
+			cfg := traffic.SeriesConfig{Total: 0.25 * capacity, DiurnalPeriod: 48, DiurnalAmplitude: 0.3, NoiseSigma: 0.3}
+			d := traffic.DemandVector(traffic.CapToAccess(traffic.Series(g, 1, cfg, 1)[0], g, 0.35), p.Tunnels.Flows)
+			srv := resilience.NewServer(core.New(core.DefaultConfig()), resilience.Options{CacheEntries: 256, Deadline: 5 * time.Second})
+			f := New([]Replica{Local{S: srv}}, Options{ShardByTopology: true, Deadline: 10 * time.Second})
+			defer f.Close()
+			if dec := f.Serve(p, d); dec.Err != nil || dec.Tier != resilience.TierFull {
+				b.Fatalf("cold request: tier %v err %v", dec.Tier, dec.Err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dec := f.Serve(p, d); dec.Tier != resilience.TierCached {
+					b.Fatalf("request %d: tier %v, want a cache hit", i, dec.Tier)
+				}
+			}
+			b.ReportMetric(float64(p.NumFlows()), "flows")
+		})
 	}
 }

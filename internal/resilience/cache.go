@@ -14,6 +14,13 @@ package resilience
 // inference for the colliding demand — the epsilon bound
 // TestSplitCacheEpsilonBound measures.
 //
+// The key costs one pass over the demand for its peak and one more for
+// the buckets, each folded into the hash with a single multiply–xorshift
+// (mix64). A hit is not vetted again on the way out: the entry was vetted
+// (VetSplits) before put, so the server returns it as it is, and a fleet
+// takes a hit from its own in-process server (fleet.Local) without a
+// second vet; only answers through other replicas are vetted again.
+//
 // Cached matrices are shared read-only across hits. Nothing on the serving
 // path writes to a matrix it did not allocate: VetSplits only reads, and
 // callers of Serve treat Decision.Splits as read-only. Put stores a private
@@ -95,22 +102,25 @@ func tmHash(demand *tensor.Dense, quantum float64) uint64 {
 	// scale differs by more than one quantum step cannot collide even when
 	// their shapes quantize identically.
 	h = mix64(h, uint64(int64(math.Round(math.Log(dmax)/math.Log1p(quantum)))))
-	step := quantum * dmax
+	// Per-flow buckets of quantum·dmax, by a multiply with the hoisted
+	// reciprocal: it can differ from v/step in the last bit, which moves
+	// only a value within an ulp of a bucket edge, and always the same way.
+	inv := 1 / (quantum * dmax)
 	for _, v := range demand.Data {
-		h = mix64(h, uint64(int64(math.Round(v/step))))
+		h = mix64(h, uint64(int64(math.Round(v*inv))))
 	}
 	return h
 }
 
-// mix64 folds one 64-bit value into an FNV-1a state byte-wise, matching
-// hash/fnv's mixing without its allocation.
+// mix64 folds one 64-bit value into the running hash with one
+// multiply–xorshift, the mixer core's weights stamp uses. Each step is a
+// bijection of the state (xor with v, multiply by an odd constant,
+// xorshift), so two bucket sequences of one length that differ in a single
+// bucket never collide: the states part at that bucket and every later
+// step keeps them apart.
 func mix64(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for s := 0; s < 64; s += 8 {
-		h ^= (v >> s) & 0xff
-		h *= prime
-	}
-	return h
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // CacheKey returns the (topology, quantized-TM) cache key for a request as

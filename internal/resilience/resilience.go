@@ -443,7 +443,9 @@ func ValidateInput(p *te.Problem, demand *tensor.Dense) error {
 		return fail("demand has %d entries, want one per flow (%d)", len(demand.Data), p.NumFlows())
 	}
 	for i, v := range demand.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		// One compare rejects NaN (every compare is false), ±Inf and
+		// negatives; -0 passes, as it always has.
+		if !(v >= 0 && v <= math.MaxFloat64) {
 			return fail("demand[%d] = %v", i, v)
 		}
 	}

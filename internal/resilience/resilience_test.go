@@ -107,6 +107,33 @@ func TestServeRejectsMalformedInput(t *testing.T) {
 	}
 }
 
+// TestValidateInputDemandMessages pins the demand check's verdicts: NaN,
+// ±Inf and negatives are refused with the message they always had, and -0
+// and the largest finite demand pass.
+func TestValidateInputDemandMessages(t *testing.T) {
+	p := twoPathProblem()
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{math.NaN(), "resilience: invalid input: demand[1] = NaN"},
+		{math.Inf(1), "resilience: invalid input: demand[1] = +Inf"},
+		{math.Inf(-1), "resilience: invalid input: demand[1] = -Inf"},
+		{-2.5, "resilience: invalid input: demand[1] = -2.5"},
+		{-math.SmallestNonzeroFloat64, "resilience: invalid input: demand[1] = -5e-324"},
+		{math.Copysign(0, -1), ""},
+		{math.MaxFloat64, ""},
+	} {
+		got := ""
+		if err := ValidateInput(p, demand(p, 3, c.v)); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("demand %v: got %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
 func TestValidateInputTunnelEdgeOutOfRange(t *testing.T) {
 	g := topology.New("bad", 2)
 	g.AddBidirectional(0, 1, 10)

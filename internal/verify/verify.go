@@ -33,10 +33,12 @@ func CheckSplits(p *te.Problem, splits *tensor.Dense, tol float64) error {
 		row := splits.Row(f)
 		var s float64
 		for k, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("verify: split[%d,%d] = %v is not finite", f, k, v)
-			}
-			if v < 0 {
+			// One compare per entry: false for NaN, ±Inf and negatives.
+			// Which of them it was is asked only on the way out.
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("verify: split[%d,%d] = %v is not finite", f, k, v)
+				}
 				return fmt.Errorf("verify: split[%d,%d] = %g is negative", f, k, v)
 			}
 			s += v

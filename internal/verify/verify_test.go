@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -216,6 +217,57 @@ func TestCheckRoutingAcceptsLPOptima(t *testing.T) {
 		if err := CheckRouting(p, res.Splits, d); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
+	}
+}
+
+// TestCheckSplitsMessages pins every CheckSplits verdict byte for byte: the
+// one-compare entry test must reject NaN, ±Inf and negatives with the
+// message each always had, and accept -0 and the largest finite value
+// (which then fails its row sum).
+func TestCheckSplitsMessages(t *testing.T) {
+	p, _ := randomInstance(0, 3)
+	f, k := p.NumFlows(), p.Tunnels.K
+	for _, c := range []struct {
+		name string
+		edit func(s *tensor.Dense) *tensor.Dense
+		want string
+	}{
+		{"valid", func(s *tensor.Dense) *tensor.Dense { return s }, ""},
+		{"negative-zero", func(s *tensor.Dense) *tensor.Dense {
+			copy(s.Row(1), []float64{1, math.Copysign(0, -1), 0})
+			return s
+		}, ""},
+		{"shape", func(*tensor.Dense) *tensor.Dense { return tensor.New(1, 1) },
+			fmt.Sprintf("verify: splits shape 1x1, want %dx%d", f, k)},
+		{"nan", func(s *tensor.Dense) *tensor.Dense { s.Row(0)[1] = math.NaN(); return s },
+			"verify: split[0,1] = NaN is not finite"},
+		{"plus-inf", func(s *tensor.Dense) *tensor.Dense { s.Row(2)[0] = math.Inf(1); return s },
+			"verify: split[2,0] = +Inf is not finite"},
+		{"minus-inf", func(s *tensor.Dense) *tensor.Dense { s.Row(2)[2] = math.Inf(-1); return s },
+			"verify: split[2,2] = -Inf is not finite"},
+		{"negative", func(s *tensor.Dense) *tensor.Dense { s.Row(1)[2] = -0.25; return s },
+			"verify: split[1,2] = -0.25 is negative"},
+		{"tiny-negative", func(s *tensor.Dense) *tensor.Dense { s.Row(3)[0] = -1e-300; return s },
+			"verify: split[3,0] = -1e-300 is negative"},
+		{"first-bad-entry-wins", func(s *tensor.Dense) *tensor.Dense {
+			s.Row(0)[2], s.Row(1)[0] = -1, math.NaN()
+			return s
+		}, "verify: split[0,2] = -1 is negative"},
+		{"max-float", func(s *tensor.Dense) *tensor.Dense { s.Row(0)[0] = math.MaxFloat64; return s },
+			"verify: splits row 0 sums to 1.79769313486e+308, want 1"},
+		{"row-sum", func(s *tensor.Dense) *tensor.Dense { s.Row(1)[0] += 0.5; return s },
+			"verify: splits row 1 sums to 1.5, want 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := CheckSplits(p, c.edit(p.UniformSplits()), DefaultTol)
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Fatalf("got %q, want %q", got, c.want)
+			}
+		})
 	}
 }
 
