@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -429,6 +431,109 @@ func TestSplitsCtxBitIdenticalAtEveryStop(t *testing.T) {
 		t.Fatalf("no-RAU model polled its context %d times", stop.polls)
 	}
 	assertSameBits(t, "no-RAU model under a done context", got, tapeSplits(bare, ctx, d))
+}
+
+// TestRAUAccumulatorCarriesOver: whatever per-tunnel state the RAU keeps
+// between calls on a kept plan, an answer must not depend on what an earlier
+// call left behind. On all-pairs GEANT one Context serves a series of
+// distinct demands, every other one the reverse of the one before (51 − d,
+// as kdl-ties does) so that bottlenecks move between calls. Between two of
+// them come calls stopped after 1, 2 and 3 iterations, a call on a second
+// Context of equal scratch shape (a capacity variant: the same tunnels, other
+// plan rows), and a write to the RAU first layer's bottleneck block W0[r:2r].
+// Every answer is held to the tape. The references are all computed first,
+// and the series runs on one P with the GC off — a tape forward's garbage
+// empties the pool — and checks that every call is handed the same scratch,
+// so that there is something to carry over.
+func TestRAUAccumulatorCarriesOver(t *testing.T) {
+	p := allPairsProblem(topology.Geant())
+	m, ctx, _ := largeBench(p, 7)
+	rng := rand.New(rand.NewSource(11))
+	demands := make([]*tensor.Dense, 8)
+	for i := range demands {
+		d := tensor.New(p.NumFlows(), 1)
+		for j := range d.Data {
+			if i%2 == 1 {
+				d.Data[j] = 51 - demands[i-1].Data[j]
+			} else {
+				d.Data[j] = 1 + 50*rng.Float64()
+			}
+		}
+		demands[i] = d
+	}
+	g := p.Graph.Clone()
+	for i := range g.Edges {
+		g.Edges[i].Capacity *= 1 + float64(i%3)/2
+	}
+	variant := m.Context(te.NewProblem(g, p.Tunnels))
+	if a, b := ctx.inner, variant.inner; len(a.tokenIdx) != len(b.tokenIdx) || a.maxSeg != b.maxSeg {
+		t.Fatalf("capacity variant changed the scratch shape: %d/%d tokens, longest %d/%d", len(a.tokenIdx), len(b.tokenIdx), a.maxSeg, b.maxSeg)
+	}
+
+	type step struct {
+		what  string
+		write bool // the bottleneck-block write, made before the call
+		ctx   *Context
+		d     *tensor.Dense
+		stop  int // iterations the call may run, 0 for all
+		want  *tensor.Dense
+	}
+	var steps []step
+	for i, d := range demands {
+		steps = append(steps, step{what: fmt.Sprintf("demand %d", i), write: i == 6, ctx: ctx, d: d})
+		switch i {
+		case 1:
+			for k := 1; k <= 3; k++ {
+				steps = append(steps, step{what: fmt.Sprintf("demand %d stopped after %d iterations", k, k), ctx: ctx, d: demands[k], stop: k})
+			}
+		case 3:
+			steps = append(steps, step{what: "capacity variant", ctx: variant, d: d})
+		}
+	}
+	bottleneck := m.rau.Layers[0].W.Val.Row(m.Cfg.EmbedDim + 3)
+	orig := bottleneck[5]
+	for i := range steps {
+		s := &steps[i]
+		if s.write {
+			bottleneck[5] += 0.25
+		}
+		ref := m
+		if s.stop > 0 {
+			ref = m.shadow()
+			ref.Cfg.RAUIterations = s.stop
+		}
+		s.want = tapeSplits(ref, s.ctx, s.d)
+	}
+	bottleneck[5] = orig
+
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	}()
+	var first *inferScratch
+	for _, s := range steps {
+		if s.write {
+			bottleneck[5] += 0.25
+		}
+		var c context.Context = context.Background()
+		if s.stop > 0 {
+			c = &stopAfter{Context: c, left: s.stop}
+		}
+		got, _ := m.SplitsCtx(c, s.ctx, s.d)
+		assertSameBits(t, s.what, got, s.want)
+		// Under -race a Pool drops a quarter of what it is given.
+		if !tensor.RaceEnabled {
+			sc := inferScratches.Get().(*inferScratch)
+			inferScratches.Put(sc)
+			if first == nil {
+				first = sc
+			} else if sc != first {
+				t.Fatalf("%s ran on another scratch than the series began on: nothing was carried over", s.what)
+			}
+		}
+	}
 }
 
 // TestPlanNeverStale: a kept plan is valid by the content of the weights,
