@@ -409,7 +409,14 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 				}
 				f.served.Add(1)
 				dsp.AnnotateInt("served_by", int64(out.rep.id))
+				// The failed attempts' notes come first, then the winner's;
+				// with none (the common case) the winner's slice is taken
+				// as it is, without a copy.
+				failed := dec.Degraded
 				dec.Decision = out.dec
+				if len(failed) > 0 {
+					dec.Degraded = append(failed, out.dec.Degraded...)
+				}
 				dec.Replica = out.rep.id
 				return dec
 			}

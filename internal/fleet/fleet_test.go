@@ -361,6 +361,10 @@ func TestFleetVetsOnlyForeignAnswers(t *testing.T) {
 	if n := vets.Load(); n != 2 {
 		t.Fatalf("vet read %d answers, want 2", n)
 	}
+	// The winner's Decision does not erase why the first attempt lost.
+	if len(dec.Degraded) == 0 || !strings.HasPrefix(dec.Degraded[0], "replica 0: byzantine answer") {
+		t.Fatalf("byzantine wrapper: degraded %q, want the rejected attempt's note first", dec.Degraded)
+	}
 
 	// An honest wrapper around the healthy Local is still vetted: trust
 	// goes to the concrete type, not to what it wraps.
