@@ -77,8 +77,9 @@ benchsmoke:
 # (call, problem), each stating its size: the matmul kernels and the tape by
 # shape, one training step on Abilene, one inference on the problems
 # bench/workloads.go serves — all-pairs Abilene (132 flows) and GEANT (462),
-# and KDL-scale (754 nodes, 2,256 flows) — on a kept plan (/hit) and building
-# one (/build), and the tunnel computation that precedes the first of them
+# and KDL-scale (754 nodes, 2,256 flows) — on a kept plan replaying one
+# demand (/hit) and cycling through 16 (/series), and building one (/build),
+# and the tunnel computation that precedes the first of them
 # on a new topology (ComputeTunnels/*); and the split-cache hit those
 # problems are served from on a repeat — its key (CacheKey/*) and the whole
 # hit through the dispatcher (ServeHit/*). See the Performance section of

@@ -29,13 +29,21 @@ const kdlServingDeadline = 500 * time.Millisecond
 // untrained (benchmarks measure the forward pass, not answer quality).
 func largeBench(p *te.Problem, seed int64) (*Model, *Context, *tensor.Dense) {
 	m := New(DefaultConfig())
-	ctx := m.Context(p)
+	return m, m.Context(p), benchDemands(p, seed, 1)[0]
+}
+
+// benchDemands draws n demands from one generator, every flow's uniform on
+// [1, 51); the first is largeBench's for the same seed.
+func benchDemands(p *te.Problem, seed int64, n int) []*tensor.Dense {
 	rng := rand.New(rand.NewSource(seed))
-	d := tensor.New(p.NumFlows(), 1)
-	for i := range d.Data {
-		d.Data[i] = 1 + 50*rng.Float64()
+	ds := make([]*tensor.Dense, n)
+	for i := range ds {
+		ds[i] = tensor.New(p.NumFlows(), 1)
+		for j := range ds[i].Data {
+			ds[i].Data[j] = 1 + 50*rng.Float64()
+		}
 	}
-	return m, ctx, d
+	return ds
 }
 
 // kdlProblem builds a KDL-scale (754-node) problem with n random flows and
@@ -80,9 +88,11 @@ func benchKDLProblem() *te.Problem {
 	return allPairsProblem(g)
 }
 
-// benchSplits times one Splits call two ways: hit, on a Context the engine
-// holds the plan of (a same-topology request), and build, on a Context it
-// has never seen (a new topology: the embedding is part of the call).
+// benchSplits times one Splits call three ways: hit, on a Context the engine
+// holds the plan of (a same-topology request); series, the same but cycling
+// through 16 distinct demands, so that no state kept from the last call can
+// match this one better than a new demand lets it; and build, on a Context
+// it has never seen (a new topology: the embedding is part of the call).
 func benchSplits(b *testing.B, p *te.Problem) {
 	m, ctx, d := largeBench(p, 302)
 	report := func(b *testing.B) {
@@ -95,6 +105,18 @@ func benchSplits(b *testing.B, p *te.Problem) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Splits(ctx, d)
+		}
+		report(b)
+	})
+	b.Run("series", func(b *testing.B) {
+		ds := benchDemands(p, 302, 16)
+		for _, d := range ds {
+			m.Splits(ctx, d)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Splits(ctx, ds[i%len(ds)])
 		}
 		report(b)
 	})
