@@ -58,13 +58,20 @@ package core
 //     summation order, and the block size cannot show in a bit.
 //   - A plan hit reads the very values a build computed: the same kernels,
 //     a continued accumulation.
+//   - The RAU reads a tunnel's accumulator from that tunnel's own row of
+//     rauAcc, which is a byte copy of the plan's rauTok row for the
+//     bottleneck token, re-copied whenever the token differs from the one
+//     it holds (that pass reads the rauTok row itself) and forgotten by
+//     every build: the values are rauTok's, so the contract is unchanged;
+//     only where they are read from moved.
 //
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
 // Context and on a cached plan against Forward on a gradient tape, tunnels
 // laid across every kind of block edge among them —
 // TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
-// non-finite operands included, and TestPlanNeverStale that no write to the
-// weights survives in a plan.
+// non-finite operands included, TestPlanNeverStale that no write to the
+// weights survives in a plan, and TestRAUAccumulatorCarriesOver that no
+// per-tunnel row survives its plan or its bottleneck token.
 //
 // Every RAU iteration ends in the per-flow softmax, so every iterate is a
 // routable answer: SplitsCtx returns the one it has when its context is
@@ -112,6 +119,13 @@ type inferScratch struct {
 	planWeights uint64
 	rauTok      *tensor.Dense // numTokens×HR: RAU first layer after the tunnelEmb and bottleneckEmb columns, were that token the bottleneck
 	mlp1Prefix  *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
+	// rauAcc row t is a copy of the rauTok row of token rauAccTok[t] (−1:
+	// none yet), the one the RAU last read for tunnel t. The RAU reads it
+	// as a stream in tunnel order and copies a row in only when the
+	// tunnel's bottleneck token moves, which it rarely does from one
+	// iteration, or one request, to the next.
+	rauAcc    *tensor.Dense // T×HR
+	rauAccTok []int32
 
 	blk planBlock
 
@@ -191,6 +205,8 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.planCtx = nil
 	sc.rauTok = tensor.New(key.tokens, key.hr)
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
+	sc.rauAcc = tensor.New(key.t, key.hr)
+	sc.rauAccTok = make([]int32, key.t)
 	sc.blk = newPlanBlock(key)
 	sc.feat = tensor.New(key.t, 1)
 	sc.load = tensor.New(key.t, 1)
@@ -244,12 +260,16 @@ func (m *Model) weightsStamp() uint64 {
 // distinct row of [edgeEmb ; cls], run on a pooled tape, over E+1 rows. The
 // rest of SETTRANS runs one block of whole tunnels at a time (encode), each
 // block's plan rows are written from the block, and the embedding h never
-// exists as a matrix. The stamp is cleared first and set last, so a build
-// that panics leaves no plan behind rather than half of one. It takes no
-// context on purpose: a build is bounded and every later request reads it,
-// and cancelling one would turn any deadline shorter than a build into "no
-// plan, ever" on a changed topology.
+// exists as a matrix. The RAU's per-tunnel rows are forgotten and the stamp
+// cleared first, and the stamp set last, so a build that panics leaves no
+// plan behind rather than half of one, nor a row of an older plan. It takes
+// no context on purpose: a build is bounded and every later request reads
+// it, and cancelling one would turn any deadline shorter than a build into
+// "no plan, ever" on a changed topology.
 func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp *reqtrace.Span) {
+	for t := range sc.rauAccTok {
+		sc.rauAccTok[t] = -1 // no row outlives the plan it was copied from
+	}
 	sc.planCtx = nil
 	tp := embedTapes.Get().(*autograd.Tape)
 	gsp := sp.StartChild("forward.gnn")
@@ -381,11 +401,11 @@ func accColumn(dst *tensor.Dense, col, wrow []float64) {
 }
 
 // rauRow runs one tunnel through the rest of the RAU's two-layer MLP. acc is
-// the tunnel's first-layer accumulator after the embedding columns (a row of
-// the plan's rauTok, read-only), in the five scalar inputs that follow them,
-// w0 the five rows of the first layer's weights those inputs meet (stride
-// len(acc)), b0 its bias, w1 (len(acc)×2) and b1 the output layer. It
-// returns the two outputs, bit-identical to running the row through
+// the tunnel's first-layer accumulator after the embedding columns (a copy
+// of a row of the plan's rauTok, read-only), in the five scalar inputs that
+// follow them, w0 the five rows of the first layer's weights those inputs
+// meet (stride len(acc)), b0 its bias, w1 (len(acc)×2) and b1 the output
+// layer. It returns the two outputs, bit-identical to running the row through
 // MatMulAcc → AddRowVecInto → ReLU → MatMul → AddRowVecInto: every hidden
 // unit continues acc's sum through the scalars in order, skipping exactly
 // the zero ones as macRow does, then adds its bias; the two output sums
@@ -578,7 +598,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	// W0's last five rows: the scalar columns that follow bottleneckEmb.
 	w0s := r0.W.Val.Data[2*m.Cfg.EmbedDim*hr:]
 	b0, w1, b1 := r0.B.Val.Data, r1.W.Val.Data, r1.B.Val.Data
-	it := 0
+	it, refills := 0, 0
 	for ; it < m.Cfg.RAUIterations && !expired(ctx); it++ {
 		denom := sc.mlu + 1e-12
 		mluFeat := (1.0 / 6) * math.Log1p(sc.mlu)
@@ -612,7 +632,18 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			// order adjust's ConcatCols lays them out: ratio, mluFeat,
 			// buFeat, demandFeat, uFeat.
 			in := [5]float64{sc.edgeRatio[bedge], mluFeat, sc.edgeBuFeat[bedge], sc.feat.Data[t], math.Tanh((1.0 / 8) * sc.u.Data[t])}
-			o0, o1 := rauRow(sc.rauTok.Row(pc.clsPos[t]+1+best), &in, w0s, b0, w1, b1)
+			acc := sc.rauAcc.Row(t)
+			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok {
+				// This pass reads the plan's row, the next ones the copy:
+				// loads straight after the copy's stores wait on them, and
+				// cost abilene_steady ~8 % where the plan fits in L2.
+				row := sc.rauTok.Row(int(tok))
+				copy(acc, row)
+				acc = row
+				sc.rauAccTok[t] = tok
+				refills++
+			}
+			o0, o1 := rauRow(acc, &in, w0s, b0, w1, b1)
 			base := 0.5 * math.Tanh(o0)
 			gate := 1 / (1 + math.Exp(-o1))
 			gatedBu := sc.edgeGatedBu[bedge]
@@ -622,6 +653,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 		sc.computeUtil(p, invCap)
 	}
 	rsp.AnnotateInt("iterations", int64(it))
+	rsp.AnnotateInt("refills", int64(refills))
 	rsp.End()
 	return sc.w, it
 }

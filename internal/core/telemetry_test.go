@@ -24,7 +24,8 @@ func stageCount(reg *obs.Registry, stage string) uint64 {
 // span of a recorder that feeds a registry, time the embedding stages once
 // — the first call builds the plan, the rest find it — and the
 // demand-dependent stages every call, the RAU span saying how many
-// iterations ran, with the same outputs as an untraced model.
+// iterations ran and how many accumulator rows it copied, with the same
+// outputs as an untraced model.
 func TestForwardStageTracing(t *testing.T) {
 	p := twoPathProblem()
 	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
@@ -61,10 +62,25 @@ func TestForwardStageTracing(t *testing.T) {
 			t.Fatalf("stage %s count = %d, want %d", stage, got, passes)
 		}
 	}
+	// refills counts the accumulator rows the RAU copied out of the plan:
+	// every tunnel's at least once after a build, which empties them, and
+	// never more than one per tunnel per iteration.
+	iters, tunnels := int64(tinyConfig().RAUIterations), int64(p.Tunnels.NumTunnels())
 	for _, tr := range rec.Snapshot().Traces {
+		build := false
 		for _, sp := range tr.Spans {
-			if sp.Name == "forward.rau" && sp.Attrs["iterations"] != int64(tinyConfig().RAUIterations) {
-				t.Fatalf("forward.rau iterations = %v, want %d", sp.Attrs["iterations"], tinyConfig().RAUIterations)
+			build = build || sp.Attrs["plan"] == "build"
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name != "forward.rau" {
+				continue
+			}
+			if sp.Attrs["iterations"] != iters {
+				t.Fatalf("forward.rau iterations = %v, want %d", sp.Attrs["iterations"], iters)
+			}
+			refills, ok := sp.Attrs["refills"].(int64)
+			if !ok || refills > tunnels*iters || (build && refills < tunnels) {
+				t.Fatalf("forward.rau refills = %v on a plan build %v, want at most %d and on a build at least %d", sp.Attrs["refills"], build, tunnels*iters, tunnels)
 			}
 		}
 	}
@@ -162,9 +178,9 @@ func TestFitStructuredLogger(t *testing.T) {
 // TestTracedInferenceAllocsBounded: "traced" is one whole request trace —
 // StartTrace, SplitsCtx under its root, End — on a recorder with a registry
 // attached. Over the untraced engine's 2 that is 10 more: the trace, its
-// context, three spans, the span list growing three times to hold them, and
-// the plan and iterations annotations. The histogram feed adds nothing once
-// each stage name has been seen.
+// context, three spans, the span list growing three times to hold them, the
+// plan annotation, and one slice for the RAU span's iterations and refills.
+// The histogram feed adds nothing once each stage name has been seen.
 func TestTracedInferenceAllocsBounded(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")

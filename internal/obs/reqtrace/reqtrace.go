@@ -305,6 +305,12 @@ func (sp *Span) annotate(a Attr) {
 		return
 	}
 	sp.tr.mu.Lock()
+	if sp.attrs == nil {
+		// Room for two from the start: most annotated spans carry two or
+		// more (forward.rau's iterations and refills, an attempt's replica
+		// and hedge), and a traced request should not pay a regrowth each.
+		sp.attrs = make([]Attr, 0, 2)
+	}
 	sp.attrs = append(sp.attrs, a)
 	sp.tr.mu.Unlock()
 }
