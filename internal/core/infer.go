@@ -122,8 +122,8 @@ type inferScratch struct {
 	// rauAcc row t is a copy of the rauTok row of token rauAccTok[t] (−1:
 	// none yet), the one the RAU last read for tunnel t. The RAU reads it
 	// as a stream in tunnel order and copies a row in only when the
-	// tunnel's bottleneck token moves, which it rarely does from one
-	// iteration, or one request, to the next.
+	// tunnel's bottleneck token moves: a few percent of the rows it reads
+	// on a plan hit (the forward.rau span's refills).
 	rauAcc    *tensor.Dense // T×HR
 	rauAccTok []int32
 
@@ -635,8 +635,8 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			acc := sc.rauAcc.Row(t)
 			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok {
 				// This pass reads the plan's row, the next ones the copy:
-				// loads straight after the copy's stores wait on them, and
-				// cost abilene_steady ~8 % where the plan fits in L2.
+				// reading the copy straight back, behind its own stores,
+				// cost abilene_steady 8–13 %, where the plan fits in L2.
 				row := sc.rauTok.Row(int(tok))
 				copy(acc, row)
 				acc = row
