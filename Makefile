@@ -40,8 +40,9 @@ test:
 # contention pin and the mid-RAU deadline and cancellation tests, chaos's
 # fault-injecting filesystem and replica-fault injectors under torture, the
 # seed-replayable scenario player, the fleet dispatcher's chaos tortures
-# (hedges and their cancelled losers, retries, rolling reload mid-burst, and
-# the correlated-disaster scenario), the differential-oracle suite, and
+# (concurrent callers with the background prober, failover retries, hung
+# calls cut off at their try timeout, rolling reload mid-burst, and the
+# correlated-disaster scenario), the differential-oracle suite, and
 # experiments — the one package that runs the HarpSamples, EvalHarp and
 # ComputeOptimal worker pools over one model and shared te.Problems, and that
 # trains every scheme the paper's figures compare (HARP, DOTE, TEAL).

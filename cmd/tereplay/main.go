@@ -16,20 +16,19 @@
 // Usage:
 //
 //	tereplay [-nodes N] [-snapshots N] [-seed N] [-epochs N] [-every N]
-//	         [-deadline D] [-replicas N] [-hedge-quantile Q]
-//	         [-retry-budget R] [-metrics-addr host:port]
+//	         [-deadline D] [-replicas N] [-retry-budget R]
+//	         [-metrics-addr host:port]
 //	         [-cache-entries N] [-shard]
 //	         [-trace-dump FILE] [-trace-sample N] [-quality-every N]
 //	         [-scenario FILE|auto]
 //
 // With -replicas N > 1 the replay serves through internal/fleet instead
 // of a single server: N replicas of the trained model behind the
-// health-checked dispatcher, with hedged requests after the adaptive
-// -hedge-quantile latency delay and failover retries bounded by the
-// -retry-budget token bucket. -shard routes by topology cluster
-// (rendezvous hashing over the topology fingerprint) so each replica's
-// caches stay hot. The fleet summary line at the end reports hedges,
-// retries, ejections, and local ECMP fallbacks.
+// health-checked dispatcher, which tries one replica at a time and fails
+// over past a broken one while the -retry-budget token bucket allows.
+// -shard routes by topology cluster (rendezvous hashing over the topology
+// fingerprint) so each replica's caches stay hot. The fleet summary line
+// at the end reports retries, ejections, and local ECMP fallbacks.
 //
 // -cache-entries enables the split-ratio cache; the summary then reports
 // its hit rate. The replay is sequential and every snapshot is new, so it
@@ -44,10 +43,10 @@
 // -trace-dump (or -metrics-addr) arms the per-request flight recorder:
 // every request runs under a trace whose spans cover fleet dispatch,
 // queue waits, cache hits/misses, plan hits/builds, and per-stage forward
-// timings. Tail-based sampling keeps errors, sheds, hedge wins, and
-// p99-slow requests while retaining only 1-in-(-trace-sample) of the
-// boring ones; the retained ring is written as JSON at exit (and served
-// live on /debug/traces). -quality-every N re-solves one in N served
+// timings. Tail-based sampling keeps errors, sheds and p99-slow requests
+// while retaining only 1-in-(-trace-sample) of the boring ones; the
+// retained ring is written as JSON at exit (and served live on
+// /debug/traces). -quality-every N re-solves one in N served
 // requests with the exact simplex oracle in the background and reports
 // the achieved/optimal MLU ratio — the live answer to "how far from
 // optimal is what we are serving".
@@ -105,15 +104,14 @@ func main() {
 		brkN      = flag.Int("breaker-threshold", 0, "consecutive tier failures before its circuit opens (0 disables breakers)")
 		brkCool   = flag.Duration("breaker-cooloff", 5*time.Second, "how long a tripped tier stays open before a half-open probe")
 		replicas  = flag.Int("replicas", 1, "serve through a fleet of N model replicas (>1 enables the dispatcher)")
-		hedgeQ    = flag.Float64("hedge-quantile", 0.95, "fleet: latency quantile after which a hedge fires on a second replica (0 disables hedging)")
-		retryBud  = flag.Float64("retry-budget", 0.1, "fleet: retry tokens earned per request; hedges and retries each spend one (negative disables)")
+		retryBud  = flag.Float64("retry-budget", 0.1, "fleet: retry tokens earned per request; each failover retry spends one (negative disables)")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port during the replay")
 
 		cacheEnt = flag.Int("cache-entries", 0, "split-ratio cache capacity per replica (0 disables the cache)")
 		shard    = flag.Bool("shard", false, "fleet: route by topology cluster (rendezvous sharding) instead of round-robin")
 
 		traceDump    = flag.String("trace-dump", "", "write the flight-recorder trace dump to this file at exit (\"-\" for stdout)")
-		traceSample  = flag.Int("trace-sample", 64, "flight recorder: probabilistically retain 1-in-N boring traces (errors, sheds, hedge wins and p99-slow requests are always kept)")
+		traceSample  = flag.Int("trace-sample", 64, "flight recorder: probabilistically retain 1-in-N boring traces (errors, sheds and p99-slow requests are always kept)")
 		qualityEvery = flag.Int("quality-every", 0, "re-solve 1-in-N served requests with the simplex oracle and score MLU vs optimal (0 disables)")
 
 		scenarioSpec = flag.String("scenario", "", "run a correlated-disaster drill after the replay: a scenario JSON file, or \"auto\" for the canned SRLG-cut + flash-crowd + adversarial + maintenance script")
@@ -255,7 +253,6 @@ func main() {
 	if *replicas > 1 {
 		fl = fleet.New(backends, fleet.Options{
 			Deadline:        *deadline,
-			HedgeQuantile:   *hedgeQ,
 			RetryBudget:     *retryBud,
 			ShardByTopology: *shard,
 			Probe:           base,
@@ -348,10 +345,9 @@ func main() {
 		st.Generation, st.ReloadFailures, st.Generation)
 	if fl != nil {
 		fst := fl.Stats()
-		fmt.Printf("fleet: replicas=%d (healthy=%d degraded=%d quarantined=%d) served=%d ecmp-fallback=%d hedges=%d (wins=%d) retries=%d (denied=%d) ejections=%d readmits=%d\n",
+		fmt.Printf("fleet: replicas=%d (healthy=%d degraded=%d quarantined=%d) served=%d ecmp-fallback=%d retries=%d (denied=%d) ejections=%d readmits=%d\n",
 			fst.Replicas, fst.Healthy, fst.Degraded, fst.Quarantined,
-			fst.Served, fst.LocalFallbacks, fst.Hedges, fst.HedgeWins,
-			fst.Retries, fst.RetryBudgetDenied, fst.Ejections, fst.Readmissions)
+			fst.Served, fst.LocalFallbacks, fst.Retries, fst.RetryBudgetDenied, fst.Ejections, fst.Readmissions)
 	}
 	printCacheStats(servers, *cacheEnt)
 

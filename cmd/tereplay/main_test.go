@@ -54,15 +54,11 @@ var wallTimes = regexp.MustCompile(`p50=\S+ p99=\S+ p999=\S+`)
 // TestReplayPinned replays a short trace and compares everything tereplay
 // prints — the timeline, the NormMLU summary, the tier census, the serving,
 // fleet and cache summaries and the disaster drill — with a golden file,
-// the latency percentiles masked (their sample counts are kept).
-//
-// The fleet case runs with hedging off: a hedge fires on timing, and the
-// replica whose attempt it cancels counts that attempt in its own tiers,
-// as ecmp, so with hedges on the census can read `full=3 ecmp=1` beside
-// the fleet's `served=3`, depending on the host's speed.
+// the latency percentiles masked (their sample counts are kept). Both
+// cases run at the fleet's and server's defaults apart from their flags.
 func TestReplayPinned(t *testing.T) {
 	for _, tc := range []struct{ args, golden string }{
-		{"-snapshots 90 -epochs 3 -replicas 3 -scenario auto -hedge-quantile 0", "replay_fleet_scenario.golden"},
+		{"-snapshots 90 -epochs 3 -replicas 3 -scenario auto", "replay_fleet_scenario.golden"},
 		{"-snapshots 90 -epochs 3 -cache-entries 16", "replay_cache.golden"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {

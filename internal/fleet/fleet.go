@@ -14,13 +14,12 @@
 //     quarantine at once — when most replicas look sick, the detector is
 //     the more likely culprit.
 //
-//   - Hedged requests with a token retry budget. After an adaptive hedge
-//     delay — a high quantile of recent request latency from a streaming
-//     digest (digest.go) — a second replica is tried, the first answer
-//     wins, and the loser is cancelled. Hedges and failover retries both
-//     spend from one token bucket
-//     that refills as a fraction of primary requests, so retry traffic is
-//     a bounded ratio of offered load and can never storm the fleet.
+//   - Failover with a token retry budget. A replica that fails, answers
+//     garbage or runs past TryTimeout is passed over for the next one,
+//     one attempt after another; every failover retry spends from a token
+//     bucket that refills as a fraction of primary requests (budget.go),
+//     so retry traffic is a bounded ratio of offered load and can never
+//     storm the fleet.
 //
 //   - Fleet-wide graceful degradation. Replica answers are vetted
 //     (resilience.VetSplits) before they win — a byzantine replica
@@ -33,15 +32,14 @@
 //     ErrNoReplicas, so callers always get routable ratios plus an
 //     honest signal that the fleet is down.
 //
-// One context.Context carries a request's deadline and cancellation from
-// ServeCtx through the attempt into the replica (a Local one takes it into
-// the model's RAU loop); an attempt runs on the caller's goroutine unless
-// hedging is on.
-//
 //   - Rolling reload (RollingReload): canary one replica onto the new
 //     checkpoint, verify it with a probe inference, then wave through the
 //     rest — each replica's own atomic swap (resilience.Reload) drops no
 //     in-flight requests at any point.
+//
+// One context.Context carries a request's deadline and cancellation from
+// ServeCtx through the attempt into the replica (a Local one takes it into
+// the model's RAU loop); every attempt runs on the caller's goroutine.
 package fleet
 
 import (
@@ -103,9 +101,9 @@ var ErrNoReplicas = errors.New("fleet: no serviceable replicas")
 var ErrReloadAborted = errors.New("fleet: rolling reload aborted")
 
 // Options configures a Fleet. The zero value gives sane defaults:
-// traffic-driven health only (no background prober), hedging disabled,
-// a 10%-of-traffic retry budget, and quarantine after 3 consecutive
-// failures capped at half the fleet.
+// traffic-driven health only (no background prober), a 10%-of-traffic
+// retry budget, and quarantine after 3 consecutive failures capped at half
+// the fleet.
 type Options struct {
 	// Deadline bounds the wall clock per request across all attempts (a
 	// timeout on the request's context); once exceeded the request
@@ -118,25 +116,12 @@ type Options struct {
 	// bounded only by the replica's own guards and the fleet Deadline.
 	TryTimeout time.Duration
 
-	// HedgeQuantile is the latency quantile of recent successful requests
-	// after which a hedge fires on a second replica (e.g. 0.95: hedge
-	// once the attempt is slower than 95% of recent traffic). 0 disables
-	// hedging.
-	HedgeQuantile float64
-	// HedgeMinDelay / HedgeMaxDelay clamp the adaptive hedge delay
-	// (defaults 1ms / 25ms). Before any latency samples exist the delay
-	// is HedgeMaxDelay.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
-
-	// RetryBudget is the retry tokens earned per primary request; hedges
-	// and failover retries each spend one token, so retry traffic is
-	// bounded to ~RetryBudget of offered load in steady state. 0 means
-	// the default 0.1; negative disables retries and hedges entirely.
+	// RetryBudget is the retry tokens earned per primary request; each
+	// failover retry spends one, so retry traffic is bounded to
+	// ~RetryBudget of offered load in steady state, and a quiet period
+	// banks at most retryBurst tokens for a burst. 0 means the default
+	// 0.1; negative disables retries entirely.
 	RetryBudget float64
-	// RetryBurst caps the token bucket (default 10), bounding how many
-	// retries a quiet period can bank for a burst.
-	RetryBurst float64
 
 	// ShardByTopology routes requests by topology cluster: replicas are
 	// ranked per topology fingerprint with rendezvous (highest-random-
@@ -145,7 +130,7 @@ type Options struct {
 	// traffic for a topology cluster, keeping its context cache, engine
 	// plan, and split-ratio cache hot, instead of the round-robin
 	// default spreading a cluster's requests (and their cache misses)
-	// across the whole fleet. Failover and hedges walk down the same
+	// across the whole fleet. Failover walks down the same
 	// per-topology ranking, so a quarantined shard owner's traffic moves
 	// deterministically to the next-ranked replica and snaps back when the
 	// owner is re-admitted — no remapping of unrelated topologies.
@@ -177,17 +162,8 @@ type Options struct {
 // withDefaults returns opts with zero fields replaced by the documented
 // defaults.
 func (o Options) withDefaults() Options {
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
-	}
-	if o.HedgeMaxDelay <= 0 {
-		o.HedgeMaxDelay = 25 * time.Millisecond
-	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 0.1
-	}
-	if o.RetryBurst <= 0 {
-		o.RetryBurst = 10
 	}
 	if o.quarantineThreshold <= 0 {
 		o.quarantineThreshold = 3
@@ -210,10 +186,7 @@ type Decision struct {
 	// Replica is the index of the replica that answered, or -1 for the
 	// local ECMP fallback and for rejected inputs.
 	Replica int
-	// Hedged reports whether a hedge was fired for this request.
-	Hedged bool
-	// Retries counts failover attempts beyond the primary (hedges are
-	// counted separately, in Stats).
+	// Retries counts failover attempts beyond the primary.
 	Retries int
 }
 
@@ -223,7 +196,6 @@ type Fleet struct {
 	replicas []*replica
 
 	rr     atomic.Uint64 // round-robin pick cursor
-	digest *latencyDigest
 	budget *tokenBucket
 
 	quarantined atomic.Int64 // replicas currently quarantined (ejection cap)
@@ -233,8 +205,6 @@ type Fleet struct {
 	served      atomic.Int64
 	fallbacks   atomic.Int64
 	rejected    atomic.Int64
-	hedges      atomic.Int64
-	hedgeWins   atomic.Int64
 	retries     atomic.Int64
 	retryDenied atomic.Int64
 	probeOKs    atomic.Int64
@@ -246,8 +216,7 @@ type Fleet struct {
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
-	// wg counts the prober and hedged requests' attempts, which outlive
-	// their ServeCtx until the replica notices its context was cancelled.
+	// wg counts the background prober.
 	wg sync.WaitGroup
 }
 
@@ -260,10 +229,9 @@ func New(replicas []Replica, opts Options) *Fleet {
 	}
 	f := &Fleet{
 		opts:   opts.withDefaults(),
-		digest: newLatencyDigest(defaultDigestWindow),
 		stopCh: make(chan struct{}),
 	}
-	f.budget = newTokenBucket(f.opts.RetryBudget, f.opts.RetryBurst)
+	f.budget = newTokenBucket(f.opts.RetryBudget, retryBurst)
 	f.replicas = make([]*replica, len(replicas))
 	for i, b := range replicas {
 		f.replicas[i] = &replica{id: i, backend: b}
@@ -275,9 +243,9 @@ func New(replicas []Replica, opts Options) *Fleet {
 	return f
 }
 
-// Close stops the background prober and waits for cancelled hedge losers;
-// call it after the last Serve has returned. It does not drain the
-// replicas; use Drain for that. Idempotent.
+// Close stops the background prober and waits for it to exit; call it
+// after the last Serve has returned. It does not drain the replicas; use
+// Drain for that. Idempotent.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.wg.Wait()
@@ -288,25 +256,23 @@ func (f *Fleet) Serve(p *te.Problem, demand *tensor.Dense) Decision {
 	return f.ServeCtx(context.Background(), p, demand)
 }
 
-// ServeCtx dispatches one request: validate locally, try replicas (hedging
-// past slow ones, failing over past broken ones, spending the retry
-// budget), vet every answer no in-process server vetted already — a Local
-// replica's TierFull and TierCached answers pass the server's own vet, and
+// ServeCtx dispatches one request: validate locally, try one replica at a
+// time (failing over past broken ones while the retry budget allows), vet
+// every answer no in-process server vetted already — a Local replica's
+// TierFull and TierCached answers pass the server's own vet, and
 // everything else is vetted here — and fall back to a locally computed
 // ECMP answer with ErrNoReplicas when the fleet cannot answer in time.
 //
-// Every attempt runs under ctx narrowed to Options.Deadline; once it is
-// done the request resolves to the local ECMP answer with an error wrapping
-// both ErrNoReplicas and ctx.Err(), as soon as the running attempt notices
-// (a Local replica: within one RAU iteration). Attempts run one at a time on
-// the caller's goroutine; only with hedging on does each get its own, so a
-// hedge can overtake the primary, and returning cancels the loser.
+// Every attempt runs on the caller's goroutine, under ctx narrowed to
+// Options.Deadline; once it is done the request resolves to the local ECMP
+// answer with an error wrapping both ErrNoReplicas and ctx.Err(), as soon
+// as the running attempt notices (a Local replica: within one RAU
+// iteration). Nothing of the request outlives the call.
 //
 // When ctx carries a reqtrace span, the dispatch gets a "fleet.dispatch"
-// child holding one "fleet.attempt" span per replica tried (primary, hedge,
-// failover), each annotated with the replica id and outcome, and the
-// attempt span rides the context into the replica. A hedge win pins the
-// trace in the flight recorder.
+// child holding one "fleet.attempt" span per replica tried (primary, then
+// each failover), each annotated with the replica id and, when it failed,
+// the error, and the attempt span rides the context into the replica.
 func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) Decision {
 	sp := reqtrace.FromContext(ctx)
 	// Validate once, locally: a malformed request must not burn retry
@@ -324,123 +290,64 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	dsp := sp.StartChild("fleet.dispatch")
 	defer dsp.End()
 
-	var cancel context.CancelFunc
 	if f.opts.Deadline > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.opts.Deadline)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
-	type attemptOut struct {
-		dec     resilience.Decision
-		err     error
-		rep     *replica
-		hedge   bool
-		elapsed time.Duration
-	}
-	hedging := f.opts.HedgeQuantile > 0 && len(f.replicas) > 1
-	// Buffered to the attempt bound (each replica is tried at most once
-	// per request): an attempt on the caller's goroutine leaves its result
-	// here for the loop below, and a cancelled hedge loser never blocks.
-	resCh := make(chan attemptOut, len(f.replicas))
-	tried := make([]bool, len(f.replicas))
-	launch := func(r *replica, hedge bool) {
-		tried[r.id] = true
-		asp := dsp.StartChild("fleet.attempt")
-		asp.AnnotateInt("replica", int64(r.id))
-		asp.AnnotateBool("hedge", hedge)
-		f.wg.Add(1)
-		run := func() {
-			defer f.wg.Done()
-			t0 := time.Now()
-			dec, err := f.attempt(reqtrace.NewContext(ctx, asp), r, p, demand)
-			if err != nil {
-				asp.SetError(err)
-			}
-			asp.End()
-			resCh <- attemptOut{dec, err, r, hedge, time.Since(t0)}
-		}
-		if hedging {
-			go run()
-		} else {
-			run()
-		}
+		defer cancel()
 	}
 
 	var dec Decision
-	gaveUp := func(inFlight int) Decision {
-		return f.fallback(p, dec, fmt.Errorf("%w: %w with %d attempts outstanding",
-			ErrNoReplicas, ctx.Err(), inFlight), sp)
-	}
 	if ctx.Err() != nil {
-		return gaveUp(0)
+		return f.expired(ctx, p, dec, sp)
 	}
-	primary := f.pick(p, tried)
-	if primary == nil {
+	r := f.pick(p, nil)
+	if r == nil {
 		return f.fallback(p, dec, fmt.Errorf("%w: 0 of %d replicas serviceable",
 			ErrNoReplicas, len(f.replicas)), sp)
 	}
-	launch(primary, false)
-	inFlight := 1
-
-	var hedgeC <-chan time.Time
-	if hedging {
-		ht := time.NewTimer(f.hedgeDelay())
-		defer ht.Stop()
-		hedgeC = ht.C
-	}
-
+	// tried marks the replicas this request has failed on; the common
+	// request never fails over and never allocates it.
+	var tried []bool
 	for {
-		select {
-		case out := <-resCh:
-			inFlight--
-			if ctx.Err() != nil {
-				return gaveUp(inFlight)
-			}
-			if out.err == nil {
-				f.digest.record(out.elapsed)
-				if out.hedge {
-					f.hedgeWins.Add(1)
-					// A hedge that beat the primary is exactly the tail
-					// latency the operator tunes HedgeQuantile against.
-					dsp.Annotate("winner", "hedge")
-					sp.ForceRetain("hedge_win")
-				}
-				f.served.Add(1)
-				dsp.AnnotateInt("served_by", int64(out.rep.id))
-				// The failed attempts' notes come first, then the winner's;
-				// with none (the common case) the winner's slice is taken
-				// as it is, without a copy.
-				failed := dec.Degraded
-				dec.Decision = out.dec
-				if len(failed) > 0 {
-					dec.Degraded = append(failed, out.dec.Degraded...)
-				}
-				dec.Replica = out.rep.id
-				return dec
-			}
-			dec.Degraded = append(dec.Degraded, fmt.Sprintf("replica %d: %v", out.rep.id, out.err))
-			if next := f.pick(p, tried); next != nil && f.spend(&f.retries) {
-				dec.Retries++
-				launch(next, false)
-				inFlight++
-				continue
-			}
-			if inFlight == 0 {
-				return f.fallback(p, dec, fmt.Errorf("%w: all attempts failed", ErrNoReplicas), sp)
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next := f.pick(p, tried); next != nil && f.spend(&f.hedges) {
-				dec.Hedged = true
-				launch(next, true)
-				inFlight++
-			}
-		case <-ctx.Done():
-			return gaveUp(inFlight)
+		asp := dsp.StartChild("fleet.attempt")
+		asp.AnnotateInt("replica", int64(r.id))
+		out, err := f.attempt(reqtrace.NewContext(ctx, asp), r, p, demand)
+		asp.SetError(err)
+		asp.End()
+		if ctx.Err() != nil {
+			return f.expired(ctx, p, dec, sp)
 		}
+		if err == nil {
+			f.served.Add(1)
+			dsp.AnnotateInt("served_by", int64(r.id))
+			// The failed attempts' notes come first, then the winner's;
+			// with none (the common case) the winner's slice is taken
+			// as it is, without a copy.
+			failed := dec.Degraded
+			dec.Decision = out
+			if len(failed) > 0 {
+				dec.Degraded = append(failed, out.Degraded...)
+			}
+			dec.Replica = r.id
+			return dec
+		}
+		dec.Degraded = append(dec.Degraded, fmt.Sprintf("replica %d: %v", r.id, err))
+		if tried == nil {
+			tried = make([]bool, len(f.replicas))
+		}
+		tried[r.id] = true
+		if r = f.pick(p, tried); r == nil || !f.spend(&f.retries) {
+			return f.fallback(p, dec, fmt.Errorf("%w: all attempts failed", ErrNoReplicas), sp)
+		}
+		dec.Retries++
 	}
+}
+
+// expired resolves a request whose context ended before a replica
+// answered: the local ECMP answer, with an error wrapping both
+// ErrNoReplicas and ctx.Err().
+func (f *Fleet) expired(ctx context.Context, p *te.Problem, dec Decision, sp *reqtrace.Span) Decision {
+	return f.fallback(p, dec, fmt.Errorf("%w: %w", ErrNoReplicas, ctx.Err()), sp)
 }
 
 // attempt runs one request against one replica under the per-try timeout
@@ -465,8 +372,8 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 	dec, err = r.backend.Serve(tctx, p, demand)
 	switch {
 	case ctx.Err() != nil:
-		// The request is over — caller gone, deadline passed, or another
-		// attempt won — so what came back says nothing about the replica.
+		// The request is over — caller gone or deadline passed — so what
+		// came back says nothing about the replica.
 		return resilience.Decision{}, ctx.Err()
 	case err != nil:
 		// Transport/process failure, or no answer inside TryTimeout: the
@@ -544,6 +451,8 @@ func (f *Fleet) fallback(p *te.Problem, dec Decision, err error, sp *reqtrace.Sp
 // quarantine threshold); shielding them would freeze the state machine
 // at degraded whenever no prober runs. Quarantined replicas are never
 // picked. Returns nil when every serviceable replica has been tried.
+// tried is indexed by replica id, and nil before the request's first
+// failure.
 func (f *Fleet) pick(p *te.Problem, tried []bool) *replica {
 	if f.opts.ShardByTopology && p != nil {
 		return f.pickSharded(p.Fingerprint(), tried)
@@ -552,25 +461,30 @@ func (f *Fleet) pick(p *te.Problem, tried []bool) *replica {
 	startAt := int(f.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
 		r := f.replicas[(startAt+i)%n]
-		if tried[r.id] || r.healthState() == Quarantined {
-			continue
+		if r.eligible(tried) {
+			return r
 		}
-		return r
 	}
 	return nil
+}
+
+// eligible reports whether r may take this request's next attempt:
+// serviceable, and not tried yet.
+func (r *replica) eligible(tried []bool) bool {
+	return (tried == nil || !tried[r.id]) && r.healthState() != Quarantined
 }
 
 // pickSharded returns the highest-ranked untried serviceable replica for
 // the topology fingerprint. Rendezvous hashing gives each topology its own
 // stable pseudo-random ranking of replicas: the top pick owns the shard,
-// retries and hedges descend the same ranking, and quarantining one
+// retries descend the same ranking, and quarantining one
 // replica moves only that replica's shards (to each shard's next-ranked
 // survivor) while every other topology keeps its owner.
 func (f *Fleet) pickSharded(fp uint64, tried []bool) *replica {
 	var best *replica
 	var bestScore uint64
 	for _, r := range f.replicas {
-		if tried[r.id] || r.healthState() == Quarantined {
+		if !r.eligible(tried) {
 			continue
 		}
 		if s := shardScore(fp, r.id); best == nil || s > bestScore {
@@ -601,20 +515,6 @@ func (f *Fleet) spend(counter *atomic.Int64) bool {
 	}
 	counter.Add(1)
 	return true
-}
-
-// hedgeDelay is the adaptive hedge trigger: the configured quantile of
-// recent successful-request latency, clamped to [HedgeMinDelay,
-// HedgeMaxDelay]; before any samples exist, HedgeMaxDelay.
-func (f *Fleet) hedgeDelay() time.Duration {
-	d, ok := f.digest.quantile(f.opts.HedgeQuantile)
-	if !ok || d > f.opts.HedgeMaxDelay {
-		d = f.opts.HedgeMaxDelay
-	}
-	if d < f.opts.HedgeMinDelay {
-		d = f.opts.HedgeMinDelay
-	}
-	return d
 }
 
 // RollingReload rolls the fleet onto the checkpoint at path with zero

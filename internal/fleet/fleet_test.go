@@ -205,35 +205,6 @@ func TestFleetFailsOverAndQuarantines(t *testing.T) {
 	}
 }
 
-// TestFleetHedgeWins: the primary lands on a slow replica; the hedge
-// fires on the fast one and its answer wins.
-func TestFleetHedgeWins(t *testing.T) {
-	p := twoPathProblem()
-	fs, rs := fakes(2)
-	fs[0].delay = 300 * time.Millisecond
-	f := New(rs, Options{
-		Deadline:      2 * time.Second,
-		HedgeQuantile: 0.9,
-		HedgeMinDelay: time.Millisecond,
-		HedgeMaxDelay: 5 * time.Millisecond,
-		RetryBudget:   1,
-	})
-	defer f.Close()
-
-	// The round-robin cursor starts at replica 0 — the slow one.
-	dec := f.Serve(p, demand(p, 4, 2))
-	if dec.Err != nil {
-		t.Fatalf("hedged request failed: %v", dec.Err)
-	}
-	if !dec.Hedged || dec.Replica != 1 {
-		t.Fatalf("hedged=%v replica=%d, want hedge win on replica 1", dec.Hedged, dec.Replica)
-	}
-	st := f.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 // TestFleetRetryBudgetDeniesStorm: with the budget disabled, a failed
 // primary cannot retry — the request degrades to ECMP instead of
 // multiplying load on the survivors.
@@ -559,7 +530,6 @@ func TestFleetEjectionCapHoldsBack(t *testing.T) {
 	f := New(rs, Options{
 		Deadline:               time.Second,
 		RetryBudget:            1,
-		RetryBurst:             100,
 		quarantineThreshold:    2,
 		maxQuarantinedFraction: 0.5,
 	})
@@ -645,34 +615,6 @@ func TestFleetRollingReloadAbortsOnByzantineCanary(t *testing.T) {
 	}
 }
 
-// TestFleetHedgeDelayAdapts: before samples the delay is the max clamp;
-// once the digest holds fast latencies it tracks the quantile down to the
-// min clamp.
-func TestFleetHedgeDelayAdapts(t *testing.T) {
-	_, rs := fakes(2)
-	f := New(rs, Options{
-		HedgeQuantile: 0.9,
-		HedgeMinDelay: 2 * time.Millisecond,
-		HedgeMaxDelay: 20 * time.Millisecond,
-	})
-	defer f.Close()
-	if got := f.hedgeDelay(); got != 20*time.Millisecond {
-		t.Fatalf("empty-digest hedge delay %v, want max clamp", got)
-	}
-	for i := 0; i < 100; i++ {
-		f.digest.record(5 * time.Millisecond)
-	}
-	if got := f.hedgeDelay(); got != 5*time.Millisecond {
-		t.Fatalf("hedge delay %v, want 5ms quantile", got)
-	}
-	for i := 0; i < defaultDigestWindow; i++ {
-		f.digest.record(time.Microsecond)
-	}
-	if got := f.hedgeDelay(); got != 2*time.Millisecond {
-		t.Fatalf("hedge delay %v, want min clamp", got)
-	}
-}
-
 func TestTokenBucket(t *testing.T) {
 	b := newTokenBucket(0.5, 2)
 	if !b.spend() || !b.spend() {
@@ -692,28 +634,6 @@ func TestTokenBucket(t *testing.T) {
 	disabled := newTokenBucket(-1, 2)
 	if disabled.spend() {
 		t.Fatal("disabled bucket allowed a retry")
-	}
-}
-
-func TestLatencyDigestWindow(t *testing.T) {
-	d := newLatencyDigest(4)
-	if _, ok := d.quantile(0.5); ok {
-		t.Fatal("empty digest produced a quantile")
-	}
-	for i := 1; i <= 4; i++ {
-		d.record(time.Duration(i) * time.Millisecond)
-	}
-	if v, _ := d.quantile(1); v != 4*time.Millisecond {
-		t.Fatalf("p100 %v", v)
-	}
-	// Two more records evict 1ms and 2ms.
-	d.record(10 * time.Millisecond)
-	d.record(10 * time.Millisecond)
-	if v, _ := d.quantile(0); v != 3*time.Millisecond {
-		t.Fatalf("p0 after eviction %v, want 3ms", v)
-	}
-	if d.samples() != 4 {
-		t.Fatalf("samples %d", d.samples())
 	}
 }
 
@@ -749,31 +669,61 @@ func TestFleetTelemetryExposition(t *testing.T) {
 	}
 }
 
+// hitFleet is the benchmark's hot_cache path: a fleet sharded by topology
+// in front of one Local replica with a split cache, on a gravity TM shaped
+// like the benchmark's — every ordered pair of edge nodes, 4 tunnels per
+// flow, capped at 35 % of every node's access capacity. The cold request
+// has been served, so the next Serve of (p, d) is a split-cache hit.
+func hitFleet(tb testing.TB, g *topology.Graph) (*Fleet, *te.Problem, *tensor.Dense) {
+	tb.Helper()
+	p := te.NewProblem(g, tunnels.Compute(g, 4))
+	var capacity float64
+	for _, e := range g.Edges {
+		capacity += e.Capacity
+	}
+	cfg := traffic.SeriesConfig{Total: 0.25 * capacity, DiurnalPeriod: 48, DiurnalAmplitude: 0.3, NoiseSigma: 0.3}
+	d := traffic.DemandVector(traffic.CapToAccess(traffic.Series(g, 1, cfg, 1)[0], g, 0.35), p.Tunnels.Flows)
+	srv := resilience.NewServer(core.New(core.DefaultConfig()), resilience.Options{CacheEntries: 256, Deadline: 5 * time.Second})
+	f := New([]Replica{Local{S: srv}}, Options{ShardByTopology: true, Deadline: 10 * time.Second})
+	if dec := f.Serve(p, d); dec.Err != nil || dec.Tier != resilience.TierFull {
+		tb.Fatalf("cold request: tier %v err %v", dec.Tier, dec.Err)
+	}
+	return f, p, d
+}
+
+// serveHitAllocs is what the dispatcher adds to a split-cache hit, which
+// the server alone serves without allocating
+// (resilience.TestSplitCacheHitZeroAllocs): all four are the fleet
+// Deadline's context.WithTimeout — the timer context, its timer, the
+// timer's callback and the cancel function.
+const serveHitAllocs = 4
+
+// TestServeHitAllocs pins serveHitAllocs on the hot_cache path.
+func TestServeHitAllocs(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	f, p, d := hitFleet(t, topology.Abilene())
+	defer f.Close()
+	if avg := testing.AllocsPerRun(100, func() {
+		if dec := f.Serve(p, d); dec.Tier != resilience.TierCached {
+			t.Fatalf("tier %v, want a cache hit", dec.Tier)
+		}
+	}); avg != serveHitAllocs {
+		t.Fatalf("a cache hit through the fleet allocates %.1f/op, want %d", avg, serveHitAllocs)
+	}
+}
+
 // BenchmarkServeHit is one split-cache hit served through the dispatcher
-// as the benchmark's hot_cache workload serves it: fleet (sharded by
-// topology) → Local → resilience.Server, on a gravity TM shaped like the
-// benchmark's — every ordered pair of edge nodes, 4 tunnels per flow,
-// capped at 35 % of every node's access capacity.
+// as the benchmark's hot_cache workload serves it (hitFleet).
 func BenchmarkServeHit(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		g    func() *topology.Graph
 	}{{"Abilene", topology.Abilene}, {"Geant", topology.Geant}} {
 		b.Run(c.name, func(b *testing.B) {
-			g := c.g()
-			p := te.NewProblem(g, tunnels.Compute(g, 4))
-			var capacity float64
-			for _, e := range g.Edges {
-				capacity += e.Capacity
-			}
-			cfg := traffic.SeriesConfig{Total: 0.25 * capacity, DiurnalPeriod: 48, DiurnalAmplitude: 0.3, NoiseSigma: 0.3}
-			d := traffic.DemandVector(traffic.CapToAccess(traffic.Series(g, 1, cfg, 1)[0], g, 0.35), p.Tunnels.Flows)
-			srv := resilience.NewServer(core.New(core.DefaultConfig()), resilience.Options{CacheEntries: 256, Deadline: 5 * time.Second})
-			f := New([]Replica{Local{S: srv}}, Options{ShardByTopology: true, Deadline: 10 * time.Second})
+			f, p, d := hitFleet(b, c.g())
 			defer f.Close()
-			if dec := f.Serve(p, d); dec.Err != nil || dec.Tier != resilience.TierFull {
-				b.Fatalf("cold request: tier %v err %v", dec.Tier, dec.Err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

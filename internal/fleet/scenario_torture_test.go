@@ -180,7 +180,6 @@ func TestFleetScenarioTorture(t *testing.T) {
 		Deadline:               3 * time.Second,
 		TryTimeout:             250 * time.Millisecond,
 		RetryBudget:            1,
-		RetryBurst:             500,
 		quarantineThreshold:    3,
 		probationSuccesses:     2,
 		maxQuarantinedFraction: 0.75,

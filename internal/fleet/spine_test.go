@@ -1,10 +1,10 @@
 package fleet
 
 // The cancellation spine seen from the dispatcher: the request's context is
-// the only thing that stops work, an un-hedged request never leaves the
-// caller's goroutine, a hedge's loser is cancelled rather than left running,
-// and a caller that gives up gets the local ECMP answer at once — with no
-// blame on the replica it walked away from.
+// the only thing that stops work, a request never leaves the caller's
+// goroutine — its failover attempts included — and a caller that gives up
+// gets the local ECMP answer at once, with no blame on the replica it
+// walked away from.
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"harpte/internal/core"
-	"harpte/internal/obs/reqtrace"
 	"harpte/internal/resilience"
 	"harpte/internal/te"
 	"harpte/internal/tensor"
@@ -79,25 +78,33 @@ func geantServer(t *testing.T) (*resilience.Server, *te.Problem, func() *tensor.
 	return srv, p, next, full
 }
 
-// TestFleetServeRunsOnCallersGoroutine: with hedging off the replica is
-// called on the goroutine that called Serve — no hand-off, nothing to
-// leave behind — and only an armed hedge makes attempts asynchronous.
+// TestFleetServeRunsOnCallersGoroutine: the replica is called on the
+// goroutine that called Serve — no hand-off, nothing to leave behind — and
+// so is the replica a failover retry lands on.
 func TestFleetServeRunsOnCallersGoroutine(t *testing.T) {
 	p := twoPathProblem()
-	for _, hedged := range []bool{false, true} {
-		fs, rs := fakes(2)
-		opts := Options{Deadline: time.Second, TryTimeout: 100 * time.Millisecond}
-		if hedged {
-			opts.HedgeQuantile = 0.9
-		}
-		f := New(rs, opts)
-		dec := f.Serve(p, demand(p, 4, 2))
-		f.Close()
-		if dec.Err != nil {
-			t.Fatalf("hedging %v: %v", hedged, dec.Err)
-		}
-		if same := fs[dec.Replica].goid.Load() == goroutineID(); same == hedged {
-			t.Fatalf("hedging %v: replica ran on the caller's goroutine: %v", hedged, same)
+	fs, rs := fakes(2)
+	f := New(rs, Options{Deadline: time.Second, TryTimeout: 100 * time.Millisecond})
+	defer f.Close()
+	dec := f.Serve(p, demand(p, 4, 2))
+	if dec.Err != nil {
+		t.Fatal(dec.Err)
+	}
+	if fs[dec.Replica].goid.Load() != goroutineID() {
+		t.Fatal("the replica did not run on the caller's goroutine")
+	}
+
+	// The round-robin cursor is at replica 1 now: fail it, and the
+	// request fails over to replica 0.
+	fs[1].fail.Store(true)
+	dec = f.Serve(p, demand(p, 4, 2))
+	if dec.Err != nil || dec.Replica != 0 || dec.Retries != 1 {
+		t.Fatalf("want a failover answer from replica 0, got replica %d, retries %d, err %v",
+			dec.Replica, dec.Retries, dec.Err)
+	}
+	for i, fr := range fs {
+		if fr.goid.Load() != goroutineID() {
+			t.Fatalf("replica %d's attempt did not run on the caller's goroutine", i)
 		}
 	}
 }
@@ -181,49 +188,5 @@ func TestFleetCallerCancellation(t *testing.T) {
 			t.Fatalf("cancelled %v into a %v forward, returned after %v", full/3, full, took)
 		}
 		break
-	}
-}
-
-// TestFleetHedgeLoserIsCancelled: when the hedge wins, returning cancels the
-// primary, and it stops: the loser's forward.rau span ends having run fewer
-// than the model's N iterations.
-func TestFleetHedgeLoserIsCancelled(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv, p, next, _ := geantServer(t)
-	_, fast := fakes(1)
-	// A host stall can delay the hedge timer past the primary's whole
-	// forward; such a try proves nothing, so take another.
-	for try := 0; ; try++ {
-		f := New([]Replica{Local{S: srv}, fast[0]}, Options{
-			HedgeQuantile: 0.9,
-			HedgeMinDelay: time.Millisecond,
-			HedgeMaxDelay: time.Millisecond,
-			RetryBudget:   1,
-		})
-		rec := reqtrace.NewRecorder(reqtrace.Options{Capacity: 4, SampleEvery: 1})
-		ctx, root := rec.StartTrace(context.Background(), "request")
-		// The round-robin cursor starts at replica 0 — the slow, real one.
-		dec := f.ServeCtx(ctx, p, next())
-		f.Close() // waits for the loser
-		root.End()
-		assertNoLeakedGoroutines(t, before)
-		if dec.Err != nil {
-			t.Fatal(dec.Err)
-		}
-		if !dec.Hedged && try < 10 {
-			continue
-		}
-		if !dec.Hedged || dec.Replica != 1 {
-			t.Fatalf("want a hedge win on the fast replica, got replica %d hedged %v", dec.Replica, dec.Hedged)
-		}
-		tr := rec.Snapshot().Traces[0]
-		rsp, ok := spanByName(tr, "forward.rau")
-		if !ok || rsp.DurUS < 0 {
-			t.Fatalf("the loser's forward.rau span is missing or never ended: %+v", tr.Spans)
-		}
-		if k, n := rsp.Attrs["iterations"], int64(core.DefaultConfig().RAUIterations); k.(int64) >= n {
-			t.Fatalf("the loser ran %v of %d RAU iterations after the hedge won: it was not cancelled", k, n)
-		}
-		return
 	}
 }

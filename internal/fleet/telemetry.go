@@ -21,15 +21,9 @@ const (
 	// MetricFleetRequests counts Serve calls by outcome (labels:
 	// outcome="replica"|"fallback"|"rejected").
 	MetricFleetRequests = "harp_fleet_requests_total"
-	// MetricFleetHedges counts hedges fired; MetricFleetHedgeWins counts
-	// requests the hedge answered first.
-	MetricFleetHedges    = "harp_fleet_hedges_total"
-	MetricFleetHedgeWins = "harp_fleet_hedge_wins_total"
-	// MetricFleetHedgeDelay gauges the current adaptive hedge delay.
-	MetricFleetHedgeDelay = "harp_fleet_hedge_delay_seconds"
 	// MetricFleetRetries counts failover retries beyond the primary
-	// attempt; MetricFleetRetryDenied counts hedges/retries refused by
-	// the token budget.
+	// attempt; MetricFleetRetryDenied counts retries refused by the token
+	// budget.
 	MetricFleetRetries     = "harp_fleet_retries_total"
 	MetricFleetRetryDenied = "harp_fleet_retry_budget_denied_total"
 	// MetricFleetProbes counts health-check probes by outcome (labels:
@@ -45,15 +39,15 @@ const (
 )
 
 // EnableTelemetry exposes the fleet on reg: per-replica health gauges, the
-// serviceable-replica and hedge-delay gauges, and counters for requests by
-// outcome, hedges (fired/won), retries (fired/denied), probes, ejections,
-// re-admissions, and rolling reloads. Every series is a read-through view,
-// evaluated at scrape time, of the state Stats reads — there is no second
-// tally to drift, and attaching late loses no history. Call it once per
-// fleet; several fleets on one registry report their sum. No-op on a nil
-// registry. This does not reach into the replicas — enable their telemetry
-// (e.g. resilience.Server.EnableTelemetry) separately, with distinct
-// registries or shared ones as the deployment wants.
+// serviceable-replica gauge, and counters for requests by outcome, retries
+// (fired/denied), probes, ejections, re-admissions, and rolling reloads.
+// Every series is a read-through view, evaluated at scrape time, of the
+// state Stats reads — there is no second tally to drift, and attaching
+// late loses no history. Call it once per fleet; several fleets on one
+// registry report their sum. No-op on a nil registry. This does not reach
+// into the replicas — enable their telemetry (e.g.
+// resilience.Server.EnableTelemetry) separately, with distinct registries
+// or shared ones as the deployment wants.
 func (f *Fleet) EnableTelemetry(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -69,10 +63,8 @@ func (f *Fleet) EnableTelemetry(reg *obs.Registry) {
 	view(MetricFleetRequests, requestsHelp, &f.served, obs.L("outcome", "replica"))
 	view(MetricFleetRequests, requestsHelp, &f.fallbacks, obs.L("outcome", "fallback"))
 	view(MetricFleetRequests, requestsHelp, &f.rejected, obs.L("outcome", "rejected"))
-	view(MetricFleetHedges, "Hedge attempts fired after the adaptive hedge delay.", &f.hedges)
-	view(MetricFleetHedgeWins, "Requests answered first by their hedge attempt.", &f.hedgeWins)
 	view(MetricFleetRetries, "Failover retries beyond the primary attempt.", &f.retries)
-	view(MetricFleetRetryDenied, "Hedges and retries refused by the token retry budget.", &f.retryDenied)
+	view(MetricFleetRetryDenied, "Failover retries refused by the token retry budget.", &f.retryDenied)
 	view(MetricFleetProbes, probesHelp, &f.probeOKs, obs.L("result", "ok"))
 	view(MetricFleetProbes, probesHelp, &f.probeFails, obs.L("result", "error"))
 	view(MetricFleetEjections, "Replicas quarantined (outlier ejections and draining replicas).", &f.ejections)
@@ -97,9 +89,6 @@ func (f *Fleet) EnableTelemetry(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc(MetricFleetHedgeDelay,
-		"Current adaptive hedge delay in seconds.",
-		func() float64 { return f.hedgeDelay().Seconds() })
 }
 
 // Stats is a point-in-time snapshot of the fleet's operational counters —
@@ -114,9 +103,7 @@ type Stats struct {
 	Served         int64 // answered by a replica
 	LocalFallbacks int64 // answered by the local ECMP fallback (ErrNoReplicas)
 	Rejected       int64 // invalid input, no splits produced
-	// Hedging and retries.
-	Hedges            int64
-	HedgeWins         int64
+	// Failover retries.
 	Retries           int64
 	RetryBudgetDenied int64
 	// Health checking.
@@ -137,8 +124,6 @@ func (f *Fleet) Stats() Stats {
 		Served:                f.served.Load(),
 		LocalFallbacks:        f.fallbacks.Load(),
 		Rejected:              f.rejected.Load(),
-		Hedges:                f.hedges.Load(),
-		HedgeWins:             f.hedgeWins.Load(),
 		Retries:               f.retries.Load(),
 		RetryBudgetDenied:     f.retryDenied.Load(),
 		Probes:                f.probeOKs.Load() + f.probeFails.Load(),

@@ -92,11 +92,7 @@ func TestFleetChaosTorture(t *testing.T) {
 	f := New(replicas, Options{
 		Deadline:               3 * time.Second,
 		TryTimeout:             100 * time.Millisecond,
-		HedgeQuantile:          0.9,
-		HedgeMinDelay:          time.Millisecond,
-		HedgeMaxDelay:          20 * time.Millisecond,
 		RetryBudget:            1,
-		RetryBurst:             200,
 		quarantineThreshold:    3,
 		probationSuccesses:     2,
 		maxQuarantinedFraction: 0.6,
@@ -228,9 +224,7 @@ func TestFleetChaosTortureBatchedShardedCached(t *testing.T) {
 	f := New(replicas, Options{
 		Deadline:               3 * time.Second,
 		TryTimeout:             150 * time.Millisecond,
-		HedgeQuantile:          0.9,
 		RetryBudget:            1,
-		RetryBurst:             200,
 		quarantineThreshold:    3,
 		probationSuccesses:     2,
 		maxQuarantinedFraction: 0.6,

@@ -1,10 +1,11 @@
 package fleet
 
 // Dispatch tracing and the Stats↔telemetry parity contract. The trace
-// test pins that a hedged request's flight-recorder trace survives
-// hopeless sampling odds (hedge wins are always retained) and records the
-// full dispatch story: one fleet.dispatch span with the winner, and one
-// fleet.attempt span per attempt with replica and hedge annotations. The
+// test pins that a failed-over request's flight-recorder trace survives
+// hopeless sampling odds (a failed attempt is an error, and errors are
+// always retained) and records the full dispatch story: one fleet.dispatch
+// span with the replica that served, and one fleet.attempt span per
+// attempt with its replica and, on the failed one, its error. The
 // parity test pins that after a scripted quarantine/re-admission cycle
 // the plain-Go Stats snapshot and the registry exposition tell the same
 // story — drift between the two is how operators end up debugging the
@@ -39,27 +40,22 @@ func spanByName(tr reqtrace.TraceDump, name string) (reqtrace.SpanDump, bool) {
 	return reqtrace.SpanDump{}, false
 }
 
-func TestFleetTraceHedgeWinRetained(t *testing.T) {
+func TestFleetTraceFailoverRetained(t *testing.T) {
 	p := twoPathProblem()
 	fs, rs := fakes(2)
-	fs[0].delay = 300 * time.Millisecond
-	f := New(rs, Options{
-		Deadline:      2 * time.Second,
-		HedgeQuantile: 0.9,
-		HedgeMinDelay: time.Millisecond,
-		HedgeMaxDelay: 5 * time.Millisecond,
-		RetryBudget:   1,
-	})
+	fs[0].fail.Store(true)
+	f := New(rs, Options{Deadline: 2 * time.Second, RetryBudget: 1})
 	defer f.Close()
 
 	// Sampling is hopeless on purpose: the trace must survive because the
-	// hedge win flags it for retention.
+	// failed primary flags it for retention.
 	rec := reqtrace.NewRecorder(reqtrace.Options{Capacity: 16, SampleEvery: 1 << 20})
 	ctx, root := rec.StartTrace(context.Background(), "request")
+	// The round-robin cursor starts at replica 0 — the failing one.
 	dec := f.ServeCtx(ctx, p, demand(p, 4, 2))
 	root.End()
-	if dec.Err != nil || !dec.Hedged || dec.Replica != 1 {
-		t.Fatalf("want hedge win on replica 1, got %+v", dec)
+	if dec.Err != nil || dec.Retries != 1 || dec.Replica != 1 {
+		t.Fatalf("want a failover answer from replica 1, got %+v", dec)
 	}
 
 	dump := rec.Snapshot()
@@ -67,41 +63,39 @@ func TestFleetTraceHedgeWinRetained(t *testing.T) {
 		t.Fatalf("retained %d traces, want 1", len(dump.Traces))
 	}
 	tr := dump.Traces[0]
-	if tr.Reason != "hedge_win" {
-		t.Fatalf("retain reason %q, want hedge_win", tr.Reason)
+	if tr.Reason != "error" {
+		t.Fatalf("retain reason %q, want error", tr.Reason)
 	}
 	dsp, ok := spanByName(tr, "fleet.dispatch")
 	if !ok {
 		t.Fatalf("no fleet.dispatch span: %+v", tr.Spans)
 	}
-	if dsp.Attrs["winner"] != "hedge" {
-		t.Fatalf("dispatch winner %v, want hedge", dsp.Attrs["winner"])
-	}
 	if got, _ := dsp.Attrs["served_by"].(int64); got != 1 {
 		t.Fatalf("served_by %v, want 1", dsp.Attrs["served_by"])
 	}
-	// One attempt span per dispatch: the slow primary on replica 0 and the
-	// winning hedge on replica 1, each a child of fleet.dispatch. The
-	// cancelled primary may not have noticed yet (dur -1) — that is the
-	// point of exporting it.
+	// One attempt span per attempt: the failed primary on replica 0 and
+	// the answering retry on replica 1, each a child of fleet.dispatch.
 	byReplica := map[int64]reqtrace.SpanDump{}
 	for _, sp := range tr.Spans {
 		if sp.Name == "fleet.attempt" {
 			if sp.Parent != dsp.ID {
 				t.Fatalf("attempt parent %d, want dispatch %d", sp.Parent, dsp.ID)
 			}
-			rid, _ := sp.Attrs["replica"].(int64)
+			rid, ok := sp.Attrs["replica"].(int64)
+			if !ok {
+				t.Fatalf("attempt without a replica annotation: %+v", sp.Attrs)
+			}
 			byReplica[rid] = sp
 		}
 	}
 	if len(byReplica) != 2 {
 		t.Fatalf("%d attempt spans, want 2: %+v", len(byReplica), tr.Spans)
 	}
-	if h, _ := byReplica[0].Attrs["hedge"].(bool); h {
-		t.Fatalf("primary attempt marked as hedge: %+v", byReplica[0].Attrs)
+	if _, failed := byReplica[0].Attrs["error"]; !failed {
+		t.Fatalf("failed attempt carries no error: %+v", byReplica[0].Attrs)
 	}
-	if h, _ := byReplica[1].Attrs["hedge"].(bool); !h {
-		t.Fatalf("hedge attempt not marked: %+v", byReplica[1].Attrs)
+	if e, failed := byReplica[1].Attrs["error"]; failed {
+		t.Fatalf("answering attempt carries error %v", e)
 	}
 }
 
@@ -176,8 +170,6 @@ func TestFleetStatsTelemetryParity(t *testing.T) {
 		MetricFleetProbes + `{result="error"}`:       float64(st.ProbeFailures),
 		MetricFleetProbes + `{result="ok"}`:          float64(st.Probes - st.ProbeFailures),
 		MetricFleetServiceable:                       float64(st.Healthy + st.Degraded),
-		MetricFleetHedges:                            float64(st.Hedges),
-		MetricFleetHedgeWins:                         float64(st.HedgeWins),
 	} {
 		if got := metricValue(t, out, sample); got != want {
 			t.Errorf("%s = %v, Stats says %v", sample, got, want)

@@ -4,8 +4,8 @@ package reqtrace
 // behind the admin endpoint's /debug/traces route and tereplay's
 // -trace-dump flag. Export allocates freely (it runs on an operator's
 // request, not the serve path) and locks each trace only long enough to
-// copy its spans, so a hedge's cancelled loser may keep annotating while a
-// dump is in progress.
+// copy its spans, so a span may keep annotating while a dump is in
+// progress.
 
 import (
 	"encoding/json"
@@ -31,7 +31,7 @@ type TraceDump struct {
 }
 
 // SpanDump is one span. DurUS is -1 for a span that had not ended when the
-// trace was exported (a hedge's cancelled loser that had not noticed yet).
+// trace was exported (a child still running after its root ended).
 type SpanDump struct {
 	ID     uint64         `json:"id"`
 	Parent uint64         `json:"parent,omitempty"`

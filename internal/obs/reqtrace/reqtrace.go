@@ -9,9 +9,9 @@
 // recorder decides — with the whole trace in hand, hence "tail-based" —
 // whether to retain it:
 //
-//   - always retain traces flagged interesting (errors, sheds, vet
-//     failures, hedge wins, degradations — anything that called
-//     ForceRetain or SetError);
+//   - always retain traces flagged interesting (errors — a failed fleet
+//     attempt among them — sheds, vet failures, degradations: anything
+//     that called ForceRetain or SetError);
 //   - always retain traces slower than the rolling p99 of recent roots;
 //   - keep 1 in Options.SampleEvery of the boring remainder.
 //
@@ -170,9 +170,9 @@ func (r *Recorder) addStage(name string) *obs.Histogram {
 }
 
 // trace is one request's span collection. The mutex guards the span list
-// and every span's fields: a hedged request's attempts annotate
-// concurrently, and the cancelled loser may still be annotating when the
-// winner ends the root — or when WriteJSON exports the published trace.
+// and every span's fields: spans may be opened, annotated and ended from
+// several goroutines, and a span may still be annotating when the root
+// ends — or when WriteJSON exports the published trace.
 type trace struct {
 	rec *Recorder
 	id  TraceID
@@ -307,8 +307,9 @@ func (sp *Span) annotate(a Attr) {
 	sp.tr.mu.Lock()
 	if sp.attrs == nil {
 		// Room for two from the start: most annotated spans carry two or
-		// more (forward.rau's iterations and refills, an attempt's replica
-		// and hedge), and a traced request should not pay a regrowth each.
+		// more (forward.rau's iterations and refills, a failed attempt's
+		// replica and error), and a traced request should not pay a
+		// regrowth each.
 		sp.attrs = make([]Attr, 0, 2)
 	}
 	sp.attrs = append(sp.attrs, a)
@@ -347,7 +348,7 @@ func (sp *Span) SetError(err error) {
 
 // ForceRetain flags the trace for retention regardless of sampling (the
 // first reason given sticks). Use it for the always-keep classes: sheds,
-// vet failures, hedge wins, degradations. Nil-safe.
+// vet failures, degradations. Nil-safe.
 func (sp *Span) ForceRetain(reason string) {
 	if sp == nil {
 		return
@@ -360,8 +361,8 @@ func (sp *Span) ForceRetain(reason string) {
 // returned) finishes the trace: the recorder keeps it if it was flagged, is
 // p99-slow, or wins the 1-in-SampleEvery lottery, and drops it otherwise.
 // Ending a span twice is harmless (the first end time sticks and is
-// observed once); child spans may end after their root (a hedge's cancelled
-// loser does). Nil-safe.
+// observed once); child spans may end after their root, and are still
+// timed. Nil-safe.
 func (sp *Span) End() {
 	if sp == nil {
 		return

@@ -182,7 +182,7 @@ func TestSlowRetention(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnnotateAndExport: hedged attempts annotate concurrently
+// TestConcurrentAnnotateAndExport: spans annotate concurrently
 // with the root ending and a dump running — must not race (make race
 // names this package: `go test ./internal/obs` does not descend into it).
 func TestConcurrentAnnotateAndExport(t *testing.T) {
@@ -306,7 +306,7 @@ func TestStageFeedAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentEndWhileScrape: hedge losers end spans from several
+// TestConcurrentEndWhileScrape: spans end from several
 // goroutines — registering a stage's histogram on a name's first End —
 // while an operator scrapes /metrics. Counts stay exact; run under -race.
 func TestConcurrentEndWhileScrape(t *testing.T) {
