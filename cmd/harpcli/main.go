@@ -386,7 +386,7 @@ func startAdmin(addr string) (*obs.Registry, *reqtrace.Recorder, func()) {
 	obs.RegisterBuildInfo(reg, obs.L("component", "harpcli"))
 	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	rec.EnableTelemetry(reg)
-	admin, err := obs.ServeAdminOpts(addr, obs.AdminOptions{Registry: reg, Traces: rec})
+	admin, err := obs.ServeAdmin(addr, obs.AdminOptions{Registry: reg, Traces: rec})
 	if err != nil {
 		fatal(err)
 	}

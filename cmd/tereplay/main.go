@@ -36,9 +36,10 @@
 //
 // With -metrics-addr the replay serves the observability admin endpoint
 // while it runs: per-tier request counters and latency histograms, forward
-// -pass stage timings, pool gauges, build info, and SLO burn-rate gauges
-// on /metrics, plus expvar, pprof, and the flight-recorder trace dump
-// under /debug/ (and the harp_fleet_* series when -replicas > 1).
+// -pass stage timings, pool gauges and build info on /metrics, plus
+// expvar, pprof, and the flight-recorder trace dump under /debug/ (and the
+// harp_fleet_* series when -replicas > 1). The serving objectives are
+// ratios over those series, computed by the scraper (RUNBOOK.md).
 //
 // -trace-dump (or -metrics-addr) arms the per-request flight recorder:
 // every request runs under a trace whose spans cover fleet dispatch,
@@ -58,7 +59,7 @@
 // (ignored with -replicas 1). Pass a scenario JSON file, or "auto" for the
 // canned everything-at-once script. The drill arms the out-of-distribution
 // serving guard: its envelope is trained on the scenario's own benign
-// traffic immediately before the drill, so suspect/hostile demotions in the
+// traffic immediately before the drill, so suspect/hostile verdicts in the
 // summary line are script-induced — but for the fleet's health probes after
 // a maintenance wave, which replay the first test snapshot and are graded
 // like any request — and the replay runs unguarded. The summary reports
@@ -125,19 +126,13 @@ func main() {
 		rec = reqtrace.NewRecorder(reqtrace.Options{SampleEvery: *traceSample})
 	}
 	var reg *obs.Registry
-	var slos *resilience.SLOSet
 	if *metrics != "" {
 		reg = obs.NewRegistry()
 		core.RegisterRuntimeGauges(reg)
 		obs.RegisterBuildInfo(reg, obs.L("component", "tereplay"))
 		// Every ended span feeds harp_request_stage_seconds{stage}.
 		rec.EnableTelemetry(reg)
-		// One SLO set shared by all replicas: a burn-rate series reports
-		// the sum of the functions registered on it, so per-server sets
-		// would add their ratios up on a shared registry.
-		slos = resilience.NewSLOSet()
-		slos.Register(reg)
-		admin, err := obs.ServeAdminOpts(*metrics, obs.AdminOptions{Registry: reg, Traces: rec})
+		admin, err := obs.ServeAdmin(*metrics, obs.AdminOptions{Registry: reg, Traces: rec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tereplay:", err)
 			os.Exit(1)
@@ -147,10 +142,7 @@ func main() {
 	}
 	var qm *verify.QualityMonitor
 	if *qualityEvery > 0 {
-		qm = verify.NewQualityMonitor(verify.QualityOptions{
-			SampleEvery: *qualityEvery,
-			OnSample:    func(_ float64, good bool) { slos.RecordQuality(good) },
-		})
+		qm = verify.NewQualityMonitor(verify.QualityOptions{SampleEvery: *qualityEvery})
 		defer qm.Close()
 		qm.EnableTelemetry(reg)
 	}
@@ -214,7 +206,6 @@ func main() {
 			BreakerThreshold: *brkN,
 			BreakerCooloff:   *brkCool,
 			CacheEntries:     *cacheEnt,
-			SLO:              slos,
 			Quality:          qm,
 			OOD:              guard,
 		})
@@ -364,9 +355,6 @@ func main() {
 		qst := qm.Stats()
 		fmt.Printf("quality: offered=%d sampled=%d dropped=%d worst-ratio=%.4f\n",
 			qst.Offered, qst.Sampled, qst.Dropped, qst.WorstRatio)
-	}
-	for _, s := range slos.Snapshot() {
-		fmt.Printf("slo %-13s burn 5m=%.2f 1h=%.2f\n", s.Name+":", s.Burn5m, s.Burn1h)
 	}
 	if *traceDump != "" {
 		w := os.Stdout
@@ -549,14 +537,12 @@ func runScenarioDrill(spec string, base *te.Problem, model *core.Model, guard *r
 		o := s.Stats().OOD
 		st.Suspect += o.Suspect
 		st.Hostile += o.Hostile
-		st.HostileDemotions += o.HostileDemotions
-		st.CacheBypasses += o.CacheBypasses
 	}
 	total := pl.Steps()
-	fmt.Printf("scenario summary: quiet NormMLU %.3f (n=%d), disaster NormMLU %.3f (n=%d), MLU degradation %.2fx, shed %d/%d (%.1f%%), ood suspect=%d hostile=%d demotions=%d cache-bypasses=%d\n",
+	fmt.Printf("scenario summary: quiet NormMLU %.3f (n=%d), disaster NormMLU %.3f (n=%d), MLU degradation %.2fx, shed %d/%d (%.1f%%), ood suspect=%d hostile=%d\n",
 		quietMean, len(quiet), disasterMean, len(disaster), degradation,
 		shed, total, 100*float64(shed)/float64(total),
-		st.Suspect, st.Hostile, st.HostileDemotions, st.CacheBypasses)
+		st.Suspect, st.Hostile)
 	if fl != nil {
 		fst := fl.Stats()
 		fmt.Printf("scenario fleet: ejections=%d readmits=%d quarantined=%d\n", fst.Ejections, fst.Readmissions, fst.Quarantined)

@@ -1,10 +1,15 @@
 package harpte_test
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -68,4 +73,68 @@ func TestDocsRunExistingPrograms(t *testing.T) {
 func dirExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.IsDir()
+}
+
+// metricName matches a harp_* series name as the operator documents quote
+// it; a match ending in "_" is a family prefix (harp_fleet_*), not a name.
+var metricName = regexp.MustCompile(`harp_[a-z0-9_]+`)
+
+// TestOperatorDocsQuoteExportedMetrics: every complete harp_* name that
+// README.md, RUNBOOK.md or a command's README quotes is a string literal in
+// the program (non-test Go under internal/ or cmd/), after stripping the
+// _bucket, _sum and _count suffixes a histogram's series add. A deleted or
+// renamed series fails here until the documents stop naming it, so an
+// alert or recording rule never watches a series nothing exports.
+func TestOperatorDocsQuoteExportedMetrics(t *testing.T) {
+	exported := map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						exported[v] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob("cmd/*/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]bool{}
+	for _, file := range append([]string{"README.md", "RUNBOOK.md"}, files...) {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range metricName.FindAllString(string(doc), -1) {
+			if strings.HasSuffix(name, "_") {
+				continue
+			}
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+			if !exported[name] && !checked[name] {
+				t.Errorf("%s quotes %s, which no non-test Go under internal/ or cmd/ exports", file, name)
+			}
+			checked[name] = true
+		}
+	}
+	if len(checked) == 0 {
+		t.Fatal("no operator document quotes a harp_* series")
+	}
+	t.Logf("%d quoted series names checked", len(checked))
 }

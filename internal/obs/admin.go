@@ -23,18 +23,12 @@ type TraceDumper interface {
 	WriteJSON(w io.Writer) error
 }
 
-// AdminOptions configures ServeAdminOpts. Both fields are optional.
+// AdminOptions configures ServeAdmin. Both fields are optional.
 type AdminOptions struct {
 	// Registry backs /metrics; nil serves an empty (but valid) exposition.
 	Registry *Registry
 	// Traces backs /debug/traces; nil serves an empty dump.
 	Traces TraceDumper
-}
-
-// ServeAdmin starts an admin HTTP server on addr exposing reg; see
-// ServeAdminOpts for the route list.
-func ServeAdmin(addr string, reg *Registry) (*Admin, error) {
-	return ServeAdminOpts(addr, AdminOptions{Registry: reg})
 }
 
 // getOnly wraps a route handler with the admin endpoint's method and header
@@ -58,7 +52,7 @@ func getOnly(contentType string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ServeAdminOpts starts an admin HTTP server on addr (host:port; use
+// ServeAdmin starts an admin HTTP server on addr (host:port; use
 // ":0" to pick a free port) exposing:
 //
 //	/metrics       Prometheus text-format exposition of the registry
@@ -73,7 +67,7 @@ func getOnly(contentType string, h http.HandlerFunc) http.HandlerFunc {
 // Note the CPU profiler is process-global: /debug/pprof/profile fails
 // while a file CPU profile (harpcli -cpuprofile) is running, and vice
 // versa.
-func ServeAdminOpts(addr string, opts AdminOptions) (*Admin, error) {
+func ServeAdmin(addr string, opts AdminOptions) (*Admin, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: admin listen on %s: %w", addr, err)

@@ -37,7 +37,7 @@ func TestAdminEndpointSmoke(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(5)
 
-	a, err := ServeAdmin("127.0.0.1:0", r)
+	a, err := ServeAdmin("127.0.0.1:0", AdminOptions{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func (f *fakeDumper) WriteJSON(w io.Writer) error {
 func TestAdminRouteTable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("route_requests_total", "requests").Add(1)
-	a, err := ServeAdminOpts("127.0.0.1:0", AdminOptions{
+	a, err := ServeAdmin("127.0.0.1:0", AdminOptions{
 		Registry: r,
 		Traces:   &fakeDumper{body: `{"retained":1,"dropped":0,"traces":[]}` + "\n"},
 	})
@@ -168,7 +168,7 @@ func TestAdminRouteTable(t *testing.T) {
 // TestAdminTracesNilDumper: /debug/traces without a recorder serves an
 // empty, valid dump rather than 404ing (dashboards stay wired up).
 func TestAdminTracesNilDumper(t *testing.T) {
-	a, err := ServeAdminOpts("127.0.0.1:0", AdminOptions{})
+	a, err := ServeAdmin("127.0.0.1:0", AdminOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAdminTracesNilDumper(t *testing.T) {
 }
 
 func TestServeAdminNilRegistry(t *testing.T) {
-	a, err := ServeAdmin("127.0.0.1:0", nil)
+	a, err := ServeAdmin("127.0.0.1:0", AdminOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

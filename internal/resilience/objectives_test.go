@@ -28,15 +28,11 @@ import (
 func TestServingObjectivesFromExposition(t *testing.T) {
 	p := twoPathProblem()
 	reg := obs.NewRegistry()
-	slos := NewSLOSet()
-	q := verify.NewQualityMonitor(verify.QualityOptions{
-		SampleEvery: 1,
-		OnSample:    func(_ float64, good bool) { slos.RecordQuality(good) },
-	})
+	q := verify.NewQualityMonitor(verify.QualityOptions{SampleEvery: 1})
 	defer q.Close()
 	q.EnableTelemetry(reg)
-	a := NewServer(core.New(tinyConfig()), Options{CacheEntries: 4, SLO: slos, Quality: q})
-	b := NewServer(core.New(tinyConfig()), Options{SLO: slos, Quality: q})
+	a := NewServer(core.New(tinyConfig()), Options{CacheEntries: 4, Quality: q})
+	b := NewServer(core.New(tinyConfig()), Options{Quality: q})
 	a.EnableTelemetry(reg)
 	b.EnableTelemetry(reg)
 
@@ -94,22 +90,6 @@ func TestServingObjectivesFromExposition(t *testing.T) {
 		if c.good != c.wantGood || c.bad != c.wantBad {
 			t.Errorf("%s: %d good / %d bad from the exposition, want %d / %d",
 				c.objective, c.good, c.bad, c.wantGood, c.wantBad)
-		}
-	}
-
-	// The rings count the same events: exactly for availability and
-	// quality; for latency all but the 51 ms event, which their 50 ms
-	// objective scores bad and the 51.2 ms bucket edge scores good.
-	for _, c := range []struct {
-		slo       *obs.SLO
-		good, bad int64
-	}{
-		{slos.availability, availGood, availBad},
-		{slos.latency, latGood - 1, latTotal - latGood + 1},
-		{slos.quality, qualGood, qualTotal - qualGood},
-	} {
-		if good, bad := c.slo.Counts(obs.SLOLongWindow); good != c.good || bad != c.bad {
-			t.Errorf("%s ring: %d good / %d bad, exposition implies %d / %d", c.slo.Name(), good, bad, c.good, c.bad)
 		}
 	}
 }

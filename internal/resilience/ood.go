@@ -236,14 +236,12 @@ func (g *OODGuard) Classify(p *te.Problem, demand *tensor.Dense) OODVerdict {
 	return g.profile.Load().Classify(p, demand)
 }
 
-// OODStats is a point-in-time snapshot of one server's OOD tally — the
-// plain-Go mirror of its harp_ood_* series.
+// OODStats is a point-in-time snapshot of one server's OOD verdicts — the
+// plain-Go mirror of its harp_ood_requests_total series. Every hostile
+// request is denied the model and, with the split cache on, every suspect
+// and hostile one skips it, so those outcomes need no tally of their own.
 type OODStats struct {
 	InProfile, Suspect, Hostile int64
-	// HostileDemotions counts requests denied the model; CacheBypasses
-	// counts requests (suspect and hostile) that skipped the split cache.
-	HostileDemotions int64
-	CacheBypasses    int64
 }
 
 // ObserveSeries widens the envelope over a demand series on one problem —

@@ -125,33 +125,27 @@ func TestOODServeDemotions(t *testing.T) {
 		t.Fatalf("hostile replay served %v, want ecmp", again.Tier)
 	}
 
+	if st := srv.Stats().Cache; st.Size != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hostile requests touched the split cache: %+v", st)
+	}
+
 	st := srv.Stats().OOD
 	if st.InProfile != 2 || st.Suspect != 2 || st.Hostile != 2 {
 		t.Fatalf("verdict counts %+v", st)
 	}
-	if st.HostileDemotions != 2 {
-		t.Fatalf("demotion count %+v, want the 2 hostile requests only", st)
-	}
-	if st.CacheBypasses != 4 {
-		t.Fatalf("cache bypasses %d, want 4 (2 suspect + 2 hostile)", st.CacheBypasses)
-	}
-	// The registry tells the same story, and nothing is counted as a
-	// suspect demotion any more.
+	// The registry tells the same story.
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
+		`harp_ood_requests_total{verdict="in-profile"} 2`,
 		`harp_ood_requests_total{verdict="suspect"} 2`,
-		`harp_ood_demotions_total{verdict="hostile"} 2`,
-		`harp_ood_cache_bypasses_total 4`,
+		`harp_ood_requests_total{verdict="hostile"} 2`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition lacks %q", want)
 		}
-	}
-	if strings.Contains(b.String(), `harp_ood_demotions_total{verdict="suspect"}`) {
-		t.Error("exposition still counts suspect demotions")
 	}
 }
 

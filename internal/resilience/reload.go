@@ -131,11 +131,9 @@ func (s *Server) Stats() Stats {
 		DeadlineExpirations: s.deadlines.Load(),
 		PanicRecoveries:     s.panics.Load(),
 		OOD: OODStats{
-			InProfile:        s.oodVerdicts[OODInProfile].Load(),
-			Suspect:          s.oodVerdicts[OODSuspect].Load(),
-			Hostile:          s.oodVerdicts[OODHostile].Load(),
-			HostileDemotions: s.oodDemotions.Load(),
-			CacheBypasses:    s.oodBypasses.Load(),
+			InProfile: s.oodVerdicts[OODInProfile].Load(),
+			Suspect:   s.oodVerdicts[OODSuspect].Load(),
+			Hostile:   s.oodVerdicts[OODHostile].Load(),
 		},
 	}
 	st.Shed = st.ShedQueueFull + st.ShedQueueDeadline + st.ShedDraining

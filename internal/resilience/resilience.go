@@ -149,22 +149,10 @@ type Options struct {
 	// guard (one nil check on the serve path, no atomics).
 	OOD *OODGuard
 
-	// SLO, when set, scores every finished request against the serving
-	// objectives (slo.go). Share one SLOSet across servers that share a
-	// registry. Nil disables SLO tracking.
-	SLO *SLOSet
-	// Quality, when set, receives every successfully served (problem,
-	// demand, splits) triple for background sampling against the exact
-	// solver — wire a *verify.QualityMonitor here. Leave nil to disable;
-	// do not store a typed nil pointer in it.
-	Quality QualityProbe
-}
-
-// QualityProbe receives served answers for background quality scoring.
-// Implementations must be non-blocking and allocation-free on the
-// non-sampled path (verify.QualityMonitor.Offer is).
-type QualityProbe interface {
-	Offer(p *te.Problem, demand, splits *tensor.Dense)
+	// Quality, when set, receives every answered (problem, demand, splits)
+	// triple for background sampling against the exact solver. Nil
+	// disables it.
+	Quality *verify.QualityMonitor
 }
 
 // Decision is the outcome of one Serve call.
@@ -228,11 +216,8 @@ type Server struct {
 	deadlines atomic.Int64
 	panics    atomic.Int64
 
-	// This server's OOD tally (ood.go): Options.OOD's verdicts, and what
-	// the serve path did with them.
-	oodVerdicts  [numOODVerdicts]atomic.Int64
-	oodDemotions atomic.Int64
-	oodBypasses  atomic.Int64
+	// This server's OOD tally (ood.go): Options.OOD's verdicts.
+	oodVerdicts [numOODVerdicts]atomic.Int64
 
 	// statMu guards only the tier tally, so TierCounts can take a
 	// consistent snapshot in one acquisition without contending with the
@@ -307,12 +292,6 @@ const (
 	// MetricOODRequests counts classified requests by verdict (labels:
 	// verdict="in-profile"|"suspect"|"hostile").
 	MetricOODRequests = "harp_ood_requests_total"
-	// MetricOODDemotions counts requests denied the model by the OOD guard
-	// (label: verdict="hostile"; suspect requests are served in full).
-	MetricOODDemotions = "harp_ood_demotions_total"
-	// MetricOODCacheBypasses counts requests that skipped the split
-	// cache (reads and writes) because of their verdict.
-	MetricOODCacheBypasses = "harp_ood_cache_bypasses_total"
 )
 
 // EnableTelemetry exposes the server on reg (the Metric* constants):
@@ -373,10 +352,6 @@ func (s *Server) EnableTelemetry(reg *obs.Registry) {
 		count(MetricOODRequests, "Requests classified by the OOD guard, by verdict.",
 			s.oodVerdicts[v].Load, obs.L("verdict", v.String()))
 	}
-	count(MetricOODDemotions, "Requests denied the model by the OOD guard.",
-		s.oodDemotions.Load, obs.L("verdict", OODHostile.String()))
-	count(MetricOODCacheBypasses, "Requests that skipped the split cache on an OOD verdict.",
-		s.oodBypasses.Load)
 	reg.GaugeFunc(MetricServeQueueDepth,
 		"Requests waiting for an admission slot.",
 		func() float64 { return float64(s.queued.Load()) })
@@ -533,14 +508,15 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	var key cacheKey
 	if s.cache != nil {
 		if verdict != OODInProfile {
-			s.oodBypasses.Add(1)
 			sp.Annotate("cache", "ood-bypass")
 		} else {
 			key.topo, key.tm = CacheKey(p, demand, DefaultCacheQuantum)
 			if splits := s.cache.get(key); splits != nil {
 				s.record(TierCached, start)
 				sp.Annotate("cache", "hit")
-				s.offerQuality(p, demand, splits)
+				if q := s.opts.Quality; q != nil {
+					q.Offer(p, demand, splits)
+				}
 				return Decision{Splits: splits, Tier: TierCached}
 			}
 			sp.Annotate("cache", "miss")
@@ -557,7 +533,9 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	}
 	s.record(dec.Tier, start)
 	s.annotateOutcome(sp, &dec)
-	s.offerQuality(p, demand, dec.Splits)
+	if q := s.opts.Quality; q != nil {
+		q.Offer(p, demand, dec.Splits)
+	}
 	return dec
 }
 
@@ -571,7 +549,6 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 		dec.Degraded = append(dec.Degraded, fmt.Sprintf("%v: %v", TierFull, why))
 	}
 	if dec.OOD == OODHostile {
-		s.oodDemotions.Add(1)
 		degrade("ood hostile")
 		return nil
 	}
@@ -627,14 +604,6 @@ func (s *Server) annotateOutcome(sp *reqtrace.Span, dec *Decision) {
 			sp.Annotate("degraded", d)
 		}
 		sp.ForceRetain("degraded")
-	}
-}
-
-// offerQuality hands a served answer to the background quality monitor,
-// when one is attached. One interface nil check on the disabled path.
-func (s *Server) offerQuality(p *te.Problem, demand, splits *tensor.Dense) {
-	if s.opts.Quality != nil {
-		s.opts.Quality.Offer(p, demand, splits)
 	}
 }
 
@@ -700,15 +669,14 @@ func VetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
 	return splits, nil
 }
 
-// record tallies one answered request: the per-tier count under statMu,
-// the latency histogram, and the serving SLOs when attached.
+// record tallies one answered request: the per-tier count under statMu
+// and the latency histogram.
 func (s *Server) record(t Tier, start time.Time) {
 	elapsed := time.Since(start)
 	s.statMu.Lock()
 	s.counts[t]++
 	s.statMu.Unlock()
 	s.latency[t].Observe(elapsed.Seconds())
-	s.opts.SLO.recordServe(t, elapsed)
 }
 
 // tally copies the per-tier counts in one lock acquisition.

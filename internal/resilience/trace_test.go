@@ -6,8 +6,8 @@ package resilience
 // (all four forward stages) and then found (MLP1 and RAU only), and a
 // cache hit on the warm repeat.
 // TestTraceDisabledZeroAllocs pins the flip side: with no span in the
-// context, the serve path (cache hit, SLO tracking and quality sampling
-// attached) stays allocation-free.
+// context, the serve path (cache hit and quality sampling attached) stays
+// allocation-free.
 
 import (
 	"context"
@@ -217,8 +217,8 @@ func TestTraceShedRetainedBoringDropped(t *testing.T) {
 }
 
 // TestTraceDisabledZeroAllocs is the acceptance pin: with no span in the
-// context the whole serving chain — admission fast path, cache hit, SLO
-// burn-rate recording, quality-probe fast path — runs without a single
+// context the whole serving chain — admission fast path, cache hit,
+// latency histogram, quality-monitor fast path — runs without a single
 // allocation.
 func TestTraceDisabledZeroAllocs(t *testing.T) {
 	if tensor.RaceEnabled {
@@ -229,7 +229,6 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	defer q.Close()
 	srv := NewServer(core.New(tinyConfig()), Options{
 		CacheEntries: 8,
-		SLO:          NewSLOSet(),
 		Quality:      q,
 	})
 	d := demand(p, 4, 2)

@@ -46,16 +46,6 @@ type QualityOptions struct {
 	// QueueDepth bounds the pending-sample queue (default 64); offers past
 	// a full queue are dropped, never blocked on.
 	QueueDepth int
-	// RatioObjective is the achieved/optimal MLU ratio at or below which a
-	// sample counts as "good" for the OnSample callback (default 1.25 —
-	// within 25% of optimal).
-	RatioObjective float64
-	// OnSample, when set, receives every resolved sample's ratio and
-	// whether it met RatioObjective — the hook the serving SLO set uses to
-	// feed its quality objective. Invocations are serialized: OnSample
-	// never runs concurrently with itself, even while Drain is helping
-	// the worker.
-	OnSample func(ratio float64, good bool)
 }
 
 type qualitySample struct {
@@ -92,9 +82,6 @@ func NewQualityMonitor(opts QualityOptions) *QualityMonitor {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.RatioObjective <= 0 {
-		opts.RatioObjective = 1.25
 	}
 	q := &QualityMonitor{
 		opts:  opts,
@@ -138,8 +125,8 @@ func (q *QualityMonitor) run() {
 }
 
 // resolve scores one sample against the exact simplex optimum. Both the
-// background worker and Drain call it; the mutex keeps resolution (and
-// therefore OnSample) single-threaded.
+// background worker and Drain call it; the mutex keeps resolution
+// single-threaded.
 func (q *QualityMonitor) resolve(s qualitySample) {
 	q.resolveMu.Lock()
 	defer q.resolveMu.Unlock()
@@ -162,9 +149,6 @@ func (q *QualityMonitor) resolve(s qualitySample) {
 	if h := q.hist.Load(); h != nil {
 		h.Observe(ratio)
 	}
-	if q.opts.OnSample != nil {
-		q.opts.OnSample(ratio, ratio <= q.opts.RatioObjective)
-	}
 }
 
 // EnableTelemetry registers the MLU-ratio histogram and sample counters
@@ -174,7 +158,8 @@ func (q *QualityMonitor) EnableTelemetry(reg *obs.Registry) {
 		return
 	}
 	// Buckets resolve "at optimal" (≤1.02, where cache quantization lives)
-	// through "badly regressed" (>2x optimal).
+	// through "badly regressed" (>2x optimal). The quality objective's
+	// recording rule (RUNBOOK.md) reads the 1.25 bucket as "good".
 	buckets := []float64{1.0, 1.02, 1.05, 1.1, 1.15, 1.25, 1.5, 2, 3, 5, 10}
 	q.hist.Store(reg.Histogram(MetricQualityMLURatio,
 		"Achieved/optimal MLU ratio of sampled served requests (1.0 = optimal).",

@@ -11,23 +11,15 @@ import (
 )
 
 // TestQualityMonitorScoresOptimalAsOne: feeding the simplex optimum back
-// to the monitor must score a ratio of ~1, land in the lowest histogram
-// buckets, and drive the OnSample hook with good=true.
+// to the monitor must score a ratio of ~1 and land in the lowest histogram
+// buckets, all within the quality objective's 1.25 bucket.
 func TestQualityMonitorScoresOptimalAsOne(t *testing.T) {
 	p, d := randomInstance(3, 3)
 	opt, err := lp.SolveWithOptions(p, d, lp.Options{Method: "simplex"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ratios []float64
-	var goods []bool
-	q := NewQualityMonitor(QualityOptions{
-		SampleEvery: 2,
-		OnSample: func(ratio float64, good bool) {
-			ratios = append(ratios, ratio)
-			goods = append(goods, good)
-		},
-	})
+	q := NewQualityMonitor(QualityOptions{SampleEvery: 2})
 	defer q.Close()
 	reg := obs.NewRegistry()
 	q.EnableTelemetry(reg)
@@ -40,33 +32,35 @@ func TestQualityMonitorScoresOptimalAsOne(t *testing.T) {
 	if st.Offered != 8 || st.Sampled != 4 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v, want offered 8 / sampled 4 / dropped 0", st)
 	}
-	if len(ratios) != 4 {
-		t.Fatalf("OnSample fired %d times, want 4", len(ratios))
+	if st.WorstRatio < 0.999 || st.WorstRatio > 1.001 {
+		t.Fatalf("optimal splits scored worst ratio %v, want ~1", st.WorstRatio)
 	}
-	for i, r := range ratios {
-		if r < 0.999 || r > 1.001 {
-			t.Fatalf("optimal splits scored ratio %v, want ~1", r)
-		}
-		if !goods[i] {
-			t.Fatalf("optimal sample %d marked bad", i)
+	out := exposition(t, reg)
+	for _, want := range []string{
+		MetricQualityMLURatio + `_bucket{le="1.02"} 4`,
+		MetricQualityMLURatio + `_bucket{le="1.25"} 4`,
+		MetricQualityMLURatio + `_count 4`,
+		MetricQualitySamples + " 4",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("exposition lacks %q:\n%s", want, out)
 		}
 	}
+}
+
+// exposition renders reg in the Prometheus text format.
+func exposition(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, MetricQualityMLURatio+`_bucket{le="1.02"} 4`) {
-		t.Fatalf("optimal samples not in the 1.02 bucket:\n%s", out)
-	}
-	if !strings.Contains(out, MetricQualitySamples+" 4") {
-		t.Fatalf("sample counter missing:\n%s", out)
-	}
+	return buf.String()
 }
 
 // TestQualityMonitorFlagsRegression: uniform (ECMP-style) splits on a
-// skewed instance must score a ratio meaningfully above 1 and, past the
-// objective, mark the sample bad.
+// skewed instance must score a ratio meaningfully above 1 and land past
+// the quality objective's 1.25 bucket.
 func TestQualityMonitorFlagsRegression(t *testing.T) {
 	// Scan instances for one where uniform splits are notably suboptimal.
 	for i := 0; i < 12; i++ {
@@ -85,24 +79,23 @@ func TestQualityMonitorFlagsRegression(t *testing.T) {
 		if trueRatio < 1.3 {
 			continue
 		}
-		var got float64
-		var good bool
-		q := NewQualityMonitor(QualityOptions{
-			SampleEvery:    1,
-			RatioObjective: 1.25,
-			OnSample:       func(r float64, g bool) { got, good = r, g },
-		})
+		q := NewQualityMonitor(QualityOptions{SampleEvery: 1})
 		defer q.Close()
+		reg := obs.NewRegistry()
+		q.EnableTelemetry(reg)
 		q.Offer(p, d, uniform)
 		q.Drain()
-		if got < 1.3 {
+		if got := q.Stats().WorstRatio; got < 1.3 {
 			t.Fatalf("monitor scored %v, direct computation says %v", got, trueRatio)
 		}
-		if good {
-			t.Fatalf("ratio %v past objective 1.25 marked good", got)
-		}
-		if w := q.Stats().WorstRatio; w != got {
-			t.Fatalf("worst ratio %v != sample ratio %v", w, got)
+		out := exposition(t, reg)
+		for _, want := range []string{
+			MetricQualityMLURatio + `_bucket{le="1.25"} 0`,
+			MetricQualityMLURatio + `_count 1`,
+		} {
+			if !strings.Contains(out, want+"\n") {
+				t.Fatalf("ratio past objective 1.25: exposition lacks %q:\n%s", want, out)
+			}
 		}
 		return
 	}
