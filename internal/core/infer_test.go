@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ import (
 // leave every kernel a 4-wide and a 1-wide remainder tile, an encoder of two
 // layers (the second projects block rows, which the default config never
 // does) and of none, and tunnels laid across every edge a build's block can
-// have (blockEdgeProblem).
+// have (blockEdgeProblem), and tunnels that list an edge twice (loopProblem).
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
@@ -78,6 +79,19 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 		t.Run("block-edges/"+c.name, func(t *testing.T) { checkInferenceMatchesTape(t, bm, bm.Context(bp), []*tensor.Dense{bd}) })
 	}
 
+	lp := loopProblem(6, [][]int{{6 + 2, 2*6 - 1}, {1, 6 + 1}})
+	if !slices.Contains(lp.Incidence().Val, 2) {
+		t.Fatal("loopProblem lists no edge twice in a tunnel")
+	}
+	ld := tensor.FromSlice(2, 1, []float64{7, 3})
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"two-layer", two}, {"mean-pool", pool}} {
+		lm := New(c.cfg)
+		t.Run("edge-twice/"+c.name, func(t *testing.T) { checkInferenceMatchesTape(t, lm, lm.Context(lp), []*tensor.Dense{ld}) })
+	}
+
 	gm, gctx, gd := largeBench(allPairsProblem(topology.Geant()), 7)
 	t.Run("geant", func(t *testing.T) { checkInferenceMatchesTape(t, gm, gctx, []*tensor.Dense{gd}) })
 
@@ -94,32 +108,62 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 // clockwise path (hops+1 tokens) and the counter-clockwise one (n-hops+1),
 // in that order unless flip[i]. Any one flow is n+2 tokens.
 func ringProblem(n int, hops []int, flip []bool) *te.Problem {
-	g := topology.New("ring", n)
-	for i := 0; i < n; i++ {
-		g.AddBidirectional(i, (i+1)%n, float64(5+i%7))
-	}
-	walk := func(from, steps, dir int) tunnels.Tunnel {
-		var tun tunnels.Tunnel
-		for ; steps > 0; steps-- {
-			next := (from + dir + n) % n
-			e, _ := g.EdgeID(from, next)
-			tun.Edges = append(tun.Edges, e)
-			from = next
-		}
-		return tun
-	}
+	g := ring(n)
 	set := &tunnels.Set{K: 2}
 	for i, h := range hops {
 		src := 3 * i % n
 		set.Flows = append(set.Flows, tunnels.Flow{Src: src, Dst: (src + h) % n})
-		pair := []tunnels.Tunnel{walk(src, h, 1), walk(src, n-h, -1)}
+		pair := []tunnels.Tunnel{ringWalk(g, src, h, 1), ringWalk(g, src, n-h, -1)}
 		if flip[i] {
 			pair[0], pair[1] = pair[1], pair[0]
 		}
 		set.PerFlow = append(set.PerFlow, pair)
 	}
-	g.EdgeNodes = []int{0}
 	return te.NewProblem(g, set)
+}
+
+// loopProblem lays flows on a bidirectional ring of n nodes by hand: flow i
+// starts at node 3i and its tunnel j runs hops[i][j] links clockwise. A
+// tunnel of more than n hops lists an edge twice: IncidenceCSR gives that
+// (edge, tunnel) entry the value 2, and two tokens of one segment share an
+// edge row. Yen's paths are loop-free, so no computed tunnel set has this.
+func loopProblem(n int, hops [][]int) *te.Problem {
+	g := ring(n)
+	set := &tunnels.Set{K: len(hops[0])}
+	for i, hs := range hops {
+		src := 3 * i % n
+		set.Flows = append(set.Flows, tunnels.Flow{Src: src, Dst: (src + hs[0]) % n})
+		var tuns []tunnels.Tunnel
+		for _, h := range hs {
+			tuns = append(tuns, ringWalk(g, src, h, 1))
+		}
+		set.PerFlow = append(set.PerFlow, tuns)
+	}
+	return te.NewProblem(g, set)
+}
+
+// ring is a bidirectional ring of n nodes, link i of capacity 5 + i%7.
+func ring(n int) *topology.Graph {
+	g := topology.New("ring", n)
+	for i := 0; i < n; i++ {
+		g.AddBidirectional(i, (i+1)%n, float64(5+i%7))
+	}
+	g.EdgeNodes = []int{0}
+	return g
+}
+
+// ringWalk is the tunnel of steps links from node from, clockwise for dir 1
+// and counter-clockwise for -1.
+func ringWalk(g *topology.Graph, from, steps, dir int) tunnels.Tunnel {
+	n := g.NumNodes
+	var tun tunnels.Tunnel
+	for ; steps > 0; steps-- {
+		next := (from + dir + n) % n
+		e, _ := g.EdgeID(from, next)
+		tun.Edges = append(tun.Edges, e)
+		from = next
+	}
+	return tun
 }
 
 // blockEdgeProblem is a ring whose tunnels meet every edge a block of
