@@ -2,15 +2,20 @@ package core
 
 // The inference engine — the one path every Splits call runs. The
 // demand-independent half of a forward pass (GNN + SETTRANS) is buildPlan's:
-// stage 1 on a pooled inference-mode tape, over E+1 rows, and SETTRANS one
-// block of whole tunnels at a time on buffers of the pooled scratch, so that
+// stage 1 on a pooled inference-mode tape, over E+1 rows, the encoder layers
+// before the last one block of whole tunnels at a time on buffers of the
+// pooled scratch, and the last layer for each tunnel's CLS row only, so that
 // no token matrix exists but the plan's own. The plan is what the other half
 // reads of the embedding: the first-layer partial sums it determines —
 // MLP1's per tunnel, the RAU's per token — kept in the pooled scratch
 // between calls, so a call that finds a plan built for its (Context,
 // weights) runs only the demand-dependent half (MLP1 + RAU), hand-scheduled
-// on the same scratch. The tape forward (Forward → embed + adjust) is for
-// training, and is the reference this engine is held to.
+// on the same scratch. A token's RAU row is computed (fill) the first time
+// the RAU picks the token as its tunnel's bottleneck, from the last layer's
+// inputs the plan keeps, and kept: every row at most once per plan, and
+// only the rows some answer reads — a quarter to a third of the edge tokens
+// on the benchmark's problems. The tape forward (Forward → embed + adjust)
+// is for training, and is the reference this engine is held to.
 //
 // The plan is soft state: it lives in the sync.Pool the buffers live in, so
 // an idle process gives it back at GC, and it is valid by content — the
@@ -56,6 +61,21 @@ package core
 //     each row what they compute for it over all tokens at once: the block
 //     loop is the tape's arithmetic by row independence, not by a re-derived
 //     summation order, and the block size cannot show in a bit.
+//   - The same argument holds within a tunnel for the last layer, down to
+//     one query row: the attention row of a query reads only its segment's
+//     key and value rows; MatMulABT sums each element from zero in
+//     ascending k (abtAcc, dot4), however many rows its first operand has;
+//     and ScaleInto, SoftmaxRow, LayerNorm.Apply, macRow, the bias, ReLU and
+//     the residual adds all work per row. So a query row run alone through
+//     the same kernels, against its segment's keys and values, equals its
+//     row of the pass over all tokens (hRows), whether it runs with the
+//     other CLS rows of a block at build time or alone in a fill. No kernel
+//     and no summation order is written for it. A filled rauTok row is the
+//     tunnel's prefix, kept in its CLS token's row (which no bottleneck
+//     reads: the RAU picks an edge token), continued through h[tok]·W0[r:2r]
+//     by MatMulAcc on that one row — the accumulation the pass over all
+//     tokens makes for it. A build clears the fill markers before the stamp,
+//     and a fill sets its marker only after the row is written.
 //   - A plan hit reads the very values a build computed: the same kernels,
 //     a continued accumulation.
 //   - The RAU reads a tunnel's accumulator from that tunnel's own row of
@@ -67,11 +87,13 @@ package core
 //
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
 // Context and on a cached plan against Forward on a gradient tape, tunnels
-// laid across every kind of block edge among them —
-// TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
+// laid across every kind of block edge among them, and tunnels that list an
+// edge twice — FuzzSplitsMatchForward on problems and models the fuzzer
+// makes up, TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
 // non-finite operands included, TestPlanNeverStale that no write to the
 // weights survives in a plan, and TestRAUAccumulatorCarriesOver that no
-// per-tunnel row survives its plan or its bottleneck token.
+// per-tunnel row or filled plan row survives its plan or its bottleneck
+// token.
 //
 // Every RAU iteration ends in the per-flow softmax, so every iterate is a
 // routable answer: SplitsCtx returns the one it has when its context is
@@ -108,8 +130,9 @@ type inferScratchKey struct {
 
 // inferScratch is the pooled state of the inference engine: the plan (the
 // first-layer accumulators the embedding determines — functions of the
-// Context and the weights only — with the stamp saying which) plus the
-// per-call working buffers and the build's block.
+// Context and the weights only — with the stamp saying which, and the last
+// encoder layer's inputs its rows are filled from) plus the per-call working
+// buffers and the block the build and the fills run on.
 type inferScratch struct {
 	key inferScratchKey
 
@@ -117,8 +140,14 @@ type inferScratch struct {
 	// from; planCtx is nil while there is none, or one is half-built.
 	planCtx     *probContext
 	planWeights uint64
-	rauTok      *tensor.Dense // numTokens×HR: RAU first layer after the tunnelEmb and bottleneckEmb columns, were that token the bottleneck
-	mlp1Prefix  *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
+	// rauTok's row of an edge token is the RAU first layer after the
+	// tunnelEmb and bottleneckEmb columns, were that token the bottleneck,
+	// once filled says so; a CLS token's row is its tunnel's prefix, the
+	// first layer after the tunnelEmb columns, which the fills continue.
+	rauTok     *tensor.Dense // numTokens×HR
+	filled     []bool        // per token: rauTok's row is computed
+	enc        planEnc
+	mlp1Prefix *tensor.Dense // T×H1: MLP1 first layer after the tunnelEmb columns
 	// rauAcc row t is a copy of the rauTok row of token rauAccTok[t] (−1:
 	// none yet), the one the RAU last read for tunnel t. The RAU reads it
 	// as a stream in tunnel order and copies a row in only when the
@@ -143,18 +172,49 @@ type inferScratch struct {
 	edgeRatio, edgeBuFeat, edgeGatedBu []float64
 }
 
-// planBlock is the working set of a build: SETTRANS's intermediates for one
-// block of consecutive whole tunnels. Every buffer is blockRows rows deep and
-// cut to the block in hand by resize; nothing in it outlives the build.
+// planEnc is what the plan keeps of the last encoder layer's input, from
+// which a token's row of h is computed when it is first read: the residual
+// rows x and their Q/K/V projections. Token tok's row is row idx[tok] — idx
+// is the Context's tokenIdx when the rows are the E+1 distinct rows of
+// [edgeEmb ; cls] (an encoder of one layer; with none, or the mean-pool
+// ablation, x alone, and h is its rows) — and row tok itself when idx is nil
+// (a deeper encoder, whose last layer reads per-token rows).
+type planEnc struct {
+	x, q, k, v *tensor.Dense
+	idx        []int
+}
+
+// row is token tok's row of d, one of e's matrices.
+func (e *planEnc) row(d *tensor.Dense, tok int) []float64 {
+	if e.idx != nil {
+		tok = e.idx[tok]
+	}
+	return d.Row(tok)
+}
+
+// fit returns d as a rows×cols matrix, on d's own storage when it is large
+// enough: the plan's encoder rows are E+1 or token rows deep by the depth of
+// the encoder, which the scratch key does not hold.
+func fit(d *tensor.Dense, rows, cols int) *tensor.Dense {
+	if d == nil || cap(d.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:rows*cols]
+	return d
+}
+
+// planBlock is the working set of SETTRANS in the engine: for a build, the
+// intermediates of one block of consecutive whole tunnels; for the last
+// layer, those of a few query rows and one segment's keys and values at a
+// time. Every buffer is blockRows rows deep and cut to what is in hand by
+// cut; nothing in it outlives the call that uses it.
 type planBlock struct {
 	// Per token; x is the residual stream, h once the layers have run.
 	x, norm, q, k, v, o, proj *tensor.Dense // ×r
 	qh, kh, vh, oh            *tensor.Dense // ×r/Heads: one head's columns
 	ff                        *tensor.Dense // ×FFDim
-	// Per tunnel, which has a token at least.
-	tunnelEmb *tensor.Dense // ×r
-	rauPrefix *tensor.Dense // ×HR: RAU first layer after the tunnelEmb columns
-	scores    []float64     // one segment's L×L attention weights
+	rauPrefix                 *tensor.Dense // per tunnel ×HR: RAU first layer after the tunnelEmb columns
+	scores                    []float64     // one segment's L×L attention weights
 }
 
 func newPlanBlock(key inferScratchKey) planBlock {
@@ -163,18 +223,15 @@ func newPlanBlock(key inferScratchKey) planBlock {
 	return planBlock{
 		x: mk(r), norm: mk(r), q: mk(r), k: mk(r), v: mk(r), o: mk(r), proj: mk(r),
 		qh: mk(dh), kh: mk(dh), vh: mk(dh), oh: mk(dh), ff: mk(key.ff),
-		tunnelEmb: mk(r), rauPrefix: mk(key.hr), scores: make([]float64, n*n),
+		rauPrefix: mk(key.hr), scores: make([]float64, n*n),
 	}
 }
 
-// resize cuts the block's buffers to a block of tokens rows in tunnels
-// segments, neither more than blockRows.
-func (b *planBlock) resize(tokens, tunnels int) {
-	for _, d := range []*tensor.Dense{b.x, b.norm, b.q, b.k, b.v, b.o, b.proj, b.qh, b.kh, b.vh, b.oh, b.ff} {
-		d.Rows, d.Data = tokens, d.Data[:tokens*d.Cols]
-	}
-	for _, d := range []*tensor.Dense{b.tunnelEmb, b.rauPrefix} {
-		d.Rows, d.Data = tunnels, d.Data[:tunnels*d.Cols]
+// cut sets the row count of each of the block's buffers ds to rows, no more
+// than blockRows.
+func cut(rows int, ds ...*tensor.Dense) {
+	for _, d := range ds {
+		d.Rows, d.Data = rows, d.Data[:rows*d.Cols]
 	}
 }
 
@@ -204,6 +261,8 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.key = key
 	sc.planCtx = nil
 	sc.rauTok = tensor.New(key.tokens, key.hr)
+	sc.filled = make([]bool, key.tokens)
+	sc.enc = planEnc{}
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
 	sc.rauAcc = tensor.New(key.t, key.hr)
 	sc.rauAccTok = make([]int32, key.t)
@@ -247,28 +306,41 @@ func (m *Model) weightsStamp() uint64 {
 	return h
 }
 
-// buildPlan runs the demand-independent half of the forward for (m, ctx)
-// and keeps what the other half reads of it: the MLP1 first layer after its
-// leading tunnelEmb columns, and — per token — the RAU first layer after the
-// tunnelEmb columns of the token's tunnel and then the bottleneckEmb columns,
-// were that token the bottleneck: the tunnel's prefix row continued through
+// encLayers is the SETTRANS stack the engine runs: none for the mean-pool
+// ablation, whose tunnel embedding pools the edge tokens' rows instead.
+func (m *Model) encLayers() []*nn.EncoderLayer {
+	if m.Cfg.MeanPoolTunnels {
+		return nil
+	}
+	return m.settrans.Layers
+}
+
+// buildPlan runs the demand-independent half of the forward for (m, ctx) as
+// far as the first answer reads it: the tunnel embeddings, and from them the
+// MLP1 first layer after its leading tunnelEmb columns (mlp1Prefix) and the
+// RAU's after the same columns, kept in each tunnel's CLS row of rauTok. An
+// edge token's row of rauTok — the tunnel's prefix continued through
 // h[token]·W0[r:2r], one accumulation in ascending k because a token belongs
-// to exactly one tunnel. (h·W0[r:2r] computed alone and added to the prefix
-// would be a different sum.)
+// to exactly one tunnel ((h·W0[r:2r] computed alone and added to the prefix
+// would be a different sum) — is left to fill, which computes it the first
+// time the RAU picks the token as its tunnel's bottleneck; what fill reads is
+// kept in sc.enc, the last encoder layer's inputs.
 //
 // Stage 1 and the first layer's Norm1 and Q/K/V products, which are per
 // distinct row of [edgeEmb ; cls], run on a pooled tape, over E+1 rows. The
-// rest of SETTRANS runs one block of whole tunnels at a time (encode), each
-// block's plan rows are written from the block, and the embedding h never
-// exists as a matrix. The RAU's per-tunnel rows are forgotten and the stamp
-// cleared first, and the stamp set last, so a build that panics leaves no
-// plan behind rather than half of one, nor a row of an older plan. It takes
-// no context on purpose: a build is bounded and every later request reads
-// it, and cancelling one would turn any deadline shorter than a build into
-// "no plan, ever" on a changed topology.
+// layers before the last, if any, run one block of whole tunnels at a time
+// (encode); the last runs for the CLS rows only, a block of tunnels at a
+// time, and h never exists as a matrix. The fill markers and the RAU's
+// per-tunnel rows are forgotten and the stamp cleared first, and the stamp
+// set last, so a build that panics leaves no plan behind rather than half of
+// one, nor a row of an older plan. It takes no context on purpose: a build
+// is bounded and every later request reads it, and cancelling one would turn
+// any deadline shorter than a build into "no plan, ever" on a changed
+// topology.
 func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp *reqtrace.Span) {
+	clear(sc.filled) // no row outlives the plan it was computed for
 	for t := range sc.rauAccTok {
-		sc.rauAccTok[t] = -1 // no row outlives the plan it was copied from
+		sc.rauAccTok[t] = -1 // nor one the plan it was copied from
 	}
 	sc.planCtx = nil
 	tp := embedTapes.Get().(*autograd.Tape)
@@ -277,52 +349,78 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 	gsp.End()
 
 	ssp := sp.StartChild("forward.settrans")
-	src := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r: every token is one of these rows
-	layers := m.settrans.Layers
-	var pool *tensor.CSR // the ablation: no layers, and a tunnel is the mean of its edge tokens
-	if m.Cfg.MeanPoolTunnels {
-		layers, pool = nil, ctx.meanPool()
-	}
+	withCLS := tp.ConcatRows(edgeEmb, m.cls) // (E+1)×r: every token is one of these rows
+	src, layers, r := withCLS.Val, m.encLayers(), m.Cfg.EmbedDim
 	var q0, k0, v0 *tensor.Dense
 	if len(layers) > 0 {
-		att, norm := layers[0].Attn, layers[0].Norm1.Forward(tp, src)
+		att, norm := layers[0].Attn, layers[0].Norm1.Forward(tp, withCLS)
 		q0, k0, v0 = tp.MatMul(norm, att.Wq).Val, tp.MatMul(norm, att.Wk).Val, tp.MatMul(norm, att.Wv).Val
 	}
-	r := m.Cfg.EmbedDim
+	e, last := &sc.enc, len(layers)-1
+	switch n := len(ctx.tokenIdx); {
+	case last > 0: // the block loop writes the last layer's per-token inputs
+		e.idx = nil
+		e.x, e.q, e.k, e.v = fit(e.x, n, r), fit(e.q, n, r), fit(e.k, n, r), fit(e.v, n, r)
+	case last == 0:
+		e.q, e.k, e.v = keep(e.q, q0), keep(e.k, k0), keep(e.v, v0)
+		fallthrough
+	default:
+		e.idx, e.x = ctx.tokenIdx, keep(e.x, src)
+	}
 	rauW0 := m.rau.Layers[0].W.Val
-	mlp1Emb, rauEmb, rauBottleneck := m.mlp1.Layers[0].W.Val.RowRange(0, r), rauW0.RowRange(0, r), rauW0.RowRange(r, 2*r)
+	mlp1Emb, rauEmb := m.mlp1.Layers[0].W.Val.RowRange(0, r), rauW0.RowRange(0, r)
 	b := &sc.blk
 	for t0 := 0; t0 < len(ctx.segs); {
 		t1 := t0 + 1
 		for t1 < len(ctx.segs) && ctx.segs[t1].End-ctx.segs[t0].Start <= planBlockTokens {
 			t1++
 		}
-		lo, hi := ctx.segs[t0].Start, ctx.segs[t1-1].End
-		b.resize(hi-lo, t1-t0)
-		b.encode(layers, src.Val, q0, k0, v0, ctx.tokenIdx[lo:hi], ctx.segs[t0:t1])
+		lo, hi, segs := ctx.segs[t0].Start, ctx.segs[t1-1].End, ctx.segs[t0:t1]
+		if last > 0 {
+			cut(hi-lo, b.x, b.norm, b.q, b.k, b.v, b.o, b.proj, b.qh, b.kh, b.vh, b.oh, b.ff)
+			b.encode(layers[:last], src, q0, k0, v0, ctx.tokenIdx[lo:hi], segs)
+			l := layers[last]
+			x, q, k, v := e.x.RowRange(lo, hi), e.q.RowRange(lo, hi), e.k.RowRange(lo, hi), e.v.RowRange(lo, hi)
+			copy(x.Data, b.x.Data)
+			l.Norm1.Apply(b.norm, b.x, nil, nil)
+			tensor.MatMul(&q, b.norm, l.Attn.Wq.Val)
+			tensor.MatMul(&k, b.norm, l.Attn.Wk.Val)
+			tensor.MatMul(&v, b.norm, l.Attn.Wv.Val)
+		}
 
-		for i, seg := range ctx.segs[t0:t1] {
-			row := b.tunnelEmb.Row(i)
-			copy(row, b.x.Row(seg.Start-lo)) // the CLS token
-			if pool != nil {                 // row t0+i of the pooling matrix, as CSR.MulDense takes it
+		// The block's tunnel embeddings, as rows of b.x: each CLS token's row
+		// of h, or under the ablation row t0+i of the pooling matrix times h,
+		// as CSR.MulDense takes it.
+		if m.Cfg.MeanPoolTunnels {
+			pool := ctx.meanPool()
+			cut(t1-t0, b.x)
+			for i := range segs {
+				row := b.x.Row(i)
 				clear(row)
 				for p := pool.RowPtr[t0+i]; p < pool.RowPtr[t0+i+1]; p++ {
-					for j, v := range b.x.Row(pool.ColIdx[p] - lo) {
+					for j, v := range e.row(e.x, pool.ColIdx[p]) {
 						row[j] += pool.Val[p] * v
 					}
 				}
 			}
+		} else {
+			sc.hRows(layers, segs, 0)
 		}
-		mlp1Rows, rauRows := sc.mlp1Prefix.RowRange(t0, t1), sc.rauTok.RowRange(lo, hi)
-		tensor.MatMul(&mlp1Rows, b.tunnelEmb, &mlp1Emb)
-		tensor.MatMul(b.rauPrefix, b.tunnelEmb, &rauEmb)
-		for i, seg := range ctx.segs[t0:t1] {
-			for tok := seg.Start; tok < seg.End; tok++ {
-				copy(rauRows.Row(tok-lo), b.rauPrefix.Row(i))
+		cut(t1-t0, b.rauPrefix)
+		mlp1Rows := sc.mlp1Prefix.RowRange(t0, t1)
+		tensor.MatMul(&mlp1Rows, b.x, &mlp1Emb)
+		tensor.MatMul(b.rauPrefix, b.x, &rauEmb)
+		for i, seg := range segs {
+			copy(sc.rauTok.Row(seg.Start), b.rauPrefix.Row(i))
+		}
+		t0 = t1
+	}
+	if m.Cfg.MeanPoolTunnels { // its embedding read every edge row: fill them all
+		for t, seg := range ctx.segs {
+			for tok := seg.Start + 1; tok < seg.End; tok++ {
+				sc.fill(m, ctx, t, tok)
 			}
 		}
-		tensor.MatMulAcc(&rauRows, b.x, &rauBottleneck)
-		t0 = t1
 	}
 	ssp.End()
 	tp.Reset()
@@ -330,11 +428,81 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 	sc.planCtx, sc.planWeights = ctx, weights
 }
 
-// encode runs SETTRANS over the block: b.x becomes the rows idx names of src
-// and then, layer by layer, the block's rows of the embedding h. segs tile the
-// block in order; q0, k0 and v0 are the first layer's projections of src's
-// rows. Every step is nn.EncoderLayer.Forward's and nn.SegmentAttention's own
-// kernel on the block's rows.
+// keep copies src, a matrix on the pooled tape, into the plan's dst.
+func keep(dst, src *tensor.Dense) *tensor.Dense {
+	dst = fit(dst, src.Rows, src.Cols)
+	copy(dst.Data, src.Data)
+	return dst
+}
+
+// fill computes token tok's rows of the plan, which tunnel t's RAU is about
+// to read for the first time: its row of h (hRows), and from it rauTok's —
+// the tunnel's prefix, kept in its CLS token's row, continued through
+// h[tok]·W0[r:2r] by the kernel a pass over all the tunnel's tokens runs.
+// The marker is set once the row is written, so a panic leaves no half row
+// marked.
+func (sc *inferScratch) fill(m *Model, pc *probContext, t, tok int) {
+	seg, r := pc.segs[t], m.Cfg.EmbedDim
+	sc.hRows(m.encLayers(), pc.segs[t:t+1], tok-seg.Start)
+	row, w := sc.rauTok.RowRange(tok, tok+1), m.rau.Layers[0].W.Val.RowRange(r, 2*r)
+	copy(row.Data, sc.rauTok.Row(seg.Start))
+	tensor.MatMulAcc(&row, sc.blk.x, &w)
+	sc.filled[tok] = true
+}
+
+// hRows writes to b.x the rows of h of one token per segment of segs, off
+// rows into it (0: the CLS token): its residual input from sc.enc, run
+// through the last encoder layer with the query row alone. The attention
+// row of a query reads its own segment's key and value rows only, and every
+// other step works per row, so each row is the one the layer computes over
+// all the tokens at once (see the file comment).
+func (sc *inferScratch) hRows(layers []*nn.EncoderLayer, segs []nn.Segment, off int) {
+	b, e := &sc.blk, &sc.enc
+	cut(len(segs), b.x)
+	for i, seg := range segs {
+		copy(b.x.Row(i), e.row(e.x, seg.Start+off))
+	}
+	if len(layers) == 0 {
+		return
+	}
+	cut(len(segs), b.norm, b.o, b.proj, b.ff)
+	cut(1, b.qh)
+	dh := b.qh.Cols
+	scale := 1 / math.Sqrt(float64(dh))
+	for i, seg := range segs {
+		n := seg.Len()
+		cut(n, b.kh, b.vh)
+		att := tensor.Dense{Rows: 1, Cols: n, Data: b.scores[:n]}
+		for c0 := 0; c0 < b.o.Cols; c0 += dh {
+			e.gather(b.qh, e.q, seg.Start+off, c0)
+			e.gather(b.kh, e.k, seg.Start, c0)
+			e.gather(b.vh, e.v, seg.Start, c0)
+			tensor.MatMulABT(&att, b.qh, b.kh)
+			tensor.ScaleInto(&att, &att, scale)
+			tensor.SoftmaxRow(att.Data, att.Data)
+			oh := tensor.Dense{Rows: 1, Cols: dh, Data: b.o.Row(i)[c0 : c0+dh]}
+			tensor.MatMul(&oh, &att, b.vh)
+		}
+	}
+	b.finish(layers[len(layers)-1])
+}
+
+// gather copies columns [c0, c0+dst.Cols) of the rows of d of dst.Rows
+// consecutive tokens from tok into dst: nn.GatherColBlock on e's layout.
+func (e *planEnc) gather(dst, d *tensor.Dense, tok, c0 int) {
+	if e.idx != nil {
+		nn.GatherColBlock(dst, d, e.idx[tok:tok+dst.Rows], c0)
+		return
+	}
+	rows := d.RowRange(tok, tok+dst.Rows)
+	nn.GatherColBlock(dst, &rows, nil, c0)
+}
+
+// encode runs the layers over the block: b.x becomes the rows idx names of src
+// and then, layer by layer, the block's rows of those layers' output. segs
+// tile the block in order; q0, k0 and v0 are the first layer's projections of
+// src's rows. Every step is nn.EncoderLayer.Forward's and
+// nn.SegmentAttention's own kernel on the block's rows.
 func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.Dense, idx []int, segs []nn.Segment) {
 	nn.GatherColBlock(b.x, src, idx, 0)
 	lo := segs[0].Start
@@ -370,18 +538,23 @@ func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.De
 				copy(b.o.Row(i)[c0:c0+dh], b.oh.Row(i))
 			}
 		}
-		tensor.MatMul(b.proj, b.o, l.Attn.Wo.Val)
-		tensor.AddInto(b.x, b.x, b.proj)
-
-		// x += FF2(ReLU(FF1(Norm2(x)))).
-		l.Norm2.Apply(b.norm, b.x, nil, nil)
-		tensor.MatMul(b.ff, b.norm, l.FF1.W.Val)
-		tensor.AddRowVecInto(b.ff, b.ff, l.FF1.B.Val)
-		tensor.ReLUInto(b.ff, b.ff)
-		tensor.MatMul(b.proj, b.ff, l.FF2.W.Val)
-		tensor.AddRowVecInto(b.proj, b.proj, l.FF2.B.Val)
-		tensor.AddInto(b.x, b.x, b.proj)
+		b.finish(l)
 	}
+}
+
+// finish ends layer l on the rows in hand, whose attention outputs are in
+// b.o: the residual stream b.x gains their output projection and then the
+// feed-forward block, x += o·Wo; x += FF2(ReLU(FF1(Norm2(x)))).
+func (b *planBlock) finish(l *nn.EncoderLayer) {
+	tensor.MatMul(b.proj, b.o, l.Attn.Wo.Val)
+	tensor.AddInto(b.x, b.x, b.proj)
+	l.Norm2.Apply(b.norm, b.x, nil, nil)
+	tensor.MatMul(b.ff, b.norm, l.FF1.W.Val)
+	tensor.AddRowVecInto(b.ff, b.ff, l.FF1.B.Val)
+	tensor.ReLUInto(b.ff, b.ff)
+	tensor.MatMul(b.proj, b.ff, l.FF2.W.Val)
+	tensor.AddRowVecInto(b.proj, b.proj, l.FF2.B.Val)
+	tensor.AddInto(b.x, b.x, b.proj)
 }
 
 // accColumn accumulates one input column's contribution into a first-layer
@@ -598,7 +771,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	// W0's last five rows: the scalar columns that follow bottleneckEmb.
 	w0s := r0.W.Val.Data[2*m.Cfg.EmbedDim*hr:]
 	b0, w1, b1 := r0.B.Val.Data, r1.W.Val.Data, r1.B.Val.Data
-	it, refills := 0, 0
+	it, refills, filled := 0, 0, 0
 	for ; it < m.Cfg.RAUIterations && !expired(ctx); it++ {
 		denom := sc.mlu + 1e-12
 		mluFeat := (1.0 / 6) * math.Log1p(sc.mlu)
@@ -634,6 +807,10 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			in := [5]float64{sc.edgeRatio[bedge], mluFeat, sc.edgeBuFeat[bedge], sc.feat.Data[t], math.Tanh((1.0 / 8) * sc.u.Data[t])}
 			acc := sc.rauAcc.Row(t)
 			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok {
+				if !sc.filled[tok] {
+					sc.fill(m, pc, t, int(tok))
+					filled++
+				}
 				// This pass reads the plan's row, the next ones the copy:
 				// reading the copy straight back, behind its own stores,
 				// cost abilene_steady 8–13 %, where the plan fits in L2.
@@ -654,6 +831,7 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 	}
 	rsp.AnnotateInt("iterations", int64(it))
 	rsp.AnnotateInt("refills", int64(refills))
+	rsp.AnnotateInt("filled", int64(filled))
 	rsp.End()
 	return sc.w, it
 }

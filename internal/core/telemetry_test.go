@@ -24,8 +24,8 @@ func stageCount(reg *obs.Registry, stage string) uint64 {
 // span of a recorder that feeds a registry, time the embedding stages once
 // — the first call builds the plan, the rest find it — and the
 // demand-dependent stages every call, the RAU span saying how many
-// iterations ran and how many accumulator rows it copied, with the same
-// outputs as an untraced model.
+// iterations ran, how many accumulator rows it copied and how many plan rows
+// it computed, with the same outputs as an untraced model.
 func TestForwardStageTracing(t *testing.T) {
 	p := twoPathProblem()
 	d := demandVec(p, map[[2]int]float64{{0, 1}: 6, {1, 0}: 2})
@@ -81,6 +81,14 @@ func TestForwardStageTracing(t *testing.T) {
 			refills, ok := sp.Attrs["refills"].(int64)
 			if !ok || refills > tunnels*iters || (build && refills < tunnels) {
 				t.Fatalf("forward.rau refills = %v on a plan build %v, want at most %d and on a build at least %d", sp.Attrs["refills"], build, tunnels*iters, tunnels)
+			}
+			// filled counts the plan rows it computed, each the first time
+			// it was copied: every tunnel's first after a build, none when
+			// the demand repeats on a kept plan, whose rows the last call
+			// computed.
+			filled, ok := sp.Attrs["filled"].(int64)
+			if !ok || filled > refills || (build && filled < tunnels) || (!build && filled != 0) {
+				t.Fatalf("forward.rau filled = %v with refills %d on a plan build %v, want at most refills, on a build at least %d and on a hit 0", sp.Attrs["filled"], refills, build, tunnels)
 			}
 		}
 	}

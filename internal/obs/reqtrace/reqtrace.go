@@ -306,11 +306,11 @@ func (sp *Span) annotate(a Attr) {
 	}
 	sp.tr.mu.Lock()
 	if sp.attrs == nil {
-		// Room for two from the start: most annotated spans carry two or
-		// more (forward.rau's iterations and refills, a failed attempt's
-		// replica and error), and a traced request should not pay a
-		// regrowth each.
-		sp.attrs = make([]Attr, 0, 2)
+		// Room for three from the start: most annotated spans carry two or
+		// more (forward.rau's iterations, refills and filled, a failed
+		// attempt's replica and error), and a traced request should not
+		// pay a regrowth each.
+		sp.attrs = make([]Attr, 0, 3)
 	}
 	sp.attrs = append(sp.attrs, a)
 	sp.tr.mu.Unlock()
