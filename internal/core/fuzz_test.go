@@ -96,8 +96,8 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// capacity decodes one link capacity: 0, the two ends of the subnormals,
-// topology.FailedCapacity, or 1…32.
+// capacity decodes one link capacity: 0, two subnormals (the smallest and
+// 1e-310), topology.FailedCapacity, or 1…32.
 func (b *fuzzBytes) capacity() float64 {
 	v := b.next()
 	switch v % 8 {

@@ -13,9 +13,9 @@ package core
 // on the same scratch. A token's RAU row is computed (fill) the first time
 // the RAU picks the token as its tunnel's bottleneck, from the last layer's
 // inputs the plan keeps, and kept: every row at most once per plan, and
-// only the rows some answer reads — a quarter to a third of the edge tokens
-// on the benchmark's problems. The tape forward (Forward → embed + adjust)
-// is for training, and is the reference this engine is held to.
+// only the rows some answer reads — for a first answer 14–32 % of the edge
+// tokens of the benchmark's problems. The tape forward (Forward → embed +
+// adjust) is for training, and is the reference this engine is held to.
 //
 // The plan is soft state: it lives in the sync.Pool the buffers live in, so
 // an idle process gives it back at GC, and it is valid by content — the
@@ -88,12 +88,12 @@ package core
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
 // Context and on a cached plan against Forward on a gradient tape, tunnels
 // laid across every kind of block edge among them, and tunnels that list an
-// edge twice — FuzzSplitsMatchForward on problems and models the fuzzer
-// makes up, TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
-// non-finite operands included, TestPlanNeverStale that no write to the
-// weights survives in a plan, and TestRAUAccumulatorCarriesOver that no
-// per-tunnel row or filled plan row survives its plan or its bottleneck
-// token.
+// edge twice — and so does FuzzSplitsMatchForward on problems and models the
+// fuzzer makes up; TestRAURowBitIdentical holds the row kernel alone to the
+// generic kernels, non-finite operands included, TestPlanNeverStale that no
+// write to the weights survives in a plan, and TestRAUAccumulatorCarriesOver
+// that no per-tunnel row or filled plan row survives its plan or its
+// bottleneck token.
 //
 // Every RAU iteration ends in the per-flow softmax, so every iterate is a
 // routable answer: SplitsCtx returns the one it has when its context is
@@ -321,10 +321,10 @@ func (m *Model) encLayers() []*nn.EncoderLayer {
 // RAU's after the same columns, kept in each tunnel's CLS row of rauTok. An
 // edge token's row of rauTok — the tunnel's prefix continued through
 // h[token]·W0[r:2r], one accumulation in ascending k because a token belongs
-// to exactly one tunnel ((h·W0[r:2r] computed alone and added to the prefix
-// would be a different sum) — is left to fill, which computes it the first
-// time the RAU picks the token as its tunnel's bottleneck; what fill reads is
-// kept in sc.enc, the last encoder layer's inputs.
+// to exactly one tunnel, where h·W0[r:2r] computed alone and added to the
+// prefix would be a different sum — is left to fill, which computes it the
+// first time the RAU picks the token as its tunnel's bottleneck from what
+// the build keeps in sc.enc, the last encoder layer's inputs.
 //
 // Stage 1 and the first layer's Norm1 and Q/K/V products, which are per
 // distinct row of [edgeEmb ; cls], run on a pooled tape, over E+1 rows. The
@@ -356,16 +356,17 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 		att, norm := layers[0].Attn, layers[0].Norm1.Forward(tp, withCLS)
 		q0, k0, v0 = tp.MatMul(norm, att.Wq).Val, tp.MatMul(norm, att.Wk).Val, tp.MatMul(norm, att.Wv).Val
 	}
+	// The last layer's inputs: per token, written by the block loop below,
+	// when layers run before it; else [edgeEmb ; cls] and its projections.
 	e, last := &sc.enc, len(layers)-1
-	switch n := len(ctx.tokenIdx); {
-	case last > 0: // the block loop writes the last layer's per-token inputs
-		e.idx = nil
-		e.x, e.q, e.k, e.v = fit(e.x, n, r), fit(e.q, n, r), fit(e.k, n, r), fit(e.v, n, r)
-	case last == 0:
-		e.q, e.k, e.v = keep(e.q, q0), keep(e.k, k0), keep(e.v, v0)
-		fallthrough
-	default:
+	if last > 0 {
+		n := len(ctx.tokenIdx)
+		e.idx, e.x, e.q, e.k, e.v = nil, fit(e.x, n, r), fit(e.q, n, r), fit(e.k, n, r), fit(e.v, n, r)
+	} else {
 		e.idx, e.x = ctx.tokenIdx, keep(e.x, src)
+		if last == 0 {
+			e.q, e.k, e.v = keep(e.q, q0), keep(e.k, k0), keep(e.v, v0)
+		}
 	}
 	rauW0 := m.rau.Layers[0].W.Val
 	mlp1Emb, rauEmb := m.mlp1.Layers[0].W.Val.RowRange(0, r), rauW0.RowRange(0, r)
