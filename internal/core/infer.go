@@ -209,7 +209,8 @@ func fit(d *tensor.Dense, rows, cols int) *tensor.Dense {
 // time. Every buffer is blockRows rows deep and cut to what is in hand by
 // cut; nothing in it outlives the call that uses it.
 type planBlock struct {
-	// Per token; x is the residual stream, h once the layers have run.
+	// Per token or query row; x is the residual stream, h once the layers
+	// have run.
 	x, norm, q, k, v, o, proj *tensor.Dense // ×r
 	qh, kh, vh, oh            *tensor.Dense // ×r/Heads: one head's columns
 	ff                        *tensor.Dense // ×FFDim
