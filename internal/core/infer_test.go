@@ -37,7 +37,9 @@ import (
 // leave every kernel a 4-wide and a 1-wide remainder tile, an encoder of two
 // layers (the second projects block rows, which the default config never
 // does) and of none, and tunnels laid across every edge a build's block can
-// have (blockEdgeProblem), and tunnels that list an edge twice (loopProblem).
+// have (blockEdgeProblem), tunnels that list an edge twice (loopProblem), and
+// more tunnels than a block has rows, so that one RAU iteration fills more
+// than one block of rows.
 func TestSplitsBatchBitIdentical(t *testing.T) {
 	m, ctx, samples := abileneBench(16)
 	demands := make([]*tensor.Dense, len(samples))
@@ -90,6 +92,33 @@ func TestSplitsBatchBitIdentical(t *testing.T) {
 	}{{"default", DefaultConfig()}, {"two-layer", two}, {"mean-pool", pool}} {
 		lm := New(c.cfg)
 		t.Run("edge-twice/"+c.name, func(t *testing.T) { checkInferenceMatchesTape(t, lm, lm.Context(lp), []*tensor.Dense{ld}) })
+	}
+
+	// More tunnels than a fill block has rows: the first RAU iteration after
+	// a build fills one row per tunnel, so its fills take a full block and
+	// part of a second (the mean-pool build fills every edge row in blocks).
+	const flows = 40
+	hops, flip := make([]int, flows), make([]bool, flows)
+	for i := range hops {
+		hops[i], flip[i] = 1+i%11, i%3 == 0
+	}
+	mp := ringProblem(12, hops, flip)
+	if tuns := len(buildContext(mp).segs); tuns <= planBlockTokens {
+		t.Fatalf("many-fills problem has %d tunnels, want more than the %d rows of a block", tuns, planBlockTokens)
+	}
+	md := make([]*tensor.Dense, 3)
+	for i := range md {
+		md[i] = tensor.New(flows, 1)
+		for f := range md[i].Data {
+			md[i].Data[f] = float64(1 + (f*(i+3))%13)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"two-layer", two}, {"no-settrans", none}, {"mean-pool", pool}} {
+		mm := New(c.cfg)
+		t.Run("many-fills/"+c.name, func(t *testing.T) { checkInferenceMatchesTape(t, mm, mm.Context(mp), md) })
 	}
 
 	gm, gctx, gd := largeBench(allPairsProblem(topology.Geant()), 7)
