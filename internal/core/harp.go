@@ -77,7 +77,7 @@ func (c Config) Validate() error {
 		min  int
 	}{
 		{"EmbedDim", c.EmbedDim, 1},
-		{"GNNLayers", c.GNNLayers, 0},
+		{"GNNLayers", c.GNNLayers, 1}, // the edge embedding concatenates the GCN layers' outputs
 		{"GNNHidden", c.GNNHidden, 1},
 		{"SetTransLayers", c.SetTransLayers, 0},
 		{"Heads", c.Heads, 1},

@@ -135,6 +135,32 @@ func TestLoadRejectsAbsurdLegacyConfig(t *testing.T) {
 	}
 }
 
+// TestGNNLayersZeroRejected: the edge embedding concatenates the outputs of
+// the GCN's layers, so a model of none has nothing to concatenate and its
+// first Splits panicked (nn.GCN.Forward's ConcatCols). Validate rejects it
+// by name, and Load fails on a model file, checksummed or legacy, that
+// says so, instead of handing back a model that panics on its first request.
+func TestGNNLayersZeroRejected(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.GNNLayers = 0
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Config.GNNLayers = 0 out of range [1,") {
+		t.Fatalf("Validate with GNNLayers 0: got %v", err)
+	}
+	m := New(cfg)
+	var container, legacy bytes.Buffer
+	if err := m.Save(&container); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&legacy).Encode(&modelFile{Cfg: cfg, Params: autograd.Snapshot(m.params)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string]*bytes.Buffer{"container": &container, "legacy": &legacy} {
+		if got, err := Load(buf); !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "GNNLayers") {
+			t.Fatalf("%s file with GNNLayers 0: loaded %v, error %v", name, got != nil, err)
+		}
+	}
+}
+
 // TestSaveCheckpointDurableRoundTrip: SaveCheckpoint (now with a parent-dir
 // fsync after the rename) must still round-trip, overwrite atomically, and
 // leave no temp files behind.
