@@ -119,7 +119,7 @@ func (b *fuzzBytes) capacity() float64 {
 // layers (0–2) and the mean-pool ablation, RAU iterations (0–4), GNN depth
 // (1–2) and width (1–8), the seed; the node count and each ring link's
 // capacity, then a count of chords and each one's ends and capacity; K (1–3)
-// and the flow count (1–4), and per flow its first node and per tunnel a
+// and the flow count (1–24: up to 72 tunnels, more than a fill block), and per flow its first node and per tunnel a
 // length (1–12, or 52–80 links, longer than a build block) and the out link
 // taken at each step — a walk, so a tunnel may list a link twice; then the
 // demand count (2–4), which call stops after how many iterations (as many as
@@ -151,7 +151,7 @@ func fuzzCase(data []byte) (cfg Config, p *te.Problem, demands []*tensor.Dense, 
 	}
 	out := g.OutEdges()
 	set := &tunnels.Set{K: 1 + b.next()%3}
-	for f := 1 + b.next()%4; f > 0; f-- {
+	for f := 1 + b.next()%24; f > 0; f-- {
 		src := b.next() % n
 		flow := tunnels.Flow{Src: src, Dst: src}
 		var tuns []tunnels.Tunnel
@@ -208,7 +208,9 @@ func FuzzSplitsMatchForward(f *testing.F) {
 	// longer than a build block; and an all-zero demand between two real
 	// ones, the second call stopped after 2 iterations. Then the default
 	// model on the same tunnels over links of capacity 0, the two
-	// subnormals and FailedCapacity.
+	// subnormals and FailedCapacity; and the default and mean-pool models
+	// on 24 flows of K 3, 72 tunnels, so that the first RAU iteration fills
+	// more rows than a block holds.
 	problem := func(caps ...byte) []byte {
 		b := append([]byte{6 - 3}, caps...)
 		b = append(b, 0, 1, 2) // no chords; K 2, 3 flows
@@ -222,6 +224,24 @@ func FuzzSplitsMatchForward(f *testing.F) {
 		return append(b, 1, 1, 2, 44, 52, 60, 0, 0, 0, 60, 68, 76)
 	}
 	ring, failed := problem(44, 36, 28, 20, 12, 4), problem(0, 1, 2, 3, 4, 12)
+	many := []byte{6 - 3, 44, 36, 28, 20, 12, 4, 0, 2, 23} // no chords; K 3, 24 flows
+	for f := 0; f < 24; f++ {
+		many = append(many, byte(f%6))
+		for k := 0; k < 3; k++ {
+			steps := 1 + (f+k)%4
+			many = append(many, byte(steps-1))
+			for i := 0; i < steps; i++ {
+				many = append(many, byte((f+i)%2))
+			}
+		}
+	}
+	many = append(many, 1, 2, 1) // 3 demands, the last stopped after 1 iteration
+	for i := 0; i < 3*24; i++ {
+		many = append(many, byte(3+5*i%61))
+	}
+	if _, p, _, _, _ := fuzzCase(append([]byte{1, 5, 23, 15, 23, 1, 4, 15, 1}, many...)); p.Tunnels.K*p.NumFlows() <= planBlockTokens {
+		f.Fatalf("the many-tunnels seed has %d tunnels, want more than a block's %d rows", p.Tunnels.K*p.NumFlows(), planBlockTokens)
+	}
 	_, p, demands, stopCall, stopAt := fuzzCase(append([]byte{1, 5, 23, 15, 23, 1, 4, 15, 1}, ring...))
 	if ctx := buildContext(p); !slices.Contains(p.Incidence().Val, 2) || ctx.maxSeg <= planBlockTokens || ctx.segs[0].Len() != 2 ||
 		len(demands) != 3 || slices.ContainsFunc(demands[1].Data, func(v float64) bool { return v != 0 }) || stopCall != 1 || stopAt != 2 {
@@ -235,6 +255,8 @@ func FuzzSplitsMatchForward(f *testing.F) {
 		{[]byte{1, 5, 23, 15, 23, 2, 4, 15, 1}, ring},
 		{[]byte{1, 5, 23, 15, 23, 0, 4, 15, 1}, ring},
 		{[]byte{1, 5, 23, 15, 23, 1, 4, 15, 1}, failed},
+		{[]byte{1, 5, 23, 15, 23, 1, 4, 15, 1}, many},
+		{[]byte{1, 5, 23, 15, 23, 4, 4, 15, 1}, many},
 	} {
 		f.Add(append(append([]byte{}, c.cfg...), c.problem...))
 	}
