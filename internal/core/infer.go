@@ -14,7 +14,10 @@ package core
 // the RAU picks the token as its tunnel's bottleneck, from the last layer's
 // inputs the plan keeps, and kept: every row at most once per plan, and
 // only the rows some answer reads — for a first answer 14–32 % of the edge
-// tokens of the benchmark's problems. The tape forward (Forward → embed +
+// tokens of the benchmark's problems. An RAU iteration is three passes over
+// the tunnels: a scan that finds each tunnel's bottleneck and lists the
+// tunnels whose row the plan lacks, the fills of that list a block at a
+// time, and the RAU proper. The tape forward (Forward → embed +
 // adjust) is for training, and is the reference this engine is held to.
 //
 // The plan is soft state: it lives in the sync.Pool the buffers live in, so
@@ -53,7 +56,8 @@ package core
 //     is nn.LayerNorm.Apply, the per-head gathers nn.GatherColBlock, ReLU
 //     tensor.ReLUInto (whose `v < 0` preserves -0) — the loops the tape
 //     ops themselves run. What is written here alone is the demand column
-//     (accColumn: macRow's inner loop, zero skip included) and rauRow.
+//     (accColumn: macRow's inner loop, zero skip included), rauRow, and
+//     the last layer's attention row of a query (attend, below).
 //   - SETTRANS never lets two tunnels interact: attention is per segment,
 //     and LayerNorm, the matmul kernel (macRow: one output row at a time),
 //     bias, ReLU and the residual adds are per row. Run over any run of
@@ -63,19 +67,29 @@ package core
 //     summation order, and the block size cannot show in a bit.
 //   - The same argument holds within a tunnel for the last layer, down to
 //     one query row: the attention row of a query reads only its segment's
-//     key and value rows; MatMulABT sums each element from zero in
-//     ascending k (abtAcc, dot4), however many rows its first operand has;
-//     and ScaleInto, SoftmaxRow, LayerNorm.Apply, macRow, the bias, ReLU and
-//     the residual adds all work per row. So a query row run alone through
-//     the same kernels, against its segment's keys and values, equals its
-//     row of the pass over all tokens (hRows), whether it runs with the
-//     other CLS rows of a block at build time or alone in a fill. No kernel
-//     and no summation order is written for it. A filled rauTok row is the
-//     tunnel's prefix, kept in its CLS token's row (which no bottleneck
-//     reads: the RAU picks an edge token), continued through h[tok]·W0[r:2r]
-//     by MatMulAcc on that one row — the accumulation the pass over all
-//     tokens makes for it. A build clears the fill markers before the stamp,
-//     and a fill sets its marker only after the row is written.
+//     key and value rows, and LayerNorm.Apply, macRow, the bias, ReLU and
+//     the residual adds all work per row. The last layer runs for query
+//     rows only (hRows): each tunnel's CLS row at build time, an edge
+//     token's row when a fill needs it. Its attention is new code that
+//     makes the existing per-element sums, reading Q/K/V where the plan
+//     keeps them (attend): a score is the sum abtAcc makes, from zero in
+//     ascending k, added to a zeroed element (0 + s) and scaled as
+//     ScaleInto scales it; the softmax is SoftmaxRow itself; an output
+//     element is the sum macRow makes for a 1×n by n×dh product, from zero
+//     in ascending k, skipping exactly the zero weights — the values the
+//     gathered sequence GatherColBlock → MatMulABT → ScaleInto →
+//     SoftmaxRow → MatMul computes (TestQueryRowBitIdentical). The rest of
+//     the layer (finish) runs the tape's kernels over a block of query
+//     rows, per row, so the block size cannot show in a bit. A filled
+//     rauTok row is the tunnel's prefix, kept in its CLS token's row (which
+//     no bottleneck reads: the RAU picks an edge token), continued through
+//     h[tok]·W0[r:2r] by MatMulAcc, which works per row — the accumulation
+//     the pass over all tokens makes for it. A build clears the fill
+//     markers before the stamp, and a fill sets a marker only after its row
+//     is written.
+//   - An RAU iteration's scan reads only the previous iterate's util, and
+//     its RAU pass writes only u, so splitting the one pass per tunnel into
+//     scan, fills and RAU changes no value.
 //   - A plan hit reads the very values a build computed: the same kernels,
 //     a continued accumulation.
 //   - The RAU reads a tunnel's accumulator from that tunnel's own row of
@@ -88,9 +102,11 @@ package core
 // TestSplitsBatchBitIdentical enforces the contract — Splits on a fresh
 // Context and on a cached plan against Forward on a gradient tape, tunnels
 // laid across every kind of block edge among them, and tunnels that list an
-// edge twice — and so does FuzzSplitsMatchForward on problems and models the
-// fuzzer makes up; TestRAURowBitIdentical holds the row kernel alone to the
-// generic kernels, non-finite operands included, TestPlanNeverStale that no
+// edge twice, and more tunnels than a fill block has rows — and so does
+// FuzzSplitsMatchForward on problems and models the fuzzer makes up;
+// TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
+// non-finite operands included, TestQueryRowBitIdentical the attention row
+// to the gathered sequence, the same way, TestPlanNeverStale that no
 // write to the weights survives in a plan, and TestRAUAccumulatorCarriesOver
 // that no per-tunnel row or filled plan row survives its plan or its
 // bottleneck token.
@@ -156,6 +172,10 @@ type inferScratch struct {
 	rauAcc    *tensor.Dense // T×HR
 	rauAccTok []int32
 
+	// An RAU iteration's bottleneck per tunnel, as the index of the edge in
+	// the tunnel, and the tunnels whose bottleneck row it must fill first.
+	bneck, pending []int32
+
 	blk planBlock
 
 	// Per-call working buffers.
@@ -205,9 +225,9 @@ func fit(d *tensor.Dense, rows, cols int) *tensor.Dense {
 
 // planBlock is the working set of SETTRANS in the engine: for a build, the
 // intermediates of one block of consecutive whole tunnels; for the last
-// layer, those of a few query rows and one segment's keys and values at a
-// time. Every buffer is blockRows rows deep and cut to what is in hand by
-// cut; nothing in it outlives the call that uses it.
+// layer, those of a block of query rows. Every buffer is blockRows rows deep
+// and cut to what is in hand by cut; nothing in it outlives the call that
+// uses it.
 type planBlock struct {
 	// Per token or query row; x is the residual stream, h once the layers
 	// have run.
@@ -215,7 +235,11 @@ type planBlock struct {
 	qh, kh, vh, oh            *tensor.Dense // ×r/Heads: one head's columns
 	ff                        *tensor.Dense // ×FFDim
 	rauPrefix                 *tensor.Dense // per tunnel ×HR: RAU first layer after the tunnelEmb columns
-	scores                    []float64     // one segment's L×L attention weights
+	// One segment's attention weights: L×L in encode, Heads×L for a query.
+	scores []float64
+	// The query rows of hRows: token qtoks[i] of segment qsegs[i].
+	qsegs []nn.Segment
+	qtoks []int
 }
 
 func newPlanBlock(key inferScratchKey) planBlock {
@@ -224,7 +248,8 @@ func newPlanBlock(key inferScratchKey) planBlock {
 	return planBlock{
 		x: mk(r), norm: mk(r), q: mk(r), k: mk(r), v: mk(r), o: mk(r), proj: mk(r),
 		qh: mk(dh), kh: mk(dh), vh: mk(dh), oh: mk(dh), ff: mk(key.ff),
-		rauPrefix: mk(key.hr), scores: make([]float64, n*n),
+		rauPrefix: mk(key.hr), scores: make([]float64, n*max(n, key.heads)),
+		qsegs: make([]nn.Segment, n), qtoks: make([]int, n),
 	}
 }
 
@@ -267,6 +292,8 @@ func (sc *inferScratch) ensure(m *Model, ctx *probContext) {
 	sc.mlp1Prefix = tensor.New(key.t, key.h1)
 	sc.rauAcc = tensor.New(key.t, key.hr)
 	sc.rauAccTok = make([]int32, key.t)
+	sc.bneck = make([]int32, key.t)
+	sc.pending = make([]int32, 0, key.t)
 	sc.blk = newPlanBlock(key)
 	sc.feat = tensor.New(key.t, 1)
 	sc.load = tensor.New(key.t, 1)
@@ -406,7 +433,11 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 				}
 			}
 		} else {
-			sc.hRows(layers, segs, 0)
+			toks := b.qtoks[:len(segs)]
+			for i, seg := range segs {
+				toks[i] = seg.Start
+			}
+			sc.hRows(layers, segs, toks)
 		}
 		cut(t1-t0, b.rauPrefix)
 		mlp1Rows := sc.mlp1Prefix.RowRange(t0, t1)
@@ -417,11 +448,16 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 		}
 		t0 = t1
 	}
-	if m.Cfg.MeanPoolTunnels { // its embedding read every edge row: fill them all
-		for t, seg := range ctx.segs {
-			for tok := seg.Start + 1; tok < seg.End; tok++ {
-				sc.fill(m, ctx, t, tok)
+	if m.Cfg.MeanPoolTunnels { // its embedding read every edge row: fill them all, edge i of every tunnel at a time
+		for i := 0; i+1 < ctx.maxSeg; i++ {
+			pend := sc.pending[:0]
+			for t, seg := range ctx.segs {
+				if i+1 < seg.Len() {
+					sc.bneck[t] = int32(i)
+					pend = append(pend, int32(t))
+				}
 			}
+			sc.fill(m, ctx, pend)
 		}
 	}
 	ssp.End()
@@ -437,67 +473,95 @@ func keep(dst, src *tensor.Dense) *tensor.Dense {
 	return dst
 }
 
-// fill computes token tok's rows of the plan, which tunnel t's RAU is about
-// to read for the first time: its row of h (hRows), and from it rauTok's —
-// the tunnel's prefix, kept in its CLS token's row, continued through
-// h[tok]·W0[r:2r] by the kernel a pass over all the tunnel's tokens runs.
-// The marker is set once the row is written, so a panic leaves no half row
-// marked.
-func (sc *inferScratch) fill(m *Model, pc *probContext, t, tok int) {
-	seg, r := pc.segs[t], m.Cfg.EmbedDim
-	sc.hRows(m.encLayers(), pc.segs[t:t+1], tok-seg.Start)
-	row, w := sc.rauTok.RowRange(tok, tok+1), m.rau.Layers[0].W.Val.RowRange(r, 2*r)
-	copy(row.Data, sc.rauTok.Row(seg.Start))
-	tensor.MatMulAcc(&row, sc.blk.x, &w)
-	sc.filled[tok] = true
+// fill computes the plan rows the tunnels pend lists are about to read for
+// the first time, each at its bottleneck token (bneck), a block of at most
+// planBlockTokens tunnels at a time: the token's row of h (hRows), and from
+// it rauTok's — the tunnel's prefix, kept in its CLS token's row, continued
+// through h[tok]·W0[r:2r] by MatMulAcc, which works row by row. A marker is
+// set once its row is written, so a panic leaves no half row marked.
+func (sc *inferScratch) fill(m *Model, pc *probContext, pend []int32) {
+	b, layers, r := &sc.blk, m.encLayers(), m.Cfg.EmbedDim
+	w := m.rau.Layers[0].W.Val.RowRange(r, 2*r)
+	for lo := 0; lo < len(pend); lo += planBlockTokens {
+		blk := pend[lo:min(lo+planBlockTokens, len(pend))]
+		segs, toks := b.qsegs[:len(blk)], b.qtoks[:len(blk)]
+		for i, t := range blk {
+			segs[i] = pc.segs[t]
+			toks[i] = segs[i].Start + 1 + int(sc.bneck[t])
+		}
+		sc.hRows(layers, segs, toks)
+		cut(len(blk), b.rauPrefix)
+		for i, seg := range segs {
+			copy(b.rauPrefix.Row(i), sc.rauTok.Row(seg.Start))
+		}
+		tensor.MatMulAcc(b.rauPrefix, b.x, &w)
+		for i, tok := range toks {
+			copy(sc.rauTok.Row(tok), b.rauPrefix.Row(i))
+			sc.filled[tok] = true
+		}
+	}
 }
 
-// hRows writes to b.x the rows of h of one token per segment of segs, off
-// rows into it (0: the CLS token): its residual input from sc.enc, run
-// through the last encoder layer with the query row alone. The attention
-// row of a query reads its own segment's key and value rows only, and every
-// other step works per row, so each row is the one the layer computes over
-// all the tokens at once (see the file comment).
-func (sc *inferScratch) hRows(layers []*nn.EncoderLayer, segs []nn.Segment, off int) {
+// hRows writes to b.x the rows of h of the tokens toks, toks[i] one of
+// segment segs[i]'s: its residual input from sc.enc, run through the last
+// encoder layer as a query row (attend) and then, all rows at once, through
+// the rest of the layer (finish), which works per row. Each row is the one
+// the layer computes over all the tokens at once (see the file comment).
+func (sc *inferScratch) hRows(layers []*nn.EncoderLayer, segs []nn.Segment, toks []int) {
 	b, e := &sc.blk, &sc.enc
-	cut(len(segs), b.x)
-	for i, seg := range segs {
-		copy(b.x.Row(i), e.row(e.x, seg.Start+off))
+	cut(len(toks), b.x)
+	for i, tok := range toks {
+		copy(b.x.Row(i), e.row(e.x, tok))
 	}
 	if len(layers) == 0 {
 		return
 	}
-	cut(len(segs), b.norm, b.o, b.proj, b.ff)
-	cut(1, b.qh)
-	dh := b.qh.Cols
-	scale := 1 / math.Sqrt(float64(dh))
-	for i, seg := range segs {
-		n := seg.Len()
-		cut(n, b.kh, b.vh)
-		att := tensor.Dense{Rows: 1, Cols: n, Data: b.scores[:n]}
-		for c0 := 0; c0 < b.o.Cols; c0 += dh {
-			e.gather(b.qh, e.q, seg.Start+off, c0)
-			e.gather(b.kh, e.k, seg.Start, c0)
-			e.gather(b.vh, e.v, seg.Start, c0)
-			tensor.MatMulABT(&att, b.qh, b.kh)
-			tensor.ScaleInto(&att, &att, scale)
-			tensor.SoftmaxRow(att.Data, att.Data)
-			oh := tensor.Dense{Rows: 1, Cols: dh, Data: b.o.Row(i)[c0 : c0+dh]}
-			tensor.MatMul(&oh, &att, b.vh)
-		}
+	cut(len(toks), b.norm, b.o, b.proj, b.ff)
+	for i, tok := range toks {
+		e.attend(b.o.Row(i), e.row(e.q, tok), segs[i], b.qh.Cols, b.scores)
 	}
 	b.finish(layers[len(layers)-1])
 }
 
-// gather copies columns [c0, c0+dst.Cols) of the rows of d of dst.Rows
-// consecutive tokens from tok into dst: nn.GatherColBlock on e's layout.
-func (e *planEnc) gather(dst, d *tensor.Dense, tok, c0 int) {
-	if e.idx != nil {
-		nn.GatherColBlock(dst, d, e.idx[tok:tok+dst.Rows], c0)
-		return
+// attend writes to o the attention output of query row q over segment seg's
+// key and value rows in e, head by head (dh columns each), reading every
+// operand where the plan keeps it; scores holds a segment's weights, head
+// after head. Each value is the one the gathered sequence — GatherColBlock,
+// then MatMulABT, ScaleInto, SoftmaxRow and MatMul — computes for it: a score
+// is abtAcc's sum, from zero in ascending k, added to a zeroed element and
+// then scaled; the softmax is the shared kernel; an output element is
+// macRow's sum for a 1×n by n×dh product, from zero in ascending k, skipping
+// exactly the zero weights (TestQueryRowBitIdentical).
+func (e *planEnc) attend(o, q []float64, seg nn.Segment, dh int, scores []float64) {
+	n, heads := seg.Len(), len(q)/dh
+	scale := 1 / math.Sqrt(float64(dh))
+	for j := 0; j < n; j++ {
+		k := e.row(e.k, seg.Start+j)
+		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
+			qc, kc := q[c0:c0+dh], k[c0:c0+dh]
+			var s float64
+			for c, qv := range qc {
+				s += qv * kc[c]
+			}
+			scores[h*n+j] = scale * (0 + s)
+		}
 	}
-	rows := d.RowRange(tok, tok+dst.Rows)
-	nn.GatherColBlock(dst, &rows, nil, c0)
+	for h := 0; h < heads; h++ {
+		att := scores[h*n : (h+1)*n]
+		tensor.SoftmaxRow(att, att)
+	}
+	clear(o)
+	for j := 0; j < n; j++ {
+		v := e.row(e.v, seg.Start+j)
+		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
+			if a := scores[h*n+j]; a != 0 {
+				oc, vc := o[c0:c0+dh], v[c0:c0+dh]
+				for c := range oc {
+					oc[c] += a * vc[c]
+				}
+			}
+		}
+	}
 }
 
 // encode runs the layers over the block: b.x becomes the rows idx names of src
@@ -788,8 +852,12 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 			fire := (overrun + atMax) - overrun*atMax
 			sc.edgeRatio[e], sc.edgeBuFeat[e], sc.edgeGatedBu[e] = ratio, buFeat, fire*buFeat
 		}
-		// One pass per tunnel, reading util and writing only u[t]: sc.w and
-		// sc.util stay the previous iterate until computeUtil below.
+		// Three passes over the tunnels, reading the previous iterate's util
+		// and writing only u: sc.w and sc.util stay that iterate until
+		// computeUtil below. The first finds each tunnel's bottleneck and
+		// lists the tunnels whose bottleneck row the plan lacks, the second
+		// fills those rows a block at a time, the third is the RAU.
+		pend := sc.pending[:0]
 		for t := 0; t < numTunnels; t++ {
 			tun := set.Tunnel(t/k, t%k)
 			// Same smallest-edge-id tie-break as adjust: series edges tie
@@ -802,17 +870,22 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 					best = pi
 				}
 			}
-			bedge := tun.Edges[best]
+			sc.bneck[t] = int32(best)
+			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok && !sc.filled[tok] {
+				pend = append(pend, int32(t))
+			}
+		}
+		sc.fill(m, pc, pend)
+		filled += len(pend)
+		for t := 0; t < numTunnels; t++ {
+			best := int(sc.bneck[t])
+			bedge := set.Tunnel(t/k, t%k).Edges[best]
 			// The scalar columns after [tunnelEmb | bottleneckEmb], in the
 			// order adjust's ConcatCols lays them out: ratio, mluFeat,
 			// buFeat, demandFeat, uFeat.
 			in := [5]float64{sc.edgeRatio[bedge], mluFeat, sc.edgeBuFeat[bedge], sc.feat.Data[t], math.Tanh((1.0 / 8) * sc.u.Data[t])}
 			acc := sc.rauAcc.Row(t)
 			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok {
-				if !sc.filled[tok] {
-					sc.fill(m, pc, t, int(tok))
-					filled++
-				}
 				// This pass reads the plan's row, the next ones the copy:
 				// reading the copy straight back, behind its own stores,
 				// cost abilene_steady 8–13 %, where the plan fits in L2.
