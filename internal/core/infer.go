@@ -172,8 +172,8 @@ type inferScratch struct {
 	rauAcc    *tensor.Dense // T×HR
 	rauAccTok []int32
 
-	// An RAU iteration's bottleneck per tunnel, as the index of the edge in
-	// the tunnel, and the tunnels whose bottleneck row it must fill first.
+	// An RAU iteration's bottleneck token per tunnel, and the tunnels whose
+	// bottleneck row it must fill first.
 	bneck, pending []int32
 
 	blk planBlock
@@ -453,7 +453,7 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 			pend := sc.pending[:0]
 			for t, seg := range ctx.segs {
 				if i+1 < seg.Len() {
-					sc.bneck[t] = int32(i)
+					sc.bneck[t] = int32(seg.Start + 1 + i)
 					pend = append(pend, int32(t))
 				}
 			}
@@ -487,7 +487,7 @@ func (sc *inferScratch) fill(m *Model, pc *probContext, pend []int32) {
 		segs, toks := b.qsegs[:len(blk)], b.qtoks[:len(blk)]
 		for i, t := range blk {
 			segs[i] = pc.segs[t]
-			toks[i] = segs[i].Start + 1 + int(sc.bneck[t])
+			toks[i] = int(sc.bneck[t])
 		}
 		sc.hRows(layers, segs, toks)
 		cut(len(blk), b.rauPrefix)
@@ -870,22 +870,23 @@ func (sc *inferScratch) adjustInfer(ctx context.Context, m *Model, pc *probConte
 					best = pi
 				}
 			}
-			sc.bneck[t] = int32(best)
-			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok && !sc.filled[tok] {
+			tok := int32(pc.clsPos[t] + 1 + best)
+			sc.bneck[t] = tok
+			if sc.rauAccTok[t] != tok && !sc.filled[tok] {
 				pend = append(pend, int32(t))
 			}
 		}
 		sc.fill(m, pc, pend)
 		filled += len(pend)
 		for t := 0; t < numTunnels; t++ {
-			best := int(sc.bneck[t])
-			bedge := set.Tunnel(t/k, t%k).Edges[best]
+			tok := sc.bneck[t]
+			bedge := pc.tokenIdx[tok] // an edge token's row of [edgeEmb ; cls] is its edge
 			// The scalar columns after [tunnelEmb | bottleneckEmb], in the
 			// order adjust's ConcatCols lays them out: ratio, mluFeat,
 			// buFeat, demandFeat, uFeat.
 			in := [5]float64{sc.edgeRatio[bedge], mluFeat, sc.edgeBuFeat[bedge], sc.feat.Data[t], math.Tanh((1.0 / 8) * sc.u.Data[t])}
 			acc := sc.rauAcc.Row(t)
-			if tok := int32(pc.clsPos[t] + 1 + best); sc.rauAccTok[t] != tok {
+			if sc.rauAccTok[t] != tok {
 				// This pass reads the plan's row, the next ones the copy:
 				// reading the copy straight back, behind its own stores,
 				// cost abilene_steady 8–13 %, where the plan fits in L2.
