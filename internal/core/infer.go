@@ -53,11 +53,11 @@ package core
 //     of additions the matmul kernel would make, zero multiplicands skipped
 //     exactly where it skips them.
 //   - Every other step is the tape's kernel, not a copy of it: LayerNorm
-//     is nn.LayerNorm.Apply, the per-head gathers nn.GatherColBlock, ReLU
-//     tensor.ReLUInto (whose `v < 0` preserves -0) — the loops the tape
+//     is nn.LayerNorm.Apply, attention nn.AttendRow (one query row over its
+//     segment, the kernel SegmentAttention.Forward runs for every token),
+//     ReLU tensor.ReLUInto (whose `v < 0` preserves -0) — the loops the tape
 //     ops themselves run. What is written here alone is the demand column
-//     (accColumn: macRow's inner loop, zero skip included), rauRow, and
-//     the last layer's attention row of a query (attend, below).
+//     (accColumn: macRow's inner loop, zero skip included) and rauRow.
 //   - SETTRANS never lets two tunnels interact: attention is per segment,
 //     and LayerNorm, the matmul kernel (macRow: one output row at a time),
 //     bias, ReLU and the residual adds are per row. Run over any run of
@@ -70,17 +70,10 @@ package core
 //     key and value rows, and LayerNorm.Apply, macRow, the bias, ReLU and
 //     the residual adds all work per row. The last layer runs for query
 //     rows only (hRows): each tunnel's CLS row at build time, an edge
-//     token's row when a fill needs it. Its attention is new code that
-//     makes the existing per-element sums, reading Q/K/V where the plan
-//     keeps them (attend): a score is the sum abtAcc makes, from zero in
-//     ascending k, added to a zeroed element (0 + s) and scaled as
-//     ScaleInto scales it; the softmax is SoftmaxRow itself; an output
-//     element is the sum macRow makes for a 1×n by n×dh product, from zero
-//     in ascending k, skipping exactly the zero weights — the values the
-//     gathered sequence GatherColBlock → MatMulABT → ScaleInto →
-//     SoftmaxRow → MatMul computes (TestQueryRowBitIdentical). The rest of
-//     the layer (finish) runs the tape's kernels over a block of query
-//     rows, per row, so the block size cannot show in a bit. A filled
+//     token's row when a fill needs it. Its attention is nn.AttendRow,
+//     reading Q/K/V where the plan keeps them, and the rest of the layer
+//     (finish) runs the tape's kernels over a block of query rows, per row,
+//     so the block size cannot show in a bit. A filled
 //     rauTok row is the tunnel's prefix, kept in its CLS token's row (which
 //     no bottleneck reads: the RAU picks an edge token), continued through
 //     h[tok]·W0[r:2r] by MatMulAcc, which works per row — the accumulation
@@ -105,11 +98,11 @@ package core
 // edge twice, and more tunnels than a fill block has rows — and so does
 // FuzzSplitsMatchForward on problems and models the fuzzer makes up;
 // TestRAURowBitIdentical holds the row kernel alone to the generic kernels,
-// non-finite operands included, TestQueryRowBitIdentical the attention row
-// to the gathered sequence, the same way, TestPlanNeverStale that no
-// write to the weights survives in a plan, and TestRAUAccumulatorCarriesOver
-// that no per-tunnel row or filled plan row survives its plan or its
-// bottleneck token.
+// non-finite operands included (nn's TestQueryRowBitIdentical does the same
+// for the attention row, which the engine and the tape share),
+// TestPlanNeverStale that no write to the weights survives in a plan, and
+// TestRAUAccumulatorCarriesOver that no per-tunnel row or filled plan row
+// survives its plan or its bottleneck token.
 //
 // Every RAU iteration ends in the per-flow softmax, so every iterate is a
 // routable answer: SplitsCtx returns the one it has when its context is
@@ -198,7 +191,8 @@ type inferScratch struct {
 // is the Context's tokenIdx when the rows are the E+1 distinct rows of
 // [edgeEmb ; cls] (an encoder of one layer; with none, or the mean-pool
 // ablation, x alone, and h is its rows) — and row tok itself when idx is nil
-// (a deeper encoder, whose last layer reads per-token rows).
+// (a deeper encoder, whose last layer reads per-token rows). encode reads the
+// Q/K/V of each layer before the last through the same view, over a block.
 type planEnc struct {
 	x, q, k, v *tensor.Dense
 	idx        []int
@@ -232,10 +226,9 @@ type planBlock struct {
 	// Per token or query row; x is the residual stream, h once the layers
 	// have run.
 	x, norm, q, k, v, o, proj *tensor.Dense // ×r
-	qh, kh, vh, oh            *tensor.Dense // ×r/Heads: one head's columns
 	ff                        *tensor.Dense // ×FFDim
 	rauPrefix                 *tensor.Dense // per tunnel ×HR: RAU first layer after the tunnelEmb columns
-	// One segment's attention weights: L×L in encode, Heads×L for a query.
+	// One query row's attention weights, Heads×L: nn.AttendRow's scratch.
 	scores []float64
 	// The query rows of hRows: token qtoks[i] of segment qsegs[i].
 	qsegs []nn.Segment
@@ -243,12 +236,11 @@ type planBlock struct {
 }
 
 func newPlanBlock(key inferScratchKey) planBlock {
-	n, r, dh := key.blockRows, key.r, key.r/key.heads
+	n, r := key.blockRows, key.r
 	mk := func(cols int) *tensor.Dense { return tensor.New(n, cols) }
 	return planBlock{
-		x: mk(r), norm: mk(r), q: mk(r), k: mk(r), v: mk(r), o: mk(r), proj: mk(r),
-		qh: mk(dh), kh: mk(dh), vh: mk(dh), oh: mk(dh), ff: mk(key.ff),
-		rauPrefix: mk(key.hr), scores: make([]float64, n*max(n, key.heads)),
+		x: mk(r), norm: mk(r), q: mk(r), k: mk(r), v: mk(r), o: mk(r), proj: mk(r), ff: mk(key.ff),
+		rauPrefix: mk(key.hr), scores: make([]float64, n*key.heads),
 		qsegs: make([]nn.Segment, n), qtoks: make([]int, n),
 	}
 }
@@ -406,7 +398,7 @@ func (sc *inferScratch) buildPlan(m *Model, ctx *probContext, weights uint64, sp
 		}
 		lo, hi, segs := ctx.segs[t0].Start, ctx.segs[t1-1].End, ctx.segs[t0:t1]
 		if last > 0 {
-			cut(hi-lo, b.x, b.norm, b.q, b.k, b.v, b.o, b.proj, b.qh, b.kh, b.vh, b.oh, b.ff)
+			cut(hi-lo, b.x, b.norm, b.q, b.k, b.v, b.o, b.proj, b.ff)
 			b.encode(layers[:last], src, q0, k0, v0, ctx.tokenIdx[lo:hi], segs)
 			l := layers[last]
 			x, q, k, v := e.x.RowRange(lo, hi), e.q.RowRange(lo, hi), e.k.RowRange(lo, hi), e.v.RowRange(lo, hi)
@@ -504,9 +496,10 @@ func (sc *inferScratch) fill(m *Model, pc *probContext, pend []int32) {
 
 // hRows writes to b.x the rows of h of the tokens toks, toks[i] one of
 // segment segs[i]'s: its residual input from sc.enc, run through the last
-// encoder layer as a query row (attend) and then, all rows at once, through
-// the rest of the layer (finish), which works per row. Each row is the one
-// the layer computes over all the tokens at once (see the file comment).
+// encoder layer as a query row (nn.AttendRow, reading Q/K/V where the plan
+// keeps them) and then, all rows at once, through the rest of the layer
+// (finish), which works per row. Each row is the one the layer computes over
+// all the tokens at once (see the file comment).
 func (sc *inferScratch) hRows(layers []*nn.EncoderLayer, segs []nn.Segment, toks []int) {
 	b, e := &sc.blk, &sc.enc
 	cut(len(toks), b.x)
@@ -516,92 +509,40 @@ func (sc *inferScratch) hRows(layers []*nn.EncoderLayer, segs []nn.Segment, toks
 	if len(layers) == 0 {
 		return
 	}
+	l := layers[len(layers)-1]
+	dh := l.Attn.Dim / l.Attn.Heads
 	cut(len(toks), b.norm, b.o, b.proj, b.ff)
 	for i, tok := range toks {
-		e.attend(b.o.Row(i), e.row(e.q, tok), segs[i], b.qh.Cols, b.scores)
+		nn.AttendRow(b.o.Row(i), e.row(e.q, tok), e.k, e.v, e.idx, segs[i], dh, b.scores)
 	}
-	b.finish(layers[len(layers)-1])
-}
-
-// attend writes to o the attention output of query row q over segment seg's
-// key and value rows in e, head by head (dh columns each), reading every
-// operand where the plan keeps it; scores holds a segment's weights, head
-// after head. Each value is the one the gathered sequence — GatherColBlock,
-// then MatMulABT, ScaleInto, SoftmaxRow and MatMul — computes for it: a score
-// is abtAcc's sum, from zero in ascending k, added to a zeroed element and
-// then scaled; the softmax is the shared kernel; an output element is
-// macRow's sum for a 1×n by n×dh product, from zero in ascending k, skipping
-// exactly the zero weights (TestQueryRowBitIdentical).
-func (e *planEnc) attend(o, q []float64, seg nn.Segment, dh int, scores []float64) {
-	n, heads := seg.Len(), len(q)/dh
-	scale := 1 / math.Sqrt(float64(dh))
-	for j := 0; j < n; j++ {
-		k := e.row(e.k, seg.Start+j)
-		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
-			qc, kc := q[c0:c0+dh], k[c0:c0+dh]
-			var s float64
-			for c, qv := range qc {
-				s += qv * kc[c]
-			}
-			scores[h*n+j] = scale * (0 + s)
-		}
-	}
-	for h := 0; h < heads; h++ {
-		att := scores[h*n : (h+1)*n]
-		tensor.SoftmaxRow(att, att)
-	}
-	clear(o)
-	for j := 0; j < n; j++ {
-		v := e.row(e.v, seg.Start+j)
-		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
-			if a := scores[h*n+j]; a != 0 {
-				oc, vc := o[c0:c0+dh], v[c0:c0+dh]
-				for c := range oc {
-					oc[c] += a * vc[c]
-				}
-			}
-		}
-	}
+	b.finish(l)
 }
 
 // encode runs the layers over the block: b.x becomes the rows idx names of src
 // and then, layer by layer, the block's rows of those layers' output. segs
 // tile the block in order; q0, k0 and v0 are the first layer's projections of
-// src's rows. Every step is nn.EncoderLayer.Forward's and
-// nn.SegmentAttention's own kernel on the block's rows.
+// src's rows. Every step is nn.EncoderLayer.Forward's own kernel on the
+// block's rows: each row's attention is nn.AttendRow over its segment.
 func (b *planBlock) encode(layers []*nn.EncoderLayer, src, q0, k0, v0 *tensor.Dense, idx []int, segs []nn.Segment) {
-	nn.GatherColBlock(b.x, src, idx, 0)
+	for i, row := range idx {
+		copy(b.x.Row(i), src.Row(row))
+	}
 	lo := segs[0].Start
-	dh := b.qh.Cols
-	scale := 1 / math.Sqrt(float64(dh))
 	for li, l := range layers {
 		// x += Attn(Norm1(x)), attention within each segment.
-		q, k, v := q0, k0, v0
+		e := planEnc{q: q0, k: k0, v: v0, idx: idx}
 		if li > 0 {
 			l.Norm1.Apply(b.norm, b.x, nil, nil)
-			q, k, v, idx = b.q, b.k, b.v, nil
-			tensor.MatMul(q, b.norm, l.Attn.Wq.Val)
-			tensor.MatMul(k, b.norm, l.Attn.Wk.Val)
-			tensor.MatMul(v, b.norm, l.Attn.Wv.Val)
+			e = planEnc{q: b.q, k: b.k, v: b.v}
+			tensor.MatMul(b.q, b.norm, l.Attn.Wq.Val)
+			tensor.MatMul(b.k, b.norm, l.Attn.Wk.Val)
+			tensor.MatMul(b.v, b.norm, l.Attn.Wv.Val)
 		}
-		for c0 := 0; c0 < b.o.Cols; c0 += dh {
-			nn.GatherColBlock(b.qh, q, idx, c0)
-			nn.GatherColBlock(b.kh, k, idx, c0)
-			nn.GatherColBlock(b.vh, v, idx, c0)
-			for _, seg := range segs {
-				n, s0, s1 := seg.Len(), seg.Start-lo, seg.End-lo
-				qs, ks := b.qh.RowRange(s0, s1), b.kh.RowRange(s0, s1)
-				vs, os := b.vh.RowRange(s0, s1), b.oh.RowRange(s0, s1)
-				att := tensor.Dense{Rows: n, Cols: n, Data: b.scores[:n*n]}
-				tensor.MatMulABT(&att, &qs, &ks)
-				tensor.ScaleInto(&att, &att, scale)
-				for i := 0; i < n; i++ {
-					tensor.SoftmaxRow(att.Row(i), att.Row(i))
-				}
-				tensor.MatMul(&os, &att, &vs)
-			}
-			for i := 0; i < b.o.Rows; i++ {
-				copy(b.o.Row(i)[c0:c0+dh], b.oh.Row(i))
+		dh := l.Attn.Dim / l.Attn.Heads
+		for _, seg := range segs {
+			seg := nn.Segment{Start: seg.Start - lo, End: seg.End - lo}
+			for i := seg.Start; i < seg.End; i++ {
+				nn.AttendRow(b.o.Row(i), e.row(e.q, i), e.k, e.v, e.idx, seg, dh, b.scores)
 			}
 		}
 		b.finish(l)

@@ -66,9 +66,9 @@ func rowOf(idx []int, i int) int {
 	return idx[i]
 }
 
-// GatherColBlock copies columns [c0,c0+dst.Cols) of src's row idx[i] — row i
+// gatherColBlock copies columns [c0,c0+dst.Cols) of src's row idx[i] — row i
 // itself under a nil idx — into row i of dst.
-func GatherColBlock(dst, src *tensor.Dense, idx []int, c0 int) {
+func gatherColBlock(dst, src *tensor.Dense, idx []int, c0 int) {
 	for i := 0; i < dst.Rows; i++ {
 		copy(dst.Row(i), src.Row(rowOf(idx, i))[c0:c0+dst.Cols])
 	}
@@ -86,35 +86,48 @@ func scatterAddColBlock(dst, blk *tensor.Dense, idx []int, c0 int) {
 	}
 }
 
-// bucketSegments returns the indices of segs ordered by ascending length
-// (stable within a length) via counting sort on tape scratch. Processing
-// same-length segments consecutively is the length-bucketing that kills the
-// per-segment shape churn: every segment in a bucket checks out identically
-// shaped score scratch, so the arena's shape-keyed pools stay hot and the
-// inner loops run over runs of identical trip counts.
-func bucketSegments(tp *autograd.Tape, segs []Segment) []int {
-	maxL := 0
-	for _, s := range segs {
-		if s.Len() > maxL {
-			maxL = s.Len()
+// AttendRow writes to o the multi-head attention output of query row q over
+// segment seg, whose key and value rows are rows rowOf(idx, j) of k and v for
+// j in seg; each head is dh consecutive columns of q, k, v and o. scores
+// (at least len(q)/dh × seg.Len()) receives the softmax weights, head after
+// head. It is the one attention kernel: the tape forward, the engine's block
+// loop and its query rows all call it, so they compute the same bits. Each
+// value is the one the gathered sequence of tensor kernels — the head's
+// columns copied out, then MatMulABT, ScaleInto, SoftmaxRow and MatMul —
+// computes for it: a score is abtAcc's sum, from zero in ascending k, added
+// to a zeroed element and then scaled; the softmax is SoftmaxRow; an output
+// element is macRow's sum for a 1×n by n×dh product, from zero in ascending
+// k, skipping exactly the zero weights (TestQueryRowBitIdentical).
+func AttendRow(o, q []float64, k, v *tensor.Dense, idx []int, seg Segment, dh int, scores []float64) {
+	n, heads := seg.Len(), len(q)/dh
+	scale := 1 / math.Sqrt(float64(dh))
+	for j := 0; j < n; j++ {
+		kr := k.Row(rowOf(idx, seg.Start+j))
+		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
+			qc, kc := q[c0:c0+dh], kr[c0:c0+dh]
+			var s float64
+			for c, qv := range qc {
+				s += qv * kc[c]
+			}
+			scores[h*n+j] = scale * (0 + s)
 		}
 	}
-	counts := tp.Ints(maxL + 2)
-	for i := range counts {
-		counts[i] = 0
+	for h := 0; h < heads; h++ {
+		att := scores[h*n : (h+1)*n]
+		tensor.SoftmaxRow(att, att)
 	}
-	for _, s := range segs {
-		counts[s.Len()+1]++
+	clear(o)
+	for j := 0; j < n; j++ {
+		vr := v.Row(rowOf(idx, seg.Start+j))
+		for h, c0 := 0, 0; h < heads; h, c0 = h+1, c0+dh {
+			if a := scores[h*n+j]; a != 0 {
+				oc, vc := o[c0:c0+dh], vr[c0:c0+dh]
+				for c := range oc {
+					oc[c] += a * vc[c]
+				}
+			}
+		}
 	}
-	for l := 1; l < len(counts); l++ {
-		counts[l] += counts[l-1]
-	}
-	order := tp.Ints(len(segs))
-	for i, s := range segs {
-		order[counts[s.Len()]] = i
-		counts[s.Len()]++
-	}
-	return order
 }
 
 // Forward applies attention to the N token rows x[idx[0]], x[idx[1]], … —
@@ -125,14 +138,13 @@ func bucketSegments(tp *autograd.Tape, segs []Segment) []int {
 // The Q/K/V projections run once over x's rows, not over tokens: the
 // kernel accumulates each output row independently in ascending-k order,
 // so the product of a row is the same bits wherever and however often idx
-// places it, and SETTRANS's 93,670 KDL tokens are 1,809 distinct rows. The
-// projected rows are gathered by idx straight into the per-head column
-// blocks (once per head, not once per segment per head), the per-segment
-// score loops walk segments in length-bucketed order (see bucketSegments),
-// and the output projection is one product over the N-row stack. Backward
-// scatter-adds dQ/dK/dV into x's rows in ascending token order before the
-// input- and weight-gradient products, which therefore run over x's rows
-// too; against projecting gathered rows that changes summation order only.
+// places it, and SETTRANS's 93,670 KDL tokens are 1,809 distinct rows. Each
+// covered token's attention row is AttendRow over its segment, reading the
+// projected rows through idx where they are, and the output projection is
+// one product over the N-row stack. Backward scatter-adds dQ/dK/dV into x's
+// rows in ascending token order before the input- and weight-gradient
+// products, which therefore run over x's rows too; against projecting
+// gathered rows that changes summation order only.
 //
 // All dense scratch — forward intermediates saved for backward as well as
 // the backward pass's own workspace — comes from tp.Buffer, so on a
@@ -150,7 +162,7 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 		n = len(idx)
 	}
 	val := tp.Buffer(n, d)
-	GatherColBlock(val, x.Val, idx, 0) // rows outside segments are identity
+	gatherColBlock(val, x.Val, idx, 0) // rows outside segments are identity
 
 	// Projections of x's rows. Buffers are zeroed, so Acc ≡ assign.
 	q := tp.Buffer(m, d)
@@ -161,33 +173,24 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 	tensor.MatMulAcc(v, x.Val, sa.Wv.Val)
 	o := tp.Buffer(n, d) // rows outside segments stay zero
 
-	order := bucketSegments(tp, segs)
+	// Every covered token is one query row of the kernel; each head's weights
+	// are kept as the L×L matrix of its segment the backward reads.
+	maxL := 0
+	for _, s := range segs {
+		maxL = max(maxL, s.Len())
+	}
+	scores := tp.Buffer(1, h*maxL).Data
 	attnFlat := make([]*tensor.Dense, len(segs)*h) // L×L softmax weights
-	for hd := 0; hd < h; hd++ {
-		c0, c1 := hd*dh, (hd+1)*dh
-		qh := tp.Buffer(n, dh)
-		kh := tp.Buffer(n, dh)
-		vh := tp.Buffer(n, dh)
-		oh := tp.Buffer(n, dh)
-		GatherColBlock(qh, q, idx, c0)
-		GatherColBlock(kh, k, idx, c0)
-		GatherColBlock(vh, v, idx, c0)
-		for _, si := range order {
-			s := segs[si]
-			L := s.Len()
-			qs, ks := qh.RowRange(s.Start, s.End), kh.RowRange(s.Start, s.End)
-			vs, os := vh.RowRange(s.Start, s.End), oh.RowRange(s.Start, s.End)
-			sc := tp.Buffer(L, L)
-			tensor.MatMulABT(sc, &qs, &ks)
-			tensor.ScaleInto(sc, sc, scale)
-			for i := 0; i < L; i++ {
-				softmaxRowInPlace(sc.Row(i))
-			}
-			attnFlat[si*h+hd] = sc
-			tensor.MatMulAcc(&os, sc, &vs)
+	for si, s := range segs {
+		L := s.Len()
+		for hd := 0; hd < h; hd++ {
+			attnFlat[si*h+hd] = tp.Buffer(L, L)
 		}
-		for i := 0; i < n; i++ {
-			copy(o.Row(i)[c0:c1], oh.Row(i))
+		for i := s.Start; i < s.End; i++ {
+			AttendRow(o.Row(i), q.Row(rowOf(idx, i)), k, v, idx, s, dh, scores)
+			for hd, a := range attnFlat[si*h : (si+1)*h] {
+				copy(a.Row(i-s.Start), scores[hd*L:(hd+1)*L])
+			}
 		}
 	}
 
@@ -245,15 +248,14 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 			qh := tp.Buffer(n, dh)
 			kh := tp.Buffer(n, dh)
 			vh := tp.Buffer(n, dh)
-			GatherColBlock(doh, do, nil, c0)
-			GatherColBlock(qh, q, idx, c0)
-			GatherColBlock(kh, k, idx, c0)
-			GatherColBlock(vh, v, idx, c0)
+			gatherColBlock(doh, do, nil, c0)
+			gatherColBlock(qh, q, idx, c0)
+			gatherColBlock(kh, k, idx, c0)
+			gatherColBlock(vh, v, idx, c0)
 			dqh := tp.Buffer(n, dh)
 			dkh := tp.Buffer(n, dh)
 			dvh := tp.Buffer(n, dh)
-			for _, si := range order {
-				s := segs[si]
+			for si, s := range segs {
 				L := s.Len()
 				a := attnFlat[si*h+hd]
 				dohs, vhs := doh.RowRange(s.Start, s.End), vh.RowRange(s.Start, s.End)
@@ -304,7 +306,3 @@ func (sa *SegmentAttention) Forward(tp *autograd.Tape, x *autograd.Tensor, idx [
 		}
 	}, x, sa.Wq, sa.Wk, sa.Wv, sa.Wo)
 }
-
-// softmaxRowInPlace shares the guarded kernel with autograd.SoftmaxRows so
-// masked attention rows (all scores -Inf) zero out instead of going NaN.
-func softmaxRowInPlace(row []float64) { tensor.SoftmaxRow(row, row) }

@@ -200,51 +200,81 @@ func TestAttentionSegmentIsolation(t *testing.T) {
 	}
 }
 
-// referenceAttention recomputes single-segment attention with plain loops to
-// cross-check the fused forward.
-func referenceAttention(sa *SegmentAttention, x *tensor.Dense) *tensor.Dense {
-	L, d, h := x.Rows, sa.Dim, sa.Heads
+// referenceAttention recomputes segment attention with plain loops to
+// cross-check the fused forward: the token rows are x's rows idx names (x's
+// own under a nil idx), attention runs within each segment, and a row outside
+// every segment is its token row unchanged.
+func referenceAttention(sa *SegmentAttention, x *tensor.Dense, idx []int, segs []Segment) *tensor.Dense {
+	n, d, h := x.Rows, sa.Dim, sa.Heads
+	if idx != nil {
+		n = len(idx)
+	}
 	dh := d / h
-	q, k, v := tensor.New(L, d), tensor.New(L, d), tensor.New(L, d)
-	tensor.MatMul(q, x, sa.Wq.Val)
-	tensor.MatMul(k, x, sa.Wk.Val)
-	tensor.MatMul(v, x, sa.Wv.Val)
-	o := tensor.New(L, d)
-	for hd := 0; hd < h; hd++ {
-		c0 := hd * dh
-		for i := 0; i < L; i++ {
-			scores := make([]float64, L)
-			for j := 0; j < L; j++ {
-				var s float64
+	tok := tensor.New(n, d)
+	for i := 0; i < n; i++ {
+		copy(tok.Row(i), x.Row(rowOf(idx, i)))
+	}
+	q, k, v := tensor.New(n, d), tensor.New(n, d), tensor.New(n, d)
+	tensor.MatMul(q, tok, sa.Wq.Val)
+	tensor.MatMul(k, tok, sa.Wk.Val)
+	tensor.MatMul(v, tok, sa.Wv.Val)
+	o := tensor.New(n, d)
+	for _, sg := range segs {
+		for hd := 0; hd < h; hd++ {
+			c0 := hd * dh
+			for i := sg.Start; i < sg.End; i++ {
+				scores := make([]float64, sg.Len())
+				for j := range scores {
+					var s float64
+					for c := 0; c < dh; c++ {
+						s += q.At(i, c0+c) * k.At(sg.Start+j, c0+c)
+					}
+					scores[j] = s / math.Sqrt(float64(dh))
+				}
+				tensor.SoftmaxRow(scores, scores)
 				for c := 0; c < dh; c++ {
-					s += q.At(i, c0+c) * k.At(j, c0+c)
+					var s float64
+					for j, a := range scores {
+						s += a * v.At(sg.Start+j, c0+c)
+					}
+					o.Set(i, c0+c, s)
 				}
-				scores[j] = s / math.Sqrt(float64(dh))
-			}
-			softmaxRowInPlace(scores)
-			for c := 0; c < dh; c++ {
-				var s float64
-				for j := 0; j < L; j++ {
-					s += scores[j] * v.At(j, c0+c)
-				}
-				o.Set(i, c0+c, s)
 			}
 		}
 	}
-	out := tensor.New(L, d)
-	tensor.MatMul(out, o, sa.Wo.Val)
-	return out
+	proj := tensor.New(n, d)
+	tensor.MatMul(proj, o, sa.Wo.Val)
+	for _, sg := range segs {
+		copy(tok.RowRange(sg.Start, sg.End).Data, proj.RowRange(sg.Start, sg.End).Data)
+	}
+	return tok
 }
 
+// TestAttentionMatchesReference: one 4-row segment; several segments of
+// different lengths with a row outside all of them; the same read through an
+// index that repeats rows; and three heads.
 func TestAttentionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	sa := NewSegmentAttention(rng, 8, 2)
-	x := randInput(rng, 4, 8)
-	tp := autograd.NewTape()
-	got := sa.Forward(tp, x, nil, []Segment{{0, 4}}).Val
-	want := referenceAttention(sa, x.Val)
-	if !tensor.Equal(got, want, 1e-9) {
-		t.Fatal("fused attention disagrees with reference")
+	cases := []struct {
+		name             string
+		dim, heads, rows int
+		idx              []int
+		segs             []Segment
+	}{
+		{"one-segment", 8, 2, 4, nil, []Segment{{0, 4}}},
+		{"segments+uncovered", 8, 2, 10, nil, []Segment{{0, 1}, {1, 5}, {6, 8}, {8, 10}}},
+		{"repeated-rows", 8, 2, 4, []int{3, 0, 3, 1, 1, 2, 0, 3, 3}, []Segment{{0, 2}, {2, 3}, {4, 9}}},
+		{"three-heads", 9, 3, 5, []int{4, 4, 0, 2, 1, 3, 0}, []Segment{{0, 3}, {3, 4}, {4, 7}}},
+	}
+	for _, c := range cases {
+		sa := NewSegmentAttention(rng, c.dim, c.heads)
+		x := randInput(rng, c.rows, c.dim)
+		tp := autograd.NewTape()
+		got := sa.Forward(tp, x, c.idx, c.segs).Val
+		want := referenceAttention(sa, x.Val, c.idx, c.segs)
+		if !tensor.Equal(got, want, 1e-9) {
+			t.Fatalf("%s: fused attention disagrees with reference", c.name)
+		}
 	}
 }
 
