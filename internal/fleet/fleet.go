@@ -291,9 +291,9 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	defer dsp.End()
 
 	if f.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.opts.Deadline)
-		defer cancel()
+		dctx := withLazyTimeout(ctx, f.opts.Deadline)
+		defer dctx.release()
+		ctx = dctx
 	}
 
 	var dec Decision
@@ -365,9 +365,9 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 	}()
 	tctx := ctx
 	if f.opts.TryTimeout > 0 {
-		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, f.opts.TryTimeout)
-		defer cancel()
+		dctx := withLazyTimeout(ctx, f.opts.TryTimeout)
+		defer dctx.release()
+		tctx = dctx
 	}
 	dec, err = r.backend.Serve(tctx, p, demand)
 	switch {

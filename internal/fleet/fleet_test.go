@@ -693,10 +693,10 @@ func hitFleet(tb testing.TB, g *topology.Graph) (*Fleet, *te.Problem, *tensor.De
 
 // serveHitAllocs is what the dispatcher adds to a split-cache hit, which
 // the server alone serves without allocating
-// (resilience.TestSplitCacheHitZeroAllocs): all four are the fleet
-// Deadline's context.WithTimeout — the timer context, its timer, the
-// timer's callback and the cancel function.
-const serveHitAllocs = 4
+// (resilience.TestSplitCacheHitZeroAllocs): the one is the fleet
+// Deadline's deadlineCtx. A hit never waits on it, so it never arms a
+// timer (deadline.go).
+const serveHitAllocs = 1
 
 // TestServeHitAllocs pins serveHitAllocs on the hot_cache path.
 func TestServeHitAllocs(t *testing.T) {
