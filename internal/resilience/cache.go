@@ -14,9 +14,10 @@ package resilience
 // inference for the colliding demand — the epsilon bound
 // TestSplitCacheEpsilonBound measures.
 //
-// The key costs one pass over the demand for its peak and one more for
-// the buckets, each folded into the hash with a single multiply–xorshift
-// (mix64). A hit is not vetted again on the way out: the entry was vetted
+// The key costs one pass over the demand for the buckets, folded into four
+// independent hash lanes with one multiply–xorshift each (mix64). The peak
+// comes from the pass that validates the demand (demandPeak), so a served
+// request reads its demand twice in all. A hit is not vetted again on the way out: the entry was vetted
 // (VetSplits) before put, so the server returns it as it is, and a fleet
 // takes a hit from its own in-process server (fleet.Local) without a
 // second vet; only answers through other replicas are vetted again.
@@ -85,18 +86,38 @@ func newSplitCache(capacity int) *SplitCache {
 	}
 }
 
-// tmHash quantizes demand and hashes the bucket indices. Exported logic
-// (via CacheKey) so the fuzz target can drive it directly. Allocation-free.
-func tmHash(demand *tensor.Dense, quantum float64) uint64 {
-	dmax := 0.0
-	for _, v := range demand.Data {
-		if v > dmax {
-			dmax = v
-		}
+// demandPeak returns the largest entry of data and whether every entry is
+// a valid demand: +0, -0 or positive finite. For those values float order
+// is the order of their bits read as uint64, so one unsigned max over the
+// bits finds the peak — bit for bit the value a `v > peak` scan from 0
+// finds — and the max lies below +Inf's bits exactly when no entry is
+// negative, infinite or NaN (a set sign bit or an all-ones exponent lifts
+// it there). Each entry is read as v+0, which is +0 for -0 and v for every
+// other v (a NaN stays a NaN). The loop has no branch on the data and keeps
+// four running maxima. The peak is meaningless when valid is false.
+func demandPeak(data []float64) (peak float64, valid bool) {
+	var m0, m1, m2, m3 uint64
+	d := data
+	for len(d) >= 4 {
+		m0 = max(m0, math.Float64bits(d[0]+0))
+		m1 = max(m1, math.Float64bits(d[1]+0))
+		m2 = max(m2, math.Float64bits(d[2]+0))
+		m3 = max(m3, math.Float64bits(d[3]+0))
+		d = d[4:]
 	}
+	for _, v := range d {
+		m0 = max(m0, math.Float64bits(v+0))
+	}
+	m := max(m0, m1, m2, m3)
+	return math.Float64frombits(m), m < 0x7FF0000000000000
+}
+
+// tmHash quantizes a demand whose peak is dmax and hashes the bucket
+// indices. Allocation-free.
+func tmHash(data []float64, dmax, quantum float64) uint64 {
 	h := uint64(14695981039346656037)
 	if dmax <= 0 {
-		return mix64(h, uint64(len(demand.Data))) // all-zero demand: one bucket per flow count
+		return mix64(h, uint64(len(data))) // all-zero demand: one bucket per flow count
 	}
 	// Peak-scale bucket: log base (1+quantum), so demands whose absolute
 	// scale differs by more than one quantum step cannot collide even when
@@ -105,19 +126,53 @@ func tmHash(demand *tensor.Dense, quantum float64) uint64 {
 	// Per-flow buckets of quantum·dmax, by a multiply with the hoisted
 	// reciprocal: it can differ from v/step in the last bit, which moves
 	// only a value within an ulp of a bucket edge, and always the same way.
+	// Entry i feeds lane i mod 4: the four chains are independent, so their
+	// multiplies overlap, and the lanes fold into h in order at the end.
 	inv := 1 / (quantum * dmax)
-	for _, v := range demand.Data {
-		h = mix64(h, uint64(int64(math.Round(v*inv))))
+	h0, h1, h2, h3 := h, h+1, h+2, h+3
+	d := data
+	for len(d) >= 4 {
+		h0 = mix64(h0, bucket(d[0]*inv))
+		h1 = mix64(h1, bucket(d[1]*inv))
+		h2 = mix64(h2, bucket(d[2]*inv))
+		h3 = mix64(h3, bucket(d[3]*inv))
+		d = d[4:]
 	}
-	return h
+	switch len(d) {
+	case 3:
+		h2 = mix64(h2, bucket(d[2]*inv))
+		fallthrough
+	case 2:
+		h1 = mix64(h1, bucket(d[1]*inv))
+		fallthrough
+	case 1:
+		h0 = mix64(h0, bucket(d[0]*inv))
+	}
+	return mix64(mix64(mix64(mix64(mix64(h, h0), h1), h2), h3), uint64(len(data)))
+}
+
+// bucket is the quantized index of a demand scaled to bucket units,
+// uint64(int64(math.Round(x))) for every 0 <= x < 2⁶³ — every valid demand
+// scaled by its own peak. It truncates and adds one when the fraction is
+// at least ½: the fraction x − k is exact, and so is the sign of
+// fraction − ½, so it rounds half away from zero as math.Round does,
+// without math.Round's branches on the exponent, which a demand's spread of
+// magnitudes mispredicts. Any other x (CacheKey takes a demand
+// ValidateInput refuses) gets some fixed index.
+func bucket(x float64) uint64 {
+	k := int64(x)
+	return uint64(k) + ^math.Float64bits(x-float64(k)-0.5)>>63
 }
 
 // mix64 folds one 64-bit value into the running hash with one
-// multiply–xorshift, the mixer core's weights stamp uses. Each step is a
-// bijection of the state (xor with v, multiply by an odd constant,
-// xorshift), so two bucket sequences of one length that differ in a single
-// bucket never collide: the states part at that bucket and every later
-// step keeps them apart.
+// multiply–xorshift, the mixer core's weights stamp uses. It is injective
+// in each argument with the other fixed (xor, a multiply by an odd
+// constant and an xorshift are each bijections), so two bucket sequences
+// of one length that differ in a single bucket never collide: the length
+// puts every bucket in the same lane on both sides, the lane holding the
+// changed bucket parts there and every later step of it keeps the two
+// apart, the other lanes end equal, and each step of the fold is injective
+// in the one lane value that differs.
 func mix64(h, v uint64) uint64 {
 	h = (h ^ v) * 0x9e3779b97f4a7c15
 	return h ^ h>>32
@@ -126,11 +181,22 @@ func mix64(h, v uint64) uint64 {
 // CacheKey returns the (topology, quantized-TM) cache key for a request as
 // two raw 64-bit hashes. Exported for the cache-key fuzz target and for
 // operators debugging hit rates; equal inputs always produce equal keys.
+// It takes any demand, one ValidateInput would refuse included.
 func CacheKey(p *te.Problem, demand *tensor.Dense, quantum float64) (topo, tm uint64) {
 	if quantum <= 0 {
 		quantum = DefaultCacheQuantum
 	}
-	return p.Fingerprint(), tmHash(demand, quantum)
+	dmax, valid := demandPeak(demand.Data)
+	if !valid {
+		// The peak of the positive entries, as the key has always taken it.
+		dmax = 0
+		for _, v := range demand.Data {
+			if v > dmax {
+				dmax = v
+			}
+		}
+	}
+	return p.Fingerprint(), tmHash(demand.Data, dmax, quantum)
 }
 
 // get returns the cached splits for key, or nil. The returned matrix is

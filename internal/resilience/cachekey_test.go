@@ -6,6 +6,7 @@ package resilience
 
 import (
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestTMHashSeparatesBuckets(t *testing.T) {
 		fh := fnv.New64a()
 		fh.Write(buckets)
 		id := fh.Sum64()
-		key := tmHash(d, q)
+		key := tmHash(d.Data, 1, q) // buckets[0] pins the peak at 1
 		if prev, ok := seen[key]; ok && prev != id {
 			t.Fatalf("TM %d collides with an earlier, different TM: key %x", n, key)
 		}
@@ -115,12 +116,78 @@ func TestTMHashSeparatesBuckets(t *testing.T) {
 	}
 }
 
+// TestTMHashLaneTails: over demand lengths 1–9, which cover every tail of
+// the four-lane bucket pass, moving any one bucket to any other value
+// changes the key, and demands whose entries quantize to the same buckets
+// share it.
+func TestTMHashLaneTails(t *testing.T) {
+	const q, steps = DefaultCacheQuantum, 100 // peak 1: buckets of 0.01
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 9; n++ {
+		for trial := 0; trial < 4; trial++ {
+			buckets := make([]int, n)
+			for i := range buckets {
+				buckets[i] = rng.Intn(steps + 1)
+			}
+			at := func(jitter float64) []float64 {
+				d := make([]float64, n)
+				for i, b := range buckets {
+					d[i] = max(0, (float64(b)+jitter*(rng.Float64()-0.5))/steps)
+				}
+				return d
+			}
+			base := tmHash(at(0), 1, q)
+			if k := tmHash(at(0.8), 1, q); k != base {
+				t.Fatalf("length %d: buckets %v keyed %x, and %x with sub-bucket jitter", n, buckets, base, k)
+			}
+			for i := range buckets {
+				was := buckets[i]
+				for b := 0; b <= steps; b++ {
+					if b == was {
+						continue
+					}
+					buckets[i] = b
+					if tmHash(at(0), 1, q) == base {
+						t.Fatalf("length %d: bucket %d moved %d → %d keeps the key", n, i, was, b)
+					}
+				}
+				buckets[i] = was
+			}
+		}
+	}
+}
+
+// TestBucketIsRound: bucket is math.Round's index for non-negative values
+// — at and either side of every half-way point, the largest value below
+// ½, 0 and -0, and past 2⁵² where every value is whole.
+func TestBucketIsRound(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), math.Nextafter(0.5, 0), 0x1p52, 0x1p52 + 1, 0x1p62, math.Nextafter(0x1p63, 0)}
+	for k := 0.0; k <= 1000; k++ {
+		for _, x := range []float64{k, k + 0.5} {
+			xs = append(xs, x, math.Nextafter(x, -1), math.Nextafter(x, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 100_000; i++ {
+		xs = append(xs, rng.ExpFloat64()*float64(int(1)<<rng.Intn(60)))
+	}
+	for _, x := range xs {
+		if x < 0 || x >= 0x1p63 {
+			continue
+		}
+		if got, want := bucket(x), uint64(int64(math.Round(x))); got != want {
+			t.Fatalf("bucket(%v) = %d, want %d", x, got, want)
+		}
+	}
+}
+
 // keySink keeps the benchmarked hash live.
 var keySink uint64
 
 // BenchmarkCacheKey is one request's split-cache key on the benchmark's
 // problems: the topology fingerprint (computed once per Problem, so a
-// read) and the quantized TM hash, two passes over the demand.
+// read) and the quantized TM hash, two passes over the demand (its peak,
+// then the buckets).
 func BenchmarkCacheKey(b *testing.B) {
 	for _, c := range []struct {
 		name string

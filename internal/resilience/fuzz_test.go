@@ -10,6 +10,7 @@ package resilience
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -219,9 +220,23 @@ func (b *fuzzBytes) next() byte {
 }
 
 // fuzzValue maps a byte to a capacity or demand: mostly the byte itself,
-// with 0 and the top three values standing for the malformed ones.
+// with the top nine values standing for the edge cases of the demand check
+// — -0, ± the smallest subnormal, the largest finite value, and the
+// malformed ones — and 0 for a zero capacity.
 func fuzzValue(v byte) float64 {
 	switch v {
+	case 247:
+		return math.Copysign(0, -1)
+	case 248:
+		return math.SmallestNonzeroFloat64
+	case 249:
+		return -math.SmallestNonzeroFloat64
+	case 250:
+		return math.MaxFloat64
+	case 251:
+		return math.Inf(-1)
+	case 252:
+		return math.Copysign(math.NaN(), -1)
 	case 253:
 		return -1
 	case 254:
@@ -278,9 +293,10 @@ func fuzzRequest(data []byte) (*te.Problem, *tensor.Dense) {
 }
 
 // FuzzValidateInput: Validate, Fingerprint and ValidateInput never panic
-// on a malformed problem, and whatever ValidateInput accepts a Server
-// serves — no recovered panic, a routable answer — under the same
-// fingerprint once the problem is built with te.NewProblem.
+// on a malformed problem, ValidateInput's verdict and message are the
+// entry-by-entry check's (validateScalar), and whatever ValidateInput
+// accepts a Server serves — no recovered panic, a routable answer — under
+// the same fingerprint once the problem is built with te.NewProblem.
 func FuzzValidateInput(f *testing.F) {
 	// Two well-formed requests (one flow at K=2, two at K=3); the malformed
 	// shapes are the committed corpus under testdata/fuzz.
@@ -292,6 +308,9 @@ func FuzzValidateInput(f *testing.F) {
 		verr := lit.Validate()
 		fp := lit.Fingerprint()
 		err := ValidateInput(lit, d)
+		if want := validateScalar(lit, d); fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("ValidateInput says %v, the entry-by-entry check %v", err, want)
+		}
 		if verr != nil && err == nil {
 			t.Fatalf("ValidateInput accepted a problem Validate refused: %v", verr)
 		}

@@ -402,29 +402,41 @@ func NewServer(m *core.Model, opts Options) *Server {
 // entry per flow, so a request pays only the O(flows) demand pass. All
 // failures wrap ErrInvalidInput.
 func ValidateInput(p *te.Problem, demand *tensor.Dense) error {
+	_, err := validateInput(p, demand)
+	return err
+}
+
+// validateInput is ValidateInput that also returns the valid demand's
+// peak, which the same pass found (demandPeak): the split-cache key
+// needs it.
+func validateInput(p *te.Problem, demand *tensor.Dense) (peak float64, err error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidInput, fmt.Sprintf(format, args...))
 	}
 	if p == nil {
-		return fail("nil problem")
+		return 0, fail("nil problem")
 	}
 	if err := p.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
+		return 0, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	if demand == nil {
-		return fail("nil demand")
+		return 0, fail("nil demand")
 	}
 	if len(demand.Data) != p.NumFlows() {
-		return fail("demand has %d entries, want one per flow (%d)", len(demand.Data), p.NumFlows())
+		return 0, fail("demand has %d entries, want one per flow (%d)", len(demand.Data), p.NumFlows())
 	}
-	for i, v := range demand.Data {
-		// One compare rejects NaN (every compare is false), ±Inf and
-		// negatives; -0 passes, as it always has.
-		if !(v >= 0 && v <= math.MaxFloat64) {
-			return fail("demand[%d] = %v", i, v)
+	peak, valid := demandPeak(demand.Data)
+	if !valid {
+		// Name the first bad entry, as the check always has. One compare
+		// rejects NaN (every compare is false), ±Inf and negatives; -0
+		// passes.
+		for i, v := range demand.Data {
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				return 0, fail("demand[%d] = %v", i, v)
+			}
 		}
 	}
-	return nil
+	return peak, nil
 }
 
 // zeroDemand builds an all-zero demand vector for p — the default canary
@@ -482,7 +494,8 @@ func endedBy(ctx context.Context) error {
 
 // serve runs the guarded fallback chain for one admitted request.
 func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, demand *tensor.Dense, sp *reqtrace.Span) Decision {
-	if err := ValidateInput(p, demand); err != nil {
+	peak, err := validateInput(p, demand)
+	if err != nil {
 		s.record(TierRejected, start)
 		sp.SetError(err)
 		return Decision{Tier: TierRejected, Err: err}
@@ -504,13 +517,14 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 	// full-depth answer with zero inference and zero allocations. The cached
 	// matrix is shared read-only (see cache.go). Out-of-profile requests
 	// skip the probe entirely, and runModel skips the put for them. The key
-	// is hashed once, for the probe, the trace and the put.
+	// is hashed once, for the probe, the trace and the put, with the peak
+	// the validation pass found.
 	var key cacheKey
 	if s.cache != nil {
 		if verdict != OODInProfile {
 			sp.Annotate("cache", "ood-bypass")
 		} else {
-			key.topo, key.tm = CacheKey(p, demand, DefaultCacheQuantum)
+			key = cacheKey{topo: p.Fingerprint(), tm: tmHash(demand.Data, peak, DefaultCacheQuantum)}
 			if splits := s.cache.get(key); splits != nil {
 				s.record(TierCached, start)
 				sp.Annotate("cache", "hit")

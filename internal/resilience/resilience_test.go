@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -130,6 +131,123 @@ func TestValidateInputDemandMessages(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("demand %v: got %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// validateScalar is ValidateInput as an entry-by-entry check: the
+// verdict and message the one-pass demand check must reproduce.
+func validateScalar(p *te.Problem, demand *tensor.Dense) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrInvalidInput, fmt.Sprintf(format, args...))
+	}
+	if p == nil {
+		return fail("nil problem")
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+	if demand == nil {
+		return fail("nil demand")
+	}
+	if len(demand.Data) != p.NumFlows() {
+		return fail("demand has %d entries, want one per flow (%d)", len(demand.Data), p.NumFlows())
+	}
+	for i, v := range demand.Data {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return fail("demand[%d] = %v", i, v)
+		}
+	}
+	return nil
+}
+
+// demandEdgeCases are the values either side of every line the demand
+// check draws: ±0, the subnormals, the normal range's ends, ±Inf, and NaNs
+// quiet and signalling with the sign bit clear and set.
+var demandEdgeCases = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000FFFFFFFFFFFFF), -math.Float64frombits(0x000FFFFFFFFFFFFF),
+	0x1p-1022, 1, 2.5, -2.5, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Copysign(math.NaN(), -1),
+	math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF0000000000001),
+}
+
+// TestValidateInputMatchesScalarCheck: on demands of 2, 6 and 132 flows
+// (all-tail, part-tail and no-tail for the four-lane pass), each edge case
+// at each position — alone, and before a second bad entry — gets the
+// entry-by-entry check's verdict and message, and a valid demand's peak is
+// the `v > peak` scan's, bit for bit.
+func TestValidateInputMatchesScalarCheck(t *testing.T) {
+	three := topology.New("three", 3)
+	three.AddBidirectional(0, 1, 10)
+	three.AddBidirectional(1, 2, 10)
+	three.AddBidirectional(2, 0, 10)
+	three.EdgeNodes = []int{0, 1, 2}
+	for _, p := range []*te.Problem{
+		twoPathProblem(),
+		te.NewProblem(three, tunnels.Compute(three, 2)),
+		te.NewProblem(topology.Abilene(), tunnels.Compute(topology.Abilene(), 2)),
+	} {
+		n := p.NumFlows()
+		for _, v := range demandEdgeCases {
+			for i := 0; i < n; i++ {
+				for _, second := range []float64{1, -1} {
+					d := tensor.New(n, 1)
+					for j := range d.Data {
+						d.Data[j] = float64(j%7) / 3
+					}
+					d.Data[i] = v
+					if i+1 < n {
+						d.Data[i+1] = second
+					}
+					peak, err := validateInput(p, d)
+					if want := validateScalar(p, d); fmt.Sprint(err) != fmt.Sprint(want) {
+						t.Fatalf("%d flows, demand[%d] = %v: got %v, want %v", n, i, v, err, want)
+					}
+					if err != nil {
+						continue
+					}
+					var want float64
+					for _, x := range d.Data {
+						if x > want {
+							want = x
+						}
+					}
+					if math.Float64bits(peak) != math.Float64bits(want) {
+						t.Fatalf("%d flows, demand[%d] = %v: peak %v, want %v", n, i, v, peak, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDemandPeakLaneTails: over lengths 1–9 (every tail of the four-lane
+// pass), demandPeak's verdict is the entry-by-entry check's with any edge
+// case at any position, and an all-zero demand of either sign peaks at +0.
+func TestDemandPeakLaneTails(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		zeros := make([]float64, n)
+		for i := range zeros {
+			zeros[i] = math.Copysign(0, float64(i%2)-0.5)
+		}
+		if peak, valid := demandPeak(zeros); !valid || math.Float64bits(peak) != 0 {
+			t.Fatalf("length %d of ±0: peak %v (bits %x), valid %v", n, peak, math.Float64bits(peak), valid)
+		}
+		for _, v := range demandEdgeCases {
+			for i := 0; i < n; i++ {
+				d := make([]float64, n)
+				for j := range d {
+					d[j] = float64(j + 1)
+				}
+				d[i] = v
+				_, valid := demandPeak(d)
+				if want := v >= 0 && v <= math.MaxFloat64; valid != want {
+					t.Fatalf("length %d, d[%d] = %v: valid %v, want %v", n, i, v, valid, want)
+				}
+			}
 		}
 	}
 }
