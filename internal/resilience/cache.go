@@ -16,11 +16,12 @@ package resilience
 //
 // The key costs one pass over the demand for the buckets, folded into four
 // independent hash lanes with one multiply–xorshift each (mix64). The peak
-// comes from the pass that validates the demand (demandPeak), so a served
-// request reads its demand twice in all. A hit is not vetted again on the way out: the entry was vetted
-// (VetSplits) before put, so the server returns it as it is, and a fleet
-// takes a hit from its own in-process server (fleet.Local) without a
-// second vet; only answers through other replicas are vetted again.
+// comes from the pass that validates the demand (demandPeak), so the
+// server reads a request's demand twice. A hit is not vetted again on the
+// way out: the entry was vetted (VetSplits) before put, so the server
+// returns it as it is, and a fleet takes a hit from its own in-process
+// server (fleet.Local) without a second vet; only answers through other
+// replicas are vetted again.
 //
 // Cached matrices are shared read-only across hits. Nothing on the serving
 // path writes to a matrix it did not allocate: VetSplits only reads, and
