@@ -5,7 +5,11 @@ package fleet
 // traffic is a bounded ratio of offered load — retries can never storm the
 // fleet no matter how many replicas are failing.
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // retryBurst caps the bucket (and is where it starts), bounding how many
 // retries a quiet period can bank for a burst.
@@ -19,22 +23,34 @@ type tokenBucket struct {
 	tokens float64
 	rate   float64
 	burst  float64
+
+	// level mirrors tokens (its float64 bits), written under mu: every
+	// request earns, and a bucket nothing spends from stays full, where
+	// earning changes nothing.
+	level atomic.Uint64
 }
 
 func newTokenBucket(rate, burst float64) *tokenBucket {
-	return &tokenBucket{tokens: burst, rate: rate, burst: burst}
+	b := &tokenBucket{rate: rate, burst: burst}
+	b.set(burst)
+	return b
 }
 
-// earn credits the bucket for one primary request.
+// set moves the bucket to n tokens and its mirror with it. b.mu held, or b
+// not yet shared.
+func (b *tokenBucket) set(n float64) {
+	b.tokens = n
+	b.level.Store(math.Float64bits(n))
+}
+
+// earn credits the bucket for one primary request; on a full bucket it
+// returns after reading the mirror.
 func (b *tokenBucket) earn() {
-	if b.rate <= 0 {
+	if b.rate <= 0 || math.Float64frombits(b.level.Load()) >= b.burst {
 		return
 	}
 	b.mu.Lock()
-	b.tokens += b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.set(min(b.tokens+b.rate, b.burst))
 	b.mu.Unlock()
 }
 
@@ -48,6 +64,6 @@ func (b *tokenBucket) spend() bool {
 	if b.tokens < 1 {
 		return false
 	}
-	b.tokens--
+	b.set(b.tokens - 1)
 	return true
 }

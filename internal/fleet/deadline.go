@@ -51,9 +51,21 @@ type deadlineCtx struct {
 	err    error
 }
 
+// clockBase anchors monoNow.
+var clockBase = time.Now()
+
+// monoNow is the time now read from the monotonic clock alone, where
+// time.Now reads the wall clock too: clockBase advanced by the monotonic
+// time since. Its wall reading drifts from the real one only when the
+// wall clock is stepped; Err and the armed timer only compare monotonic
+// readings. resilience keeps its own copy: a shared one in a package
+// linked before the model's kernels would shift their alignment, and with
+// it every model-bound benchmark.
+func monoNow() time.Time { return clockBase.Add(time.Since(clockBase)) }
+
 // withLazyTimeout narrows parent to d from now; see deadlineCtx.
 func withLazyTimeout(parent context.Context, d time.Duration) *deadlineCtx {
-	start := time.Now()
+	start := monoNow()
 	at := start.Add(d)
 	if pd, ok := parent.Deadline(); ok && pd.Before(at) {
 		at = pd

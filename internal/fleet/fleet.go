@@ -314,9 +314,8 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 		out, err := f.attempt(reqtrace.NewContext(ctx, asp), r, p, demand)
 		asp.SetError(err)
 		asp.End()
-		if ctx.Err() != nil {
-			return f.expired(ctx, p, dec, sp)
-		}
+		// A successful attempt read ctx.Err() after the replica answered,
+		// so only a failed one needs it read again.
 		if err == nil {
 			f.served.Add(1)
 			dsp.AnnotateInt("served_by", int64(r.id))
@@ -330,6 +329,9 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 			}
 			dec.Replica = r.id
 			return dec
+		}
+		if ctx.Err() != nil {
+			return f.expired(ctx, p, dec, sp)
 		}
 		dec.Degraded = append(dec.Degraded, fmt.Sprintf("replica %d: %v", r.id, err))
 		if tried == nil {

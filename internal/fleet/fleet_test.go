@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -637,6 +638,73 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
+// TestHealthAndBudgetMirrors: in each of 20 rounds, four goroutines
+// report successes, failures and drains on three replicas, read their
+// states, and earn and spend retry tokens, all at once. After every round
+// each lock-free mirror equals the field it mirrors under its mutex, a
+// healthy replica has no failure streak, the quarantine count is the
+// number of quarantined replicas, and the bucket holds between 0 and its
+// burst.
+func TestHealthAndBudgetMirrors(t *testing.T) {
+	_, rs := fakes(3)
+	f := New(rs, Options{RetryBudget: 0.3})
+	defer f.Close()
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for n := 0; n < 500; n++ {
+					r := f.replicas[rng.Intn(len(f.replicas))]
+					switch op := rng.Intn(100); {
+					case op < 25:
+						f.onFailure(r)
+					case op < 55:
+						f.onSuccess(r)
+					case op < 56:
+						f.quarantineNow(r)
+					case op < 70:
+						_ = r.healthState()
+					case op < 90:
+						f.budget.earn()
+					default:
+						f.budget.spend()
+					}
+				}
+			}(int64(4*round + g))
+		}
+		wg.Wait()
+
+		var quarantined int64
+		for _, r := range f.replicas {
+			r.mu.Lock()
+			h, mirror, consec := r.health, r.healthState(), r.consec
+			r.mu.Unlock()
+			if mirror != h {
+				t.Fatalf("round %d, replica %d: mirror reads %v, health is %v", round, r.id, mirror, h)
+			}
+			if h == Healthy && consec != 0 {
+				t.Fatalf("round %d, replica %d: healthy with a streak of %d failures", round, r.id, consec)
+			}
+			if h == Quarantined {
+				quarantined++
+			}
+		}
+		if got := f.quarantined.Load(); got != quarantined {
+			t.Fatalf("round %d: quarantine count %d, %d replicas quarantined", round, got, quarantined)
+		}
+		b := f.budget
+		b.mu.Lock()
+		tokens, level := b.tokens, math.Float64frombits(b.level.Load())
+		b.mu.Unlock()
+		if level != tokens || tokens < 0 || tokens > b.burst {
+			t.Fatalf("round %d: bucket holds %v tokens (burst %v), its mirror reads %v", round, tokens, b.burst, level)
+		}
+	}
+}
+
 // TestFleetTelemetryExposition: the registry-backed mirror exposes the
 // fleet metrics in Prometheus text format.
 func TestFleetTelemetryExposition(t *testing.T) {
@@ -669,26 +737,43 @@ func TestFleetTelemetryExposition(t *testing.T) {
 	}
 }
 
-// hitFleet is the benchmark's hot_cache path: a fleet sharded by topology
-// in front of one Local replica with a split cache, on a gravity TM shaped
-// like the benchmark's — every ordered pair of edge nodes, 4 tunnels per
-// flow, capped at 35 % of every node's access capacity. The cold request
-// has been served, so the next Serve of (p, d) is a split-cache hit.
-func hitFleet(tb testing.TB, g *topology.Graph) (*Fleet, *te.Problem, *tensor.Dense) {
-	tb.Helper()
+// hitRequest is a request as the benchmark's hot_cache workload sends it
+// on g: every ordered pair of edge nodes, 4 tunnels per flow, and a
+// gravity TM capped at 35 % of every node's access capacity.
+func hitRequest(g *topology.Graph) (*te.Problem, *tensor.Dense) {
 	p := te.NewProblem(g, tunnels.Compute(g, 4))
 	var capacity float64
 	for _, e := range g.Edges {
 		capacity += e.Capacity
 	}
 	cfg := traffic.SeriesConfig{Total: 0.25 * capacity, DiurnalPeriod: 48, DiurnalAmplitude: 0.3, NoiseSigma: 0.3}
-	d := traffic.DemandVector(traffic.CapToAccess(traffic.Series(g, 1, cfg, 1)[0], g, 0.35), p.Tunnels.Flows)
-	srv := resilience.NewServer(core.New(core.DefaultConfig()), resilience.Options{CacheEntries: 256, Deadline: 5 * time.Second})
-	f := New([]Replica{Local{S: srv}}, Options{ShardByTopology: true, Deadline: 10 * time.Second})
-	if dec := f.Serve(p, d); dec.Err != nil || dec.Tier != resilience.TierFull {
-		tb.Fatalf("cold request: tier %v err %v", dec.Tier, dec.Err)
+	return p, traffic.DemandVector(traffic.CapToAccess(traffic.Series(g, 1, cfg, 1)[0], g, 0.35), p.Tunnels.Flows)
+}
+
+// hitFleetOf is the benchmark's hot_cache path: a fleet sharded by
+// topology in front of n Local replicas with a split cache each, which has
+// served each request once, so the next Serve of one is a split-cache hit.
+func hitFleetOf(tb testing.TB, n int, ps []*te.Problem, ds []*tensor.Dense) *Fleet {
+	tb.Helper()
+	m := core.New(core.DefaultConfig())
+	backends := make([]Replica, n)
+	for i := range backends {
+		backends[i] = Local{S: resilience.NewServer(m, resilience.Options{CacheEntries: 256, Deadline: 5 * time.Second})}
 	}
-	return f, p, d
+	f := New(backends, Options{ShardByTopology: true, Deadline: 10 * time.Second})
+	for i, p := range ps {
+		if dec := f.Serve(p, ds[i]); dec.Err != nil || dec.Tier != resilience.TierFull {
+			tb.Fatalf("cold request: tier %v err %v", dec.Tier, dec.Err)
+		}
+	}
+	return f
+}
+
+// hitFleet is hitFleetOf one replica and one request on g.
+func hitFleet(tb testing.TB, g *topology.Graph) (*Fleet, *te.Problem, *tensor.Dense) {
+	tb.Helper()
+	p, d := hitRequest(g)
+	return hitFleetOf(tb, 1, []*te.Problem{p}, []*tensor.Dense{d}), p, d
 }
 
 // serveHitAllocs is what the dispatcher adds to a split-cache hit, which
@@ -734,4 +819,27 @@ func BenchmarkServeHit(b *testing.B) {
 			b.ReportMetric(float64(p.NumFlows()), "flows")
 		})
 	}
+	// mixed/parallel is how hot_cache's two clients meet: Abilene and
+	// GEANT hits, alternating, from GOMAXPROCS goroutines at once on one
+	// sharded 2-replica fleet, so the fleet's shared state and any replica
+	// that owns both topologies are contended. ns/op is wall time over all
+	// goroutines' requests.
+	b.Run("mixed/parallel", func(b *testing.B) {
+		pa, da := hitRequest(topology.Abilene())
+		pg, dg := hitRequest(topology.Geant())
+		ps, ds := []*te.Problem{pa, pg}, []*tensor.Dense{da, dg}
+		f := hitFleetOf(b, 2, ps, ds)
+		defer f.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if dec := f.Serve(ps[i%2], ds[i%2]); dec.Tier != resilience.TierCached {
+					b.Errorf("tier %v, want a cache hit", dec.Tier)
+					return
+				}
+			}
+		})
+		b.ReportMetric(float64(pa.NumFlows()+pg.NumFlows())/2, "flows")
+	})
 }

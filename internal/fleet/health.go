@@ -58,34 +58,46 @@ type replica struct {
 
 	inflight atomic.Int64
 
+	// state mirrors health for readers that take no lock: every request
+	// reads each candidate's state and reports each success, and a healthy
+	// replica is the steady state.
+	state atomic.Int32
+
 	mu      sync.Mutex
 	health  Health
-	consec  int // consecutive failures
+	consec  int // consecutive failures; 0 whenever health is Healthy
 	probeOK int // consecutive probe successes while quarantined
 }
 
 // healthState reads the replica's current state.
-func (r *replica) healthState() Health {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.health
+func (r *replica) healthState() Health { return Health(r.state.Load()) }
+
+// setHealth moves the replica to h and its mirror with it. r.mu held.
+func (r *replica) setHealth(h Health) {
+	r.health = h
+	r.state.Store(int32(h))
 }
 
 // onSuccess records one vetted, successful answer (traffic or probe).
 // Healthy and degraded replicas reset to healthy; quarantined replicas
-// advance probation and re-admit after probationSuccesses in a row.
+// advance probation and re-admit after probationSuccesses in a row. On a
+// healthy replica, which has no failure streak, it changes nothing, so it
+// returns after reading the mirror.
 func (f *Fleet) onSuccess(r *replica) {
+	if r.healthState() == Healthy {
+		return
+	}
 	r.mu.Lock()
 	prev := r.health
 	if r.health == Quarantined {
 		r.probeOK++
 		if r.probeOK >= f.opts.probationSuccesses {
-			r.health = Healthy
+			r.setHealth(Healthy)
 			r.consec = 0
 			r.probeOK = 0
 		}
 	} else {
-		r.health = Healthy
+		r.setHealth(Healthy)
 		r.consec = 0
 	}
 	now := r.health
@@ -110,13 +122,13 @@ func (f *Fleet) onFailure(r *replica) {
 		r.probeOK = 0
 	case r.consec >= f.opts.quarantineThreshold:
 		if f.mayQuarantine() {
-			r.health = Quarantined
+			r.setHealth(Quarantined)
 			r.probeOK = 0
 		} else {
-			r.health = Degraded
+			r.setHealth(Degraded)
 		}
 	default: // one failure degrades: still in rotation, flagged, on the path to quarantine
-		r.health = Degraded
+		r.setHealth(Degraded)
 	}
 	now := r.health
 	r.mu.Unlock()
@@ -132,7 +144,7 @@ func (f *Fleet) onFailure(r *replica) {
 func (f *Fleet) quarantineNow(r *replica) {
 	r.mu.Lock()
 	prev := r.health
-	r.health = Quarantined
+	r.setHealth(Quarantined)
 	r.probeOK = 0
 	r.mu.Unlock()
 	if prev != Quarantined {

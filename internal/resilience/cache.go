@@ -14,14 +14,21 @@ package resilience
 // inference for the colliding demand — the epsilon bound
 // TestSplitCacheEpsilonBound measures.
 //
-// The key costs one pass over the demand for the buckets, folded into four
-// independent hash lanes with one multiply–xorshift each (mix64). The peak
-// comes from the pass that validates the demand (demandPeak), so the
-// server reads a request's demand twice. A hit is not vetted again on the
-// way out: the entry was vetted (VetSplits) before put, so the server
-// returns it as it is, and a fleet takes a hit from its own in-process
-// server (fleet.Local) without a second vet; only answers through other
-// replicas are vetted again.
+// The key costs one pass over the demand for the buckets. Each bucket is
+// one add (bucket), and the buckets pack into 64-bit words, 8 to a word at
+// the default quantum, so the hash runs one multiply–xorshift (mix64) per
+// word, not per entry. The peak comes from the pass that validates the
+// demand (demandPeak), so the server reads a request's demand twice. A
+// hit is not vetted again on the way out: the entry was vetted
+// (VetSplits) before put, so the server returns it as it is, and a fleet
+// takes a hit from its own in-process server (fleet.Local) without a
+// second vet; only answers through other replicas are vetted again.
+//
+// A hit takes no lock: get probes an open-addressed table of atomic
+// pointers and stamps the entry it finds with the cache's next tick;
+// put and purge serialise on the cache's mutex, and put evicts the entry
+// with the oldest stamp — exact LRU order, found by a scan on the miss
+// path only (SplitCache).
 //
 // Cached matrices are shared read-only across hits. Nothing on the serving
 // path writes to a matrix it did not allocate: VetSplits only reads, and
@@ -37,7 +44,9 @@ package resilience
 
 import (
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"harpte/internal/te"
 	"harpte/internal/tensor"
@@ -58,9 +67,9 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key        cacheKey
-	splits     *tensor.Dense
-	prev, next *cacheEntry // LRU list, head = most recent
+	key    cacheKey
+	splits *tensor.Dense
+	stamp  atomic.Uint64 // the cache's tick at the entry's last hit or put
 }
 
 // bytes is what the entry's answer occupies: 8 B per split ratio.
@@ -70,20 +79,40 @@ func (e *cacheEntry) bytes() int { return 8 * len(e.splits.Data) }
 // fingerprint, quantized TM), holding at most cap entries and at most
 // cap × cacheEntryBytes of answers (but always the newest one). Safe for
 // concurrent use. The zero value is unusable; construct with newSplitCache.
+//
+// A hit takes no lock. The entries sit in an open-addressed table of
+// atomic pointers (linear probing, at most half full) that get reads
+// with plain loads while put and purge write it under mu. An entry never
+// changes once published but for its stamp: every hit and every put takes
+// the next value of one tick, so the entry with the smallest stamp is the
+// least recently used, and put evicts it by a scan of the table, on the
+// miss path only. Eviction shifts later entries of a probe run back into
+// the freed slot, so a get racing it can miss an entry that is present:
+// the request then runs the model and puts the answer again.
 type SplitCache struct {
-	mu         sync.Mutex
-	entries    map[cacheKey]*cacheEntry
-	head, tail *cacheEntry
-	cap        int
-	bytes      int // Σ entry.bytes()
+	slots []atomic.Pointer[cacheEntry] // len a power of two
+	mask  uint64                       // len(slots) − 1
 
-	hits, misses, evictions, purges int64
+	// tick is the recency clock. Only hits and puts take values of it, so
+	// the hit count is tick less puts, with no second counter on a hit.
+	tick   atomic.Uint64
+	misses atomic.Int64
+
+	mu                      sync.Mutex // serialises put and purge
+	cap                     int
+	size                    int
+	bytes                   int // Σ entry.bytes()
+	puts, evictions, purges int64
 }
 
 func newSplitCache(capacity int) *SplitCache {
+	// More than twice the slots the cache can fill (capacity, and the one
+	// put inserts before it evicts), so a probe always ends at a nil slot.
+	n := 1 << bits.Len(uint(2*capacity+2))
 	return &SplitCache{
-		entries: make(map[cacheKey]*cacheEntry, capacity),
-		cap:     capacity,
+		slots: make([]atomic.Pointer[cacheEntry], n),
+		mask:  uint64(n - 1),
+		cap:   capacity,
 	}
 }
 
@@ -127,42 +156,58 @@ func tmHash(data []float64, dmax, quantum float64) uint64 {
 	// Per-flow buckets of quantum·dmax, by a multiply with the hoisted
 	// reciprocal: it can differ from v/step in the last bit, which moves
 	// only a value within an ulp of a bucket edge, and always the same way.
-	// Entry i feeds lane i mod 4: the four chains are independent, so their
-	// multiplies overlap, and the lanes fold into h in order at the end.
+	// A valid entry's bucket is at most ⌊1/quantum⌋+1, so it fits in
+	// bucketBits(quantum) bits, and the buckets of consecutive entries pack
+	// into one 64-bit word, which mix64 folds in as one value: a byte each
+	// (8 to a word) up to 8 bits, as at the default quantum, where the
+	// shifts are constants, and one field of the bucket's width each past
+	// that.
 	inv := 1 / (quantum * dmax)
-	h0, h1, h2, h3 := h, h+1, h+2, h+3
+	lane := max(8, bucketBits(quantum))
 	d := data
-	for len(d) >= 4 {
-		h0 = mix64(h0, bucket(d[0]*inv))
-		h1 = mix64(h1, bucket(d[1]*inv))
-		h2 = mix64(h2, bucket(d[2]*inv))
-		h3 = mix64(h3, bucket(d[3]*inv))
-		d = d[4:]
+	if lane == 8 {
+		for ; len(d) >= 8; d = d[8:] {
+			h = mix64(h, bucket(d[0]*inv)|bucket(d[1]*inv)<<8|bucket(d[2]*inv)<<16|bucket(d[3]*inv)<<24|
+				bucket(d[4]*inv)<<32|bucket(d[5]*inv)<<40|bucket(d[6]*inv)<<48|bucket(d[7]*inv)<<56)
+		}
 	}
-	switch len(d) {
-	case 3:
-		h2 = mix64(h2, bucket(d[2]*inv))
-		fallthrough
-	case 2:
-		h1 = mix64(h1, bucket(d[1]*inv))
-		fallthrough
-	case 1:
-		h0 = mix64(h0, bucket(d[0]*inv))
+	for per := 64 / int(lane); len(d) > 0; {
+		n := min(per, len(d))
+		var w, shift uint64
+		for _, v := range d[:n] {
+			// shift stays below 64; the mask only spares the compiler's
+			// check for a larger one.
+			w |= bucket(v*inv) << (shift & 63)
+			shift += uint64(lane)
+		}
+		h = mix64(h, w)
+		d = d[n:]
 	}
-	return mix64(mix64(mix64(mix64(mix64(h, h0), h1), h2), h3), uint64(len(data)))
+	return mix64(h, uint64(len(data)))
+}
+
+// bucketBits is how many bits a bucket index takes at quantum: those of
+// ⌊1/quantum⌋+1, the largest index a valid demand reaches (its peak entry
+// scales to 1/quantum, within an ulp either side). 64 — one index a word —
+// when 1/quantum is too large for the indices to be exact.
+func bucketBits(quantum float64) uint {
+	n := 1 / quantum
+	if !(n < 0x1p52) {
+		return 64
+	}
+	return uint(bits.Len64(uint64(n) + 1))
 }
 
 // bucket is the quantized index of a demand scaled to bucket units,
-// uint64(int64(math.Round(x))) for every 0 <= x < 2⁶³ — every valid demand
-// scaled by its own peak. It truncates and adds one when the fraction is
-// at least ½: the fraction x − k is exact, and so is the sign of
-// fraction − ½, so it rounds half away from zero as math.Round does,
-// without math.Round's branches on the exponent, which a demand's spread of
-// magnitudes mispredicts. Any other x (CacheKey takes a demand
-// ValidateInput refuses) gets some fixed index.
+// math.RoundToEven(x) as an integer for every 0 <= x < 2⁵² — every valid
+// demand scaled by its own peak — in one add: from 2⁵² to 2⁵³ the float64
+// spacing is 1, so x + 2⁵² rounds x to the nearest integer, ties to even,
+// and the sum's bits less 2⁵²'s are that integer (the exponent's carry
+// makes it 2⁵² when x rounds up to 2⁵²). Any other x (CacheKey takes a
+// demand ValidateInput refuses) gets some fixed value, which may spill
+// into the word's later buckets.
 func bucket(x float64) uint64 {
-	k := int64(x)
-	return uint64(k) + ^math.Float64bits(x-float64(k)-0.5)>>63
+	return math.Float64bits(x+0x1p52) - math.Float64bits(0x1p52)
 }
 
 // mix64 folds one 64-bit value into the running hash with one
@@ -170,10 +215,10 @@ func bucket(x float64) uint64 {
 // in each argument with the other fixed (xor, a multiply by an odd
 // constant and an xorshift are each bijections), so two bucket sequences
 // of one length that differ in a single bucket never collide: the length
-// puts every bucket in the same lane on both sides, the lane holding the
-// changed bucket parts there and every later step of it keeps the two
-// apart, the other lanes end equal, and each step of the fold is injective
-// in the one lane value that differs.
+// puts every bucket at the same place of the same word on both sides, so
+// exactly one word differs (the packing is injective: each bucket has its
+// own bits of the word), the chain parts at that word, and every later step,
+// each injective in the running hash, keeps the two apart.
 func mix64(h, v uint64) uint64 {
 	h = (h ^ v) * 0x9e3779b97f4a7c15
 	return h ^ h>>32
@@ -200,46 +245,89 @@ func CacheKey(p *te.Problem, demand *tensor.Dense, quantum float64) (topo, tm ui
 	return p.Fingerprint(), tmHash(demand.Data, dmax, quantum)
 }
 
+// home is the key's first slot. Both halves are hashes already.
+func (c *SplitCache) home(key cacheKey) uint64 { return (key.topo ^ key.tm) & c.mask }
+
 // get returns the cached splits for key, or nil. The returned matrix is
-// shared and read-only. Allocation-free on hit and miss.
+// shared and read-only. Allocation-free and lock-free on hit and miss.
 func (c *SplitCache) get(key cacheKey) *tensor.Dense {
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		c.misses++
-		c.mu.Unlock()
-		return nil
+	// A probe ends at a nil slot long before it has read every slot; the
+	// bound only keeps a get racing a run of evictions finite.
+	for i, n := c.home(key), 0; n <= int(c.mask); i, n = (i+1)&c.mask, n+1 {
+		e := c.slots[i].Load()
+		if e == nil {
+			break
+		}
+		if e.key == key {
+			e.stamp.Store(c.tick.Add(1))
+			return e.splits
+		}
 	}
-	c.moveToFront(e)
-	c.hits++
-	splits := e.splits
-	c.mu.Unlock()
-	return splits
+	c.misses.Add(1)
+	return nil
 }
 
 // put inserts a vetted TierFull answer, cloning it so the cache owns its
 // copy, and evicts least-recently-used entries beyond either bound.
 func (c *SplitCache) put(key cacheKey, splits *tensor.Dense) {
+	e := &cacheEntry{key: key, splits: splits.Clone()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e != nil {
-		c.bytes -= e.bytes()
-		c.moveToFront(e)
-	} else {
-		e = &cacheEntry{key: key}
-		c.entries[key] = e
-		c.pushFront(e)
+	e.stamp.Store(c.tick.Add(1))
+	c.puts++
+	i := c.home(key)
+	for ; ; i = (i + 1) & c.mask {
+		old := c.slots[i].Load()
+		if old == nil {
+			c.size++
+			break
+		}
+		if old.key == key {
+			c.bytes -= old.bytes()
+			break
+		}
 	}
-	e.splits = splits.Clone()
+	c.slots[i].Store(e)
 	c.bytes += e.bytes()
-	for len(c.entries) > 1 && (len(c.entries) > c.cap || c.bytes > c.cap*cacheEntryBytes) {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.bytes -= lru.bytes()
-		c.evictions++
+	for c.size > 1 && (c.size > c.cap || c.bytes > c.cap*cacheEntryBytes) {
+		c.evict(c.lru())
 	}
+}
+
+// lru returns the slot of the entry with the smallest stamp. c.mu held;
+// the table is not empty.
+func (c *SplitCache) lru() uint64 {
+	var at uint64
+	oldest := uint64(math.MaxUint64)
+	for i := range c.slots {
+		if e := c.slots[i].Load(); e != nil {
+			if s := e.stamp.Load(); s <= oldest {
+				at, oldest = uint64(i), s
+			}
+		}
+	}
+	return at
+}
+
+// evict removes the entry in slot i and closes the gap the way linear
+// probing needs: each later entry of the run whose home does not lie
+// cyclically in (i, j] moves back into the gap, which then moves to its
+// old slot. c.mu held.
+func (c *SplitCache) evict(i uint64) {
+	c.size--
+	c.bytes -= c.slots[i].Load().bytes()
+	c.evictions++
+	for j := (i + 1) & c.mask; ; j = (j + 1) & c.mask {
+		e := c.slots[j].Load()
+		if e == nil {
+			break
+		}
+		if h := c.home(e.key); (j-h)&c.mask >= (j-i)&c.mask {
+			c.slots[i].Store(e)
+			i = j
+		}
+	}
+	c.slots[i].Store(nil)
 }
 
 // purge empties the cache. Reload calls it: cached answers embody the old
@@ -247,9 +335,10 @@ func (c *SplitCache) put(key cacheKey, splits *tensor.Dense) {
 func (c *SplitCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]*cacheEntry, c.cap)
-	c.head, c.tail = nil, nil
-	c.bytes = 0
+	for i := range c.slots {
+		c.slots[i].Store(nil)
+	}
+	c.size, c.bytes = 0, 0
 	c.purges++
 }
 
@@ -264,45 +353,10 @@ type CacheStats struct {
 func (c *SplitCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Every put took its tick under c.mu, so tick − puts is exact here.
 	return CacheStats{
-		Size: len(c.entries), Capacity: c.cap, Bytes: c.bytes,
-		Hits: c.hits, Misses: c.misses,
+		Size: c.size, Capacity: c.cap, Bytes: c.bytes,
+		Hits: int64(c.tick.Load()) - c.puts, Misses: c.misses.Load(),
 		Evictions: c.evictions, Purges: c.purges,
 	}
-}
-
-// ---- intrusive LRU list (no allocations on the hit path) ----
-
-func (c *SplitCache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *SplitCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *SplitCache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }

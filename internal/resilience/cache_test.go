@@ -6,8 +6,11 @@ package resilience
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"harpte/internal/core"
@@ -192,6 +195,82 @@ func TestSplitCacheByteBound(t *testing.T) {
 	check(c, 1, 72192, 0)
 	c.put(key(1), kdl)
 	check(c, 1, 72192, 1)
+}
+
+// TestSplitCacheConcurrent: in each of 10 rounds, four goroutines get,
+// put and now and then purge over eight times more keys than the cache
+// holds, with homes that collide and answers of two sizes, so lock-free
+// gets race inserts, byte-bound and count-bound evictions and purges. A
+// get never returns another key's answer. After every round the cache
+// holds at most cap entries, its byte tally is the sum of its entries',
+// get finds every entry in the table, and hits plus misses is the number
+// of gets.
+func TestSplitCacheConcurrent(t *testing.T) {
+	const capacity, keys, workers, rounds, ops = 8, 64, 4, 10, 500
+	// Keys 0..63 of one topology: their homes are 1 ^ i, so runs form.
+	key := func(i int) cacheKey { return cacheKey{topo: 1, tm: uint64(i)} }
+	answers := make([]*tensor.Dense, keys)
+	for i := range answers {
+		rows := 2
+		if i%5 == 0 {
+			rows = 2256 // 72 KB: three of them pass the byte bound
+		}
+		answers[i] = tensor.New(rows, 4)
+		answers[i].Data[0] = float64(i)
+	}
+	c := newSplitCache(capacity)
+	var gets atomic.Int64
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for n := 0; n < ops; n++ {
+					i := rng.Intn(keys)
+					switch r := rng.Intn(1000); {
+					case r < 700:
+						gets.Add(1)
+						if got := c.get(key(i)); got != nil && got.Data[0] != float64(i) {
+							t.Errorf("get(%d) returned key %v's answer", i, got.Data[0])
+							return
+						}
+					case r < 998:
+						c.put(key(i), answers[i])
+					default:
+						c.purge()
+					}
+				}
+			}(int64(workers*round + w))
+		}
+		wg.Wait()
+
+		st := c.stats()
+		if st.Size > capacity {
+			t.Fatalf("round %d: %d entries in a cache of %d", round, st.Size, capacity)
+		}
+		if st.Hits+st.Misses != gets.Load() {
+			t.Fatalf("round %d: hits %d + misses %d, want %d gets", round, st.Hits, st.Misses, gets.Load())
+		}
+		var present []*cacheEntry
+		bytes := 0
+		for i := range c.slots {
+			if e := c.slots[i].Load(); e != nil {
+				present = append(present, e)
+				bytes += e.bytes()
+			}
+		}
+		if len(present) != st.Size || bytes != st.Bytes {
+			t.Fatalf("round %d: table holds %d entries of %d B, tally says %d of %d B", round, len(present), bytes, st.Size, st.Bytes)
+		}
+		for _, e := range present {
+			gets.Add(1)
+			if got := c.get(e.key); got != e.splits {
+				t.Fatalf("round %d: entry %v is in the table but get does not find it", round, e.key)
+			}
+		}
+	}
 }
 
 // TestReloadPurgesSplitCache: cached answers embody the old generation's

@@ -116,39 +116,52 @@ func TestTMHashSeparatesBuckets(t *testing.T) {
 	}
 }
 
-// TestTMHashLaneTails: over demand lengths 1–9, which cover every tail of
-// the four-lane bucket pass, moving any one bucket to any other value
+// TestTMHashLaneTails: over demand lengths 1–33, which cover every tail
+// of the packed words at every bucket width, and at one quantum of every
+// width FuzzCacheKey's quanta produce (0.001 → 10 bits down to 0.5 → 2
+// bits), moving any one bucket to any other value a valid demand reaches
 // changes the key, and demands whose entries quantize to the same buckets
 // share it.
 func TestTMHashLaneTails(t *testing.T) {
-	const q, steps = DefaultCacheQuantum, 100 // peak 1: buckets of 0.01
+	quanta := map[uint]float64{} // width → the finest FuzzCacheKey quantum of it
+	for k := 500; k >= 1; k-- {
+		q := float64(k) / 1000
+		quanta[bucketBits(q)] = q
+	}
+	if len(quanta) != 9 || bucketBits(0.001) != 10 || bucketBits(0.5) != 2 {
+		t.Fatalf("bucket widths %v, want 2–10 bits, 10 at 0.001 and 2 at 0.5", quanta)
+	}
 	rng := rand.New(rand.NewSource(3))
-	for n := 1; n <= 9; n++ {
-		for trial := 0; trial < 4; trial++ {
+	for width := uint(2); width <= 10; width++ {
+		q := quanta[width]
+		top := int(1/q) + 1 // the largest bucket a valid demand reaches
+		for n := 1; n <= 33; n++ {
 			buckets := make([]int, n)
 			for i := range buckets {
-				buckets[i] = rng.Intn(steps + 1)
+				buckets[i] = rng.Intn(top + 1)
 			}
+			// Entries in bucket units of a peak-1 demand: b·quantum,
+			// give or take less than half a bucket.
 			at := func(jitter float64) []float64 {
 				d := make([]float64, n)
 				for i, b := range buckets {
-					d[i] = max(0, (float64(b)+jitter*(rng.Float64()-0.5))/steps)
+					d[i] = max(0, (float64(b)+jitter*(rng.Float64()-0.5))*q)
 				}
 				return d
 			}
 			base := tmHash(at(0), 1, q)
 			if k := tmHash(at(0.8), 1, q); k != base {
-				t.Fatalf("length %d: buckets %v keyed %x, and %x with sub-bucket jitter", n, buckets, base, k)
+				t.Fatalf("%d bits, length %d: buckets %v keyed %x, and %x with sub-bucket jitter", width, n, buckets, base, k)
 			}
 			for i := range buckets {
 				was := buckets[i]
-				for b := 0; b <= steps; b++ {
+				for b := 0; b <= top; b++ {
 					if b == was {
 						continue
 					}
 					buckets[i] = b
 					if tmHash(at(0), 1, q) == base {
-						t.Fatalf("length %d: bucket %d moved %d → %d keeps the key", n, i, was, b)
+						t.Fatalf("%d bits, length %d: bucket %d moved %d → %d keeps the key", width, n, i, was, b)
 					}
 				}
 				buckets[i] = was
@@ -157,11 +170,13 @@ func TestTMHashLaneTails(t *testing.T) {
 	}
 }
 
-// TestBucketIsRound: bucket is math.Round's index for non-negative values
-// — at and either side of every half-way point, the largest value below
-// ½, 0 and -0, and past 2⁵² where every value is whole.
+// TestBucketIsRound: bucket is math.RoundToEven's index for 0 <= x < 2⁵²,
+// the domain a valid demand scaled by its peak reaches — at and either
+// side of every half-way point, the largest value below ½, 0 and -0, and
+// up to 2⁵², where the spacing reaches ½ and a tie rounds up into the
+// exponent's carry.
 func TestBucketIsRound(t *testing.T) {
-	xs := []float64{0, math.Copysign(0, -1), math.Nextafter(0.5, 0), 0x1p52, 0x1p52 + 1, 0x1p62, math.Nextafter(0x1p63, 0)}
+	xs := []float64{0, math.Copysign(0, -1), math.Nextafter(0.5, 0), 0x1p52 - 0.5, 0x1p52 - 1, 0x1p52 - 1.5, 0x1p51 + 0.5, 0x1p51 + 1.5}
 	for k := 0.0; k <= 1000; k++ {
 		for _, x := range []float64{k, k + 0.5} {
 			xs = append(xs, x, math.Nextafter(x, -1), math.Nextafter(x, math.Inf(1)))
@@ -169,13 +184,13 @@ func TestBucketIsRound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 100_000; i++ {
-		xs = append(xs, rng.ExpFloat64()*float64(int(1)<<rng.Intn(60)))
+		xs = append(xs, rng.ExpFloat64()*float64(int(1)<<rng.Intn(52)))
 	}
 	for _, x := range xs {
-		if x < 0 || x >= 0x1p63 {
+		if x < 0 || x >= 0x1p52 {
 			continue
 		}
-		if got, want := bucket(x), uint64(int64(math.Round(x))); got != want {
+		if got, want := bucket(x), uint64(math.RoundToEven(x)); got != want {
 			t.Fatalf("bucket(%v) = %d, want %d", x, got, want)
 		}
 	}
@@ -187,7 +202,7 @@ var keySink uint64
 // BenchmarkCacheKey is one request's split-cache key on the benchmark's
 // problems: the topology fingerprint (computed once per Problem, so a
 // read) and the quantized TM hash, two passes over the demand (its peak,
-// then the buckets).
+// then the buckets, packed 9 to a hashed word).
 func BenchmarkCacheKey(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -463,7 +463,7 @@ func (s *Server) Serve(p *te.Problem, demand *tensor.Dense) Decision {
 // the serving chain annotates it with admission, cache, tier, and
 // inference-stage spans; without one the cache-hit path allocates nothing.
 func (s *Server) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dense) Decision {
-	start := time.Now()
+	start := monoNow()
 	sp := reqtrace.FromContext(ctx)
 	dec, admitted := s.admit(ctx, start, sp)
 	if !admitted {
@@ -472,6 +472,16 @@ func (s *Server) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Den
 	defer s.release()
 	return s.serve(ctx, start, p, demand, sp)
 }
+
+// clockBase anchors monoNow.
+var clockBase = time.Now()
+
+// monoNow is the time now read from the monotonic clock alone, where
+// time.Now reads the wall clock too: clockBase advanced by the monotonic
+// time since. Its wall reading drifts from the real one only when the
+// wall clock is stepped, and a request's start is only ever subtracted
+// from, or given a deadline against, monotonic readings.
+func monoNow() time.Time { return clockBase.Add(time.Since(clockBase)) }
 
 // withDeadline narrows ctx to Options.Deadline for a request that arrived
 // at start. Only the admission queue and the model call it, so a cache hit
@@ -684,13 +694,15 @@ func VetSplits(p *te.Problem, splits *tensor.Dense) (*tensor.Dense, error) {
 }
 
 // record tallies one answered request: the per-tier count under statMu
-// and the latency histogram.
+// and, with telemetry on, the latency histogram — the only reader of the
+// clock here.
 func (s *Server) record(t Tier, start time.Time) {
-	elapsed := time.Since(start)
 	s.statMu.Lock()
 	s.counts[t]++
 	s.statMu.Unlock()
-	s.latency[t].Observe(elapsed.Seconds())
+	if h := s.latency[t]; h != nil {
+		h.Observe(time.Since(start).Seconds())
+	}
 }
 
 // tally copies the per-tier counts in one lock acquisition.
