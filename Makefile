@@ -37,7 +37,9 @@ test:
 # concurrent annotate/End/export and its stage-histogram feed (named: Go does
 # not descend from ./internal/obs),
 # resilience's Serve/Reload/Drain churn hammer, the breaker half-open
-# contention pin and the mid-RAU deadline and cancellation tests, chaos's
+# contention pin, the mid-RAU deadline and cancellation tests and the lazy
+# request deadline's concurrency test (the type behind the server's and the
+# fleet's deadlines alike), chaos's
 # fault-injecting filesystem and replica-fault injectors under torture, the
 # seed-replayable scenario player, the fleet dispatcher's chaos tortures
 # (concurrent callers with the background prober, failover retries, hung

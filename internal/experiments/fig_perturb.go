@@ -42,7 +42,6 @@ func (c *SchemesConfig) defaults() {
 
 // trainedSchemes bundles the three models trained on one problem.
 type trainedSchemes struct {
-	problem          *te.Problem
 	demands          []*tensor.Dense // aligned with tms
 	train, val, test []int           // indices into demands
 
@@ -55,7 +54,7 @@ type trainedSchemes struct {
 // trains HARP, DOTE and TEAL with the 75/12.5/12.5 protocol.
 func trainSchemes(p *te.Problem, cfg SchemesConfig) *trainedSchemes {
 	tms := SyntheticTMs(p.Graph, p.Tunnels, cfg.NumTMs, cfg.Seed+10)
-	ts := &trainedSchemes{problem: p}
+	ts := &trainedSchemes{}
 	for _, tm := range tms {
 		ts.demands = append(ts.demands, traffic.DemandVector(tm, p.Tunnels.Flows))
 	}

@@ -7,7 +7,6 @@ package fleet
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -19,39 +18,33 @@ const retryBurst = 10
 // request (capped at `burst`, starting full), spend one per failover
 // retry. A non-positive rate disables spending entirely.
 type tokenBucket struct {
-	mu     sync.Mutex
-	tokens float64
-	rate   float64
-	burst  float64
-
-	// level mirrors tokens (its float64 bits), written under mu: every
-	// request earns, and a bucket nothing spends from stays full, where
-	// earning changes nothing.
-	level atomic.Uint64
+	rate  float64
+	burst float64
+	// tokens is the bucket's level, a float64's bits, moved by
+	// compare-and-swap: every request earns, and a bucket nothing spends
+	// from stays full, where earning is one load.
+	tokens atomic.Uint64
 }
 
 func newTokenBucket(rate, burst float64) *tokenBucket {
 	b := &tokenBucket{rate: rate, burst: burst}
-	b.set(burst)
+	b.tokens.Store(math.Float64bits(burst))
 	return b
 }
 
-// set moves the bucket to n tokens and its mirror with it. b.mu held, or b
-// not yet shared.
-func (b *tokenBucket) set(n float64) {
-	b.tokens = n
-	b.level.Store(math.Float64bits(n))
-}
-
 // earn credits the bucket for one primary request; on a full bucket it
-// returns after reading the mirror.
+// returns after one load.
 func (b *tokenBucket) earn() {
-	if b.rate <= 0 || math.Float64frombits(b.level.Load()) >= b.burst {
+	if b.rate <= 0 {
 		return
 	}
-	b.mu.Lock()
-	b.set(min(b.tokens+b.rate, b.burst))
-	b.mu.Unlock()
+	for {
+		old := b.tokens.Load()
+		n := math.Float64frombits(old)
+		if n >= b.burst || b.tokens.CompareAndSwap(old, math.Float64bits(min(n+b.rate, b.burst))) {
+			return
+		}
+	}
 }
 
 // spend takes one token, reporting whether the retry may proceed.
@@ -59,11 +52,14 @@ func (b *tokenBucket) spend() bool {
 	if b.rate <= 0 {
 		return false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
+	for {
+		old := b.tokens.Load()
+		n := math.Float64frombits(old)
+		if n < 1 {
+			return false
+		}
+		if b.tokens.CompareAndSwap(old, math.Float64bits(n-1)) {
+			return true
+		}
 	}
-	b.set(b.tokens - 1)
-	return true
 }

@@ -198,7 +198,7 @@ type Fleet struct {
 	rr     atomic.Uint64 // round-robin pick cursor
 	budget *tokenBucket
 
-	quarantined atomic.Int64 // replicas currently quarantined (ejection cap)
+	ejectMu sync.Mutex // serialises ejections against the cap (health.go)
 
 	// The event tallies: Stats reads them, and EnableTelemetry exposes the
 	// same atomics on a registry as read-through counters.
@@ -291,8 +291,8 @@ func (f *Fleet) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Dens
 	defer dsp.End()
 
 	if f.opts.Deadline > 0 {
-		dctx := withLazyTimeout(ctx, f.opts.Deadline)
-		defer dctx.release()
+		dctx := resilience.WithLazyTimeout(ctx, f.opts.Deadline)
+		defer dctx.Release()
 		ctx = dctx
 	}
 
@@ -357,8 +357,6 @@ func (f *Fleet) expired(ctx context.Context, p *te.Problem, dec Decision, sp *re
 // already did (selfVetted), and feeds the replica's health state machine.
 // A nil error return means the Decision holds vetted, routable splits.
 func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *tensor.Dense) (dec resilience.Decision, err error) {
-	r.inflight.Add(1)
-	defer r.inflight.Add(-1)
 	defer func() {
 		if rec := recover(); rec != nil {
 			f.onFailure(r)
@@ -367,8 +365,8 @@ func (f *Fleet) attempt(ctx context.Context, r *replica, p *te.Problem, demand *
 	}()
 	tctx := ctx
 	if f.opts.TryTimeout > 0 {
-		dctx := withLazyTimeout(ctx, f.opts.TryTimeout)
-		defer dctx.release()
+		dctx := resilience.WithLazyTimeout(ctx, f.opts.TryTimeout)
+		defer dctx.Release()
 		tctx = dctx
 	}
 	dec, err = r.backend.Serve(tctx, p, demand)
@@ -437,7 +435,7 @@ func selfVetted(b Replica, t resilience.Tier) bool {
 func (f *Fleet) fallback(p *te.Problem, dec Decision, err error, sp *reqtrace.Span) Decision {
 	f.fallbacks.Add(1)
 	sp.SetError(err)
-	dec.Splits = te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
+	dec.Splits = resilience.ECMPSplits(p)
 	dec.Tier = resilience.TierECMP
 	dec.Replica = -1
 	dec.Err = err

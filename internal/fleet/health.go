@@ -56,56 +56,39 @@ type replica struct {
 	id      int
 	backend Replica
 
-	inflight atomic.Int64
-
-	// state mirrors health for readers that take no lock: every request
-	// reads each candidate's state and reports each success, and a healthy
-	// replica is the steady state.
+	// state is the replica's Health, written under mu and read without
+	// it: every request reads each candidate's state and reports each
+	// success, and a healthy replica is the steady state.
 	state atomic.Int32
 
 	mu      sync.Mutex
-	health  Health
-	consec  int // consecutive failures; 0 whenever health is Healthy
+	consec  int // consecutive failures; 0 whenever the state is Healthy
 	probeOK int // consecutive probe successes while quarantined
 }
 
 // healthState reads the replica's current state.
 func (r *replica) healthState() Health { return Health(r.state.Load()) }
 
-// setHealth moves the replica to h and its mirror with it. r.mu held.
-func (r *replica) setHealth(h Health) {
-	r.health = h
-	r.state.Store(int32(h))
-}
-
 // onSuccess records one vetted, successful answer (traffic or probe).
 // Healthy and degraded replicas reset to healthy; quarantined replicas
 // advance probation and re-admit after probationSuccesses in a row. On a
 // healthy replica, which has no failure streak, it changes nothing, so it
-// returns after reading the mirror.
+// returns after reading the state.
 func (f *Fleet) onSuccess(r *replica) {
 	if r.healthState() == Healthy {
 		return
 	}
 	r.mu.Lock()
-	prev := r.health
-	if r.health == Quarantined {
-		r.probeOK++
-		if r.probeOK >= f.opts.probationSuccesses {
-			r.setHealth(Healthy)
-			r.consec = 0
-			r.probeOK = 0
+	defer r.mu.Unlock()
+	if r.healthState() == Quarantined {
+		if r.probeOK++; r.probeOK < f.opts.probationSuccesses {
+			return
 		}
-	} else {
-		r.setHealth(Healthy)
-		r.consec = 0
-	}
-	now := r.health
-	r.mu.Unlock()
-	if prev == Quarantined && now != Quarantined {
-		f.quarantined.Add(-1)
+		r.probeOK = 0
 		f.readmits.Add(1)
 	}
+	r.state.Store(int32(Healthy))
+	r.consec = 0
 }
 
 // onFailure records one failed attempt (transport error, timeout, panic,
@@ -115,27 +98,39 @@ func (f *Fleet) onSuccess(r *replica) {
 // streak.
 func (f *Fleet) onFailure(r *replica) {
 	r.mu.Lock()
-	prev := r.health
+	defer r.mu.Unlock()
 	r.consec++
 	switch {
-	case r.health == Quarantined:
+	case r.healthState() == Quarantined:
 		r.probeOK = 0
-	case r.consec >= f.opts.quarantineThreshold:
-		if f.mayQuarantine() {
-			r.setHealth(Quarantined)
-			r.probeOK = 0
-		} else {
-			r.setHealth(Degraded)
-		}
+	case r.consec >= f.opts.quarantineThreshold && f.eject(r):
+		// Quarantined, under the cap.
 	default: // one failure degrades: still in rotation, flagged, on the path to quarantine
-		r.setHealth(Degraded)
+		r.state.Store(int32(Degraded))
 	}
-	now := r.health
-	r.mu.Unlock()
-	if prev != Quarantined && now == Quarantined {
-		f.quarantined.Add(1)
-		f.ejections.Add(1)
+}
+
+// eject quarantines r when one more quarantine stays under the ejection
+// cap, counting the replicas quarantined now, and reports whether it did.
+// With the default 0.5 cap a one-replica fleet can never quarantine its
+// only replica (floor(0.5·1) = 0) — the dispatcher keeps trying it, which
+// is the only useful behavior with nothing to fail over to. ejectMu makes
+// the count and the move one step, so concurrent failures on two replicas
+// cannot both pass the cap. r.mu held.
+func (f *Fleet) eject(r *replica) bool {
+	f.ejectMu.Lock()
+	defer f.ejectMu.Unlock()
+	n := 1
+	for _, q := range f.replicas {
+		if q.healthState() == Quarantined {
+			n++
+		}
 	}
+	if n > int(f.opts.maxQuarantinedFraction*float64(len(f.replicas))) {
+		return false
+	}
+	f.quarantine(r)
+	return true
 }
 
 // quarantineNow removes a replica from dispatch unconditionally — used
@@ -143,24 +138,18 @@ func (f *Fleet) onFailure(r *replica) {
 // fact that needs no detector and bypasses the ejection cap.
 func (f *Fleet) quarantineNow(r *replica) {
 	r.mu.Lock()
-	prev := r.health
-	r.setHealth(Quarantined)
-	r.probeOK = 0
-	r.mu.Unlock()
-	if prev != Quarantined {
-		f.quarantined.Add(1)
-		f.ejections.Add(1)
-	}
+	defer r.mu.Unlock()
+	f.quarantine(r)
 }
 
-// mayQuarantine reports whether one more quarantine stays under the
-// ejection cap. With the default 0.5 cap a one-replica fleet can never
-// quarantine its only replica (floor(0.5·1) = 0) — the dispatcher keeps
-// trying it, which is the only useful behavior with nothing to fail over
-// to.
-func (f *Fleet) mayQuarantine() bool {
-	limit := int64(f.opts.maxQuarantinedFraction * float64(len(f.replicas)))
-	return f.quarantined.Load()+1 <= limit
+// quarantine moves r to Quarantined, restarting its probation, and counts
+// an ejection unless it was quarantined already. r.mu held.
+func (f *Fleet) quarantine(r *replica) {
+	if r.healthState() != Quarantined {
+		f.ejections.Add(1)
+	}
+	r.state.Store(int32(Quarantined))
+	r.probeOK = 0
 }
 
 // probeRequest returns the pinned probe (with a zero demand vector when

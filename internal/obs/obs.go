@@ -208,7 +208,6 @@ func (t metricType) String() string {
 // added to a counter's or gauge's own value at scrape time; it is written
 // and read under the registry lock.
 type metric struct {
-	labels  []Label
 	sig     string // canonical `k="v",k2="v2"` form (escaped), "" when unlabeled
 	counter *Counter
 	gauge   *Gauge
@@ -268,7 +267,7 @@ func (r *Registry) lookup(name, help string, typ metricType, buckets []float64, 
 	if m := fam.index[sig]; m != nil {
 		return m
 	}
-	m := &metric{labels: sortedLabels(labels), sig: sig}
+	m := &metric{sig: sig}
 	switch typ {
 	case typeCounter:
 		m.counter = &Counter{}

@@ -92,8 +92,11 @@ func (s *Server) admit(ctx context.Context, start time.Time, sp *reqtrace.Span) 
 	defer s.queued.Add(-1)
 	qsp := sp.StartChild("queue.wait")
 	defer qsp.End()
-	ctx, cancel := s.withDeadline(ctx, start)
-	defer cancel()
+	if s.opts.Deadline > 0 {
+		dctx := lazyDeadline(ctx, start, s.opts.Deadline)
+		defer dctx.Release()
+		ctx = dctx
+	}
 	select {
 	case s.sem <- struct{}{}:
 		return Decision{}, true

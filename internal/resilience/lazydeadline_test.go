@@ -1,7 +1,7 @@
-package fleet
+package resilience
 
-// The oracle for deadlineCtx: every scenario below runs once on
-// context.WithTimeout and once on withLazyTimeout, and what each observes
+// The oracle for LazyDeadline: every scenario below runs once on
+// context.WithTimeout and once on WithLazyTimeout, and what each observes
 // must be the same. Run under -race (make race covers this package).
 
 import (
@@ -28,8 +28,8 @@ var timeoutImpls = []struct {
 		return context.WithTimeout(parent, d)
 	}},
 	{"lazy", func(parent context.Context, d time.Duration) (context.Context, func()) {
-		c := withLazyTimeout(parent, d)
-		return c, c.release
+		c := WithLazyTimeout(parent, d)
+		return c, c.Release
 	}},
 }
 
@@ -129,8 +129,7 @@ func TestLazyDeadlineMatchesWithTimeout(t *testing.T) {
 			const d = 20 * time.Millisecond
 			ctx, release := mk(context.Background(), d)
 			defer release()
-			// The fleet hands its context on wrapped in a trace value, and
-			// the server derives its own deadline from that.
+			// The fleet hands its context on wrapped in a trace value.
 			child, cancel := context.WithDeadline(context.WithValue(ctx, key{}, 1), time.Now().Add(time.Hour))
 			defer cancel()
 			return []string{
@@ -152,6 +151,87 @@ func TestLazyDeadlineMatchesWithTimeout(t *testing.T) {
 				c()
 			}
 			return []string{fmt.Sprint("goroutines grew: ", grew > 0)}
+		}},
+		// The fleet's Deadline over its TryTimeout, and either over the
+		// server's Options.Deadline, each behind a trace value.
+		{"a deadline under a deadline, inner earlier", func(mk timeoutFunc) []string {
+			const d = 20 * time.Millisecond
+			outer, releaseOuter := mk(context.Background(), time.Hour)
+			defer releaseOuter()
+			inner, release := mk(context.WithValue(outer, key{}, 1), d)
+			defer release()
+			od, _ := outer.Deadline()
+			id, _ := inner.Deadline()
+			obs := []string{
+				fmt.Sprint("inner's own: ", id.Before(od)),
+				fmt.Sprint("value: ", inner.Value(key{})),
+				fmt.Sprint("before: ", inner.Err()),
+			}
+			time.Sleep(d)
+			obs = append(obs, fmt.Sprint("after: ", waitErr(inner), " outer: ", outer.Err()))
+			return append(obs, fmt.Sprint("done: ", waitDone(inner.Done(), 0),
+				" outer open: ", !closed(outer.Done()), " err: ", inner.Err()))
+		}},
+		{"a deadline under a deadline, outer earlier, never waited on", func(mk timeoutFunc) []string {
+			const d = 20 * time.Millisecond
+			outer, releaseOuter := mk(context.Background(), d)
+			defer releaseOuter()
+			inner, release := mk(context.WithValue(outer, key{}, 1), time.Hour)
+			defer release()
+			od, _ := outer.Deadline()
+			id, _ := inner.Deadline()
+			obs := []string{fmt.Sprint("outer's: ", id.Equal(od)), fmt.Sprint("before: ", inner.Err())}
+			time.Sleep(d)
+			obs = append(obs, fmt.Sprint("after: ", waitErr(inner), " outer: ", waitErr(outer)))
+			return append(obs, fmt.Sprint("done: ", waitDone(inner.Done(), 0), " err: ", inner.Err()))
+		}},
+		{"a deadline under a deadline, outer earlier, inner waited on", func(mk timeoutFunc) []string {
+			const d = 20 * time.Millisecond
+			start := time.Now()
+			outer, releaseOuter := mk(context.Background(), d)
+			defer releaseOuter()
+			inner, release := mk(context.WithValue(outer, key{}, 1), time.Hour)
+			defer release()
+			in := waitDone(inner.Done(), d)
+			return []string{
+				fmt.Sprint("closed in bound: ", in),
+				fmt.Sprint("not early: ", time.Since(start) >= d),
+				fmt.Sprint("err: ", inner.Err(), " outer: ", outer.Err()),
+			}
+		}},
+		{"a deadline under a deadline, outer earlier, inner never ends first", func(mk timeoutFunc) []string {
+			// Both deadlines fall on the outer's instant; only the outer
+			// may end the inner, as WithDeadline under a parent whose
+			// deadline is earlier has no timer of its own.
+			first := 0
+			for i := 0; i < 200; i++ {
+				outer, releaseOuter := mk(context.Background(), time.Millisecond)
+				inner, release := mk(context.WithValue(outer, key{}, i), time.Hour)
+				<-inner.Done()
+				if outer.Err() == nil {
+					first++
+				}
+				release()
+				releaseOuter()
+			}
+			return []string{fmt.Sprint("inner ended first: ", first)}
+		}},
+		{"outer released under a waiting inner", func(mk timeoutFunc) []string {
+			outer, releaseOuter := mk(context.Background(), time.Hour)
+			inner, release := mk(context.WithValue(outer, key{}, 1), time.Minute)
+			defer release()
+			done := inner.Done()
+			obs := []string{fmt.Sprint("open: ", !closed(done))}
+			releaseOuter()
+			return append(obs, fmt.Sprint("done: ", waitDone(done, 0), " err: ", inner.Err()))
+		}},
+		{"outer released under an inner nothing waits on", func(mk timeoutFunc) []string {
+			outer, releaseOuter := mk(context.Background(), time.Hour)
+			inner, release := mk(context.WithValue(outer, key{}, 1), time.Minute)
+			defer release()
+			releaseOuter()
+			obs := []string{fmt.Sprint("err: ", waitErr(inner))}
+			return append(obs, fmt.Sprint("done: ", waitDone(inner.Done(), 0), " err: ", inner.Err()))
 		}},
 		{"release before Done", func(mk timeoutFunc) []string {
 			ctx, release := mk(context.Background(), time.Hour)
@@ -199,7 +279,7 @@ func TestLazyDeadlineMatchesWithTimeout(t *testing.T) {
 // of whatever ended it first.
 func TestLazyDeadlineConcurrent(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		ctx := withLazyTimeout(context.Background(), time.Duration(round%5)*time.Millisecond)
+		ctx := WithLazyTimeout(context.Background(), time.Duration(round%5)*time.Millisecond)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -219,7 +299,7 @@ func TestLazyDeadlineConcurrent(t *testing.T) {
 					cancel()
 				case 3:
 					time.Sleep(time.Duration(round%3) * time.Millisecond)
-					ctx.release()
+					ctx.Release()
 				}
 			}(g)
 		}

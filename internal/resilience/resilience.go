@@ -15,10 +15,10 @@
 // finished no iteration falls to ECMP. Everything runs on the caller's
 // goroutine; nothing is left running behind a request that returned.
 //
-// ECMP (te.Problem.UniformSplits, locally rescaled around failed tunnels)
-// is computed with plain arithmetic on validated inputs, so the chain
-// always terminates with a valid, row-normalized split matrix; the tier
-// that actually served each request is recorded for observability.
+// ECMP (ECMPSplits: te.Problem.UniformSplits, rescaled around failed
+// tunnels) is computed with plain arithmetic on validated inputs, so the
+// chain always terminates with a valid, row-normalized split matrix; the
+// tier that actually served each request is recorded for observability.
 //
 // Around that chain sit the overload and churn guards: a bounded admission
 // gate that sheds excess load with typed errors instead of queueing it
@@ -473,28 +473,9 @@ func (s *Server) ServeCtx(ctx context.Context, p *te.Problem, demand *tensor.Den
 	return s.serve(ctx, start, p, demand, sp)
 }
 
-// clockBase anchors monoNow.
-var clockBase = time.Now()
-
-// monoNow is the time now read from the monotonic clock alone, where
-// time.Now reads the wall clock too: clockBase advanced by the monotonic
-// time since. Its wall reading drifts from the real one only when the
-// wall clock is stepped, and a request's start is only ever subtracted
-// from, or given a deadline against, monotonic readings.
-func monoNow() time.Time { return clockBase.Add(time.Since(clockBase)) }
-
-// withDeadline narrows ctx to Options.Deadline for a request that arrived
-// at start. Only the admission queue and the model call it, so a cache hit
-// never pays for a context.
-func (s *Server) withDeadline(ctx context.Context, start time.Time) (context.Context, context.CancelFunc) {
-	if s.opts.Deadline <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, start.Add(s.opts.Deadline))
-}
-
 // endedBy names why ctx stopped the model: its error, or DeadlineExceeded
-// when the engine read the clock before the context's timer fired.
+// when the engine's clock read passed ctx.Deadline() before ctx.Err() said
+// so.
 func endedBy(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -551,9 +532,7 @@ func (s *Server) serve(ctx context.Context, start time.Time, p *te.Problem, dema
 
 	dec := Decision{OOD: verdict, Tier: TierFull}
 	if dec.Splits = s.runModel(ctx, start, p, demand, key, sp, &dec); dec.Splits == nil {
-		// Terminal tier: uniform splits rescaled off failed tunnels. Pure
-		// arithmetic on validated inputs — cannot fail.
-		dec.Splits, dec.Tier = te.NormalizeRows(te.Rescale(p, p.UniformSplits())), TierECMP
+		dec.Splits, dec.Tier = ECMPSplits(p), TierECMP
 	}
 	s.record(dec.Tier, start)
 	s.annotateOutcome(sp, &dec)
@@ -584,8 +563,11 @@ func (s *Server) runModel(ctx context.Context, start time.Time, p *te.Problem, d
 		dec.Degraded = append(dec.Degraded, fmt.Sprintf("context: %v", err))
 		return nil
 	}
-	ctx, cancel := s.withDeadline(ctx, start)
-	defer cancel()
+	if s.opts.Deadline > 0 {
+		dctx := lazyDeadline(ctx, start, s.opts.Deadline)
+		defer dctx.Release()
+		ctx = dctx
+	}
 	if err := ctx.Err(); err != nil {
 		s.deadlines.Add(1)
 		degrade(err)
@@ -674,6 +656,14 @@ func (s *Server) safeInfer(ctx context.Context, m *core.Model, c *core.Context, 
 	}
 	splits, err = VetSplits(p, splits)
 	return splits, k, err
+}
+
+// ECMPSplits is the terminal tier's answer, the server's and the fleet's
+// alike: uniform splits over each flow's tunnels, rescaled off failed
+// tunnels, every row summing to 1. Pure arithmetic on a validated
+// problem — it cannot fail.
+func ECMPSplits(p *te.Problem) *tensor.Dense {
+	return te.NormalizeRows(te.Rescale(p, p.UniformSplits()))
 }
 
 // VetSplits checks a serving answer with verify.CheckSplits — shaped F×K,
